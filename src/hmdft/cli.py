@@ -120,8 +120,6 @@ def _to_text(payload) -> str:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sp.add_argument("--out", default=None, help="write output to this path")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for sampled permutation checks")
     sp.add_argument("--cap", type=int, default=None,
                     help="size cap on q**n - 1 (default %d)" % DEFAULT_SIZE_CAP)
 
@@ -229,10 +227,16 @@ def _cmd_hm_verify(args) -> int:
         size_cap=_cap(args),
         with_witness=not args.no_witness,
         check_symmetry=args.check_symmetry,
-        seed=args.seed,
         pinned_w=args.w,
         pinned_c=args.c,
     )
+    lo, hi = cfg.n_range
+    if not cfg.q_list:
+        raise ValueError("--q names no field size")
+    if lo > hi:
+        raise ValueError(f"--n range {lo}:{hi} is empty")
+    if not any(cfg.weights(n) for n in range(lo, hi + 1)):
+        raise ValueError(f"no w fits any n in {lo}:{hi}")
     result = sweep(cfg)
     _emit(result.to_dict(), args.format, args.out)
     return 0 if result.summary["fail"] == 0 else 1

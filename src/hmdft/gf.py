@@ -230,12 +230,6 @@ class FieldCtx:
             raise ValueError(f"code {code} out of range for {self!r}")
         return FieldElement(self, code)
 
-    def from_coeffs(self, coeffs) -> "FieldElement":
-        coeffs = list(coeffs)
-        if len(coeffs) > self.m:
-            raise ValueError("coefficient vector longer than extension degree")
-        return FieldElement(self, self.code_of(coeffs))
-
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
 
@@ -584,9 +578,6 @@ class PolyFq:
         for c in reversed(self.codes):
             acc = ctx.add_codes(ctx.mul_codes(acc, point.code), c)
         return FieldElement(ctx, acc)
-
-    def map_codes(self, fn) -> "PolyFq":
-        return PolyFq(self.ctx, [fn(c) for c in self.codes])
 
     def __eq__(self, other):
         if not isinstance(other, PolyFq):

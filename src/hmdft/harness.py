@@ -24,7 +24,6 @@ are never zero).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 
 from .cyclic import least_period
@@ -112,10 +111,16 @@ class SweepConfig:
     size_cap: int = DEFAULT_SIZE_CAP
     with_witness: bool = True
     check_symmetry: bool = False
-    symmetry_trials: int = 64
-    seed: int = 0
     pinned_w: int | None = None
     pinned_c: int | None = None
+
+    def weights(self, n: int) -> list[int]:
+        """The w values the grid covers at n; empty when none fits."""
+        if self.pinned_w is not None:
+            return [self.pinned_w] if 1 <= self.pinned_w <= n else []
+        if self.w_policy == "full":
+            return list(range(1, n + 1))
+        return list(range(1, n // 2 + 1))
 
 
 @dataclass(frozen=True)
@@ -243,8 +248,7 @@ def _witness_fields(q: int, n: int, w: int, c: int, cap: int):
     return tuple(wit.codes), expected and coeff_ok
 
 
-def _sweep_tuple(q: int, n: int, w: int, c: int, cfg: SweepConfig,
-                 rng: random.Random) -> PeriodReport:
+def _sweep_tuple(q: int, n: int, w: int, c: int, cfg: SweepConfig) -> PeriodReport:
     if w == n:
         report = PeriodReport(q=q, n=n, w=w, c=c, threshold=threshold(n, q),
                               case_label=CASE_NORM)
@@ -258,8 +262,7 @@ def _sweep_tuple(q: int, n: int, w: int, c: int, cfg: SweepConfig,
         witness, ok = _witness_fields(q, n, w, c, cfg.size_cap)
         report = replace(report, witness=witness, witness_ok=ok)
     if cfg.check_symmetry and mask is not None:
-        sym = is_q_symmetric(mask, q, n, trials=cfg.symmetry_trials, rng=rng)
-        report = replace(report, symmetric=sym)
+        report = replace(report, symmetric=is_q_symmetric(mask, q, n))
     return report
 
 
@@ -272,7 +275,6 @@ def sweep(cfg: SweepConfig) -> SweepResult:
     """
     reports = []
     skipped = []
-    rng = random.Random(cfg.seed)
     n_lo, n_hi = cfg.n_range
     for q in sorted(set(cfg.q_list)):
         prime_power(q)  # validates q
@@ -280,13 +282,7 @@ def sweep(cfg: SweepConfig) -> SweepResult:
             if q ** n - 1 > cfg.size_cap:
                 skipped.append({"q": q, "n": n, "reason": "size_cap"})
                 continue
-            if cfg.pinned_w is not None:
-                ws = [cfg.pinned_w] if 1 <= cfg.pinned_w <= n else []
-            elif cfg.w_policy == "full":
-                ws = list(range(1, n + 1))
-            else:
-                ws = list(range(1, n // 2 + 1))
-            for w in ws:
+            for w in cfg.weights(n):
                 if cfg.pinned_c is not None:
                     cs = [cfg.pinned_c]
                 else:
@@ -296,7 +292,7 @@ def sweep(cfg: SweepConfig) -> SweepResult:
                         skipped.append({"q": q, "n": n, "w": w, "c": c,
                                         "reason": "norm_of_zero_excluded"})
                         continue
-                    reports.append(_sweep_tuple(q, n, w, c, cfg, rng))
+                    reports.append(_sweep_tuple(q, n, w, c, cfg))
     n_excluded = sum(1 for r in reports if r.case_label == CASE_EXCLUDED)
     n_fail = sum(1 for r in reports if not r.passed)
     summary = {

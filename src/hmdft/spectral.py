@@ -46,11 +46,10 @@ from .gf import (
     primitive_element,
     subfield_embedding,
 )
+from .symfun import MODULUS_GUARD
 
 PROVEN = "Proven"
 INCONCLUSIVE = "Inconclusive"
-
-MODULUS_GUARD = 1 << 22
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,11 @@ irreducible of degree n whose coefficient of x**(n-w) equals c.
 
 A function on Z_{q^n-1} is q-symmetric when it is invariant under every
 permutation of the base-q digits of its argument; phi_rho realizes one digit
-permutation as a permutation of Z_{q^n-1}.
+permutation as a permutation of Z_{q^n-1}.  The maps phi_rho compose like
+the permutations rho, so invariance under two generators of S_n is
+invariance under all n! of them; and since each phi_rho is a bijection,
+comparing values on the support alone is enough.  is_q_symmetric checks
+exactly that, for every n.
 
 Aside, not implemented here: read over the integers instead of a field, the
 s-fold convolution power of these indicators counts 0/1 matrices with
@@ -24,9 +28,7 @@ reduced into the field.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .cyclic import CyclicFn, SupportSet, conv_power, kronecker
 from .errors import (
@@ -165,46 +167,27 @@ def phi_rho(rho, k: int, q: int, n: int) -> int:
     return v
 
 
-def is_q_symmetric(f: CyclicFn, q: int, n: int, trials: int = 128,
-                   rng: random.Random | None = None) -> bool:
+def is_q_symmetric(f: CyclicFn, q: int, n: int) -> bool:
     """Whether f is invariant under every digit permutation of its argument.
 
-    Exhaustive over all n! permutations for n <= 8; above that, `trials`
-    random permutations are sampled (seeded rng for determinism).  Since a
-    digit permutation is a bijection of Z_{q^n-1}, invariance is equivalent
-    to a check over the support only, which is what runs here.
+    Exact for every n, from two permutations only: phi_rho is an action of
+    S_n on Z_{q^n-1}, and the transposition (0 1) and the n-cycle generate
+    S_n, so invariance under these two gives invariance under all n!.  The
+    n-cycle is multiplication by q; (0 1) moves s by (d0 - d1)(q - 1), where
+    d0 and d1 are its two lowest digits.  Checking f(phi(s)) = f(s) on the
+    support alone suffices: then phi maps the support into itself, hence
+    onto it, since phi is a bijection.
     """
     N = q ** n - 1
     if f.N != N:
         raise ValueError(f"function modulus {f.N} is not q**n - 1 = {N}")
     if n == 1:
         return True
-    supp = f.support().members
-    if not supp:
-        return True
     codes = f.codes
-    qpow = [q ** i for i in range(n)]
-    digs = {s: digits(s, q, n).digits for s in supp}
-    supp_set = set(supp)
-
-    if n <= 8:
-        perms = itertools.permutations(range(n))
-    else:
-        rng = rng or random.Random(0)
-        perms = (tuple(rng.sample(range(n), n)) for _ in range(trials))
-
-    for rho in perms:
-        pick = itemgetter(*rho)
-        inv = [0] * n
-        for i, r in enumerate(rho):
-            inv[r] = i
-        pick_inv = itemgetter(*inv)
-        for s in supp:
-            d = digs[s]
-            image = sum(x * y for x, y in zip(pick(d), qpow))
-            if codes[image] != codes[s]:
-                return False
-            pre = sum(x * y for x, y in zip(pick_inv(d), qpow))
-            if pre not in supp_set:
-                return False
+    for s, v in enumerate(codes):
+        if not v:
+            continue
+        d0, d1 = s % q, s // q % q
+        if codes[s * q % N] != v or codes[s + (d0 - d1) * (q - 1)] != v:
+            return False
     return True

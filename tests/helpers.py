@@ -6,6 +6,8 @@ sharing no algorithmic shortcut with the library paths it checks.
 
 import itertools
 
+import numpy as np
+
 from hmdft import CyclicFn, FieldElement, PolyFq
 
 
@@ -149,3 +151,23 @@ def eval_int_poly(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def exhaustive_is_q_symmetric(f, q, n):
+    """Invariance under each of the n! digit permutations, one at a time.
+
+    Every support point's digits are permuted directly, and its image read
+    back in base q; comparing values on the support suffices because every
+    digit permutation is a bijection.
+    """
+    N = q ** n - 1
+    assert f.N == N
+    codes = np.array(f.codes, dtype=np.int64)
+    supp = np.nonzero(codes)[0]
+    digs = (supp[:, None] // q ** np.arange(n)) % q
+    qpow = q ** np.arange(n)
+    for rho in itertools.permutations(range(n)):
+        images = digs[:, list(rho)] @ qpow
+        if not np.array_equal(codes[images], codes[supp]):
+            return False
+    return True

@@ -49,7 +49,7 @@ from hmdft.errors import ExcludedCaseError
 from hmdft.harness import CASE_EXCLUDED, CASE_HALF, CASE_MAX, CASE_SMALL
 from hmdft.numtheory import prime_power
 
-from helpers import brute_least_period
+from helpers import brute_least_period, exhaustive_is_q_symmetric
 
 SEED = 20260811
 
@@ -262,11 +262,12 @@ def test_c7_q_symmetry_exhaustive():
         for n in range(2, 7):
             for w in range(n + 1):
                 dw = delta(q, n, w, ctx)
-                for s in range(1, q):
-                    assert is_q_symmetric(conv_power(dw, s), q, n)
-                    funcs += 1
+                powers = [conv_power(dw, s) for s in range(1, q)]
                 if q == 2:
-                    assert is_q_symmetric(dw, q, n)
+                    powers.append(dw)
+                for f in powers:
+                    assert exhaustive_is_q_symmetric(f, q, n)
+                    assert is_q_symmetric(f, q, n)
                     funcs += 1
     elapsed = time.perf_counter() - t0
     _report(f"[C7a] digit-permutation invariance of {funcs} indicator powers, "

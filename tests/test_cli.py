@@ -121,6 +121,9 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["witness", "--q", "2"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # no sampled check left to seed
+        main(["witness", "--q", "2", "--n", "4", "--w", "2", "--c", "0", "--seed", "1"])
+    assert exc.value.code == 2
     # domain errors exit 2 without a traceback
     code, _, err = run(capsys, "witness", "--q", "6", "--n", "2", "--w", "1", "--c", "0")
     assert code == 2 and "error" in err
@@ -152,3 +155,20 @@ def test_cap_flag(capsys):
     code, _, err = run(capsys, "witness", "--q", "7", "--n", "5", "--w", "1", "--c", "1",
                        "--cap", "100")
     assert code == 2 and "cap" in err
+
+
+@pytest.mark.parametrize("grid", [("--q", "2", "--n", "6:3"),
+                                  ("--q", ",", "--n", "2:3"),
+                                  ("--q", "2", "--n", "2:3", "--w", "9")],
+                         ids=["reversed-n", "no-q", "w-fits-no-n"])
+def test_hm_verify_empty_grid_rejected(capsys, grid):
+    code, out, err = run(capsys, "hm-verify", *grid)
+    assert code == 2 and "error" in err and out == ""
+
+
+def test_hm_verify_symmetry_above_eight_digits(capsys):
+    code, out, _ = run(capsys, "hm-verify", "--q", "2", "--n", "9", "--w", "1",
+                       "--no-witness", "--check-symmetry", "--format", "json")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 2 and all(r["symmetric"] is True for r in reports)

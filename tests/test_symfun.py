@@ -30,7 +30,7 @@ from hmdft.errors import (
 )
 from hmdft.numtheory import prime_power
 
-from helpers import lucas_comb
+from helpers import exhaustive_is_q_symmetric, lucas_comb
 
 EX15_SEQ = [1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0]
 
@@ -271,13 +271,49 @@ def test_is_q_symmetric_conv_powers():
     assert is_q_symmetric(conv_power(d2, 2), 3, 4)
 
 
-def test_is_q_symmetric_sampled_mode():
-    # n > 8 goes through sampled permutations; deterministic given the rng
+def test_is_q_symmetric_exact_above_eight_digits():
+    # n = 9: a check using one generator only would accept rot_only or swap_only
     f2 = make_field(2)
-    d = delta(2, 9, 3, f2)
-    assert is_q_symmetric(d, 2, 9, trials=30, rng=random.Random(1))
-    skew = CyclicFn.from_support(f2, 2 ** 9 - 1, [1])
-    assert not is_q_symmetric(skew, 2, 9, trials=30, rng=random.Random(1))
+    N = 2 ** 9 - 1
+    assert is_q_symmetric(delta(2, 9, 3, f2), 2, 9)
+    adjacent_pairs = [(3 << i) % N for i in range(9)]  # digits i, i+1 (mod 9)
+    rot_only = CyclicFn.from_support(f2, N, adjacent_pairs)
+    assert not is_q_symmetric(rot_only, 2, 9)
+    swap_only = CyclicFn.from_support(f2, N, [1, 2])  # digit 0 or digit 1
+    assert not is_q_symmetric(swap_only, 2, 9)
+    assert not is_q_symmetric(CyclicFn.from_support(f2, N, [1]), 2, 9)
+
+
+def _c7a_powers():
+    """The indicator powers of acceptance criterion C7a, as (f, q, n)."""
+    for q in (2, 3, 4, 5):
+        p, j = prime_power(q)
+        ctx = make_field(p, j)
+        for n in range(2, 7):
+            for w in range(n + 1):
+                dw = delta(q, n, w, ctx)
+                for s in range(1, q):
+                    yield conv_power(dw, s), q, n
+                if q == 2:
+                    yield dw, q, n
+
+
+def test_is_q_symmetric_matches_exhaustive_reference():
+    # each power as is and with one value changed: at a seeded random point,
+    # or, for every other power, at a point whose digits are all equal, which
+    # every permutation fixes; so both verdicts occur
+    rng = random.Random(7)
+    verdicts = []
+    for i, (f, q, n) in enumerate(_c7a_powers()):
+        N = q ** n - 1
+        k = rng.randrange(N) if i % 2 else rng.randrange(q - 1) * (N // (q - 1))
+        codes = list(f.codes)
+        codes[k] = (codes[k] + 1) % f.ctx.order
+        for g in (f, CyclicFn(f.ctx, codes)):
+            verdict = is_q_symmetric(g, q, n)
+            assert verdict == exhaustive_is_q_symmetric(g, q, n), (q, n, i)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_mask_is_q_symmetric():
