@@ -237,6 +237,10 @@ def _cmd_hm_verify(args) -> int:
         raise ValueError(f"--n range {lo}:{hi} is empty")
     if not any(cfg.weights(n) for n in range(lo, hi + 1)):
         raise ValueError(f"no w fits any n in {lo}:{hi}")
+    if not any(cfg.fits(q, n) for q in cfg.q_list for n in range(lo, hi + 1)
+               if cfg.weights(n)):
+        raise ValueError(f"every (q, n) in the grid is over the size cap "
+                         f"{cfg.size_cap} or a hard limit")
     result = sweep(cfg)
     _emit(result.to_dict(), args.format, args.out)
     return 0 if result.summary["fail"] == 0 else 1

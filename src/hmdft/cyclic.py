@@ -148,36 +148,17 @@ def dft(f: CyclicFn, zeta: FieldElement) -> CyclicFn:
     """Transform g(i) = sum_j f(j) * zeta**(i*j), exact over f's field."""
     _check_root(f, zeta)
     ctx, N = f.ctx, f.N
-    mul = ctx.mul_codes
-    zp = [1] * N
-    acc = 1
-    for t in range(1, N):
-        acc = mul(acc, zeta.code)
-        zp[t] = acc
-    supp = [(j, c) for j, c in enumerate(f.codes) if c]
+    exp, log, add = ctx.exp, ctx.log, ctx.add_codes
+    M = ctx.order - 1
+    # term j at point i is f(j) * zeta**(i*j) = exp[(log f(j) + k*i*j) mod M]
+    k = log[zeta.code]
+    supp = [(log[c], k * j % M) for j, c in enumerate(f.codes) if c]
     out = [0] * N
-    if ctx.p == 2:
-        for i in range(N):
-            s = 0
-            for j, c in supp:
-                s ^= mul(c, zp[i * j % N])
-            out[i] = s
-    elif ctx.m > 1 and len(supp) * (ctx.p - 1) < (1 << 16) and ctx.exp is not None:
-        # carry-deferred accumulation in 16-bit digit slots
-        wide = ctx.wide_codes()
-        narrow = ctx.narrow_code
-        for i in range(N):
-            s = 0
-            for j, c in supp:
-                s += wide[mul(c, zp[i * j % N])]
-            out[i] = narrow(s)
-    else:
-        add = ctx.add_codes
-        for i in range(N):
-            s = 0
-            for j, c in supp:
-                s = add(s, mul(c, zp[i * j % N]))
-            out[i] = s
+    for i in range(N):
+        s = 0
+        for lc, kj in supp:
+            s = add(s, exp[(lc + kj * i) % M])
+        out[i] = s
     return CyclicFn(ctx, out)
 
 
@@ -203,18 +184,20 @@ def convolve(f: CyclicFn, g: CyclicFn) -> CyclicFn:
     """Cyclic convolution; iterates support pairs, result equals the double sum."""
     _check_pair(f, g)
     ctx, N = f.ctx, f.N
-    sf = [(j, c) for j, c in enumerate(f.codes) if c]
-    sg = [(j, c) for j, c in enumerate(g.codes) if c]
+    add, exp, log = ctx.add_codes, ctx.exp, ctx.log
+    M = ctx.order - 1
+    # the product cj * ck is exp[log cj + log ck - M]; the -M rides on sf's logs
+    sf = [(j, log[c] - M) for j, c in enumerate(f.codes) if c]
+    sg = [(k, log[c]) for k, c in enumerate(g.codes) if c]
     if len(sf) > len(sg):
         sf, sg = sg, sf
-    add, mul = ctx.add_codes, ctx.mul_codes
     out = [0] * N
-    for j, cj in sf:
-        for k, ck in sg:
+    for j, lj in sf:
+        for k, lk in sg:
             i = j + k
             if i >= N:
                 i -= N
-            out[i] = add(out[i], mul(cj, ck))
+            out[i] = add(out[i], exp[lj + lk])
     return CyclicFn(ctx, out)
 
 

@@ -10,10 +10,21 @@ subfield and code p is the residue class of x modulo the field's modulus.
 Construction is deterministic: ``make_field(p, m)`` always picks the
 canonically-first monic irreducible modulus of degree m (coefficient vectors
 enumerated with the constant term varying fastest) and the canonically-first
-primitive element, so identical parameters yield identical tables on every
-run.  Discrete exp/log tables are built for orders up to ``TABLE_CAP``, which
-makes multiplication, inversion and powering O(1); larger fields fall back to
-polynomial arithmetic modulo the modulus.
+primitive element zeta, so identical parameters yield identical tables on
+every run.  Every constructible field (order up to ``FIELD_ORDER_CAP``) is
+table-backed: discrete exp/log tables make multiplication, inversion and
+powering O(1) lookups.
+
+Addition is XOR in characteristic 2 and integer addition mod p in prime
+fields.  Odd-characteristic extension fields add by Zech logarithms:
+``zech[k]`` is the log of 1 + zeta**k (-1 when that sum is 0), built in
+O(order) by adding 1 to the constant digit of each exp entry, so that
+zeta**i + zeta**j = zeta**(i + zech[j - i]); negation is multiplication by
+-1 = zeta**((order-1)/2).  Fields of order at most ``ADD_TABLE_CAP`` also
+keep an order-by-order addition table, filled from the Zech route: dense
+convolutions over small fields such as F_9 add once per term pair, and one
+double index is cheaper there than the log lookups of Zech.  Above that
+order the table's quadratic build and memory outweigh the gain.
 
 Extension towers F_q inside F_{q^n} are realized inside the single context of
 order q^n; membership in the intermediate field F_{q^d} is decided by the
@@ -35,15 +46,11 @@ from .errors import (
     WeightRangeError,
 )
 
-# exp/log tables are built at or below this order; above it, multiplication
-# falls back to polynomial arithmetic
-TABLE_CAP = 1 << 20
+# hard refusal bound for field construction; every field below it is tabled
+FIELD_ORDER_CAP = 1 << 20
 
-# full addition tables (odd characteristic only) at or below this order
-ADD_TABLE_CAP = 1 << 10
-
-# hard refusal bound for field construction
-FIELD_ORDER_CAP = 1 << 22
+# full addition tables (odd-characteristic extensions only) at or below this order
+ADD_TABLE_CAP = 1 << 7
 
 _FIELD_CACHE: dict[tuple[int, int], "FieldCtx"] = {}
 _EMBED_CACHE: dict[tuple[int, int, int], "Embedding"] = {}
@@ -59,8 +66,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "m", "order", "modulus", "zeta_code", "exp", "log",
-                 "_add_table", "_digit_table", "_wide_table", "_mod_int",
-                 "_mfac")
+                 "_zech", "_add_table", "_mod_int", "_mfac")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -70,9 +76,8 @@ class FieldCtx:
         self.zeta_code = None
         self.exp = None
         self.log = None
+        self._zech = None
         self._add_table = None
-        self._digit_table = None
-        self._wide_table = None
         self._mfac = None
         # bitmask form of the modulus, used by the carry-less p=2 fast path
         self._mod_int = None
@@ -84,9 +89,6 @@ class FieldCtx:
 
     def digits_of(self, code: int) -> tuple[int, ...]:
         """Coefficient vector of a code, length m, base-p little-endian."""
-        t = self._digit_table
-        if t is not None:
-            return t[code]
         p = self.p
         out = []
         for _ in range(self.m):
@@ -103,6 +105,9 @@ class FieldCtx:
 
     # ------------------------------------------------------------------
     # code-level arithmetic
+    #
+    # Indices into exp are log sums shifted by -M (M = order - 1), so they lie
+    # in [-M, M) and Python's negative indexing reduces them mod M.
 
     def add_codes(self, a: int, b: int) -> int:
         p = self.p
@@ -113,13 +118,16 @@ class FieldCtx:
         t = self._add_table
         if t is not None:
             return t[a][b]
-        s, shift = 0, 1
-        while a or b:
-            s += ((a % p) + (b % p)) % p * shift
-            a //= p
-            b //= p
-            shift *= p
-        return s
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self.log
+        la = log[a]
+        z = self._zech[log[b] - la]
+        if z < 0:  # b == -a
+            return 0
+        return self.exp[la + z - self.order + 1]
 
     def neg_code(self, a: int) -> int:
         p = self.p
@@ -127,14 +135,9 @@ class FieldCtx:
             return a
         if self.m == 1:
             return (-a) % p
-        s, shift = 0, 1
-        while a:
-            d = a % p
-            if d:
-                s += (p - d) * shift
-            a //= p
-            shift *= p
-        return s
+        if not a:
+            return 0
+        return self.exp[self.log[a] - (self.order - 1) // 2]
 
     def sub_codes(self, a: int, b: int) -> int:
         return self.add_codes(a, self.neg_code(b))
@@ -142,17 +145,12 @@ class FieldCtx:
     def mul_codes(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self.exp is not None:
-            return self.exp[(self.log[a] + self.log[b]) % (self.order - 1)]
-        return self._polymul(a, b)
+        return self.exp[self.log[a] + self.log[b] - self.order + 1]
 
     def inv_code(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in %r" % self)
-        M = self.order - 1
-        if self.exp is not None:
-            return self.exp[(M - self.log[a]) % M]
-        return self._pow_slow(a, M - 1)
+        return self.exp[-self.log[a]]
 
     def pow_code(self, a: int, e: int) -> int:
         M = self.order - 1
@@ -160,10 +158,7 @@ class FieldCtx:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return 1 if e == 0 else 0
-        e %= M
-        if self.log is not None:
-            return self.exp[(self.log[a] * e) % M]
-        return self._pow_slow(a, e)
+        return self.exp[self.log[a] * (e % M) % M]
 
     def _pow_slow(self, a: int, e: int) -> int:
         r = 1
@@ -251,75 +246,35 @@ class FieldCtx:
         return FieldElement(self, self.pow_code(self.zeta_code, M // N))
 
     # ------------------------------------------------------------------
-    # lazy per-context tables
-
-    def wide_codes(self) -> list[int]:
-        """Codes re-packed with 16-bit digit slots, for carry-deferred sums."""
-        if self._wide_table is None:
-            p, m = self.p, self.m
-            table = []
-            for code in range(self.order):
-                v, w = code, 0
-                for i in range(m):
-                    v, r = divmod(v, p)
-                    w |= r << (16 * i)
-                table.append(w)
-            self._wide_table = table
-        return self._wide_table
-
-    def narrow_code(self, wide: int) -> int:
-        """Inverse of the wide packing, reducing each 16-bit slot mod p."""
-        p = self.p
-        code = 0
-        for i in reversed(range(self.m)):
-            code = code * p + ((wide >> (16 * i)) & 0xFFFF) % p
-        return code
-
-    # ------------------------------------------------------------------
 
     def _finish(self):
-        """Find the canonical primitive element and build lookup tables."""
+        """Find the canonical primitive element and build the lookup tables."""
         M = self.order - 1
         fac = numtheory.prime_factors(M) if M > 1 else []
         for code in range(1, self.order):
             if all(self._pow_slow(code, M // t) != 1 for t in fac):
                 self.zeta_code = code
                 break
-        if self.order <= TABLE_CAP:
-            exp = [0] * max(M, 1)
-            e = 1
-            for i in range(M):
-                exp[i] = e
-                e = self._polymul(e, self.zeta_code)
-            if e != 1:  # zeta**(order-1) must close the cycle
-                raise AssertionError("generator order inconsistency")
-            log = [-1] * self.order
-            for i, c in enumerate(exp):
-                log[c] = i
-            self.exp = exp
-            self.log = log
-        if self.p != 2 and self.m > 1 and self.order <= TABLE_CAP:
-            self._digit_table = tuple(self._raw_digits(c) for c in range(self.order))
-        if self.p != 2 and self.m > 1 and self.order <= ADD_TABLE_CAP:
-            p = self.p
-            digs = self._digit_table
-            table = []
-            for a in range(self.order):
-                da = digs[a]
-                row = []
-                for b in range(self.order):
-                    db = digs[b]
-                    row.append(self.code_of((x + y) % p for x, y in zip(da, db)))
-                table.append(row)
-            self._add_table = table
-
-    def _raw_digits(self, code: int) -> tuple[int, ...]:
+        exp = [0] * M
+        e = 1
+        for i in range(M):
+            exp[i] = e
+            e = self._polymul(e, self.zeta_code)
+        if e != 1:  # zeta**(order-1) must close the cycle
+            raise AssertionError("generator order inconsistency")
+        log = [-1] * self.order
+        for i, c in enumerate(exp):
+            log[c] = i
+        self.exp = exp
+        self.log = log
         p = self.p
-        out = []
-        for _ in range(self.m):
-            code, r = divmod(code, p)
-            out.append(r)
-        return tuple(out)
+        if p != 2 and self.m > 1:
+            # 1 + zeta**k adds 1 to the constant digit; log[0] = -1 marks 1 + zeta**k = 0
+            self._zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp]
+            if self.order <= ADD_TABLE_CAP:
+                add = self.add_codes
+                self._add_table = [[add(a, b) for b in range(self.order)]
+                                   for a in range(self.order)]
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, m={self.m})"

@@ -30,6 +30,7 @@ from .cyclic import least_period
 from .cyclo import threshold
 from .errors import ExcludedCaseError, SizeCapError, WeightRangeError
 from .gf import (
+    FIELD_ORDER_CAP,
     FieldElement,
     PolyFq,
     char_poly,
@@ -40,7 +41,7 @@ from .gf import (
 )
 from .numtheory import prime_power
 from .spectral import oracle_irreducible
-from .symfun import delta_mask, is_q_symmetric
+from .symfun import MODULUS_GUARD, delta_mask, is_q_symmetric
 
 DEFAULT_SIZE_CAP = 20000
 
@@ -113,6 +114,17 @@ class SweepConfig:
     check_symmetry: bool = False
     pinned_w: int | None = None
     pinned_c: int | None = None
+
+    def fits(self, q: int, n: int) -> bool:
+        """Whether (q, n) is within the size cap and the hard limits its rows need.
+
+        q**n - 1 must be at most both the cap and MODULUS_GUARD, and the
+        witness search builds F_{q^n}, whose order must be at most
+        FIELD_ORDER_CAP.
+        """
+        if q ** n - 1 > min(self.size_cap, MODULUS_GUARD):
+            return False
+        return not self.with_witness or q ** n <= FIELD_ORDER_CAP
 
     def weights(self, n: int) -> list[int]:
         """The w values the grid covers at n; empty when none fits."""
@@ -269,7 +281,8 @@ def _sweep_tuple(q: int, n: int, w: int, c: int, cfg: SweepConfig) -> PeriodRepo
 def sweep(cfg: SweepConfig) -> SweepResult:
     """Run every tuple of the grid in lexicographic (q, n, w, c) order.
 
-    Tuples over the size cap are recorded as skipped, not fatal.  For w = n
+    A (q, n) that does not fit the size cap or a hard limit
+    (``SweepConfig.fits``) is recorded as skipped, not fatal.  For w = n
     only c != 0 is enumerated.  The result is deterministic for a fixed
     configuration.
     """
@@ -279,7 +292,7 @@ def sweep(cfg: SweepConfig) -> SweepResult:
     for q in sorted(set(cfg.q_list)):
         prime_power(q)  # validates q
         for n in range(n_lo, n_hi + 1):
-            if q ** n - 1 > cfg.size_cap:
+            if not cfg.fits(q, n):
                 skipped.append({"q": q, "n": n, "reason": "size_cap"})
                 continue
             for w in cfg.weights(n):

@@ -56,6 +56,29 @@ def brute_least_period(vals):
     raise AssertionError("r = N always qualifies")
 
 
+def digitwise_add(p, a, b):
+    """Sum of two field codes digit by digit mod p, the defining rule of addition."""
+    s, shift = 0, 1
+    while a or b:
+        s += ((a % p) + (b % p)) % p * shift
+        a //= p
+        b //= p
+        shift *= p
+    return s
+
+
+def digitwise_neg(p, a):
+    """Negation of a field code, digit by digit mod p."""
+    s, shift = 0, 1
+    while a:
+        d = a % p
+        if d:
+            s += (p - d) * shift
+        a //= p
+        shift *= p
+    return s
+
+
 def lucas_comb(n, k, p):
     """Binomial coefficient mod p via the digit-product rule."""
     result = 1

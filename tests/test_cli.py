@@ -155,12 +155,16 @@ def test_cap_flag(capsys):
     code, _, err = run(capsys, "witness", "--q", "7", "--n", "5", "--w", "1", "--c", "1",
                        "--cap", "100")
     assert code == 2 and "cap" in err
+    # F_{2^22} is over the field-order cap, so the root indicator is refused up front
+    code, _, err = run(capsys, "factor-test", "--q", "2", "--n", "22", "--poly", "1,1,1")
+    assert code == 2 and "cap" in err
 
 
 @pytest.mark.parametrize("grid", [("--q", "2", "--n", "6:3"),
                                   ("--q", ",", "--n", "2:3"),
-                                  ("--q", "2", "--n", "2:3", "--w", "9")],
-                         ids=["reversed-n", "no-q", "w-fits-no-n"])
+                                  ("--q", "2", "--n", "2:3", "--w", "9"),
+                                  ("--q", "7", "--n", "9")],
+                         ids=["reversed-n", "no-q", "w-fits-no-n", "all-over-cap"])
 def test_hm_verify_empty_grid_rejected(capsys, grid):
     code, out, err = run(capsys, "hm-verify", *grid)
     assert code == 2 and "error" in err and out == ""

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -22,8 +23,9 @@ from hmdft.errors import (
     SizeCapError,
     WeightRangeError,
 )
+from hmdft.gf import ADD_TABLE_CAP
 
-from helpers import brute_min_poly
+from helpers import brute_min_poly, digitwise_add, digitwise_neg
 
 
 def test_make_field_prime():
@@ -53,6 +55,8 @@ def test_make_field_validation():
         make_field(1)
     with pytest.raises(SizeCapError):
         make_field(2, 30)
+    with pytest.raises(SizeCapError):  # just above FIELD_ORDER_CAP = 2**20
+        make_field(2, 21)
     with pytest.raises(ValueError):
         make_field(2, 0)
 
@@ -140,21 +144,25 @@ def test_field_axioms_random_triples():
             assert a - a == 0 and a + (-a) == 0
 
 
-def test_add_codes_digit_fallback_large_field():
-    # F_5^5 is above the addition-table cap, so sums go through the digit loop
-    ctx = make_field(5, 5)
-    assert ctx._add_table is None
+def test_add_codes_match_digitwise_reference():
+    # F_9 and F_125 keep the addition table and are checked on every pair;
+    # F_{3^6}, F_{5^5} and F_{7^4} add by Zech logarithms, checked on random
+    # pairs and on a = 0, b = 0 and b = -a (the zech == -1 entry)
     rng = random.Random(17)
-    for _ in range(300):
-        a, b = rng.randrange(ctx.order), rng.randrange(ctx.order)
-        da, db = ctx.digits_of(a), ctx.digits_of(b)
-        expected = ctx.code_of((x + y) % 5 for x, y in zip(da, db))
-        assert ctx.add_codes(a, b) == expected
-        assert ctx.sub_codes(ctx.add_codes(a, b), b) == a
-        assert ctx.add_codes(a, ctx.neg_code(a)) == 0
-    # wide packing roundtrip used by the transform accumulator
-    for code in rng.sample(range(ctx.order), 50):
-        assert ctx.narrow_code(ctx.wide_codes()[code]) == code
+    for p, m in [(3, 2), (5, 3), (3, 6), (5, 5), (7, 4)]:
+        ctx = make_field(p, m)
+        order = ctx.order
+        assert (ctx._add_table is not None) == (order <= ADD_TABLE_CAP)
+        if order <= ADD_TABLE_CAP:
+            pairs = list(itertools.product(range(order), repeat=2))
+        else:
+            pairs = [(rng.randrange(order), rng.randrange(order)) for _ in range(2000)]
+        for a in rng.sample(range(order), min(order, 200)):
+            pairs += [(a, 0), (0, a), (a, digitwise_neg(p, a))]
+        for a, b in pairs:
+            assert ctx.add_codes(a, b) == digitwise_add(p, a, b)
+            assert ctx.sub_codes(a, b) == digitwise_add(p, a, digitwise_neg(p, b))
+            assert ctx.neg_code(a) == digitwise_neg(p, a)
 
 
 def test_element_coercion_and_errors():

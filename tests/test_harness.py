@@ -8,6 +8,7 @@ from hmdft import (
     sweep,
     verify_period_claims,
 )
+from hmdft import harness
 from hmdft.errors import ExcludedCaseError, SizeCapError, WeightRangeError
 from hmdft.harness import CASE_EXCLUDED, CASE_HALF, CASE_MAX, CASE_NORM, CASE_SMALL
 
@@ -118,11 +119,24 @@ def test_sweep_empty_grid():
     assert res.reports == () and res.summary["total"] == 0
 
 
-def test_sweep_size_cap_recorded_not_fatal():
+def test_sweep_size_cap_recorded_not_fatal(monkeypatch):
     res = sweep(SweepConfig(q_list=(7,), n_range=(5, 6), with_witness=False))
     assert any(s["reason"] == "size_cap" and s["n"] == 6 for s in res.skipped)
     assert all(r.n == 5 for r in res.reports)
     assert res.summary["fail"] == 0
+    # under a larger user cap, a hard limit still skips (q, n) before any work:
+    # F_{2^21} is over FIELD_ORDER_CAP for the witness, 2^23 - 1 over MODULUS_GUARD
+    monkeypatch.setattr(harness, "_sweep_tuple", _no_work)
+    for n, cfg in [(21, SweepConfig(q_list=(2,), n_range=(21, 21), size_cap=3 * 10 ** 6)),
+                   (23, SweepConfig(q_list=(2,), n_range=(23, 23), size_cap=10 ** 8,
+                                    with_witness=False))]:
+        res = sweep(cfg)
+        assert res.reports == ()
+        assert res.skipped == ({"q": 2, "n": n, "reason": "size_cap"},)
+
+
+def _no_work(*args):
+    raise AssertionError("a skipped (q, n) reached the tuple work")
 
 
 def test_sweep_full_w_policy_delegates():
