@@ -237,8 +237,8 @@ def _cmd_hm_verify(args) -> int:
         raise ValueError(f"--n range {lo}:{hi} is empty")
     if not any(cfg.weights(n) for n in range(lo, hi + 1)):
         raise ValueError(f"no w fits any n in {lo}:{hi}")
-    if not any(cfg.fits(q, n) for q in cfg.q_list for n in range(lo, hi + 1)
-               if cfg.weights(n)):
+    if not any(cfg.fits(q, n) and cfg.weights(n)
+               for q in cfg.q_list for n in range(lo, hi + 1)):
         raise ValueError(f"every (q, n) in the grid is over the size cap "
                          f"{cfg.size_cap} or a hard limit")
     result = sweep(cfg)

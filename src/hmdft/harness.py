@@ -120,9 +120,11 @@ class SweepConfig:
 
         q**n - 1 must be at most both the cap and MODULUS_GUARD, and the
         witness search builds F_{q^n}, whose order must be at most
-        FIELD_ORDER_CAP.
+        FIELD_ORDER_CAP.  An n past the bit length of that limit fails
+        before q**n is formed (q >= 2), so a long n range costs no big powers.
         """
-        if q ** n - 1 > min(self.size_cap, MODULUS_GUARD):
+        limit = min(self.size_cap, MODULUS_GUARD)
+        if n > limit.bit_length() or q ** n - 1 > limit:
             return False
         return not self.with_witness or q ** n <= FIELD_ORDER_CAP
 

@@ -11,6 +11,18 @@ delta_mask(w, c) builds the coefficient-prescription mask
 whose least period exceeding the cyclotomic threshold certifies a monic
 irreducible of degree n whose coefficient of x**(n-w) equals c.
 
+delta_mask never powers by convolution in the field.  With s = (-1)**w and
+b = -c, the binomial theorem gives
+    delta_mask = delta_0 - sum_k C(q-1, k) * s**k * b**(q-1-k) * A_k,
+where A_k is the k-fold convolution power of the 0/1 indicator of Omega(w)
+read over the integers: A_k(i) counts the k-tuples of Omega(w) summing to i,
+that is, for i != 0, the 0/1 matrices with k rows of weight w and column
+sums the digits of i (for k <= q-1 adding weight-w 0/1 digit vectors never
+carries).  The counts do not depend on c, so they are built once per
+(q, n, w), reduced mod p, and every c combines the same counts through a
+p-entry value table per k: a residue r mod p is the prime-subfield code r in
+every context.
+
 A function on Z_{q^n-1} is q-symmetric when it is invariant under every
 permutation of the base-q digits of its argument; phi_rho realizes one digit
 permutation as a permutation of Z_{q^n-1}.  The maps phi_rho compose like
@@ -18,19 +30,16 @@ the permutations rho, so invariance under two generators of S_n is
 invariance under all n! of them; and since each phi_rho is a bijection,
 comparing values on the support alone is enough.  is_q_symmetric checks
 exactly that, for every n.
-
-Aside, not implemented here: read over the integers instead of a field, the
-s-fold convolution power of these indicators counts 0/1 matrices with
-prescribed row and column sums; this package only ever needs the values
-reduced into the field.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
 
-from .cyclic import CyclicFn, SupportSet, conv_power, kronecker
+from .cyclic import CyclicFn, SupportSet
 from .errors import (
     BadPermutationError,
     BadSubfieldError,
@@ -40,6 +49,7 @@ from .errors import (
     WeightRangeError,
 )
 from .gf import FieldCtx, FieldElement
+from .numtheory import prime_power
 
 # guard against accidental huge moduli; the harness applies its own cap
 MODULUS_GUARD = 1 << 22
@@ -77,8 +87,8 @@ def omega(q: int, n: int, w: int) -> OmegaSet:
     if q == 2 and w == n:
         # the full-weight sum 2**n - 1 wraps to 0, which has weight 0
         return OmegaSet(q, n, w, SupportSet(N, ()))
-    members = tuple(sum(q ** i for i in comb)
-                    for comb in itertools.combinations(range(n), w))
+    powers = [q ** i for i in range(n)]
+    members = tuple(map(sum, itertools.combinations(powers, w)))
     return OmegaSet(q, n, w, SupportSet(N, members))
 
 
@@ -101,12 +111,42 @@ def delta(q: int, n: int, w: int, ctx: FieldCtx) -> CyclicFn:
     return CyclicFn.from_support(ctx, q ** n - 1, om.members.members)
 
 
+@lru_cache(maxsize=1)
+def _weight_counts(q: int, n: int, w: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The counts A_0, ..., A_{q-1} mod p as sparse (index, count) pairs.
+
+    A_k = A_{k-1} (*) 1_Omega(w), accumulated in plain ints and reduced mod p
+    once per level; pairs whose count vanishes mod p are dropped.  One entry
+    is cached: a sweep asks for every c of one (q, n, w) in a row.
+    """
+    p = prime_power(q)[0]
+    N = q ** n - 1
+    members = omega(q, n, w).members.members
+    level = ((0, 1),)
+    levels = [level]
+    for _ in range(q - 1):
+        acc = {}
+        get = acc.get
+        for j, a in level:
+            for t in members:
+                i = j + t
+                if i >= N:
+                    i -= N
+                acc[i] = get(i, 0) + a
+        level = tuple((i, a % p) for i, a in acc.items() if a % p)
+        levels.append(level)
+    return tuple(levels)
+
+
 def delta_mask(q: int, n: int, w: int, c: FieldElement, ctx: FieldCtx) -> CyclicFn:
     """The coefficient-prescription mask for (w, c), exact over ctx.
 
     Defined as delta_0 - ((-1)**w * delta_w - c * delta_0) ** (*(q-1)); its
-    values provably lie in the F_q-subfield of ctx.  The pair (q, w) = (2, n)
-    is excluded because Omega(n) is empty in characteristic 2.
+    values provably lie in the F_q-subfield of ctx.  Built as delta_0 minus
+    the binomial expansion over the shared counts A_k (module docstring):
+    term k scatters C(q-1, k) * s**k * (-c)**(q-1-k) * A_k through a table of
+    its p values.  The pair (q, w) = (2, n) is excluded because Omega(n) is
+    empty in characteristic 2.
     """
     if not 1 <= w <= n:
         raise WeightRangeError(f"w={w} outside [1, {n}]")
@@ -117,14 +157,21 @@ def delta_mask(q: int, n: int, w: int, c: FieldElement, ctx: FieldCtx) -> Cyclic
         raise CtxMismatchError("c must live in the supplied value context")
     if ctx.pow_code(c.code, q) != c.code:
         raise BadSubfieldError("c must lie in the F_q subfield of ctx")
-    N = q ** n - 1
-    sign = 1 if w % 2 == 0 else ctx.neg_code(1)
-    base = [0] * N
-    for t in omega(q, n, w).members:
-        base[t] = sign
-    base[0] = ctx.sub_codes(base[0], c.code)  # 0 is never in Omega(w), w >= 1
-    powered = conv_power(CyclicFn(ctx, base), q - 1)
-    return kronecker(ctx, N) - powered
+    levels = _weight_counts(q, n, w)
+    p, m = ctx.p, q - 1
+    add, mul, power, neg = ctx.add_codes, ctx.mul_codes, ctx.pow_code, ctx.neg_code
+    sign = 1 if w % 2 == 0 else neg(1)
+    b = neg(c.code)
+    out = [0] * (q ** n - 1)
+    out[0] = 1
+    for k, level in enumerate(levels):
+        coef = neg(mul(comb(m, k) % p, mul(power(sign, k), power(b, m - k))))
+        if not coef:
+            continue
+        value = [mul(coef, r) for r in range(p)]
+        for i, a in level:  # only slot 0 can recur: A_k(i) != 0 forces digitsum(i) = k*w
+            out[i] = add(out[i], value[a]) if out[i] else value[a]
+    return CyclicFn(ctx, out)
 
 
 def digits(k: int, q: int, n: int) -> DigitVector:

@@ -9,6 +9,8 @@ import itertools
 import numpy as np
 
 from hmdft import CyclicFn, FieldElement, PolyFq
+from hmdft.cyclic import conv_power, kronecker
+from hmdft.symfun import omega
 
 
 def brute_dft(f, zeta):
@@ -194,3 +196,20 @@ def exhaustive_is_q_symmetric(f, q, n):
         if not np.array_equal(codes[images], codes[supp]):
             return False
     return True
+
+
+def convolution_delta_mask(q, n, w, c, ctx):
+    """The mask delta_0 - ((-1)**w * delta_w - c * delta_0) ** (*(q-1)) as defined.
+
+    Powers the base function by convolution in the field, once per c, and
+    subtracts it from the Kronecker delta; shares nothing with the count
+    route of delta_mask.
+    """
+    N = q ** n - 1
+    sign = 1 if w % 2 == 0 else ctx.neg_code(1)
+    base = [0] * N
+    for t in omega(q, n, w).members:
+        base[t] = sign
+    base[0] = ctx.sub_codes(base[0], c.code)  # 0 is never in Omega(w), w >= 1
+    powered = conv_power(CyclicFn(ctx, base), q - 1)
+    return kronecker(ctx, N) - powered

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from hmdft import (
@@ -11,6 +13,7 @@ from hmdft import (
 from hmdft import harness
 from hmdft.errors import ExcludedCaseError, SizeCapError, WeightRangeError
 from hmdft.harness import CASE_EXCLUDED, CASE_HALF, CASE_MAX, CASE_NORM, CASE_SMALL
+from hmdft.symfun import _weight_counts
 
 
 def test_classify_case_table():
@@ -133,6 +136,25 @@ def test_sweep_size_cap_recorded_not_fatal(monkeypatch):
         res = sweep(cfg)
         assert res.reports == ()
         assert res.skipped == ({"q": 2, "n": n, "reason": "size_cap"},)
+
+
+def test_sweep_long_n_range_skips_fast():
+    # n past the bit length of the cap is skipped without forming q**n
+    start = time.perf_counter()
+    res = sweep(SweepConfig(q_list=(3,), n_range=(2, 100000), with_witness=False))
+    assert time.perf_counter() - start < 10
+    assert len(res.reports) == 60 and len(res.skipped) == 99991
+    assert {r.n for r in res.reports} == set(range(2, 10))
+    assert res.summary["fail"] == 0
+
+
+def test_sweep_shares_weight_counts_across_c():
+    # the q masks of one (q, n, w) come from one build of the counts
+    _weight_counts.cache_clear()
+    res = sweep(SweepConfig(q_list=(7,), n_range=(4, 4), with_witness=False))
+    assert len(res.reports) == 2 * 7
+    info = _weight_counts.cache_info()
+    assert (info.misses, info.hits) == (2, 2 * 6)
 
 
 def _no_work(*args):

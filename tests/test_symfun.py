@@ -29,8 +29,9 @@ from hmdft.errors import (
     WeightRangeError,
 )
 from hmdft.numtheory import prime_power
+from hmdft.symfun import _weight_counts
 
-from helpers import exhaustive_is_q_symmetric, lucas_comb
+from helpers import convolution_delta_mask, exhaustive_is_q_symmetric, lucas_comb
 
 EX15_SEQ = [1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0]
 
@@ -154,6 +155,37 @@ def test_delta_mask_binomial_expansion():
                     coeff = (base ** (-s)) * (math.comb(q - 1, s) % p)
                     total = total + power.scale(coeff.code)
                 assert -total == dm
+
+
+def _oracle_grid(q, ctx, lift):
+    """Every (q, n, w, c) with q**n - 1 <= 2*10**4, c outermost."""
+    nws = []
+    n = 1
+    while q ** n - 1 <= 2 * 10 ** 4:
+        nws += [(n, w) for w in range(1, n + 1) if not (q == 2 and w == n)]
+        n += 1
+    return [(q, n, w, lift(c), ctx) for c in range(q) for n, w in nws]
+
+
+def test_delta_mask_matches_convolution_oracle():
+    # the count route against powering by convolution in the field, on every
+    # q <= 9, every n with q**n - 1 <= 2*10**4, every w and every c, with
+    # values in F_q itself and in F_4 < F_16 and F_3 < F_27
+    cases = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        ctx = make_field(*prime_power(q))
+        cases += _oracle_grid(q, ctx, ctx.element)
+    for p, j, m in [(2, 2, 4), (3, 1, 3)]:
+        small, big = make_field(p, j), make_field(p, m)
+        emb = subfield_embedding(small, big)
+        cases += _oracle_grid(small.order, big, lambda c: emb.lift(small.element(c)))
+    # consecutive calls differ in (q, n, w), so each one rebuilds the counts
+    assert all(a[:3] != b[:3] for a, b in zip(cases, cases[1:]))
+    _weight_counts.cache_clear()
+    for q, n, w, c, ctx in cases:
+        assert delta_mask(q, n, w, c, ctx) == convolution_delta_mask(q, n, w, c, ctx), \
+            (q, n, w, c.code, ctx.order)
+    assert _weight_counts.cache_info().misses == len(cases)
 
 
 def test_mask_support_digit_sum_bound():
