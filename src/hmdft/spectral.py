@@ -8,7 +8,8 @@ containing the image h(F_{q^n}^x), the reduced polynomial
 acts on F_{q^n}^x as the indicator of h's roots.  If the cyclic sequence of
 S's coefficients has least period r not dividing (q**n - 1)/Phi_n(q), then h
 has an irreducible factor of degree n; applied to h of degree n itself this
-proves h irreducible.
+proves h irreducible.  S is built from the power sums of those roots, which
+lie in F_q, so neither F_{q^n} nor the power of h is ever formed.
 
 Every test here returns a two-valued Verdict: "Proven" when the sufficient
 condition held, "Inconclusive" otherwise.  Inconclusive never asserts a
@@ -27,8 +28,7 @@ import math
 from dataclasses import dataclass
 
 from . import numtheory
-from .cyclic import CyclicFn, SupportSet, conv_power, dft_period_by_support, \
-    kronecker, least_period
+from .cyclic import CyclicFn, SupportSet, dft_period_by_support, least_period
 from .cyclo import threshold
 from .errors import (
     BadSubfieldError,
@@ -38,9 +38,9 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .gf import (
-    FieldElement,
+    FIELD_ORDER_CAP,
+    FieldCtx,
     PolyFq,
-    element_degree,
     make_field,
     poly_gcd,
     primitive_element,
@@ -96,13 +96,62 @@ class SupportDegreeReport:
     max_period: bool
 
 
-def _fold_cyclic(h: PolyFq, N: int) -> CyclicFn:
-    codes = [0] * N
-    ctx = h.ctx
+def _fold(h: PolyFq, N: int) -> dict[int, int]:
+    """h mod (x**N - 1) as a sparse {exponent: code} map with no zero terms."""
+    add = h.ctx.add_codes
+    out: dict[int, int] = {}
     for i, c in enumerate(h.codes):
         if c:
-            codes[i % N] = ctx.add_codes(codes[i % N], c)
-    return CyclicFn(ctx, codes)
+            j = i % N
+            s = add(out.pop(j, 0), c)
+            if s:
+                out[j] = s
+    return out
+
+
+def _frobenius_fixed(folded: dict[int, int], ctx: FieldCtx, N: int, t: int) -> bool:
+    """Whether phi**t fixes the folded polynomial, phi(sum a_j x**j) = sum a_j**p x**(p*j).
+
+    phi**t(h)(r) = h(r)**(p**t) at every r with r**N = 1, and a polynomial of
+    degree below N is fixed exactly when its values are; so this holds iff
+    h maps the N-th roots of unity into F_{p**t}.  phi**t permutes the
+    exponents mod N (p is prime to N), so the image has as many terms as
+    the folded polynomial and a termwise check suffices.
+    """
+    e = ctx.p ** t
+    pow_code = ctx.pow_code
+    return all(folded.get(e * j % N) == pow_code(a, e) for j, a in folded.items())
+
+
+def _root_power_sums(g: PolyFq, N: int) -> list[int]:
+    """Codes of u_k = sum of r**k over the roots r of monic g, for 0 <= k < N.
+
+    u_0 = deg g, and u_k = sum_{i=1..min(k-1, e)} a_i u_{k-i}, plus k a_k
+    while k <= e, with a_i = -g_{e-i}: Newton's identities up to e, g's own
+    linear recurrence after.  g is over F_q, so every u_k lies in F_q.
+    """
+    ctx = g.ctx
+    e = g.degree  # e < N: g divides h mod (x**N - 1), which is not 0
+    add, mul, neg = ctx.add_codes, ctx.mul_codes, ctx.neg_code
+    a = [0] + [neg(g.codes[e - i]) for i in range(1, e + 1)]
+    exp, log = ctx.exp, ctx.log
+    M = ctx.order - 1
+    # a_i * u is exp[log a_i + log u - M]; the -M rides on the tap's log
+    taps = [(i, log[c] - M) for i, c in enumerate(a) if c]
+    u = [e % ctx.p]
+    for k in range(1, N):
+        if k <= e:
+            s = mul(k % ctx.p, a[k])
+            live = [t for t in taps if t[0] < k]
+        else:
+            s = 0
+            live = taps
+        for i, lc in live:
+            v = u[k - i]
+            if v:
+                s = add(s, exp[lc + log[v]])
+        u.append(s)
+    return u
 
 
 def build_root_indicator(h: PolyFq, q: int, n: int,
@@ -111,10 +160,15 @@ def build_root_indicator(h: PolyFq, q: int, n: int,
 
     `subfield_order` names the order of L, a subfield of F_{q^n} that must
     contain the image h(F_{q^n}^x); the containment is validated.  When None,
-    the smallest such L is found by evaluating h on every nonzero point.
-    Smaller L means a smaller exponent and a faster build, and any valid L
-    yields a sound test.  The powering is binary exponentiation with cyclic
-    reduction (convolution of coefficient sequences) after every multiply.
+    the smallest such L is reported.  Any valid L yields the same S.
+
+    S is 1 exactly at the roots of h among the N = q**n - 1 roots of unity
+    and 0 elsewhere, so its coefficients are that set's inverse transform:
+    s_j = -u_{-j mod N}, u_k the k-th power sum of the roots of
+    g = gcd(h, x**N - 1).  These are computed over F_q from g alone
+    (`_root_power_sums`); no field F_{q^n} is built and h is evaluated
+    nowhere.  L is found, or checked, by the Frobenius fixed-point test on
+    h mod (x**N - 1) (`_frobenius_fixed`).
     """
     if h.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no root indicator")
@@ -125,31 +179,36 @@ def build_root_indicator(h: PolyFq, q: int, n: int,
     N = q ** n - 1
     if N > MODULUS_GUARD:
         raise SizeCapError(f"q**n - 1 = {N} exceeds module guard {MODULUS_GUARD}")
-    p = h.ctx.p
-    big = make_field(p, h.ctx.m * n)
-    emb = subfield_embedding(h.ctx, big)
-    h_big = emb.lift_poly(h)
-    values = [h_big(FieldElement(big, code)) for code in range(1, big.order)]
+    ctx = h.ctx
+    p, m = ctx.p, ctx.m
+    # S needs no F_{q^n}, but factor-test and irred-test apply no size limit
+    # of their own, so (q, n) whose field is over the cap stay refused
+    if p ** (m * n) > FIELD_ORDER_CAP:
+        raise SizeCapError(f"field order {p}**{m * n} exceeds cap {FIELD_ORDER_CAP}")
+    folded = _fold(h, N)
     if subfield_order is None:
-        t = 1
-        for v in values:
-            t = math.lcm(t, element_degree(v, p, big.m))
+        t = next(t for t in numtheory.divisors(m * n)
+                 if _frobenius_fixed(folded, ctx, N, t))
         subfield_order = p ** t
     else:
         pp, t = numtheory.prime_power(subfield_order)
-        if pp != p or big.m % t:
+        if pp != p or (m * n) % t:
             raise BadSubfieldError(
-                f"F_{subfield_order} is not a subfield of F_{big.order}")
-        for v in values:
-            if not v.in_subfield(subfield_order):
-                raise BadSubfieldError(
-                    f"image of h is not contained in F_{subfield_order}")
-    folded = _fold_cyclic(h, N)
-    powered = conv_power(folded, subfield_order - 1)
-    s_fn = kronecker(h.ctx, N) - powered
-    s_poly = PolyFq(h.ctx, s_fn.codes)
+                f"F_{subfield_order} is not a subfield of F_{N + 1}")
+        if not _frobenius_fixed(folded, ctx, N, t):
+            raise BadSubfieldError(
+                f"image of h is not contained in F_{subfield_order}")
+    if folded:
+        hbar = PolyFq(ctx, [folded.get(j, 0) for j in range(max(folded) + 1)])
+        g = poly_gcd(PolyFq.x(ctx).pow_mod(N, hbar) - PolyFq(ctx, (1,)), hbar)
+        u = _root_power_sums(g, N)
+        neg = ctx.neg_code
+        s_codes = [neg(u[-j]) for j in range(N)]  # u[-0] is u_0
+    else:  # h vanishes at every root of unity
+        s_codes = [1] + [0] * (N - 1)
+    s_fn = CyclicFn(ctx, s_codes)
     return RootIndicator(base=h, subfield_order=subfield_order,
-                         poly=s_poly, coeff_seq=s_fn)
+                         poly=PolyFq(ctx, s_codes), coeff_seq=s_fn)
 
 
 def degree_n_factor_test(h: PolyFq, q: int, n: int,

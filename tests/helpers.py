@@ -5,10 +5,12 @@ sharing no algorithmic shortcut with the library paths it checks.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from hmdft import CyclicFn, FieldElement, PolyFq
+from hmdft import CyclicFn, FieldElement, PolyFq, element_degree, make_field, \
+    subfield_embedding
 from hmdft.cyclic import conv_power, kronecker
 from hmdft.symfun import omega
 
@@ -213,3 +215,34 @@ def convolution_delta_mask(q, n, w, c, ctx):
     base[0] = ctx.sub_codes(base[0], c.code)  # 0 is never in Omega(w), w >= 1
     powered = conv_power(CyclicFn(ctx, base), q - 1)
     return kronecker(ctx, N) - powered
+
+
+def powering_root_indicator(h, q, n, subfield_order=None):
+    """The root indicator (1 - h**(#L - 1)) mod (x**N - 1) by its definition.
+
+    Folds h mod x**N - 1, finds the smallest L by evaluating h at every
+    nonzero point of F_{q^n} (or checks the given one there), raises the
+    folded sequence to the (#L - 1)-th convolution power and subtracts it
+    from the Kronecker delta.  Returns (subfield_order, coefficient codes);
+    shares nothing with the power-sum route of build_root_indicator.
+    """
+    ctx = h.ctx
+    p = ctx.p
+    N = q ** n - 1
+    big = make_field(p, ctx.m * n)
+    emb = subfield_embedding(ctx, big)
+    h_big = emb.lift_poly(h)
+    values = [h_big(FieldElement(big, code)) for code in range(1, big.order)]
+    if subfield_order is None:
+        t = 1
+        for v in values:
+            t = math.lcm(t, element_degree(v, p, big.m))
+        subfield_order = p ** t
+    else:
+        assert all(v.in_subfield(subfield_order) for v in values)
+    codes = [0] * N
+    for i, c in enumerate(h.codes):
+        if c:
+            codes[i % N] = ctx.add_codes(codes[i % N], c)
+    powered = conv_power(CyclicFn(ctx, codes), subfield_order - 1)
+    return subfield_order, (kronecker(ctx, N) - powered).codes

@@ -21,15 +21,18 @@ from hmdft import (
     support_degree_test,
     threshold,
 )
+from hmdft import gf, numtheory
+from hmdft.cli import main
 from hmdft.cyclic import CyclicFn
 from hmdft.errors import (
     BadSubfieldError,
     CtxMismatchError,
     DegreeMismatchError,
+    SizeCapError,
     ZeroPolynomialError,
 )
 
-from helpers import brute_is_irreducible
+from helpers import brute_is_irreducible, powering_root_indicator
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -66,8 +69,6 @@ def test_build_root_indicator_x_over_f4():
 
 
 def test_build_root_indicator_validation():
-    from hmdft.errors import SizeCapError
-
     with pytest.raises(ZeroPolynomialError):
         build_root_indicator(PolyFq(F2, []), 2, 4)
     with pytest.raises(SizeCapError):
@@ -112,6 +113,84 @@ def test_root_indicator_transform_flags_roots():
         for i in range(15):
             expected = 1 if h_big(z ** i).code == 0 else 0
             assert g(i).code == expected
+
+
+def _assert_matches_powering(h, q, n, subfield_order=None):
+    ri = build_root_indicator(h, q, n, subfield_order)
+    expected = powering_root_indicator(h, q, n, subfield_order)
+    assert (ri.subfield_order, ri.coeff_seq.codes) == expected, (h, q, n)
+    assert ri.poly.codes == PolyFq(h.ctx, expected[1]).codes
+    return ri.subfield_order
+
+
+FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+
+
+def test_root_indicator_matches_powering_every_small_h():
+    # every nonzero h of degree <= 3, each n with q**n - 1 <= 300
+    for q in (2, 3, 4, 5):
+        ctx = make_field(*FIELDS[q])
+        n = 2
+        while q ** n - 1 <= 300:
+            for codes in itertools.product(range(q), repeat=4):
+                if any(codes):
+                    _assert_matches_powering(PolyFq(ctx, codes), q, n)
+            n += 1
+
+
+def test_root_indicator_matches_powering_random_and_edge_cases():
+    rng = random.Random(15)
+    cases = []
+    for q, n in ((2, 12), (3, 6), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3)):
+        ctx = make_field(*FIELDS[q])
+        for deg in (n, n + 3):
+            cases.append((PolyFq(ctx, [rng.randrange(q) for _ in range(deg)]
+                                 + [rng.randrange(1, q)]), q, n))
+    f4, f9 = make_field(2, 2), make_field(3, 2)
+    cases += [
+        (PolyFq(F3, [0, 1, 0, 1]), 3, 3),                 # x**3 + x, divisible by x
+        (PolyFq(f9, [0, 0, 5, 1, 7]), 9, 2),               # divisible by x**2
+        (PolyFq(F2, [1] + [0] * 14 + [1]), 2, 4),          # x**15 - 1 folds to 0
+        (PolyFq(make_field(5), [4] + [0] * 23 + [1]), 5, 2),
+        (PolyFq(f4, [1] + [0] * 62 + [1]), 4, 3),
+        (PolyFq(F2, [1] + [0] * 30 + [1, 1]), 2, 5),       # deg 33 >= N = 31
+        (PolyFq(F3, [rng.randrange(3) for _ in range(20)] + [1]), 3, 2),
+        (PolyFq(f4, [0] * 15 + [1]), 4, 2),                # x**15 folds to 1
+        (PolyFq(F3, [2]), 3, 2),                           # constants
+        (PolyFq(f4, [2]), 4, 3),
+        (PolyFq(f9, [4]), 9, 2),
+    ]
+    for h, q, n in cases:
+        # every subfield of F_{q^n} that contains the smallest valid L
+        _, t0 = numtheory.prime_power(_assert_matches_powering(h, q, n))
+        for t in numtheory.divisors(h.ctx.m * n):
+            if t % t0 == 0:
+                _assert_matches_powering(h, q, n, h.ctx.p ** t)
+
+
+def test_root_indicator_builds_no_big_field(monkeypatch):
+    monkeypatch.delitem(gf._FIELD_CACHE, (2, 16), raising=False)
+    h = PolyFq(F2, [1, 1, 0, 1, 0, 1] + [0] * 10 + [1])
+    ri = build_root_indicator(h, 2, 16)
+    assert (2, 16) not in gf._FIELD_CACHE
+    assert ri.subfield_order == 2 ** 16 and ri.coeff_seq.N == 2 ** 16 - 1
+    with pytest.raises(SizeCapError):
+        build_root_indicator(PolyFq(F2, [1, 1, 1]), 2, 21)  # F_{2^21} is over the cap
+
+
+@pytest.mark.parametrize("cmd,q,n,codes", [
+    ("factor-test", 3, 8, [1, 2, 0, 0, 2, 1, 0, 0, 2, 1, 2, 1]),
+    ("irred-test", 2, 16, [1, 1, 0, 1, 0, 1] + [0] * 10 + [1]),
+])
+def test_cli_spectral_verdicts_at_large_fields(capsys, cmd, q, n, codes):
+    argv = [cmd, "--q", str(q), "--poly", ",".join(map(str, codes))]
+    if cmd == "factor-test":
+        argv += ["--n", str(n)]
+    assert main(argv) == 0 and "Proven" in capsys.readouterr().out
+    h = PolyFq(make_field(q), codes)
+    assert n in oracle_factor_degrees(h)
+    if cmd == "irred-test":
+        assert oracle_irreducible(h)
 
 
 def test_degree_n_factor_example():
