@@ -15,16 +15,16 @@ every run.  Every constructible field (order up to ``FIELD_ORDER_CAP``) is
 table-backed: discrete exp/log tables make multiplication, inversion and
 powering O(1) lookups.
 
+The exp table is walked with the F_p-linear map "multiply by zeta" on one
+bit lane per base-p digit (``FieldCtx._finish``): two split-table lookups and
+one integer add per entry, and O(sqrt(order)) polynomial products in all.
+
 Addition is XOR in characteristic 2 and integer addition mod p in prime
 fields.  Odd-characteristic extension fields add by Zech logarithms:
 ``zech[k]`` is the log of 1 + zeta**k (-1 when that sum is 0), built in
 O(order) by adding 1 to the constant digit of each exp entry, so that
 zeta**i + zeta**j = zeta**(i + zech[j - i]); negation is multiplication by
--1 = zeta**((order-1)/2).  Fields of order at most ``ADD_TABLE_CAP`` also
-keep an order-by-order addition table, filled from the Zech route: dense
-convolutions over small fields such as F_9 add once per term pair, and one
-double index is cheaper there than the log lookups of Zech.  Above that
-order the table's quadratic build and memory outweigh the gain.
+-1 = zeta**((order-1)/2).
 
 Extension towers F_q inside F_{q^n} are realized inside the single context of
 order q^n; membership in the intermediate field F_{q^d} is decided by the
@@ -49,9 +49,6 @@ from .errors import (
 # hard refusal bound for field construction; every field below it is tabled
 FIELD_ORDER_CAP = 1 << 20
 
-# full addition tables (odd-characteristic extensions only) at or below this order
-ADD_TABLE_CAP = 1 << 7
-
 _FIELD_CACHE: dict[tuple[int, int], "FieldCtx"] = {}
 _EMBED_CACHE: dict[tuple[int, int, int], "Embedding"] = {}
 
@@ -66,7 +63,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "m", "order", "modulus", "zeta_code", "exp", "log",
-                 "_zech", "_add_table", "_mod_int", "_mfac")
+                 "_zech", "_mod_int", "_mfac")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -77,7 +74,6 @@ class FieldCtx:
         self.exp = None
         self.log = None
         self._zech = None
-        self._add_table = None
         self._mfac = None
         # bitmask form of the modulus, used by the carry-less p=2 fast path
         self._mod_int = None
@@ -115,9 +111,6 @@ class FieldCtx:
             return a ^ b
         if self.m == 1:
             return (a + b) % p
-        t = self._add_table
-        if t is not None:
-            return t[a][b]
         if not a:
             return b
         if not b:
@@ -248,33 +241,64 @@ class FieldCtx:
     # ------------------------------------------------------------------
 
     def _finish(self):
-        """Find the canonical primitive element and build the lookup tables."""
+        """Find the canonical primitive element and build the lookup tables.
+
+        Multiplication by zeta is F_p-linear, so the exp walk makes no general
+        product per entry.  The walk's state holds digit i of the current
+        power in bit lane i, B = (2p - 1).bit_length() + 1 bits wide: room for
+        the sum of two digits below p plus a flag bit.  The lanes split into
+        the low h = m // 2 digits and the high m - h; zeta times each possible
+        half is tabled (p**h and p**(m-h) entries, each one ``_polymul``), and
+        so is each half's code.  One step reads the code as two lookups added,
+        adds the two tabled zeta-multiples, and subtracts p from every lane
+        that reached p: adding 2**(B-1) - p to each lane sets exactly those
+        lanes' top bits.
+        """
+        p, m = self.p, self.m
         M = self.order - 1
         fac = numtheory.prime_factors(M) if M > 1 else []
         for code in range(1, self.order):
             if all(self._pow_slow(code, M // t) != 1 for t in fac):
                 self.zeta_code = code
                 break
+        B = (2 * p - 1).bit_length() + 1
+        h = m // 2
+        shift = h * B
+        lo_mask = (1 << shift) - 1
+        ones = sum(1 << (i * B) for i in range(m))  # a 1 in every lane
+        hib = ones << (B - 1)
+        adj = ((1 << (B - 1)) - p) * ones
+
+        def lanes(code):
+            return sum(d << (i * B) for i, d in enumerate(self.digits_of(code)))
+
+        lo_code, lo_next, hi_code, hi_next = {}, {}, {}, {}
+        for c in range(p ** h):
+            k = lanes(c)
+            lo_code[k] = c
+            lo_next[k] = lanes(self._polymul(c, self.zeta_code))
+        for c in range(0, self.order, p ** h):
+            k = lanes(c) >> shift
+            hi_code[k] = c
+            hi_next[k] = lanes(self._polymul(c, self.zeta_code))
         exp = [0] * M
-        e = 1
+        s = 1
         for i in range(M):
-            exp[i] = e
-            e = self._polymul(e, self.zeta_code)
-        if e != 1:  # zeta**(order-1) must close the cycle
+            lo = s & lo_mask
+            hi = s >> shift
+            exp[i] = lo_code[lo] + hi_code[hi]
+            s = lo_next[lo] + hi_next[hi]
+            s -= (((s + adj) & hib) >> (B - 1)) * p
+        if s != 1:  # zeta**(order-1) must close the cycle
             raise AssertionError("generator order inconsistency")
         log = [-1] * self.order
         for i, c in enumerate(exp):
             log[c] = i
         self.exp = exp
         self.log = log
-        p = self.p
-        if p != 2 and self.m > 1:
+        if p != 2 and m > 1:
             # 1 + zeta**k adds 1 to the constant digit; log[0] = -1 marks 1 + zeta**k = 0
             self._zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp]
-            if self.order <= ADD_TABLE_CAP:
-                add = self.add_codes
-                self._add_table = [[add(a, b) for b in range(self.order)]
-                                   for a in range(self.order)]
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, m={self.m})"
@@ -705,7 +729,11 @@ class Embedding:
         self.big = big
         gamma = None
         mod_poly = PolyFq(big, small.modulus)  # coefficients are constants
-        for code in range(big.order):
+        # every root lies in big's copy of F_{p^s}: 0 and the p^s - 1 powers
+        # zeta**(k * M / (p^s - 1)); scanning them in ascending code order
+        # finds the same least root as a scan of all of big
+        subfield = big.exp[::(big.order - 1) // (small.order - 1)]
+        for code in [0] + sorted(subfield):
             if mod_poly(FieldElement(big, code)).code == 0:
                 gamma = code
                 break

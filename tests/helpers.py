@@ -83,6 +83,33 @@ def digitwise_neg(p, a):
     return s
 
 
+def polymul_exp_table(ctx):
+    """The exp table of ctx by one general polynomial product per entry.
+
+    Walks zeta's powers with ``_polymul``, the field's reference product on
+    coefficient vectors, and checks that the walk closes after order - 1
+    steps; shares nothing with the lane-wise walk of ``FieldCtx._finish``.
+    """
+    M = ctx.order - 1
+    exp = [0] * M
+    e = 1
+    for i in range(M):
+        exp[i] = e
+        e = ctx._polymul(e, ctx.zeta_code)
+    if e != 1:  # zeta**(order-1) must close the cycle
+        raise AssertionError("generator order inconsistency")
+    return exp
+
+
+def ascending_scan_gamma(small, big):
+    """The least-code root of small's modulus in big, scanning every code of big."""
+    mod_poly = PolyFq(big, small.modulus)
+    for code in range(big.order):
+        if mod_poly(FieldElement(big, code)).code == 0:
+            return code
+    raise AssertionError("an irreducible modulus splits in every extension")
+
+
 def lucas_comb(n, k, p):
     """Binomial coefficient mod p via the digit-product rule."""
     result = 1

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from hmdft import (
     sigma_eval,
     subfield_embedding,
 )
+from hmdft import gf
 from hmdft.errors import (
     BadSubfieldError,
     BadTowerError,
@@ -23,9 +25,21 @@ from hmdft.errors import (
     SizeCapError,
     WeightRangeError,
 )
-from hmdft.gf import ADD_TABLE_CAP
 
-from helpers import brute_min_poly, digitwise_add, digitwise_neg
+from helpers import (
+    ascending_scan_gamma,
+    brute_is_irreducible,
+    brute_min_poly,
+    digitwise_add,
+    digitwise_neg,
+    polymul_exp_table,
+)
+
+# every field of order <= 2^12 for a spread of primes, then larger fields of
+# several shapes: p = 2, a long odd lane vector, a short wide one, and m = 2
+SMALL_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13, 31)
+                for m in range(1, 13) if p ** m <= 1 << 12]
+LARGE_FIELDS = [(2, 16), (3, 9), (5, 6), (7, 5), (13, 4), (251, 2)]
 
 
 def test_make_field_prime():
@@ -126,6 +140,64 @@ def test_exp_log_tables_consistent():
             assert ctx.exp[(i + j) % M] == ctx.mul_codes(ctx.exp[i], ctx.exp[j])
 
 
+def _assert_matches_polymul_walk(p, m):
+    ctx = make_field(p, m)
+    exp = polymul_exp_table(ctx)
+    assert ctx.exp == exp
+    log = [-1] * ctx.order
+    for i, c in enumerate(exp):
+        log[c] = i
+    assert ctx.log == log
+    # the canonically-first primitive element: least code whose log is a unit mod M
+    M = ctx.order - 1
+    assert ctx.zeta_code == next(c for c in range(1, ctx.order) if math.gcd(log[c], M) == 1)
+    # the canonically-first monic irreducible, by trial division
+    prime = make_field(p)
+    for code in range(ctx.order):
+        digits = [code // p ** i % p for i in range(m)]
+        if brute_is_irreducible(PolyFq(prime, digits + [1])):
+            break
+    assert ctx.modulus == tuple(digits + [1])
+
+
+@pytest.mark.parametrize("p", sorted({p for p, _ in SMALL_FIELDS}))
+def test_small_field_tables_match_polymul_walk(p):
+    for q, m in SMALL_FIELDS:
+        if q == p:
+            _assert_matches_polymul_walk(p, m)
+
+
+@pytest.mark.parametrize("p,m", LARGE_FIELDS)
+def test_large_field_tables_match_polymul_walk(p, m):
+    _assert_matches_polymul_walk(p, m)
+
+
+def test_exp_build_makes_few_general_products(monkeypatch):
+    # the lane walk fills its split tables with about 2 * p^ceil(m/2) products
+    # (plus the primitive-element search), not one per exp entry
+    calls = 0
+    polymul = gf.FieldCtx._polymul
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return polymul(self, a, b)
+
+    monkeypatch.setattr(gf.FieldCtx, "_polymul", counted)
+    monkeypatch.delitem(gf._FIELD_CACHE, (3, 10), raising=False)
+    ctx = make_field(3, 10)
+    assert calls < ctx.order // 16
+
+
+@pytest.mark.parametrize("p,modulus", [(2, (0, 0, 1)), (3, (0, 0, 1))])
+def test_exp_walk_must_close(p, modulus):
+    # x^2 is reducible: the search settles on the nilpotent x, whose powers
+    # reach 0 and never return to 1
+    ctx = gf.FieldCtx(p, 2, modulus)
+    with pytest.raises(AssertionError, match="generator order"):
+        ctx._finish()
+
+
 def test_field_axioms_random_triples():
     rng = random.Random(20260811)
     for p, m in [(2, 4), (3, 3), (5, 2), (7, 2)]:
@@ -145,15 +217,14 @@ def test_field_axioms_random_triples():
 
 
 def test_add_codes_match_digitwise_reference():
-    # F_9 and F_125 keep the addition table and are checked on every pair;
-    # F_{3^6}, F_{5^5} and F_{7^4} add by Zech logarithms, checked on random
-    # pairs and on a = 0, b = 0 and b = -a (the zech == -1 entry)
+    # every odd extension field adds by Zech logarithms: F_9 and F_125 are
+    # checked on every pair, F_{3^6}, F_{5^5} and F_{7^4} on random pairs, and
+    # all of them on a = 0, b = 0 and b = -a (the zech == -1 entry)
     rng = random.Random(17)
     for p, m in [(3, 2), (5, 3), (3, 6), (5, 5), (7, 4)]:
         ctx = make_field(p, m)
         order = ctx.order
-        assert (ctx._add_table is not None) == (order <= ADD_TABLE_CAP)
-        if order <= ADD_TABLE_CAP:
+        if order <= 125:
             pairs = list(itertools.product(range(order), repeat=2))
         else:
             pairs = [(rng.randrange(order), rng.randrange(order)) for _ in range(2000)]
@@ -313,6 +384,20 @@ def test_embedding_identity_and_prime():
     f27 = make_field(3, 3)
     emb2 = subfield_embedding(f3, f27)
     assert [emb2.lift(e).code for e in f3.elements()] == [0, 1, 2]
+
+
+def test_embedding_gamma_matches_ascending_scan():
+    # the least root found among the subfield's codes is the least over all
+    # of big, on every proper tower of order <= 2^16 (33 of them with s >= 2)
+    fields = [(p, m) for p in (2, 3, 5, 7, 11, 13, 31, 251)
+              for m in range(1, 17) if p ** m <= 1 << 16]
+    towers = []
+    for (p, s), (q, t) in itertools.product(fields, repeat=2):
+        if p == q and s < t and t % s == 0:
+            small, big = make_field(p, s), make_field(p, t)
+            assert subfield_embedding(small, big).gamma == ascending_scan_gamma(small, big)
+            towers.append(s)
+    assert len(towers) == 75 and sum(s >= 2 for s in towers) == 33
 
 
 def test_poly_arithmetic_basics():
