@@ -19,7 +19,7 @@ import sys
 
 from .cyclic import dft, idft, least_period_of_sequence
 from .errors import AlgebraError
-from .gf import FieldElement, PolyFq, make_field, primitive_element, subfield_embedding
+from .gf import PolyFq, make_field, primitive_element, subfield_embedding
 from .harness import (
     DEFAULT_SIZE_CAP,
     CASE_EXCLUDED,
@@ -169,13 +169,13 @@ def _cmd_dft(args) -> int:
         if len(codes) != N:
             raise AlgebraError(f"sequence must have length q**n - 1 = {N}")
         from .cyclic import CyclicFn
-        f = CyclicFn(big, [emb.lift(small.element(c)).code for c in codes])
+        f = CyclicFn(big, emb.lift_codes(codes))
     elif args.c is not None:
         small = make_field(p, j)
         emb = subfield_embedding(small, big)
         mask = delta_mask(args.q, args.n, args.w, small.element(args.c), small)
         from .cyclic import CyclicFn
-        f = CyclicFn(big, [emb.lift(FieldElement(small, c)).code for c in mask.codes])
+        f = CyclicFn(big, emb.lift_codes(mask.codes))
     else:
         f = delta(args.q, args.n, args.w, big)
     g = idft(f, zeta) if args.inverse else dft(f, zeta)

@@ -7,10 +7,14 @@ based on zeta**(-1).  Convolution is the cyclic sum
 smallest positive r with f(i + r) = f(i) for all i (always a divisor of N).
 
 Everything is exact: values are finite-field elements, never floats.
-Convolution iterates over support pairs, which reduces to the defining
-double sum when both supports are dense but is far cheaper on the sparse
-indicator functions this package mostly convolves.  Functions are immutable
-once built; all operations here are pure.
+When every value of f lies in the subfield F_{p^t}, the transform obeys the
+conjugacy rule g(i * p^t) = g(i)**(p^t), so `dft` forms one sum per
+cyclotomic coset of p^t mod N and powers it across the rest of the coset;
+F_q-valued inputs, the paper's case, take this route.  Convolution iterates
+over support pairs, which reduces to the defining double sum when both
+supports are dense but is far cheaper on sparse indicator functions; no
+certification path calls it, the tests and their oracles do.  Functions are
+immutable once built; all operations here are pure.
 """
 
 from __future__ import annotations
@@ -123,7 +127,10 @@ class CyclicFn:
 
 
 def kronecker(ctx: FieldCtx, N: int) -> CyclicFn:
-    """The convolution identity: 1 at index 0, else 0."""
+    """The convolution identity: 1 at index 0, else 0.
+
+    No certification path calls it; tests and their oracles do.
+    """
     return CyclicFn(ctx, [1] + [0] * (N - 1))
 
 
@@ -145,7 +152,16 @@ def _check_root(f: CyclicFn, zeta: FieldElement) -> None:
 
 
 def dft(f: CyclicFn, zeta: FieldElement) -> CyclicFn:
-    """Transform g(i) = sum_j f(j) * zeta**(i*j), exact over f's field."""
+    """Transform g(i) = sum_j f(j) * zeta**(i*j), exact over f's field.
+
+    Let t be the least divisor of m with every value of f in F_{p^t}, and
+    P = p**t.  Raising to the P-th power fixes f's values and is additive, so
+    the conjugacy rule g(i*P mod N) = g(i)**P holds.  The sum is therefore
+    formed once per cyclotomic coset {i, i*P, i*P**2, ...} of P mod N, at its
+    least member, and the rest of the coset is that sum powered in the log
+    domain.  When P = 1 mod N (values spanning the whole field, every prime
+    field) the cosets are single points and every point is summed.
+    """
     _check_root(f, zeta)
     ctx, N = f.ctx, f.N
     exp, log, add = ctx.exp, ctx.log, ctx.add_codes
@@ -153,13 +169,45 @@ def dft(f: CyclicFn, zeta: FieldElement) -> CyclicFn:
     # term j at point i is f(j) * zeta**(i*j) = exp[(log f(j) + k*i*j) mod M]
     k = log[zeta.code]
     supp = [(log[c], k * j % M) for j, c in enumerate(f.codes) if c]
+    # a nonzero value lies in F_{p^t} iff its log is a multiple of
+    # M / (p^t - 1), so t depends on the gcd G of the support logs alone
+    G = M
+    for lc, _ in supp:
+        G = gcd(G, lc)
+    t = next(t for t in numtheory.divisors(ctx.m)
+             if G % (M // (ctx.p ** t - 1)) == 0)
+    P = ctx.p ** t
+    frobenius = (P - 1) % N != 0
+    points = _coset_leaders(N, P % N) if frobenius else range(N)
     out = [0] * N
-    for i in range(N):
+    for i in points:
         s = 0
         for lc, kj in supp:
             s = add(s, exp[(lc + kj * i) % M])
         out[i] = s
+    if frobenius:
+        for i in points:
+            if out[i]:
+                ls, j = log[out[i]], i * P % N
+                while j != i:
+                    ls = ls * P % M
+                    out[j] = exp[ls]
+                    j = j * P % N
     return CyclicFn(ctx, out)
+
+
+def _coset_leaders(N: int, P: int) -> list[int]:
+    """Least member of each orbit of i -> i*P on Z_N (P a unit), ascending."""
+    seen = bytearray(N)
+    leaders = []
+    for i in range(N):
+        if not seen[i]:
+            leaders.append(i)
+            j = i
+            while not seen[j]:
+                seen[j] = 1
+                j = j * P % N
+    return leaders
 
 
 def idft(f: CyclicFn, zeta: FieldElement) -> CyclicFn:
@@ -181,7 +229,10 @@ def pointwise_mul(f: CyclicFn, g: CyclicFn) -> CyclicFn:
 
 
 def convolve(f: CyclicFn, g: CyclicFn) -> CyclicFn:
-    """Cyclic convolution; iterates support pairs, result equals the double sum."""
+    """Cyclic convolution; iterates support pairs, result equals the double sum.
+
+    No certification path calls it; tests and their oracles do.
+    """
     _check_pair(f, g)
     ctx, N = f.ctx, f.N
     add, exp, log = ctx.add_codes, ctx.exp, ctx.log
@@ -202,7 +253,10 @@ def convolve(f: CyclicFn, g: CyclicFn) -> CyclicFn:
 
 
 def conv_power(f: CyclicFn, m: int) -> CyclicFn:
-    """m-th convolution power, with f**(*0) the Kronecker delta."""
+    """m-th convolution power, with f**(*0) the Kronecker delta.
+
+    No certification path calls it; tests and their oracles do.
+    """
     if m < 0:
         raise ValueError("convolution power needs m >= 0")
     result = kronecker(f.ctx, f.N)

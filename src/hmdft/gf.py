@@ -752,6 +752,15 @@ class Embedding:
             raise CtxMismatchError("element not in the embedding's source field")
         return FieldElement(self.big, self._lift[elt.code])
 
+    def lift_codes(self, codes) -> list[int]:
+        """Big-field codes of a sequence of small-field codes, one lookup each."""
+        order = self.small.order
+        for c in codes:
+            if not 0 <= c < order:
+                raise ValueError(f"code {c} out of range for {self.small!r}")
+        lift = self._lift
+        return [lift[c] for c in codes]
+
     def lower(self, elt: FieldElement) -> FieldElement:
         if elt.ctx is not self.big:
             raise CtxMismatchError("element not in the embedding's target field")

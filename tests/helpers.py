@@ -27,6 +27,26 @@ def brute_dft(f, zeta):
     return CyclicFn.from_elements(out)
 
 
+def pointwise_dft(f, zeta):
+    """The transform summed at every point over f's support, one add per term.
+
+    This is `cyclic.dft` before it used the conjugacy rule.
+    """
+    ctx, N = f.ctx, f.N
+    exp, log, add = ctx.exp, ctx.log, ctx.add_codes
+    M = ctx.order - 1
+    # term j at point i is f(j) * zeta**(i*j) = exp[(log f(j) + k*i*j) mod M]
+    k = log[zeta.code]
+    supp = [(log[c], k * j % M) for j, c in enumerate(f.codes) if c]
+    out = [0] * N
+    for i in range(N):
+        s = 0
+        for lc, kj in supp:
+            s = add(s, exp[(lc + kj * i) % M])
+        out[i] = s
+    return CyclicFn(ctx, out)
+
+
 def brute_idft(f, zeta):
     ctx, N = f.ctx, f.N
     zinv = zeta ** (-1)

@@ -114,6 +114,32 @@ def test_dft_roundtrip_seq(capsys):
     assert len(fwd) == 15
 
 
+def test_dft_inverse_seq_matches_brute_force(capsys):
+    from hmdft import CyclicFn, make_field, primitive_element, subfield_embedding
+
+    from helpers import brute_dft, brute_idft
+
+    seq = [0, 3, 1, 0, 2, 2, 0, 0, 1, 0, 3, 0, 0, 1, 0]  # F_4 codes, (q, n) = (4, 2)
+    small, big = make_field(2, 2), make_field(2, 4)
+    emb = subfield_embedding(small, big)
+    f = CyclicFn.from_elements([emb.lift(small.element(c)) for c in seq])
+    z = primitive_element(big)
+    arg = ",".join(map(str, seq))
+    for extra, oracle in (((), brute_dft), (("--inverse",), brute_idft)):
+        code, out, _ = run(capsys, "dft", "--q", "4", "--n", "2", "--seq", arg,
+                           *extra, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["values"] == list(oracle(f, z).codes)
+
+
+@pytest.mark.parametrize("bad", ["-1", "3"])
+def test_dft_seq_code_out_of_range(capsys, bad):
+    code, out, err = run(capsys, "dft", "--q", "3", "--n", "2",
+                         f"--seq={bad},1,0,0,0,0,0,0")
+    assert code == 2 and out == ""
+    assert f"code {bad} out of range" in err
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])

@@ -31,7 +31,15 @@ from hmdft.errors import (
     OrderMismatchError,
 )
 
-from helpers import brute_convolve, brute_dft, brute_idft, brute_least_period
+from hmdft.gf import FieldCtx
+
+from helpers import (
+    brute_convolve,
+    brute_dft,
+    brute_idft,
+    brute_least_period,
+    pointwise_dft,
+)
 
 EX15_SEQ = (1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0)
 
@@ -91,6 +99,82 @@ def test_dft_against_brute_force():
             f = random_fn(ctx, N, rng)
             assert dft(f, zeta) == brute_dft(f, zeta)
             assert idft(f, zeta) == brute_idft(f, zeta)
+
+
+def subfield_fn(ctx, sub, N, rng, nonzeros):
+    """f: Z_N -> ctx with up to `nonzeros` nonzero values, drawn from `sub`."""
+    codes = [0] * N
+    for i in rng.sample(range(N), min(nonzeros, N)):
+        codes[i] = rng.choice(sub)
+    return CyclicFn(ctx, codes)
+
+
+def check_against_pointwise(f, zeta):
+    p, N = f.ctx.p, f.N
+    assert dft(f, zeta) == pointwise_dft(f, zeta)
+    ninv = pow(N % p, p - 2, p)
+    assert idft(f, zeta) == pointwise_dft(f, zeta ** -1).scale(ninv)
+
+
+# per field, the N | p^m - 1 tried: the full group, a proper divisor, a
+# divisor with p^t = 1 mod N for some proper t | m, and N = 1
+ORACLE_CASES = [
+    (2, 12, (4095, 315, 63, 1)),   # 2^6 = 1 mod 63
+    (3, 6, (728, 91, 26, 1)),      # 3^3 = 1 mod 26
+    (2, 8, (255, 85, 15, 1)),      # 2^4 = 1 mod 15
+    (5, 3, (124, 31, 4, 1)),       # 5 = 1 mod 4
+]
+
+
+def test_dft_matches_pointwise_oracle():
+    from hmdft import subfield_embedding
+
+    rng = random.Random(7)
+    for p, m, Ns in ORACLE_CASES:
+        ctx = make_field(p, m)
+        # F_{p^t}^x for every t | m, as the fixed points of x -> x**(p^t);
+        # t = m is the whole field
+        subfields = [[c for c in range(1, ctx.order) if ctx.pow_code(c, p ** t) == c]
+                     for t in range(1, m + 1) if m % t == 0]
+        for N in Ns:
+            zeta = ctx.nth_root_of_unity(N)
+            check_against_pointwise(CyclicFn(ctx, [0] * N), zeta)
+            for sub in subfields:
+                check_against_pointwise(subfield_fn(ctx, sub, N, rng, 12), zeta)
+            k = min(N, 128)
+            dense = [rng.randrange(ctx.order) for _ in range(k)] + [0] * (N - k)
+            check_against_pointwise(CyclicFn(ctx, dense), zeta)
+    # (q, n) = (4, 4): F_4-valued sequences lifted into F_256 as `hmdft dft
+    # --seq` lifts them, so t = 2 and the cosets are those of 4 mod 255
+    small, big = make_field(2, 2), make_field(2, 8)
+    emb = subfield_embedding(small, big)
+    zeta = primitive_element(big)
+    for density in (0.05, 0.5, 1.0):
+        seq = [rng.randrange(4) if rng.random() < density else 0 for _ in range(255)]
+        check_against_pointwise(CyclicFn(big, emb.lift_codes(seq)), zeta)
+
+
+def test_dft_sums_once_per_cyclotomic_coset(monkeypatch):
+    ctx = make_field(2, 12)
+    zeta = ctx.nth_root_of_unity(4095)
+    f = CyclicFn.from_support(ctx, 4095, [0, 5, 77, 1000, 4094])
+    expected = pointwise_dft(f, zeta)
+    calls = [0]
+    add = FieldCtx.add_codes
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return add(self, a, b)
+
+    monkeypatch.setattr(FieldCtx, "add_codes", counted)
+    assert dft(f, zeta) == expected
+    # 351 cyclotomic cosets of 2 mod 4095, one sum of |supp f| terms each
+    assert calls[0] == 351 * 5
+    # a value generating F_4096 leaves every coset a single point
+    calls[0] = 0
+    g = CyclicFn.from_support(ctx, 4095, [3, 9, 2000], value=ctx.zeta_code)
+    dft(g, zeta)
+    assert calls[0] == 4095 * 3
 
 
 def test_dft_validations():

@@ -369,6 +369,10 @@ def test_embedding_f4_in_f16():
         assert emb.lift(a + b) == emb.lift(a) + emb.lift(b)
         assert emb.lift(a * b) == emb.lift(a) * emb.lift(b)
         assert emb.lower(emb.lift(a)) == a
+    assert emb.lift_codes([3, 0, 2, 1]) == [7, 0, 6, 1]
+    for bad in (-1, 4):  # a bare table lookup would wrap -1 to code 3
+        with pytest.raises(ValueError, match=f"code {bad} out of range"):
+            emb.lift_codes([0, bad])
     with pytest.raises(BadSubfieldError):
         emb.lower(f16.element(2))  # x generates F_16, not in F_4
     with pytest.raises(BadTowerError):
