@@ -4,8 +4,10 @@ Subcommands: period, dft, delta, factor-test, irred-test, hm-verify, witness.
 Exit codes: 0 when everything asked for was verified (for factor-test and
 irred-test that means a Proven verdict; for witness, a witness found), 1 when
 a claim failed or a sufficient condition stayed Inconclusive, 2 on usage or
-input errors.  The size cap may also be overridden with the HMDFT_SIZE_CAP
-environment variable; --cap wins over it.
+input errors.  --cap, or else the HMDFT_SIZE_CAP environment variable, caps
+q**n - 1 (n = deg h for irred-test) in every subcommand via ``gf.check_size``;
+when neither is set, period, witness and hm-verify use DEFAULT_SIZE_CAP, and
+factor-test, irred-test, dft and delta the hard limits alone.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import json
 import os
 import sys
 
-from .cyclic import dft, idft, least_period_of_sequence
+from .cyclic import CyclicFn, dft, idft, least_period, least_period_of_sequence
+from .cyclo import threshold
 from .errors import AlgebraError
-from .gf import PolyFq, make_field, primitive_element, subfield_embedding
+from .gf import PolyFq, check_size, make_field, primitive_element, subfield_embedding
 from .harness import (
     DEFAULT_SIZE_CAP,
     CASE_EXCLUDED,
@@ -117,18 +120,20 @@ def _to_text(payload) -> str:
     return "\n".join(f"{k}: {v}" for k, v in _flatten(payload).items()) + "\n"
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _add_common(sp: argparse.ArgumentParser, default_cap: int | None = None) -> None:
     sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sp.add_argument("--out", default=None, help="write output to this path")
     sp.add_argument("--cap", type=int, default=None,
-                    help="size cap on q**n - 1 (default %d)" % DEFAULT_SIZE_CAP)
+                    help="size cap on q**n - 1 (default %s)" %
+                    (default_cap or "the hard limits"))
+    sp.set_defaults(default_cap=default_cap)
 
 
-def _cap(args) -> int:
+def _cap(args) -> int | None:
     if args.cap is not None:
         return args.cap
     env = os.environ.get("HMDFT_SIZE_CAP")
-    return int(env) if env else DEFAULT_SIZE_CAP
+    return int(env) if env else args.default_cap
 
 
 def _cmd_period(args) -> int:
@@ -141,12 +146,7 @@ def _cmd_period(args) -> int:
         _emit(rep.to_dict(), args.format, args.out)
         return 0 if rep.passed else 1
     # above n/2 the regime claims do not apply; report the period alone
-    from .cyclic import least_period
-    from .cyclo import threshold
-
-    N = args.q ** args.n - 1
-    if N > _cap(args):
-        raise AlgebraError(f"q**n - 1 = {N} exceeds cap {_cap(args)}")
+    check_size(args.q, args.n, _cap(args))
     p, j = prime_power(args.q)
     ctx = make_field(p, j)
     mask = delta_mask(args.q, args.n, args.w, ctx.element(args.c), ctx)
@@ -158,32 +158,28 @@ def _cmd_period(args) -> int:
 def _cmd_dft(args) -> int:
     if args.seq is None and args.w is None:
         raise AlgebraError("dft needs --seq or --w")
+    N = check_size(args.q, args.n, _cap(args), field=True)
     p, j = prime_power(args.q)
     big = make_field(p, j * args.n)
     zeta = primitive_element(big)
-    if args.seq is not None:
-        small = make_field(p, j)
-        emb = subfield_embedding(small, big)
-        codes = _parse_ints(args.seq)
-        N = args.q ** args.n - 1
-        if len(codes) != N:
-            raise AlgebraError(f"sequence must have length q**n - 1 = {N}")
-        from .cyclic import CyclicFn
-        f = CyclicFn(big, emb.lift_codes(codes))
-    elif args.c is not None:
-        small = make_field(p, j)
-        emb = subfield_embedding(small, big)
-        mask = delta_mask(args.q, args.n, args.w, small.element(args.c), small)
-        from .cyclic import CyclicFn
-        f = CyclicFn(big, emb.lift_codes(mask.codes))
-    else:
+    if args.seq is None and args.c is None:
         f = delta(args.q, args.n, args.w, big)
+    else:
+        small = make_field(p, j)
+        if args.seq is not None:
+            codes = _parse_ints(args.seq)
+            if len(codes) != N:
+                raise AlgebraError(f"sequence must have length q**n - 1 = {N}")
+        else:
+            codes = delta_mask(args.q, args.n, args.w, small.element(args.c), small).codes
+        f = CyclicFn(big, subfield_embedding(small, big).lift_codes(codes))
     g = idft(f, zeta) if args.inverse else dft(f, zeta)
     _emit({"values": list(g.codes)}, args.format, args.out)
     return 0
 
 
 def _cmd_delta(args) -> int:
+    check_size(args.q, args.n, _cap(args))
     p, j = prime_power(args.q)
     ctx = make_field(p, j)
     if args.c is None:
@@ -196,6 +192,7 @@ def _cmd_delta(args) -> int:
 
 def _cmd_factor_test(args) -> int:
     h = _poly_from_arg(args.q, args.poly)
+    check_size(args.q, args.n, _cap(args), field=True)
     verdict = degree_n_factor_test(h, args.q, args.n, subfield_order=args.L)
     _emit({"status": verdict.status, "r": verdict.least_period,
            "threshold": verdict.threshold}, args.format, args.out)
@@ -204,6 +201,7 @@ def _cmd_factor_test(args) -> int:
 
 def _cmd_irred_test(args) -> int:
     h = _poly_from_arg(args.q, args.poly)
+    check_size(args.q, h.degree, _cap(args), field=True)
     verdict = irreducible_sufficient_test(h, args.q, subfield_order=args.L)
     _emit({"status": verdict.status, "r": verdict.least_period,
            "threshold": verdict.threshold}, args.format, args.out)
@@ -259,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int)
     sp.add_argument("--w", type=int)
     sp.add_argument("--c", type=int, default=0)
-    _add_common(sp)
+    _add_common(sp, DEFAULT_SIZE_CAP)
     sp.set_defaults(fn=_cmd_period)
 
     sp = sub.add_parser("dft", help="transform of a weight indicator, mask or sequence")
@@ -309,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip the witness search")
     sp.add_argument("--check-symmetry", action="store_true",
                     help="also verify digit-permutation invariance of each mask")
-    _add_common(sp)
+    _add_common(sp, DEFAULT_SIZE_CAP)
     sp.set_defaults(fn=_cmd_hm_verify)
 
     sp = sub.add_parser("witness",
@@ -318,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--w", type=int, required=True)
     sp.add_argument("--c", type=int, required=True)
-    _add_common(sp)
+    _add_common(sp, DEFAULT_SIZE_CAP)
     sp.set_defaults(fn=_cmd_witness)
 
     return ap
@@ -332,10 +330,7 @@ def main(argv=None) -> int:
         ap.error("period needs --seq or all of --q/--n/--w")
     try:
         return args.fn(args)
-    except AlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # AlgebraError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,6 +30,9 @@ Extension towers F_q inside F_{q^n} are realized inside the single context of
 order q^n; membership in the intermediate field F_{q^d} is decided by the
 Frobenius fixed-point test, and ``subfield_embedding`` provides the canonical
 injection of a standalone small field when values must cross contexts.
+
+Sizes are decided in one place: every route that needs Z_{q^n-1} or F_{q^n}
+first asks ``check_size``, which refuses an oversized n before forming q**n.
 """
 
 from __future__ import annotations
@@ -48,9 +51,28 @@ from .errors import (
 
 # hard refusal bound for field construction; every field below it is tabled
 FIELD_ORDER_CAP = 1 << 20
+# hard bound on the modulus q**n - 1 of any dense function on Z_{q^n-1}
+MODULUS_GUARD = 1 << 22
 
 _FIELD_CACHE: dict[tuple[int, int], "FieldCtx"] = {}
 _EMBED_CACHE: dict[tuple[int, int, int], "Embedding"] = {}
+
+
+def check_size(q: int, n: int, cap: int | None = None, field: bool = False) -> int:
+    """N = q**n - 1, or SizeCapError when N is over the cap or a hard limit.
+
+    N must be at most the cap (when given) and MODULUS_GUARD, and q**n at
+    most FIELD_ORDER_CAP when the route builds F_{q^n} (``field``).  An n past
+    the bit length of the limit is refused before q**n is formed (q >= 2).
+    """
+    limit = MODULUS_GUARD if cap is None else min(cap, MODULUS_GUARD)
+    if field:
+        limit = min(limit, FIELD_ORDER_CAP - 1)
+    if n <= limit.bit_length():
+        N = q ** n - 1
+        if N <= limit:
+            return N
+    raise SizeCapError(f"q**n - 1 for (q, n) = ({q}, {n}) exceeds the size cap {limit}")
 
 
 class FieldCtx:
@@ -428,10 +450,6 @@ class PolyFq:
     def x(cls, ctx: FieldCtx) -> "PolyFq":
         return cls(ctx, (0, 1))
 
-    @classmethod
-    def constant(cls, ctx: FieldCtx, code: int) -> "PolyFq":
-        return cls(ctx, (code,))
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
@@ -611,8 +629,7 @@ def make_field(p: int, m: int = 1) -> FieldCtx:
         raise ValueError("extension degree must be a positive integer")
     if not numtheory.is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    if p ** m > FIELD_ORDER_CAP:
-        raise SizeCapError(f"field order {p}**{m} exceeds cap {FIELD_ORDER_CAP}")
+    check_size(p, m, field=True)
     if m == 1:
         modulus = (0, 1)  # the class of x; unused for prime fields
     else:

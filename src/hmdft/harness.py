@@ -30,10 +30,10 @@ from .cyclic import least_period
 from .cyclo import threshold
 from .errors import ExcludedCaseError, SizeCapError, WeightRangeError
 from .gf import (
-    FIELD_ORDER_CAP,
     FieldElement,
     PolyFq,
     char_poly,
+    check_size,
     element_degree,
     make_field,
     primitive_element,
@@ -41,7 +41,7 @@ from .gf import (
 )
 from .numtheory import prime_power
 from .spectral import oracle_irreducible
-from .symfun import MODULUS_GUARD, delta_mask, is_q_symmetric
+from .symfun import delta_mask, is_q_symmetric
 
 DEFAULT_SIZE_CAP = 20000
 
@@ -118,15 +118,14 @@ class SweepConfig:
     def fits(self, q: int, n: int) -> bool:
         """Whether (q, n) is within the size cap and the hard limits its rows need.
 
-        q**n - 1 must be at most both the cap and MODULUS_GUARD, and the
-        witness search builds F_{q^n}, whose order must be at most
-        FIELD_ORDER_CAP.  An n past the bit length of that limit fails
-        before q**n is formed (q >= 2), so a long n range costs no big powers.
+        ``gf.check_size`` decides, with the field limit when the witness
+        search builds F_{q^n}; a long n range costs no big powers.
         """
-        limit = min(self.size_cap, MODULUS_GUARD)
-        if n > limit.bit_length() or q ** n - 1 > limit:
+        try:
+            check_size(q, n, self.size_cap, field=self.with_witness)
+        except SizeCapError:
             return False
-        return not self.with_witness or q ** n <= FIELD_ORDER_CAP
+        return True
 
     def weights(self, n: int) -> list[int]:
         """The w values the grid covers at n; empty when none fits."""
@@ -172,9 +171,7 @@ def _mask_and_report(q: int, n: int, w: int, c: int,
         raise WeightRangeError(f"w={w} outside [1, {n // 2}]")
     if not 0 <= c < q:
         raise ValueError(f"c={c} is not an F_{q} code")
-    N = q ** n - 1
-    if N > cap:
-        raise SizeCapError(f"q**n - 1 = {N} exceeds cap {cap}")
+    N = check_size(q, n, cap)
     thr = threshold(n, q)
     label = classify_case(q, n, w, c)
     if label == CASE_EXCLUDED:
@@ -227,8 +224,7 @@ def find_witness(q: int, n: int, w: int, c: int,
         raise ValueError(f"c={c} is not an F_{q} code")
     if w == n and c == 0:
         raise ExcludedCaseError("the norm of a nonzero element is never 0")
-    if q ** n - 1 > cap:
-        raise SizeCapError(f"q**n - 1 = {q ** n - 1} exceeds cap {cap}")
+    check_size(q, n, cap, field=True)
     small = make_field(p, j)
     big = make_field(p, j * n)
     emb = subfield_embedding(small, big)

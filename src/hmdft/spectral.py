@@ -34,19 +34,17 @@ from .errors import (
     BadSubfieldError,
     CtxMismatchError,
     DegreeMismatchError,
-    SizeCapError,
     ZeroPolynomialError,
 )
 from .gf import (
-    FIELD_ORDER_CAP,
     FieldCtx,
     PolyFq,
+    check_size,
     make_field,
     poly_gcd,
     primitive_element,
     subfield_embedding,
 )
-from .symfun import MODULUS_GUARD
 
 PROVEN = "Proven"
 INCONCLUSIVE = "Inconclusive"
@@ -61,7 +59,6 @@ class Verdict:
     threshold: int | None = None
     modulus: int | None = None
     divisor_pair: tuple[int, int] | None = None
-    note: str = ""
 
     @property
     def proven(self) -> bool:
@@ -176,15 +173,10 @@ def build_root_indicator(h: PolyFq, q: int, n: int,
         raise CtxMismatchError(f"h must have coefficients in F_{q}")
     if n < 2:
         raise ValueError("n must be at least 2")
-    N = q ** n - 1
-    if N > MODULUS_GUARD:
-        raise SizeCapError(f"q**n - 1 = {N} exceeds module guard {MODULUS_GUARD}")
+    # S needs no F_{q^n}, but (q, n) whose field is over the cap stay refused
+    N = check_size(q, n, field=True)
     ctx = h.ctx
     p, m = ctx.p, ctx.m
-    # S needs no F_{q^n}, but factor-test and irred-test apply no size limit
-    # of their own, so (q, n) whose field is over the cap stay refused
-    if p ** (m * n) > FIELD_ORDER_CAP:
-        raise SizeCapError(f"field order {p}**{m * n} exceeds cap {FIELD_ORDER_CAP}")
     folded = _fold(h, N)
     if subfield_order is None:
         t = next(t for t in numtheory.divisors(m * n)
@@ -265,9 +257,7 @@ def coprime_divisor_test(h: PolyFq, q: int, n: int) -> Verdict:
         raise ZeroPolynomialError("the zero polynomial is excluded")
     if h.ctx.order != q:
         raise CtxMismatchError(f"h must have coefficients in F_{q}")
-    N = q ** n - 1
-    if N > MODULUS_GUARD:
-        raise SizeCapError(f"q**n - 1 = {N} exceeds module guard {MODULUS_GUARD}")
+    N = check_size(q, n, field=True)
     big = make_field(h.ctx.p, h.ctx.m * n)
     emb = subfield_embedding(h.ctx, big)
     h_big = emb.lift_poly(h)

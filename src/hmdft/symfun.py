@@ -45,14 +45,10 @@ from .errors import (
     BadSubfieldError,
     CtxMismatchError,
     ExcludedCaseError,
-    SizeCapError,
     WeightRangeError,
 )
-from .gf import FieldCtx, FieldElement
+from .gf import FieldCtx, FieldElement, check_size
 from .numtheory import prime_power
-
-# guard against accidental huge moduli; the harness applies its own cap
-MODULUS_GUARD = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -81,9 +77,7 @@ def omega(q: int, n: int, w: int) -> OmegaSet:
     """All k in Z_{q^n-1} with 0/1 digits of weight w; empty for (q, w) = (2, n)."""
     if not 0 <= w <= n:
         raise WeightRangeError(f"w={w} outside [0, {n}]")
-    N = q ** n - 1
-    if N > MODULUS_GUARD:
-        raise SizeCapError(f"q**n - 1 = {N} exceeds module guard {MODULUS_GUARD}")
+    N = check_size(q, n)
     if q == 2 and w == n:
         # the full-weight sum 2**n - 1 wraps to 0, which has weight 0
         return OmegaSet(q, n, w, SupportSet(N, ()))

@@ -12,6 +12,7 @@ import numpy as np
 from hmdft import CyclicFn, FieldElement, PolyFq, element_degree, make_field, \
     subfield_embedding
 from hmdft.cyclic import conv_power, kronecker
+from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
 from hmdft.symfun import omega
 
 
@@ -58,6 +59,14 @@ def brute_idft(f, zeta):
             acc = acc + f(j) * zinv ** (i * j)
         out.append(ninv * acc)
     return CyclicFn.from_elements(out)
+
+
+def fits_oracle(self, q, n):
+    """`SweepConfig.fits` before `gf.check_size`; `self` is the SweepConfig."""
+    limit = min(self.size_cap, MODULUS_GUARD)
+    if n > limit.bit_length() or q ** n - 1 > limit:
+        return False
+    return not self.with_witness or q ** n <= FIELD_ORDER_CAP
 
 
 def brute_convolve(f, g):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hmdft
 from hmdft.cli import main
 
 EX15_POLY = "0,0,0,1,0,1,1,0,0,1,1,0,1"
@@ -202,3 +207,54 @@ def test_hm_verify_symmetry_above_eight_digits(capsys):
     assert code == 0
     reports = json.loads(out)["reports"]
     assert len(reports) == 2 and all(r["symmetric"] is True for r in reports)
+
+
+HUGE_N = [("witness", "--w", "1", "--c", "1"),
+          ("period", "--w", "1"),
+          ("factor-test", "--poly", "1,1,1"),
+          ("dft", "--w", "1"),
+          ("delta", "--w", "1")]
+
+
+@pytest.mark.parametrize("cmd", HUGE_N, ids=[c[0] for c in HUGE_N])
+def test_huge_n_fails_fast(cmd):
+    # in a subprocess with a timeout, so a route that forms 3**n fails, not hangs
+    env = dict(os.environ, PYTHONPATH=str(Path(hmdft.__file__).parents[1]))
+    env.pop("HMDFT_SIZE_CAP", None)
+    proc = subprocess.run([sys.executable, "-m", "hmdft.cli", cmd[0], "--q", "3",
+                           "--n", "200000000", *cmd[1:]],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "cap" in proc.stderr and len(proc.stderr) < 200
+
+
+CAPPED = [("factor-test", "--q", "2", "--n", "19", "--poly", "1,1,1"),
+          ("irred-test", "--q", "2", "--poly", ",".join(["1"] + ["0"] * 18 + ["1"])),
+          ("dft", "--q", "2", "--n", "16", "--w", "3"),
+          ("delta", "--q", "2", "--n", "16", "--w", "3")]
+
+
+@pytest.mark.parametrize("argv", CAPPED, ids=[a[0] for a in CAPPED])
+def test_cap_binds_every_subcommand(capsys, monkeypatch, argv):
+    monkeypatch.delenv("HMDFT_SIZE_CAP", raising=False)
+    code, out, err = run(capsys, *argv, "--cap", "100")
+    assert code == 2 and out == "" and "cap 100" in err
+
+
+def test_size_cap_environment_variable(capsys, monkeypatch):
+    monkeypatch.setenv("HMDFT_SIZE_CAP", "100")
+    argv = ("factor-test", "--q", "2", "--n", "8", "--poly", "1,1,1")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "cap 100" in err
+    code, out, _ = run(capsys, *argv, "--cap", "255")  # --cap wins
+    assert code in (0, 1) and "status:" in out
+
+
+def test_factor_test_default_has_no_user_cap(capsys, monkeypatch):
+    # 2**16 - 1 is over DEFAULT_SIZE_CAP, which only period, witness and
+    # hm-verify apply when no cap is set
+    monkeypatch.delenv("HMDFT_SIZE_CAP", raising=False)
+    code, out, _ = run(capsys, "factor-test", "--q", "2", "--n", "16", "--poly", "1,1,1")
+    assert code in (0, 1) and "status:" in out
+    code, _, err = run(capsys, "period", "--q", "2", "--n", "16", "--w", "3")
+    assert code == 2 and "cap 20000" in err

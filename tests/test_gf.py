@@ -75,6 +75,33 @@ def test_make_field_validation():
         make_field(2, 0)
 
 
+def test_check_size_limits():
+    assert gf.check_size(3, 9) == 19682
+    assert gf.check_size(3, 9, cap=19682) == 19682
+    assert gf.check_size(2, 22) == gf.MODULUS_GUARD - 1
+    assert gf.check_size(2, 20, field=True) == gf.FIELD_ORDER_CAP - 1
+    # a cap above a hard limit does not lift it
+    assert gf.check_size(2, 21, cap=1 << 30) == (1 << 21) - 1
+    for args, kw, limit in [((3, 9), {"cap": 19681}, 19681),
+                            ((2, 23), {"cap": 1 << 30}, gf.MODULUS_GUARD),
+                            ((2, 21), {"field": True}, gf.FIELD_ORDER_CAP - 1),
+                            ((2, 21), {"cap": 100, "field": True}, 100),
+                            ((2, 5), {"cap": 0}, 0)]:
+        with pytest.raises(SizeCapError) as exc:
+            gf.check_size(*args, **kw)
+        msg = str(exc.value)
+        assert f"(q, n) = {args}" in msg and f"cap {limit}" in msg
+        assert str(args[0] ** args[1] - 1) not in msg
+
+
+def test_check_size_refuses_huge_n_before_the_power():
+    # q**n is never formed past the bit length of the limit, so this is instant
+    for q in (2, 3, 1 << 20):
+        with pytest.raises(SizeCapError) as exc:
+            gf.check_size(q, 10 ** 18, field=True)
+        assert len(str(exc.value)) < 200
+
+
 def test_make_field_deterministic_and_cached():
     a = make_field(3, 3)
     b = make_field(3, 3)

@@ -1,6 +1,9 @@
+import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmdft import (
     SweepConfig,
@@ -10,10 +13,12 @@ from hmdft import (
     sweep,
     verify_period_claims,
 )
-from hmdft import harness
+from hmdft import gf, harness
 from hmdft.errors import ExcludedCaseError, SizeCapError, WeightRangeError
 from hmdft.harness import CASE_EXCLUDED, CASE_HALF, CASE_MAX, CASE_NORM, CASE_SMALL
 from hmdft.symfun import _weight_counts
+
+from helpers import fits_oracle
 
 
 def test_classify_case_table():
@@ -219,3 +224,71 @@ def test_witness_reports_match_mask_claims():
         wit = list(r.witness)
         n_w = r.n - r.w
         assert (wit[n_w] if n_w < len(wit) else 0) == r.c
+
+
+FITS_QS = (2, 3, 4, 5, 7, 8, 9, 16, 27)
+
+
+def _size_cfg(cap, with_witness):
+    # fits reads only the cap and with_witness
+    return SweepConfig(q_list=(2,), n_range=(2, 2), size_cap=cap,
+                       with_witness=with_witness)
+
+
+@st.composite
+def _fits_inputs(draw):
+    # n anywhere in [1, 10**9], or at the first n whose q**n - 1 passes the
+    # cap or a hard limit (or one before it), where the comparison turns
+    q = draw(st.sampled_from(FITS_QS))
+    cap = draw(st.one_of(st.integers(0, 1 << 23),
+                         st.integers(gf.FIELD_ORDER_CAP - 1, 1 << 23),
+                         st.sampled_from([gf.FIELD_ORDER_CAP - 1, gf.FIELD_ORDER_CAP,
+                                          gf.MODULUS_GUARD, 1 << 23])))
+    edge = draw(st.sampled_from([cap, gf.FIELD_ORDER_CAP - 1, gf.MODULUS_GUARD]))
+    turn = next(n for n in itertools.count(1) if q ** n - 1 > edge)
+    n = draw(st.one_of(st.integers(1, 10 ** 9), st.sampled_from([turn, max(turn - 1, 1)])))
+    return q, n, cap, draw(st.booleans())
+
+
+@settings(max_examples=500, deadline=None)
+@given(_fits_inputs())
+def test_fits_matches_oracle(args):
+    q, n, cap, with_witness = args
+    cfg = _size_cfg(cap, with_witness)
+    assert cfg.fits(q, n) == fits_oracle(cfg, q, n)
+
+
+FITS_BOUNDARIES = [
+    # q**n - 1 = cap, and one below it
+    (3, 9, 19682, False, True), (3, 9, 19682, True, True),
+    (3, 9, 19681, False, False), (3, 9, 19681, True, False),
+    # q**n = FIELD_ORDER_CAP: fits with a witness, one power more does not
+    (2, 20, 1 << 23, True, True), (4, 10, 1 << 23, True, True),
+    (2, 21, 1 << 23, True, False), (2, 21, 1 << 23, False, True),
+    # q**n - 1 = MODULUS_GUARD (fits only reads q**n, so q need not be a
+    # prime power here), and one above it
+    (gf.MODULUS_GUARD + 1, 1, 1 << 23, False, True),
+    (gf.MODULUS_GUARD + 2, 1, 1 << 23, False, False),
+    (2, 22, 1 << 23, False, True), (2, 23, 1 << 23, False, False),
+]
+
+
+@pytest.mark.parametrize("q, n, cap, with_witness, expected", FITS_BOUNDARIES)
+def test_fits_boundaries(q, n, cap, with_witness, expected):
+    cfg = _size_cfg(cap, with_witness)
+    assert cfg.fits(q, n) is expected
+    assert fits_oracle(cfg, q, n) is expected
+
+
+def test_fits_at_the_bit_length_of_the_limit():
+    # n at and one past the bit length of the limit, for caps on both sides
+    # of a power of two, with and without the field limit
+    for cap in (1, 2, 3, 255, 256, 19682, (1 << 20) - 1, 1 << 20, (1 << 22) - 1,
+                1 << 22, 1 << 23):
+        for with_witness in (False, True):
+            cfg = _size_cfg(cap, with_witness)
+            limit = min(cap, gf.MODULUS_GUARD)
+            if with_witness:
+                limit = min(limit, gf.FIELD_ORDER_CAP - 1)
+            for n in (limit.bit_length(), limit.bit_length() + 1):
+                assert cfg.fits(2, n) == fits_oracle(cfg, 2, n), (n, cap, with_witness)
