@@ -8,12 +8,17 @@ input errors.  --cap, or else the HMDFT_SIZE_CAP environment variable, caps
 q**n - 1 (n = deg h for irred-test) in every subcommand via ``gf.check_size``;
 when neither is set, period, witness and hm-verify use DEFAULT_SIZE_CAP, and
 factor-test, irred-test, dft and delta the hard limits alone.
+
+``main`` parses with one parser per process, built on its first call: a
+one-shot ``hmdft`` command builds it once, as it always did, and in-process
+callers that run many commands pay for it once.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -22,7 +27,14 @@ import sys
 from .cyclic import CyclicFn, dft, idft, least_period, least_period_of_sequence
 from .cyclo import threshold
 from .errors import AlgebraError
-from .gf import PolyFq, check_size, make_field, primitive_element, subfield_embedding
+from .gf import (
+    MODULUS_GUARD,
+    PolyFq,
+    check_size,
+    make_field,
+    primitive_element,
+    subfield_embedding,
+)
 from .harness import (
     DEFAULT_SIZE_CAP,
     CASE_EXCLUDED,
@@ -37,7 +49,7 @@ from .symfun import delta, delta_mask
 
 
 def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+    return list(map(int, filter(str.strip, text.split(","))))
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -136,8 +148,14 @@ def _cap(args) -> int | None:
     return int(env) if env else args.default_cap
 
 
+def _check_n(args) -> None:
+    # before check_size, which would form q**n for any n (0**n fails for n < 0)
+    if args.n < 1:
+        raise ValueError("n must be at least 1")
+
+
 def _cmd_period(args) -> int:
-    if args.seq:
+    if args.seq is not None:
         r = least_period_of_sequence(_parse_ints(args.seq))
         _emit({"r": r}, args.format, args.out)
         return 0
@@ -146,6 +164,7 @@ def _cmd_period(args) -> int:
         _emit(rep.to_dict(), args.format, args.out)
         return 0 if rep.passed else 1
     # above n/2 the regime claims do not apply; report the period alone
+    _check_n(args)
     check_size(args.q, args.n, _cap(args))
     p, j = prime_power(args.q)
     ctx = make_field(p, j)
@@ -158,6 +177,7 @@ def _cmd_period(args) -> int:
 def _cmd_dft(args) -> int:
     if args.seq is None and args.w is None:
         raise AlgebraError("dft needs --seq or --w")
+    _check_n(args)
     N = check_size(args.q, args.n, _cap(args), field=True)
     p, j = prime_power(args.q)
     big = make_field(p, j * args.n)
@@ -179,6 +199,7 @@ def _cmd_dft(args) -> int:
 
 
 def _cmd_delta(args) -> int:
+    _check_n(args)
     check_size(args.q, args.n, _cap(args))
     p, j = prime_power(args.q)
     ctx = make_field(p, j)
@@ -217,6 +238,33 @@ def _cmd_witness(args) -> int:
     return 0
 
 
+def _check_grid(cfg: SweepConfig) -> None:
+    """ValueError unless some (q, n) of the grid fits and has a w to cover.
+
+    Decided with no step per n of a long range: the w test in closed form,
+    and the size test only up to the bit length of the size limit, past
+    which ``check_size`` refuses every n (n <= 23 for any cap >= 0).
+    """
+    lo, hi = cfg.n_range
+    if not cfg.q_list:
+        raise ValueError("--q names no field size")
+    if lo > hi:
+        raise ValueError(f"--n range {lo}:{hi} is empty")
+    # cfg.weights(n) is nonempty exactly from n = w_lo on (never if w_lo < 1)
+    if cfg.pinned_w is not None:
+        w_lo = cfg.pinned_w
+    else:
+        w_lo = 1 if cfg.w_policy == "full" else 2
+    if w_lo < 1 or hi < w_lo:
+        raise ValueError(f"no w fits any n in {lo}:{hi}")
+    # check_size refuses every n past the bit length of its limit
+    n_hi = min(hi, min(cfg.size_cap, MODULUS_GUARD).bit_length())
+    if not any(cfg.fits(q, n) for q in cfg.q_list
+               for n in range(max(lo, w_lo), n_hi + 1)):
+        raise ValueError(f"every (q, n) in the grid is over the size cap "
+                         f"{cfg.size_cap} or a hard limit")
+
+
 def _cmd_hm_verify(args) -> int:
     cfg = SweepConfig(
         q_list=tuple(_parse_ints(args.q)),
@@ -228,17 +276,7 @@ def _cmd_hm_verify(args) -> int:
         pinned_w=args.w,
         pinned_c=args.c,
     )
-    lo, hi = cfg.n_range
-    if not cfg.q_list:
-        raise ValueError("--q names no field size")
-    if lo > hi:
-        raise ValueError(f"--n range {lo}:{hi} is empty")
-    if not any(cfg.weights(n) for n in range(lo, hi + 1)):
-        raise ValueError(f"no w fits any n in {lo}:{hi}")
-    if not any(cfg.fits(q, n) and cfg.weights(n)
-               for q in cfg.q_list for n in range(lo, hi + 1)):
-        raise ValueError(f"every (q, n) in the grid is over the size cap "
-                         f"{cfg.size_cap} or a hard limit")
+    _check_grid(cfg)
     result = sweep(cfg)
     _emit(result.to_dict(), args.format, args.out)
     return 0 if result.summary["fail"] == 0 else 1
@@ -322,8 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# one parser per process, built on first use; parse_args keeps no state in it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     args = ap.parse_args(argv)
     if args.command == "period" and args.seq is None and \
             (args.q is None or args.n is None or args.w is None):

@@ -163,12 +163,23 @@ def dft(f: CyclicFn, zeta: FieldElement) -> CyclicFn:
     field) the cosets are single points and every point is summed.
     """
     _check_root(f, zeta)
+    return _transform(f, zeta, 0)
+
+
+def _transform(f: CyclicFn, zeta: FieldElement, scale_log: int) -> CyclicFn:
+    """The transform of `dft` times exp[scale_log], a constant of the prime field.
+
+    The constant rides on every support log, so scaling costs one add per
+    support point, not one product per output point.  It lies in every
+    F_{p^t} and is fixed by the Frobenius, so t and the coset fill are f's.
+    """
     ctx, N = f.ctx, f.N
     exp, log, add = ctx.exp, ctx.log, ctx.add_codes
     M = ctx.order - 1
-    # term j at point i is f(j) * zeta**(i*j) = exp[(log f(j) + k*i*j) mod M]
+    # term j at point i is exp[scale_log] * f(j) * zeta**(i*j)
+    #   = exp[(scale_log + log f(j) + k*i*j) mod M]
     k = log[zeta.code]
-    supp = [(log[c], k * j % M) for j, c in enumerate(f.codes) if c]
+    supp = [(log[c] + scale_log, k * j % M) for j, c in enumerate(f.codes) if c]
     # a nonzero value lies in F_{p^t} iff its log is a multiple of
     # M / (p^t - 1), so t depends on the gcd G of the support logs alone
     G = M
@@ -215,11 +226,10 @@ def idft(f: CyclicFn, zeta: FieldElement) -> CyclicFn:
     _check_root(f, zeta)
     ctx = f.ctx
     zinv = FieldElement(ctx, ctx.inv_code(zeta.code))
-    g = dft(f, zinv)
     # N is invertible since N | order-1 forces gcd(N, p) = 1; N acts as the
-    # prime-subfield constant N mod p
+    # prime-subfield constant N mod p, and its inverse is folded into the sum
     ninv = pow(f.N % ctx.p, ctx.p - 2, ctx.p)
-    return g.scale(ninv)
+    return _transform(f, zinv, ctx.log[ninv])
 
 
 def pointwise_mul(f: CyclicFn, g: CyclicFn) -> CyclicFn:
@@ -274,6 +284,8 @@ def least_period_of_sequence(vals) -> int:
     """Least period of an arbitrary cyclic sequence, by ascending divisor scan."""
     vals = list(vals)
     N = len(vals)
+    if not N:
+        raise ValueError("modulus N must be at least 1")
     for d in numtheory.divisors(N):
         if d == N:
             return N

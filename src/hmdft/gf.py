@@ -24,7 +24,9 @@ fields.  Odd-characteristic extension fields add by Zech logarithms:
 ``zech[k]`` is the log of 1 + zeta**k (-1 when that sum is 0), built in
 O(order) by adding 1 to the constant digit of each exp entry, so that
 zeta**i + zeta**j = zeta**(i + zech[j - i]); negation is multiplication by
--1 = zeta**((order-1)/2).
+-1 = zeta**((order-1)/2).  The adder is bound once per field: ``_finish``
+stores the one scheme that applies as the field's ``add_codes``,
+``sub_codes`` and ``neg_code``, so no addition re-tests p or m.
 
 Extension towers F_q inside F_{q^n} are realized inside the single context of
 order q^n; membership in the intermediate field F_{q^d} is decided by the
@@ -38,6 +40,7 @@ first asks ``check_size``, which refuses an oversized n before forming q**n.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from . import numtheory
 from .errors import (
@@ -85,7 +88,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "m", "order", "modulus", "zeta_code", "exp", "log",
-                 "_zech", "_mod_int", "_mfac")
+                 "_zech", "_mod_int", "_mfac", "add_codes", "sub_codes", "neg_code")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -124,38 +127,10 @@ class FieldCtx:
     # ------------------------------------------------------------------
     # code-level arithmetic
     #
-    # Indices into exp are log sums shifted by -M (M = order - 1), so they lie
-    # in [-M, M) and Python's negative indexing reduces them mod M.
-
-    def add_codes(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
-            return a ^ b
-        if self.m == 1:
-            return (a + b) % p
-        if not a:
-            return b
-        if not b:
-            return a
-        log = self.log
-        la = log[a]
-        z = self._zech[log[b] - la]
-        if z < 0:  # b == -a
-            return 0
-        return self.exp[la + z - self.order + 1]
-
-    def neg_code(self, a: int) -> int:
-        p = self.p
-        if p == 2:
-            return a
-        if self.m == 1:
-            return (-a) % p
-        if not a:
-            return 0
-        return self.exp[self.log[a] - (self.order - 1) // 2]
-
-    def sub_codes(self, a: int, b: int) -> int:
-        return self.add_codes(a, self.neg_code(b))
+    # add_codes, sub_codes and neg_code are per-field callables held in slots
+    # and bound by ``_finish`` (``_bind_adder``).  Indices into exp are log
+    # sums shifted by -M (M = order - 1), so they lie in [-M, M) and Python's
+    # negative indexing reduces them mod M.
 
     def mul_codes(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -321,6 +296,41 @@ class FieldCtx:
         if p != 2 and m > 1:
             # 1 + zeta**k adds 1 to the constant digit; log[0] = -1 marks 1 + zeta**k = 0
             self._zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp]
+        self._bind_adder()
+
+    def _bind_adder(self):
+        """Bind add_codes, sub_codes and neg_code to this field's one scheme."""
+        p = self.p
+        if p == 2:
+            self.add_codes = self.sub_codes = operator.xor
+            self.neg_code = lambda a: a
+            return
+        if self.m == 1:
+            self.add_codes = lambda a, b: (a + b) % p
+            self.sub_codes = lambda a, b: (a - b) % p
+            self.neg_code = lambda a: -a % p
+            return
+        exp, log, zech = self.exp, self.log, self._zech
+        M = self.order - 1
+        half = M // 2  # -1 = zeta**(M/2)
+
+        def add(a, b):
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            z = zech[log[b] - la]
+            if z < 0:  # b == -a
+                return 0
+            return exp[la + z - M]
+
+        def neg(a):
+            return exp[log[a] - half] if a else 0
+
+        self.add_codes = add
+        self.sub_codes = lambda a, b: add(a, neg(b))
+        self.neg_code = neg
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, m={self.m})"

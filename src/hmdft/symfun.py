@@ -75,6 +75,8 @@ class DigitVector:
 
 def omega(q: int, n: int, w: int) -> OmegaSet:
     """All k in Z_{q^n-1} with 0/1 digits of weight w; empty for (q, w) = (2, n)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if not 0 <= w <= n:
         raise WeightRangeError(f"w={w} outside [0, {n}]")
     N = check_size(q, n)

@@ -69,6 +69,26 @@ def fits_oracle(self, q, n):
     return not self.with_witness or q ** n <= FIELD_ORDER_CAP
 
 
+def parse_ints_oracle(text):
+    """`cli._parse_ints` as a list comprehension, before it used map/filter."""
+    return [int(x) for x in text.split(",") if x.strip() != ""]
+
+
+def check_grid_oracle(cfg):
+    """`cli._check_grid` as one fits/weights test per (q, n) of the range."""
+    lo, hi = cfg.n_range
+    if not cfg.q_list:
+        raise ValueError("--q names no field size")
+    if lo > hi:
+        raise ValueError(f"--n range {lo}:{hi} is empty")
+    if not any(cfg.weights(n) for n in range(lo, hi + 1)):
+        raise ValueError(f"no w fits any n in {lo}:{hi}")
+    if not any(cfg.fits(q, n) and cfg.weights(n)
+               for q in cfg.q_list for n in range(lo, hi + 1)):
+        raise ValueError(f"every (q, n) in the grid is over the size cap "
+                         f"{cfg.size_cap} or a hard limit")
+
+
 def brute_convolve(f, g):
     """Defining double sum over all index pairs."""
     ctx, N = f.ctx, f.N

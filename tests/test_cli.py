@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
@@ -5,9 +8,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hmdft
-from hmdft.cli import main
+from hmdft.cli import _check_grid, _parse_ints, main
+from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
+from hmdft.harness import SweepConfig
+
+from helpers import check_grid_oracle, parse_ints_oracle
 
 EX15_POLY = "0,0,0,1,0,1,1,0,0,1,1,0,1"
 
@@ -258,3 +267,182 @@ def test_factor_test_default_has_no_user_cap(capsys, monkeypatch):
     assert code in (0, 1) and "status:" in out
     code, _, err = run(capsys, "period", "--q", "2", "--n", "16", "--w", "3")
     assert code == 2 and "cap 20000" in err
+
+
+def _cli_env():
+    env = dict(os.environ, PYTHONPATH=str(Path(hmdft.__file__).parents[1]),
+               COLUMNS="80")
+    env.pop("HMDFT_SIZE_CAP", None)
+    return env
+
+
+def _fresh(argv):
+    """(exit code, stdout, stderr) of one `hmdft` command in a new process."""
+    proc = subprocess.run([sys.executable, "-m", "hmdft.cli", *argv],
+                          capture_output=True, text=True, timeout=30, env=_cli_env())
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(argv):
+    """(exit code, stdout, stderr) of `cli.main(argv)`, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789+-_,x \t", max_size=30))
+def test_parse_ints_matches_oracle(text):
+    assert _outcome(_parse_ints, text) == _outcome(parse_ints_oracle, text)
+
+
+def test_period_of_empty_sequence_is_an_input_error(capsys):
+    for seq in (",", ", ,", ""):
+        code, out, err = run(capsys, "period", f"--seq={seq}")
+        assert code == 2 and out == ""
+        assert "modulus N must be at least 1" in err
+
+
+# inputs that once escaped as a traceback (TypeError or ZeroDivisionError)
+CRASHED = [("period", "--seq="),
+           ("delta", "--q", "3", "--n", "0", "--w", "0"),
+           ("delta", "--q", "0", "--n=-1", "--w", "1"),
+           ("hm-verify", "--q", "0", "--n=-1:3")]
+
+
+@pytest.mark.parametrize("argv", CRASHED, ids=["empty-seq", "n-zero", "q-zero-n-negative",
+                                                "grid-q-zero-n-negative"])
+def test_malformed_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@st.composite
+def _grids(draw):
+    # q = 0 is left out: at n < 0 the oracle raises ZeroDivisionError on 0**n
+    q_list = tuple(draw(st.lists(st.sampled_from([-2, 1, 2, 3, 4, 7, 9, 16, 1024]),
+                                 max_size=3)))
+    cap = draw(st.one_of(st.integers(-(1 << 30), 1 << 23),
+                         st.sampled_from([0, 1, 100, 20000, FIELD_ORDER_CAP - 1,
+                                          MODULUS_GUARD, -(1 << 26)])))
+    return SweepConfig(q_list=q_list,
+                       n_range=(draw(st.integers(-3, 40)), draw(st.integers(-3, 40))),
+                       w_policy=draw(st.sampled_from(["half", "full"])),
+                       size_cap=cap, with_witness=draw(st.booleans()),
+                       pinned_w=draw(st.one_of(st.none(), st.integers(-2, 42))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grids())
+# a negative cap has a long bit length: (-2)**27 - 1 is under -2**26, n = 27 > 23
+@example(SweepConfig(q_list=(-2,), n_range=(24, 30), size_cap=-(1 << 26)))
+def test_check_grid_matches_oracle(cfg):
+    assert _outcome(_check_grid, cfg) == _outcome(check_grid_oracle, cfg)
+
+
+@pytest.mark.parametrize("n_range", ["100:2000000", "100:200000000"])
+def test_hm_verify_huge_n_range_fails_fast(n_range):
+    # the grid check takes no step per n, so a huge range fails at once
+    proc = subprocess.run([sys.executable, "-m", "hmdft.cli", "hm-verify", "--q", "3",
+                           "--n", n_range, "--no-witness"],
+                          capture_output=True, text=True, timeout=10, env=_cli_env())
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: every (q, n) in the grid is over the size cap "
+                           "20000 or a hard limit\n")
+
+
+DFT_SEQ = "0,3,1,0,2,2,0,0,1,0,3,0,0,1,0"  # F_4 codes, (q, n) = (4, 2)
+MIXED = [("period", "--q", "2", "--n", "8", "--w", "1", "--cap", "100"),
+         ("period", "--q", "2", "--n", "8", "--w", "1"),
+         ("dft", "--q", "4", "--n", "2", "--seq", DFT_SEQ, "--inverse", "--format", "json"),
+         ("witness", "--q", "2"),  # usage error
+         ("dft", "--q", "4", "--n", "2", "--seq", DFT_SEQ, "--format", "json"),
+         ("factor-test", "--q", "2", "--n", "4", "--poly", EX15_POLY)]
+
+
+def test_one_process_matches_fresh_processes(monkeypatch):
+    # main's parser lives for the whole process: no option of one call may
+    # leak into the next
+    monkeypatch.delenv("HMDFT_SIZE_CAP", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    shared = [_in_process(argv) for argv in MIXED]
+    assert [r[0] for r in shared] == [2, 0, 0, 2, 0, 0]
+    assert shared == [_fresh(argv) for argv in MIXED]
+
+
+FUZZ_QS = (2, 3, 4, 5, 7, 8, 9, 6, 0, -1)  # valid first: draws favour the front
+# the options each subcommand takes besides --cap and --format
+FUZZ_OPTIONS = {"period": ("--q", "--n", "--w", "--c", "--seq"),
+                "dft": ("--q", "--n", "--w", "--c", "--seq", "--inverse"),
+                "delta": ("--q", "--n", "--w", "--c"),
+                "factor-test": ("--q", "--n", "--poly", "--L"),
+                "irred-test": ("--q", "--poly", "--L"),
+                "hm-verify": ("--q", "--n", "--w", "--c", "--all-w", "--no-witness",
+                              "--check-symmetry"),
+                "witness": ("--q", "--n", "--w", "--c")}
+
+
+def _codes(draw, q, min_size, max_size):
+    """Comma-separated codes, mostly valid F_q codes, now and then one out of range."""
+    top = q - 1 if q > 1 and draw(st.integers(0, 3)) else max(q, 1)
+    codes = draw(st.lists(st.integers(-1 if top >= q else 0, top),
+                          min_size=min_size, max_size=max_size))
+    return ",".join(map(str, codes))
+
+
+@st.composite
+def _cli_calls(draw):
+    """A random, often malformed `hmdft` call whose sizes start no real work."""
+    cmd = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    q, n = draw(st.sampled_from(FUZZ_QS)), draw(st.sampled_from((2, 3, 4, 1, 5, 6, 0, -1)))
+    N = q ** max(n, 0) - 1
+    values = {
+        "--q": ",".join(map(str, draw(st.lists(st.sampled_from(FUZZ_QS), min_size=1,
+                                               max_size=2))))
+        if cmd == "hm-verify" else q,
+        "--n": draw(st.sampled_from([f"2:{n}", n, f"{n}:{draw(st.integers(-1, 6))}", "x"]))
+        if cmd == "hm-verify" else n,
+        "--w": draw(st.sampled_from((1, 2, 3, 0, 4, 5, 6, 7, -1))),
+        "--c": draw(st.sampled_from((1, 0, 2, 3, 4, 5, 6, 7, 8, 9, -1))),
+        "--seq": draw(st.one_of(st.text(alphabet="0123456789-, ", max_size=12),
+                                st.just(_codes(draw, q, N, N) if 0 < N <= 80 else ""))),
+        "--poly": _codes(draw, q, draw(st.sampled_from((3, 5, 0))), 8),
+        "--L": draw(st.sampled_from((1, 2, 3, 4, 8, 9, 0, -1))),
+    }
+    argv = [cmd]
+    for flag in FUZZ_OPTIONS[cmd]:
+        if flag not in values:  # a switch
+            if draw(st.booleans()):
+                argv.append(flag)
+        elif draw(st.sampled_from((True,) * 7 + (False,))):  # mostly present
+            argv.append(f"{flag}={values[flag]}")
+    # every call carries a small cap, so no size starts real work
+    fmt = draw(st.sampled_from(["text", "json", "csv"]))
+    cap = draw(st.sampled_from((300, 100, 30, 8, 0, -1)))
+    return argv + [f"--cap={cap}", f"--format={fmt}"], fmt
+
+
+@settings(max_examples=100, deadline=3000)
+@given(_cli_calls())
+def test_cli_fuzz(call):
+    argv, fmt = call
+    code, out, err = _in_process(argv)
+    if code in (0, 1):
+        assert out.endswith("\n")
+        if fmt == "json":
+            json.loads(out)
+        elif fmt == "csv":
+            assert list(csv.reader(io.StringIO(out)))
+    else:
+        assert code == 2 and out == "" and err.strip()

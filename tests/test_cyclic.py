@@ -160,13 +160,13 @@ def test_dft_sums_once_per_cyclotomic_coset(monkeypatch):
     f = CyclicFn.from_support(ctx, 4095, [0, 5, 77, 1000, 4094])
     expected = pointwise_dft(f, zeta)
     calls = [0]
-    add = FieldCtx.add_codes
+    add = ctx.add_codes
 
-    def counted(self, a, b):
+    def counted(a, b):
         calls[0] += 1
-        return add(self, a, b)
+        return add(a, b)
 
-    monkeypatch.setattr(FieldCtx, "add_codes", counted)
+    monkeypatch.setattr(ctx, "add_codes", counted)
     assert dft(f, zeta) == expected
     # 351 cyclotomic cosets of 2 mod 4095, one sum of |supp f| terms each
     assert calls[0] == 351 * 5
@@ -175,6 +175,28 @@ def test_dft_sums_once_per_cyclotomic_coset(monkeypatch):
     g = CyclicFn.from_support(ctx, 4095, [3, 9, 2000], value=ctx.zeta_code)
     dft(g, zeta)
     assert calls[0] == 4095 * 3
+
+
+@pytest.mark.parametrize("p,m", [(2, 12), (3, 6), (5, 3)])
+def test_idft_folds_the_inverse_of_n_into_the_sums(monkeypatch, p, m):
+    # N**(-1) rides on the support logs: a sparse input costs no product per
+    # output point, and for p = 2 (N**(-1) = 1) nothing at all
+    ctx = make_field(p, m)
+    N = ctx.order - 1
+    zeta = ctx.nth_root_of_unity(N)
+    f = CyclicFn.from_support(ctx, N, [0, 5, 77, N - 1], value=p - 1)
+    ninv = pow(N % p, p - 2, p)
+    expected = pointwise_dft(f, zeta ** -1).scale(ninv)
+    calls = [0]
+    mul = FieldCtx.mul_codes
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FieldCtx, "mul_codes", counted)
+    assert idft(f, zeta) == expected
+    assert calls[0] == 0
 
 
 def test_dft_validations():
@@ -272,6 +294,11 @@ def test_least_period_examples():
     assert least_period(dft(f, primitive_element(f64))) == 21
     assert least_period_of_sequence("abcabc") == 3
     assert least_period_of_sequence([0]) == 1
+
+
+def test_least_period_of_empty_sequence_refused():
+    with pytest.raises(ValueError, match="modulus N must be at least 1"):
+        least_period_of_sequence([])
 
 
 def test_least_period_divides_n_and_matches_brute():

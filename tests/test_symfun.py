@@ -47,6 +47,12 @@ def test_omega_examples():
         omega(2, 4, -1)
 
 
+def test_omega_refuses_n_below_one():
+    # Z_{q^0 - 1} is empty: a ValueError, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        omega(3, 0, 0)
+
+
 def test_omega_sizes_and_digits():
     for q, n in [(2, 5), (3, 4), (4, 3), (5, 3)]:
         for w in range(n + 1):
