@@ -62,6 +62,7 @@ from .symfun import (
     digit_sum,
     digits,
     is_q_symmetric,
+    mask_period,
     omega,
     phi_rho,
 )

@@ -24,7 +24,7 @@ import json
 import os
 import sys
 
-from .cyclic import CyclicFn, dft, idft, least_period, least_period_of_sequence
+from .cyclic import CyclicFn, dft, idft, least_period_of_sequence
 from .cyclo import threshold
 from .errors import AlgebraError
 from .gf import (
@@ -45,7 +45,7 @@ from .harness import (
 )
 from .numtheory import prime_power
 from .spectral import degree_n_factor_test, irreducible_sufficient_test
-from .symfun import delta, delta_mask
+from .symfun import delta, delta_mask, mask_period
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -60,13 +60,10 @@ def _parse_range(text: str) -> tuple[int, int]:
     return v, v
 
 
-def _poly_from_arg(q: int, text: str) -> PolyFq:
-    p, j = prime_power(q)
-    ctx = make_field(p, j)
-    codes = _parse_ints(text)
+def _poly_from_codes(q: int, codes: list[int]) -> PolyFq:
     if any(not 0 <= c < q for c in codes):
         raise AlgebraError(f"polynomial coefficients must be F_{q} codes in [0, {q})")
-    return PolyFq(ctx, codes)
+    return PolyFq(make_field(*prime_power(q)), codes)
 
 
 def _emit(payload, fmt: str, out: str | None) -> None:
@@ -168,9 +165,8 @@ def _cmd_period(args) -> int:
     check_size(args.q, args.n, _cap(args))
     p, j = prime_power(args.q)
     ctx = make_field(p, j)
-    mask = delta_mask(args.q, args.n, args.w, ctx.element(args.c), ctx)
-    _emit({"r": least_period(mask), "threshold": threshold(args.n, args.q)},
-          args.format, args.out)
+    r = mask_period(args.q, args.n, args.w, ctx.element(args.c), ctx)
+    _emit({"r": r, "threshold": threshold(args.n, args.q)}, args.format, args.out)
     return 0
 
 
@@ -212,8 +208,9 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_factor_test(args) -> int:
-    h = _poly_from_arg(args.q, args.poly)
+    # size first: factoring a huge q by trial division would not finish
     check_size(args.q, args.n, _cap(args), field=True)
+    h = _poly_from_codes(args.q, _parse_ints(args.poly))
     verdict = degree_n_factor_test(h, args.q, args.n, subfield_order=args.L)
     _emit({"status": verdict.status, "r": verdict.least_period,
            "threshold": verdict.threshold}, args.format, args.out)
@@ -221,8 +218,13 @@ def _cmd_factor_test(args) -> int:
 
 
 def _cmd_irred_test(args) -> int:
-    h = _poly_from_arg(args.q, args.poly)
-    check_size(args.q, h.degree, _cap(args), field=True)
+    codes = _parse_ints(args.poly)
+    # deg h from the codes, so the size check comes before q is factored
+    degree = len(codes) - 1
+    while degree >= 0 and not codes[degree]:
+        degree -= 1
+    check_size(args.q, degree, _cap(args), field=True)
+    h = _poly_from_codes(args.q, codes)
     verdict = irreducible_sufficient_test(h, args.q, subfield_order=args.L)
     _emit({"status": verdict.status, "r": verdict.least_period,
            "threshold": verdict.threshold}, args.format, args.out)

@@ -15,6 +15,11 @@ computes r exactly and checks every claim; `find_witness` independently
 searches the field for an explicit irreducible with the prescribed
 coefficient; `sweep` drives whole parameter grids deterministically.
 
+r comes from `symfun.mask_period`, which reads the mask at its support
+points and builds no list of q**n - 1 values.  A sweep builds the dense
+`delta_mask` only to check q-symmetry.  The two mask routes share no code,
+so the dense one serves the tests as the oracle for r.
+
 The regime analysis covers w <= n/2.  A sweep in full-w mode delegates
 n/2 < w < n to n - w (coefficient prescription is symmetric under taking
 reciprocals) and handles w = n as the norm prescription, where a witness is
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .cyclic import least_period
 from .cyclo import threshold
 from .errors import ExcludedCaseError, SizeCapError, WeightRangeError
 from .gf import (
@@ -41,7 +45,7 @@ from .gf import (
 )
 from .numtheory import prime_power
 from .spectral import oracle_irreducible
-from .symfun import delta_mask, is_q_symmetric
+from .symfun import delta_mask, is_q_symmetric, mask_period
 
 DEFAULT_SIZE_CAP = 20000
 
@@ -162,9 +166,15 @@ def classify_case(q: int, n: int, w: int, c: int) -> str:
     return CASE_HALF if n > 2 else CASE_SMALL
 
 
-def _mask_and_report(q: int, n: int, w: int, c: int,
-                     cap: int = DEFAULT_SIZE_CAP):
-    p, j = prime_power(q)
+def verify_period_claims(q: int, n: int, w: int, c: int,
+                         cap: int = DEFAULT_SIZE_CAP) -> PeriodReport:
+    """Compute the least period of the (w, c) mask, check every claim.
+
+    r comes from ``symfun.mask_period``, which reads the mask at points and
+    builds no dense list.  Pre: 1 <= w <= n/2.  The excluded input (c = 0,
+    n = 2, q even) yields a report labelled Excluded with no claims checked.
+    The size check comes before q is factored, so a huge q fails fast.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
     if w < 1 or 2 * w > n:
@@ -172,37 +182,24 @@ def _mask_and_report(q: int, n: int, w: int, c: int,
     if not 0 <= c < q:
         raise ValueError(f"c={c} is not an F_{q} code")
     N = check_size(q, n, cap)
+    p, j = prime_power(q)
     thr = threshold(n, q)
     label = classify_case(q, n, w, c)
     if label == CASE_EXCLUDED:
-        return PeriodReport(q=q, n=n, w=w, c=c, threshold=thr,
-                            case_label=label), None
+        return PeriodReport(q=q, n=n, w=w, c=c, threshold=thr, case_label=label)
     ctx = make_field(p, j)
-    mask = delta_mask(q, n, w, FieldElement(ctx, c), ctx)
-    r = least_period(mask)
+    r = mask_period(q, n, w, FieldElement(ctx, c), ctx)
     if label == CASE_MAX:
         case_claim = r == N
     elif label == CASE_HALF:
         case_claim = 2 * r >= N
     else:
         case_claim = r > q - 1
-    report = PeriodReport(q=q, n=n, w=w, c=c, threshold=thr, case_label=label,
-                          r=r,
-                          r_gt_threshold=r > thr,
-                          r_not_dividing_threshold=thr % r != 0,
-                          case_claim=case_claim)
-    return report, mask
-
-
-def verify_period_claims(q: int, n: int, w: int, c: int,
-                         cap: int = DEFAULT_SIZE_CAP) -> PeriodReport:
-    """Build the (w, c) mask, compute its least period, check every claim.
-
-    Pre: 1 <= w <= n/2.  The excluded input (c = 0, n = 2, q even) yields a
-    report labelled Excluded with no claims checked.
-    """
-    report, _ = _mask_and_report(q, n, w, c, cap)
-    return report
+    return PeriodReport(q=q, n=n, w=w, c=c, threshold=thr, case_label=label,
+                        r=r,
+                        r_gt_threshold=r > thr,
+                        r_not_dividing_threshold=thr % r != 0,
+                        case_claim=case_claim)
 
 
 def find_witness(q: int, n: int, w: int, c: int,
@@ -215,7 +212,6 @@ def find_witness(q: int, n: int, w: int, c: int,
     Returns None only after exhausting the whole field (which happens exactly
     for the genuine exceptions).
     """
-    p, j = prime_power(q)
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 1 <= w <= n:
@@ -225,6 +221,7 @@ def find_witness(q: int, n: int, w: int, c: int,
     if w == n and c == 0:
         raise ExcludedCaseError("the norm of a nonzero element is never 0")
     check_size(q, n, cap, field=True)
+    p, j = prime_power(q)
     small = make_field(p, j)
     big = make_field(p, j * n)
     emb = subfield_embedding(small, big)
@@ -262,16 +259,18 @@ def _sweep_tuple(q: int, n: int, w: int, c: int, cfg: SweepConfig) -> PeriodRepo
     if w == n:
         report = PeriodReport(q=q, n=n, w=w, c=c, threshold=threshold(n, q),
                               case_label=CASE_NORM)
-        mask = None
     elif 2 * w > n:
-        base, mask = _mask_and_report(q, n, n - w, c, cfg.size_cap)
+        base = verify_period_claims(q, n, n - w, c, cfg.size_cap)
         report = replace(base, w=w, delegated_to_w=n - w)
     else:
-        report, mask = _mask_and_report(q, n, w, c, cfg.size_cap)
+        report = verify_period_claims(q, n, w, c, cfg.size_cap)
     if cfg.with_witness:
         witness, ok = _witness_fields(q, n, w, c, cfg.size_cap)
         report = replace(report, witness=witness, witness_ok=ok)
-    if cfg.check_symmetry and mask is not None:
+    if cfg.check_symmetry and report.r is not None:
+        # the one route that still builds the dense mask
+        ctx = make_field(*prime_power(q))
+        mask = delta_mask(q, n, min(w, n - w), FieldElement(ctx, c), ctx)
         report = replace(report, symmetric=is_q_symmetric(mask, q, n))
     return report
 

@@ -23,6 +23,16 @@ carries).  The counts do not depend on c, so they are built once per
 p-entry value table per k: a residue r mod p is the prime-subfield code r in
 every context.
 
+mask_period finds the least period of the same mask with no dense list, by a
+second route that shares no code with delta_mask, so that each checks the
+other.  Since A_k(i) depends only on the multiset of digits of i, a count
+table per (q, n, w) holds A_k mod p for each digit multiset, built by an
+exact recurrence on multiplicity vectors; MaskPoints reads mask(i) from the
+multiset of i, and walks the support multiset by multiset, skipping those
+whose value is 0.  The least period is then found by prime descent: a shift
+t is a period iff mask(s + t) = mask(s) at every support point s.  The
+dense route stays for `delta`, `dft --c` and the symmetry check.
+
 A function on Z_{q^n-1} is q-symmetric when it is invariant under every
 permutation of the base-q digits of its argument; phi_rho realizes one digit
 permutation as a permutation of Z_{q^n-1}.  The maps phi_rho compose like
@@ -48,7 +58,7 @@ from .errors import (
     WeightRangeError,
 )
 from .gf import FieldCtx, FieldElement, check_size
-from .numtheory import prime_power
+from .numtheory import prime_factors, prime_power
 
 
 @dataclass(frozen=True)
@@ -134,6 +144,18 @@ def _weight_counts(q: int, n: int, w: int) -> tuple[tuple[tuple[int, int], ...],
     return tuple(levels)
 
 
+def _check_mask_args(q: int, n: int, w: int, c: FieldElement, ctx: FieldCtx) -> None:
+    if not 1 <= w <= n:
+        raise WeightRangeError(f"w={w} outside [1, {n}]")
+    if q == 2 and w == n:
+        raise ExcludedCaseError("(q, w) = (2, n) has an empty weight set")
+    _check_value_ctx(q, ctx)
+    if c.ctx is not ctx:
+        raise CtxMismatchError("c must live in the supplied value context")
+    if ctx.pow_code(c.code, q) != c.code:
+        raise BadSubfieldError("c must lie in the F_q subfield of ctx")
+
+
 def delta_mask(q: int, n: int, w: int, c: FieldElement, ctx: FieldCtx) -> CyclicFn:
     """The coefficient-prescription mask for (w, c), exact over ctx.
 
@@ -144,15 +166,7 @@ def delta_mask(q: int, n: int, w: int, c: FieldElement, ctx: FieldCtx) -> Cyclic
     its p values.  The pair (q, w) = (2, n) is excluded because Omega(n) is
     empty in characteristic 2.
     """
-    if not 1 <= w <= n:
-        raise WeightRangeError(f"w={w} outside [1, {n}]")
-    if q == 2 and w == n:
-        raise ExcludedCaseError("(q, w) = (2, n) has an empty weight set")
-    _check_value_ctx(q, ctx)
-    if c.ctx is not ctx:
-        raise CtxMismatchError("c must live in the supplied value context")
-    if ctx.pow_code(c.code, q) != c.code:
-        raise BadSubfieldError("c must lie in the F_q subfield of ctx")
+    _check_mask_args(q, n, w, c, ctx)
     levels = _weight_counts(q, n, w)
     p, m = ctx.p, q - 1
     add, mul, power, neg = ctx.add_codes, ctx.mul_codes, ctx.pow_code, ctx.neg_code
@@ -168,6 +182,182 @@ def delta_mask(q: int, n: int, w: int, c: FieldElement, ctx: FieldCtx) -> Cyclic
         for i, a in level:  # only slot 0 can recur: A_k(i) != 0 forces digitsum(i) = k*w
             out[i] = add(out[i], value[a]) if out[i] else value[a]
     return CyclicFn(ctx, out)
+
+
+def _compositions(total: int, caps):
+    """Every tuple j with sum total and 0 <= j[v] <= caps[v] (caps nonempty)."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    rest = caps[1:]
+    for j in range(max(0, total - sum(rest)), min(total, caps[0]) + 1):
+        for tail in _compositions(total - j, rest):
+            yield (j,) + tail
+
+
+@lru_cache(maxsize=1)
+def _multiset_counts(q: int, n: int, w: int) -> tuple[tuple[tuple, tuple, tuple], ...]:
+    """A_0, ..., A_{q-1} mod p per digit multiset: (keys, parts, counts) per level k.
+
+    A multiset is its multiplicity vector lam = (m_0, ..., m_{q-1}), m_v
+    digits equal to v; A_k(d) depends on d only through it.  Exact
+    recurrence: the last of the k rows raises w distinct columns by one, so
+    level k takes each level-(k-1) multiset, raises j_v of its digits v to
+    v + 1 (sum of j = w), and adds its count times prod C(lam_{v+1}, j_v),
+    the number of ways to pick those columns in a digit vector of the result
+    lam.  Every level-k multiset has digits <= k; those whose count vanishes
+    mod p are dropped.  Each is stored by its key sum_v m_v * (n + 1)**v, its
+    parts (the pairs (v, m_v) with v, m_v > 0) and its count, in three
+    parallel tuples.  One entry is cached: a sweep asks for every c of one
+    (q, n, w) in a row.
+    """
+    p = prime_power(q)[0]
+    level = {(n,) + (0,) * (q - 1): 1}
+    levels = [level]
+    for k in range(1, q):
+        acc = {}
+        for mu, a in level.items():
+            held = [v for v in range(k) if mu[v]]
+            for j in _compositions(w, [mu[v] for v in held]):
+                lam = list(mu)
+                for v, jv in zip(held, j):
+                    lam[v] -= jv
+                    lam[v + 1] += jv
+                weight = a
+                for v, jv in zip(held, j):
+                    weight *= comb(lam[v + 1], jv)
+                lam = tuple(lam)
+                acc[lam] = acc.get(lam, 0) + weight
+        level = {lam: a % p for lam, a in acc.items() if a % p}
+        levels.append(level)
+    B = n + 1
+    return tuple((tuple(sum(mv * B ** v for v, mv in enumerate(lam)) for lam in level),
+                  tuple(tuple((v, mv) for v, mv in enumerate(lam) if v and mv)
+                        for lam in level),
+                  tuple(level.values()))
+                 for level in levels)
+
+
+@lru_cache(maxsize=8)
+def _digit_keys(q: int, n: int) -> tuple[int, list[int]]:
+    """(Q, keys): keys[r] = sum of B**d - 1 over the digits d of r < Q = q**h.
+
+    With B = n + 1 the multiset key sum_v m_v * B**v of an n-digit vector is
+    n plus the keys of its base-Q limbs, since a zero digit adds B**0 = 1.
+    h is about n/2, so an index below q**n has two limbs, but no more than
+    keeps the table near 4096 entries.
+    """
+    h = 1
+    while 2 * h < n and q ** (h + 1) <= 4096:
+        h += 1
+    inc = [(n + 1) ** d - 1 for d in range(q)]
+    keys = [0]
+    for _ in range(h):
+        keys = [t + u for u in inc for t in keys]
+    return q ** h, keys
+
+
+def _arrangements(parts, free):
+    """The sums of v * P over every placement of the parts (v, m) at free powers P."""
+    if not parts:
+        yield 0
+        return
+    (v, m), rest = parts[0], parts[1:]
+    for chosen in itertools.combinations(free, m):
+        head = v * sum(chosen)
+        if rest:
+            left = [P for P in free if P not in chosen]
+            for tail in _arrangements(rest, left):
+                yield head + tail
+        else:
+            yield head
+
+
+class MaskPoints:
+    """The prescription mask for (w, c), read at points instead of as a list.
+
+    For i != 0 with digit multiset lam, mask(i) = coef_k * A_k(lam) with
+    k = digitsum(i)/w and coef_k = -C(q-1, k) * s**k * (-c)**(q-1-k) (module
+    docstring); A_k vanishes unless w | digitsum(i) and every digit is <= k.
+    Slot 0 holds 1, the level-0 term, and, when w = n, the all-(q-1) vector
+    of level q-1, whose sum q**n - 1 wraps to 0.  `self(i)` reads one value
+    from the multiset key of i; `support()` walks every nonzero point.
+    """
+
+    __slots__ = ("n", "N", "_slot0", "_full", "_values", "_walk", "_powers", "_Q", "_keys")
+
+    def __init__(self, q: int, n: int, w: int, c: FieldElement, ctx: FieldCtx):
+        _check_mask_args(q, n, w, c, ctx)
+        levels = _multiset_counts(q, n, w)
+        p, m = ctx.p, q - 1
+        add, mul, power, neg = ctx.add_codes, ctx.mul_codes, ctx.pow_code, ctx.neg_code
+        sign = 1 if w % 2 == 0 else neg(1)
+        b = neg(c.code)
+        values = {}
+        walk = []
+        for k, (keys, parts, counts) in enumerate(levels):
+            coef = neg(mul(comb(m, k) % p, mul(power(sign, k), power(b, m - k))))
+            if not coef:
+                continue
+            value = [mul(coef, r) for r in range(p)]
+            codes = list(map(value.__getitem__, counts))
+            values.update(zip(keys, codes))
+            if k:  # level 0 is the zero multiset alone
+                walk.append((parts, codes))
+        zero, full = n, n * (n + 1) ** m
+        slot0 = add(1, add(values.pop(zero, 0), values.pop(full, 0)))
+        if slot0:
+            values[zero] = slot0
+        self.n, self.N, self._slot0, self._full = n, q ** n - 1, slot0, ((m, n),)
+        self._values, self._walk = values, walk
+        self._powers = [q ** i for i in range(n)]
+        self._Q, self._keys = _digit_keys(q, n)
+
+    def __call__(self, i: int) -> int:
+        """The value code of the mask at i in [0, q**n - 1)."""
+        key, Q, keys = self.n, self._Q, self._keys
+        while i:
+            i, r = divmod(i, Q)
+            key += keys[r]
+        return self._values.get(key, 0)
+
+    def support(self):
+        """(s, mask(s)) for every s with mask(s) != 0, level by level."""
+        if self._slot0:
+            yield 0, self._slot0
+        powers, full = self._powers, self._full
+        for level_parts, codes in self._walk:
+            for parts, code in zip(level_parts, codes):
+                if parts != full:  # its sum q**n - 1 is slot 0
+                    for s in _arrangements(parts, powers):
+                        yield s, code
+
+    def has_period(self, t: int) -> bool:
+        """Whether mask(s + t) = mask(s) at every support point s.
+
+        Exact: the shift by t is a bijection of Z_N, so if it maps the
+        support into itself it maps it onto itself, and every point off the
+        support goes off the support too.
+        """
+        N = self.N
+        return all(self((s + t) % N) == code for s, code in self.support())
+
+
+def mask_period(q: int, n: int, w: int, c: FieldElement, ctx: FieldCtx) -> int:
+    """The least period of delta_mask(q, n, w, c, ctx), with no dense mask.
+
+    Prime descent over the point values: from r = N, for each prime l | N,
+    replace r by r/l while r/l is a period.  The periods form the subgroup
+    r0 * Z_N, so this ends at r0: after l's turn, l divides r exactly as
+    often as it divides r0.
+    """
+    f = MaskPoints(q, n, w, c, ctx)
+    r = f.N
+    for ell in prime_factors(f.N):
+        while r % ell == 0 and f.has_period(r // ell):
+            r //= ell
+    return r
 
 
 def digits(k: int, q: int, n: int) -> DigitVector:
@@ -227,9 +417,8 @@ def is_q_symmetric(f: CyclicFn, q: int, n: int) -> bool:
     if n == 1:
         return True
     codes = f.codes
-    for s, v in enumerate(codes):
-        if not v:
-            continue
+    for s in itertools.compress(range(N), codes):
+        v = codes[s]
         d0, d1 = s % q, s // q % q
         if codes[s * q % N] != v or codes[s + (d0 - d1) * (q - 1)] != v:
             return False

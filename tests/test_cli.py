@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hmdft
+from hmdft import numtheory
 from hmdft.cli import _check_grid, _parse_ints, main
 from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
 from hmdft.harness import SweepConfig
@@ -235,6 +237,28 @@ def test_huge_n_fails_fast(cmd):
                           capture_output=True, text=True, timeout=10, env=env)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "cap" in proc.stderr and len(proc.stderr) < 200
+
+
+HUGE_PRIME_Q = str(2 ** 61 - 1)
+HUGE_Q = [("factor-test", "--q", HUGE_PRIME_Q, "--n", "2", "--poly", "1,1"),
+          ("witness", "--q", HUGE_PRIME_Q, "--n", "2", "--w", "1", "--c", "1"),
+          ("irred-test", "--q", HUGE_PRIME_Q, "--poly", "1,1,1"),
+          ("period", "--q", HUGE_PRIME_Q, "--n", "2", "--w", "1")]
+
+
+@pytest.mark.parametrize("argv", HUGE_Q, ids=[a[0] for a in HUGE_Q])
+def test_huge_prime_q_fails_fast(capsys, monkeypatch, argv):
+    # trial division of a 61-bit prime would not finish: the size check must
+    # refuse q**n - 1 before anything factors q
+    def no_factoring(n):
+        raise AssertionError(f"factored {n} before the size check")
+
+    monkeypatch.setattr(numtheory, "prime_factors", no_factoring)
+    monkeypatch.delenv("HMDFT_SIZE_CAP", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "exceeds the size cap" in err
 
 
 CAPPED = [("factor-test", "--q", "2", "--n", "19", "--poly", "1,1,1"),

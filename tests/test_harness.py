@@ -1,5 +1,6 @@
 import itertools
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,12 @@ from hmdft import (
     sweep,
     verify_period_claims,
 )
-from hmdft import gf, harness
+from hmdft import CyclicFn, delta_mask, gf, harness
+from hmdft.cyclic import least_period
 from hmdft.errors import ExcludedCaseError, SizeCapError, WeightRangeError
 from hmdft.harness import CASE_EXCLUDED, CASE_HALF, CASE_MAX, CASE_NORM, CASE_SMALL
-from hmdft.symfun import _weight_counts
+from hmdft.numtheory import prime_power
+from hmdft.symfun import _multiset_counts
 
 from helpers import fits_oracle
 
@@ -154,11 +157,11 @@ def test_sweep_long_n_range_skips_fast():
 
 
 def test_sweep_shares_weight_counts_across_c():
-    # the q masks of one (q, n, w) come from one build of the counts
-    _weight_counts.cache_clear()
+    # the q periods of one (q, n, w) come from one build of the count table
+    _multiset_counts.cache_clear()
     res = sweep(SweepConfig(q_list=(7,), n_range=(4, 4), with_witness=False))
     assert len(res.reports) == 2 * 7
-    info = _weight_counts.cache_info()
+    info = _multiset_counts.cache_info()
     assert (info.misses, info.hits) == (2, 2 * 6)
 
 
@@ -198,6 +201,53 @@ def test_sweep_symmetry_check():
                             with_witness=False))
     assert all(r.symmetric for r in res.reports if r.case_label != CASE_EXCLUDED)
     assert res.summary["fail"] == 0
+
+
+def test_sweep_periods_match_dense_route_on_periods_grid():
+    # the point route against least_period of the dense mask, on every row of
+    # the no-witness sweep at cap 2*10**5 (the periods-2e5 benchmark grid)
+    res = sweep(SweepConfig(q_list=(2, 3, 4, 5, 7, 8, 9), n_range=(2, 12),
+                            size_cap=200000, with_witness=False))
+    rows = [r for r in res.reports if r.case_label != CASE_EXCLUDED]
+    assert len(rows) == 448 and res.summary["fail"] == 0
+    for r in rows:
+        ctx = gf.make_field(*prime_power(r.q))
+        mask = delta_mask(r.q, r.n, r.w, ctx.element(r.c), ctx)
+        assert r.r == least_period(mask), (r.q, r.n, r.w, r.c)
+
+
+def test_sweep_builds_dense_masks_only_for_symmetry(monkeypatch):
+    built = []
+    dense = harness.delta_mask
+
+    def counted(q, n, w, c, ctx):
+        built.append((q, n, w, c.code))
+        return dense(q, n, w, c, ctx)
+
+    monkeypatch.setattr(harness, "delta_mask", counted)
+    cfg = SweepConfig(q_list=(3,), n_range=(4, 4), w_policy="full", with_witness=False)
+    plain = sweep(cfg)
+    assert built == []
+    checked = sweep(replace(cfg, check_symmetry=True))
+    # one dense mask per row with a period, at the delegated w above n/2
+    assert built == [(3, 4, min(r.w, 4 - r.w), r.c) for r in checked.reports
+                     if r.r is not None]
+    assert [replace(r, symmetric=None) for r in checked.reports] == list(plain.reports)
+
+
+def test_sweep_symmetry_reads_the_dense_mask(monkeypatch):
+    # a dense mask with one value moved off the orbit is reported asymmetric
+    dense = harness.delta_mask
+
+    def perturbed(q, n, w, c, ctx):
+        codes = list(dense(q, n, w, c, ctx).codes)
+        codes[1] = ctx.add_codes(codes[1], 1)
+        return CyclicFn(ctx, codes)
+
+    monkeypatch.setattr(harness, "delta_mask", perturbed)
+    res = sweep(SweepConfig(q_list=(3,), n_range=(3, 3), check_symmetry=True,
+                            with_witness=False))
+    assert [r.symmetric for r in res.reports] == [False] * len(res.reports)
 
 
 def test_report_dict_schema():

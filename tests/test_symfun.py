@@ -29,7 +29,8 @@ from hmdft.errors import (
     WeightRangeError,
 )
 from hmdft.numtheory import prime_power
-from hmdft.symfun import _weight_counts
+from hmdft.cyclic import least_period
+from hmdft.symfun import MaskPoints, _multiset_counts, _weight_counts, mask_period
 
 from helpers import convolution_delta_mask, exhaustive_is_q_symmetric, lucas_comb
 
@@ -192,6 +193,76 @@ def test_delta_mask_matches_convolution_oracle():
         assert delta_mask(q, n, w, c, ctx) == convolution_delta_mask(q, n, w, c, ctx), \
             (q, n, w, c.code, ctx.order)
     assert _weight_counts.cache_info().misses == len(cases)
+
+
+def _dense_grid(limit, weights):
+    """(q, n, w, c, ctx) for q <= 9, q**n - 1 <= limit and w in weights(n)."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        ctx = make_field(*prime_power(q))
+        n = 1
+        while q ** n - 1 <= limit:
+            for w in weights(n):
+                if not (q == 2 and w == n):
+                    for c in range(q):
+                        yield q, n, w, ctx.element(c), ctx
+            n += 1
+
+
+def test_mask_points_match_delta_mask():
+    # every index of every mask with q**n - 1 <= 2000, every w and every c,
+    # in F_q and in the extensions F_16 > F_4 and F_27 > F_3
+    cases = list(_dense_grid(2000, lambda n: range(1, n + 1)))
+    for p, j, m in [(2, 2, 4), (3, 1, 3)]:
+        small, big = make_field(p, j), make_field(p, m)
+        emb = subfield_embedding(small, big)
+        cases += [(small.order, n, w, emb.lift(small.element(c)), big)
+                  for n in (2, 3) for w in range(1, n + 1) for c in range(small.order)]
+    assert any(w == n for _, n, w, _, _ in cases)
+    for q, n, w, c, ctx in cases:
+        codes = delta_mask(q, n, w, c, ctx).codes
+        f = MaskPoints(q, n, w, c, ctx)
+        assert list(map(f, range(len(codes)))) == list(codes), (q, n, w, c.code)
+        support = list(f.support())
+        assert dict(support) == {i: v for i, v in enumerate(codes) if v}
+        assert len(support) == len(set(s for s, _ in support))
+
+
+def test_mask_period_matches_dense_route_above_half_weight():
+    # every w in (n/2, n] with q <= 9 and q**n - 1 <= 2*10**4; the half-w
+    # rows are compared on the whole periods-2e5 grid in test_harness
+    rows = 0
+    for q, n, w, c, ctx in _dense_grid(2 * 10 ** 4, lambda n: range(n // 2 + 1, n + 1)):
+        assert mask_period(q, n, w, c, ctx) == \
+            least_period(delta_mask(q, n, w, c, ctx)), (q, n, w, c.code)
+        rows += 1
+    assert rows > 300
+
+
+def test_multiset_counts_match_weight_counts():
+    # the count table against the sparse convolution counts A_k, level by level
+    grid = dict.fromkeys(row[:3] for row in _dense_grid(2000, lambda n: range(1, n + 1)))
+    for q, n, w in grid:
+        levels = _multiset_counts(q, n, w)
+        dense = _weight_counts(q, n, w)
+        full = (0,) * (q - 1) + (n,)
+        for k, ((keys, parts, counts), pairs) in enumerate(zip(levels, dense)):
+            table = {}
+            for key, ps, a in zip(keys, parts, counts):
+                lam = [0] * q
+                for v, mv in ps:
+                    lam[v] = mv
+                lam[0] = n - sum(lam)
+                assert key == sum(mv * (n + 1) ** v for v, mv in enumerate(lam))
+                table[tuple(lam)] = a
+            seen = {}
+            for i, a in pairs:
+                d = digits(i, q, n).digits
+                lam = full if i == 0 and k else tuple(d.count(v) for v in range(q))
+                assert max(d) <= k and table.get(lam) == a, (q, n, w, k, i)
+                seen[lam] = seen.get(lam, 0) + 1
+            # each table multiset is reached at all of its arrangements
+            assert seen == {lam: math.factorial(n) // math.prod(map(math.factorial, lam))
+                            for lam in table}, (q, n, w, k)
 
 
 def test_mask_support_digit_sum_bound():
