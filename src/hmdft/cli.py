@@ -26,7 +26,7 @@ import sys
 
 from .cyclic import CyclicFn, dft, idft, least_period_of_sequence
 from .cyclo import threshold
-from .errors import AlgebraError
+from .errors import AlgebraError, DegreeMismatchError
 from .gf import (
     MODULUS_GUARD,
     PolyFq,
@@ -209,6 +209,7 @@ def _cmd_delta(args) -> int:
 
 def _cmd_factor_test(args) -> int:
     # size first: factoring a huge q by trial division would not finish
+    _check_n(args)
     check_size(args.q, args.n, _cap(args), field=True)
     h = _poly_from_codes(args.q, _parse_ints(args.poly))
     verdict = degree_n_factor_test(h, args.q, args.n, subfield_order=args.L)
@@ -223,6 +224,8 @@ def _cmd_irred_test(args) -> int:
     degree = len(codes) - 1
     while degree >= 0 and not codes[degree]:
         degree -= 1
+    if degree < 2:  # before check_size, which would form q**degree
+        raise DegreeMismatchError("irreducibility test needs degree >= 2")
     check_size(args.q, degree, _cap(args), field=True)
     h = _poly_from_codes(args.q, codes)
     verdict = irreducible_sufficient_test(h, args.q, subfield_order=args.L)

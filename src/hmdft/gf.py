@@ -17,7 +17,11 @@ powering O(1) lookups.
 
 The exp table is walked with the F_p-linear map "multiply by zeta" on one
 bit lane per base-p digit (``FieldCtx._finish``): two split-table lookups and
-one integer add per entry, and O(sqrt(order)) polynomial products in all.
+one integer add per entry.  The split tables are sums of the m columns
+zeta*x**i, m - 1 polynomial products in all.  An extension field is built
+with ``PolyFq`` over F_p, the package's one polynomial scheme: its modulus
+search, its primitive-element search and its columns; a prime field powers
+by the built-in ``pow``.
 
 Addition is XOR in characteristic 2 and integer addition mod p in prime
 fields.  Odd-characteristic extension fields add by Zech logarithms:
@@ -40,6 +44,7 @@ first asks ``check_size``, which refuses an oversized n before forming q**n.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 
 from . import numtheory
@@ -47,9 +52,11 @@ from .errors import (
     BadSubfieldError,
     BadTowerError,
     CtxMismatchError,
+    NotDivisorError,
     NotPrimeError,
     SizeCapError,
     WeightRangeError,
+    ZeroPolynomialError,
 )
 
 # hard refusal bound for field construction; every field below it is tabled
@@ -88,7 +95,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "m", "order", "modulus", "zeta_code", "exp", "log",
-                 "_zech", "_mod_int", "_mfac", "add_codes", "sub_codes", "neg_code")
+                 "_zech", "add_codes", "sub_codes", "neg_code")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -99,11 +106,6 @@ class FieldCtx:
         self.exp = None
         self.log = None
         self._zech = None
-        self._mfac = None
-        # bitmask form of the modulus, used by the carry-less p=2 fast path
-        self._mod_int = None
-        if p == 2:
-            self._mod_int = sum(c << i for i, c in enumerate(modulus))
 
     # ------------------------------------------------------------------
     # code <-> coefficient vector
@@ -116,13 +118,6 @@ class FieldCtx:
             code, r = divmod(code, p)
             out.append(r)
         return tuple(out)
-
-    def code_of(self, coeffs) -> int:
-        p = self.p
-        code = 0
-        for c in reversed(list(coeffs)):
-            code = code * p + c % p
-        return code
 
     # ------------------------------------------------------------------
     # code-level arithmetic
@@ -150,61 +145,12 @@ class FieldCtx:
             return 1 if e == 0 else 0
         return self.exp[self.log[a] * (e % M) % M]
 
-    def _pow_slow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._polymul(r, a)
-            a = self._polymul(a, a)
-            e >>= 1
-        return r
-
-    def _polymul(self, a: int, b: int) -> int:
-        """Product of two codes by polynomial multiplication mod the modulus."""
-        p, m = self.p, self.m
-        if m == 1:
-            return (a * b) % p
-        if p == 2:
-            mod, top = self._mod_int, 1 << m
-            r = 0
-            while b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if a & top:
-                    a ^= mod
-            return r & (top - 1)
-        da = self.digits_of(a)
-        db = self.digits_of(b)
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] += x * y
-        # reduce: x^m == -(modulus minus leading term)
-        low = self.modulus[:-1]
-        for i in range(2 * m - 2, m - 1, -1):
-            c = prod[i] % p
-            if c:
-                for j, mj in enumerate(low):
-                    if mj:
-                        prod[i - m + j] -= c * mj
-            prod[i] = 0
-        return self.code_of(c % p for c in prod[:m])
-
     def order_of(self, a: int) -> int:
         """Multiplicative order of a nonzero code."""
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
         M = self.order - 1
-        if self._mfac is None:
-            self._mfac = tuple(numtheory.prime_factors(M)) if M > 1 else ()
-        ord_ = M
-        for t in self._mfac:
-            while ord_ % t == 0 and self.pow_code(a, ord_ // t) == 1:
-                ord_ //= t
-        return ord_
+        return M // math.gcd(self.log[a], M)
 
     # ------------------------------------------------------------------
     # element construction
@@ -228,8 +174,6 @@ class FieldCtx:
 
     def nth_root_of_unity(self, N: int) -> "FieldElement":
         """The canonical root of unity of exact order N, i.e. zeta**((order-1)/N)."""
-        from .errors import NotDivisorError
-
         M = self.order - 1
         if N < 1 or M % N:
             raise NotDivisorError(f"{N} does not divide {M}")
@@ -240,25 +184,43 @@ class FieldCtx:
     def _finish(self):
         """Find the canonical primitive element and build the lookup tables.
 
+        zeta is the least code whose power (order-1)/t is not 1 for any prime
+        t | order - 1, powered by ``pow`` mod p in a prime field and by
+        ``PolyFq.pow_mod`` over F_p modulo the modulus otherwise.
+
         Multiplication by zeta is F_p-linear, so the exp walk makes no general
         product per entry.  The walk's state holds digit i of the current
         power in bit lane i, B = (2p - 1).bit_length() + 1 bits wide: room for
-        the sum of two digits below p plus a flag bit.  The lanes split into
-        the low h = m // 2 digits and the high m - h; zeta times each possible
-        half is tabled (p**h and p**(m-h) entries, each one ``_polymul``), and
-        so is each half's code.  One step reads the code as two lookups added,
-        adds the two tabled zeta-multiples, and subtracts p from every lane
-        that reached p: adding 2**(B-1) - p to each lane sets exactly those
-        lanes' top bits.
+        the sum of two digits below p plus a flag bit.  ``reduce`` subtracts p
+        from every lane that reached p: adding 2**(B-1) - p to each lane sets
+        exactly those lanes' top bits.  The lanes split into the low h = m // 2
+        digits and the high m - h; zeta times each possible half is tabled
+        (p**h and p**(m-h) entries), and so is each half's code.  The tables
+        grow from the m columns zeta*x**i, each the one before times x mod
+        the modulus: an entry is an earlier entry plus one column, reduced.
+        One step reads the code as two lookups added and adds the two tabled
+        zeta-multiples, reduced.
         """
         p, m = self.p, self.m
         M = self.order - 1
         fac = numtheory.prime_factors(M) if M > 1 else []
-        for code in range(1, self.order):
-            if all(self._pow_slow(code, M // t) != 1 for t in fac):
-                self.zeta_code = code
-                break
         B = (2 * p - 1).bit_length() + 1
+        if m == 1:
+            self.zeta_code = next(c for c in range(1, p)
+                                  if all(pow(c, M // t, p) != 1 for t in fac))
+            cols = [self.zeta_code]
+        else:
+            prime = make_field(p)
+            mod, one, x = PolyFq(prime, self.modulus), PolyFq(prime, (1,)), PolyFq.x(prime)
+            # from code p on: a constant's order divides p - 1 < order - 1
+            self.zeta_code = next(
+                c for c in range(p, self.order)
+                if all(PolyFq(prime, self.digits_of(c)).pow_mod(M // t, mod) != one
+                       for t in fac))
+            cols = [PolyFq(prime, self.digits_of(self.zeta_code))]
+            for _ in range(m - 1):  # column i is zeta * x**i
+                cols.append(cols[-1] * x % mod)
+            cols = [sum(d << (i * B) for i, d in enumerate(c.codes)) for c in cols]
         h = m // 2
         shift = h * B
         lo_mask = (1 << shift) - 1
@@ -266,36 +228,42 @@ class FieldCtx:
         hib = ones << (B - 1)
         adj = ((1 << (B - 1)) - p) * ones
 
-        def lanes(code):
-            return sum(d << (i * B) for i, d in enumerate(self.digits_of(code)))
+        def reduce(s):
+            return s - (((s + adj) & hib) >> (B - 1)) * p
 
-        lo_code, lo_next, hi_code, hi_next = {}, {}, {}, {}
-        for c in range(p ** h):
-            k = lanes(c)
-            lo_code[k] = c
-            lo_next[k] = lanes(self._polymul(c, self.zeta_code))
-        for c in range(0, self.order, p ** h):
-            k = lanes(c) >> shift
-            hi_code[k] = c
-            hi_next[k] = lanes(self._polymul(c, self.zeta_code))
+        def half_tables(first, last):
+            # lane keys of the codes with digits only in first..last-1, shifted
+            # to lane 0, mapped to each code and to zeta times it in lanes
+            keys, codes, nexts = [0], [0], [0]
+            for i in range(first, last):
+                size, unit, step, col = len(keys), 1 << ((i - first) * B), p ** i, cols[i]
+                for _ in range(p - 1):  # digit i one more than in the block before
+                    keys += [k + unit for k in keys[-size:]]
+                    codes += [c + step for c in codes[-size:]]
+                    nexts += [reduce(v + col) for v in nexts[-size:]]
+            return dict(zip(keys, codes)), dict(zip(keys, nexts))
+
+        lo_code, lo_next = half_tables(0, h)
+        hi_code, hi_next = half_tables(h, m)
         exp = [0] * M
         s = 1
         for i in range(M):
             lo = s & lo_mask
             hi = s >> shift
             exp[i] = lo_code[lo] + hi_code[hi]
-            s = lo_next[lo] + hi_next[hi]
-            s -= (((s + adj) & hib) >> (B - 1)) * p
+            s = reduce(lo_next[lo] + hi_next[hi])
         if s != 1:  # zeta**(order-1) must close the cycle
             raise AssertionError("generator order inconsistency")
         log = [-1] * self.order
         for i, c in enumerate(exp):
             log[c] = i
-        self.exp = exp
-        self.log = log
+        # tuples: the tables never change, and the cyclic GC stops tracking a
+        # tuple of ints at its first pass instead of walking it at every one
+        self.exp = tuple(exp)
+        self.log = tuple(log)
         if p != 2 and m > 1:
             # 1 + zeta**k adds 1 to the constant digit; log[0] = -1 marks 1 + zeta**k = 0
-            self._zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp]
+            self._zech = tuple([log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp])
         self._bind_adder()
 
     def _bind_adder(self):
@@ -621,6 +589,29 @@ def poly_gcd(a: PolyFq, b: PolyFq) -> PolyFq:
     return a.monic()
 
 
+def oracle_irreducible(h: PolyFq) -> bool:
+    """Frobenius-power irreducibility test over h's coefficient field.
+
+    h of degree n is irreducible iff x**(q**n) = x mod h and, for every prime
+    t | n, gcd(x**(q**(n/t)) - x, h) is constant.
+    """
+    if h.is_zero():
+        raise ZeroPolynomialError("the zero polynomial is not testable")
+    n = h.degree
+    if n == 0:
+        return False
+    if n == 1:
+        return True
+    q = h.ctx.order
+    hm = h.monic()
+    x = PolyFq.x(h.ctx)
+    for t in numtheory.prime_factors(n):
+        g = poly_gcd(x.pow_mod(q ** (n // t), hm) - (x % hm), hm)
+        if g.degree != 0:
+            return False
+    return x.pow_mod(q ** n, hm) == x % hm
+
+
 # ----------------------------------------------------------------------
 # field construction
 
@@ -643,8 +634,6 @@ def make_field(p: int, m: int = 1) -> FieldCtx:
     if m == 1:
         modulus = (0, 1)  # the class of x; unused for prime fields
     else:
-        from .spectral import oracle_irreducible
-
         prime = make_field(p, 1)
         modulus = None
         for code in itertools.count(0):
@@ -765,12 +754,10 @@ class Embedding:
                 gamma = code
                 break
         self.gamma = gamma
-        lift = []
-        for code in range(small.order):
-            acc = 0
-            for d in reversed(small.digits_of(code)):
-                acc = big.add_codes(big.mul_codes(acc, gamma), d)
-            lift.append(acc)
+        # code c is the polynomial of its digits at x; its image, that at gamma
+        at_gamma = FieldElement(big, gamma)
+        lift = [PolyFq(big, small.digits_of(code))(at_gamma).code
+                for code in range(small.order)]
         self._lift = lift
         self._lower = {b: s for s, b in enumerate(lift)}
 

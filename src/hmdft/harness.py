@@ -40,11 +40,11 @@ from .gf import (
     check_size,
     element_degree,
     make_field,
+    oracle_irreducible,
     primitive_element,
     subfield_embedding,
 )
 from .numtheory import prime_power
-from .spectral import oracle_irreducible
 from .symfun import delta_mask, is_q_symmetric, mask_period
 
 DEFAULT_SIZE_CAP = 20000
@@ -279,19 +279,26 @@ def sweep(cfg: SweepConfig) -> SweepResult:
     """Run every tuple of the grid in lexicographic (q, n, w, c) order.
 
     A (q, n) that does not fit the size cap or a hard limit
-    (``SweepConfig.fits``) is recorded as skipped, not fatal.  For w = n
-    only c != 0 is enumerated.  The result is deterministic for a fixed
-    configuration.
+    (``SweepConfig.fits``) is recorded as skipped, not fatal.  q is checked
+    to be a prime power at its first fitting n >= 1, the first n with rows,
+    so a q too large for every n is skipped without a trial division.  For
+    w = n only c != 0 is enumerated.  The result is deterministic for a
+    fixed configuration.
     """
     reports = []
     skipped = []
     n_lo, n_hi = cfg.n_range
     for q in sorted(set(cfg.q_list)):
-        prime_power(q)  # validates q
+        if q < 2:
+            prime_power(q)  # raises, before check_size forms 0**n for n < 0
+        factored = False
         for n in range(n_lo, n_hi + 1):
             if not cfg.fits(q, n):
                 skipped.append({"q": q, "n": n, "reason": "size_cap"})
                 continue
+            if not factored and n >= 1:  # q <= q**n <= MODULUS_GUARD + 1: quick
+                prime_power(q)
+                factored = True
             for w in cfg.weights(n):
                 if cfg.pinned_c is not None:
                     cs = [cfg.pinned_c]

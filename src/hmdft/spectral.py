@@ -19,7 +19,9 @@ fail (see the regression tests for explicit witnesses).
 Independent oracles (`oracle_irreducible` by the Frobenius-power test,
 `oracle_factor_degrees` by squarefree decomposition plus distinct-degree
 splitting) validate every Proven verdict in the test suite; they share no
-code path with the period route.
+code path with the period route.  `oracle_irreducible` lives in ``gf``,
+where ``make_field`` tests its candidate moduli with it, and is re-exported
+here.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .gf import (
     PolyFq,
     check_size,
     make_field,
+    oracle_irreducible,
     poly_gcd,
     primitive_element,
     subfield_embedding,
@@ -277,29 +280,6 @@ def coprime_divisor_test(h: PolyFq, q: int, n: int) -> Verdict:
 
 # ----------------------------------------------------------------------
 # independent oracles
-
-
-def oracle_irreducible(h: PolyFq) -> bool:
-    """Frobenius-power irreducibility test over h's coefficient field.
-
-    h of degree n is irreducible iff x**(q**n) = x mod h and, for every prime
-    t | n, gcd(x**(q**(n/t)) - x, h) is constant.
-    """
-    if h.is_zero():
-        raise ZeroPolynomialError("the zero polynomial is not testable")
-    n = h.degree
-    if n == 0:
-        return False
-    if n == 1:
-        return True
-    q = h.ctx.order
-    hm = h.monic()
-    x = PolyFq.x(h.ctx)
-    for t in numtheory.prime_factors(n):
-        g = poly_gcd(x.pow_mod(q ** (n // t), hm) - (x % hm), hm)
-        if g.degree != 0:
-            return False
-    return x.pow_mod(q ** n, hm) == x % hm
 
 
 def _pth_root_poly(f: PolyFq) -> PolyFq:

@@ -132,10 +132,36 @@ def digitwise_neg(p, a):
     return s
 
 
+def polymul(ctx, a, b):
+    """Product of two codes by polynomial multiplication mod the modulus.
+
+    The schoolbook product of the two digit vectors, then reduction by
+    x^m = -(modulus minus leading term); the field's reference product.
+    """
+    p, m = ctx.p, ctx.m
+    da = ctx.digits_of(a)
+    db = ctx.digits_of(b)
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(da):
+        if x:
+            for j, y in enumerate(db):
+                prod[i + j] += x * y
+    # reduce: x^m == -(modulus minus leading term)
+    low = ctx.modulus[:-1]
+    for i in range(2 * m - 2, m - 1, -1):
+        c = prod[i] % p
+        if c:
+            for j, mj in enumerate(low):
+                if mj:
+                    prod[i - m + j] -= c * mj
+        prod[i] = 0
+    return sum(c % p * p ** i for i, c in enumerate(prod[:m]))
+
+
 def polymul_exp_table(ctx):
     """The exp table of ctx by one general polynomial product per entry.
 
-    Walks zeta's powers with ``_polymul``, the field's reference product on
+    Walks zeta's powers with ``polymul``, the field's reference product on
     coefficient vectors, and checks that the walk closes after order - 1
     steps; shares nothing with the lane-wise walk of ``FieldCtx._finish``.
     """
@@ -144,7 +170,7 @@ def polymul_exp_table(ctx):
     e = 1
     for i in range(M):
         exp[i] = e
-        e = ctx._polymul(e, ctx.zeta_code)
+        e = polymul(ctx, e, ctx.zeta_code)
     if e != 1:  # zeta**(order-1) must close the cycle
         raise AssertionError("generator order inconsistency")
     return exp

@@ -261,6 +261,22 @@ def test_huge_prime_q_fails_fast(capsys, monkeypatch, argv):
     assert code == 2 and out == "" and "exceeds the size cap" in err
 
 
+def test_hm_verify_huge_prime_q_beside_a_small_one():
+    # sweep factors a q only once some n fits it, so a 61-bit prime that fits
+    # no n gets its skip rows at once instead of a trial division
+    def hm_verify(qs):
+        proc = subprocess.run([sys.executable, "-m", "hmdft.cli", "hm-verify", "--q", qs,
+                               "--n", "2:3", "--no-witness", "--format", "json"],
+                              capture_output=True, text=True, timeout=10, env=_cli_env())
+        assert proc.returncode == 0
+        return json.loads(proc.stdout)
+
+    both, alone = hm_verify(f"3,{HUGE_PRIME_Q}"), hm_verify("3")
+    assert both["reports"] == alone["reports"]
+    assert both["skipped"] == alone["skipped"] + [
+        {"q": int(HUGE_PRIME_Q), "n": n, "reason": "size_cap"} for n in (2, 3)]
+
+
 CAPPED = [("factor-test", "--q", "2", "--n", "19", "--poly", "1,1,1"),
           ("irred-test", "--q", "2", "--poly", ",".join(["1"] + ["0"] * 18 + ["1"])),
           ("dft", "--q", "2", "--n", "16", "--w", "3"),
@@ -342,11 +358,15 @@ def test_period_of_empty_sequence_is_an_input_error(capsys):
 CRASHED = [("period", "--seq="),
            ("delta", "--q", "3", "--n", "0", "--w", "0"),
            ("delta", "--q", "0", "--n=-1", "--w", "1"),
-           ("hm-verify", "--q", "0", "--n=-1:3")]
+           ("hm-verify", "--q", "0", "--n=-1:3"),
+           ("factor-test", "--q", "0", "--n=-1", "--poly", "0,0,0"),
+           ("irred-test", "--q", "0", "--poly", "0")]
 
 
 @pytest.mark.parametrize("argv", CRASHED, ids=["empty-seq", "n-zero", "q-zero-n-negative",
-                                                "grid-q-zero-n-negative"])
+                                                "grid-q-zero-n-negative",
+                                                "factor-test-q-zero-n-negative",
+                                                "irred-test-q-zero-degree-negative"])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
@@ -459,6 +479,9 @@ def _cli_calls(draw):
 
 @settings(max_examples=100, deadline=3000)
 @given(_cli_calls())
+# each once ended in a ZeroDivisionError from 0**-1 in check_size
+@example((["factor-test", "--q", "0", "--n=-1", "--poly", "0,0,0"], "text"))
+@example((["irred-test", "--q", "0", "--poly", "0"], "text"))
 def test_cli_fuzz(call):
     argv, fmt = call
     code, out, err = _in_process(argv)

@@ -16,7 +16,7 @@ from hmdft import (
     sigma_eval,
     subfield_embedding,
 )
-from hmdft import gf
+from hmdft import gf, numtheory
 from hmdft.errors import (
     BadSubfieldError,
     BadTowerError,
@@ -32,6 +32,7 @@ from helpers import (
     brute_min_poly,
     digitwise_add,
     digitwise_neg,
+    polymul,
     polymul_exp_table,
 )
 
@@ -157,7 +158,7 @@ def test_exp_log_tables_consistent():
         for i in range(ctx.order - 1):
             assert ctx.exp[i] == acc
             assert ctx.log[acc] == i
-            acc = ctx._polymul(acc, z)
+            acc = polymul(ctx, acc, z)
         assert acc == 1
         # exp(i+j) = exp(i) * exp(j) on a sample
         rng = random.Random(7)
@@ -170,11 +171,11 @@ def test_exp_log_tables_consistent():
 def _assert_matches_polymul_walk(p, m):
     ctx = make_field(p, m)
     exp = polymul_exp_table(ctx)
-    assert ctx.exp == exp
+    assert ctx.exp == tuple(exp)
     log = [-1] * ctx.order
     for i, c in enumerate(exp):
         log[c] = i
-    assert ctx.log == log
+    assert ctx.log == tuple(log)
     # the canonically-first primitive element: least code whose log is a unit mod M
     M = ctx.order - 1
     assert ctx.zeta_code == next(c for c in range(1, ctx.order) if math.gcd(log[c], M) == 1)
@@ -200,20 +201,48 @@ def test_large_field_tables_match_polymul_walk(p, m):
 
 
 def test_exp_build_makes_few_general_products(monkeypatch):
-    # the lane walk fills its split tables with about 2 * p^ceil(m/2) products
-    # (plus the primitive-element search), not one per exp entry
-    calls = 0
-    polymul = gf.FieldCtx._polymul
+    # the lane walk's tables grow from the m columns zeta*x**i, m - 1 products
+    # in all; one product per table entry would be 3**5 = 243 of them.  The
+    # modulus and primitive-element searches power by pow_mod, whose products
+    # do not grow with the tables: they are counted in the total only
+    total = outside = depth = 0
+    mul, pow_mod = gf.PolyFq.__mul__, gf.PolyFq.pow_mod
 
-    def counted(self, a, b):
-        nonlocal calls
-        calls += 1
-        return polymul(self, a, b)
+    def counted(a, b):
+        nonlocal total, outside
+        total += 1
+        outside += depth == 0
+        return mul(a, b)
 
-    monkeypatch.setattr(gf.FieldCtx, "_polymul", counted)
+    def powering(self, e, modpoly):
+        nonlocal depth
+        depth += 1
+        try:
+            return pow_mod(self, e, modpoly)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(gf.PolyFq, "__mul__", counted)
+    monkeypatch.setattr(gf.PolyFq, "pow_mod", powering)
     monkeypatch.delitem(gf._FIELD_CACHE, (3, 10), raising=False)
     ctx = make_field(3, 10)
-    assert calls < ctx.order // 16
+    assert outside < 2 * ctx.m
+    assert total < ctx.order // 16
+
+
+FIELDS_TO_256 = [(p, m) for p in range(2, 257) if numtheory.is_prime(p)
+                 for m in range(1, 9) if p ** m <= 256]
+
+
+@pytest.mark.parametrize("p,m", FIELDS_TO_256)
+def test_order_of_matches_repeated_products(p, m):
+    ctx = make_field(p, m)
+    for a in range(1, ctx.order):
+        k, acc = 1, a
+        while acc != 1:
+            acc = polymul(ctx, acc, a)
+            k += 1
+        assert ctx.order_of(a) == k
 
 
 @pytest.mark.parametrize("p,modulus", [(2, (0, 0, 1)), (3, (0, 0, 1))])
