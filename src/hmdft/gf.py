@@ -32,6 +32,15 @@ zeta**i + zeta**j = zeta**(i + zech[j - i]); negation is multiplication by
 stores the one scheme that applies as the field's ``add_codes``,
 ``sub_codes`` and ``neg_code``, so no addition re-tests p or m.
 
+Polynomials over a field run on one private kernel on plain code lists: a
+product, a division and a product reduced modulo h, all three adding scaled
+rows with one per-term loop (``_addmul``) that multiplies through the exp/log
+tables and adds with the field's bound adder.  ``PolyFq``'s product,
+division, ``pow_mod`` and ``poly_gcd`` call it and wrap the result once per
+public call.  ``oracle_irreducible`` (Rabin's test) takes its Frobenius
+powers x**(q**k) mod h from the Frobenius matrix, whose row i is x**(q*i)
+mod h: one matrix-vector product per power, and no object per step.
+
 Extension towers F_q inside F_{q^n} are realized inside the single context of
 order q^n; membership in the intermediate field F_{q^d} is decided by the
 Frobenius fixed-point test, and ``subfield_embedding`` provides the canonical
@@ -402,6 +411,81 @@ class FieldElement:
         return f"F{self.ctx.order}({self.code})"
 
 
+# ----------------------------------------------------------------------
+# the polynomial kernel on code lists
+#
+# A polynomial is a little-endian sequence of codes with no leading zero.
+
+
+def _addmul(ctx: FieldCtx, acc: list, k: int, a: int, row) -> None:
+    """acc[k + j] += a * row[j] for every j, in place; a is a nonzero code."""
+    exp, log, add = ctx.exp, ctx.log, ctx.add_codes
+    la = log[a] - ctx.order + 1  # shifted by -M, as in mul_codes
+    for j, c in enumerate(row, k):
+        if c:
+            acc[j] = add(acc[j], exp[la + log[c]])
+
+
+def _trim(codes: list) -> list:
+    while codes and not codes[-1]:
+        codes.pop()
+    return codes
+
+
+def _mul(ctx: FieldCtx, a, b) -> list:
+    """Product of code lists a and b."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            _addmul(ctx, out, i, c, b)
+    return out
+
+
+def _divmod(ctx: FieldCtx, a, h) -> tuple[list, list]:
+    """Quotient and remainder of code list a by the nonzero code list h."""
+    d = len(h) - 1
+    rem = list(a)
+    if len(rem) <= d:
+        return [], rem
+    inv, mul, neg = ctx.inv_code(h[-1]), ctx.mul_codes, ctx.neg_code
+    tail = [neg(c) for c in h[:-1]]
+    quot = [0] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:  # take f * h off the top term: add f * (-h_j) below it
+            f = quot[i - d] = mul(c, inv)
+            _addmul(ctx, rem, i - d, f, tail)
+    del rem[d:]
+    return quot, _trim(rem)
+
+
+def _mulmod(ctx: FieldCtx, a, b, h) -> list:
+    """Product of code lists a and b reduced modulo h."""
+    return _divmod(ctx, _mul(ctx, a, b), h)[1]
+
+
+def _powmod(ctx: FieldCtx, a, e: int, h) -> list:
+    """a**e reduced modulo h, by square and multiply; e >= 0."""
+    result = _divmod(ctx, [1], h)[1]  # modulo a unit, even 1 is 0
+    base = _divmod(ctx, a, h)[1]
+    while e:
+        if e & 1:
+            result = _mulmod(ctx, result, base, h)
+        e >>= 1
+        if e:
+            base = _mulmod(ctx, base, base, h)
+    return result
+
+
+def _gcd(ctx: FieldCtx, a, b):
+    """A gcd of code lists a and b, not made monic."""
+    while b:
+        a, b = b, _divmod(ctx, a, b)[1]
+    return a
+
+
 class PolyFq:
     """Polynomial over one FieldCtx, little-endian code tuple, no leading zeros."""
 
@@ -478,17 +562,7 @@ class PolyFq:
 
     def __mul__(self, other):
         self._check(other)
-        ctx = self.ctx
-        a, b = self.codes, other.codes
-        if not a or not b:
-            return PolyFq(ctx, ())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = ctx.add_codes(out[i + j], ctx.mul_codes(x, y))
-        return PolyFq(ctx, out)
+        return PolyFq(self.ctx, _mul(self.ctx, self.codes, other.codes))
 
     def scale(self, code: int) -> "PolyFq":
         ctx = self.ctx
@@ -498,20 +572,8 @@ class PolyFq:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        ctx = self.ctx
-        rem = list(self.codes)
-        d = other.degree
-        lead_inv = ctx.inv_code(other.codes[-1])
-        quot = [0] * max(0, len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c:
-                f = ctx.mul_codes(c, lead_inv)
-                quot[i - d] = f
-                for j, oc in enumerate(other.codes):
-                    if oc:
-                        rem[i - d + j] = ctx.sub_codes(rem[i - d + j], ctx.mul_codes(f, oc))
-        return PolyFq(ctx, quot), PolyFq(ctx, rem[:d])
+        quot, rem = _divmod(self.ctx, self.codes, other.codes)
+        return PolyFq(self.ctx, quot), PolyFq(self.ctx, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -532,17 +594,13 @@ class PolyFq:
         return PolyFq(ctx, out)
 
     def pow_mod(self, e: int, modpoly: "PolyFq") -> "PolyFq":
-        """self**e reduced mod modpoly, by square and multiply."""
+        """self**e reduced mod modpoly, by square and multiply on code lists."""
         if e < 0:
             raise ValueError("negative exponent")
-        result = PolyFq(self.ctx, (1,))
-        base = self % modpoly
-        while e:
-            if e & 1:
-                result = (result * base) % modpoly
-            base = (base * base) % modpoly
-            e >>= 1
-        return result
+        self._check(modpoly)
+        if modpoly.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        return PolyFq(self.ctx, _powmod(self.ctx, self.codes, e, modpoly.codes))
 
     def __call__(self, point: FieldElement) -> FieldElement:
         """Evaluate by Horner's rule at a point of the same context."""
@@ -584,16 +642,19 @@ class PolyFq:
 def poly_gcd(a: PolyFq, b: PolyFq) -> PolyFq:
     """Monic gcd of two polynomials over the same field."""
     a._check(b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return PolyFq(a.ctx, _gcd(a.ctx, a.codes, b.codes)).monic()
 
 
 def oracle_irreducible(h: PolyFq) -> bool:
-    """Frobenius-power irreducibility test over h's coefficient field.
+    """Rabin's irreducibility test over h's coefficient field F_q.
 
     h of degree n is irreducible iff x**(q**n) = x mod h and, for every prime
-    t | n, gcd(x**(q**(n/t)) - x, h) is constant.
+    t | n, gcd(x**(q**(n/t)) - x, h) is constant.  The powers x**(q**k) come
+    from the Frobenius matrix Q, whose row i is x**(q*i) mod h: f -> f**q is
+    F_q-linear and fixes F_q, so the coefficient vector of x**(q**(k+1)) is
+    that of x**(q**k) times Q.  Q costs one x**q and n - 2 reduced products,
+    and each further power one matrix-vector product; everything, the gcds
+    included, runs in the list kernel (Rabin, SIAM J. Comput. 9, 1980).
     """
     if h.is_zero():
         raise ZeroPolynomialError("the zero polynomial is not testable")
@@ -602,14 +663,23 @@ def oracle_irreducible(h: PolyFq) -> bool:
         return False
     if n == 1:
         return True
-    q = h.ctx.order
-    hm = h.monic()
-    x = PolyFq.x(h.ctx)
-    for t in numtheory.prime_factors(n):
-        g = poly_gcd(x.pow_mod(q ** (n // t), hm) - (x % hm), hm)
-        if g.degree != 0:
+    ctx = h.ctx
+    hm = h.monic().codes
+    x = PolyFq.x(ctx)  # reduced, since n >= 2
+    frob = [[1], _powmod(ctx, x.codes, ctx.order, hm)]
+    for _ in range(n - 2):
+        frob.append(_mulmod(ctx, frob[-1], frob[1], hm))
+    gcd_at = {n // t for t in numtheory.prime_factors(n)}
+    f = frob[1]  # x**(q**k) mod h, from k = 1
+    for k in range(1, n):
+        if k in gcd_at and len(_gcd(ctx, hm, (PolyFq(ctx, f) - x).codes)) != 1:
             return False
-    return x.pow_mod(q ** n, hm) == x % hm
+        nxt = [0] * n
+        for i, c in enumerate(f):
+            if c:
+                _addmul(ctx, nxt, 0, c, frob[i])
+        f = _trim(nxt)
+    return f == [0, 1]
 
 
 # ----------------------------------------------------------------------

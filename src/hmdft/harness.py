@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 from .cyclo import threshold
 from .errors import ExcludedCaseError, SizeCapError, WeightRangeError
 from .gf import (
+    MODULUS_GUARD,
     FieldElement,
     PolyFq,
     char_poly,
@@ -279,24 +280,25 @@ def sweep(cfg: SweepConfig) -> SweepResult:
     """Run every tuple of the grid in lexicographic (q, n, w, c) order.
 
     A (q, n) that does not fit the size cap or a hard limit
-    (``SweepConfig.fits``) is recorded as skipped, not fatal.  q is checked
-    to be a prime power at its first fitting n >= 1, the first n with rows,
-    so a q too large for every n is skipped without a trial division.  For
-    w = n only c != 0 is enumerated.  The result is deterministic for a
-    fixed configuration.
+    (``SweepConfig.fits``) is recorded as skipped, not fatal.  Every q up to
+    MODULUS_GUARD + 1 is checked to be a prime power before its first n, by
+    trial division to 2**11 at most.  A larger q fits no n >= 1 under the
+    hard limits, so it is skipped without a trial division; it is checked at
+    its first fitting n >= 1, should one fit.  For w = n only c != 0 is
+    enumerated.  The result is deterministic for a fixed configuration.
     """
     reports = []
     skipped = []
     n_lo, n_hi = cfg.n_range
     for q in sorted(set(cfg.q_list)):
-        if q < 2:
-            prime_power(q)  # raises, before check_size forms 0**n for n < 0
-        factored = False
+        factored = q <= MODULUS_GUARD + 1
+        if factored:  # raises for q < 2 too, before check_size forms 0**n
+            prime_power(q)
         for n in range(n_lo, n_hi + 1):
             if not cfg.fits(q, n):
                 skipped.append({"q": q, "n": n, "reason": "size_cap"})
                 continue
-            if not factored and n >= 1:  # q <= q**n <= MODULUS_GUARD + 1: quick
+            if not factored and n >= 1:
                 prime_power(q)
                 factored = True
             for w in cfg.weights(n):

@@ -219,6 +219,85 @@ def brute_is_irreducible(h):
     return True
 
 
+def polymul_loops(a, b):
+    """Product of two PolyFq by the per-term double loop over their codes.
+
+    This is ``PolyFq.__mul__`` before the list kernel: one ``add_codes`` and
+    one ``mul_codes`` call per pair of nonzero terms.
+    """
+    ctx = a.ctx
+    if not a.codes or not b.codes:
+        return PolyFq(ctx, ())
+    out = [0] * (len(a.codes) + len(b.codes) - 1)
+    for i, x in enumerate(a.codes):
+        if x:
+            for j, y in enumerate(b.codes):
+                if y:
+                    out[i + j] = ctx.add_codes(out[i + j], ctx.mul_codes(x, y))
+    return PolyFq(ctx, out)
+
+
+def polydivmod_loops(a, b):
+    """Quotient and remainder of two PolyFq by schoolbook long division.
+
+    This is ``PolyFq.__divmod__`` before the list kernel.
+    """
+    ctx = a.ctx
+    rem = list(a.codes)
+    d = b.degree
+    lead_inv = ctx.inv_code(b.codes[-1])
+    quot = [0] * max(0, len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            f = ctx.mul_codes(c, lead_inv)
+            quot[i - d] = f
+            for j, oc in enumerate(b.codes):
+                if oc:
+                    rem[i - d + j] = ctx.sub_codes(rem[i - d + j], ctx.mul_codes(f, oc))
+    return PolyFq(ctx, quot), PolyFq(ctx, rem[:d])
+
+
+def pow_mod_loops(a, e, modpoly):
+    """a**e mod modpoly by square and multiply with the two loops above."""
+    result = polydivmod_loops(PolyFq(a.ctx, (1,)), modpoly)[1]
+    base = polydivmod_loops(a, modpoly)[1]
+    while e:
+        if e & 1:
+            result = polydivmod_loops(polymul_loops(result, base), modpoly)[1]
+        base = polydivmod_loops(polymul_loops(base, base), modpoly)[1]
+        e >>= 1
+    return result
+
+
+def gcd_loops(a, b):
+    """Monic gcd by Euclid's algorithm with ``polydivmod_loops``."""
+    while not b.is_zero():
+        a, b = b, polydivmod_loops(a, b)[1]
+    return a.monic()
+
+
+def oracle_irreducible_powering(h):
+    """Rabin's test with every Frobenius power taken by repeated squaring.
+
+    This is ``oracle_irreducible`` before the Frobenius matrix: h of degree
+    n is irreducible iff x**(q**n) = x mod h and gcd(x**(q**(n/t)) - x, h)
+    is constant for every prime t | n.  It runs on the loops above only.
+    """
+    n = h.degree
+    if n <= 0:
+        return False
+    if n == 1:
+        return True
+    q = h.ctx.order
+    hm = h.monic()
+    x = PolyFq.x(h.ctx)
+    for t in {t for t in range(2, n + 1) if n % t == 0 and all(t % s for s in range(2, t))}:
+        if gcd_loops(pow_mod_loops(x, q ** (n // t), hm) - x, hm).degree != 0:
+            return False
+    return pow_mod_loops(x, q ** n, hm) == x
+
+
 def brute_min_poly(xi, q, n, emb):
     """Smallest-degree monic annihilator of xi, by exhaustive enumeration.
 

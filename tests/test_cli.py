@@ -277,6 +277,14 @@ def test_hm_verify_huge_prime_q_beside_a_small_one():
         {"q": int(HUGE_PRIME_Q), "n": n, "reason": "size_cap"} for n in (2, 3)]
 
 
+def test_hm_verify_composite_q_beside_a_small_one():
+    # every q up to MODULUS_GUARD + 1 is factored before its n loop, so a q
+    # that is not a prime power is refused even when it fits no n
+    code, out, err = _fresh(["hm-verify", "--q", "3,1000000", "--n", "2:3", "--no-witness"])
+    assert code == 2 and out == ""
+    assert "1000000 is not a prime power" in err
+
+
 CAPPED = [("factor-test", "--q", "2", "--n", "19", "--poly", "1,1,1"),
           ("irred-test", "--q", "2", "--poly", ",".join(["1"] + ["0"] * 18 + ["1"])),
           ("dft", "--q", "2", "--n", "16", "--w", "3"),

@@ -32,8 +32,12 @@ from helpers import (
     brute_min_poly,
     digitwise_add,
     digitwise_neg,
+    oracle_irreducible_powering,
+    pow_mod_loops,
+    polydivmod_loops,
     polymul,
     polymul_exp_table,
+    polymul_loops,
 )
 
 # every field of order <= 2^12 for a spread of primes, then larger fields of
@@ -203,30 +207,35 @@ def test_large_field_tables_match_polymul_walk(p, m):
 def test_exp_build_makes_few_general_products(monkeypatch):
     # the lane walk's tables grow from the m columns zeta*x**i, m - 1 products
     # in all; one product per table entry would be 3**5 = 243 of them.  The
-    # modulus and primitive-element searches power by pow_mod, whose products
-    # do not grow with the tables: they are counted in the total only
+    # modulus search tests candidates with oracle_irreducible and the
+    # primitive-element search powers by pow_mod; their products do not grow
+    # with the tables, so they are counted in the total only.  Every product
+    # is the list kernel's gf._mul, which all of them reach by module lookup
     total = outside = depth = 0
-    mul, pow_mod = gf.PolyFq.__mul__, gf.PolyFq.pow_mod
+    mul, pow_mod, oracle = gf._mul, gf.PolyFq.pow_mod, gf.oracle_irreducible
 
-    def counted(a, b):
+    def counted(ctx, a, b):
         nonlocal total, outside
         total += 1
         outside += depth == 0
-        return mul(a, b)
+        return mul(ctx, a, b)
 
-    def powering(self, e, modpoly):
-        nonlocal depth
-        depth += 1
-        try:
-            return pow_mod(self, e, modpoly)
-        finally:
-            depth -= 1
+    def nested(fn):
+        def inner(*args):
+            nonlocal depth
+            depth += 1
+            try:
+                return fn(*args)
+            finally:
+                depth -= 1
+        return inner
 
-    monkeypatch.setattr(gf.PolyFq, "__mul__", counted)
-    monkeypatch.setattr(gf.PolyFq, "pow_mod", powering)
+    monkeypatch.setattr(gf, "_mul", counted)
+    monkeypatch.setattr(gf.PolyFq, "pow_mod", nested(pow_mod))
+    monkeypatch.setattr(gf, "oracle_irreducible", nested(oracle))
     monkeypatch.delitem(gf._FIELD_CACHE, (3, 10), raising=False)
     ctx = make_field(3, 10)
-    assert outside < 2 * ctx.m
+    assert 0 < outside < 2 * ctx.m
     assert total < ctx.order // 16
 
 
@@ -477,3 +486,111 @@ def test_poly_arithmetic_basics():
     assert d(f3.element(1)).code == 0      # 1 + 2 = 0 mod 3
     assert d.monic() == d
     assert (d * PolyFq(f3, [2])).monic() == d
+
+
+def test_pow_mod_zero_exponent():
+    f3 = make_field(3)
+    x = PolyFq.x(f3)
+    unit = PolyFq(f3, (2,))
+    # modulo a unit every residue is 0, even x**0
+    assert x.pow_mod(0, unit).is_zero()
+    assert x.pow_mod(5, unit).is_zero()
+    for mod in (PolyFq(f3, (1, 1)), PolyFq(f3, (2, 0, 2))):
+        assert x.pow_mod(0, mod) == PolyFq(f3, (1,))
+    with pytest.raises(ZeroDivisionError):
+        x.pow_mod(0, PolyFq(f3, ()))
+
+
+# (q, largest degree) of the exhaustive oracle comparisons
+ORACLE_GRID = [(2, 10), (3, 6), (4, 5), (5, 4), (7, 4), (8, 3), (9, 3)]
+
+
+def _monic_polys(q, top):
+    ctx = make_field(*numtheory.prime_power(q))
+    for n in range(1, top + 1):
+        for codes in itertools.product(range(q), repeat=n):
+            yield PolyFq(ctx, codes + (1,))
+
+
+@pytest.mark.parametrize("q,top", ORACLE_GRID)
+def test_oracle_irreducible_matches_powering(q, top):
+    # the Frobenius-matrix test against repeated squaring on the old loops
+    for h in _monic_polys(q, top):
+        assert oracle_irreducible(h) == oracle_irreducible_powering(h), h
+
+
+@pytest.mark.parametrize("q,top", ORACLE_GRID)
+def test_oracle_irreducible_counts_match_gauss(q, top):
+    # (1/n) * sum over d | n of mobius(d) * q**(n/d) monic irreducibles of degree n
+    counts = [0] * (top + 1)
+    for h in _monic_polys(q, top):
+        counts[h.degree] += oracle_irreducible(h)
+    assert counts[1:] == [sum(numtheory.mobius(d) * q ** (n // d)
+                              for d in numtheory.divisors(n)) // n
+                          for n in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_poly_kernel_matches_loops(q):
+    ctx = make_field(*numtheory.prime_power(q))
+    rng = random.Random(q)
+
+    def rand_poly(deg, monic=False):
+        codes = [rng.randrange(q) for _ in range(deg)]
+        return PolyFq(ctx, codes + [1 if monic else rng.randrange(1, q)])
+
+    for _ in range(60):
+        a, b = rand_poly(rng.randrange(33)), rand_poly(rng.randrange(33))
+        assert a * b == polymul_loops(a, b)
+        assert divmod(a, b) == polydivmod_loops(a, b)
+        mod = rand_poly(rng.randrange(33), monic=rng.random() < 0.5)
+        e = rng.choice([0, 1, 2, q, rng.randrange(1, 1 << 20)])
+        assert a.pow_mod(e, mod) == pow_mod_loops(a, e, mod)
+    zero = PolyFq(ctx, ())
+    assert zero * a == polymul_loops(zero, a) == zero
+    assert divmod(zero, a) == polydivmod_loops(zero, a) == (zero, zero)
+
+
+def _digits(code, p, m):
+    return [code // p ** i % p for i in range(m)]
+
+
+def _is_prime_by_trial(t):
+    return t > 1 and all(t % s for s in range(2, math.isqrt(t) + 1))
+
+
+def _zeta_by_loops(ctx):
+    """The least code whose powers fill F_q^x, each power by pow_mod_loops."""
+    p, m = ctx.p, ctx.m
+    M = ctx.order - 1
+    primes = [t for t in range(2, M + 1) if M % t == 0 and _is_prime_by_trial(t)]
+    prime = make_field(p)
+    mod, one = PolyFq(prime, ctx.modulus), PolyFq(prime, (1,))
+    for code in range(1, ctx.order):
+        if m == 1:
+            primitive = all(pow(code, M // t, p) != 1 for t in primes)
+        else:
+            g = PolyFq(prime, _digits(code, p, m))
+            primitive = all(pow_mod_loops(g, M // t, mod) != one for t in primes)
+        if primitive:
+            return code
+    raise AssertionError("every finite field has a primitive element")
+
+
+# every extension field of order <= 2**16, and the prime fields below 2**8;
+# a prime field's build uses no polynomial arithmetic
+CANONICAL_FIELDS = [(p, m) for p in range(2, 1 << 8) if _is_prime_by_trial(p)
+                    for m in range(1, 17) if p ** m <= 1 << 16]
+
+
+@pytest.mark.parametrize("p", sorted({p for p, _ in CANONICAL_FIELDS}))
+def test_canonical_fields_match_loop_oracles(p, monkeypatch):
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})  # cold builds, freed afterwards
+    prime = make_field(p)
+    for m in [m for q, m in CANONICAL_FIELDS if q == p]:
+        ctx = make_field(p, m)
+        if m > 1:
+            candidates = (PolyFq(prime, _digits(code, p, m) + [1]) for code in range(p ** m))
+            assert ctx.modulus == next(h for h in candidates
+                                       if oracle_irreducible_powering(h)).codes
+        assert ctx.zeta_code == _zeta_by_loops(ctx)

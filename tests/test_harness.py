@@ -16,7 +16,12 @@ from hmdft import (
 )
 from hmdft import CyclicFn, delta_mask, gf, harness
 from hmdft.cyclic import least_period
-from hmdft.errors import ExcludedCaseError, SizeCapError, WeightRangeError
+from hmdft.errors import (
+    ExcludedCaseError,
+    NotPrimePowerError,
+    SizeCapError,
+    WeightRangeError,
+)
 from hmdft.harness import CASE_EXCLUDED, CASE_HALF, CASE_MAX, CASE_NORM, CASE_SMALL
 from hmdft.numtheory import prime_power
 from hmdft.symfun import _multiset_counts
@@ -144,6 +149,17 @@ def test_sweep_size_cap_recorded_not_fatal(monkeypatch):
         res = sweep(cfg)
         assert res.reports == ()
         assert res.skipped == ({"q": 2, "n": n, "reason": "size_cap"},)
+
+
+def test_sweep_factors_a_large_q_at_its_first_fitting_n(monkeypatch):
+    # a q past MODULUS_GUARD + 1 fits no n >= 1 today; should some n fit it,
+    # q is still checked to be a prime power before its rows
+    monkeypatch.setattr(SweepConfig, "fits", lambda self, q, n: True)
+    q = 3 * (gf.MODULUS_GUARD + 2)
+    cfg = SweepConfig(q_list=(q,), n_range=(0, 1))  # n <= 1 has no rows
+    with pytest.raises(NotPrimePowerError, match=f"{q} is not a prime power"):
+        sweep(cfg)
+    assert sweep(replace(cfg, q_list=(1 << 23,))).reports == ()
 
 
 def test_sweep_long_n_range_skips_fast():
