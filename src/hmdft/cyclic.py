@@ -13,8 +13,11 @@ cyclotomic coset of p^t mod N and powers it across the rest of the coset;
 F_q-valued inputs, the paper's case, take this route.  Convolution iterates
 over support pairs, which reduces to the defining double sum when both
 supports are dense but is far cheaper on sparse indicator functions; no
-certification path calls it, the tests and their oracles do.  Functions are
-immutable once built; all operations here are pure.
+certification path calls it, the tests and their oracles do.  Every least
+period comes from one prime descent, `least_period_by_descent`, over a
+caller's test for the shifts t | N: `least_period` compares the dense
+values, `symfun.mask_period` reads the mask at its support points.
+Functions are immutable once built; all operations here are pure.
 """
 
 from __future__ import annotations
@@ -280,23 +283,29 @@ def conv_power(f: CyclicFn, m: int) -> CyclicFn:
     return result
 
 
+def least_period_by_descent(N: int, is_period) -> int:
+    """Least period of a function on Z_N, given a test for the shifts t | N.
+
+    Prime descent: from r = N, for each prime l | N, replace r by r/l while
+    `is_period(r/l)`.  The periods form the subgroup r0 * Z_N, so this ends
+    at r0: after l's turn, l divides r exactly as often as it divides r0.
+    """
+    r = N
+    for ell in numtheory.prime_factors(N):
+        while r % ell == 0 and is_period(r // ell):
+            r //= ell
+    return r
+
+
 def least_period_of_sequence(vals) -> int:
-    """Least period of an arbitrary cyclic sequence, by ascending divisor scan."""
+    """Least period of an arbitrary cyclic sequence, by prime descent."""
     vals = list(vals)
     N = len(vals)
     if not N:
         raise ValueError("modulus N must be at least 1")
-    for d in numtheory.divisors(N):
-        if d == N:
-            return N
-        ok = True
-        for i in range(N - d):
-            if vals[i] != vals[i + d]:
-                ok = False
-                break
-        if ok:
-            return d
-    return N
+    # a shift t | N is a period iff vals[i + t] = vals[i] for i < N - t; the
+    # comparison stops at the first mismatch
+    return least_period_by_descent(N, lambda t: vals[t:] == vals[:-t])
 
 
 def least_period(f: CyclicFn) -> int:

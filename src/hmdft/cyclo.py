@@ -1,9 +1,10 @@
 """Cyclotomic values and the period threshold (q**n - 1) / Phi_n(q).
 
 Phi_n(q) is evaluated exactly through the Moebius product
-prod_{d|n} (q**(n/d) - 1)**mu(d), accumulating numerator and denominator
-separately and dividing exactly at the end.  Python integers are unbounded,
-so the exact-arithmetic requirement is met with no overflow mode at all.
+prod_{d|n} (q**(n/d) - 1)**mu(d) over the squarefree d | n, built from the
+prime factors of n, accumulating numerator and denominator separately and
+dividing exactly at the end.  Python integers are unbounded, so the
+exact-arithmetic requirement is met with no overflow mode at all.
 
 The threshold (q**n - 1) / Phi_n(q) is what gates every verdict downstream:
 a least period that fails to divide it certifies a degree-n element.  Both
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadDivisorPairError
-from .numtheory import divisors, mobius
+from .numtheory import divisors, prime_factors
 
 
 def cyclotomic_value(n: int, q: int) -> int:
@@ -28,13 +29,15 @@ def cyclotomic_value(n: int, q: int) -> int:
         raise ValueError("n must be at least 1")
     if q < 2:
         raise ValueError("q must be at least 2")
-    num = 1
-    den = 1
-    for d in divisors(n):
-        mu = mobius(d)
+    num = den = 1
+    # mu(d) is nonzero on the squarefree d | n alone: products of distinct primes
+    signed = [(1, 1)]
+    for p in prime_factors(n):
+        signed += [(d * p, -mu) for d, mu in signed]
+    for d, mu in signed:
         if mu == 1:
             num *= q ** (n // d) - 1
-        elif mu == -1:
+        else:
             den *= q ** (n // d) - 1
     if num % den:
         raise AssertionError("Moebius product failed to divide exactly")

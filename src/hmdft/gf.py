@@ -212,7 +212,7 @@ class FieldCtx:
         """
         p, m = self.p, self.m
         M = self.order - 1
-        fac = numtheory.prime_factors(M) if M > 1 else []
+        fac = numtheory.prime_factors(M)
         B = (2 * p - 1).bit_length() + 1
         if m == 1:
             self.zeta_code = next(c for c in range(1, p)
@@ -698,9 +698,9 @@ def make_field(p: int, m: int = 1) -> FieldCtx:
         return ctx
     if not isinstance(m, int) or m < 1:
         raise ValueError("extension degree must be a positive integer")
+    check_size(p, m, field=True)  # first, so a huge p is never factored
     if not numtheory.is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    check_size(p, m, field=True)
     if m == 1:
         modulus = (0, 1)  # the class of x; unused for prime fields
     else:
@@ -765,13 +765,10 @@ def char_poly(xi: FieldElement, q: int, n: int) -> PolyFq:
         e *= q
     cur = [1]
     for c in conj:
-        nc = ctx.neg_code(c)
-        new = [0] * (len(cur) + 1)
-        for i, a in enumerate(cur):
-            if a:
-                new[i + 1] = ctx.add_codes(new[i + 1], a)
-                new[i] = ctx.add_codes(new[i], ctx.mul_codes(nc, a))
-        cur = new
+        nxt = [0] + cur  # x * cur
+        if c:
+            _addmul(ctx, nxt, 0, ctx.neg_code(c), cur)
+        cur = nxt
     for a in cur:
         if ctx.pow_code(a, q) != a:
             raise AssertionError("characteristic polynomial left the base field")

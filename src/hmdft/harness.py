@@ -16,9 +16,11 @@ searches the field for an explicit irreducible with the prescribed
 coefficient; `sweep` drives whole parameter grids deterministically.
 
 r comes from `symfun.mask_period`, which reads the mask at its support
-points and builds no list of q**n - 1 values.  A sweep builds the dense
-`delta_mask` only to check q-symmetry.  The two mask routes share no code,
-so the dense one serves the tests as the oracle for r.
+points and builds no list of q**n - 1 values, and runs the one prime descent
+of `cyclic.least_period_by_descent`.  A sweep builds the dense `delta_mask`
+only to check q-symmetry.  The two mask routes share no mask code, so the
+dense mask, scanned for its least period by the tests' own divisor scan,
+serves the tests as the oracle for r.
 
 The regime analysis covers w <= n/2.  A sweep in full-w mode delegates
 n/2 < w < n to n - w (coefficient prescription is symmetric under taking
@@ -283,24 +285,20 @@ def sweep(cfg: SweepConfig) -> SweepResult:
     (``SweepConfig.fits``) is recorded as skipped, not fatal.  Every q up to
     MODULUS_GUARD + 1 is checked to be a prime power before its first n, by
     trial division to 2**11 at most.  A larger q fits no n >= 1 under the
-    hard limits, so it is skipped without a trial division; it is checked at
-    its first fitting n >= 1, should one fit.  For w = n only c != 0 is
-    enumerated.  The result is deterministic for a fixed configuration.
+    hard limits, so it is skipped without a trial division.  For w = n only
+    c != 0 is enumerated.  The result is deterministic for a fixed
+    configuration.
     """
     reports = []
     skipped = []
     n_lo, n_hi = cfg.n_range
     for q in sorted(set(cfg.q_list)):
-        factored = q <= MODULUS_GUARD + 1
-        if factored:  # raises for q < 2 too, before check_size forms 0**n
+        if q <= MODULUS_GUARD + 1:  # raises for q < 2 too, before check_size forms 0**n
             prime_power(q)
         for n in range(n_lo, n_hi + 1):
             if not cfg.fits(q, n):
                 skipped.append({"q": q, "n": n, "reason": "size_cap"})
                 continue
-            if not factored and n >= 1:
-                prime_power(q)
-                factored = True
             for w in cfg.weights(n):
                 if cfg.pinned_c is not None:
                     cs = [cfg.pinned_c]

@@ -1,8 +1,10 @@
 """Exact number-theoretic helpers on plain integers.
 
-Everything here uses trial division; the parameters this package meets stay
-far below the sizes where that matters.  No floating point anywhere, since
-these results feed exact divisibility verdicts.
+One routine, `factorize`, finds prime factors, by trial division; every other
+helper reads its answer from the pairs it yields.  They come lazily and in
+ascending order, so `is_prime` and `prime_power` stop at the first pair and
+never factor the cofactor of a small prime.  No floating point anywhere,
+since these results feed exact divisibility verdicts.
 """
 
 from __future__ import annotations
@@ -10,78 +12,53 @@ from __future__ import annotations
 from .errors import NotPrimePowerError
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division."""
-    if n < 2:
-        return False
-    for f in (2, 3):
-        if n % f == 0:
-            return n == f
-    f = 5
+def factorize(n: int):
+    """Yield (p, e) for each prime power p**e exactly dividing n >= 1, p ascending."""
+    f = 2
     while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
+        if n % f == 0:
+            e = 0
+            while n % f == 0:
+                n //= f
+                e += 1
+            yield f, e
+        f += 1 if f == 2 else 2
+    if n > 1:
+        yield n, 1
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality: n >= 2 is its own least prime factor."""
+    return n >= 2 and next(factorize(n))[0] == n
 
 
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n >= 1, ascending."""
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    return [p for p, _ in factorize(n)]
 
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f * f != n:
-                large.append(n // f)
-        f += 1
-    large.reverse()
-    return small + large
+    out = [1]
+    for p, e in factorize(n):
+        out = [d * p ** k for k in range(e + 1) for d in out]
+    return sorted(out)
 
 
 def mobius(n: int) -> int:
     """Moebius function: 0 on non-squarefree n, else (-1)**(#prime factors)."""
-    if n == 1:
-        return 1
-    count = 0
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            n //= f
-            if n % f == 0:
-                return 0
-            count += 1
-        f += 1 if f == 2 else 2
-    if n > 1:
-        count += 1
-    return -1 if count % 2 else 1
+    mu = 1
+    for _, e in factorize(n):
+        if e > 1:
+            return 0
+        mu = -mu
+    return mu
 
 
 def prime_power(n: int) -> tuple[int, int]:
     """Decompose n as p**e with p prime, or raise NotPrimePowerError."""
-    if n < 2:
-        raise NotPrimePowerError(f"{n} is not a prime power")
-    ps = prime_factors(n)
-    if len(ps) != 1:
-        raise NotPrimePowerError(f"{n} is not a prime power")
-    p = ps[0]
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return p, e
+    if n >= 2:
+        p, e = next(factorize(n))
+        if p ** e == n:
+            return p, e
+    raise NotPrimePowerError(f"{n} is not a prime power")

@@ -186,7 +186,10 @@ def build_root_indicator(h: PolyFq, q: int, n: int,
                  if _frobenius_fixed(folded, ctx, N, t))
         subfield_order = p ** t
     else:
-        pp, t = numtheory.prime_power(subfield_order)
+        # a subfield has order p**t with t | m*n, never above N + 1, so a
+        # larger order is refused before it is factored
+        pp, t = (numtheory.prime_power(subfield_order)
+                 if subfield_order <= N + 1 else (0, 1))
         if pp != p or (m * n) % t:
             raise BadSubfieldError(
                 f"F_{subfield_order} is not a subfield of F_{N + 1}")

@@ -29,9 +29,11 @@ other.  Since A_k(i) depends only on the multiset of digits of i, a count
 table per (q, n, w) holds A_k mod p for each digit multiset, built by an
 exact recurrence on multiplicity vectors; MaskPoints reads mask(i) from the
 multiset of i, and walks the support multiset by multiset, skipping those
-whose value is 0.  The least period is then found by prime descent: a shift
-t is a period iff mask(s + t) = mask(s) at every support point s.  The
-dense route stays for `delta`, `dft --c` and the symmetry check.
+whose value is 0.  The least period is then found by the prime descent of
+`cyclic.least_period_by_descent`, the one least-period algorithm of the
+package: a shift t is a period iff mask(s + t) = mask(s) at every support
+point s.  The dense route stays for `delta`, `dft --c` and the symmetry
+check.
 
 A function on Z_{q^n-1} is q-symmetric when it is invariant under every
 permutation of the base-q digits of its argument; phi_rho realizes one digit
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .cyclic import CyclicFn, SupportSet
+from .cyclic import CyclicFn, SupportSet, least_period_by_descent
 from .errors import (
     BadPermutationError,
     BadSubfieldError,
@@ -58,7 +60,7 @@ from .errors import (
     WeightRangeError,
 )
 from .gf import FieldCtx, FieldElement, check_size
-from .numtheory import prime_factors, prime_power
+from .numtheory import prime_power
 
 
 @dataclass(frozen=True)
@@ -347,17 +349,11 @@ class MaskPoints:
 def mask_period(q: int, n: int, w: int, c: FieldElement, ctx: FieldCtx) -> int:
     """The least period of delta_mask(q, n, w, c, ctx), with no dense mask.
 
-    Prime descent over the point values: from r = N, for each prime l | N,
-    replace r by r/l while r/l is a period.  The periods form the subgroup
-    r0 * Z_N, so this ends at r0: after l's turn, l divides r exactly as
-    often as it divides r0.
+    The prime descent of ``cyclic.least_period_by_descent`` over the point
+    values: each shift it tries is decided by ``MaskPoints.has_period``.
     """
     f = MaskPoints(q, n, w, c, ctx)
-    r = f.N
-    for ell in prime_factors(f.N):
-        while r % ell == 0 and f.has_period(r // ell):
-            r //= ell
-    return r
+    return least_period_by_descent(f.N, f.has_period)
 
 
 def digits(k: int, q: int, n: int) -> DigitVector:

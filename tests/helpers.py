@@ -12,6 +12,7 @@ import numpy as np
 from hmdft import CyclicFn, FieldElement, PolyFq, element_degree, make_field, \
     subfield_embedding
 from hmdft.cyclic import conv_power, kronecker
+from hmdft.errors import NotPrimePowerError
 from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
 from hmdft.symfun import omega
 
@@ -107,6 +108,110 @@ def brute_least_period(vals):
         if all(vals[i] == vals[(i + r) % N] for i in range(N)):
             return r
     raise AssertionError("r = N always qualifies")
+
+
+def ascending_scan_period(vals):
+    """Least period by scanning the divisors of N in ascending order.
+
+    This is ``cyclic.least_period_of_sequence`` before the prime descent;
+    the divisors come from ``divisors_loop``.
+    """
+    vals = list(vals)
+    N = len(vals)
+    if not N:
+        raise ValueError("modulus N must be at least 1")
+    for d in divisors_loop(N):
+        if d == N:
+            return N
+        ok = True
+        for i in range(N - d):
+            if vals[i] != vals[i + d]:
+                ok = False
+                break
+        if ok:
+            return d
+    return N
+
+
+# The four trial-division loops of ``numtheory`` before ``factorize``, and
+# ``prime_power`` on top of them; the oracles for the helpers that replace them.
+
+
+def is_prime_loop(n):
+    """Deterministic primality by trial division."""
+    if n < 2:
+        return False
+    for f in (2, 3):
+        if n % f == 0:
+            return n == f
+    f = 5
+    while f * f <= n:
+        if n % f == 0 or n % (f + 2) == 0:
+            return False
+        f += 6
+    return True
+
+
+def prime_factors_loop(n):
+    """Distinct prime factors of n >= 1, ascending."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def divisors_loop(n):
+    """All positive divisors of n >= 1, ascending."""
+    small, large = [], []
+    f = 1
+    while f * f <= n:
+        if n % f == 0:
+            small.append(f)
+            if f * f != n:
+                large.append(n // f)
+        f += 1
+    large.reverse()
+    return small + large
+
+
+def mobius_loop(n):
+    """Moebius function: 0 on non-squarefree n, else (-1)**(#prime factors)."""
+    if n == 1:
+        return 1
+    count = 0
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            count += 1
+        f += 1 if f == 2 else 2
+    if n > 1:
+        count += 1
+    return -1 if count % 2 else 1
+
+
+def prime_power_loop(n):
+    """Decompose n as p**e with p prime, or raise NotPrimePowerError."""
+    if n < 2:
+        raise NotPrimePowerError(f"{n} is not a prime power")
+    ps = prime_factors_loop(n)
+    if len(ps) != 1:
+        raise NotPrimePowerError(f"{n} is not a prime power")
+    p = ps[0]
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return p, e
 
 
 def digitwise_add(p, a, b):

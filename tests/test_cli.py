@@ -253,7 +253,7 @@ def test_huge_prime_q_fails_fast(capsys, monkeypatch, argv):
     def no_factoring(n):
         raise AssertionError(f"factored {n} before the size check")
 
-    monkeypatch.setattr(numtheory, "prime_factors", no_factoring)
+    monkeypatch.setattr(numtheory, "factorize", no_factoring)
     monkeypatch.delenv("HMDFT_SIZE_CAP", raising=False)
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -262,8 +262,8 @@ def test_huge_prime_q_fails_fast(capsys, monkeypatch, argv):
 
 
 def test_hm_verify_huge_prime_q_beside_a_small_one():
-    # sweep factors a q only once some n fits it, so a 61-bit prime that fits
-    # no n gets its skip rows at once instead of a trial division
+    # sweep factors no q above MODULUS_GUARD + 1, since no n fits it, so a
+    # 61-bit prime gets its skip rows at once instead of a trial division
     def hm_verify(qs):
         proc = subprocess.run([sys.executable, "-m", "hmdft.cli", "hm-verify", "--q", qs,
                                "--n", "2:3", "--no-witness", "--format", "json"],
@@ -470,7 +470,7 @@ def _cli_calls(draw):
         "--seq": draw(st.one_of(st.text(alphabet="0123456789-, ", max_size=12),
                                 st.just(_codes(draw, q, N, N) if 0 < N <= 80 else ""))),
         "--poly": _codes(draw, q, draw(st.sampled_from((3, 5, 0))), 8),
-        "--L": draw(st.sampled_from((1, 2, 3, 4, 8, 9, 0, -1))),
+        "--L": draw(st.sampled_from((1, 2, 3, 4, 8, 9, 0, -1, 2 ** 61 - 1, 2 ** 64))),
     }
     argv = [cmd]
     for flag in FUZZ_OPTIONS[cmd]:
@@ -490,6 +490,11 @@ def _cli_calls(draw):
 # each once ended in a ZeroDivisionError from 0**-1 in check_size
 @example((["factor-test", "--q", "0", "--n=-1", "--poly", "0,0,0"], "text"))
 @example((["irred-test", "--q", "0", "--poly", "0"], "text"))
+# each once factored --L = 2**61 - 1 by trial division and did not finish
+@example((["factor-test", "--q", "2", "--n", "4", "--poly", "1,1,0,0,1",
+           "--L", "2305843009213693951"], "text"))
+@example((["irred-test", "--q", "2", "--poly", "1,1,0,0,1", "--L", "2305843009213693951"],
+          "text"))
 def test_cli_fuzz(call):
     argv, fmt = call
     code, out, err = _in_process(argv)

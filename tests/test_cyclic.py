@@ -31,9 +31,11 @@ from hmdft.errors import (
     OrderMismatchError,
 )
 
+from hmdft.cyclic import least_period_by_descent
 from hmdft.gf import FieldCtx
 
 from helpers import (
+    ascending_scan_period,
     brute_convolve,
     brute_dft,
     brute_idft,
@@ -312,6 +314,33 @@ def test_least_period_divides_n_and_matches_brute():
         r = least_period(f)
         assert N % r == 0
         assert r == brute_least_period(codes)
+
+
+def test_descent_matches_ascending_scan():
+    # least periods that are proper divisors of N, and some equal to N, on
+    # N = q**n - 1 and other composite N; blocks over a small alphabet
+    rng = random.Random(13)
+    for _ in range(300):
+        N = rng.choice([12, 15, 24, 48, 63, 80, 210, 255, 360, 728, 1023, 2400, 4095])
+        d = rng.choice([d for d in range(1, N) if N % d == 0] + [N])
+        block = [rng.randrange(rng.choice([2, 3, 5])) for _ in range(d)]
+        vals = block * (N // d)
+        r = ascending_scan_period(vals)
+        assert least_period_of_sequence(vals) == r
+        assert least_period_by_descent(
+            N, lambda t: all(vals[i] == vals[(i + t) % N] for i in range(N))) == r
+
+
+def test_descent_tries_only_shifts_dividing_n():
+    tried = []
+
+    def is_period(t):
+        tried.append(t)
+        return t % 6 == 0
+
+    assert least_period_by_descent(360, is_period) == 6
+    assert tried and all(360 % t == 0 for t in tried)
+    assert least_period_by_descent(1, is_period) == 1
 
 
 def test_period_preserving_transforms():

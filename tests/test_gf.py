@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -78,6 +79,18 @@ def test_make_field_validation():
         make_field(2, 21)
     with pytest.raises(ValueError):
         make_field(2, 0)
+
+
+def test_make_field_huge_prime_fails_fast(monkeypatch):
+    # the size check comes first: trial division of 2**61 - 1 would not finish
+    def no_factoring(n):
+        raise AssertionError(f"factored {n} before the size check")
+
+    monkeypatch.setattr(numtheory, "factorize", no_factoring)
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError):
+        make_field(2 ** 61 - 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_check_size_limits():

@@ -15,10 +15,8 @@ from hmdft import (
     verify_period_claims,
 )
 from hmdft import CyclicFn, delta_mask, gf, harness
-from hmdft.cyclic import least_period
 from hmdft.errors import (
     ExcludedCaseError,
-    NotPrimePowerError,
     SizeCapError,
     WeightRangeError,
 )
@@ -26,7 +24,7 @@ from hmdft.harness import CASE_EXCLUDED, CASE_HALF, CASE_MAX, CASE_NORM, CASE_SM
 from hmdft.numtheory import prime_power
 from hmdft.symfun import _multiset_counts
 
-from helpers import fits_oracle
+from helpers import ascending_scan_period, fits_oracle
 
 
 def test_classify_case_table():
@@ -151,15 +149,17 @@ def test_sweep_size_cap_recorded_not_fatal(monkeypatch):
         assert res.skipped == ({"q": 2, "n": n, "reason": "size_cap"},)
 
 
-def test_sweep_factors_a_large_q_at_its_first_fitting_n(monkeypatch):
-    # a q past MODULUS_GUARD + 1 fits no n >= 1 today; should some n fit it,
-    # q is still checked to be a prime power before its rows
-    monkeypatch.setattr(SweepConfig, "fits", lambda self, q, n: True)
+def test_sweep_skips_a_large_q_without_factoring_it(monkeypatch):
+    # a q past MODULUS_GUARD + 1 fits no n >= 1 under check_size, so it gets
+    # its skip rows and is never factored; n = 0 fits but has no rows
+    def no_factoring(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(harness, "prime_power", no_factoring)
     q = 3 * (gf.MODULUS_GUARD + 2)
-    cfg = SweepConfig(q_list=(q,), n_range=(0, 1))  # n <= 1 has no rows
-    with pytest.raises(NotPrimePowerError, match=f"{q} is not a prime power"):
-        sweep(cfg)
-    assert sweep(replace(cfg, q_list=(1 << 23,))).reports == ()
+    res = sweep(SweepConfig(q_list=(q,), n_range=(0, 3)))
+    assert res.reports == ()
+    assert res.skipped == tuple({"q": q, "n": n, "reason": "size_cap"} for n in (1, 2, 3))
 
 
 def test_sweep_long_n_range_skips_fast():
@@ -220,8 +220,9 @@ def test_sweep_symmetry_check():
 
 
 def test_sweep_periods_match_dense_route_on_periods_grid():
-    # the point route against least_period of the dense mask, on every row of
-    # the no-witness sweep at cap 2*10**5 (the periods-2e5 benchmark grid)
+    # the point route against the ascending divisor scan of the dense mask, on
+    # every row of the no-witness sweep at cap 2*10**5 (the periods-2e5
+    # benchmark grid); least_period would share mask_period's prime descent
     res = sweep(SweepConfig(q_list=(2, 3, 4, 5, 7, 8, 9), n_range=(2, 12),
                             size_cap=200000, with_witness=False))
     rows = [r for r in res.reports if r.case_label != CASE_EXCLUDED]
@@ -229,7 +230,7 @@ def test_sweep_periods_match_dense_route_on_periods_grid():
     for r in rows:
         ctx = gf.make_field(*prime_power(r.q))
         mask = delta_mask(r.q, r.n, r.w, ctx.element(r.c), ctx)
-        assert r.r == least_period(mask), (r.q, r.n, r.w, r.c)
+        assert r.r == ascending_scan_period(mask.codes), (r.q, r.n, r.w, r.c)
 
 
 def test_sweep_builds_dense_masks_only_for_symmetry(monkeypatch):

@@ -1,0 +1,63 @@
+import time
+
+import pytest
+
+from hmdft.errors import NotPrimePowerError
+from hmdft.numtheory import divisors, factorize, is_prime, mobius, prime_factors, prime_power
+
+from helpers import divisors_loop, is_prime_loop, mobius_loop, prime_factors_loop, \
+    prime_power_loop
+
+# every N = q**n - 1 up to MODULUS_GUARD = 2**22, for q <= 9
+GROUP_ORDERS = sorted({q ** n - 1 for q in range(2, 10) for n in range(1, 23)
+                       if q ** n - 1 <= 1 << 22} - {0})
+
+
+def _prime_power_or_message(fn, n):
+    try:
+        return fn(n)
+    except NotPrimePowerError as exc:
+        return str(exc)
+
+
+def _assert_agree(n):
+    assert is_prime(n) == is_prime_loop(n), n
+    assert prime_factors(n) == prime_factors_loop(n), n
+    assert divisors(n) == divisors_loop(n), n
+    assert mobius(n) == mobius_loop(n), n
+    assert _prime_power_or_message(prime_power, n) == \
+        _prime_power_or_message(prime_power_loop, n), n
+
+
+def test_helpers_agree_with_trial_division_loops():
+    for n in range(1, 20001):
+        _assert_agree(n)
+
+
+def test_helpers_agree_with_trial_division_loops_on_group_orders():
+    assert len(GROUP_ORDERS) > 50
+    for N in GROUP_ORDERS:
+        _assert_agree(N)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 97, 360, 65535, 2 ** 20, 3 ** 13 - 1])
+def test_factorize_yields_ascending_prime_powers(n):
+    pairs = list(factorize(n))
+    assert [p for p, _ in pairs] == sorted({p for p, _ in pairs})
+    assert all(is_prime_loop(p) and e >= 1 for p, e in pairs)
+    product = 1
+    for p, e in pairs:
+        product *= p ** e
+    assert product == n
+
+
+def test_primality_and_prime_power_stop_at_the_first_pair():
+    # trial division of the cofactor 2**61 - 1 would not finish
+    big = 2 ** 61 - 1
+    start = time.perf_counter()
+    assert not is_prime(3 * big)
+    with pytest.raises(NotPrimePowerError):
+        prime_power(2 * big)
+    assert prime_power(3 ** 40) == (3, 40)
+    assert mobius(4 * big) == 0
+    assert time.perf_counter() - start < 1

@@ -28,6 +28,7 @@ from hmdft.errors import (
     BadSubfieldError,
     CtxMismatchError,
     DegreeMismatchError,
+    NotPrimePowerError,
     SizeCapError,
     ZeroPolynomialError,
 )
@@ -81,6 +82,24 @@ def test_build_root_indicator_validation():
     with pytest.raises(BadSubfieldError):
         # image of x on F_4* is F_4*, not contained in F_2
         build_root_indicator(h, 2, 2, subfield_order=2)
+
+
+def test_root_indicator_refuses_a_huge_L_before_factoring_it(monkeypatch):
+    # an order above q**n names no subfield; factoring 2**61 - 1 by trial
+    # division would not finish
+    def no_factoring(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(numtheory, "factorize", no_factoring)
+    for L in (17, 2 ** 61 - 1, 2 ** 64):
+        with pytest.raises(BadSubfieldError, match="is not a subfield of F_16"):
+            build_root_indicator(H_EX15, 2, 4, subfield_order=L)
+
+
+@pytest.mark.parametrize("L", [1, 0, -1])
+def test_root_indicator_L_below_two_is_not_a_prime_power(L):
+    with pytest.raises(NotPrimePowerError):
+        build_root_indicator(H_EX15, 2, 4, subfield_order=L)
 
 
 def test_root_indicator_L_independent():
