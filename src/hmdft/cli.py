@@ -20,9 +20,9 @@ import argparse
 import csv
 import functools
 import io
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .cyclic import CyclicFn, dft, idft, least_period_of_sequence
 from .cyclo import threshold
@@ -66,9 +66,69 @@ def _poly_from_codes(q: int, codes: list[int]) -> PolyFq:
     return PolyFq(make_field(*prime_power(q)), codes)
 
 
+# how json writes each scalar type a payload holds
+_SCALARS = {bool: {True: "true", False: "false"}.__getitem__, int: int.__repr__,
+            str: encode_basestring_ascii, type(None): lambda v: "null"}
+_INT_RUN = 4096
+
+
+def _json(v) -> str:
+    """The text of ``json.dumps(v, indent=2)``, without its pure-Python encoder.
+
+    The parts go into one list, joined once.  A list of plain ints is one
+    join per run of `_INT_RUN` values, and a scalar one table lookup and
+    one call.  Payloads hold dicts with string keys, lists, tuples, str,
+    int, bool and None alone, so anything else (floats included) is
+    refused with TypeError.
+    """
+    parts: list[str] = []
+    _json_parts(v, "\n", parts.append)
+    return "".join(parts)
+
+
+def _json_parts(v, nl: str, put) -> None:
+    """Pass the parts of v's JSON text to `put`; `nl` starts v's last line."""
+    enc = _SCALARS.get(type(v))
+    if enc is not None:
+        put(enc(v))
+        return
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(v, dict):
+        if not v:
+            put("{}")
+            return
+        pre = "{" + inner
+        for k, x in v.items():
+            put(pre + encode_basestring_ascii(k) + ": ")
+            _json_parts(x, inner, put)
+            pre = sep
+        put(nl + "}")
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            put("[]")
+        elif set(map(type, v)) == {int}:
+            # joined a run at a time, so a long list never has a str per
+            # value alive at once
+            pre = "[" + inner
+            for i in range(0, len(v), _INT_RUN):
+                put(pre + sep.join(map(int.__repr__, v[i:i + _INT_RUN])))
+                pre = sep
+            put(nl + "]")
+        else:
+            pre = "[" + inner
+            for x in v:
+                put(pre)
+                _json_parts(x, inner, put)
+                pre = sep
+            put(nl + "]")
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
 def _emit(payload, fmt: str, out: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json(payload) + "\n"
     elif fmt == "csv":
         text = _to_csv(payload)
     else:

@@ -11,11 +11,14 @@ a least period that fails to divide it certifies a degree-n element.  Both
 classical identities
     Phi_n(q) = gcd{(q**n - 1)/(q**d - 1) : d | n, d < n}
     (q**n - 1)/Phi_n(q) = lcm{q**d - 1 : d | n, d < n}
-are re-derived on every threshold call as a self-check.
+are re-derived as a self-check the first time each (n, q) is asked for;
+`threshold` is memoised, since a sweep asks for the same (n, q) once per
+row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +47,7 @@ def cyclotomic_value(n: int, q: int) -> int:
     return num // den
 
 
+@functools.cache
 def threshold(n: int, q: int) -> int:
     """(q**n - 1) / Phi_n(q) for n >= 2, cross-checked against gcd/lcm forms."""
     if n < 2:

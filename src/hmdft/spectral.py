@@ -8,8 +8,13 @@ containing the image h(F_{q^n}^x), the reduced polynomial
 acts on F_{q^n}^x as the indicator of h's roots.  If the cyclic sequence of
 S's coefficients has least period r not dividing (q**n - 1)/Phi_n(q), then h
 has an irreducible factor of degree n; applied to h of degree n itself this
-proves h irreducible.  S is built from the power sums of those roots, which
-lie in F_q, so neither F_{q^n} nor the power of h is ever formed.
+proves h irreducible.
+
+By the support lemma (`cyclic.dft_period_by_support`) r is the
+multiplicative order of x modulo g = gcd(h, x**(q**n - 1) - 1), and the
+verdicts compute it that way, never forming S.  `build_root_indicator`
+forms S from the power sums of g's roots, which lie in F_q, for the tests
+to compare against.  Neither route builds F_{q^n} or the power of h.
 
 Every test here returns a two-valued Verdict: "Proven" when the sufficient
 condition held, "Inconclusive" otherwise.  Inconclusive never asserts a
@@ -30,7 +35,12 @@ import math
 from dataclasses import dataclass
 
 from . import numtheory
-from .cyclic import CyclicFn, SupportSet, dft_period_by_support, least_period
+from .cyclic import (
+    CyclicFn,
+    SupportSet,
+    dft_period_by_support,
+    least_period_by_descent,
+)
 from .cyclo import threshold
 from .errors import (
     BadSubfieldError,
@@ -70,7 +80,10 @@ class Verdict:
 
 @dataclass(frozen=True)
 class RootIndicator:
-    """The reduced power S(x) for a base polynomial, with its coefficient sequence."""
+    """The reduced power S(x) for a base polynomial, with its coefficient sequence.
+
+    Built by `build_root_indicator` alone; no certification path forms it.
+    """
 
     base: PolyFq
     subfield_order: int
@@ -129,6 +142,8 @@ def _root_power_sums(g: PolyFq, N: int) -> list[int]:
     u_0 = deg g, and u_k = sum_{i=1..min(k-1, e)} a_i u_{k-i}, plus k a_k
     while k <= e, with a_i = -g_{e-i}: Newton's identities up to e, g's own
     linear recurrence after.  g is over F_q, so every u_k lies in F_q.
+
+    No certification path calls it; `build_root_indicator` does.
     """
     ctx = g.ctx
     e = g.degree  # e < N: g divides h mod (x**N - 1), which is not 0
@@ -154,21 +169,15 @@ def _root_power_sums(g: PolyFq, N: int) -> list[int]:
     return u
 
 
-def build_root_indicator(h: PolyFq, q: int, n: int,
-                         subfield_order: int | None = None) -> RootIndicator:
-    """Compute S(x) = (1 - h**(#L - 1)) mod (x**(q**n - 1) - 1) over F_q.
+def _root_gcd(h: PolyFq, q: int, n: int,
+              subfield_order: int | None) -> tuple[int, int, PolyFq | None]:
+    """Validate a root-indicator request; return (N, #L, g).
 
-    `subfield_order` names the order of L, a subfield of F_{q^n} that must
-    contain the image h(F_{q^n}^x); the containment is validated.  When None,
-    the smallest such L is reported.  Any valid L yields the same S.
-
-    S is 1 exactly at the roots of h among the N = q**n - 1 roots of unity
-    and 0 elsewhere, so its coefficients are that set's inverse transform:
-    s_j = -u_{-j mod N}, u_k the k-th power sum of the roots of
-    g = gcd(h, x**N - 1).  These are computed over F_q from g alone
-    (`_root_power_sums`); no field F_{q^n} is built and h is evaluated
-    nowhere.  L is found, or checked, by the Frobenius fixed-point test on
-    h mod (x**N - 1) (`_frobenius_fixed`).
+    N = q**n - 1, #L the validated (or, when None, the smallest) order of a
+    subfield of F_{q^n} containing h(F_{q^n}^x), found or checked by the
+    Frobenius fixed-point test on h mod (x**N - 1) (`_frobenius_fixed`),
+    and g = gcd(h, x**N - 1) monic, or None when h vanishes at every N-th
+    root of unity.  g is squarefree, since p does not divide N.
     """
     if h.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no root indicator")
@@ -196,13 +205,39 @@ def build_root_indicator(h: PolyFq, q: int, n: int,
         if not _frobenius_fixed(folded, ctx, N, t):
             raise BadSubfieldError(
                 f"image of h is not contained in F_{subfield_order}")
-    if folded:
-        hbar = PolyFq(ctx, [folded.get(j, 0) for j in range(max(folded) + 1)])
-        g = poly_gcd(PolyFq.x(ctx).pow_mod(N, hbar) - PolyFq(ctx, (1,)), hbar)
+    if not folded:  # h vanishes at every root of unity
+        return N, subfield_order, None
+    hbar = PolyFq(ctx, [folded.get(j, 0) for j in range(max(folded) + 1)])
+    g = poly_gcd(PolyFq.x(ctx).pow_mod(N, hbar) - PolyFq(ctx, (1,)), hbar)
+    return N, subfield_order, g
+
+
+def build_root_indicator(h: PolyFq, q: int, n: int,
+                         subfield_order: int | None = None) -> RootIndicator:
+    """Compute S(x) = (1 - h**(#L - 1)) mod (x**(q**n - 1) - 1) over F_q.
+
+    `subfield_order` names the order of L, a subfield of F_{q^n} that must
+    contain the image h(F_{q^n}^x); the containment is validated.  When None,
+    the smallest such L is reported.  Any valid L yields the same S.
+
+    S is 1 exactly at the roots of h among the N = q**n - 1 roots of unity
+    and 0 elsewhere, so its coefficients are that set's inverse transform:
+    s_j = -u_{-j mod N}, u_k the k-th power sum of the roots of
+    g = gcd(h, x**N - 1).  These are computed over F_q from g alone
+    (`_root_power_sums`); no field F_{q^n} is built and h is evaluated
+    nowhere.
+
+    No certification path calls it; tests and their oracles do.  The
+    verdicts read S's least period as the order of x modulo g, and the
+    tests hold them to this dense construction.
+    """
+    N, subfield_order, g = _root_gcd(h, q, n, subfield_order)
+    ctx = h.ctx
+    if g is not None:
         u = _root_power_sums(g, N)
         neg = ctx.neg_code
         s_codes = [neg(u[-j]) for j in range(N)]  # u[-0] is u_0
-    else:  # h vanishes at every root of unity
+    else:
         s_codes = [1] + [0] * (N - 1)
     s_fn = CyclicFn(ctx, s_codes)
     return RootIndicator(base=h, subfield_order=subfield_order,
@@ -213,14 +248,26 @@ def degree_n_factor_test(h: PolyFq, q: int, n: int,
                          subfield_order: int | None = None) -> Verdict:
     """Proven when h provably has an irreducible factor of degree n over F_q.
 
-    Computes the least period r of the coefficient sequence of the root
-    indicator; r not dividing (q**n - 1)/Phi_n(q) is the certificate.
+    The certificate is the least period r of the root indicator's
+    coefficient sequence not dividing (q**n - 1)/Phi_n(q).  r is the order
+    of x modulo g = gcd(h, x**N - 1), the least t | N with g | x**t - 1,
+    found by prime descent; S itself is never formed.  The power sums
+    u_k = sum rho**k over the roots rho of g (squarefree) have period t
+    exactly when every rho**t = 1, the characters k -> rho**k of Z_N being
+    linearly independent, and s_j = -u_{-j} has the same least period.  g = 1
+    (no roots on the N-th roots of unity) gives r = 1; h vanishing at all of
+    them gives S = 1 at every point and r = N.
     """
-    ri = build_root_indicator(h, q, n, subfield_order)
-    r = least_period(ri.coeff_seq)
+    N, _, g = _root_gcd(h, q, n, subfield_order)
+    if g is None:
+        r = N
+    else:
+        x, one = PolyFq.x(h.ctx), PolyFq(h.ctx, (1,))
+        r = least_period_by_descent(
+            N, lambda t: ((x.pow_mod(t, g) - one) % g).is_zero())
     thr = threshold(n, q)
     status = PROVEN if thr % r else INCONCLUSIVE
-    return Verdict(status=status, least_period=r, threshold=thr, modulus=q ** n - 1)
+    return Verdict(status=status, least_period=r, threshold=thr, modulus=N)
 
 
 def support_degree_test(s: SupportSet, q: int, n: int) -> SupportDegreeReport:

@@ -13,14 +13,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hmdft
-from hmdft import numtheory
-from hmdft.cli import _check_grid, _parse_ints, main
+from hmdft import cli, numtheory
+from hmdft.cli import _check_grid, _json, _parse_ints, main
 from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
 from hmdft.harness import SweepConfig
 
 from helpers import check_grid_oracle, parse_ints_oracle
 
 EX15_POLY = "0,0,0,1,0,1,1,0,0,1,1,0,1"
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _json_output_is_the_stdlib_text():
+    """Every --format json output in this module is json.dumps(payload, indent=2)."""
+    def checked(payload):
+        text = _json(payload)
+        assert text == json.dumps(payload, indent=2)
+        return text
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_json", checked)
+        yield
 
 
 def run(capsys, *argv):
@@ -506,3 +519,36 @@ def test_cli_fuzz(call):
             assert list(csv.reader(io.StringIO(out)))
     else:
         assert code == 2 and out == "" and err.strip()
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.integers(min_value=-2 ** 300, max_value=2 ** 300) | st.text())
+
+
+def _json_containers(children):
+    return (st.lists(children) | st.lists(st.integers() | st.booleans())
+            | st.lists(st.integers()).map(tuple)
+            | st.dictionaries(st.text(), children))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.recursive(_JSON_SCALARS, _json_containers, max_leaves=20))
+@example([True, 1, False, 0, None])
+@example({"": [], "a": {}, "b": [[]], "\u00e9\x00\n\"\\": "\U0001f600\x1f\u2028"})
+@example([2 ** 200, -(2 ** 64), [1, 2, 3], (4, 5), [True, [0]]])
+def test_json_text_is_the_stdlib_text(value):
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("size", [cli._INT_RUN - 1, cli._INT_RUN, cli._INT_RUN + 1,
+                                  3 * cli._INT_RUN + 5])
+def test_json_long_int_lists_cross_run_boundaries(size):
+    values = [(i * 7919) % 65536 - 3 for i in range(size)] + [2 ** 70]
+    for value in ({"values": values}, [values, values[:3]], values):
+        assert _json(value) == json.dumps(value, indent=2)
+
+
+def test_json_refuses_what_no_payload_holds():
+    for value in (object(), {1, 2}, b"x", [1, object()], 1.5, {"r": [0.5]}):
+        with pytest.raises(TypeError):
+            _json(value)

@@ -82,3 +82,16 @@ def test_cyclo_value_record():
     assert cv == CycloValue(n=6, q=2, phi=3, threshold=21)
     with pytest.raises(AssertionError):
         CycloValue(n=6, q=2, phi=3, threshold=20)
+
+
+def test_threshold_memo_matches_the_uncached_function():
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25):
+        for n in range(2, 300):
+            assert threshold(n, q) == threshold.__wrapped__(n, q), (n, q)
+
+
+def test_threshold_repeated_call_is_a_cache_hit():
+    threshold(12, 3)
+    hits = threshold.cache_info().hits
+    assert threshold(12, 3) == 531440 // cyclotomic_value(12, 3)
+    assert threshold.cache_info().hits == hits + 1

@@ -1,7 +1,8 @@
 """The package's import structure, read from its source with ``ast``.
 
-Every import sits at module level, and the package-relative imports between
-the modules of ``src/hmdft`` form no cycle.
+Every import sits at module level, the package-relative imports between the
+modules of ``src/hmdft`` form no cycle, and no JSON text is written with an
+``indent``, which sends CPython's encoder down its pure-Python path.
 """
 
 import ast
@@ -73,3 +74,16 @@ def test_cycle_finder():
     assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert _cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
     assert _cycle({"a": {"a"}}) == ["a", "a"]
+
+
+def test_no_indented_json_encoding():
+    found = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords):
+                func = node.func
+                fname = func.attr if isinstance(func, ast.Attribute) else \
+                    getattr(func, "id", None)
+                if fname in ("dumps", "dump", "JSONEncoder"):
+                    found.append(f"{name}.py:{node.lineno}")
+    assert found == []

@@ -1,5 +1,9 @@
+import importlib.util
 import itertools
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +25,9 @@ from hmdft import (
     support_degree_test,
     threshold,
 )
-from hmdft import gf, numtheory
+from hmdft import gf, numtheory, spectral
 from hmdft.cli import main
-from hmdft.cyclic import CyclicFn
+from hmdft.cyclic import CyclicFn, dft_period_by_support, least_period
 from hmdft.errors import (
     BadSubfieldError,
     CtxMismatchError,
@@ -32,6 +36,7 @@ from hmdft.errors import (
     SizeCapError,
     ZeroPolynomialError,
 )
+from hmdft.spectral import INCONCLUSIVE, PROVEN
 
 from helpers import brute_is_irreducible, powering_root_indicator
 
@@ -401,3 +406,170 @@ def test_verdict_threshold_wiring():
     v = degree_n_factor_test(H_EX15, 2, 4)
     assert v.threshold == threshold(4, 2)
     assert v.modulus == 15
+
+
+# ----------------------------------------------------------------------
+# the order route: r as the order of x modulo gcd(h, x**N - 1)
+
+
+def _dense_period(h, q, n):
+    """r read off the dense root indicator, which the verdicts never form."""
+    return least_period(build_root_indicator(h, q, n).coeff_seq)
+
+
+def _root_support_period(h, q, n):
+    """r by the support lemma on the root exponents of h, found by evaluation.
+
+    Lifts h to F_{q^n} and evaluates it at every zeta**e; shares no code
+    with either root-indicator route.
+    """
+    N = q ** n - 1
+    big = make_field(h.ctx.p, h.ctx.m * n)
+    h_big = subfield_embedding(h.ctx, big).lift_poly(h)
+    zeta = primitive_element(big)
+    roots, point = [], big.one()
+    for e in range(N):
+        if h_big(point).code == 0:
+            roots.append(e)
+        point = point * zeta
+    return dft_period_by_support(SupportSet(N, roots))
+
+
+def _assert_order_route(h, q, n, oracles=(_dense_period, _root_support_period)):
+    v = degree_n_factor_test(h, q, n)
+    thr = threshold(n, q)
+    for oracle in oracles:
+        r = oracle(h, q, n)
+        assert (v.least_period, v.threshold, v.status) == \
+            (r, thr, PROVEN if thr % r else INCONCLUSIVE), (h, q, n, oracle)
+    return v
+
+
+# monic h of degree <= ORDER_GRID[q] over F_q, for each n with q**n - 1 <= 255
+ORDER_GRID = {2: 5, 3: 3, 4: 2, 5: 2}
+
+
+def test_order_route_matches_both_oracles_every_small_monic_h():
+    periods = set()
+    for q, max_degree in ORDER_GRID.items():
+        ctx = make_field(*FIELDS[q])
+        n = 2
+        while q ** n - 1 <= 255:
+            for d in range(max_degree + 1):
+                for codes in itertools.product(range(q), repeat=d):
+                    v = _assert_order_route(PolyFq(ctx, list(codes) + [1]), q, n)
+                    periods.add((q, n, v.least_period))
+            n += 1
+    # the grid reaches r = 1 (no roots), a proper divisor and r = N
+    assert {(2, 4, 1), (2, 4, 5), (2, 4, 15), (3, 2, 4)} <= periods
+
+
+def _workloads_module():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("spectral_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_order_route_matches_dense_route_on_the_seeded_requests():
+    # the irred-test and factor-test inputs of the spectral benchmark, plus
+    # one of each per pair drawn the same way, as the benchmark leaves some
+    # (pair, kind) out
+    workloads = _workloads_module()
+    cases = []
+    for seed in (1, 2):
+        for argv in workloads.spectral_requests(seed):
+            opts = dict(zip(argv[1::2], argv[2::2]))
+            if argv[0] != "dft":
+                q = int(opts["--q"])
+                codes = list(map(int, opts["--poly"].split(",")))
+                cases.append((q, int(opts.get("--n", len(codes) - 1)), codes))
+        rng = random.Random(seed)
+        for q, n in workloads.SPECTRAL_PAIRS:
+            cases += [(q, n, workloads.random_poly(rng, q, d)) for d in (n, n + 3)]
+    for q, n, codes in cases:
+        _assert_order_route(PolyFq(make_field(*FIELDS[q]), codes), q, n,
+                            oracles=(_dense_period,))
+    assert {(q, n) for q, n, _ in cases} == set(workloads.SPECTRAL_PAIRS)
+
+
+@pytest.mark.parametrize("q,n,codes,r", [
+    (2, 4, [1], 1),                           # constants: g = 1
+    (3, 2, [2], 1),
+    (4, 3, [3], 1),
+    (2, 4, [0, 0, 0, 1], 1),                  # x**k: no root on mu_N
+    (5, 2, [0] * 7 + [1], 1),
+    (2, 4, [1] + [0] * 14 + [1], 15),         # x**15 - 1 folds to 0: r = N
+    (3, 2, [2] + [0] * 7 + [1], 8),           # x**8 - 1
+    (4, 2, [2, 1] + [0] * 13 + [2, 1], 15),   # (x**15 - 1)(x + 2)
+    (3, 3, [0, 1, 0, 1], 1),                  # x(x**2 + 1): roots outside mu_26
+    (9, 2, [0, 0, 5, 1, 7], None),            # divisible by x**2
+])
+def test_order_route_edge_cases(q, n, codes, r):
+    v = _assert_order_route(PolyFq(make_field(*FIELDS[q]), codes), q, n)
+    assert r is None or v.least_period == r
+
+
+def test_order_route_every_valid_L_gives_the_same_verdict():
+    for h, q, n in ((H_EX15, 2, 4), (PolyFq(F3, [1, 2, 0, 1]), 3, 4),
+                    (PolyFq(make_field(2, 2), [2, 1, 3]), 4, 3)):
+        smallest = build_root_indicator(h, q, n).subfield_order
+        _, t0 = numtheory.prime_power(smallest)
+        verdicts = {degree_n_factor_test(h, q, n, h.ctx.p ** t)
+                    for t in numtheory.divisors(h.ctx.m * n) if t % t0 == 0}
+        assert verdicts == {degree_n_factor_test(h, q, n)}
+        assert verdicts.pop().least_period == _dense_period(h, q, n)
+
+
+@pytest.mark.parametrize("argv,code,report", [
+    (["irred-test", "--q", "2", "--poly", "1,1,0,1,0,1" + ",0" * 10 + ",1"], 0,
+     {"status": "Proven", "r": 21845, "threshold": 255}),
+    (["factor-test", "--q", "3", "--n", "8", "--poly", "1,2,0,0,2,1,0,0,2,1,2,1"], 0,
+     {"status": "Proven", "r": 160, "threshold": 80}),
+])
+def test_verdicts_never_form_the_root_indicator(monkeypatch, capsys, argv, code, report):
+    def no_dense_route(*args):
+        raise AssertionError("the verdict formed the root indicator")
+
+    monkeypatch.setattr(spectral, "_root_power_sums", no_dense_route)
+    assert main(argv) == code
+    assert capsys.readouterr().out == "".join(f"{k}: {v}\n" for k, v in report.items())
+    assert main(argv + ["--format", "json"]) == code
+    assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+
+# (arguments, exit code, stdout, stderr) of factor-test and irred-test with --L
+L_CASES = [
+    ("factor-test --q 2 --n 4 --poly 0,0,0,1,0,1,1,0,0,1,1,0,1 --L 8", 2, "",
+     "error: F_8 is not a subfield of F_16\n"),
+    ("factor-test --q 2 --n 4 --poly 0,0,0,1,0,1,1,0,0,1,1,0,1 --L 2", 0,
+     "status: Proven\nr: 15\nthreshold: 3\n", ""),
+    ("factor-test --q 2 --n 2 --poly 0,1 --L 2", 2, "",
+     "error: image of h is not contained in F_2\n"),
+    ("factor-test --q 2 --n 2 --poly 0,1 --L 4", 1,
+     "status: Inconclusive\nr: 1\nthreshold: 1\n", ""),
+    ("factor-test --q 4 --n 2 --poly 2 --L 2", 2, "",
+     "error: image of h is not contained in F_2\n"),
+    ("factor-test --q 2 --n 4 --poly 1" + ",0" * 14 + ",1 --L 2", 0,
+     "status: Proven\nr: 15\nthreshold: 3\n", ""),
+    ("irred-test --q 2 --poly 1,1,0,0,1 --L 17", 2, "",
+     "error: F_17 is not a subfield of F_16\n"),
+    ("irred-test --q 2 --poly 1,1,0,0,1 --L 2305843009213693951", 2, "",
+     "error: F_2305843009213693951 is not a subfield of F_16\n"),
+    ("irred-test --q 2 --poly 1,1,0,0,1 --L 1", 2, "", "error: 1 is not a prime power\n"),
+    ("irred-test --q 2 --poly 1,1,0,0,1 --L 0", 2, "", "error: 0 is not a prime power\n"),
+    ("irred-test --q 2 --poly 1,1,0,0,1 --L -1", 2, "",
+     "error: -1 is not a prime power\n"),
+    ("irred-test --q 2 --poly 1,1,0,0,1 --L 6", 2, "", "error: 6 is not a prime power\n"),
+    ("irred-test --q 3 --poly 1,2,0,1 --L 9", 2, "", "error: F_9 is not a subfield of F_27\n"),
+    ("irred-test --q 3 --poly 1,2,0,1 --L 27", 0,
+     "status: Proven\nr: 26\nthreshold: 2\n", ""),
+]
+
+
+@pytest.mark.parametrize("args,code,out,err", L_CASES, ids=[c[0] for c in L_CASES])
+def test_L_validation_and_exit_codes_unchanged(capsys, args, code, out, err):
+    assert main(args.split()) == code
+    assert capsys.readouterr() == (out, err)
