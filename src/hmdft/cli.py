@@ -304,28 +304,37 @@ def _cmd_witness(args) -> int:
 
 
 def _check_grid(cfg: SweepConfig) -> None:
-    """ValueError unless some (q, n) of the grid fits and has a w to cover.
+    """ValueError unless some (q, n) of the grid fits and has a row to report.
 
-    Decided with no step per n of a long range: the w test in closed form,
-    and the size test only up to the bit length of the size limit, past
-    which ``check_size`` refuses every n (n <= 23 for any cap >= 0).
+    A (w, c) with w = n and c = 0 is no row (the norm of a nonzero element is
+    never 0), so a grid of only such pairs is empty too.  Decided with no
+    step per n of a long range: the row test in closed form, and the size
+    test only up to the bit length of the size limit, past which
+    ``check_size`` refuses every n (n <= 23 for any cap >= 0).
     """
     lo, hi = cfg.n_range
     if not cfg.q_list:
         raise ValueError("--q names no field size")
     if lo > hi:
         raise ValueError(f"--n range {lo}:{hi} is empty")
-    # cfg.weights(n) is nonempty exactly from n = w_lo on (never if w_lo < 1)
+    # cfg.weights(n) is nonempty exactly from n = n_lo on (never if n_lo < 1)
     if cfg.pinned_w is not None:
-        w_lo = cfg.pinned_w
+        n_lo = cfg.pinned_w
     else:
-        w_lo = 1 if cfg.w_policy == "full" else 2
-    if w_lo < 1 or hi < w_lo:
+        n_lo = 1 if cfg.w_policy == "full" else 2
+    if n_lo < 1 or hi < n_lo:
         raise ValueError(f"no w fits any n in {lo}:{hi}")
+    # with c pinned to 0, the least w is a row only once it is below n (the
+    # w of a half-w grid always are)
+    if cfg.pinned_c == 0 and (cfg.pinned_w is not None or cfg.w_policy == "full"):
+        n_lo += 1
+        if hi < n_lo:
+            raise ValueError(f"the only rows in {lo}:{hi} have w = n and c = 0, "
+                             f"and no norm is 0")
     # check_size refuses every n past the bit length of its limit
     n_hi = min(hi, min(cfg.size_cap, MODULUS_GUARD).bit_length())
     if not any(cfg.fits(q, n) for q in cfg.q_list
-               for n in range(max(lo, w_lo), n_hi + 1)):
+               for n in range(max(lo, n_lo), n_hi + 1)):
         raise ValueError(f"every (q, n) in the grid is over the size cap "
                          f"{cfg.size_cap} or a hard limit")
 

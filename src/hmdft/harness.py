@@ -15,6 +15,12 @@ computes r exactly and checks every claim; `find_witness` independently
 searches the field for an explicit irreducible with the prescribed
 coefficient; `sweep` drives whole parameter grids deterministically.
 
+A witness is the characteristic polynomial of some power of the canonical
+generator of F_{q^n}; its coefficients are constant on Frobenius orbits, so
+the search visits orbit leaders only, and one scan per (q, n) answers every
+(w, c) row of a sweep.  Each distinct witness is verified once by Rabin's
+test (`oracle_irreducible`) before any row reports it.
+
 r comes from `symfun.mask_period`, which reads the mask at its support
 points and builds no list of q**n - 1 values, and runs the one prime descent
 of `cyclic.least_period_by_descent`.  A sweep builds the dense `delta_mask`
@@ -41,10 +47,9 @@ from .gf import (
     PolyFq,
     char_poly,
     check_size,
-    element_degree,
+    element_degree,  # unused here; perfbench/tracing.py counts its calls by this name
     make_field,
     oracle_irreducible,
-    primitive_element,
     subfield_embedding,
 )
 from .numtheory import prime_power
@@ -209,56 +214,83 @@ def find_witness(q: int, n: int, w: int, c: int,
                  cap: int = DEFAULT_SIZE_CAP) -> PolyFq | None:
     """Search for a monic irreducible of degree n over F_q with [x**(n-w)] = c.
 
-    Scans powers of the canonical generator in ascending exponent order and
-    returns the characteristic polynomial of the first degree-n element whose
-    (n-w)-coefficient matches; the result is oracle-verified before return.
-    Returns None only after exhausting the whole field (which happens exactly
-    for the genuine exceptions).
+    The one-row call of the orbit-leader scan ``_witnesses``: the
+    characteristic polynomial of the least power of the canonical generator
+    with degree n and the prescribed coefficient, oracle-verified.  None
+    only once every orbit leader is used up (exactly the genuine exceptions).
+    """
+    return _witnesses(q, n, [(w, c)], cap)[w, c]
+
+
+def _witnesses(q: int, n: int, rows, cap: int) -> dict:
+    """Witness or None for every (w, c) of ``rows``, from one scan of F_{q^n}.
+
+    char_poly(zeta**k) is constant on the Frobenius orbit {k*q**s mod M}
+    (M = q**n - 1), whose size is the degree of zeta**k over F_q.  So the
+    scan forms it only for orbit leaders of size n, in ascending k, and
+    matches it against every pending (n - w, lifted c) key at once, until
+    no row is pending.  The least matching k always leads its orbit, so each
+    row gets the polynomial of a scan of every power.  Each distinct
+    witness is verified once.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not 1 <= w <= n:
-        raise WeightRangeError(f"w={w} outside [1, {n}]")
-    if not 0 <= c < q:
-        raise ValueError(f"c={c} is not an F_{q} code")
-    if w == n and c == 0:
-        raise ExcludedCaseError("the norm of a nonzero element is never 0")
+    for w, c in rows:
+        if not 1 <= w <= n:
+            raise WeightRangeError(f"w={w} outside [1, {n}]")
+        if not 0 <= c < q:
+            raise ValueError(f"c={c} is not an F_{q} code")
+        if w == n and c == 0:
+            raise ExcludedCaseError("the norm of a nonzero element is never 0")
     check_size(q, n, cap, field=True)
     p, j = prime_power(q)
     small = make_field(p, j)
     big = make_field(p, j * n)
     emb = subfield_embedding(small, big)
-    c_code = emb.lift(FieldElement(small, c)).code
-    target = n - w
-    zeta = primitive_element(big)
-    code = 1
-    for _ in range(big.order - 1):
-        xi = FieldElement(big, code)
-        code = big.mul_codes(code, zeta.code)
-        if element_degree(xi, q, n) != n:
+    found = dict.fromkeys(rows)
+    pending: dict[tuple[int, int], list] = {}
+    for w, c in found:
+        key = (n - w, emb.lift(FieldElement(small, c)).code)
+        pending.setdefault(key, []).append((w, c))
+    targets = sorted({t for t, _ in pending})
+    M = big.order - 1
+    for k in range(M):
+        if not pending:
+            break
+        # back at k after n steps only if k leads an orbit of size n; a
+        # smaller member or a smaller orbit (a proper subfield) stops it sooner
+        e, size = k * q % M, 1
+        while e > k:
+            e = e * q % M
+            size += 1
+        if size != n:
             continue
-        cp = char_poly(xi, q, n)
-        coeff = cp.codes[target] if target < len(cp.codes) else 0
-        if coeff == c_code:
-            low = emb.lower_poly(cp)
-            if not oracle_irreducible(low):  # cannot happen for degree-n orbits
-                raise AssertionError("witness failed independent verification")
-            return low
-    return None
+        cp = char_poly(FieldElement(big, big.exp[k]), q, n)
+        hits = [(t, cp.codes[t]) for t in targets if (t, cp.codes[t]) in pending]
+        if not hits:
+            continue
+        low = emb.lower_poly(cp)
+        if not oracle_irreducible(low):  # cannot happen for degree-n orbits
+            raise AssertionError("witness failed independent verification")
+        for key in hits:
+            for row in pending.pop(key):
+                found[row] = low
+    return found
 
 
-def _witness_fields(q: int, n: int, w: int, c: int, cap: int):
-    wit = find_witness(q, n, w, c, cap)
+def _with_witness(report: PeriodReport, wit: PolyFq | None) -> PeriodReport:
+    """The report with the scan's witness (or its absence) checked and set."""
+    q, n, w, c = report.q, report.n, report.w, report.c
     expected = not (n == 2 and w == 1 and c == 0 and q % 2 == 0)
     if wit is None:
-        ok = not expected
-        return None, ok
+        return replace(report, witness=None, witness_ok=not expected)
     coeff_ok = wit.degree == n and wit.is_monic and \
         (wit.codes[n - w] if n - w < len(wit.codes) else 0) == c
-    return tuple(wit.codes), expected and coeff_ok
+    return replace(report, witness=tuple(wit.codes), witness_ok=expected and coeff_ok)
 
 
 def _sweep_tuple(q: int, n: int, w: int, c: int, cfg: SweepConfig) -> PeriodReport:
+    """The row's period report, and its dense-mask symmetry check if asked."""
     if w == n:
         report = PeriodReport(q=q, n=n, w=w, c=c, threshold=threshold(n, q),
                               case_label=CASE_NORM)
@@ -267,9 +299,6 @@ def _sweep_tuple(q: int, n: int, w: int, c: int, cfg: SweepConfig) -> PeriodRepo
         report = replace(base, w=w, delegated_to_w=n - w)
     else:
         report = verify_period_claims(q, n, w, c, cfg.size_cap)
-    if cfg.with_witness:
-        witness, ok = _witness_fields(q, n, w, c, cfg.size_cap)
-        report = replace(report, witness=witness, witness_ok=ok)
     if cfg.check_symmetry and report.r is not None:
         # the one route that still builds the dense mask
         ctx = make_field(*prime_power(q))
@@ -299,17 +328,20 @@ def sweep(cfg: SweepConfig) -> SweepResult:
             if not cfg.fits(q, n):
                 skipped.append({"q": q, "n": n, "reason": "size_cap"})
                 continue
+            cs = [cfg.pinned_c] if cfg.pinned_c is not None else range(q)
+            rows = []
             for w in cfg.weights(n):
-                if cfg.pinned_c is not None:
-                    cs = [cfg.pinned_c]
-                else:
-                    cs = list(range(q))
                 for c in cs:
                     if w == n and c == 0:
                         skipped.append({"q": q, "n": n, "w": w, "c": c,
                                         "reason": "norm_of_zero_excluded"})
-                        continue
-                    reports.append(_sweep_tuple(q, n, w, c, cfg))
+                    else:
+                        rows.append((w, c))
+            row_reports = [_sweep_tuple(q, n, w, c, cfg) for w, c in rows]
+            if cfg.with_witness and rows:
+                wits = _witnesses(q, n, rows, cfg.size_cap)
+                row_reports = [_with_witness(rep, wits[rep.w, rep.c]) for rep in row_reports]
+            reports += row_reports
     n_excluded = sum(1 for r in reports if r.case_label == CASE_EXCLUDED)
     n_fail = sum(1 for r in reports if not r.passed)
     summary = {

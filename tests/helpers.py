@@ -9,8 +9,8 @@ import math
 
 import numpy as np
 
-from hmdft import CyclicFn, FieldElement, PolyFq, element_degree, make_field, \
-    subfield_embedding
+from hmdft import CyclicFn, FieldElement, PolyFq, char_poly, element_degree, make_field, \
+    primitive_element, subfield_embedding
 from hmdft.cyclic import conv_power, kronecker
 from hmdft.errors import NotPrimePowerError
 from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
@@ -76,7 +76,11 @@ def parse_ints_oracle(text):
 
 
 def check_grid_oracle(cfg):
-    """`cli._check_grid` as one fits/weights test per (q, n) of the range."""
+    """`cli._check_grid` as one fits/weights/rows test per (q, n) of the range.
+
+    A w is a row at n unless w = n with c pinned to 0 (the sweep skips it as
+    a norm of zero).
+    """
     lo, hi = cfg.n_range
     if not cfg.q_list:
         raise ValueError("--q names no field size")
@@ -84,7 +88,14 @@ def check_grid_oracle(cfg):
         raise ValueError(f"--n range {lo}:{hi} is empty")
     if not any(cfg.weights(n) for n in range(lo, hi + 1)):
         raise ValueError(f"no w fits any n in {lo}:{hi}")
-    if not any(cfg.fits(q, n) and cfg.weights(n)
+
+    def has_row(n):
+        return any(w != n or cfg.pinned_c != 0 for w in cfg.weights(n))
+
+    if not any(has_row(n) for n in range(lo, hi + 1)):
+        raise ValueError(f"the only rows in {lo}:{hi} have w = n and c = 0, "
+                         f"and no norm is 0")
+    if not any(cfg.fits(q, n) and has_row(n)
                for q in cfg.q_list for n in range(lo, hi + 1)):
         raise ValueError(f"every (q, n) in the grid is over the size cap "
                          f"{cfg.size_cap} or a hard limit")
@@ -401,6 +412,32 @@ def oracle_irreducible_powering(h):
         if gcd_loops(pow_mod_loops(x, q ** (n // t), hm) - x, hm).degree != 0:
             return False
     return pow_mod_loops(x, q ** n, hm) == x
+
+
+def find_witness_scan_oracle(q, n, w, c):
+    """`harness.find_witness` before the orbit-leader scan: one row, every power.
+
+    Walks zeta**0, zeta**1, ... of F_{q^n} and returns, lowered to F_q, the
+    characteristic polynomial of the first power of degree n (by
+    ``element_degree``) whose x**(n-w) coefficient is c; None once the
+    field is used up.
+    """
+    p, j = prime_power_loop(q)
+    small = make_field(p, j)
+    big = make_field(p, j * n)
+    emb = subfield_embedding(small, big)
+    c_code = emb.lift(FieldElement(small, c)).code
+    zeta = primitive_element(big)
+    code = 1
+    for _ in range(big.order - 1):
+        xi = FieldElement(big, code)
+        code = big.mul_codes(code, zeta.code)
+        if element_degree(xi, q, n) != n:
+            continue
+        cp = char_poly(xi, q, n)
+        if cp.codes[n - w] == c_code:
+            return emb.lower_poly(cp)
+    return None
 
 
 def brute_min_poly(xi, q, n, emb):

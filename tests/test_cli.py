@@ -218,8 +218,13 @@ def test_cap_flag(capsys):
 @pytest.mark.parametrize("grid", [("--q", "2", "--n", "6:3"),
                                   ("--q", ",", "--n", "2:3"),
                                   ("--q", "2", "--n", "2:3", "--w", "9"),
-                                  ("--q", "7", "--n", "9")],
-                         ids=["reversed-n", "no-q", "w-fits-no-n", "all-over-cap"])
+                                  ("--q", "7", "--n", "9"),
+                                  ("--q", "3", "--n", "3", "--w", "3", "--c", "0"),
+                                  ("--q", "3", "--n", "1", "--all-w", "--c", "0"),
+                                  ("--q", "2,3", "--n", "2:3", "--w", "3", "--c", "0")],
+                         ids=["reversed-n", "no-q", "w-fits-no-n", "all-over-cap",
+                              "pinned-norm-of-zero", "all-w-norm-of-zero",
+                              "norm-of-zero-or-no-w"])
 def test_hm_verify_empty_grid_rejected(capsys, grid):
     code, out, err = run(capsys, "hm-verify", *grid)
     assert code == 2 and "error" in err and out == ""
@@ -405,13 +410,16 @@ def _grids(draw):
                        n_range=(draw(st.integers(-3, 40)), draw(st.integers(-3, 40))),
                        w_policy=draw(st.sampled_from(["half", "full"])),
                        size_cap=cap, with_witness=draw(st.booleans()),
-                       pinned_w=draw(st.one_of(st.none(), st.integers(-2, 42))))
+                       pinned_w=draw(st.one_of(st.none(), st.integers(-2, 42))),
+                       pinned_c=draw(st.sampled_from([None, 0, 1])))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_grids())
 # a negative cap has a long bit length: (-2)**27 - 1 is under -2**26, n = 27 > 23
 @example(SweepConfig(q_list=(-2,), n_range=(24, 30), size_cap=-(1 << 26)))
+@example(SweepConfig(q_list=(3,), n_range=(1, 3), pinned_w=3, pinned_c=0))
+@example(SweepConfig(q_list=(3,), n_range=(1, 1), w_policy="full", pinned_c=0))
 def test_check_grid_matches_oracle(cfg):
     assert _outcome(_check_grid, cfg) == _outcome(check_grid_oracle, cfg)
 

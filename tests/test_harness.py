@@ -1,5 +1,6 @@
 import itertools
 import time
+from collections import defaultdict
 from dataclasses import replace
 
 import pytest
@@ -24,7 +25,7 @@ from hmdft.harness import CASE_EXCLUDED, CASE_HALF, CASE_MAX, CASE_NORM, CASE_SM
 from hmdft.numtheory import prime_power
 from hmdft.symfun import _multiset_counts
 
-from helpers import ascending_scan_period, fits_oracle
+from helpers import ascending_scan_period, find_witness_scan_oracle, fits_oracle
 
 
 def test_classify_case_table():
@@ -291,6 +292,98 @@ def test_witness_reports_match_mask_claims():
         wit = list(r.witness)
         n_w = r.n - r.w
         assert (wit[n_w] if n_w < len(wit) else 0) == r.c
+
+
+README_QS = (2, 3, 4, 5, 7)
+EVEN_QS = (2, 4, 8, 16, 32, 64)
+
+
+@pytest.fixture(scope="module")
+def readme_all_w():
+    return sweep(SweepConfig(q_list=README_QS, n_range=(2, 6), w_policy="full"))
+
+
+def _codes(poly):
+    return None if poly is None else tuple(poly.codes)
+
+
+def _assert_scan_oracle(reports):
+    for r in reports:
+        assert r.witness == _codes(find_witness_scan_oracle(r.q, r.n, r.w, r.c)), \
+            (r.q, r.n, r.w, r.c)
+
+
+def test_sweep_witnesses_match_scan_oracle_on_readme_grid(readme_all_w):
+    assert len(readme_all_w.reports) == 354
+    _assert_scan_oracle(readme_all_w.reports)
+
+
+def test_sweep_witnesses_match_scan_oracle_at_q_8_9_16():
+    res = sweep(SweepConfig(q_list=(8, 9, 16), n_range=(2, 4), w_policy="full"))
+    assert {(r.q, r.n) for r in res.reports} >= {(16, 3), (9, 4)}
+    _assert_scan_oracle(res.reports)
+
+
+def test_exception_rows_match_scan_oracle():
+    # (n, w, c) = (2, 1, 0) for even q: every leader is used up, no witness
+    res = sweep(SweepConfig(q_list=EVEN_QS, n_range=(2, 2), pinned_w=1, pinned_c=0))
+    assert [(r.q, r.witness, r.witness_ok) for r in res.reports] == \
+        [(q, None, True) for q in EVEN_QS]
+    for q in EVEN_QS:
+        assert find_witness(q, 2, 1, 0) is None
+        assert find_witness_scan_oracle(q, 2, 1, 0) is None
+
+
+def test_find_witness_is_the_sweeps_row(readme_all_w):
+    for r in readme_all_w.reports:
+        assert _codes(find_witness(r.q, r.n, r.w, r.c)) == r.witness
+
+
+def test_scan_forms_char_polys_of_degree_n_orbit_leaders_only(monkeypatch):
+    # per (q, n), in ascending order: every exponent k whose Frobenius orbit
+    # {k*q**s mod M} has n members and k as its least, up to the last one used
+    seen = defaultdict(list)
+
+    def recording(xi, q, n):
+        seen[q, n].append(xi.ctx.log[xi.code])
+        return gf.char_poly(xi, q, n)
+
+    monkeypatch.setattr(harness, "char_poly", recording)
+    sweep(SweepConfig(q_list=README_QS, n_range=(2, 6)))
+    for (q, n), ks in seen.items():
+        M = q ** n - 1
+        orbits = {k: {k * q ** s % M for s in range(n)} for k in range(ks[-1] + 1)}
+        assert ks == [k for k, orb in orbits.items() if len(orb) == n and min(orb) == k]
+    assert sum(map(len, seen.values())) == 257
+
+
+def test_sweep_verifies_each_distinct_witness_once(monkeypatch):
+    calls = []
+
+    def counted(h):
+        calls.append((h.ctx.order, h.codes))
+        return oracle_irreducible(h)
+
+    monkeypatch.setattr(harness, "oracle_irreducible", counted)
+    res = sweep(SweepConfig(q_list=README_QS, n_range=(2, 6)))
+    witnesses = {(r.q, r.witness) for r in res.reports if r.witness is not None}
+    # a polynomial over F_q is told apart by q: the same codes over F_3 and
+    # F_4 are two witnesses, each verified in its own field
+    assert len(calls) == len(set(calls)) == 130
+    assert set(calls) == witnesses
+
+
+def test_sweep_raises_when_the_oracle_rejects_a_witness(monkeypatch):
+    cfg = SweepConfig(q_list=(2, 3), n_range=(2, 4), w_policy="full")
+    witnesses = {(r.q, r.witness) for r in sweep(cfg).reports if r.witness is not None}
+    assert len(witnesses) > 10
+    for rejected in sorted(witnesses):
+        def mutant(h, rejected=rejected):
+            return (h.ctx.order, h.codes) != rejected and oracle_irreducible(h)
+
+        monkeypatch.setattr(harness, "oracle_irreducible", mutant)
+        with pytest.raises(AssertionError, match="independent verification"):
+            sweep(cfg)
 
 
 FITS_QS = (2, 3, 4, 5, 7, 8, 9, 16, 27)

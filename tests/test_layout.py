@@ -2,15 +2,20 @@
 
 Every import sits at module level, the package-relative imports between the
 modules of ``src/hmdft`` form no cycle, and no JSON text is written with an
-``indent``, which sends CPython's encoder down its pure-Python path.
+``indent``, which sends CPython's encoder down its pure-Python path.  Every
+name the benchmark's span tracer (``perfbench/tracing.py``) wraps is bound in
+the package.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import hmdft
 
 SRC = Path(hmdft.__file__).parent
+TRACING = SRC.parents[1] / "perfbench" / "tracing.py"
 
 
 def _trees():
@@ -87,3 +92,16 @@ def test_no_indented_json_encoding():
                 if fname in ("dumps", "dump", "JSONEncoder"):
                     found.append(f"{name}.py:{node.lineno}")
     assert found == []
+
+
+def test_traced_names_resolve():
+    # Tracer.install() looks each name up and fails on the first missing one
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [(mod, fname) for mod, fname, _ in tracing.TRACED]
+    names.append(("harness", "element_degree"))  # the witness-candidate counter
+    assert len(names) > 10
+    missing = [f"{mod}.{fname}" for mod, fname in names
+               if not callable(getattr(importlib.import_module(f"hmdft.{mod}"), fname, None))]
+    assert missing == []
