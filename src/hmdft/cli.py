@@ -78,8 +78,8 @@ def _json(v) -> str:
     The parts go into one list, joined once.  A list of plain ints is one
     join per run of `_INT_RUN` values, and a scalar one table lookup and
     one call.  Payloads hold dicts with string keys, lists, tuples, str,
-    int, bool and None alone, so anything else (floats included) is
-    refused with TypeError.
+    int, bool and None alone, so anything else (floats and records
+    included) is refused with TypeError.
     """
     parts: list[str] = []
     _json_parts(v, "\n", parts.append)
@@ -104,7 +104,7 @@ def _json_parts(v, nl: str, put) -> None:
             _json_parts(x, inner, put)
             pre = sep
         put(nl + "}")
-    elif isinstance(v, (list, tuple)):
+    elif type(v) in (list, tuple):  # exactly: a NamedTuple record is no list
         if not v:
             put("[]")
         elif set(map(type, v)) == {int}:
@@ -146,7 +146,7 @@ def _flatten(d: dict, prefix: str = "") -> dict:
         key = f"{prefix}{k}"
         if isinstance(v, dict):
             flat.update(_flatten(v, key + "."))
-        elif isinstance(v, (list, tuple)):
+        elif type(v) in (list, tuple):  # exactly: a NamedTuple record is no list
             flat[key] = " ".join(str(x) for x in v)
         else:
             flat[key] = v
@@ -307,7 +307,9 @@ def _check_grid(cfg: SweepConfig) -> None:
     """ValueError unless some (q, n) of the grid fits and has a row to report.
 
     A (w, c) with w = n and c = 0 is no row (the norm of a nonzero element is
-    never 0), so a grid of only such pairs is empty too.  Decided with no
+    never 0), so a grid of only such pairs is empty too.  A grid with a row
+    at n = 1 (the norm row w = 1, for which ``cyclo.threshold`` is not
+    defined) is refused too, before any row is computed.  Decided with no
     step per n of a long range: the row test in closed form, and the size
     test only up to the bit length of the size limit, past which
     ``check_size`` refuses every n (n <= 23 for any cap >= 0).
@@ -331,6 +333,9 @@ def _check_grid(cfg: SweepConfig) -> None:
         if hi < n_lo:
             raise ValueError(f"the only rows in {lo}:{hi} have w = n and c = 0, "
                              f"and no norm is 0")
+    if n_lo == 1 and lo <= 1:
+        raise ValueError(f"--n range {lo}:{hi} reaches n = 1, whose only row "
+                         f"(w = n = 1) has no period threshold; start it at 2")
     # check_size refuses every n past the bit length of its limit
     n_hi = min(hi, min(cfg.size_cap, MODULUS_GUARD).bit_length())
     if not any(cfg.fits(q, n) for q in cfg.q_list

@@ -22,7 +22,6 @@ Functions are immutable once built; all operations here are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import numtheory
@@ -36,16 +35,30 @@ from .errors import (
 from .gf import FieldCtx, FieldElement
 
 
-@dataclass(frozen=True)
 class SupportSet:
-    """Sorted, duplicate-free subset of Z_N (canonical representatives)."""
+    """Sorted, duplicate-free subset of Z_N (canonical representatives); immutable."""
 
-    N: int
-    members: tuple[int, ...]
+    __slots__ = ("N", "members")
 
-    def __post_init__(self):
-        ms = tuple(sorted(set(m % self.N for m in self.members)))
-        object.__setattr__(self, "members", ms)
+    def __init__(self, N: int, members):
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "members", tuple(sorted({m % N for m in members})))
+
+    def _immutable(self, *args):
+        raise AttributeError("SupportSet is immutable")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if type(other) is not SupportSet:
+            return NotImplemented
+        return self.N == other.N and self.members == other.members
+
+    def __hash__(self):
+        return hash((self.N, self.members))
+
+    def __repr__(self):
+        return f"SupportSet(N={self.N!r}, members={self.members!r})"
 
     def __len__(self):
         return len(self.members)

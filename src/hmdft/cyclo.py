@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadDivisorPairError
 from .numtheory import divisors, prime_factors
@@ -73,18 +73,27 @@ def divisibility_check(n: int, m: int, q: int) -> bool:
     return quotient % cyclotomic_value(n, q) == 0
 
 
-@dataclass(frozen=True)
-class CycloValue:
-    """Phi_n(q) together with the derived period threshold."""
-
+class _CycloFields(NamedTuple):
     n: int
     q: int
     phi: int
     threshold: int
 
-    def __post_init__(self):
-        if self.phi * self.threshold != self.q ** self.n - 1:
+
+class CycloValue(_CycloFields):
+    """Phi_n(q) together with the derived period threshold."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, q: int, phi: int, threshold: int):
+        if phi * threshold != q ** n - 1:
             raise AssertionError("phi * threshold must equal q**n - 1")
+        return super().__new__(cls, n, q, phi, threshold)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the check in __new__
+        return cls(*iterable)
 
 
 def cyclotomic_data(n: int, q: int) -> CycloValue:

@@ -37,7 +37,7 @@ are never zero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .cyclo import threshold
 from .errors import ExcludedCaseError, SizeCapError, WeightRangeError
@@ -64,8 +64,7 @@ CASE_EXCLUDED = "Excluded"
 CASE_NORM = "Norm"
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(NamedTuple):
     """Record of one (q, n, w, c) verification.
 
     `c` is the integer code of the prescribed coefficient in F_q.  The three
@@ -114,8 +113,7 @@ class PeriodReport:
         }
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     """Grid description for a sweep; the cap bounds q**n - 1 per tuple."""
 
     q_list: tuple[int, ...]
@@ -148,8 +146,7 @@ class SweepConfig:
         return list(range(1, n // 2 + 1))
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     reports: tuple[PeriodReport, ...]
     skipped: tuple[dict, ...]
     summary: dict
@@ -283,10 +280,10 @@ def _with_witness(report: PeriodReport, wit: PolyFq | None) -> PeriodReport:
     q, n, w, c = report.q, report.n, report.w, report.c
     expected = not (n == 2 and w == 1 and c == 0 and q % 2 == 0)
     if wit is None:
-        return replace(report, witness=None, witness_ok=not expected)
+        return report._replace(witness=None, witness_ok=not expected)
     coeff_ok = wit.degree == n and wit.is_monic and \
         (wit.codes[n - w] if n - w < len(wit.codes) else 0) == c
-    return replace(report, witness=tuple(wit.codes), witness_ok=expected and coeff_ok)
+    return report._replace(witness=tuple(wit.codes), witness_ok=expected and coeff_ok)
 
 
 def _sweep_tuple(q: int, n: int, w: int, c: int, cfg: SweepConfig) -> PeriodReport:
@@ -296,14 +293,14 @@ def _sweep_tuple(q: int, n: int, w: int, c: int, cfg: SweepConfig) -> PeriodRepo
                               case_label=CASE_NORM)
     elif 2 * w > n:
         base = verify_period_claims(q, n, n - w, c, cfg.size_cap)
-        report = replace(base, w=w, delegated_to_w=n - w)
+        report = base._replace(w=w, delegated_to_w=n - w)
     else:
         report = verify_period_claims(q, n, w, c, cfg.size_cap)
     if cfg.check_symmetry and report.r is not None:
         # the one route that still builds the dense mask
         ctx = make_field(*prime_power(q))
         mask = delta_mask(q, n, min(w, n - w), FieldElement(ctx, c), ctx)
-        report = replace(report, symmetric=is_q_symmetric(mask, q, n))
+        report = report._replace(symmetric=is_q_symmetric(mask, q, n))
     return report
 
 

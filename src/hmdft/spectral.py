@@ -32,7 +32,7 @@ here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import numtheory
 from .cyclic import (
@@ -63,8 +63,7 @@ PROVEN = "Proven"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a one-directional sufficiency test, with its evidence."""
 
     status: str
@@ -78,8 +77,7 @@ class Verdict:
         return self.status == PROVEN
 
 
-@dataclass(frozen=True)
-class RootIndicator:
+class RootIndicator(NamedTuple):
     """The reduced power S(x) for a base polynomial, with its coefficient sequence.
 
     Built by `build_root_indicator` alone; no certification path forms it.
@@ -91,8 +89,7 @@ class RootIndicator:
     coeff_seq: CyclicFn
 
 
-@dataclass(frozen=True)
-class SupportDegreeReport:
+class SupportDegreeReport(NamedTuple):
     """Support-level periods versus degree-n / primitive membership.
 
     `sufficient` is Proven when the least period certifies a degree-n element

@@ -47,9 +47,9 @@ exactly that, for every n.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .cyclic import CyclicFn, SupportSet, least_period_by_descent
 from .errors import (
@@ -63,8 +63,7 @@ from .gf import FieldCtx, FieldElement, check_size
 from .numtheory import prime_power
 
 
-@dataclass(frozen=True)
-class OmegaSet:
+class OmegaSet(NamedTuple):
     """Parameters (q, n, w) with the members of Omega(w) as a SupportSet."""
 
     q: int
@@ -73,8 +72,7 @@ class OmegaSet:
     members: SupportSet
 
 
-@dataclass(frozen=True)
-class DigitVector:
+class DigitVector(NamedTuple):
     """Canonical representative k with its base-q digits, little-endian."""
 
     k: int

@@ -79,7 +79,7 @@ def check_grid_oracle(cfg):
     """`cli._check_grid` as one fits/weights/rows test per (q, n) of the range.
 
     A w is a row at n unless w = n with c pinned to 0 (the sweep skips it as
-    a norm of zero).
+    a norm of zero).  A row at n = 1 refuses the grid.
     """
     lo, hi = cfg.n_range
     if not cfg.q_list:
@@ -95,6 +95,9 @@ def check_grid_oracle(cfg):
     if not any(has_row(n) for n in range(lo, hi + 1)):
         raise ValueError(f"the only rows in {lo}:{hi} have w = n and c = 0, "
                          f"and no norm is 0")
+    if lo <= 1 <= hi and has_row(1):
+        raise ValueError(f"--n range {lo}:{hi} reaches n = 1, whose only row "
+                         f"(w = n = 1) has no period threshold; start it at 2")
     if not any(cfg.fits(q, n) and has_row(n)
                for q in cfg.q_list for n in range(lo, hi + 1)):
         raise ValueError(f"every (q, n) in the grid is over the size cap "

@@ -17,6 +17,7 @@ from hmdft import cli, numtheory
 from hmdft.cli import _check_grid, _json, _parse_ints, main
 from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
 from hmdft.harness import SweepConfig
+from hmdft.spectral import Verdict
 
 from helpers import check_grid_oracle, parse_ints_oracle
 
@@ -230,6 +231,31 @@ def test_hm_verify_empty_grid_rejected(capsys, grid):
     assert code == 2 and "error" in err and out == ""
 
 
+@pytest.mark.parametrize("grid", [("--q", "3", "--n", "1:2", "--all-w"),
+                                  ("--q", "3", "--n", "1:2", "--all-w", "--no-witness"),
+                                  ("--q", "2,3", "--n", "1", "--w", "1", "--c", "1")],
+                         ids=["all-w", "all-w-no-witness", "pinned-norm"])
+def test_hm_verify_grid_reaching_n_1_rejected(capsys, monkeypatch, grid):
+    # the n = 1 norm row has no threshold: refused before the sweep computes
+    # any row, where it used to abort part-way and lose the n = 2 rows
+    def no_sweep(cfg):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    code, out, err = run(capsys, "hm-verify", *grid)
+    assert code == 2 and out == "" and err.startswith("error: ") and "n = 1" in err
+
+
+def test_hm_verify_n_1_with_c_0_is_a_skip_row(capsys):
+    # with c pinned to 0 the n = 1 norm row is the norm_of_zero skip, so the grid runs
+    code, out, _ = run(capsys, "hm-verify", "--q", "3", "--n", "1:2", "--all-w", "--c", "0",
+                       "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["summary"]["total"] == 1
+    assert payload["skipped"][0] == {"q": 3, "n": 1, "w": 1, "c": 0,
+                                     "reason": "norm_of_zero_excluded"}
+
+
 def test_hm_verify_symmetry_above_eight_digits(capsys):
     code, out, _ = run(capsys, "hm-verify", "--q", "2", "--n", "9", "--w", "1",
                        "--no-witness", "--check-symmetry", "--format", "json")
@@ -420,6 +446,8 @@ def _grids(draw):
 @example(SweepConfig(q_list=(-2,), n_range=(24, 30), size_cap=-(1 << 26)))
 @example(SweepConfig(q_list=(3,), n_range=(1, 3), pinned_w=3, pinned_c=0))
 @example(SweepConfig(q_list=(3,), n_range=(1, 1), w_policy="full", pinned_c=0))
+@example(SweepConfig(q_list=(3,), n_range=(1, 2), w_policy="full"))
+@example(SweepConfig(q_list=(3,), n_range=(0, 4), pinned_w=1, pinned_c=1))
 def test_check_grid_matches_oracle(cfg):
     assert _outcome(_check_grid, cfg) == _outcome(check_grid_oracle, cfg)
 
@@ -559,4 +587,12 @@ def test_json_long_int_lists_cross_run_boundaries(size):
 def test_json_refuses_what_no_payload_holds():
     for value in (object(), {1, 2}, b"x", [1, object()], 1.5, {"r": [0.5]}):
         with pytest.raises(TypeError):
+            _json(value)
+
+
+def test_json_refuses_a_record():
+    # a record is a tuple subclass; json.dumps would write it as a bare list
+    for value in ({"v": Verdict("Proven", 3)}, [Verdict("Inconclusive")],
+                  {"cfg": SweepConfig(q_list=(2,), n_range=(2, 3))}):
+        with pytest.raises(TypeError, match="not JSON serializable"):
             _json(value)

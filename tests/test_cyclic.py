@@ -433,3 +433,10 @@ def test_support_set_normalizes():
     s = SupportSet(10, (12, 3, 3, -1))
     assert s.members == (2, 3, 9)
     assert len(s) == 3
+    assert list(s) == [2, 3, 9]
+    same = SupportSet(10, [9, 2, 3])
+    assert s == same and hash(s) == hash(same)
+    assert s != SupportSet(11, (2, 3, 9)) and s != SupportSet(10, (2, 3))
+    assert s != (2, 3, 9) and s != (10, (2, 3, 9))
+    assert repr(s) == "SupportSet(N=10, members=(2, 3, 9))"
+    assert len({s, same, SupportSet(10, ())}) == 2

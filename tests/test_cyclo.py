@@ -82,6 +82,9 @@ def test_cyclo_value_record():
     assert cv == CycloValue(n=6, q=2, phi=3, threshold=21)
     with pytest.raises(AssertionError):
         CycloValue(n=6, q=2, phi=3, threshold=20)
+    with pytest.raises(AssertionError):
+        cv._replace(threshold=20)
+    assert cv._replace(q=2) == cv
 
 
 def test_threshold_memo_matches_the_uncached_function():

@@ -1,7 +1,6 @@
 import itertools
 import time
 from collections import defaultdict
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -246,11 +245,11 @@ def test_sweep_builds_dense_masks_only_for_symmetry(monkeypatch):
     cfg = SweepConfig(q_list=(3,), n_range=(4, 4), w_policy="full", with_witness=False)
     plain = sweep(cfg)
     assert built == []
-    checked = sweep(replace(cfg, check_symmetry=True))
+    checked = sweep(cfg._replace(check_symmetry=True))
     # one dense mask per row with a period, at the delegated w above n/2
     assert built == [(3, 4, min(r.w, 4 - r.w), r.c) for r in checked.reports
                      if r.r is not None]
-    assert [replace(r, symmetric=None) for r in checked.reports] == list(plain.reports)
+    assert [r._replace(symmetric=None) for r in checked.reports] == list(plain.reports)
 
 
 def test_sweep_symmetry_reads_the_dense_mask(monkeypatch):

@@ -4,15 +4,35 @@ Every import sits at module level, the package-relative imports between the
 modules of ``src/hmdft`` form no cycle, and no JSON text is written with an
 ``indent``, which sends CPython's encoder down its pure-Python path.  Every
 name the benchmark's span tracer (``perfbench/tracing.py``) wraps is bound in
-the package.
+the package.  The records are immutable NamedTuples (``SupportSet`` a slotted
+class), so importing the CLI loads no ``dataclasses`` and none of the modules
+it imports.
 """
 
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import hmdft
+from hmdft import (
+    PolyFq,
+    SupportSet,
+    SweepConfig,
+    Verdict,
+    build_root_indicator,
+    cyclotomic_data,
+    digits,
+    make_field,
+    omega,
+    support_degree_test,
+    sweep,
+    verify_period_claims,
+)
 
 SRC = Path(hmdft.__file__).parent
 TRACING = SRC.parents[1] / "perfbench" / "tracing.py"
@@ -105,3 +125,45 @@ def test_traced_names_resolve():
     missing = [f"{mod}.{fname}" for mod, fname in names
                if not callable(getattr(importlib.import_module(f"hmdft.{mod}"), fname, None))]
     assert missing == []
+
+
+def test_cli_import_loads_no_dataclasses():
+    # -S too: no site hook may preload a module and hide the package's own imports
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hmdft.cli; "
+            "print(*sorted(sys.modules))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert "hmdft.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+
+
+RECORDS = {
+    "CycloValue": (lambda: cyclotomic_data(6, 2), "phi"),
+    "SupportSet": (lambda: SupportSet(15, (3, 5)), "members"),
+    "OmegaSet": (lambda: omega(2, 4, 2), "members"),
+    "DigitVector": (lambda: digits(11, 3, 3), "k"),
+    "PeriodReport": (lambda: verify_period_claims(2, 4, 1, 1), "r"),
+    "SweepConfig": (lambda: SweepConfig(q_list=(2,), n_range=(2, 3)), "size_cap"),
+    "SweepResult": (lambda: sweep(SweepConfig(q_list=(2,), n_range=(2, 2),
+                                              with_witness=False)), "summary"),
+    "Verdict": (lambda: Verdict("Proven", 3), "status"),
+    "RootIndicator": (lambda: build_root_indicator(PolyFq(make_field(2, 1), [1, 1, 1]),
+                                                             2, 2), "poly"),
+    "SupportDegreeReport": (lambda: support_degree_test(SupportSet(15, (3, 5)), 2, 4),
+                            "sufficient"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_immutable(name):
+    make, field = RECORDS[name]
+    record = make()
+    assert type(record).__name__ == name
+    before = getattr(record, field)
+    for attr in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, attr)
+    assert getattr(record, field) == before
