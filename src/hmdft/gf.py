@@ -40,6 +40,9 @@ division, ``pow_mod`` and ``poly_gcd`` call it and wrap the result once per
 public call.  ``oracle_irreducible`` (Rabin's test) takes its Frobenius
 powers x**(q**k) mod h from the Frobenius matrix, whose row i is x**(q*i)
 mod h: one matrix-vector product per power, and no object per step.
+``x_pow_mod`` powers x modulo h over F_q by one spread and one division per
+base-q digit of the exponent; the spectral verdicts use it, and no oracle
+does.
 
 Extension towers F_q inside F_{q^n} are realized inside the single context of
 order q^n; membership in the intermediate field F_{q^d} is decided by the
@@ -477,6 +480,27 @@ def _powmod(ctx: FieldCtx, a, e: int, h) -> list:
         if e:
             base = _mulmod(ctx, base, base, h)
     return result
+
+
+def x_pow_mod(ctx: FieldCtx, t: int, h) -> list:
+    """x**t reduced modulo the code list h over F_q, q = ctx.order; t >= 0.
+
+    Horner's rule on the base-q digits of t: each digit d maps y to
+    y(x**q) * x**d mod h.  That is y**q * x**d, because y's coefficients
+    lie in F_q and a**q = a there, so a step spreads y's codes q apart,
+    shifts them by d and makes one reduction, with no general product.
+    """
+    q = ctx.order
+    digits = []
+    while t:
+        t, d = divmod(t, q)
+        digits.append(d)
+    y = _divmod(ctx, [1], h)[1]  # modulo a unit, even 1 is 0
+    for d in reversed(digits):
+        step = [0] * (q * (len(y) - 1) + d + 1)
+        step[d::q] = y
+        y = _divmod(ctx, step, h)[1]
+    return y
 
 
 def _gcd(ctx: FieldCtx, a, b):

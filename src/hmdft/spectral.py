@@ -12,9 +12,13 @@ proves h irreducible.
 
 By the support lemma (`cyclic.dft_period_by_support`) r is the
 multiplicative order of x modulo g = gcd(h, x**(q**n - 1) - 1), and the
-verdicts compute it that way, never forming S.  `build_root_indicator`
-forms S from the power sums of g's roots, which lie in F_q, for the tests
-to compare against.  Neither route builds F_{q^n} or the power of h.
+verdicts compute it that way, never forming S.  Every power of x they take
+(x**N mod h for g, then x**t mod g down the prime descent of r) comes from
+`gf.x_pow_mod`, Horner's rule on the base-q digits of the exponent: h and g
+lie over F_q, so y**q = y(x**q) is a spread of y's codes, and each digit
+costs one reduction and no product.  `build_root_indicator` forms S from
+the power sums of g's roots, which lie in F_q, for the tests to compare
+against.  Neither route builds F_{q^n} or the power of h.
 
 Every test here returns a two-valued Verdict: "Proven" when the sufficient
 condition held, "Inconclusive" otherwise.  Inconclusive never asserts a
@@ -57,6 +61,7 @@ from .gf import (
     poly_gcd,
     primitive_element,
     subfield_embedding,
+    x_pow_mod,
 )
 
 PROVEN = "Proven"
@@ -204,8 +209,9 @@ def _root_gcd(h: PolyFq, q: int, n: int,
                 f"image of h is not contained in F_{subfield_order}")
     if not folded:  # h vanishes at every root of unity
         return N, subfield_order, None
-    hbar = PolyFq(ctx, [folded.get(j, 0) for j in range(max(folded) + 1)])
-    g = poly_gcd(PolyFq.x(ctx).pow_mod(N, hbar) - PolyFq(ctx, (1,)), hbar)
+    hbar = [folded.get(j, 0) for j in range(max(folded) + 1)]
+    g = poly_gcd(PolyFq(ctx, x_pow_mod(ctx, N, hbar)) - PolyFq(ctx, (1,)),
+                 PolyFq(ctx, hbar))
     return N, subfield_order, g
 
 
@@ -259,9 +265,9 @@ def degree_n_factor_test(h: PolyFq, q: int, n: int,
     if g is None:
         r = N
     else:
-        x, one = PolyFq.x(h.ctx), PolyFq(h.ctx, (1,))
+        one = [1] if g.degree else []  # 1 mod g; g = 1 makes every t a period
         r = least_period_by_descent(
-            N, lambda t: ((x.pow_mod(t, g) - one) % g).is_zero())
+            N, lambda t: x_pow_mod(h.ctx, t, g.codes) == one)
     thr = threshold(n, q)
     status = PROVEN if thr % r else INCONCLUSIVE
     return Verdict(status=status, least_period=r, threshold=thr, modulus=N)

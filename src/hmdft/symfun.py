@@ -39,9 +39,8 @@ A function on Z_{q^n-1} is q-symmetric when it is invariant under every
 permutation of the base-q digits of its argument; phi_rho realizes one digit
 permutation as a permutation of Z_{q^n-1}.  The maps phi_rho compose like
 the permutations rho, so invariance under two generators of S_n is
-invariance under all n! of them; and since each phi_rho is a bijection,
-comparing values on the support alone is enough.  is_q_symmetric checks
-exactly that, for every n.
+invariance under all n! of them.  is_q_symmetric checks exactly that, for
+every n, comparing whole slices of the value list for each generator.
 """
 
 from __future__ import annotations
@@ -400,10 +399,11 @@ def is_q_symmetric(f: CyclicFn, q: int, n: int) -> bool:
     Exact for every n, from two permutations only: phi_rho is an action of
     S_n on Z_{q^n-1}, and the transposition (0 1) and the n-cycle generate
     S_n, so invariance under these two gives invariance under all n!.  The
-    n-cycle is multiplication by q; (0 1) moves s by (d0 - d1)(q - 1), where
-    d0 and d1 are its two lowest digits.  Checking f(phi(s)) = f(s) on the
-    support alone suffices: then phi maps the support into itself, hence
-    onto it, since phi is a bijection.
+    n-cycle is multiplication by q and (0 1) swaps the two lowest digits.
+    Both checks compare whole slices, so f(phi(s)) = f(s) is tested at every
+    point s: with top digit b and Q = q**(n-1), s = b*Q + s' goes to
+    q*s' + b, so the block codes[b*Q:(b+1)*Q] must equal codes[b::q]; and the
+    points with lowest digits (d0, d1) must read as those with (d1, d0).
     """
     N = q ** n - 1
     if f.N != N:
@@ -411,9 +411,7 @@ def is_q_symmetric(f: CyclicFn, q: int, n: int) -> bool:
     if n == 1:
         return True
     codes = f.codes
-    for s in itertools.compress(range(N), codes):
-        v = codes[s]
-        d0, d1 = s % q, s // q % q
-        if codes[s * q % N] != v or codes[s + (d0 - d1) * (q - 1)] != v:
-            return False
-    return True
+    Q, qq = q ** (n - 1), q * q
+    return (all(codes[b * Q:(b + 1) * Q] == codes[b::q] for b in range(q))
+            and all(codes[d0 + d1 * q::qq] == codes[d1 + d0 * q::qq]
+                    for d1 in range(q) for d0 in range(d1)))

@@ -9,9 +9,9 @@ import math
 
 import numpy as np
 
-from hmdft import CyclicFn, FieldElement, PolyFq, char_poly, element_degree, make_field, \
-    primitive_element, subfield_embedding
-from hmdft.cyclic import conv_power, kronecker
+from hmdft import CyclicFn, FieldElement, PolyFq, Verdict, char_poly, element_degree, \
+    make_field, poly_gcd, primitive_element, subfield_embedding, threshold
+from hmdft.cyclic import conv_power, kronecker, least_period_by_descent
 from hmdft.errors import NotPrimePowerError
 from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
 from hmdft.symfun import omega
@@ -572,3 +572,29 @@ def powering_root_indicator(h, q, n, subfield_order=None):
             codes[i % N] = ctx.add_codes(codes[i % N], c)
     powered = conv_power(CyclicFn(ctx, codes), subfield_order - 1)
     return subfield_order, (kronecker(ctx, N) - powered).codes
+
+
+def square_multiply_verdict(h, q, n):
+    """The factor-test verdict with every power of x by ``PolyFq.pow_mod``.
+
+    This is the verdict route before ``gf.x_pow_mod``: fold h mod x**N - 1,
+    take g = gcd(x**N - 1, h mod x**N - 1) from x.pow_mod(N, hbar), then the
+    least t | N with (x**t - 1) mod g = 0 by prime descent, each x**t mod g
+    by square and multiply.  A folded h of 0 gives r = N.
+    """
+    ctx = h.ctx
+    N = q ** n - 1
+    folded = [0] * min(N, len(h.codes))
+    for i, c in enumerate(h.codes):
+        folded[i % N] = ctx.add_codes(folded[i % N], c)
+    hbar = PolyFq(ctx, folded)
+    x, one = PolyFq.x(ctx), PolyFq(ctx, (1,))
+    if hbar.is_zero():
+        r = N
+    else:
+        g = poly_gcd(x.pow_mod(N, hbar) - one, hbar)
+        r = least_period_by_descent(
+            N, lambda t: ((x.pow_mod(t, g) - one) % g).is_zero())
+    thr = threshold(n, q)
+    return Verdict(status="Proven" if thr % r else "Inconclusive",
+                   least_period=r, threshold=thr, modulus=N)

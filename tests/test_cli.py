@@ -101,6 +101,36 @@ def test_irred_test(capsys):
     assert code == 1 and "Inconclusive" in out
 
 
+# (arguments, exit code, status, r, threshold) of verdicts at the edges of the
+# order route, recorded with the square-and-multiply powering
+VERDICT_EDGES = [
+    # h divisible by x
+    ("irred-test --q 2 --poly 0,0,1", 1, "Inconclusive", 1, 1),
+    ("factor-test --q 2 --n 3 --poly 0,0,0,1", 1, "Inconclusive", 1, 1),
+    # g = 1: no root among the N-th roots of unity
+    ("factor-test --q 2 --n 2 --poly 1,1,0,1", 1, "Inconclusive", 1, 1),
+    ("irred-test --q 2 --poly 1,0,0,0,1,1", 1, "Inconclusive", 1, 1),
+    # h mod (x**N - 1) is 0: r = N
+    ("factor-test --q 2 --n 4 --poly 1" + ",0" * 14 + ",1", 0, "Proven", 15, 3),
+    ("factor-test --q 3 --n 2 --poly 2" + ",0" * 7 + ",1", 0, "Proven", 8, 2),
+    ("factor-test --q 3 --n 2 --poly 0,2" + ",0" * 7 + ",1", 0, "Proven", 8, 2),
+    # non-monic h over F_4 and F_9
+    ("irred-test --q 4 --poly 1,1,2", 0, "Proven", 15, 3),
+    ("irred-test --q 4 --poly 2,3,1,3", 0, "Proven", 63, 3),
+    ("factor-test --q 4 --n 2 --poly 3,0,1,2", 0, "Proven", 15, 3),
+    ("irred-test --q 9 --poly 4,1,7", 1, "Inconclusive", 4, 8),
+    ("factor-test --q 9 --n 2 --poly 1,5,0,3,8", 1, "Inconclusive", 8, 8),
+    ("irred-test --q 9 --poly 2,0,1,5", 0, "Proven", 728, 8),
+]
+
+
+@pytest.mark.parametrize("args,code,status,r,thr", VERDICT_EDGES,
+                         ids=[c[0] for c in VERDICT_EDGES])
+def test_verdict_edge_cases(capsys, args, code, status, r, thr):
+    assert run(capsys, *args.split()) == \
+        (code, f"status: {status}\nr: {r}\nthreshold: {thr}\n", "")
+
+
 def test_period_of_sequence(capsys):
     code, out, _ = run(capsys, "period", "--seq", "1,0,0,1,0,1,1,0,0,1,1,0,1,0,0")
     assert code == 0

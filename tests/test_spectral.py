@@ -38,7 +38,8 @@ from hmdft.errors import (
 )
 from hmdft.spectral import INCONCLUSIVE, PROVEN
 
-from helpers import brute_is_irreducible, powering_root_indicator
+from helpers import brute_is_irreducible, pow_mod_loops, powering_root_indicator, \
+    square_multiply_verdict
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -435,29 +436,41 @@ def _root_support_period(h, q, n):
     return dft_period_by_support(SupportSet(N, roots))
 
 
-def _assert_order_route(h, q, n, oracles=(_dense_period, _root_support_period)):
+def _square_multiply_period(h, q, n):
+    """r by the verdict route with every power of x by square and multiply."""
+    return square_multiply_verdict(h, q, n).least_period
+
+
+ORACLES = (_dense_period, _root_support_period, _square_multiply_period)
+
+
+def _assert_order_route(h, q, n, oracles=ORACLES):
     v = degree_n_factor_test(h, q, n)
     thr = threshold(n, q)
     for oracle in oracles:
         r = oracle(h, q, n)
         assert (v.least_period, v.threshold, v.status) == \
             (r, thr, PROVEN if thr % r else INCONCLUSIVE), (h, q, n, oracle)
+    if h.degree == n:
+        assert irreducible_sufficient_test(h, q) == v, h
     return v
 
 
-# monic h of degree <= ORDER_GRID[q] over F_q, for each n with q**n - 1 <= 255
-ORDER_GRID = {2: 5, 3: 3, 4: 2, 5: 2}
+# monic h over F_q, for each n with q**n - 1 <= 255: every oracle up to the
+# first degree, square and multiply alone from there up to the second
+ORDER_GRID = {2: (5, 6), 3: (3, 6), 4: (2, 2), 5: (2, 2)}
 
 
 def test_order_route_matches_both_oracles_every_small_monic_h():
     periods = set()
-    for q, max_degree in ORDER_GRID.items():
+    for q, (all_oracles, max_degree) in ORDER_GRID.items():
         ctx = make_field(*FIELDS[q])
         n = 2
         while q ** n - 1 <= 255:
             for d in range(max_degree + 1):
+                oracles = ORACLES if d <= all_oracles else (_square_multiply_period,)
                 for codes in itertools.product(range(q), repeat=d):
-                    v = _assert_order_route(PolyFq(ctx, list(codes) + [1]), q, n)
+                    v = _assert_order_route(PolyFq(ctx, list(codes) + [1]), q, n, oracles)
                     periods.add((q, n, v.least_period))
             n += 1
     # the grid reaches r = 1 (no roots), a proper divisor and r = N
@@ -476,7 +489,7 @@ def _workloads_module():
 def test_order_route_matches_dense_route_on_the_seeded_requests():
     # the irred-test and factor-test inputs of the spectral benchmark, plus
     # one of each per pair drawn the same way, as the benchmark leaves some
-    # (pair, kind) out
+    # (pair, kind) out, and one of each non-monic and maybe divisible by x
     workloads = _workloads_module()
     cases = []
     for seed in (1, 2):
@@ -488,10 +501,13 @@ def test_order_route_matches_dense_route_on_the_seeded_requests():
                 cases.append((q, int(opts.get("--n", len(codes) - 1)), codes))
         rng = random.Random(seed)
         for q, n in workloads.SPECTRAL_PAIRS:
-            cases += [(q, n, workloads.random_poly(rng, q, d)) for d in (n, n + 3)]
+            for d in (n, n + 3):
+                cases.append((q, n, workloads.random_poly(rng, q, d)))
+                cases.append((q, n, [rng.randrange(q) for _ in range(d)] +
+                              [rng.randrange(1, q)]))
     for q, n, codes in cases:
         _assert_order_route(PolyFq(make_field(*FIELDS[q]), codes), q, n,
-                            oracles=(_dense_period,))
+                            oracles=(_dense_period, _square_multiply_period))
     assert {(q, n) for q, n, _ in cases} == set(workloads.SPECTRAL_PAIRS)
 
 
@@ -573,3 +589,103 @@ L_CASES = [
 def test_L_validation_and_exit_codes_unchanged(capsys, args, code, out, err):
     assert main(args.split()) == code
     assert capsys.readouterr() == (out, err)
+
+
+# ----------------------------------------------------------------------
+# powers of x by Horner's rule on base-q digits, against square and multiply
+
+KERNEL_FIELDS = {**FIELDS, 16: (2, 4), 25: (5, 2)}
+
+
+def _kernel_moduli(ctx, rng):
+    """Moduli of degree 0 to 12 over F_q: monic, non-monic and divisible by x.
+
+    Degree 0 gives units, modulo which every power is 0.
+    """
+    q = ctx.order
+    for d in range(13):
+        yield [rng.randrange(q) for _ in range(d)] + [1]
+        yield [rng.randrange(q) for _ in range(d)] + [rng.randrange(2, q) if q > 2 else 1]
+        if d:
+            k = rng.randrange(1, d + 1)
+            yield [0] * k + [rng.randrange(q) for _ in range(d - k)] + [rng.randrange(1, q)]
+
+
+@pytest.mark.parametrize("q", sorted(KERNEL_FIELDS))
+def test_x_pow_mod_matches_square_and_multiply(q):
+    ctx = make_field(*KERNEL_FIELDS[q])
+    rng = random.Random(q)
+    x = PolyFq.x(ctx)
+    for codes in _kernel_moduli(ctx, rng):
+        h = PolyFq(ctx, codes)
+        exps = [0, 1, q - 1, q, q ** 2 - 1, q ** 3 - 1, q ** 4 - 1]
+        exps += [rng.randrange(10 ** 6) for _ in range(3)]
+        for t in exps:
+            assert tuple(gf.x_pow_mod(ctx, t, h.codes)) == x.pow_mod(t, h).codes, (h, t)
+        for t in (q ** 3 - 1, exps[-1]):
+            assert PolyFq(ctx, gf.x_pow_mod(ctx, t, h.codes)) == pow_mod_loops(x, t, h)
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(what)
+    return refuse
+
+
+# (q, n, codes) verdicts the first guard runs: proven, inconclusive, x | h,
+# g = 1, a folded h of 0 and non-monic h
+GUARD_CASES = [
+    (2, 4, list(H_EX15.codes)),
+    (2, 16, [1, 1, 0, 1, 0, 1] + [0] * 10 + [1]),
+    (3, 8, [1, 2, 0, 0, 2, 1, 0, 0, 2, 1, 2, 1]),
+    (2, 3, [0, 0, 0, 1]),
+    (2, 2, [1, 1, 0, 1]),
+    (2, 4, [1] + [0] * 14 + [1]),
+    (4, 3, [2, 3, 1, 3]),
+    (9, 3, [2, 0, 1, 5]),
+    (9, 2, [1, 5, 0, 3, 8]),
+]
+
+
+def test_verdicts_never_square_and_multiply(monkeypatch, capsys):
+    cases = [(q, n, codes, square_multiply_verdict(PolyFq(make_field(*FIELDS[q]), codes), q, n))
+             for q, n, codes in GUARD_CASES]
+    refuse = _refuse("the verdict route powered by square and multiply")
+    monkeypatch.setattr(gf, "_powmod", refuse)
+    monkeypatch.setattr(gf.PolyFq, "pow_mod", refuse)
+    with pytest.raises(AssertionError):
+        oracle_irreducible(H_EX15)  # the guard is live
+    for q, n, codes, v in cases:
+        poly = ",".join(map(str, codes))
+        report = f"status: {v.status}\nr: {v.least_period}\nthreshold: {v.threshold}\n"
+        assert main(["factor-test", "--q", str(q), "--n", str(n), "--poly", poly]) == \
+            (0 if v.proven else 1)
+        assert capsys.readouterr().out == report
+        if len(codes) - 1 == n:
+            assert main(["irred-test", "--q", str(q), "--poly", poly]) == (0 if v.proven else 1)
+            assert capsys.readouterr().out == report
+
+
+def test_oracles_never_use_the_horner_kernel(monkeypatch):
+    refuse = _refuse("an oracle powered x by x_pow_mod")
+    monkeypatch.setattr(gf, "x_pow_mod", refuse)
+    monkeypatch.setattr(spectral, "x_pow_mod", refuse)
+    with pytest.raises(AssertionError):
+        degree_n_factor_test(H_EX15, 2, 4)  # the guard is live
+    rng = random.Random(16)
+    for q in (2, 3, 4):
+        ctx = make_field(*FIELDS[q])
+        irreducibles = []
+        for d in range(1, 5):
+            for codes in itertools.product(range(q), repeat=d):
+                h = PolyFq(ctx, list(codes) + [1])
+                irreducible = brute_is_irreducible(h)
+                assert oracle_irreducible(h) == irreducible, h
+                if irreducible:
+                    irreducibles.append(h)
+        for _ in range(20):
+            parts = [rng.choice(irreducibles) for _ in range(rng.randrange(1, 5))]
+            prod = PolyFq(ctx, [rng.randrange(1, q)])
+            for part in parts:
+                prod = prod * part
+            assert oracle_factor_degrees(prod) == sorted(p.degree for p in parts)
