@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--poly", required=True,
                     help="little-endian comma-separated F_q codes")
     sp.add_argument("--L", type=int, default=None,
-                    help="order of the subfield containing the image (default: smallest)")
+                    help="order of a subfield containing the image, validated if given")
     _add_common(sp)
     sp.set_defaults(fn=_cmd_factor_test)
 

@@ -45,16 +45,6 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def mobius(n: int) -> int:
-    """Moebius function: 0 on non-squarefree n, else (-1)**(#prime factors)."""
-    mu = 1
-    for _, e in factorize(n):
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
 def prime_power(n: int) -> tuple[int, int]:
     """Decompose n as p**e with p prime, or raise NotPrimePowerError."""
     if n >= 2:

@@ -172,14 +172,14 @@ def _root_power_sums(g: PolyFq, N: int) -> list[int]:
 
 
 def _root_gcd(h: PolyFq, q: int, n: int,
-              subfield_order: int | None) -> tuple[int, int, PolyFq | None]:
-    """Validate a root-indicator request; return (N, #L, g).
+              subfield_order: int | None) -> tuple[int, dict[int, int], PolyFq | None]:
+    """Validate a root-indicator request; return (N, h mod (x**N - 1), g).
 
-    N = q**n - 1, #L the validated (or, when None, the smallest) order of a
-    subfield of F_{q^n} containing h(F_{q^n}^x), found or checked by the
-    Frobenius fixed-point test on h mod (x**N - 1) (`_frobenius_fixed`),
-    and g = gcd(h, x**N - 1) monic, or None when h vanishes at every N-th
-    root of unity.  g is squarefree, since p does not divide N.
+    N = q**n - 1; a given #L is checked to be the order of a subfield of
+    F_{q^n} containing h(F_{q^n}^x), by the Frobenius fixed-point test on the
+    folded h (`_frobenius_fixed`); g = gcd(h, x**N - 1) monic, or None when
+    h vanishes at every N-th root of unity.  g is squarefree, since p does
+    not divide N.  No verdict depends on L, so none is searched for here.
     """
     if h.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no root indicator")
@@ -192,11 +192,7 @@ def _root_gcd(h: PolyFq, q: int, n: int,
     ctx = h.ctx
     p, m = ctx.p, ctx.m
     folded = _fold(h, N)
-    if subfield_order is None:
-        t = next(t for t in numtheory.divisors(m * n)
-                 if _frobenius_fixed(folded, ctx, N, t))
-        subfield_order = p ** t
-    else:
+    if subfield_order is not None:
         # a subfield has order p**t with t | m*n, never above N + 1, so a
         # larger order is refused before it is factored
         pp, t = (numtheory.prime_power(subfield_order)
@@ -208,11 +204,11 @@ def _root_gcd(h: PolyFq, q: int, n: int,
             raise BadSubfieldError(
                 f"image of h is not contained in F_{subfield_order}")
     if not folded:  # h vanishes at every root of unity
-        return N, subfield_order, None
+        return N, folded, None
     hbar = [folded.get(j, 0) for j in range(max(folded) + 1)]
     g = poly_gcd(PolyFq(ctx, x_pow_mod(ctx, N, hbar)) - PolyFq(ctx, (1,)),
                  PolyFq(ctx, hbar))
-    return N, subfield_order, g
+    return N, folded, g
 
 
 def build_root_indicator(h: PolyFq, q: int, n: int,
@@ -221,7 +217,9 @@ def build_root_indicator(h: PolyFq, q: int, n: int,
 
     `subfield_order` names the order of L, a subfield of F_{q^n} that must
     contain the image h(F_{q^n}^x); the containment is validated.  When None,
-    the smallest such L is reported.  Any valid L yields the same S.
+    the smallest such L is found, by the Frobenius fixed-point test at each
+    divisor of [F_{q^n} : F_p] in turn, and reported.  Any valid L yields
+    the same S.
 
     S is 1 exactly at the roots of h among the N = q**n - 1 roots of unity
     and 0 elsewhere, so its coefficients are that set's inverse transform:
@@ -234,8 +232,12 @@ def build_root_indicator(h: PolyFq, q: int, n: int,
     verdicts read S's least period as the order of x modulo g, and the
     tests hold them to this dense construction.
     """
-    N, subfield_order, g = _root_gcd(h, q, n, subfield_order)
+    N, folded, g = _root_gcd(h, q, n, subfield_order)
     ctx = h.ctx
+    if subfield_order is None:
+        t = next(t for t in numtheory.divisors(ctx.m * n)
+                 if _frobenius_fixed(folded, ctx, N, t))
+        subfield_order = ctx.p ** t
     if g is not None:
         u = _root_power_sums(g, N)
         neg = ctx.neg_code

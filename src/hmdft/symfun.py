@@ -27,13 +27,14 @@ mask_period finds the least period of the same mask with no dense list, by a
 second route that shares no code with delta_mask, so that each checks the
 other.  Since A_k(i) depends only on the multiset of digits of i, a count
 table per (q, n, w) holds A_k mod p for each digit multiset, built by an
-exact recurrence on multiplicity vectors; MaskPoints reads mask(i) from the
-multiset of i, and walks the support multiset by multiset, skipping those
-whose value is 0.  The least period is then found by the prime descent of
-`cyclic.least_period_by_descent`, the one least-period algorithm of the
-package: a shift t is a period iff mask(s + t) = mask(s) at every support
-point s.  The dense route stays for `delta`, `dft --c` and the symmetry
-check.
+exact recurrence on multiplicity vectors.  MaskPoints reads that table in
+place: per c it computes the q binomial coefficients alone, reads mask(i)
+by one lookup of the multiset of i, and walks the support multiset by
+multiset, skipping those whose value is 0.  The least period is then found
+by the prime descent of `cyclic.least_period_by_descent`, the one
+least-period algorithm of the package: a shift t is a period iff
+mask(s + t) = mask(s) at every support point s.  The dense route stays for
+`delta`, `dft --c` and the symmetry check.
 
 A function on Z_{q^n-1} is q-symmetric when it is invariant under every
 permutation of the base-q digits of its argument; phi_rho realizes one digit
@@ -125,8 +126,8 @@ def _weight_counts(q: int, n: int, w: int) -> tuple[tuple[tuple[int, int], ...],
     is cached: a sweep asks for every c of one (q, n, w) in a row.
     """
     p = prime_power(q)[0]
-    N = q ** n - 1
-    members = omega(q, n, w).members.members
+    support = omega(q, n, w).members  # check_size refuses a huge n first
+    N, members = support.N, support.members
     level = ((0, 1),)
     levels = [level]
     for _ in range(q - 1):
@@ -196,8 +197,8 @@ def _compositions(total: int, caps):
 
 
 @lru_cache(maxsize=1)
-def _multiset_counts(q: int, n: int, w: int) -> tuple[tuple[tuple, tuple, tuple], ...]:
-    """A_0, ..., A_{q-1} mod p per digit multiset: (keys, parts, counts) per level k.
+def _multiset_counts(q: int, n: int, w: int) -> dict[int, tuple[int, int, tuple]]:
+    """A_1, ..., A_{q-1} mod p per digit multiset, as {key: (k, count, parts)}.
 
     A multiset is its multiplicity vector lam = (m_0, ..., m_{q-1}), m_v
     digits equal to v; A_k(d) depends on d only through it.  Exact
@@ -205,15 +206,17 @@ def _multiset_counts(q: int, n: int, w: int) -> tuple[tuple[tuple, tuple, tuple]
     level k takes each level-(k-1) multiset, raises j_v of its digits v to
     v + 1 (sum of j = w), and adds its count times prod C(lam_{v+1}, j_v),
     the number of ways to pick those columns in a digit vector of the result
-    lam.  Every level-k multiset has digits <= k; those whose count vanishes
-    mod p are dropped.  Each is stored by its key sum_v m_v * (n + 1)**v, its
-    parts (the pairs (v, m_v) with v, m_v > 0) and its count, in three
-    parallel tuples.  One entry is cached: a sweep asks for every c of one
-    (q, n, w) in a row.
+    lam.  Every level-k multiset has digits <= k and digit sum k*w, so no
+    multiset lies on two levels; those whose count vanishes mod p are
+    dropped, and so is level 0, the zero multiset with count 1.  Each is
+    stored, level by level, by its key sum_v m_v * (n + 1)**v, with its
+    level k, its count and its parts (the pairs (v, m_v) with v, m_v > 0).
+    One entry is cached: a sweep asks for every c of one (q, n, w) in a row.
     """
     p = prime_power(q)[0]
+    B = n + 1
     level = {(n,) + (0,) * (q - 1): 1}
-    levels = [level]
+    table = {}
     for k in range(1, q):
         acc = {}
         for mu, a in level.items():
@@ -229,32 +232,10 @@ def _multiset_counts(q: int, n: int, w: int) -> tuple[tuple[tuple, tuple, tuple]
                 lam = tuple(lam)
                 acc[lam] = acc.get(lam, 0) + weight
         level = {lam: a % p for lam, a in acc.items() if a % p}
-        levels.append(level)
-    B = n + 1
-    return tuple((tuple(sum(mv * B ** v for v, mv in enumerate(lam)) for lam in level),
-                  tuple(tuple((v, mv) for v, mv in enumerate(lam) if v and mv)
-                        for lam in level),
-                  tuple(level.values()))
-                 for level in levels)
-
-
-@lru_cache(maxsize=8)
-def _digit_keys(q: int, n: int) -> tuple[int, list[int]]:
-    """(Q, keys): keys[r] = sum of B**d - 1 over the digits d of r < Q = q**h.
-
-    With B = n + 1 the multiset key sum_v m_v * B**v of an n-digit vector is
-    n plus the keys of its base-Q limbs, since a zero digit adds B**0 = 1.
-    h is about n/2, so an index below q**n has two limbs, but no more than
-    keeps the table near 4096 entries.
-    """
-    h = 1
-    while 2 * h < n and q ** (h + 1) <= 4096:
-        h += 1
-    inc = [(n + 1) ** d - 1 for d in range(q)]
-    keys = [0]
-    for _ in range(h):
-        keys = [t + u for u in inc for t in keys]
-    return q ** h, keys
+        for lam, a in level.items():
+            table[sum(mv * B ** v for v, mv in enumerate(lam))] = (
+                k, a, tuple((v, mv) for v, mv in enumerate(lam) if v and mv))
+    return table
 
 
 def _arrangements(parts, free):
@@ -279,58 +260,55 @@ class MaskPoints:
     For i != 0 with digit multiset lam, mask(i) = coef_k * A_k(lam) with
     k = digitsum(i)/w and coef_k = -C(q-1, k) * s**k * (-c)**(q-1-k) (module
     docstring); A_k vanishes unless w | digitsum(i) and every digit is <= k.
-    Slot 0 holds 1, the level-0 term, and, when w = n, the all-(q-1) vector
-    of level q-1, whose sum q**n - 1 wraps to 0.  `self(i)` reads one value
-    from the multiset key of i; `support()` walks every nonzero point.
+    Slot 0 holds 1, the level-0 term coef_0, and, when w = n, the all-(q-1)
+    vector of level q-1, whose sum q**n - 1 wraps to 0.  The count table of
+    (q, n, w) is read in place, so a build computes the q coefficients and
+    slot 0 only: `self(i)` looks up the multiset key of i, and `support()`
+    walks the table once, yielding every nonzero point.
     """
 
-    __slots__ = ("n", "N", "_slot0", "_full", "_values", "_walk", "_powers", "_Q", "_keys")
+    __slots__ = ("q", "n", "N", "_slot0", "_coef", "_mul", "_table", "_inc")
 
     def __init__(self, q: int, n: int, w: int, c: FieldElement, ctx: FieldCtx):
         _check_mask_args(q, n, w, c, ctx)
-        levels = _multiset_counts(q, n, w)
+        table = _multiset_counts(q, n, w)
         p, m = ctx.p, q - 1
         add, mul, power, neg = ctx.add_codes, ctx.mul_codes, ctx.pow_code, ctx.neg_code
         sign = 1 if w % 2 == 0 else neg(1)
         b = neg(c.code)
-        values = {}
-        walk = []
-        for k, (keys, parts, counts) in enumerate(levels):
-            coef = neg(mul(comb(m, k) % p, mul(power(sign, k), power(b, m - k))))
-            if not coef:
-                continue
-            value = [mul(coef, r) for r in range(p)]
-            codes = list(map(value.__getitem__, counts))
-            values.update(zip(keys, codes))
-            if k:  # level 0 is the zero multiset alone
-                walk.append((parts, codes))
-        zero, full = n, n * (n + 1) ** m
-        slot0 = add(1, add(values.pop(zero, 0), values.pop(full, 0)))
-        if slot0:
-            values[zero] = slot0
-        self.n, self.N, self._slot0, self._full = n, q ** n - 1, slot0, ((m, n),)
-        self._values, self._walk = values, walk
-        self._powers = [q ** i for i in range(n)]
-        self._Q, self._keys = _digit_keys(q, n)
+        coef = [neg(mul(comb(m, k) % p, mul(power(sign, k), power(b, m - k))))
+                for k in range(q)]
+        # the all-(q-1) multiset is in the table only when w = n
+        full = table.get(n * (n + 1) ** m, (m, 0, ()))[1]
+        self.q, self.n, self.N = q, n, q ** n - 1
+        self._slot0 = add(add(1, coef[0]), mul(coef[m], full))
+        self._coef, self._mul, self._table = coef, mul, table
+        self._inc = [(n + 1) ** v - 1 for v in range(q)]
 
     def __call__(self, i: int) -> int:
         """The value code of the mask at i in [0, q**n - 1)."""
-        key, Q, keys = self.n, self._Q, self._keys
+        if not i:
+            return self._slot0
+        # the key of i's multiset: n zeros, each digit v trading a zero for (n+1)**v
+        key, q, inc = self.n, self.q, self._inc
         while i:
-            i, r = divmod(i, Q)
-            key += keys[r]
-        return self._values.get(key, 0)
+            i, r = divmod(i, q)
+            key += inc[r]
+        hit = self._table.get(key)
+        return self._mul(self._coef[hit[0]], hit[1]) if hit else 0
 
     def support(self):
         """(s, mask(s)) for every s with mask(s) != 0, level by level."""
         if self._slot0:
             yield 0, self._slot0
-        powers, full = self._powers, self._full
-        for level_parts, codes in self._walk:
-            for parts, code in zip(level_parts, codes):
-                if parts != full:  # its sum q**n - 1 is slot 0
-                    for s in _arrangements(parts, powers):
-                        yield s, code
+        q, n, coef, mul = self.q, self.n, self._coef, self._mul
+        powers = [q ** i for i in range(n)]
+        full = ((q - 1, n),)
+        for k, a, parts in self._table.values():
+            code = mul(coef[k], a)
+            if code and parts != full:  # its sum q**n - 1 is slot 0
+                for s in _arrangements(parts, powers):
+                    yield s, code
 
     def has_period(self, t: int) -> bool:
         """Whether mask(s + t) = mask(s) at every support point s.

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hmdft
-from hmdft import cli, numtheory
+from hmdft import cli, numtheory, spectral
 from hmdft.cli import _check_grid, _json, _parse_ints, main
 from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
 from hmdft.harness import SweepConfig
@@ -129,6 +129,17 @@ VERDICT_EDGES = [
 def test_verdict_edge_cases(capsys, args, code, status, r, thr):
     assert run(capsys, *args.split()) == \
         (code, f"status: {status}\nr: {r}\nthreshold: {thr}\n", "")
+
+
+def test_verdicts_search_no_subfield(capsys, monkeypatch):
+    # no verdict depends on L, so with no --L none is searched for
+    def no_search(*args):
+        raise AssertionError("a verdict searched for the least subfield")
+
+    monkeypatch.setattr(spectral, "_frobenius_fixed", no_search)
+    for args, code, status, r, thr in VERDICT_EDGES:
+        assert run(capsys, *args.split()) == \
+            (code, f"status: {status}\nr: {r}\nthreshold: {thr}\n", ""), args
 
 
 def test_period_of_sequence(capsys):

@@ -3,10 +3,9 @@ import time
 import pytest
 
 from hmdft.errors import NotPrimePowerError
-from hmdft.numtheory import divisors, factorize, is_prime, mobius, prime_factors, prime_power
+from hmdft.numtheory import divisors, factorize, is_prime, prime_factors, prime_power
 
-from helpers import divisors_loop, is_prime_loop, mobius_loop, prime_factors_loop, \
-    prime_power_loop
+from helpers import divisors_loop, is_prime_loop, prime_factors_loop, prime_power_loop
 
 # every N = q**n - 1 up to MODULUS_GUARD = 2**22, for q <= 9
 GROUP_ORDERS = sorted({q ** n - 1 for q in range(2, 10) for n in range(1, 23)
@@ -24,7 +23,6 @@ def _assert_agree(n):
     assert is_prime(n) == is_prime_loop(n), n
     assert prime_factors(n) == prime_factors_loop(n), n
     assert divisors(n) == divisors_loop(n), n
-    assert mobius(n) == mobius_loop(n), n
     assert _prime_power_or_message(prime_power, n) == \
         _prime_power_or_message(prime_power_loop, n), n
 
@@ -59,5 +57,4 @@ def test_primality_and_prime_power_stop_at_the_first_pair():
     with pytest.raises(NotPrimePowerError):
         prime_power(2 * big)
     assert prime_power(3 ** 40) == (3, 40)
-    assert mobius(4 * big) == 0
     assert time.perf_counter() - start < 1

@@ -1,9 +1,13 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hmdft
 from hmdft import (
     CyclicFn,
     conv_power,
@@ -21,6 +25,7 @@ from hmdft import (
     sigma_eval,
     subfield_embedding,
 )
+from hmdft import symfun
 from hmdft.errors import (
     BadPermutationError,
     BadSubfieldError,
@@ -242,27 +247,92 @@ def test_multiset_counts_match_weight_counts():
     # the count table against the sparse convolution counts A_k, level by level
     grid = dict.fromkeys(row[:3] for row in _dense_grid(2000, lambda n: range(1, n + 1)))
     for q, n, w in grid:
-        levels = _multiset_counts(q, n, w)
+        table = _multiset_counts(q, n, w)
         dense = _weight_counts(q, n, w)
         full = (0,) * (q - 1) + (n,)
-        for k, ((keys, parts, counts), pairs) in enumerate(zip(levels, dense)):
-            table = {}
-            for key, ps, a in zip(keys, parts, counts):
-                lam = [0] * q
-                for v, mv in ps:
-                    lam[v] = mv
-                lam[0] = n - sum(lam)
-                assert key == sum(mv * (n + 1) ** v for v, mv in enumerate(lam))
-                table[tuple(lam)] = a
-            seen = {}
+        levels = {}
+        for key, (k, a, ps) in table.items():
+            lam = [0] * q
+            for v, mv in ps:
+                lam[v] = mv
+            lam[0] = n - sum(lam)
+            assert key == sum(mv * (n + 1) ** v for v, mv in enumerate(lam))
+            assert 1 <= k < q and sum(v * mv for v, mv in enumerate(lam)) == k * w
+            levels[tuple(lam)] = (k, a)
+        # level 0, the zero multiset alone, is left out of the table
+        assert dense[0] == ((0, 1),)
+        seen = {}
+        for k, pairs in enumerate(dense[1:], 1):
             for i, a in pairs:
                 d = digits(i, q, n).digits
-                lam = full if i == 0 and k else tuple(d.count(v) for v in range(q))
-                assert max(d) <= k and table.get(lam) == a, (q, n, w, k, i)
+                lam = full if i == 0 else tuple(d.count(v) for v in range(q))
+                assert max(d) <= k and levels.get(lam) == (k, a), (q, n, w, k, i)
                 seen[lam] = seen.get(lam, 0) + 1
-            # each table multiset is reached at all of its arrangements
-            assert seen == {lam: math.factorial(n) // math.prod(map(math.factorial, lam))
-                            for lam in table}, (q, n, w, k)
+        # each table multiset is reached at all of its arrangements
+        assert seen == {lam: math.factorial(n) // math.prod(map(math.factorial, lam))
+                        for lam in levels}, (q, n, w)
+
+
+class _WalkCounter(dict):
+    """A dict that counts every walk over its keys, values or items."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.walks = 0
+
+    def _walked(self, view):
+        self.walks += 1
+        return view
+
+    def __iter__(self):
+        return self._walked(super().__iter__())
+
+    def keys(self):
+        return self._walked(super().keys())
+
+    def values(self):
+        return self._walked(super().values())
+
+    def items(self):
+        return self._walked(super().items())
+
+
+def test_mask_points_read_the_count_table_in_place(monkeypatch):
+    # a build per c and every point read leave the table unwalked; each
+    # support() walks it once
+    for q, n, w in [(7, 4, 2), (9, 3, 3), (4, 5, 5), (5, 4, 1), (8, 3, 2)]:
+        ctx = make_field(*prime_power(q))
+        table = _WalkCounter(_multiset_counts(q, n, w))
+        monkeypatch.setattr(symfun, "_multiset_counts", lambda *args: table)
+        masks = [MaskPoints(q, n, w, ctx.element(c), ctx) for c in range(q)]
+        rows = [list(map(f, range(q ** n - 1))) for f in masks]
+        assert table.walks == 0, (q, n, w)
+        for f, row in zip(masks, rows):
+            support = dict(f.support())
+            assert support == {i: v for i, v in enumerate(row) if v}
+        assert table.walks == q, (q, n, w)
+
+
+HUGE_N_MASK = """
+from hmdft import delta, delta_mask, make_field
+from hmdft.errors import SizeCapError
+F = make_field(3, 1)
+for build in (lambda: delta(3, 10**9, 1, F), lambda: delta_mask(3, 10**9, 1, F.one(), F)):
+    try:
+        build()
+    except SizeCapError as exc:
+        print("refused:", exc)
+"""
+
+
+def test_huge_n_mask_fails_fast():
+    # in a subprocess with a timeout, so a route that forms 3**n fails, not hangs
+    env = {"PYTHONPATH": str(Path(hmdft.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", HUGE_N_MASK],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and all(line.startswith("refused:") for line in lines)
 
 
 def test_mask_support_digit_sum_bound():
