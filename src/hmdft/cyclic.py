@@ -9,13 +9,13 @@ smallest positive r with f(i + r) = f(i) for all i (always a divisor of N).
 Everything is exact: values are finite-field elements, never floats.
 When every value of f lies in the subfield F_{p^t}, the transform obeys the
 conjugacy rule g(i * p^t) = g(i)**(p^t), so `dft` forms one sum per
-cyclotomic coset of p^t mod N and powers it across the rest of the coset;
-F_q-valued inputs, the paper's case, take this route.  Convolution iterates
-over support pairs, which reduces to the defining double sum when both
-supports are dense but is far cheaper on sparse indicator functions; no
-certification path calls it, the tests and their oracles do.  Every least
-period comes from one prime descent, `least_period_by_descent`, over a
-caller's test for the shifts t | N: `least_period` compares the dense
+cyclotomic coset of p^t mod N and powers it across the rest of the coset, in
+one walk over Z_N; F_q-valued inputs, the paper's case, take this route.
+Convolution iterates over support pairs, which reduces to the defining double
+sum when both supports are dense but is far cheaper on sparse indicator
+functions; no certification path calls it, the tests and their oracles do.
+Every least period comes from one prime descent, `least_period_by_descent`,
+over a caller's test for the shifts t | N: `least_period` compares the dense
 values, `symfun.mask_period` reads the mask at its support points.
 Functions are immutable once built; all operations here are pure.
 """
@@ -175,8 +175,9 @@ def dft(f: CyclicFn, zeta: FieldElement) -> CyclicFn:
     the conjugacy rule g(i*P mod N) = g(i)**P holds.  The sum is therefore
     formed once per cyclotomic coset {i, i*P, i*P**2, ...} of P mod N, at its
     least member, and the rest of the coset is that sum powered in the log
-    domain.  When P = 1 mod N (values spanning the whole field, every prime
-    field) the cosets are single points and every point is summed.
+    domain, all in one ascending walk over Z_N.  When P = 1 mod N (values
+    spanning the whole field, every prime field) the cosets are single points
+    and every point is summed.
     """
     _check_root(f, zeta)
     return _transform(f, zeta, 0)
@@ -188,6 +189,10 @@ def _transform(f: CyclicFn, zeta: FieldElement, scale_log: int) -> CyclicFn:
     The constant rides on every support log, so scaling costs one add per
     support point, not one product per output point.  It lies in every
     F_{p^t} and is fixed by the Frobenius, so t and the coset fill are f's.
+
+    One pass over Z_N: a point not yet filled is the least member of its
+    orbit under i -> i*P, so the sum is formed there and powered along the
+    orbit, which fills the orbit's other points.
     """
     ctx, N = f.ctx, f.N
     exp, log, add = ctx.exp, ctx.log, ctx.add_codes
@@ -204,37 +209,19 @@ def _transform(f: CyclicFn, zeta: FieldElement, scale_log: int) -> CyclicFn:
     t = next(t for t in numtheory.divisors(ctx.m)
              if G % (M // (ctx.p ** t - 1)) == 0)
     P = ctx.p ** t
-    frobenius = (P - 1) % N != 0
-    points = _coset_leaders(N, P % N) if frobenius else range(N)
-    out = [0] * N
-    for i in points:
-        s = 0
-        for lc, kj in supp:
-            s = add(s, exp[(lc + kj * i) % M])
-        out[i] = s
-    if frobenius:
-        for i in points:
-            if out[i]:
-                ls, j = log[out[i]], i * P % N
-                while j != i:
-                    ls = ls * P % M
-                    out[j] = exp[ls]
-                    j = j * P % N
-    return CyclicFn(ctx, out)
-
-
-def _coset_leaders(N: int, P: int) -> list[int]:
-    """Least member of each orbit of i -> i*P on Z_N (P a unit), ascending."""
-    seen = bytearray(N)
-    leaders = []
+    out = [-1] * N
     for i in range(N):
-        if not seen[i]:
-            leaders.append(i)
-            j = i
-            while not seen[j]:
-                seen[j] = 1
+        if out[i] < 0:  # i leads its orbit: sum there, power along the rest
+            s = 0
+            for lc, kj in supp:
+                s = add(s, exp[(lc + kj * i) % M])
+            out[i] = s
+            ls, j = log[s], i * P % N
+            while j != i:
+                ls = ls * P % M
+                out[j] = exp[ls] if s else 0
                 j = j * P % N
-    return leaders
+    return CyclicFn(ctx, out)
 
 
 def idft(f: CyclicFn, zeta: FieldElement) -> CyclicFn:

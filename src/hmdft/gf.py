@@ -15,13 +15,15 @@ every run.  Every constructible field (order up to ``FIELD_ORDER_CAP``) is
 table-backed: discrete exp/log tables make multiplication, inversion and
 powering O(1) lookups.
 
-The exp table is walked with the F_p-linear map "multiply by zeta" on one
-bit lane per base-p digit (``FieldCtx._finish``): two split-table lookups and
-one integer add per entry.  The split tables are sums of the m columns
-zeta*x**i, m - 1 polynomial products in all.  An extension field is built
-with ``PolyFq`` over F_p, the package's one polynomial scheme: its modulus
-search, its primitive-element search and its columns; a prime field powers
-by the built-in ``pow``.
+The exp table is walked with the F_p-linear map "multiply by zeta", tabled
+for the low and the high half of the digits (``FieldCtx._finish``).  For odd
+p the walk's state holds one bit lane per base-p digit: two split-table
+lookups and one integer add per entry.  For p = 2 the state is the code word
+itself and adding is XOR: two list lookups and one XOR per entry.  The split
+tables are sums of the m columns zeta*x**i, m - 1 polynomial products in all.
+An extension field is built with ``PolyFq`` over F_p, the package's one
+polynomial scheme: its modulus search, its primitive-element search and its
+columns; a prime field powers by the built-in ``pow``.
 
 Addition is XOR in characteristic 2 and integer addition mod p in prime
 fields.  Odd-characteristic extension fields add by Zech logarithms:
@@ -206,11 +208,17 @@ class FieldCtx:
         ``PolyFq.pow_mod`` over F_p modulo the modulus otherwise.
 
         Multiplication by zeta is F_p-linear, so the exp walk makes no general
-        product per entry.  The walk's state holds digit i of the current
-        power in bit lane i, B = (2p - 1).bit_length() + 1 bits wide: room for
-        the sum of two digits below p plus a flag bit.  ``reduce`` subtracts p
-        from every lane that reached p: adding 2**(B-1) - p to each lane sets
-        exactly those lanes' top bits.  The lanes split into the low h = m // 2
+        product per entry.  Digit i of a column zeta*x**i sits in bit lane i,
+        B bits wide.  For p = 2, B = 1: a column is a field code and adding is
+        XOR, so zeta times each possible low half (h = m // 2 bits) and high
+        half of a code is a list indexed by that half, each grown by XOR-ing
+        in one column, and one step is two lookups and one XOR.
+
+        For odd p the walk's state holds digit i of the current power in bit
+        lane i, B = (2p - 1).bit_length() + 1 bits wide: room for the sum of
+        two digits below p plus a flag bit.  ``reduce`` subtracts p from every
+        lane that reached p: adding 2**(B-1) - p to each lane sets exactly
+        those lanes' top bits.  The lanes split into the low h = m // 2
         digits and the high m - h; zeta times each possible half is tabled
         (p**h and p**(m-h) entries), and so is each half's code.  The tables
         grow from the m columns zeta*x**i, each the one before times x mod
@@ -221,7 +229,7 @@ class FieldCtx:
         p, m = self.p, self.m
         M = self.order - 1
         fac = numtheory.prime_factors(M)
-        B = (2 * p - 1).bit_length() + 1
+        B = 1 if p == 2 else (2 * p - 1).bit_length() + 1  # bits per digit
         if m == 1:
             self.zeta_code = next(c for c in range(1, p)
                                   if all(pow(c, M // t, p) != 1 for t in fac))
@@ -239,36 +247,49 @@ class FieldCtx:
                 cols.append(cols[-1] * x % mod)
             cols = [sum(d << (i * B) for i, d in enumerate(c.codes)) for c in cols]
         h = m // 2
-        shift = h * B
-        lo_mask = (1 << shift) - 1
-        ones = sum(1 << (i * B) for i in range(m))  # a 1 in every lane
-        hib = ones << (B - 1)
-        adj = ((1 << (B - 1)) - p) * ones
-
-        def reduce(s):
-            return s - (((s + adj) & hib) >> (B - 1)) * p
-
-        def half_tables(first, last):
-            # lane keys of the codes with digits only in first..last-1, shifted
-            # to lane 0, mapped to each code and to zeta times it in lanes
-            keys, codes, nexts = [0], [0], [0]
-            for i in range(first, last):
-                size, unit, step, col = len(keys), 1 << ((i - first) * B), p ** i, cols[i]
-                for _ in range(p - 1):  # digit i one more than in the block before
-                    keys += [k + unit for k in keys[-size:]]
-                    codes += [c + step for c in codes[-size:]]
-                    nexts += [reduce(v + col) for v in nexts[-size:]]
-            return dict(zip(keys, codes)), dict(zip(keys, nexts))
-
-        lo_code, lo_next = half_tables(0, h)
-        hi_code, hi_next = half_tables(h, m)
         exp = [0] * M
         s = 1
-        for i in range(M):
-            lo = s & lo_mask
-            hi = s >> shift
-            exp[i] = lo_code[lo] + hi_code[hi]
-            s = reduce(lo_next[lo] + hi_next[hi])
+        if p == 2:
+            # the columns are codes and adding is XOR, so zeta times each
+            # possible half is tabled by the half's code
+            mask = (1 << h) - 1
+            lo, hi = [0], [0]
+            for col in cols[:h]:
+                lo += [v ^ col for v in lo]
+            for col in cols[h:]:
+                hi += [v ^ col for v in hi]
+            for i in range(M):
+                exp[i] = s
+                s = lo[s & mask] ^ hi[s >> h]
+        else:
+            shift = h * B
+            lo_mask = (1 << shift) - 1
+            ones = sum(1 << (i * B) for i in range(m))  # a 1 in every lane
+            hib = ones << (B - 1)
+            adj = ((1 << (B - 1)) - p) * ones
+
+            def reduce(s):
+                return s - (((s + adj) & hib) >> (B - 1)) * p
+
+            def half_tables(first, last):
+                # lane keys of the codes with digits only in first..last-1, shifted
+                # to lane 0, mapped to each code and to zeta times it in lanes
+                keys, codes, nexts = [0], [0], [0]
+                for i in range(first, last):
+                    size, unit, step, col = len(keys), 1 << ((i - first) * B), p ** i, cols[i]
+                    for _ in range(p - 1):  # digit i one more than in the block before
+                        keys += [k + unit for k in keys[-size:]]
+                        codes += [c + step for c in codes[-size:]]
+                        nexts += [reduce(v + col) for v in nexts[-size:]]
+                return dict(zip(keys, codes)), dict(zip(keys, nexts))
+
+            lo_code, lo_next = half_tables(0, h)
+            hi_code, hi_next = half_tables(h, m)
+            for i in range(M):
+                lo = s & lo_mask
+                hi = s >> shift
+                exp[i] = lo_code[lo] + hi_code[hi]
+                s = reduce(lo_next[lo] + hi_next[hi])
         if s != 1:  # zeta**(order-1) must close the cycle
             raise AssertionError("generator order inconsistency")
         log = [-1] * self.order
@@ -854,7 +875,9 @@ class Embedding:
         at_gamma = FieldElement(big, gamma)
         lift = [PolyFq(big, small.digits_of(code))(at_gamma).code
                 for code in range(small.order)]
-        self._lift = lift
+        # dicts both ways: a code outside the small field is a KeyError, with
+        # no wrap-around of a negative index
+        self._lift = dict(enumerate(lift))
         self._lower = {b: s for s, b in enumerate(lift)}
 
     def lift(self, elt: FieldElement) -> FieldElement:
@@ -863,13 +886,15 @@ class Embedding:
         return FieldElement(self.big, self._lift[elt.code])
 
     def lift_codes(self, codes) -> list[int]:
-        """Big-field codes of a sequence of small-field codes, one lookup each."""
-        order = self.small.order
-        for c in codes:
-            if not 0 <= c < order:
-                raise ValueError(f"code {c} out of range for {self.small!r}")
-        lift = self._lift
-        return [lift[c] for c in codes]
+        """Big-field codes of a sequence of small-field codes, one lookup each.
+
+        The lookup is the range check: it stops at the first code outside the
+        small field and names it.
+        """
+        try:
+            return list(map(self._lift.__getitem__, codes))
+        except KeyError as exc:
+            raise ValueError(f"code {exc.args[0]} out of range for {self.small!r}") from None
 
     def lower(self, elt: FieldElement) -> FieldElement:
         if elt.ctx is not self.big:

@@ -282,7 +282,7 @@ def polymul_exp_table(ctx):
 
     Walks zeta's powers with ``polymul``, the field's reference product on
     coefficient vectors, and checks that the walk closes after order - 1
-    steps; shares nothing with the lane-wise walk of ``FieldCtx._finish``.
+    steps; shares nothing with either walk of ``FieldCtx._finish``.
     """
     M = ctx.order - 1
     exp = [0] * M
@@ -291,6 +291,57 @@ def polymul_exp_table(ctx):
         exp[i] = e
         e = polymul(ctx, e, ctx.zeta_code)
     if e != 1:  # zeta**(order-1) must close the cycle
+        raise AssertionError("generator order inconsistency")
+    return exp
+
+
+def lane_walk_exp_table(ctx):
+    """The exp table of ctx by the lane walk, for every p.
+
+    ``FieldCtx._finish`` walked every field this way before p = 2 moved to
+    code words and XOR.  The walk's state holds digit i of the current power
+    in bit lane i, B = (2p - 1).bit_length() + 1 bits wide; ``reduce``
+    subtracts p from every lane that reached p.  zeta times each possible low
+    and high half of the lanes is tabled, grown from the m columns zeta*x**i,
+    which come from ``polymul`` here rather than from ``PolyFq``.
+    """
+    p, m = ctx.p, ctx.m
+    M = ctx.order - 1
+    B = (2 * p - 1).bit_length() + 1
+    cols = [polymul(ctx, ctx.zeta_code, p ** i) for i in range(m)]
+    cols = [sum(d << (i * B) for i, d in enumerate(ctx.digits_of(c))) for c in cols]
+    h = m // 2
+    shift = h * B
+    lo_mask = (1 << shift) - 1
+    ones = sum(1 << (i * B) for i in range(m))  # a 1 in every lane
+    hib = ones << (B - 1)
+    adj = ((1 << (B - 1)) - p) * ones
+
+    def reduce(s):
+        return s - (((s + adj) & hib) >> (B - 1)) * p
+
+    def half_tables(first, last):
+        # lane keys of the codes with digits only in first..last-1, shifted
+        # to lane 0, mapped to each code and to zeta times it in lanes
+        keys, codes, nexts = [0], [0], [0]
+        for i in range(first, last):
+            size, unit, step, col = len(keys), 1 << ((i - first) * B), p ** i, cols[i]
+            for _ in range(p - 1):  # digit i one more than in the block before
+                keys += [k + unit for k in keys[-size:]]
+                codes += [c + step for c in codes[-size:]]
+                nexts += [reduce(v + col) for v in nexts[-size:]]
+        return dict(zip(keys, codes)), dict(zip(keys, nexts))
+
+    lo_code, lo_next = half_tables(0, h)
+    hi_code, hi_next = half_tables(h, m)
+    exp = [0] * M
+    s = 1
+    for i in range(M):
+        lo = s & lo_mask
+        hi = s >> shift
+        exp[i] = lo_code[lo] + hi_code[hi]
+        s = reduce(lo_next[lo] + hi_next[hi])
+    if s != 1:  # zeta**(order-1) must close the cycle
         raise AssertionError("generator order inconsistency")
     return exp
 

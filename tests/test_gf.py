@@ -33,6 +33,7 @@ from helpers import (
     brute_min_poly,
     digitwise_add,
     digitwise_neg,
+    lane_walk_exp_table,
     mobius_loop,
     oracle_irreducible_powering,
     pow_mod_loops,
@@ -43,10 +44,12 @@ from helpers import (
 )
 
 # every field of order <= 2^12 for a spread of primes, then larger fields of
-# several shapes: p = 2, a long odd lane vector, a short wide one, and m = 2
+# several shapes: every F_{2^m} up to 2^16, a long odd lane vector, a short
+# wide one, and m = 2
 SMALL_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13, 31)
                 for m in range(1, 13) if p ** m <= 1 << 12]
-LARGE_FIELDS = [(2, 16), (3, 9), (5, 6), (7, 5), (13, 4), (251, 2)]
+LARGE_FIELDS = [(2, 13), (2, 14), (2, 15), (2, 16), (3, 9), (5, 6), (7, 5), (13, 4),
+                (251, 2)]
 
 
 def test_make_field_prime():
@@ -190,6 +193,8 @@ def _assert_matches_polymul_walk(p, m):
     ctx = make_field(p, m)
     exp = polymul_exp_table(ctx)
     assert ctx.exp == tuple(exp)
+    # and the p-generic lane walk, on columns from polymul
+    assert exp == lane_walk_exp_table(ctx)
     log = [-1] * ctx.order
     for i, c in enumerate(exp):
         log[c] = i
@@ -271,7 +276,8 @@ def test_order_of_matches_repeated_products(p, m):
 @pytest.mark.parametrize("p,modulus", [(2, (0, 0, 1)), (3, (0, 0, 1))])
 def test_exp_walk_must_close(p, modulus):
     # x^2 is reducible: the search settles on the nilpotent x, whose powers
-    # reach 0 and never return to 1
+    # reach 0 and never return to 1 (p = 2 walks code words by XOR, p = 3
+    # walks lanes)
     ctx = gf.FieldCtx(p, 2, modulus)
     with pytest.raises(AssertionError, match="generator order"):
         ctx._finish()
@@ -452,6 +458,8 @@ def test_embedding_f4_in_f16():
     for bad in (-1, 4):  # a bare table lookup would wrap -1 to code 3
         with pytest.raises(ValueError, match=f"code {bad} out of range"):
             emb.lift_codes([0, bad])
+    with pytest.raises(ValueError, match="code 5 out of range"):  # the first one named
+        emb.lift_codes([1, 5, -1, 9])
     with pytest.raises(BadSubfieldError):
         emb.lower(f16.element(2))  # x generates F_16, not in F_4
     with pytest.raises(BadTowerError):
