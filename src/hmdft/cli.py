@@ -216,6 +216,8 @@ def _cmd_period(args) -> int:
         r = least_period_of_sequence(_parse_ints(args.seq))
         _emit({"r": r}, args.format, args.out)
         return 0
+    if args.n == 1:  # refused before any field or mask is built
+        raise ValueError("period needs n >= 2: the mask at n = 1 has no period threshold")
     if 2 * args.w <= args.n:
         rep = verify_period_claims(args.q, args.n, args.w, args.c, cap=_cap(args))
         _emit(rep.to_dict(), args.format, args.out)
@@ -236,19 +238,18 @@ def _cmd_dft(args) -> int:
     _check_n(args)
     N = check_size(args.q, args.n, _cap(args), field=True)
     p, j = prime_power(args.q)
-    big = make_field(p, j * args.n)
-    zeta = primitive_element(big)
-    if args.seq is None and args.c is None:
-        f = delta(args.q, args.n, args.w, big)
+    small, big = make_field(p, j), make_field(p, j * args.n)
+    # every input is built over F_q and lifted into F_{q^n} once
+    if args.seq is not None:
+        codes = _parse_ints(args.seq)
+        if len(codes) != N:
+            raise AlgebraError(f"sequence must have length q**n - 1 = {N}")
+    elif args.c is None:
+        codes = delta(args.q, args.n, args.w, small).codes
     else:
-        small = make_field(p, j)
-        if args.seq is not None:
-            codes = _parse_ints(args.seq)
-            if len(codes) != N:
-                raise AlgebraError(f"sequence must have length q**n - 1 = {N}")
-        else:
-            codes = delta_mask(args.q, args.n, args.w, small.element(args.c), small).codes
-        f = CyclicFn(big, subfield_embedding(small, big).lift_codes(codes))
+        codes = delta_mask(args.q, args.n, args.w, small.element(args.c), small).codes
+    f = CyclicFn(big, subfield_embedding(small, big).lift_codes(codes))
+    zeta = primitive_element(big)
     g = idft(f, zeta) if args.inverse else dft(f, zeta)
     _emit({"values": list(g.codes)}, args.format, args.out)
     return 0

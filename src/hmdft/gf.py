@@ -9,11 +9,13 @@ subfield and code p is the residue class of x modulo the field's modulus.
 
 Construction is deterministic: ``make_field(p, m)`` always picks the
 canonically-first monic irreducible modulus of degree m (coefficient vectors
-enumerated with the constant term varying fastest) and the canonically-first
-primitive element zeta, so identical parameters yield identical tables on
-every run.  Every constructible field (order up to ``FIELD_ORDER_CAP``) is
-table-backed: discrete exp/log tables make multiplication, inversion and
-powering O(1) lookups.
+enumerated as ``numtheory.digits`` expands a code, constant term fastest)
+and the canonically-first primitive element zeta, so identical parameters
+yield identical tables on every run.  It is one step: the ``FieldCtx``
+constructor finds zeta, builds the tables and binds the adder.  Every
+constructible field (order up to ``FIELD_ORDER_CAP``) is table-backed:
+discrete exp/log tables make multiplication, inversion and powering O(1)
+lookups.
 
 The exp table is walked with the F_p-linear map "multiply by zeta", tabled
 for the low and the high half of the digits (``FieldCtx._finish``).  For odd
@@ -30,9 +32,10 @@ fields.  Odd-characteristic extension fields add by Zech logarithms:
 ``zech[k]`` is the log of 1 + zeta**k (-1 when that sum is 0), built in
 O(order) by adding 1 to the constant digit of each exp entry, so that
 zeta**i + zeta**j = zeta**(i + zech[j - i]); negation is multiplication by
--1 = zeta**((order-1)/2).  The adder is bound once per field: ``_finish``
-stores the one scheme that applies as the field's ``add_codes``,
-``sub_codes`` and ``neg_code``, so no addition re-tests p or m.
+-1 = zeta**((order-1)/2).  The adder is bound once per field:
+``_bind_adder`` stores the one scheme that applies as the field's
+``add_codes``, ``sub_codes`` and ``neg_code``, so no addition re-tests p or
+m; the Zech table is built there and held only by the adder that reads it.
 
 Polynomials over a field run on one private kernel on plain code lists: a
 product, a division and a product reduced modulo h, all three adding scaled
@@ -62,7 +65,6 @@ length q**n - 1, so ``mask_period(3, 30, 1, ...)`` answers in milliseconds.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 
@@ -114,37 +116,29 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "m", "order", "modulus", "zeta_code", "exp", "log",
-                 "_zech", "add_codes", "sub_codes", "neg_code")
+                 "add_codes", "sub_codes", "neg_code")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
         self.m = m
         self.order = p ** m
         self.modulus = tuple(modulus)
-        self.zeta_code = None
-        self.exp = None
-        self.log = None
-        self._zech = None
+        self._finish()
 
     # ------------------------------------------------------------------
     # code <-> coefficient vector
 
     def digits_of(self, code: int) -> tuple[int, ...]:
         """Coefficient vector of a code, length m, base-p little-endian."""
-        p = self.p
-        out = []
-        for _ in range(self.m):
-            code, r = divmod(code, p)
-            out.append(r)
-        return tuple(out)
+        return tuple(numtheory.digits(code, self.p, self.m))
 
     # ------------------------------------------------------------------
     # code-level arithmetic
     #
     # add_codes, sub_codes and neg_code are per-field callables held in slots
-    # and bound by ``_finish`` (``_bind_adder``).  Indices into exp are log
-    # sums shifted by -M (M = order - 1), so they lie in [-M, M) and Python's
-    # negative indexing reduces them mod M.
+    # and bound by ``_bind_adder``.  Indices into exp are log sums shifted by
+    # -M (M = order - 1), so they lie in [-M, M) and Python's negative
+    # indexing reduces them mod M.
 
     def mul_codes(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -201,7 +195,7 @@ class FieldCtx:
     # ------------------------------------------------------------------
 
     def _finish(self):
-        """Find the canonical primitive element and build the lookup tables.
+        """Find the canonical primitive element, build the tables, bind the adder.
 
         zeta is the least code whose power (order-1)/t is not 1 for any prime
         t | order - 1, powered by ``pow`` mod p in a prime field and by
@@ -299,9 +293,6 @@ class FieldCtx:
         # tuple of ints at its first pass instead of walking it at every one
         self.exp = tuple(exp)
         self.log = tuple(log)
-        if p != 2 and m > 1:
-            # 1 + zeta**k adds 1 to the constant digit; log[0] = -1 marks 1 + zeta**k = 0
-            self._zech = tuple([log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp])
         self._bind_adder()
 
     def _bind_adder(self):
@@ -316,7 +307,9 @@ class FieldCtx:
             self.sub_codes = lambda a, b: (a - b) % p
             self.neg_code = lambda a: -a % p
             return
-        exp, log, zech = self.exp, self.log, self._zech
+        exp, log = self.exp, self.log
+        # 1 + zeta**k adds 1 to the constant digit; log[0] = -1 marks 1 + zeta**k = 0
+        zech = tuple([log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp])
         M = self.order - 1
         half = M // 2  # -1 = zeta**(M/2)
 
@@ -517,12 +510,8 @@ def x_pow_mod(ctx: FieldCtx, t: int, h) -> list:
     shifts them by d and makes one reduction, with no general product.
     """
     q = ctx.order
-    digits = []
-    while t:
-        t, d = divmod(t, q)
-        digits.append(d)
     y = _divmod(ctx, [1], h)[1]  # modulo a unit, even 1 is 0
-    for d in reversed(digits):
+    for d in reversed(numtheory.digits(t, q)):
         step = [0] * (q * (len(y) - 1) + d + 1)
         step[d::q] = y
         y = _divmod(ctx, step, h)[1]
@@ -545,10 +534,8 @@ class PolyFq:
         codes = list(codes)
         if any(not 0 <= c < ctx.order for c in codes):
             raise ValueError(f"coefficient code out of range for F_{ctx.order}")
-        while codes and codes[-1] == 0:
-            codes.pop()
         self.ctx = ctx
-        self.codes = tuple(codes)
+        self.codes = tuple(_trim(codes))
 
     @classmethod
     def from_elements(cls, elements) -> "PolyFq":
@@ -752,24 +739,13 @@ def make_field(p: int, m: int = 1) -> FieldCtx:
     if not numtheory.is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if m == 1:
-        modulus = (0, 1)  # the class of x; unused for prime fields
+        modulus = (0, 1)  # x, whose root 0 is Embedding's gamma for a prime field
     else:
         prime = make_field(p, 1)
-        modulus = None
-        for code in itertools.count(0):
-            digits = []
-            c = code
-            for _ in range(m):
-                c, r = divmod(c, p)
-                digits.append(r)
-            if c:  # exhausted all monic candidates without a hit: impossible
-                raise AssertionError("no irreducible modulus found")
-            cand_poly = PolyFq(prime, digits + [1])
-            if oracle_irreducible(cand_poly):
-                modulus = tuple(digits + [1])
-                break
+        modulus = next(cand for cand in (tuple(numtheory.digits(code, p, m)) + (1,)
+                                         for code in range(p ** m))
+                       if oracle_irreducible(PolyFq(prime, cand)))
     ctx = FieldCtx(p, m, modulus)
-    ctx._finish()
     _FIELD_CACHE[key] = ctx
     return ctx
 
@@ -860,19 +836,15 @@ class Embedding:
                 f"F_{small.order} is not a subfield of F_{big.order}")
         self.small = small
         self.big = big
-        gamma = None
         mod_poly = PolyFq(big, small.modulus)  # coefficients are constants
         # every root lies in big's copy of F_{p^s}: 0 and the p^s - 1 powers
         # zeta**(k * M / (p^s - 1)); scanning them in ascending code order
         # finds the same least root as a scan of all of big
         subfield = big.exp[::(big.order - 1) // (small.order - 1)]
-        for code in [0] + sorted(subfield):
-            if mod_poly(FieldElement(big, code)).code == 0:
-                gamma = code
-                break
-        self.gamma = gamma
+        self.gamma = next(code for code in [0] + sorted(subfield)
+                          if not mod_poly(FieldElement(big, code)))
         # code c is the polynomial of its digits at x; its image, that at gamma
-        at_gamma = FieldElement(big, gamma)
+        at_gamma = FieldElement(big, self.gamma)
         lift = [PolyFq(big, small.digits_of(code))(at_gamma).code
                 for code in range(small.order)]
         # dicts both ways: a code outside the small field is a KeyError, with

@@ -1,10 +1,12 @@
 """Exact number-theoretic helpers on plain integers.
 
 One routine, `factorize`, finds prime factors, by trial division; every other
-helper reads its answer from the pairs it yields.  They come lazily and in
-ascending order, so `is_prime` and `prime_power` stop at the first pair and
-never factor the cofactor of a small prime.  No floating point anywhere,
-since these results feed exact divisibility verdicts.
+factor helper reads its answer from the pairs it yields.  They come lazily and
+in ascending order, so `is_prime` and `prime_power` stop at the first pair and
+never factor the cofactor of a small prime.  One codec, `digits`, expands every
+field code, point of Z_{q^n-1} and exponent into base-b digits, but for the
+fused loop of the hot point read `symfun.MaskPoints`.  No floating point
+anywhere, since these results feed exact divisibility verdicts.
 """
 
 from __future__ import annotations
@@ -25,6 +27,21 @@ def factorize(n: int):
         f += 1 if f == 2 else 2
     if n > 1:
         yield n, 1
+
+
+def digits(k: int, base: int, width: int | None = None) -> list[int]:
+    """The base-`base` digits of k >= 0, little-endian, base >= 2.
+
+    Exactly the low `width` digits when width is given, else up to the last
+    nonzero digit (none for k = 0).
+    """
+    if k < 0 or base < 2:  # base 1 would never reach the last digit
+        raise ValueError(f"digits need k >= 0 and base >= 2, not k={k}, base={base}")
+    out = []
+    while len(out) < width if width is not None else k:
+        k, r = divmod(k, base)
+        out.append(r)
+    return out
 
 
 def is_prime(n: int) -> bool:

@@ -51,6 +51,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
+from . import numtheory
 from .cyclic import CyclicFn, SupportSet, least_period_by_descent
 from .errors import (
     BadPermutationError,
@@ -60,7 +61,6 @@ from .errors import (
     WeightRangeError,
 )
 from .gf import FieldCtx, FieldElement, check_size
-from .numtheory import prime_power
 
 
 class OmegaSet(NamedTuple):
@@ -125,7 +125,7 @@ def _weight_counts(q: int, n: int, w: int) -> tuple[tuple[tuple[int, int], ...],
     once per level; pairs whose count vanishes mod p are dropped.  One entry
     is cached: a sweep asks for every c of one (q, n, w) in a row.
     """
-    p = prime_power(q)[0]
+    p = numtheory.prime_power(q)[0]
     support = omega(q, n, w).members  # check_size refuses a huge n first
     N, members = support.N, support.members
     level = ((0, 1),)
@@ -213,7 +213,7 @@ def _multiset_counts(q: int, n: int, w: int) -> dict[int, tuple[int, int, tuple]
     level k, its count and its parts (the pairs (v, m_v) with v, m_v > 0).
     One entry is cached: a sweep asks for every c of one (q, n, w) in a row.
     """
-    p = prime_power(q)[0]
+    p = numtheory.prime_power(q)[0]
     B = n + 1
     level = {(n,) + (0,) * (q - 1): 1}
     table = {}
@@ -239,10 +239,10 @@ def _multiset_counts(q: int, n: int, w: int) -> dict[int, tuple[int, int, tuple]
 
 
 def _arrangements(parts, free):
-    """The sums of v * P over every placement of the parts (v, m) at free powers P."""
-    if not parts:
-        yield 0
-        return
+    """The sums of v * P over every placement of the parts (v, m) at free powers P.
+
+    parts is nonempty: every multiset of the count table has a nonzero digit.
+    """
     (v, m), rest = parts[0], parts[1:]
     for chosen in itertools.combinations(free, m):
         head = v * sum(chosen)
@@ -333,25 +333,13 @@ def mask_period(q: int, n: int, w: int, c: FieldElement, ctx: FieldCtx) -> int:
 
 def digits(k: int, q: int, n: int) -> DigitVector:
     """Base-q digits of the canonical representative of k in Z_{q^n-1}."""
-    N = q ** n - 1
-    k = k % N
-    out = []
-    v = k
-    for _ in range(n):
-        v, r = divmod(v, q)
-        out.append(r)
-    return DigitVector(k, tuple(out))
+    k %= q ** n - 1
+    return DigitVector(k, tuple(numtheory.digits(k, q, n)))
 
 
 def digit_sum(k: int, q: int) -> int:
     """Sum of the base-q digits of a non-negative integer."""
-    if k < 0:
-        raise ValueError("digit sums are defined for non-negative integers")
-    s = 0
-    while k:
-        k, r = divmod(k, q)
-        s += r
-    return s
+    return sum(numtheory.digits(k, q))
 
 
 def _check_perm(rho, n: int) -> tuple[int, ...]:

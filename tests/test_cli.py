@@ -203,6 +203,40 @@ def test_dft_inverse_seq_matches_brute_force(capsys):
         assert json.loads(out)["values"] == list(oracle(f, z).codes)
 
 
+@pytest.mark.parametrize("q,n,w,c", [(2, 3, 1, 1), (3, 2, 1, 0), (3, 2, 1, 2),
+                                     (4, 2, 1, 3), (5, 2, 2, 1)])
+def test_dft_of_mask_matches_convolution_oracle(capsys, q, n, w, c):
+    # dft --c transforms the prescription mask: the mask powered by
+    # convolution over F_q, lifted, then summed point by point (forward) or
+    # by brute force (--inverse)
+    from hmdft import CyclicFn, make_field, primitive_element, subfield_embedding
+
+    from helpers import brute_idft, convolution_delta_mask, pointwise_dft
+
+    p, j = numtheory.prime_power(q)
+    small, big = make_field(p, j), make_field(p, j * n)
+    mask = convolution_delta_mask(q, n, w, small.element(c), small)
+    f = CyclicFn(big, subfield_embedding(small, big).lift_codes(mask.codes))
+    z = primitive_element(big)
+    for extra, oracle in (((), pointwise_dft), (("--inverse",), brute_idft)):
+        code, out, _ = run(capsys, "dft", "--q", str(q), "--n", str(n), "--w", str(w),
+                           "--c", str(c), *extra, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["values"] == list(oracle(f, z).codes)
+
+
+@pytest.mark.parametrize("q,n,w", [(2, 4, 1), (3, 3, 2), (4, 2, 2), (5, 2, 0)])
+def test_delta_without_c_is_the_weight_indicator(capsys, q, n, w):
+    # 1 exactly at the points whose base-q digits are 0/1 with w ones
+    want = []
+    for i in range(q ** n - 1):
+        ds = [i // q ** t % q for t in range(n)]
+        want.append(int(max(ds) <= 1 and sum(ds) == w))
+    code, out, _ = run(capsys, "delta", "--q", str(q), "--n", str(n), "--w", str(w),
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["values"] == want
+
+
 @pytest.mark.parametrize("bad", ["-1", "3"])
 def test_dft_seq_code_out_of_range(capsys, bad):
     code, out, err = run(capsys, "dft", "--q", "3", "--n", "2",
@@ -284,6 +318,19 @@ def test_hm_verify_grid_reaching_n_1_rejected(capsys, monkeypatch, grid):
 
     monkeypatch.setattr(cli, "sweep", no_sweep)
     code, out, err = run(capsys, "hm-verify", *grid)
+    assert code == 2 and out == "" and err.startswith("error: ") and "n = 1" in err
+
+
+@pytest.mark.parametrize("w", ["0", "1", "2"])
+def test_period_n_1_refused_before_any_mask(capsys, monkeypatch, w):
+    # the n = 1 mask has no period threshold: refused before a field or a
+    # mask is built, where it used to compute the period and then fail
+    def no_work(*args, **kwargs):
+        raise AssertionError("a field or a mask was built")
+
+    for name in ("make_field", "mask_period", "verify_period_claims"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run(capsys, "period", "--q", "3", "--n", "1", "--w", w, "--c", "1")
     assert code == 2 and out == "" and err.startswith("error: ") and "n = 1" in err
 
 

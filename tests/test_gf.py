@@ -277,10 +277,9 @@ def test_order_of_matches_repeated_products(p, m):
 def test_exp_walk_must_close(p, modulus):
     # x^2 is reducible: the search settles on the nilpotent x, whose powers
     # reach 0 and never return to 1 (p = 2 walks code words by XOR, p = 3
-    # walks lanes)
-    ctx = gf.FieldCtx(p, 2, modulus)
+    # walks lanes); the constructor builds the tables, so it raises
     with pytest.raises(AssertionError, match="generator order"):
-        ctx._finish()
+        gf.FieldCtx(p, 2, modulus)
 
 
 def test_field_axioms_random_triples():
@@ -335,6 +334,35 @@ def test_element_coercion_and_errors():
     assert a ** 0 == 1
     assert a ** (-1) == a.inverse()
     assert a.coeffs == (2, 1)  # 5 = 2 + 1*3
+
+
+def test_int_on_the_left_of_sub_and_div():
+    # 7 - a and 7 / a: the int coerces to the constant 7 mod p, then the
+    # reflected operator computes with it on the left
+    f25 = make_field(5, 2)
+    for code in range(1, f25.order):
+        a = f25.element(code)
+        assert (7 - a).code == digitwise_add(5, 2, digitwise_neg(5, code))
+        assert (7 / a) * a == 2 and (7 / a).ctx is f25
+    assert (0 - f25.zero()).code == 0
+    with pytest.raises(ZeroDivisionError):
+        _ = 1 / f25.zero()
+    with pytest.raises(TypeError):
+        _ = 1.5 - f25.one()
+    with pytest.raises(TypeError):
+        _ = 1.5 / f25.one()
+
+
+def test_poly_add_either_order_and_neg():
+    # a shorter polynomial on either side of +, and -f, digit by digit mod p
+    f9 = make_field(3, 2)
+    short, long = PolyFq(f9, [4, 8]), PolyFq(f9, [5, 1, 7, 2])
+    want = [digitwise_add(3, a, b) for a, b in zip([4, 8, 0, 0], long.codes)]
+    assert (short + long).codes == (long + short).codes == tuple(want)
+    assert (-long).codes == tuple(digitwise_neg(3, c) for c in long.codes)
+    assert (-long + long).is_zero() and -PolyFq(f9, []) == PolyFq(f9, [])
+    # a sum whose top terms cancel is trimmed
+    assert (PolyFq(f9, [1, 1]) + PolyFq(f9, [1, 2])).codes == (2,)
 
 
 def test_element_degree_examples():

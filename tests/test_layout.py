@@ -4,7 +4,8 @@ Every import sits at module level, the package-relative imports between the
 modules of ``src/hmdft`` form no cycle, and no JSON text is written with an
 ``indent``, which sends CPython's encoder down its pure-Python path.  Every
 name the benchmark's span tracer (``perfbench/tracing.py``) wraps is bound in
-the package.  The records are immutable NamedTuples (``SupportSet`` a slotted
+the package, and the benchmark's own self-test (``perfbench/check_smoke.py``)
+passes.  The records are immutable NamedTuples (``SupportSet`` a slotted
 class), so importing the CLI loads no ``dataclasses`` and none of the modules
 it imports.
 """
@@ -125,6 +126,16 @@ def test_traced_names_resolve():
     missing = [f"{mod}.{fname}" for mod, fname in names
                if not callable(getattr(importlib.import_module(f"hmdft.{mod}"), fname, None))]
     assert missing == []
+
+
+def test_benchmark_smoke_check_passes():
+    # the benchmark's self-test on its tiny workload: a changed smoke digest or
+    # a traced name that no longer resolves fails here, not only in the
+    # benchmark run; it writes to the git-ignored perfbench/out/ alone
+    proc = subprocess.run([sys.executable, str(TRACING.with_name("check_smoke.py"))],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.rstrip().endswith("smoke check passed")
 
 
 def test_cli_import_loads_no_dataclasses():

@@ -1,9 +1,11 @@
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hmdft.errors import NotPrimePowerError
-from hmdft.numtheory import divisors, factorize, is_prime, prime_factors, prime_power
+from hmdft.numtheory import digits, divisors, factorize, is_prime, prime_factors, prime_power
 
 from helpers import divisors_loop, is_prime_loop, prime_factors_loop, prime_power_loop
 
@@ -58,3 +60,23 @@ def test_primality_and_prime_power_stop_at_the_first_pair():
         prime_power(2 * big)
     assert prime_power(3 ** 40) == (3, 40)
     assert time.perf_counter() - start < 1
+
+
+@given(st.integers(0, 10 ** 40), st.integers(2, 1000), st.none() | st.integers(0, 50))
+def test_digits_codec(k, base, width):
+    ds = digits(k, base, width)
+    assert all(0 <= d < base for d in ds)
+    value = sum(d * base ** i for i, d in enumerate(ds))
+    if width is None:  # up to the last nonzero digit, so every digit of k
+        assert value == k and (not ds or ds[-1])
+    else:  # exactly width digits, the low ones
+        assert len(ds) == width and value == k % base ** width
+
+
+def test_digits_examples():
+    assert digits(0, 3) == [] and digits(0, 3, 4) == [0, 0, 0, 0]
+    assert digits(17, 3) == [2, 2, 1] and digits(17, 3, 2) == [2, 2]
+    assert digits(2 ** 20 - 1, 2) == [1] * 20
+    for k, base in [(-1, 2), (5, 1), (5, 0), (0, -3)]:
+        with pytest.raises(ValueError):
+            digits(k, base)

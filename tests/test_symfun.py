@@ -389,6 +389,8 @@ def test_digits_examples():
     assert digits(17, 3, 4).k == 17
     with pytest.raises(ValueError):
         digit_sum(-1, 2)
+    with pytest.raises(ValueError):  # base 1 has no digit expansion
+        digit_sum(5, 1)
 
 
 def test_phi_rho_examples():
@@ -442,6 +444,19 @@ def test_is_q_symmetric_examples():
     f3 = make_field(3)
     one_at_1 = CyclicFn.from_support(f3, 26, [1])
     assert not is_q_symmetric(one_at_1, 3, 3)
+
+
+def test_is_q_symmetric_at_one_digit():
+    # one digit has no permutation to break: every function is symmetric,
+    # as the exhaustive check over the one permutation agrees
+    for q in (2, 3, 4, 5, 7):
+        p, j = prime_power(q)
+        ctx = make_field(p, j)
+        for f in (CyclicFn.from_support(ctx, q - 1, []),
+                  CyclicFn(ctx, list(range(q - 1)))):
+            assert is_q_symmetric(f, q, 1) and exhaustive_is_q_symmetric(f, q, 1)
+    with pytest.raises(ValueError):
+        is_q_symmetric(CyclicFn(make_field(3), [1, 2, 0]), 3, 1)
 
 
 def test_is_q_symmetric_conv_powers():
