@@ -57,8 +57,8 @@ injection of a standalone small field when values must cross contexts.
 Sizes are decided in one place: every route that builds a list on
 Z_{q^n-1} or the field F_{q^n} first asks ``check_size``, which refuses an
 oversized n before forming q**n.  ``symfun.mask_period`` does not, by
-design: it reads the mask at its support points and builds no list of
-length q**n - 1, so ``mask_period(3, 30, 1, ...)`` answers in milliseconds.
+design: it reads the digits of single points and builds no list of length
+q**n - 1, so ``mask_period(3, 30, 1, ...)`` answers in milliseconds.
 ``harness.verify_period_claims``, the report of a sweep row, asks
 ``check_size`` before it.
 """

@@ -21,12 +21,12 @@ the search visits orbit leaders only, and one scan per (q, n) answers every
 (w, c) row of a sweep.  Each distinct witness is verified once by Rabin's
 test (`oracle_irreducible`) before any row reports it.
 
-r comes from `symfun.mask_period`, which reads the mask at its support
-points and builds no list of q**n - 1 values, and runs the one prime descent
-of `cyclic.least_period_by_descent`.  A sweep builds the dense `delta_mask`
-only to check q-symmetry.  The two mask routes share no mask code, so the
-dense mask, scanned for its least period by the tests' own divisor scan,
-serves the tests as the oracle for r.
+r comes from `symfun.mask_period`, which runs the one prime descent of
+`cyclic.least_period_by_descent`, refutes most shifts from the digits of one
+integer and reads the mask at its support points only for the rest.  A
+sweep builds the dense `delta_mask` only to check q-symmetry.  The two mask
+routes share no mask code, so the dense mask, scanned for its least period
+by the tests' own divisor scan, serves the tests as the oracle for r.
 
 The regime analysis covers w <= n/2.  A sweep in full-w mode delegates
 n/2 < w < n to n - w (coefficient prescription is symmetric under taking
@@ -175,7 +175,7 @@ def verify_period_claims(q: int, n: int, w: int, c: int,
                          cap: int = DEFAULT_SIZE_CAP) -> PeriodReport:
     """Compute the least period of the (w, c) mask, check every claim.
 
-    r comes from ``symfun.mask_period``, which reads the mask at points and
+    r comes from ``symfun.mask_period``, which refutes shifts count-free and
     builds no dense list.  Pre: 1 <= w <= n/2.  The excluded input (c = 0,
     n = 2, q even) yields a report labelled Excluded with no claims checked.
     The size check comes before q is factored, so a huge q fails fast.

@@ -36,6 +36,17 @@ least-period algorithm of the package: a shift t is a period iff
 mask(s + t) = mask(s) at every support point s.  The dense route stays for
 `delta`, `dft --c` and the symmetry check.
 
+Most shifts are refuted with no count table.  For x != 0, mask(x) != 0
+needs A_k(x) != 0 at a level whose coefficient is nonzero (1 <= k < q if
+c != 0, k = q-1 if c = 0), so, as k < q weight-w 0/1 vectors add with no
+carry, digitsum(x) = k*w with every digit <= k.  For w digit positions S,
+mask(s) = coef_1 != 0 at s = sum_S q**i if c != 0, and coef_{q-1} != 0 at
+s = (q-1) * sum_S q**i if c = 0 and w < n.  A nonzero (s +- t) mod N failing
+the digit test proves t is no period; refuting T = (q**n - 1)/Phi_n(q) shows
+r does not divide T, all the source paper's support lemma needs.  Only a
+shift `shift_certificate` leaves open builds the count table: a true period
+(N/2 at c = 0, w = n/2, q odd), c = 0 with w = n, or a few like (2, 2, 1, 1).
+
 A function on Z_{q^n-1} is q-symmetric when it is invariant under every
 permutation of the base-q digits of its argument; phi_rho realizes one digit
 permutation as a permutation of Z_{q^n-1}.  The maps phi_rho compose like
@@ -211,7 +222,7 @@ def _multiset_counts(q: int, n: int, w: int) -> dict[int, tuple[int, int, tuple]
     dropped, and so is level 0, the zero multiset with count 1.  Each is
     stored, level by level, by its key sum_v m_v * (n + 1)**v, with its
     level k, its count and its parts (the pairs (v, m_v) with v, m_v > 0).
-    One entry is cached: a sweep asks for every c of one (q, n, w) in a row.
+    One entry is cached, for the MaskPoints of several c of one (q, n, w).
     """
     p = numtheory.prime_power(q)[0]
     B = n + 1
@@ -321,18 +332,46 @@ class MaskPoints:
         return all(self((s + t) % N) == code for s, code in self.support())
 
 
+CERTIFICATE_TRIES = 4  # (S, sign) per shift: the first two w-sets S, +t then -t
+
+
+def shift_certificate(q: int, n: int, w: int, c: int, t: int):
+    """(s, sign) with mask(s) != 0 = mask(s + sign*t), or None; c: zero or not."""
+    N, low = q ** n - 1, 1 if c else q - 1
+    subsets = itertools.combinations(range(n), w) if c or w < n else ()  # else s = N, 0 in Z_N
+    tries = ((S, sign) for S in subsets for sign in (1, -1))
+    for S, sign in itertools.islice(tries, CERTIFICATE_TRIES):
+        s = low * sum(q ** i for i in S)
+        d = numtheory.digits((s + sign * t) % N, q)  # none for x = 0
+        k, rest = divmod(sum(d), w)
+        if d and (rest or not low <= k < q or max(d) > k):
+            return s, sign
+    return None
+
+
 def mask_period(q: int, n: int, w: int, c: FieldElement, ctx: FieldCtx) -> int:
     """The least period of delta_mask(q, n, w, c, ctx), with no dense mask.
 
-    The prime descent of ``cyclic.least_period_by_descent`` over the point
-    values: each shift it tries is decided by ``MaskPoints.has_period``.
+    The prime descent of ``cyclic.least_period_by_descent``; a shift with no
+    ``shift_certificate`` goes to ``MaskPoints.has_period``, built once.
     """
-    f = MaskPoints(q, n, w, c, ctx)
-    return least_period_by_descent(f.N, f.has_period)
+    _check_mask_args(q, n, w, c, ctx)
+    points = None
+
+    def is_period(t):
+        nonlocal points
+        if shift_certificate(q, n, w, c.code, t):
+            return False
+        points = points or MaskPoints(q, n, w, c, ctx)
+        return points.has_period(t)
+
+    return least_period_by_descent(q ** n - 1, is_period)
 
 
 def digits(k: int, q: int, n: int) -> DigitVector:
     """Base-q digits of the canonical representative of k in Z_{q^n-1}."""
+    if q < 2:  # Z_{q^n-1} would be Z_0 or worse
+        raise ValueError(f"digits need q >= 2, not q={q}")
     k %= q ** n - 1
     return DigitVector(k, tuple(numtheory.digits(k, q, n)))
 

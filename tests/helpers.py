@@ -594,6 +594,42 @@ def convolution_delta_mask(q, n, w, c, ctx):
     return kronecker(ctx, N) - powered
 
 
+def base_q_digits_loop(x, q, n):
+    """The n low base-q digits of x, little-endian, by repeated division."""
+    out = []
+    for _ in range(n):
+        out.append(x % q)
+        x //= q
+    return out
+
+
+def may_be_mask_support(x, q, n, w, c):
+    """Whether the no-carry lemma lets the (w, c) mask be nonzero at x != 0.
+
+    Only levels k with a nonzero coefficient count: 1..q-1 for c != 0, q-1
+    alone for c = 0.  A_k(x) != 0 needs digit sum k*w and every digit <= k.
+    """
+    d = base_q_digits_loop(x, q, n)
+    levels = range(1, q) if c else (q - 1,)
+    return any(sum(d) == k * w and max(d) <= k for k in levels)
+
+
+def shift_certificate_holds(mask_at, q, n, w, c, t, cert):
+    """Whether cert = (s, sign) proves that t | N is no period of the mask.
+
+    s must have the search's shape, w digits equal to 1 (c != 0) or q - 1
+    (c = 0) and the rest 0; mask_at reads the mask's value code at a point.
+    The certificate holds when mask(s) != 0 and mask(s + sign*t) = 0.
+    """
+    s, sign = cert
+    N = q ** n - 1
+    high = 1 if c else q - 1
+    d = base_q_digits_loop(s, q, n)
+    return (0 < t < N and N % t == 0 and sign in (1, -1) and 0 < s < N
+            and sorted(d) == [0] * (n - w) + [high] * w
+            and mask_at(s) != 0 and mask_at((s + sign * t) % N) == 0)
+
+
 def powering_root_indicator(h, q, n, subfield_order=None):
     """The root indicator (1 - h**(#L - 1)) mod (x**N - 1) by its definition.
 

@@ -14,7 +14,7 @@ from hmdft import (
     sweep,
     verify_period_claims,
 )
-from hmdft import CyclicFn, delta_mask, gf, harness
+from hmdft import CyclicFn, delta_mask, gf, harness, symfun
 from hmdft.errors import (
     ExcludedCaseError,
     SizeCapError,
@@ -173,12 +173,34 @@ def test_sweep_long_n_range_skips_fast():
 
 
 def test_sweep_shares_weight_counts_across_c():
-    # the q periods of one (q, n, w) come from one build of the count table
+    # at (7, 4) every shift of the descent is refuted count-free but those of
+    # (w, c) = (2, 0), where N/2 is a period: one count table, read once
     _multiset_counts.cache_clear()
     res = sweep(SweepConfig(q_list=(7,), n_range=(4, 4), with_witness=False))
     assert len(res.reports) == 2 * 7
     info = _multiset_counts.cache_info()
-    assert (info.misses, info.hits) == (2, 2 * 6)
+    assert (info.misses, info.hits) == (1, 0)
+
+
+def test_sweep_builds_count_tables_only_where_a_shift_survives(monkeypatch):
+    # on the periods-2e5 grid MaskPoints is built once for each row with a
+    # shift that no certificate refutes, and for no other row: (2, 2, 1, 1),
+    # every (q odd, n, n/2, 0), whose N/2 is a period, and (8, 4, 2, 0)
+    built = []
+
+    class Counted(symfun.MaskPoints):
+        def __init__(self, q, n, w, c, ctx):
+            built.append((q, n, w, c.code))
+            super().__init__(q, n, w, c, ctx)
+
+    monkeypatch.setattr(symfun, "MaskPoints", Counted)
+    res = sweep(SweepConfig(q_list=(2, 3, 4, 5, 7, 8, 9), n_range=(2, 12),
+                            size_cap=200000, with_witness=False))
+    assert res.summary["fail"] == 0
+    half = [(q, n, n // 2, 0) for q, top in [(3, 10), (5, 6), (7, 6), (9, 4)]
+            for n in range(2, top + 1, 2)]
+    assert sorted(built) == sorted([(2, 2, 1, 1), (8, 4, 2, 0)] + half)
+    assert len(built) == 15
 
 
 def _no_work(*args):

@@ -34,10 +34,16 @@ from hmdft.errors import (
     WeightRangeError,
 )
 from hmdft.numtheory import prime_power
-from hmdft.cyclic import least_period
+from hmdft.cyclic import least_period, least_period_by_descent
 from hmdft.symfun import MaskPoints, _multiset_counts, _weight_counts, mask_period
 
-from helpers import convolution_delta_mask, exhaustive_is_q_symmetric, lucas_comb
+from helpers import (
+    convolution_delta_mask,
+    exhaustive_is_q_symmetric,
+    lucas_comb,
+    may_be_mask_support,
+    shift_certificate_holds,
+)
 
 EX15_SEQ = [1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0]
 
@@ -243,6 +249,78 @@ def test_mask_period_matches_dense_route_above_half_weight():
     assert rows > 300
 
 
+def _half_w_grid(cap, n_hi):
+    """(q, n, w, c, ctx) of the no-witness sweep: q <= 9, 2 <= n <= n_hi,
+    q**n - 1 <= cap, 1 <= w <= n/2 and every c, the excluded rows included."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        ctx = make_field(*prime_power(q))
+        for n in range(2, n_hi + 1):
+            if q ** n - 1 > cap:
+                break
+            for w in range(1, n // 2 + 1):
+                for c in range(q):
+                    yield q, n, w, ctx.element(c), ctx
+
+
+def test_mask_period_matches_table_only_descent(monkeypatch):
+    # the count-free refutations against the descent on MaskPoints alone, the
+    # route they replace, on every row of the 849-row grid at cap 2**22, where
+    # the dense route cannot reach; the search refutes all but 35 of the 2729
+    # shifts the descent meets there, the 3 excluded rows included
+    tried = []
+    search = symfun.shift_certificate
+    monkeypatch.setattr(symfun, "shift_certificate",
+                        lambda *args: tried.append(search(*args)) or tried[-1])
+    rows = 0
+    for q, n, w, c, ctx in _half_w_grid(2 ** 22, 30):
+        table_only = least_period_by_descent(q ** n - 1, MaskPoints(q, n, w, c, ctx).has_period)
+        assert mask_period(q, n, w, c, ctx) == table_only, (q, n, w, c.code)
+        rows += 1
+    assert rows == 849
+    assert (len(tried), tried.count(None)) == (2729, 35)
+
+
+def test_shift_certificates_check_out_on_periods_grid(monkeypatch):
+    # every certificate the descent meets on the periods-2e5 grid, checked
+    # against the dense mask where q**n - 1 <= 2**16 and MaskPoints elsewhere
+    found = []
+    search = symfun.shift_certificate
+
+    def recorded(q, n, w, c, t):
+        cert = search(q, n, w, c, t)
+        if cert:
+            found.append((t, cert))
+        return cert
+
+    monkeypatch.setattr(symfun, "shift_certificate", recorded)
+    rows = list(_half_w_grid(200000, 12))
+    checked = 0
+    for q, n, w, c, ctx in rows:
+        del found[:]
+        mask_period(q, n, w, c, ctx)
+        if q ** n - 1 <= 2 ** 16:
+            mask_at = delta_mask(q, n, w, c, ctx).codes.__getitem__
+        else:
+            mask_at = MaskPoints(q, n, w, c, ctx)
+        for t, cert in found:
+            assert shift_certificate_holds(mask_at, q, n, w, c.code, t, cert), \
+                (q, n, w, c.code, t, cert)
+        checked += len(found)
+    assert len(rows) == 451 and checked > 1000
+
+
+def test_shift_certificate_shapes():
+    # c != 0 starts from s = 1 (S = {0}); c = 0 from s = q - 1; c = 0 with
+    # w = n has no point of known value and is never searched
+    assert symfun.shift_certificate(3, 3, 1, 1, 13) == (1, 1)  # 14 = 112_3
+    assert symfun.shift_certificate(3, 3, 1, 0, 13) == (2, 1)  # 15 = 120_3
+    # at c = 0 only level q - 1 counts: 3 = 010_3 is off the support
+    assert symfun.shift_certificate(3, 3, 1, 0, 1) == (2, 1)
+    assert symfun.shift_certificate(3, 3, 3, 0, 13) is None
+    # (2, 2, 1, 1): every try lands on the support or on 0
+    assert symfun.shift_certificate(2, 2, 1, 1, 1) is None
+
+
 def test_multiset_counts_match_weight_counts():
     # the count table against the sparse convolution counts A_k, level by level
     grid = dict.fromkeys(row[:3] for row in _dense_grid(2000, lambda n: range(1, n + 1)))
@@ -336,15 +414,14 @@ def test_huge_n_mask_fails_fast():
 
 
 def test_mask_support_digit_sum_bound():
-    for q, n, w in [(3, 3, 1), (3, 4, 2), (4, 3, 1), (5, 2, 1), (2, 5, 2)]:
-        p, j = prime_power(q)
-        ctx = make_field(p, j)
-        for c_code in range(q):
-            m = delta_mask(q, n, w, ctx.element(c_code), ctx)
-            for k in m.support().members:
-                if k == 0:
-                    continue  # the 0 slot carries the kronecker term
-                assert digit_sum(k, q) <= (q - 1) * w
+    # every nonzero support point of the dense mask passes the no-carry digit
+    # test the certificates rely on, on the periods-2e5 rows with
+    # q**n - 1 <= 2**16; the 0 slot carries the kronecker term
+    for q, n, w, c, ctx in _half_w_grid(2 ** 16, 12):
+        codes = delta_mask(q, n, w, c, ctx).codes
+        for x in range(1, len(codes)):
+            if codes[x]:
+                assert may_be_mask_support(x, q, n, w, c.code), (q, n, w, c.code, x)
 
 
 def test_conv_power_hits_multiples():
@@ -410,6 +487,19 @@ def test_phi_rho_examples():
             assert phi_rho(inv, phi_rho(rho, k, q, n), q, n) == k
     with pytest.raises(BadPermutationError):
         phi_rho((0, 0, 1), 3, 2, 3)
+
+
+def test_digits_refuses_q_below_two():
+    # Z_{q^n-1} is Z_0 at q = 1: a ValueError naming q, not a ZeroDivisionError
+    for q in (1, 0, -1):
+        with pytest.raises(ValueError, match=f"q={q}"):
+            digits(3, q, 2)
+
+
+def test_phi_rho_refuses_q_below_two():
+    for q in (1, 0, -1):
+        with pytest.raises(ValueError, match=f"q={q}"):
+            phi_rho((0, 1), 3, q, 2)
 
 
 def test_phi_rho_is_permutation():
