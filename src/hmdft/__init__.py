@@ -11,7 +11,6 @@ from .cyclic import (
     dft,
     dft_period_by_support,
     idft,
-    is_periodic,
     kronecker,
     least_period,
     least_period_of_sequence,
@@ -19,7 +18,7 @@ from .cyclic import (
     reversal,
     shift,
 )
-from .cyclo import CycloValue, cyclotomic_data, cyclotomic_value, divisibility_check, threshold
+from .cyclo import cyclotomic_value, threshold
 from .gf import (
     Embedding,
     FieldCtx,
@@ -47,7 +46,6 @@ from .spectral import (
     SupportDegreeReport,
     Verdict,
     build_root_indicator,
-    coprime_divisor_test,
     degree_n_factor_test,
     irreducible_sufficient_test,
     oracle_factor_degrees,
@@ -59,7 +57,6 @@ from .symfun import (
     OmegaSet,
     delta,
     delta_mask,
-    digit_sum,
     digits,
     is_q_symmetric,
     mask_period,

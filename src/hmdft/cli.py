@@ -4,10 +4,10 @@ Subcommands: period, dft, delta, factor-test, irred-test, hm-verify, witness.
 Exit codes: 0 when everything asked for was verified (for factor-test and
 irred-test that means a Proven verdict; for witness, a witness found), 1 when
 a claim failed or a sufficient condition stayed Inconclusive, 2 on usage or
-input errors.  --cap, or else the HMDFT_SIZE_CAP environment variable, caps
-q**n - 1 (n = deg h for irred-test) in every subcommand via ``gf.check_size``;
-when neither is set, period, witness and hm-verify use DEFAULT_SIZE_CAP, and
-factor-test, irred-test, dft and delta the hard limits alone.
+input errors.  --cap caps q**n - 1 (n = deg h for irred-test) in every
+subcommand via ``gf.check_size``; when it is not given, period, witness and
+hm-verify use DEFAULT_SIZE_CAP, and factor-test, irred-test, dft and delta
+the hard limits alone.
 
 ``main`` parses with one parser per process, built on its first call: a
 one-shot ``hmdft`` command builds it once, as it always did, and in-process
@@ -20,7 +20,6 @@ import argparse
 import csv
 import functools
 import io
-import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -192,23 +191,9 @@ def _to_text(payload) -> str:
 def _add_common(sp: argparse.ArgumentParser, default_cap: int | None = None) -> None:
     sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sp.add_argument("--out", default=None, help="write output to this path")
-    sp.add_argument("--cap", type=int, default=None,
+    sp.add_argument("--cap", type=int, default=default_cap,
                     help="size cap on q**n - 1 (default %s)" %
                     (default_cap or "the hard limits"))
-    sp.set_defaults(default_cap=default_cap)
-
-
-def _cap(args) -> int | None:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("HMDFT_SIZE_CAP")
-    return int(env) if env else args.default_cap
-
-
-def _check_n(args) -> None:
-    # before check_size, which would form q**n for any n (0**n fails for n < 0)
-    if args.n < 1:
-        raise ValueError("n must be at least 1")
 
 
 def _cmd_period(args) -> int:
@@ -219,12 +204,11 @@ def _cmd_period(args) -> int:
     if args.n == 1:  # refused before any field or mask is built
         raise ValueError("period needs n >= 2: the mask at n = 1 has no period threshold")
     if 2 * args.w <= args.n:
-        rep = verify_period_claims(args.q, args.n, args.w, args.c, cap=_cap(args))
+        rep = verify_period_claims(args.q, args.n, args.w, args.c, cap=args.cap)
         _emit(rep.to_dict(), args.format, args.out)
         return 0 if rep.passed else 1
     # above n/2 the regime claims do not apply; report the period alone
-    _check_n(args)
-    check_size(args.q, args.n, _cap(args))
+    check_size(args.q, args.n, args.cap)
     p, j = prime_power(args.q)
     ctx = make_field(p, j)
     r = mask_period(args.q, args.n, args.w, ctx.element(args.c), ctx)
@@ -235,8 +219,7 @@ def _cmd_period(args) -> int:
 def _cmd_dft(args) -> int:
     if args.seq is None and args.w is None:
         raise AlgebraError("dft needs --seq or --w")
-    _check_n(args)
-    N = check_size(args.q, args.n, _cap(args), field=True)
+    N = check_size(args.q, args.n, args.cap, field=True)
     p, j = prime_power(args.q)
     small, big = make_field(p, j), make_field(p, j * args.n)
     # every input is built over F_q and lifted into F_{q^n} once
@@ -256,8 +239,7 @@ def _cmd_dft(args) -> int:
 
 
 def _cmd_delta(args) -> int:
-    _check_n(args)
-    check_size(args.q, args.n, _cap(args))
+    check_size(args.q, args.n, args.cap)
     p, j = prime_power(args.q)
     ctx = make_field(p, j)
     if args.c is None:
@@ -270,8 +252,7 @@ def _cmd_delta(args) -> int:
 
 def _cmd_factor_test(args) -> int:
     # size first: factoring a huge q by trial division would not finish
-    _check_n(args)
-    check_size(args.q, args.n, _cap(args), field=True)
+    check_size(args.q, args.n, args.cap, field=True)
     h = _poly_from_codes(args.q, _parse_ints(args.poly))
     verdict = degree_n_factor_test(h, args.q, args.n, subfield_order=args.L)
     _emit({"status": verdict.status, "r": verdict.least_period,
@@ -285,9 +266,9 @@ def _cmd_irred_test(args) -> int:
     degree = len(codes) - 1
     while degree >= 0 and not codes[degree]:
         degree -= 1
-    if degree < 2:  # before check_size, which would form q**degree
+    if degree < 2:  # named as a degree error, before check_size sees it
         raise DegreeMismatchError("irreducibility test needs degree >= 2")
-    check_size(args.q, degree, _cap(args), field=True)
+    check_size(args.q, degree, args.cap, field=True)
     h = _poly_from_codes(args.q, codes)
     verdict = irreducible_sufficient_test(h, args.q, subfield_order=args.L)
     _emit({"status": verdict.status, "r": verdict.least_period,
@@ -296,7 +277,7 @@ def _cmd_irred_test(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    wit = find_witness(args.q, args.n, args.w, args.c, cap=_cap(args))
+    wit = find_witness(args.q, args.n, args.w, args.c, cap=args.cap)
     if wit is None:
         _emit({"witness": None}, args.format, args.out)
         return 1
@@ -318,6 +299,8 @@ def _check_grid(cfg: SweepConfig) -> None:
     lo, hi = cfg.n_range
     if not cfg.q_list:
         raise ValueError("--q names no field size")
+    if min(cfg.q_list) < 2:  # before fits, whose check_size refuses it
+        raise ValueError(f"q must be at least 2, not q={min(cfg.q_list)}")
     if lo > hi:
         raise ValueError(f"--n range {lo}:{hi} is empty")
     # cfg.weights(n) is nonempty exactly from n = n_lo on (never if n_lo < 1)
@@ -350,7 +333,7 @@ def _cmd_hm_verify(args) -> int:
         q_list=tuple(_parse_ints(args.q)),
         n_range=_parse_range(args.n),
         w_policy="full" if args.all_w else "half",
-        size_cap=_cap(args),
+        size_cap=args.cap,
         with_witness=not args.no_witness,
         check_symmetry=args.check_symmetry,
         pinned_w=args.w,

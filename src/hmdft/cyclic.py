@@ -236,6 +236,11 @@ def idft(f: CyclicFn, zeta: FieldElement) -> CyclicFn:
 
 
 def pointwise_mul(f: CyclicFn, g: CyclicFn) -> CyclicFn:
+    """The product (f g)(i) = f(i) g(i).
+
+    The other side of the convolution theorem, dft(f (*) g) = dft(f) dft(g)
+    pointwise, which acceptance test C6 checks on seeded functions.
+    """
     _check_pair(f, g)
     mul = f.ctx.mul_codes
     return CyclicFn(f.ctx, [mul(a, b) for a, b in zip(f.codes, g.codes)])
@@ -313,13 +318,6 @@ def least_period(f: CyclicFn) -> int:
     return least_period_of_sequence(f.codes)
 
 
-def is_periodic(f: CyclicFn, r: int) -> bool:
-    """Whether f(i + r) = f(i) for all i (r need not divide N)."""
-    N = f.N
-    codes = f.codes
-    return all(codes[i] == codes[(i + r) % N] for i in range(N))
-
-
 def dft_period_by_support(s: SupportSet) -> int:
     """Least period of the transform of any f with supp(f) = s: N / gcd(N, s).
 
@@ -334,14 +332,22 @@ def dft_period_by_support(s: SupportSet) -> int:
 
 
 def shift(f: CyclicFn, k: int) -> CyclicFn:
-    """The k-shift f_k(i) = f(i + k); preserves the least period."""
+    """The k-shift f_k(i) = f(i + k).
+
+    Shifting leaves the least period unchanged, and f_k = f exactly when the
+    least period divides k; acceptance test C6 checks both.
+    """
     N = f.N
     codes = f.codes
     return CyclicFn(f.ctx, [codes[(i + k) % N] for i in range(N)])
 
 
 def reversal(f: CyclicFn) -> CyclicFn:
-    """The reversal f*(i) = f(-(1 + i)); an involution preserving the period."""
+    """The reversal f*(i) = f(-(1 + i)).
+
+    An involution that leaves the least period unchanged, which acceptance
+    test C6 checks.
+    """
     return CyclicFn(f.ctx, tuple(reversed(f.codes)))
 
 
@@ -349,7 +355,8 @@ def compose_perm(f: CyclicFn, sigma) -> CyclicFn:
     """Apply a permutation of the value field to every value of f.
 
     `sigma` may be a dict (codes or elements) or a callable on elements; it
-    must be a bijection of the whole value field.
+    must be a bijection of the whole value field.  A bijection leaves the
+    least period unchanged, which acceptance test C6 checks.
     """
     ctx = f.ctx
     table = [None] * ctx.order

@@ -12,17 +12,16 @@ classical identities
     Phi_n(q) = gcd{(q**n - 1)/(q**d - 1) : d | n, d < n}
     (q**n - 1)/Phi_n(q) = lcm{q**d - 1 : d | n, d < n}
 are re-derived as a self-check the first time each (n, q) is asked for;
-`threshold` is memoised, since a sweep asks for the same (n, q) once per
-row.
+by the lcm form q**d - 1 divides the threshold for every proper d | n, that
+is, Phi_n(q) divides (q**n - 1)/(q**d - 1).  `threshold` is memoised, since
+a sweep asks for the same (n, q) once per row.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
 
-from .errors import BadDivisorPairError
 from .numtheory import divisors, prime_factors
 
 
@@ -63,39 +62,3 @@ def threshold(n: int, q: int) -> int:
     if phi != math.gcd(*(total // (q ** d - 1) for d in proper)):
         raise AssertionError("Phi_n(q) disagrees with the gcd identity")
     return t
-
-
-def divisibility_check(n: int, m: int, q: int) -> bool:
-    """Whether Phi_n(q) divides (q**n - 1)/(q**m - 1); holds for any m | n, m < n."""
-    if m <= 0 or m >= n or n % m:
-        raise BadDivisorPairError(f"need m | n with 0 < m < n, got m={m}, n={n}")
-    quotient = (q ** n - 1) // (q ** m - 1)
-    return quotient % cyclotomic_value(n, q) == 0
-
-
-class _CycloFields(NamedTuple):
-    n: int
-    q: int
-    phi: int
-    threshold: int
-
-
-class CycloValue(_CycloFields):
-    """Phi_n(q) together with the derived period threshold."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, q: int, phi: int, threshold: int):
-        if phi * threshold != q ** n - 1:
-            raise AssertionError("phi * threshold must equal q**n - 1")
-        return super().__new__(cls, n, q, phi, threshold)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would skip the check in __new__
-        return cls(*iterable)
-
-
-def cyclotomic_data(n: int, q: int) -> CycloValue:
-    """Bundle Phi_n(q) and (q**n - 1)/Phi_n(q) for n >= 2."""
-    return CycloValue(n=n, q=q, phi=cyclotomic_value(n, q), threshold=threshold(n, q))

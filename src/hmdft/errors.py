@@ -60,6 +60,3 @@ class DegreeMismatchError(AlgebraError):
 class ZeroPolynomialError(AlgebraError):
     """The zero polynomial was passed where a nonzero one is required."""
 
-
-class BadDivisorPairError(AlgebraError):
-    """A divisor pair (m, n) does not satisfy m | n with 0 < m < n."""

@@ -93,9 +93,14 @@ def check_size(q: int, n: int, cap: int | None = None, field: bool = False) -> i
     """N = q**n - 1, or SizeCapError when N is over the cap or a hard limit.
 
     N must be at most the cap (when given) and MODULUS_GUARD, and q**n at
-    most FIELD_ORDER_CAP when the route builds F_{q^n} (``field``).  An n past
-    the bit length of the limit is refused before q**n is formed (q >= 2).
+    most FIELD_ORDER_CAP when the route builds F_{q^n} (``field``).  n < 1
+    and q < 2 are refused with a ValueError naming the value, and an n past
+    the bit length of the limit with SizeCapError, before q**n is formed.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, not n={n}")
+    if q < 2:
+        raise ValueError(f"q must be at least 2, not q={q}")
     limit = MODULUS_GUARD if cap is None else min(cap, MODULUS_GUARD)
     if field:
         limit = min(limit, FIELD_ORDER_CAP - 1)
@@ -735,7 +740,8 @@ def make_field(p: int, m: int = 1) -> FieldCtx:
         return ctx
     if not isinstance(m, int) or m < 1:
         raise ValueError("extension degree must be a positive integer")
-    check_size(p, m, field=True)  # first, so a huge p is never factored
+    if p >= 2:  # size first, so a huge p is never factored
+        check_size(p, m, field=True)
     if not numtheory.is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if m == 1:

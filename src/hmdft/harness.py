@@ -319,9 +319,9 @@ def sweep(cfg: SweepConfig) -> SweepResult:
     skipped = []
     n_lo, n_hi = cfg.n_range
     for q in sorted(set(cfg.q_list)):
-        if q <= MODULUS_GUARD + 1:  # raises for q < 2 too, before check_size forms 0**n
+        if q <= MODULUS_GUARD + 1:  # q < 2 too: no prime power
             prime_power(q)
-        for n in range(n_lo, n_hi + 1):
+        for n in range(max(n_lo, 1), n_hi + 1):  # no w fits an n < 1
             if not cfg.fits(q, n):
                 skipped.append({"q": q, "n": n, "reason": "size_cap"})
                 continue

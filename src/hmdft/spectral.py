@@ -18,7 +18,7 @@ verdicts compute it that way, never forming S.  Every power of x they take
 lie over F_q, so y**q = y(x**q) is a spread of y's codes, and each digit
 costs one reduction and no product.  `build_root_indicator` forms S from
 the power sums of g's roots, which lie in F_q, for the tests to compare
-against.  Neither route builds F_{q^n} or the power of h.
+against.  No function in this module builds F_{q^n} or forms the power of h.
 
 Every test here returns a two-valued Verdict: "Proven" when the sufficient
 condition held, "Inconclusive" otherwise.  Inconclusive never asserts a
@@ -35,7 +35,6 @@ here.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from . import numtheory
@@ -56,11 +55,8 @@ from .gf import (
     FieldCtx,
     PolyFq,
     check_size,
-    make_field,
     oracle_irreducible,
     poly_gcd,
-    primitive_element,
-    subfield_embedding,
     x_pow_mod,
 )
 
@@ -75,7 +71,6 @@ class Verdict(NamedTuple):
     least_period: int | None = None
     threshold: int | None = None
     modulus: int | None = None
-    divisor_pair: tuple[int, int] | None = None
 
     @property
     def proven(self) -> bool:
@@ -276,7 +271,16 @@ def degree_n_factor_test(h: PolyFq, q: int, n: int,
 
 
 def support_degree_test(s: SupportSet, q: int, n: int) -> SupportDegreeReport:
-    """Period-based membership tests for a support inside Z_{q^n-1}."""
+    """Period-based membership tests for a support inside Z_{q^n-1}.
+
+    The source paper's sufficient condition for a degree-n element in the
+    support: the least period r = N/gcd(N, s) of the transform of any
+    function supported on s (`cyclic.dft_period_by_support`, checked against
+    brute force by acceptance test C3) fails to divide (q**n - 1)/Phi_n(q).
+    Acceptance test C8 checks the report where the necessary condition holds
+    without the sufficient one, and where r = q**n - 1 with no primitive
+    element.
+    """
     N = q ** n - 1
     if s.N != N:
         raise ValueError(f"support modulus {s.N} is not q**n - 1 = {N}")
@@ -302,35 +306,6 @@ def irreducible_sufficient_test(h: PolyFq, q: int,
     if n < 2:
         raise DegreeMismatchError("irreducibility test needs degree >= 2")
     return degree_n_factor_test(h, q, n, subfield_order)
-
-
-def coprime_divisor_test(h: PolyFq, q: int, n: int) -> Verdict:
-    """Proven when h vanishes at zeta**a and zeta**b for coprime divisors a, b.
-
-    Two support exponents that are coprime divisors of q**n - 1 force the
-    maximal least period, hence a degree-n element among the roots.  The
-    lexicographically smallest qualifying pair is reported.
-    """
-    if h.is_zero():
-        raise ZeroPolynomialError("the zero polynomial is excluded")
-    if h.ctx.order != q:
-        raise CtxMismatchError(f"h must have coefficients in F_{q}")
-    N = check_size(q, n, field=True)
-    big = make_field(h.ctx.p, h.ctx.m * n)
-    emb = subfield_embedding(h.ctx, big)
-    h_big = emb.lift_poly(h)
-    zeta = primitive_element(big)
-    divs = numtheory.divisors(N)
-    is_root = {d: h_big(zeta ** d).code == 0 for d in divs}
-    thr = threshold(n, q)
-    for i, a in enumerate(divs):
-        if not is_root[a]:
-            continue
-        for b in divs[i:]:
-            if math.gcd(a, b) == 1 and is_root[b]:
-                return Verdict(status=PROVEN, least_period=N, threshold=thr,
-                               modulus=N, divisor_pair=(a, b))
-    return Verdict(status=INCONCLUSIVE, threshold=thr, modulus=N)
 
 
 # ----------------------------------------------------------------------

@@ -96,8 +96,6 @@ class DigitVector(NamedTuple):
 
 def omega(q: int, n: int, w: int) -> OmegaSet:
     """All k in Z_{q^n-1} with 0/1 digits of weight w; empty for (q, w) = (2, n)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if not 0 <= w <= n:
         raise WeightRangeError(f"w={w} outside [0, {n}]")
     N = check_size(q, n)
@@ -370,15 +368,10 @@ def mask_period(q: int, n: int, w: int, c: FieldElement, ctx: FieldCtx) -> int:
 
 def digits(k: int, q: int, n: int) -> DigitVector:
     """Base-q digits of the canonical representative of k in Z_{q^n-1}."""
-    if q < 2:  # Z_{q^n-1} would be Z_0 or worse
-        raise ValueError(f"digits need q >= 2, not q={q}")
+    if q < 2 or n < 1:  # Z_{q^n-1} would be Z_0 or worse
+        raise ValueError(f"digits need q >= 2 and n >= 1, not q={q}, n={n}")
     k %= q ** n - 1
     return DigitVector(k, tuple(numtheory.digits(k, q, n)))
-
-
-def digit_sum(k: int, q: int) -> int:
-    """Sum of the base-q digits of a non-negative integer."""
-    return sum(numtheory.digits(k, q))
 
 
 def _check_perm(rho, n: int) -> tuple[int, ...]:
@@ -389,7 +382,14 @@ def _check_perm(rho, n: int) -> tuple[int, ...]:
 
 
 def phi_rho(rho, k: int, q: int, n: int) -> int:
-    """Permute the base-q digits of k by rho: digit i of the image is digit rho(i)."""
+    """Permute the base-q digits of k by rho: digit i of the image is digit rho(i).
+
+    The action of S_n on Z_{q^n-1} behind q-symmetry: a function is
+    q-symmetric when it is invariant under every phi_rho (`is_q_symmetric`).
+    Each phi_rho is additive on pairs whose digits add with no carry, which
+    acceptance test C7 checks, together with the q-symmetry of the weight
+    indicators and their convolution powers.
+    """
     rho = _check_perm(rho, n)
     d = digits(k, q, n).digits
     v = 0

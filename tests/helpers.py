@@ -84,6 +84,8 @@ def check_grid_oracle(cfg):
     lo, hi = cfg.n_range
     if not cfg.q_list:
         raise ValueError("--q names no field size")
+    if min(cfg.q_list) < 2:
+        raise ValueError(f"q must be at least 2, not q={min(cfg.q_list)}")
     if lo > hi:
         raise ValueError(f"--n range {lo}:{hi} is empty")
     if not any(cfg.weights(n) for n in range(lo, hi + 1)):
@@ -98,7 +100,7 @@ def check_grid_oracle(cfg):
     if lo <= 1 <= hi and has_row(1):
         raise ValueError(f"--n range {lo}:{hi} reaches n = 1, whose only row "
                          f"(w = n = 1) has no period threshold; start it at 2")
-    if not any(cfg.fits(q, n) and has_row(n)
+    if not any(has_row(n) and cfg.fits(q, n)  # fits refuses n < 1, which has no row
                for q in cfg.q_list for n in range(lo, hi + 1)):
         raise ValueError(f"every (q, n) in the grid is over the size cap "
                          f"{cfg.size_cap} or a hard limit")

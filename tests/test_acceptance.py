@@ -5,7 +5,6 @@ lines; every assertion is exact (integer/field equality), no tolerances.
 """
 
 import itertools
-import math
 import random
 import time
 
@@ -30,12 +29,12 @@ from hmdft import (
     find_witness,
     idft,
     irreducible_sufficient_test,
-    is_periodic,
     is_q_symmetric,
     least_period,
     make_field,
     oracle_factor_degrees,
     oracle_irreducible,
+    phi_rho,
     pointwise_mul,
     primitive_element,
     reversal,
@@ -47,7 +46,7 @@ from hmdft import (
 )
 from hmdft.errors import ExcludedCaseError
 from hmdft.harness import CASE_EXCLUDED, CASE_HALF, CASE_MAX, CASE_SMALL
-from hmdft.numtheory import prime_power
+from hmdft.numtheory import divisors, prime_power
 
 from helpers import brute_least_period, exhaustive_is_q_symmetric
 
@@ -244,11 +243,12 @@ def test_c6_algebra_property_suite():
         rng.shuffle(codes)
         assert least_period(compose_perm(f, dict(enumerate(codes)))) == r
 
-    for i in range(500):  # r-periodic iff gcd(r, N)-periodic
+    for i in range(500):  # r-periodic iff the least period divides r
         ctx, N = pool[i % len(pool)]
-        f = _random_fn(ctx, N, rng, dense=(i % 2 == 0))
+        d = rng.choice(divisors(N))  # f repeats a block of length d
+        f = CyclicFn(ctx, _random_fn(ctx, d, rng, dense=(i % 2 == 0)).codes * (N // d))
         r = rng.randrange(1, 3 * N)
-        assert is_periodic(f, r) == is_periodic(f, math.gcd(r, N))
+        assert (shift(f, r) == f) == (r % least_period(f) == 0)
 
     _report(f"[C6] algebra properties: 5 suites x 500 seeded cases, exact: PASS")
 
@@ -313,6 +313,8 @@ def test_c7_digit_additivity():
         bv = np.concatenate(b_parts)
         for rho in rhos:
             perm = (digs[:, list(rho)].astype(np.int64) * qpow).sum(axis=1)
+            # the table agrees with phi_rho at about 64 points of Z_N
+            assert all(perm[k] == phi_rho(rho, k, q, n) for k in range(0, N, N // 64 or 1))
             lhs = perm[(av + bv) % N]
             rhs = (perm[av] + perm[bv]) % N
             assert np.array_equal(lhs, rhs)

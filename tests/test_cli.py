@@ -363,7 +363,6 @@ HUGE_N = [("witness", "--w", "1", "--c", "1"),
 def test_huge_n_fails_fast(cmd):
     # in a subprocess with a timeout, so a route that forms 3**n fails, not hangs
     env = dict(os.environ, PYTHONPATH=str(Path(hmdft.__file__).parents[1]))
-    env.pop("HMDFT_SIZE_CAP", None)
     proc = subprocess.run([sys.executable, "-m", "hmdft.cli", cmd[0], "--q", "3",
                            "--n", "200000000", *cmd[1:]],
                           capture_output=True, text=True, timeout=10, env=env)
@@ -386,7 +385,6 @@ def test_huge_prime_q_fails_fast(capsys, monkeypatch, argv):
         raise AssertionError(f"factored {n} before the size check")
 
     monkeypatch.setattr(numtheory, "factorize", no_factoring)
-    monkeypatch.delenv("HMDFT_SIZE_CAP", raising=False)
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
@@ -424,25 +422,14 @@ CAPPED = [("factor-test", "--q", "2", "--n", "19", "--poly", "1,1,1"),
 
 
 @pytest.mark.parametrize("argv", CAPPED, ids=[a[0] for a in CAPPED])
-def test_cap_binds_every_subcommand(capsys, monkeypatch, argv):
-    monkeypatch.delenv("HMDFT_SIZE_CAP", raising=False)
+def test_cap_binds_every_subcommand(capsys, argv):
     code, out, err = run(capsys, *argv, "--cap", "100")
     assert code == 2 and out == "" and "cap 100" in err
 
 
-def test_size_cap_environment_variable(capsys, monkeypatch):
-    monkeypatch.setenv("HMDFT_SIZE_CAP", "100")
-    argv = ("factor-test", "--q", "2", "--n", "8", "--poly", "1,1,1")
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == "" and "cap 100" in err
-    code, out, _ = run(capsys, *argv, "--cap", "255")  # --cap wins
-    assert code in (0, 1) and "status:" in out
-
-
-def test_factor_test_default_has_no_user_cap(capsys, monkeypatch):
+def test_factor_test_default_has_no_user_cap(capsys):
     # 2**16 - 1 is over DEFAULT_SIZE_CAP, which only period, witness and
     # hm-verify apply when no cap is set
-    monkeypatch.delenv("HMDFT_SIZE_CAP", raising=False)
     code, out, _ = run(capsys, "factor-test", "--q", "2", "--n", "16", "--poly", "1,1,1")
     assert code in (0, 1) and "status:" in out
     code, _, err = run(capsys, "period", "--q", "2", "--n", "16", "--w", "3")
@@ -450,10 +437,7 @@ def test_factor_test_default_has_no_user_cap(capsys, monkeypatch):
 
 
 def _cli_env():
-    env = dict(os.environ, PYTHONPATH=str(Path(hmdft.__file__).parents[1]),
-               COLUMNS="80")
-    env.pop("HMDFT_SIZE_CAP", None)
-    return env
+    return dict(os.environ, PYTHONPATH=str(Path(hmdft.__file__).parents[1]), COLUMNS="80")
 
 
 def _fresh(argv):
@@ -563,7 +547,6 @@ MIXED = [("period", "--q", "2", "--n", "8", "--w", "1", "--cap", "100"),
 def test_one_process_matches_fresh_processes(monkeypatch):
     # main's parser lives for the whole process: no option of one call may
     # leak into the next
-    monkeypatch.delenv("HMDFT_SIZE_CAP", raising=False)
     monkeypatch.setenv("COLUMNS", "80")
     shared = [_in_process(argv) for argv in MIXED]
     assert [r[0] for r in shared] == [2, 0, 0, 2, 0, 0]

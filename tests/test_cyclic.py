@@ -12,7 +12,6 @@ from hmdft import (
     dft,
     dft_period_by_support,
     idft,
-    is_periodic,
     kronecker,
     least_period,
     least_period_of_sequence,
@@ -386,15 +385,14 @@ def test_compose_perm_validation():
 
 
 def test_gcd_periodicity():
-    import math
-
+    # the r-shift fixes f exactly when the least period divides r
     rng = random.Random(9)
     f7 = make_field(7)
     for _ in range(100):
         N = rng.choice([6, 8, 12, 18])
         f = random_fn(f7, N, rng)
         r = rng.randrange(1, 3 * N)
-        assert is_periodic(f, r) == is_periodic(f, math.gcd(r, N))
+        assert (shift(f, r) == f) == (r % least_period(f) == 0)
 
 
 def test_dft_period_by_support():

@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from hmdft import CycloValue, cyclotomic_data, cyclotomic_value, divisibility_check, threshold
-from hmdft.errors import BadDivisorPairError
+from hmdft import cyclotomic_value, threshold
 from hmdft.numtheory import divisors
 
 from helpers import cyclotomic_poly_recursive, eval_int_poly
@@ -60,31 +59,6 @@ def test_gcd_lcm_identities():
             total = q ** n - 1
             assert cyclotomic_value(n, q) == math.gcd(*(total // (q ** d - 1) for d in proper))
             assert threshold(n, q) == math.lcm(*(q ** d - 1 for d in proper))
-
-
-def test_divisibility_check():
-    assert divisibility_check(4, 2, 2)
-    assert divisibility_check(6, 3, 2)
-    assert divisibility_check(6, 2, 3)
-    for q in QS:
-        for n in range(2, 13):
-            for m in divisors(n):
-                if 0 < m < n:
-                    assert divisibility_check(n, m, q)
-    with pytest.raises(BadDivisorPairError):
-        divisibility_check(6, 4, 2)
-    with pytest.raises(BadDivisorPairError):
-        divisibility_check(6, 6, 2)
-
-
-def test_cyclo_value_record():
-    cv = cyclotomic_data(6, 2)
-    assert cv == CycloValue(n=6, q=2, phi=3, threshold=21)
-    with pytest.raises(AssertionError):
-        CycloValue(n=6, q=2, phi=3, threshold=20)
-    with pytest.raises(AssertionError):
-        cv._replace(threshold=20)
-    assert cv._replace(q=2) == cv
 
 
 def test_threshold_memo_matches_the_uncached_function():

@@ -116,6 +116,18 @@ def test_check_size_limits():
         assert str(args[0] ** args[1] - 1) not in msg
 
 
+@pytest.mark.parametrize("q, n, match", [(2, -1, "n=-1"), (3, 0, "n=0"), (0, -1, "n=-1"),
+                                         (1, 2, "q=1"), (0, 3, "q=0"), (-2, 2, "q=-2"),
+                                         (1, 10 ** 18, "q=1")])
+def test_check_size_refuses_q_below_two_and_n_below_one(q, n, match):
+    # once -0.5 for (2, -1), and N = 0 or -1 for q = 1 or 0: a ValueError
+    # naming the value, not a SizeCapError, before q**n is formed
+    for kw in ({}, {"cap": 0}, {"field": True}):
+        with pytest.raises(ValueError, match=match) as exc:
+            gf.check_size(q, n, **kw)
+        assert type(exc.value) is ValueError
+
+
 def test_check_size_refuses_huge_n_before_the_power():
     # q**n is never formed past the bit length of the limit, so this is instant
     for q in (2, 3, 1 << 20):

@@ -1,13 +1,14 @@
 """The package's import structure, read from its source with ``ast``.
 
 Every import sits at module level, the package-relative imports between the
-modules of ``src/hmdft`` form no cycle, and no JSON text is written with an
-``indent``, which sends CPython's encoder down its pure-Python path.  Every
-name the benchmark's span tracer (``perfbench/tracing.py``) wraps is bound in
-the package, and the benchmark's own self-test (``perfbench/check_smoke.py``)
-passes.  The records are immutable NamedTuples (``SupportSet`` a slotted
-class), so importing the CLI loads no ``dataclasses`` and none of the modules
-it imports.
+modules of ``src/hmdft`` form no cycle, no JSON text is written with an
+``indent``, which sends CPython's encoder down its pure-Python path, and no
+module reads the environment.  Every name the benchmark's span tracer
+(``perfbench/tracing.py``) wraps is bound in the package, and the
+benchmark's own self-test (``perfbench/check_smoke.py``) passes.  The
+records are immutable NamedTuples (``SupportSet`` a slotted class), so
+importing the CLI loads no ``dataclasses`` and none of the modules it
+imports.
 """
 
 import ast
@@ -26,7 +27,6 @@ from hmdft import (
     SweepConfig,
     Verdict,
     build_root_indicator,
-    cyclotomic_data,
     digits,
     make_field,
     omega,
@@ -115,6 +115,22 @@ def test_no_indented_json_encoding():
     assert found == []
 
 
+ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_environment_reads():
+    # every report is a function of argv alone: no module reads os.environ,
+    # calls os.getenv or imports either from os
+    found = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ENV_NAMES
+                    or isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and ENV_NAMES & {alias.name for alias in node.names}):
+                found.append(f"{name}.py:{node.lineno}")
+    assert found == []
+
+
 def test_traced_names_resolve():
     # Tracer.install() looks each name up and fails on the first missing one
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
@@ -150,7 +166,6 @@ def test_cli_import_loads_no_dataclasses():
 
 
 RECORDS = {
-    "CycloValue": (lambda: cyclotomic_data(6, 2), "phi"),
     "SupportSet": (lambda: SupportSet(15, (3, 5)), "members"),
     "OmegaSet": (lambda: omega(2, 4, 2), "members"),
     "DigitVector": (lambda: digits(11, 3, 3), "k"),

@@ -12,7 +12,6 @@ from hmdft import (
     SupportSet,
     build_root_indicator,
     char_poly,
-    coprime_divisor_test,
     degree_n_factor_test,
     dft,
     element_degree,
@@ -222,6 +221,18 @@ def test_degree_n_factor_example():
     v = degree_n_factor_test(H_EX15, 2, 4, subfield_order=2)
     assert v.proven and v.least_period == 15 and v.threshold == 3
     assert 4 in oracle_factor_degrees(H_EX15)
+    # roots zeta**3 and zeta**5, coprime root exponents: gcd(15, {3, 5}) = 1
+    # gives r = N, so the verdict is Proven
+    f16 = make_field(2, 4)
+    z = primitive_element(f16)
+    emb = subfield_embedding(F2, f16)
+    h = emb.lower_poly(char_poly(z ** 3, 2, 4)) * emb.lower_poly(char_poly(z ** 5, 2, 4))
+    v = degree_n_factor_test(h, 2, 4)
+    assert v.proven and v.least_period == 15 and v.modulus == 15
+    assert 4 in oracle_factor_degrees(h)
+    # x - 1 vanishes only at zeta**0
+    v = degree_n_factor_test(PolyFq(F2, [1, 1]), 2, 4)
+    assert not v.proven and v.least_period == 1
 
 
 def test_degree_n_factor_inconclusive_quadratic():
@@ -317,22 +328,6 @@ def test_soundness_exhaustive_small():
                 proven += 1
                 assert oracle_irreducible(h)
         assert proven > 0
-
-
-def test_coprime_divisor_test():
-    f16 = make_field(2, 4)
-    z = primitive_element(f16)
-    emb = subfield_embedding(F2, f16)
-    h = emb.lower_poly(char_poly(z ** 3, 2, 4)) * emb.lower_poly(char_poly(z ** 5, 2, 4))
-    v = coprime_divisor_test(h, 2, 4)
-    assert v.proven and v.divisor_pair == (3, 5)
-    assert 4 in oracle_factor_degrees(h)
-    # no roots at all: inconclusive
-    v2 = coprime_divisor_test(PolyFq(F2, [1, 1, 1]), 2, 4)
-    assert not v2.proven and v2.divisor_pair is None
-    # x - 1 vanishes only at exponent 0
-    v3 = coprime_divisor_test(PolyFq(F2, [1, 1]), 2, 4)
-    assert not v3.proven
 
 
 def test_oracle_irreducible_basics():

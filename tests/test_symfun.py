@@ -14,7 +14,6 @@ from hmdft import (
     delta,
     delta_mask,
     dft,
-    digit_sum,
     digits,
     is_q_symmetric,
     kronecker,
@@ -63,6 +62,13 @@ def test_omega_refuses_n_below_one():
     # Z_{q^0 - 1} is empty: a ValueError, not a ZeroDivisionError
     with pytest.raises(ValueError, match="n must be at least 1"):
         omega(3, 0, 0)
+
+
+@pytest.mark.parametrize("q, n", [(1, 2), (0, 2), (-2, 3)])
+def test_omega_refuses_q_below_two(q, n):
+    # once a bare ZeroDivisionError (q = 1) or a SupportSet mod -1 (q = 0)
+    with pytest.raises(ValueError, match=f"q={q}"):
+        omega(q, n, 1)
 
 
 def test_omega_sizes_and_digits():
@@ -456,18 +462,14 @@ def test_lucas_matches_direct_reduction():
 
 def test_digits_examples():
     assert digits(0, 3, 4).digits == (0, 0, 0, 0)
-    assert digit_sum(0, 5) == 0
+    assert digits(0, 5, 2).digit_sum == 0
     n = 6
     k = 2 ** n - 2
     assert digits(k, 2, n).digits == (0, 1, 1, 1, 1, 1)
-    assert digit_sum(k, 2) == n - 1
+    assert digits(k, 2, n).digit_sum == n - 1
     assert digits(12, 2, 4).digits == (0, 0, 1, 1)
-    assert digit_sum(12, 2) == 2
+    assert digits(12, 2, 4).digit_sum == 2
     assert digits(17, 3, 4).k == 17
-    with pytest.raises(ValueError):
-        digit_sum(-1, 2)
-    with pytest.raises(ValueError):  # base 1 has no digit expansion
-        digit_sum(5, 1)
 
 
 def test_phi_rho_examples():
@@ -494,6 +496,13 @@ def test_digits_refuses_q_below_two():
     for q in (1, 0, -1):
         with pytest.raises(ValueError, match=f"q={q}"):
             digits(3, q, 2)
+
+
+@pytest.mark.parametrize("k, q, n", [(5, 3, 0), (5, 2, -1), (0, 2, 0)])
+def test_digits_refuses_n_below_one(k, q, n):
+    # once a ZeroDivisionError (n = 0) or DigitVector(k=-0.0, digits=()) (n < 0)
+    with pytest.raises(ValueError, match=f"n={n}"):
+        digits(k, q, n)
 
 
 def test_phi_rho_refuses_q_below_two():
