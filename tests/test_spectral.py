@@ -221,8 +221,11 @@ def test_degree_n_factor_example():
     v = degree_n_factor_test(H_EX15, 2, 4, subfield_order=2)
     assert v.proven and v.least_period == 15 and v.threshold == 3
     assert 4 in oracle_factor_degrees(H_EX15)
+
+
+def test_coprime_divisor_test():
     # roots zeta**3 and zeta**5, coprime root exponents: gcd(15, {3, 5}) = 1
-    # gives r = N, so the verdict is Proven
+    # gives r = N, so degree_n_factor_test proves the degree-4 factor
     f16 = make_field(2, 4)
     z = primitive_element(f16)
     emb = subfield_embedding(F2, f16)
@@ -230,9 +233,12 @@ def test_degree_n_factor_example():
     v = degree_n_factor_test(h, 2, 4)
     assert v.proven and v.least_period == 15 and v.modulus == 15
     assert 4 in oracle_factor_degrees(h)
-    # x - 1 vanishes only at zeta**0
-    v = degree_n_factor_test(PolyFq(F2, [1, 1]), 2, 4)
-    assert not v.proven and v.least_period == 1
+    # no roots in F_16 at all: inconclusive
+    v2 = degree_n_factor_test(PolyFq(F2, [1, 1, 1]), 2, 4)
+    assert not v2.proven
+    # x - 1 vanishes only at exponent 0
+    v3 = degree_n_factor_test(PolyFq(F2, [1, 1]), 2, 4)
+    assert not v3.proven and v3.least_period == 1
 
 
 def test_degree_n_factor_inconclusive_quadratic():
