@@ -54,7 +54,6 @@ from .spectral import (
 )
 from .symfun import (
     DigitVector,
-    OmegaSet,
     delta,
     delta_mask,
     digits,

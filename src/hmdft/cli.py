@@ -209,9 +209,7 @@ def _cmd_period(args) -> int:
         return 0 if rep.passed else 1
     # above n/2 the regime claims do not apply; report the period alone
     check_size(args.q, args.n, args.cap)
-    p, j = prime_power(args.q)
-    ctx = make_field(p, j)
-    r = mask_period(args.q, args.n, args.w, ctx.element(args.c), ctx)
+    r = mask_period(args.q, args.n, args.w, args.c)
     _emit({"r": r, "threshold": threshold(args.n, args.q)}, args.format, args.out)
     return 0
 
@@ -228,9 +226,9 @@ def _cmd_dft(args) -> int:
         if len(codes) != N:
             raise AlgebraError(f"sequence must have length q**n - 1 = {N}")
     elif args.c is None:
-        codes = delta(args.q, args.n, args.w, small).codes
+        codes = delta(args.q, args.n, args.w).codes
     else:
-        codes = delta_mask(args.q, args.n, args.w, small.element(args.c), small).codes
+        codes = delta_mask(args.q, args.n, args.w, args.c).codes
     f = CyclicFn(big, subfield_embedding(small, big).lift_codes(codes))
     zeta = primitive_element(big)
     g = idft(f, zeta) if args.inverse else dft(f, zeta)
@@ -240,12 +238,10 @@ def _cmd_dft(args) -> int:
 
 def _cmd_delta(args) -> int:
     check_size(args.q, args.n, args.cap)
-    p, j = prime_power(args.q)
-    ctx = make_field(p, j)
     if args.c is None:
-        f = delta(args.q, args.n, args.w, ctx)
+        f = delta(args.q, args.n, args.w)
     else:
-        f = delta_mask(args.q, args.n, args.w, ctx.element(args.c), ctx)
+        f = delta_mask(args.q, args.n, args.w, args.c)
     _emit({"values": list(f.codes)}, args.format, args.out)
     return 0
 

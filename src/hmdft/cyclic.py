@@ -41,6 +41,8 @@ class SupportSet:
     __slots__ = ("N", "members")
 
     def __init__(self, N: int, members):
+        if N < 1:
+            raise ValueError(f"modulus N must be at least 1, not N={N}")
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "members", tuple(sorted({m % N for m in members})))
 
@@ -98,11 +100,6 @@ class CyclicFn:
         for m in members:
             codes[m % N] = value
         return cls(ctx, codes)
-
-    @property
-    def values(self) -> tuple[FieldElement, ...]:
-        ctx = self.ctx
-        return tuple(FieldElement(ctx, c) for c in self.codes)
 
     def __call__(self, i: int) -> FieldElement:
         return FieldElement(self.ctx, self.codes[i % self.N])

@@ -543,14 +543,6 @@ class PolyFq:
         self.codes = tuple(_trim(codes))
 
     @classmethod
-    def from_elements(cls, elements) -> "PolyFq":
-        elements = list(elements)
-        if not elements:
-            raise ValueError("empty coefficient list has no context")
-        ctx = elements[0].ctx
-        return cls(ctx, [e.code for e in elements])
-
-    @classmethod
     def x(cls, ctx: FieldCtx) -> "PolyFq":
         return cls(ctx, (0, 1))
 
@@ -773,12 +765,8 @@ def element_degree(xi: FieldElement, q: int, n: int) -> int:
     """
     ctx = xi.ctx
     _check_tower(ctx, q, n)
-    if xi.code == 0:
-        return 1
-    for d in numtheory.divisors(n):
-        if ctx.pow_code(xi.code, q ** d) == xi.code:
-            return d
-    raise AssertionError("unreachable: d == n always satisfies the fixed-point test")
+    # d = n always passes, xi**(q**n) = xi in F_{q^n}; zero passes at d = 1
+    return next(d for d in numtheory.divisors(n) if ctx.pow_code(xi.code, q ** d) == xi.code)
 
 
 def char_poly(xi: FieldElement, q: int, n: int) -> PolyFq:

@@ -187,13 +187,12 @@ def verify_period_claims(q: int, n: int, w: int, c: int,
     if not 0 <= c < q:
         raise ValueError(f"c={c} is not an F_{q} code")
     N = check_size(q, n, cap)
-    p, j = prime_power(q)
+    prime_power(q)  # an excluded row of a q = 6 is an error too
     thr = threshold(n, q)
     label = classify_case(q, n, w, c)
     if label == CASE_EXCLUDED:
         return PeriodReport(q=q, n=n, w=w, c=c, threshold=thr, case_label=label)
-    ctx = make_field(p, j)
-    r = mask_period(q, n, w, FieldElement(ctx, c), ctx)
+    r = mask_period(q, n, w, c)
     if label == CASE_MAX:
         case_claim = r == N
     elif label == CASE_HALF:
@@ -244,11 +243,11 @@ def _witnesses(q: int, n: int, rows, cap: int) -> dict:
     small = make_field(p, j)
     big = make_field(p, j * n)
     emb = subfield_embedding(small, big)
+    lifted = emb.lift_codes(range(q))
     found = dict.fromkeys(rows)
     pending: dict[tuple[int, int], list] = {}
     for w, c in found:
-        key = (n - w, emb.lift(FieldElement(small, c)).code)
-        pending.setdefault(key, []).append((w, c))
+        pending.setdefault((n - w, lifted[c]), []).append((w, c))
     targets = sorted({t for t, _ in pending})
     M = big.order - 1
     for k in range(M):
@@ -298,8 +297,7 @@ def _sweep_tuple(q: int, n: int, w: int, c: int, cfg: SweepConfig) -> PeriodRepo
         report = verify_period_claims(q, n, w, c, cfg.size_cap)
     if cfg.check_symmetry and report.r is not None:
         # the one route that still builds the dense mask
-        ctx = make_field(*prime_power(q))
-        mask = delta_mask(q, n, min(w, n - w), FieldElement(ctx, c), ctx)
+        mask = delta_mask(q, n, min(w, n - w), c)
         report = report._replace(symmetric=is_q_symmetric(mask, q, n))
     return report
 
@@ -315,6 +313,8 @@ def sweep(cfg: SweepConfig) -> SweepResult:
     c != 0 is enumerated.  The result is deterministic for a fixed
     configuration.
     """
+    if cfg.w_policy not in ("half", "full"):
+        raise ValueError(f"w_policy must be 'half' or 'full', not {cfg.w_policy!r}")
     reports = []
     skipped = []
     n_lo, n_hi = cfg.n_range

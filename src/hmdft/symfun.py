@@ -1,15 +1,18 @@
 """Digit-weight sets, their indicator functions and q-digit utilities.
 
 Omega(w) collects the elements of Z_{q^n-1} whose canonical representative
-has base-q digits in {0, 1} with exactly w ones; delta_w is its field-valued
+has base-q digits in {0, 1} with exactly w ones; delta_w is its F_q-valued
 indicator.  These indicators are what the transform machinery turns into
-coefficient information: the transform of delta_w at k equals the w-th
-characteristic elementary symmetric value at zeta**k.
+coefficient information: lifted into F_{q^n} by `Embedding.lift_codes`, the
+transform of delta_w at k equals the w-th characteristic elementary
+symmetric value at zeta**k.
 
-delta_mask(w, c) builds the coefficient-prescription mask
+delta_mask(q, n, w, c) builds the coefficient-prescription mask
     delta_0 - ((-1)**w * delta_w - c * delta_0) ** (*(q-1))
 whose least period exceeding the cyclotomic threshold certifies a monic
-irreducible of degree n whose coefficient of x**(n-w) equals c.
+irreducible of degree n whose coefficient of x**(n-w) equals c.  Masks and
+indicators take their values in F_q (`make_field(*prime_power(q))`), and c
+is always an F_q code in [0, q), as in every report.
 
 delta_mask never powers by convolution in the field.  With s = (-1)**w and
 b = -c, the binomial theorem gives
@@ -20,8 +23,7 @@ that is, for i != 0, the 0/1 matrices with k rows of weight w and column
 sums the digits of i (for k <= q-1 adding weight-w 0/1 digit vectors never
 carries).  The counts do not depend on c, so they are built once per
 (q, n, w), reduced mod p, and every c combines the same counts through a
-p-entry value table per k: a residue r mod p is the prime-subfield code r in
-every context.
+p-entry value table per k: a residue r mod p is the prime-subfield code r.
 
 mask_period finds the least period of the same mask with no dense list, by a
 second route that shares no code with delta_mask, so that each checks the
@@ -64,23 +66,8 @@ from typing import NamedTuple
 
 from . import numtheory
 from .cyclic import CyclicFn, SupportSet, least_period_by_descent
-from .errors import (
-    BadPermutationError,
-    BadSubfieldError,
-    CtxMismatchError,
-    ExcludedCaseError,
-    WeightRangeError,
-)
-from .gf import FieldCtx, FieldElement, check_size
-
-
-class OmegaSet(NamedTuple):
-    """Parameters (q, n, w) with the members of Omega(w) as a SupportSet."""
-
-    q: int
-    n: int
-    w: int
-    members: SupportSet
+from .errors import BadPermutationError, ExcludedCaseError, WeightRangeError
+from .gf import check_size, make_field
 
 
 class DigitVector(NamedTuple):
@@ -94,36 +81,29 @@ class DigitVector(NamedTuple):
         return sum(self.digits)
 
 
-def omega(q: int, n: int, w: int) -> OmegaSet:
+def omega(q: int, n: int, w: int) -> SupportSet:
     """All k in Z_{q^n-1} with 0/1 digits of weight w; empty for (q, w) = (2, n)."""
     if not 0 <= w <= n:
         raise WeightRangeError(f"w={w} outside [0, {n}]")
     N = check_size(q, n)
     if q == 2 and w == n:
         # the full-weight sum 2**n - 1 wraps to 0, which has weight 0
-        return OmegaSet(q, n, w, SupportSet(N, ()))
+        return SupportSet(N, ())
     powers = [q ** i for i in range(n)]
-    members = tuple(map(sum, itertools.combinations(powers, w)))
-    return OmegaSet(q, n, w, SupportSet(N, members))
+    return SupportSet(N, map(sum, itertools.combinations(powers, w)))
 
 
-def _check_value_ctx(q: int, ctx: FieldCtx):
-    # ctx must share the characteristic of q and contain F_q
-    qq = q
-    while qq > 1 and qq % ctx.p == 0:
-        qq //= ctx.p
-    if q < 2 or qq != 1:
-        raise CtxMismatchError(f"q={q} is not a power of the context characteristic {ctx.p}")
-    # F_q embeds in F_{p^m} iff (q - 1) | (p^m - 1), equivalently log_p q | m
-    if (ctx.order - 1) % (q - 1):
-        raise CtxMismatchError(f"context of order {ctx.order} has no F_{q} subfield")
+def _value_field(q: int):
+    """F_q, where masks and indicators take their values; a huge q is never factored."""
+    check_size(q, 1, field=True)
+    return make_field(*numtheory.prime_power(q))
 
 
-def delta(q: int, n: int, w: int, ctx: FieldCtx) -> CyclicFn:
-    """Indicator of Omega(w) on Z_{q^n-1}, with values {0, 1} in ctx."""
-    _check_value_ctx(q, ctx)
-    om = omega(q, n, w)
-    return CyclicFn.from_support(ctx, q ** n - 1, om.members.members)
+def delta(q: int, n: int, w: int) -> CyclicFn:
+    """Indicator of Omega(w) on Z_{q^n-1}, with values {0, 1} in F_q."""
+    ctx = _value_field(q)
+    support = omega(q, n, w)
+    return CyclicFn.from_support(ctx, support.N, support.members)
 
 
 @lru_cache(maxsize=1)
@@ -135,7 +115,7 @@ def _weight_counts(q: int, n: int, w: int) -> tuple[tuple[tuple[int, int], ...],
     is cached: a sweep asks for every c of one (q, n, w) in a row.
     """
     p = numtheory.prime_power(q)[0]
-    support = omega(q, n, w).members  # check_size refuses a huge n first
+    support = omega(q, n, w)  # check_size refuses a huge n first
     N, members = support.N, support.members
     level = ((0, 1),)
     levels = [level]
@@ -153,34 +133,33 @@ def _weight_counts(q: int, n: int, w: int) -> tuple[tuple[tuple[int, int], ...],
     return tuple(levels)
 
 
-def _check_mask_args(q: int, n: int, w: int, c: FieldElement, ctx: FieldCtx) -> None:
+def _check_mask_args(q: int, n: int, w: int, c: int):
+    """F_q, once c is an F_q code and (w, c) names a mask over it."""
+    ctx = _value_field(q)
+    if not 0 <= c < q:
+        raise ValueError(f"c={c} is not an F_{q} code")
     if not 1 <= w <= n:
         raise WeightRangeError(f"w={w} outside [1, {n}]")
     if q == 2 and w == n:
         raise ExcludedCaseError("(q, w) = (2, n) has an empty weight set")
-    _check_value_ctx(q, ctx)
-    if c.ctx is not ctx:
-        raise CtxMismatchError("c must live in the supplied value context")
-    if ctx.pow_code(c.code, q) != c.code:
-        raise BadSubfieldError("c must lie in the F_q subfield of ctx")
+    return ctx
 
 
-def delta_mask(q: int, n: int, w: int, c: FieldElement, ctx: FieldCtx) -> CyclicFn:
-    """The coefficient-prescription mask for (w, c), exact over ctx.
+def delta_mask(q: int, n: int, w: int, c: int) -> CyclicFn:
+    """The coefficient-prescription mask for (w, c) over F_q, c an F_q code.
 
-    Defined as delta_0 - ((-1)**w * delta_w - c * delta_0) ** (*(q-1)); its
-    values provably lie in the F_q-subfield of ctx.  Built as delta_0 minus
-    the binomial expansion over the shared counts A_k (module docstring):
-    term k scatters C(q-1, k) * s**k * (-c)**(q-1-k) * A_k through a table of
-    its p values.  The pair (q, w) = (2, n) is excluded because Omega(n) is
-    empty in characteristic 2.
+    Defined as delta_0 - ((-1)**w * delta_w - c * delta_0) ** (*(q-1)).
+    Built as delta_0 minus the binomial expansion over the shared counts A_k
+    (module docstring): term k scatters C(q-1, k) * s**k * (-c)**(q-1-k) * A_k
+    through a table of its p values.  The pair (q, w) = (2, n) is excluded
+    because Omega(n) is empty in characteristic 2.
     """
-    _check_mask_args(q, n, w, c, ctx)
+    ctx = _check_mask_args(q, n, w, c)
     levels = _weight_counts(q, n, w)
     p, m = ctx.p, q - 1
     add, mul, power, neg = ctx.add_codes, ctx.mul_codes, ctx.pow_code, ctx.neg_code
     sign = 1 if w % 2 == 0 else neg(1)
-    b = neg(c.code)
+    b = neg(c)
     out = [0] * (q ** n - 1)
     out[0] = 1
     for k, level in enumerate(levels):
@@ -278,13 +257,13 @@ class MaskPoints:
 
     __slots__ = ("q", "n", "N", "_slot0", "_coef", "_mul", "_table", "_inc")
 
-    def __init__(self, q: int, n: int, w: int, c: FieldElement, ctx: FieldCtx):
-        _check_mask_args(q, n, w, c, ctx)
+    def __init__(self, q: int, n: int, w: int, c: int):
+        ctx = _check_mask_args(q, n, w, c)
         table = _multiset_counts(q, n, w)
         p, m = ctx.p, q - 1
         add, mul, power, neg = ctx.add_codes, ctx.mul_codes, ctx.pow_code, ctx.neg_code
         sign = 1 if w % 2 == 0 else neg(1)
-        b = neg(c.code)
+        b = neg(c)
         coef = [neg(mul(comb(m, k) % p, mul(power(sign, k), power(b, m - k))))
                 for k in range(q)]
         # the all-(q-1) multiset is in the table only when w = n
@@ -335,6 +314,11 @@ CERTIFICATE_TRIES = 4  # (S, sign) per shift: the first two w-sets S, +t then -t
 
 def shift_certificate(q: int, n: int, w: int, c: int, t: int):
     """(s, sign) with mask(s) != 0 = mask(s + sign*t), or None; c: zero or not."""
+    # no check_size: the digits of one integer are cheap past any cap
+    if q < 2:
+        raise ValueError(f"q must be at least 2, not q={q}")
+    if not 1 <= w <= n:
+        raise WeightRangeError(f"w={w} outside [1, {n}]")
     N, low = q ** n - 1, 1 if c else q - 1
     subsets = itertools.combinations(range(n), w) if c or w < n else ()  # else s = N, 0 in Z_N
     tries = ((S, sign) for S in subsets for sign in (1, -1))
@@ -347,20 +331,20 @@ def shift_certificate(q: int, n: int, w: int, c: int, t: int):
     return None
 
 
-def mask_period(q: int, n: int, w: int, c: FieldElement, ctx: FieldCtx) -> int:
-    """The least period of delta_mask(q, n, w, c, ctx), with no dense mask.
+def mask_period(q: int, n: int, w: int, c: int) -> int:
+    """The least period of delta_mask(q, n, w, c), with no dense mask.
 
     The prime descent of ``cyclic.least_period_by_descent``; a shift with no
     ``shift_certificate`` goes to ``MaskPoints.has_period``, built once.
     """
-    _check_mask_args(q, n, w, c, ctx)
+    _check_mask_args(q, n, w, c)
     points = None
 
     def is_period(t):
         nonlocal points
-        if shift_certificate(q, n, w, c.code, t):
+        if shift_certificate(q, n, w, c, t):
             return False
-        points = points or MaskPoints(q, n, w, c, ctx)
+        points = points or MaskPoints(q, n, w, c)
         return points.has_period(t)
 
     return least_period_by_descent(q ** n - 1, is_period)

@@ -81,11 +81,12 @@ def test_c2_transform_matches_symmetric_values():
     for q, n in [(2, 4), (2, 6), (3, 3), (3, 4), (4, 2), (5, 2)]:
         p, j = prime_power(q)
         big = make_field(p, j * n)
+        lift = subfield_embedding(make_field(p, j), big).lift_codes
         z = primitive_element(big)
         N = q ** n - 1
         ws = [w for w in range(n + 1) if not (q == 2 and w == n)]
         for w in ws:
-            g = dft(delta(q, n, w, big), z)
+            g = dft(CyclicFn(big, lift(delta(q, n, w).codes)), z)
             for k in range(N):
                 assert g(k) == sigma_eval(w, z ** k, q, n)
                 checked += 1
@@ -257,11 +258,9 @@ def test_c7_q_symmetry_exhaustive():
     t0 = time.perf_counter()
     funcs = 0
     for q in (2, 3, 4, 5):
-        p, j = prime_power(q)
-        ctx = make_field(p, j)
         for n in range(2, 7):
             for w in range(n + 1):
-                dw = delta(q, n, w, ctx)
+                dw = delta(q, n, w)
                 powers = [conv_power(dw, s) for s in range(1, q)]
                 if q == 2:
                     powers.append(dw)

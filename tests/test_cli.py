@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import hmdft
 from hmdft import cli, numtheory, spectral
 from hmdft.cli import _check_grid, _json, _parse_ints, main
+from hmdft.errors import AlgebraError
 from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
 from hmdft.harness import SweepConfig
 from hmdft.spectral import Verdict
@@ -667,3 +669,62 @@ def test_json_refuses_a_record():
                   {"cfg": SweepConfig(q_list=(2,), n_range=(2, 3))}):
         with pytest.raises(TypeError, match="not JSON serializable"):
             _json(value)
+
+
+CLI_REFUSALS = [
+    (("dft", "--q", "3", "--n", "2", "--seq", "1,0,0"), AlgebraError,
+     r"sequence must have length q\*\*n - 1 = 8"),
+    # c is an F_q code in every subcommand that builds a mask
+    (("period", "--q", "3", "--n", "4", "--w", "3", "--c", "5"), ValueError,
+     "^c=5 is not an F_3 code$"),
+    (("delta", "--q", "3", "--n", "2", "--w", "1", "--c", "5"), ValueError,
+     "^c=5 is not an F_3 code$"),
+    (("dft", "--q", "3", "--n", "2", "--w", "1", "--c", "5"), ValueError,
+     "^c=5 is not an F_3 code$"),
+]
+
+
+@pytest.mark.parametrize("argv, error, text", CLI_REFUSALS)
+def test_cli_refusals(capsys, argv, error, text):
+    args = cli._parser().parse_args(list(argv))
+    with pytest.raises(error, match=text):
+        args.fn(args)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_all_w_text_names_delegated_rows(capsys):
+    code, out, _ = run(capsys, "hm-verify", "--q", "3", "--n", "3", "--all-w", "--c", "1",
+                       "--no-witness")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.startswith("q=3 n=3 w=2 c=1 ") for line in lines] == [False, True, False,
+                                                                       False]
+    assert lines[1].endswith(" ok (delegated to w=1)")
+
+
+def _readme_cli_block():
+    """The `hmdft ...` lines of the fenced block under "## CLI" in README.md,
+    each with the `# ` comment lines that follow it."""
+    text = (Path(hmdft.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("hmdft "):
+            commands.append((line, []))
+        elif line.startswith("# "):
+            commands[-1][1].append(line[2:])
+    return commands
+
+
+def test_readme_cli_block_runs(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_cli_block()
+    assert len(commands) == 9
+    for line, shown in commands:
+        code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == 0, (line, err)
+        assert out.splitlines()[:len(shown)] == shown, line
+    assert [shown for line, shown in commands if shown] == \
+        [["witness: 1 1 0 0 1", "poly: x^4 + x + 1"]]
+    assert (tmp_path / "report.json").exists()

@@ -21,6 +21,7 @@ from hmdft import (
     reversal,
     shift,
     sigma_eval,
+    subfield_embedding,
 )
 from hmdft.errors import (
     BadPermutationError,
@@ -64,18 +65,22 @@ def test_dft_of_kronecker_is_constant_one():
     assert idft(g, z6) == f  # constant ones transform back to the delta
 
 
-def test_idft_of_delta_transform():
+def _delta_in_f16(w):
+    """The F_2 weight indicator delta(2, 4, w), lifted into F_16."""
     f16 = make_field(2, 4)
-    z = primitive_element(f16)
+    return CyclicFn(f16, subfield_embedding(make_field(2), f16).lift_codes(delta(2, 4, w).codes))
+
+
+def test_idft_of_delta_transform():
+    z = primitive_element(make_field(2, 4))
     for w in (0, 1, 2, 3):
-        d = delta(2, 4, w, f16)
+        d = _delta_in_f16(w)
         assert idft(dft(d, z), z) == d
 
 
 def test_dft_matches_sigma_pointwise():
-    f16 = make_field(2, 4)
-    z = primitive_element(f16)
-    d2 = delta(2, 4, 2, f16)
+    z = primitive_element(make_field(2, 4))
+    d2 = _delta_in_f16(2)
     g = dft(d2, z)
     for k in range(15):
         assert g(k) == sigma_eval(2, z ** k, 2, 4)
@@ -438,3 +443,31 @@ def test_support_set_normalizes():
     assert s != (2, 3, 9) and s != (10, (2, 3, 9))
     assert repr(s) == "SupportSet(N=10, members=(2, 3, 9))"
     assert len({s, same, SupportSet(10, ())}) == 2
+
+
+def _f3_fn():
+    return CyclicFn(make_field(3), (1, 2))
+
+
+CYCLIC_REFUSALS = [
+    (lambda: SupportSet(0, (1,)), ValueError, "N=0"),  # was a reduction mod 0
+    (lambda: SupportSet(-4, ()), ValueError, "N=-4"),
+    (lambda: CyclicFn(make_field(3), []), ValueError, "modulus N must be at least 1"),
+    (lambda: CyclicFn.from_elements([]), ValueError, "modulus N must be at least 1"),
+    (lambda: CyclicFn.from_elements([make_field(3).one(), make_field(5).one()]),
+     CtxMismatchError, "mixed field contexts in one function"),
+    (lambda: _f3_fn() + CyclicFn(make_field(5), (1, 2)), CtxMismatchError,
+     "functions valued in different fields"),
+    (lambda: compose_perm(_f3_fn(), {0: 3, 1: 1, 2: 2}), BadPermutationError,
+     "mapping outside the value field"),
+    (lambda: compose_perm(_f3_fn(), lambda e: make_field(5).one()), BadPermutationError,
+     "callable must map the field to itself"),
+    (lambda: compose_perm(_f3_fn(), [0, 2, 1]), BadPermutationError,
+     "sigma must be a dict or a callable"),
+]
+
+
+@pytest.mark.parametrize("call, error, text", CYCLIC_REFUSALS)
+def test_cyclic_refusals(call, error, text):
+    with pytest.raises(error, match=text):
+        call()

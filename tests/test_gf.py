@@ -22,6 +22,7 @@ from hmdft.errors import (
     BadSubfieldError,
     BadTowerError,
     CtxMismatchError,
+    NotDivisorError,
     NotPrimeError,
     SizeCapError,
     WeightRangeError,
@@ -656,3 +657,45 @@ def test_canonical_fields_match_loop_oracles(p, monkeypatch):
             assert ctx.modulus == next(h for h in candidates
                                        if oracle_irreducible_powering(h)).codes
         assert ctx.zeta_code == _zeta_by_loops(ctx)
+
+
+def _f3_poly(*codes):
+    return PolyFq(make_field(3), codes)
+
+
+def _f4_in_f16():
+    return subfield_embedding(make_field(2, 2), make_field(2, 4))
+
+
+GF_REFUSALS = [
+    (lambda: make_field(5).pow_code(0, -1), ZeroDivisionError, "negative power of zero"),
+    (lambda: make_field(5).order_of(0), ZeroDivisionError, "zero has no multiplicative order"),
+    (lambda: make_field(5).element(5), ValueError, "code 5 out of range"),
+    (lambda: make_field(7).nth_root_of_unity(4), NotDivisorError, "4 does not divide 6"),
+    (lambda: _f3_poly(0, 3), ValueError, "coefficient code out of range for F_3"),
+    (lambda: _f3_poly(1, 1) + 1, TypeError, "expected a polynomial"),
+    (lambda: _f3_poly(1, 1) * PolyFq(make_field(5), (1, 1)), CtxMismatchError,
+     "polynomials over different fields"),
+    (lambda: divmod(_f3_poly(1, 1), _f3_poly()), ZeroDivisionError,
+     "polynomial division by zero"),
+    (lambda: _f3_poly(0, 1).pow_mod(-1, _f3_poly(1, 0, 1)), ValueError, "negative exponent"),
+    (lambda: _f3_poly(0, 1)(make_field(5).one()), CtxMismatchError,
+     "evaluation point from a different field"),
+    (lambda: _f4_in_f16().lift(make_field(2, 4).one()), CtxMismatchError,
+     "element not in the embedding's source field"),
+    (lambda: _f4_in_f16().lower(make_field(2, 2).one()), CtxMismatchError,
+     "element not in the embedding's target field"),
+    (lambda: _f4_in_f16().lift_poly(PolyFq(make_field(2, 4), (1,))), CtxMismatchError,
+     "polynomial not over the source field"),
+    (lambda: _f4_in_f16().lower_poly(PolyFq(make_field(2, 2), (1,))), CtxMismatchError,
+     "polynomial not over the target field"),
+    # x generates F_16, so it lies in no proper subfield
+    (lambda: _f4_in_f16().lower_poly(PolyFq(make_field(2, 4), (2, 1))), BadSubfieldError,
+     "coefficient outside the embedded subfield"),
+]
+
+
+@pytest.mark.parametrize("call, error, text", GF_REFUSALS)
+def test_gf_refusals(call, error, text):
+    with pytest.raises(error, match=text):
+        call()

@@ -21,7 +21,6 @@ from hmdft.errors import (
     WeightRangeError,
 )
 from hmdft.harness import CASE_EXCLUDED, CASE_HALF, CASE_MAX, CASE_NORM, CASE_SMALL
-from hmdft.numtheory import prime_power
 from hmdft.symfun import _multiset_counts
 
 from helpers import ascending_scan_period, find_witness_scan_oracle, fits_oracle
@@ -189,9 +188,9 @@ def test_sweep_builds_count_tables_only_where_a_shift_survives(monkeypatch):
     built = []
 
     class Counted(symfun.MaskPoints):
-        def __init__(self, q, n, w, c, ctx):
-            built.append((q, n, w, c.code))
-            super().__init__(q, n, w, c, ctx)
+        def __init__(self, q, n, w, c):
+            built.append((q, n, w, c))
+            super().__init__(q, n, w, c)
 
     monkeypatch.setattr(symfun, "MaskPoints", Counted)
     res = sweep(SweepConfig(q_list=(2, 3, 4, 5, 7, 8, 9), n_range=(2, 12),
@@ -250,8 +249,7 @@ def test_sweep_periods_match_dense_route_on_periods_grid():
     rows = [r for r in res.reports if r.case_label != CASE_EXCLUDED]
     assert len(rows) == 448 and res.summary["fail"] == 0
     for r in rows:
-        ctx = gf.make_field(*prime_power(r.q))
-        mask = delta_mask(r.q, r.n, r.w, ctx.element(r.c), ctx)
+        mask = delta_mask(r.q, r.n, r.w, r.c)
         assert r.r == ascending_scan_period(mask.codes), (r.q, r.n, r.w, r.c)
 
 
@@ -259,9 +257,9 @@ def test_sweep_builds_dense_masks_only_for_symmetry(monkeypatch):
     built = []
     dense = harness.delta_mask
 
-    def counted(q, n, w, c, ctx):
-        built.append((q, n, w, c.code))
-        return dense(q, n, w, c, ctx)
+    def counted(q, n, w, c):
+        built.append((q, n, w, c))
+        return dense(q, n, w, c)
 
     monkeypatch.setattr(harness, "delta_mask", counted)
     cfg = SweepConfig(q_list=(3,), n_range=(4, 4), w_policy="full", with_witness=False)
@@ -278,10 +276,11 @@ def test_sweep_symmetry_reads_the_dense_mask(monkeypatch):
     # a dense mask with one value moved off the orbit is reported asymmetric
     dense = harness.delta_mask
 
-    def perturbed(q, n, w, c, ctx):
-        codes = list(dense(q, n, w, c, ctx).codes)
-        codes[1] = ctx.add_codes(codes[1], 1)
-        return CyclicFn(ctx, codes)
+    def perturbed(q, n, w, c):
+        mask = dense(q, n, w, c)
+        codes = list(mask.codes)
+        codes[1] = mask.ctx.add_codes(codes[1], 1)
+        return CyclicFn(mask.ctx, codes)
 
     monkeypatch.setattr(harness, "delta_mask", perturbed)
     res = sweep(SweepConfig(q_list=(3,), n_range=(3, 3), check_symmetry=True,
@@ -473,3 +472,20 @@ def test_fits_at_the_bit_length_of_the_limit():
                 limit = min(limit, gf.FIELD_ORDER_CAP - 1)
             for n in (limit.bit_length(), limit.bit_length() + 1):
                 assert cfg.fits(2, n) == fits_oracle(cfg, 2, n), (n, cap, with_witness)
+
+
+HARNESS_REFUSALS = [
+    (lambda: verify_period_claims(3, 1, 1, 0), ValueError, "n must be at least 2"),
+    (lambda: find_witness(3, 2, 1, 5), ValueError, "c=5 is not an F_3 code"),
+    # once a silent half-w sweep
+    (lambda: sweep(SweepConfig(q_list=(3,), n_range=(2, 3), w_policy="bogus")),
+     ValueError, "w_policy must be 'half' or 'full', not 'bogus'"),
+    (lambda: sweep(SweepConfig(q_list=(3,), n_range=(2, 3), w_policy="Full", pinned_w=1)),
+     ValueError, "not 'Full'"),
+]
+
+
+@pytest.mark.parametrize("call, error, text", HARNESS_REFUSALS)
+def test_harness_refusals(call, error, text):
+    with pytest.raises(error, match=text):
+        call()

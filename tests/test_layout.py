@@ -29,7 +29,6 @@ from hmdft import (
     build_root_indicator,
     digits,
     make_field,
-    omega,
     support_degree_test,
     sweep,
     verify_period_claims,
@@ -167,7 +166,6 @@ def test_cli_import_loads_no_dataclasses():
 
 RECORDS = {
     "SupportSet": (lambda: SupportSet(15, (3, 5)), "members"),
-    "OmegaSet": (lambda: omega(2, 4, 2), "members"),
     "DigitVector": (lambda: digits(11, 3, 3), "k"),
     "PeriodReport": (lambda: verify_period_claims(2, 4, 1, 1), "r"),
     "SweepConfig": (lambda: SweepConfig(q_list=(2,), n_range=(2, 3)), "size_cap"),

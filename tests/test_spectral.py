@@ -690,3 +690,17 @@ def test_oracles_never_use_the_horner_kernel(monkeypatch):
             for part in parts:
                 prod = prod * part
             assert oracle_factor_degrees(prod) == sorted(p.degree for p in parts)
+
+
+SPECTRAL_REFUSALS = [
+    (lambda: degree_n_factor_test(PolyFq(make_field(3), (1, 1, 1)), 3, 1), ValueError,
+     "n must be at least 2"),
+    (lambda: support_degree_test(SupportSet(15, (1,)), 3, 2), ValueError,
+     r"support modulus 15 is not q\*\*n - 1 = 8"),
+]
+
+
+@pytest.mark.parametrize("call, error, text", SPECTRAL_REFUSALS)
+def test_spectral_refusals(call, error, text):
+    with pytest.raises(error, match=text):
+        call()
