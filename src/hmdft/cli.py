@@ -27,7 +27,6 @@ from .cyclic import CyclicFn, dft, idft, least_period_of_sequence
 from .cyclo import threshold
 from .errors import AlgebraError, DegreeMismatchError
 from .gf import (
-    MODULUS_GUARD,
     PolyFq,
     check_size,
     make_field,
@@ -198,6 +197,8 @@ def _add_common(sp: argparse.ArgumentParser, default_cap: int | None = None) -> 
 
 def _cmd_period(args) -> int:
     if args.seq is not None:
+        if (args.q, args.n, args.w) != (None, None, None):
+            raise ValueError("--seq takes no --q, --n or --w")
         r = least_period_of_sequence(_parse_ints(args.seq))
         _emit({"r": r}, args.format, args.out)
         return 0
@@ -217,6 +218,8 @@ def _cmd_period(args) -> int:
 def _cmd_dft(args) -> int:
     if args.seq is None and args.w is None:
         raise AlgebraError("dft needs --seq or --w")
+    if args.seq is not None and (args.w, args.c) != (None, None):
+        raise ValueError("--seq takes no --w or --c")
     N = check_size(args.q, args.n, args.cap, field=True)
     p, j = prime_power(args.q)
     small, big = make_field(p, j), make_field(p, j * args.n)
@@ -281,49 +284,6 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-def _check_grid(cfg: SweepConfig) -> None:
-    """ValueError unless some (q, n) of the grid fits and has a row to report.
-
-    A (w, c) with w = n and c = 0 is no row (the norm of a nonzero element is
-    never 0), so a grid of only such pairs is empty too.  A grid with a row
-    at n = 1 (the norm row w = 1, for which ``cyclo.threshold`` is not
-    defined) is refused too, before any row is computed.  Decided with no
-    step per n of a long range: the row test in closed form, and the size
-    test only up to the bit length of the size limit, past which
-    ``check_size`` refuses every n (n <= 23 for any cap >= 0).
-    """
-    lo, hi = cfg.n_range
-    if not cfg.q_list:
-        raise ValueError("--q names no field size")
-    if min(cfg.q_list) < 2:  # before fits, whose check_size refuses it
-        raise ValueError(f"q must be at least 2, not q={min(cfg.q_list)}")
-    if lo > hi:
-        raise ValueError(f"--n range {lo}:{hi} is empty")
-    # cfg.weights(n) is nonempty exactly from n = n_lo on (never if n_lo < 1)
-    if cfg.pinned_w is not None:
-        n_lo = cfg.pinned_w
-    else:
-        n_lo = 1 if cfg.w_policy == "full" else 2
-    if n_lo < 1 or hi < n_lo:
-        raise ValueError(f"no w fits any n in {lo}:{hi}")
-    # with c pinned to 0, the least w is a row only once it is below n (the
-    # w of a half-w grid always are)
-    if cfg.pinned_c == 0 and (cfg.pinned_w is not None or cfg.w_policy == "full"):
-        n_lo += 1
-        if hi < n_lo:
-            raise ValueError(f"the only rows in {lo}:{hi} have w = n and c = 0, "
-                             f"and no norm is 0")
-    if n_lo == 1 and lo <= 1:
-        raise ValueError(f"--n range {lo}:{hi} reaches n = 1, whose only row "
-                         f"(w = n = 1) has no period threshold; start it at 2")
-    # check_size refuses every n past the bit length of its limit
-    n_hi = min(hi, min(cfg.size_cap, MODULUS_GUARD).bit_length())
-    if not any(cfg.fits(q, n) for q in cfg.q_list
-               for n in range(max(lo, n_lo), n_hi + 1)):
-        raise ValueError(f"every (q, n) in the grid is over the size cap "
-                         f"{cfg.size_cap} or a hard limit")
-
-
 def _cmd_hm_verify(args) -> int:
     cfg = SweepConfig(
         q_list=tuple(_parse_ints(args.q)),
@@ -335,7 +295,6 @@ def _cmd_hm_verify(args) -> int:
         pinned_w=args.w,
         pinned_c=args.c,
     )
-    _check_grid(cfg)
     result = sweep(cfg)
     _emit(result.to_dict(), args.format, args.out)
     return 0 if result.summary["fail"] == 0 else 1

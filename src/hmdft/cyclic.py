@@ -35,14 +35,18 @@ from .errors import (
 from .gf import FieldCtx, FieldElement
 
 
+def _check_modulus(N: int) -> None:
+    if N < 1:
+        raise ValueError(f"modulus N must be at least 1, not N={N}")
+
+
 class SupportSet:
     """Sorted, duplicate-free subset of Z_N (canonical representatives); immutable."""
 
     __slots__ = ("N", "members")
 
     def __init__(self, N: int, members):
-        if N < 1:
-            raise ValueError(f"modulus N must be at least 1, not N={N}")
+        _check_modulus(N)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "members", tuple(sorted({m % N for m in members})))
 
@@ -96,6 +100,7 @@ class CyclicFn:
 
     @classmethod
     def from_support(cls, ctx: FieldCtx, N: int, members, value: int = 1) -> "CyclicFn":
+        _check_modulus(N)
         codes = [0] * N
         for m in members:
             codes[m % N] = value
@@ -144,7 +149,7 @@ def kronecker(ctx: FieldCtx, N: int) -> CyclicFn:
 
     No certification path calls it; tests and their oracles do.
     """
-    return CyclicFn(ctx, [1] + [0] * (N - 1))
+    return CyclicFn.from_support(ctx, N, (0,))
 
 
 def _check_pair(f: CyclicFn, g: CyclicFn):

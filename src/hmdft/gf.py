@@ -558,12 +558,9 @@ class PolyFq:
     def is_monic(self) -> bool:
         return bool(self.codes) and self.codes[-1] == 1
 
-    def coefficient(self, i: int) -> FieldElement:
+    def __getitem__(self, i: int) -> FieldElement:
         code = self.codes[i] if 0 <= i < len(self.codes) else 0
         return FieldElement(self.ctx, code)
-
-    def __getitem__(self, i: int) -> FieldElement:
-        return self.coefficient(i)
 
     def _check(self, other):
         if not isinstance(other, PolyFq):
@@ -870,12 +867,6 @@ class Embedding:
             raise BadSubfieldError(
                 f"code {elt.code} is not in the embedded F_{self.small.order}")
         return FieldElement(self.small, code)
-
-    def lift_poly(self, poly: PolyFq) -> PolyFq:
-        if poly.ctx is not self.small:
-            raise CtxMismatchError("polynomial not over the source field")
-        lift = self._lift
-        return PolyFq(self.big, [lift[c] for c in poly.codes])
 
     def lower_poly(self, poly: PolyFq) -> PolyFq:
         if poly.ctx is not self.big:

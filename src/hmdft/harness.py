@@ -13,7 +13,10 @@ which certifies a monic irreducible of degree n with [x**(n-w)] = c.  The
 input (c, n, q) = (0, 2, even) is genuinely excluded.  `verify_period_claims`
 computes r exactly and checks every claim; `find_witness` independently
 searches the field for an explicit irreducible with the prescribed
-coefficient; `sweep` drives whole parameter grids deterministically.
+coefficient; `sweep` drives whole parameter grids deterministically.  It
+holds the one grid check, for `hm-verify` and Python callers alike: a grid
+with no row to run, or a q that is not a prime power, is refused before any
+row is computed.
 
 A witness is the characteristic polynomial of some power of the canonical
 generator of F_{q^n}; its coefficients are constant on Frobenius orbits, so
@@ -276,8 +279,8 @@ def _witnesses(q: int, n: int, rows, cap: int) -> dict:
 
 def _with_witness(report: PeriodReport, wit: PolyFq | None) -> PeriodReport:
     """The report with the scan's witness (or its absence) checked and set."""
-    q, n, w, c = report.q, report.n, report.w, report.c
-    expected = not (n == 2 and w == 1 and c == 0 and q % 2 == 0)
+    n, w, c = report.n, report.w, report.c
+    expected = report.case_label != CASE_EXCLUDED
     if wit is None:
         return report._replace(witness=None, witness_ok=not expected)
     coeff_ok = wit.degree == n and wit.is_monic and \
@@ -302,38 +305,64 @@ def _sweep_tuple(q: int, n: int, w: int, c: int, cfg: SweepConfig) -> PeriodRepo
     return report
 
 
-def sweep(cfg: SweepConfig) -> SweepResult:
-    """Run every tuple of the grid in lexicographic (q, n, w, c) order.
+def _cells(cfg: SweepConfig, q: int, n: int):
+    """(w, c, row) per grid cell at (q, n); w = n with c = 0 is no row: no norm is 0."""
+    cs = range(q) if cfg.pinned_c is None else (cfg.pinned_c,)
+    return ((w, c, w != n or c != 0) for w in cfg.weights(n) for c in cs)
 
-    A (q, n) that does not fit the size cap or a hard limit
-    (``SweepConfig.fits``) is recorded as skipped, not fatal.  Every q up to
-    MODULUS_GUARD + 1 is checked to be a prime power before its first n, by
-    trial division to 2**11 at most.  A larger q fits no n >= 1 under the
-    hard limits, so it is skipped without a trial division.  For w = n only
-    c != 0 is enumerated.  The result is deterministic for a fixed
-    configuration.
+
+def _check_grid(cfg: SweepConfig) -> list[int]:
+    """The grid's q in ascending order, or ValueError if it has no row to run.
+
+    ``check_size`` refuses every n past MODULUS_GUARD's bit length, so the
+    search for a row that fits stops there however long the n range.
     """
     if cfg.w_policy not in ("half", "full"):
         raise ValueError(f"w_policy must be 'half' or 'full', not {cfg.w_policy!r}")
+    qs = sorted(set(cfg.q_list))
+    if not qs:
+        raise ValueError("q list names no field size")
+    if qs[0] < 2:
+        raise ValueError(f"q must be at least 2, not q={qs[0]}")
+    for q in qs:
+        if q <= MODULUS_GUARD + 1:  # a larger q fits no n, so it is never factored
+            prime_power(q)
+    lo, hi = cfg.n_range
+    if lo > hi:
+        raise ValueError(f"n range {lo}:{hi} is empty")
+    if lo <= 1 <= hi and any(row for *_, row in _cells(cfg, qs[0], 1)):
+        raise ValueError(f"n range {lo}:{hi} reaches n = 1, whose only row "
+                         f"(w = n = 1) has no period threshold; start it at 2")
+    if not any(cfg.fits(q, n) and any(row for *_, row in _cells(cfg, q, n)) for q in qs
+               for n in range(max(lo, 1), min(hi, MODULUS_GUARD.bit_length()) + 1)):
+        raise ValueError(f"no (q, n) of the grid has a row within the size cap "
+                         f"{cfg.size_cap} and the hard limits")
+    return qs
+
+
+def sweep(cfg: SweepConfig) -> SweepResult:
+    """Run every tuple of the grid in lexicographic (q, n, w, c) order.
+
+    Before any row, ``_check_grid`` refuses a grid with no row to run or a q
+    that is not a prime power.  A (q, n) over the size cap or a hard limit
+    (``SweepConfig.fits``) is recorded as skipped, not fatal, and so is each
+    w = n with c = 0.  The result is deterministic for a fixed configuration.
+    """
     reports = []
     skipped = []
     n_lo, n_hi = cfg.n_range
-    for q in sorted(set(cfg.q_list)):
-        if q <= MODULUS_GUARD + 1:  # q < 2 too: no prime power
-            prime_power(q)
+    for q in _check_grid(cfg):
         for n in range(max(n_lo, 1), n_hi + 1):  # no w fits an n < 1
             if not cfg.fits(q, n):
                 skipped.append({"q": q, "n": n, "reason": "size_cap"})
                 continue
-            cs = [cfg.pinned_c] if cfg.pinned_c is not None else range(q)
             rows = []
-            for w in cfg.weights(n):
-                for c in cs:
-                    if w == n and c == 0:
-                        skipped.append({"q": q, "n": n, "w": w, "c": c,
-                                        "reason": "norm_of_zero_excluded"})
-                    else:
-                        rows.append((w, c))
+            for w, c, row in _cells(cfg, q, n):
+                if row:
+                    rows.append((w, c))
+                else:
+                    skipped.append({"q": q, "n": n, "w": w, "c": c,
+                                    "reason": "norm_of_zero_excluded"})
             row_reports = [_sweep_tuple(q, n, w, c, cfg) for w, c in rows]
             if cfg.with_witness and rows:
                 wits = _witnesses(q, n, rows, cfg.size_cap)

@@ -76,34 +76,35 @@ def parse_ints_oracle(text):
 
 
 def check_grid_oracle(cfg):
-    """`cli._check_grid` as one fits/weights/rows test per (q, n) of the range.
+    """`harness._check_grid` as one fits/weights/rows test per (q, n) of the range.
 
     A w is a row at n unless w = n with c pinned to 0 (the sweep skips it as
-    a norm of zero).  A row at n = 1 refuses the grid.
+    a norm of zero).  A row at n = 1 refuses the grid.  Every q up to
+    MODULUS_GUARD + 1 must be a prime power, by `prime_power_loop`.
     """
+    qs = sorted(set(cfg.q_list))
+    if not qs:
+        raise ValueError("q list names no field size")
+    if qs[0] < 2:
+        raise ValueError(f"q must be at least 2, not q={qs[0]}")
+    for q in qs:
+        if q <= MODULUS_GUARD + 1:
+            prime_power_loop(q)
     lo, hi = cfg.n_range
-    if not cfg.q_list:
-        raise ValueError("--q names no field size")
-    if min(cfg.q_list) < 2:
-        raise ValueError(f"q must be at least 2, not q={min(cfg.q_list)}")
     if lo > hi:
-        raise ValueError(f"--n range {lo}:{hi} is empty")
-    if not any(cfg.weights(n) for n in range(lo, hi + 1)):
-        raise ValueError(f"no w fits any n in {lo}:{hi}")
+        raise ValueError(f"n range {lo}:{hi} is empty")
 
     def has_row(n):
         return any(w != n or cfg.pinned_c != 0 for w in cfg.weights(n))
 
-    if not any(has_row(n) for n in range(lo, hi + 1)):
-        raise ValueError(f"the only rows in {lo}:{hi} have w = n and c = 0, "
-                         f"and no norm is 0")
     if lo <= 1 <= hi and has_row(1):
-        raise ValueError(f"--n range {lo}:{hi} reaches n = 1, whose only row "
+        raise ValueError(f"n range {lo}:{hi} reaches n = 1, whose only row "
                          f"(w = n = 1) has no period threshold; start it at 2")
     if not any(has_row(n) and cfg.fits(q, n)  # fits refuses n < 1, which has no row
-               for q in cfg.q_list for n in range(lo, hi + 1)):
-        raise ValueError(f"every (q, n) in the grid is over the size cap "
-                         f"{cfg.size_cap} or a hard limit")
+               for q in qs for n in range(lo, hi + 1)):
+        raise ValueError(f"no (q, n) of the grid has a row within the size cap "
+                         f"{cfg.size_cap} and the hard limits")
+    return qs
 
 
 def brute_convolve(f, g):
@@ -506,7 +507,7 @@ def brute_min_poly(xi, q, n, emb):
     for d in range(1, n + 1):
         for codes in itertools.product(range(q), repeat=d):
             cand = PolyFq(small, list(codes) + [1])
-            if emb.lift_poly(cand)(xi).code == 0:
+            if PolyFq(emb.big, emb.lift_codes(cand.codes))(xi).code == 0:
                 return cand
     raise AssertionError("char poly of degree n always annihilates")
 
@@ -646,7 +647,7 @@ def powering_root_indicator(h, q, n, subfield_order=None):
     N = q ** n - 1
     big = make_field(p, ctx.m * n)
     emb = subfield_embedding(ctx, big)
-    h_big = emb.lift_poly(h)
+    h_big = PolyFq(big, emb.lift_codes(h.codes))
     values = [h_big(FieldElement(big, code)) for code in range(1, big.order)]
     if subfield_order is None:
         t = 1

@@ -14,11 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hmdft
-from hmdft import cli, numtheory, spectral
-from hmdft.cli import _check_grid, _json, _parse_ints, main
+from hmdft import cli, harness, numtheory, spectral
+from hmdft.cli import _json, _parse_ints, main
 from hmdft.errors import AlgebraError
 from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
-from hmdft.harness import SweepConfig
+from hmdft.harness import SweepConfig, _check_grid
 from hmdft.spectral import Verdict
 
 from helpers import check_grid_oracle, parse_ints_oracle
@@ -284,6 +284,21 @@ def test_dft_requires_source(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("extra", [("--w", "1"), ("--c", "1")])
+def test_dft_seq_with_w_or_c_refused(capsys, extra):
+    # once transformed the sequence and dropped --w and --c unread
+    code, out, err = run(capsys, "dft", "--q", "2", "--n", "2", "--seq", "1,0,1", *extra)
+    assert (code, out, err) == (2, "", "error: --seq takes no --w or --c\n")
+
+
+@pytest.mark.parametrize("extra", [("--q", "2"), ("--n", "3"), ("--w", "1"),
+                                   ("--q", "2", "--n", "3", "--w", "1")])
+def test_period_seq_with_mask_options_refused(capsys, extra):
+    # once printed the sequence's period (r: 3) and dropped the mask options
+    code, out, err = run(capsys, "period", "--seq", "1,0,1", *extra)
+    assert (code, out, err) == (2, "", "error: --seq takes no --q, --n or --w\n")
+
+
 def test_cap_flag(capsys):
     code, _, err = run(capsys, "witness", "--q", "7", "--n", "5", "--w", "1", "--c", "1",
                        "--cap", "100")
@@ -308,6 +323,15 @@ def test_hm_verify_empty_grid_rejected(capsys, grid):
     assert code == 2 and "error" in err and out == ""
 
 
+def _no_rows(monkeypatch):
+    """Make the sweep fail if it computes a row or searches a witness."""
+    def no_row(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(harness, "_sweep_tuple", no_row)
+    monkeypatch.setattr(harness, "_witnesses", no_row)
+
+
 @pytest.mark.parametrize("grid", [("--q", "3", "--n", "1:2", "--all-w"),
                                   ("--q", "3", "--n", "1:2", "--all-w", "--no-witness"),
                                   ("--q", "2,3", "--n", "1", "--w", "1", "--c", "1")],
@@ -315,12 +339,18 @@ def test_hm_verify_empty_grid_rejected(capsys, grid):
 def test_hm_verify_grid_reaching_n_1_rejected(capsys, monkeypatch, grid):
     # the n = 1 norm row has no threshold: refused before the sweep computes
     # any row, where it used to abort part-way and lose the n = 2 rows
-    def no_sweep(cfg):
-        raise AssertionError("the sweep ran")
-
-    monkeypatch.setattr(cli, "sweep", no_sweep)
+    _no_rows(monkeypatch)
     code, out, err = run(capsys, "hm-verify", *grid)
     assert code == 2 and out == "" and err.startswith("error: ") and "n = 1" in err
+
+
+@pytest.mark.parametrize("qs", ["2,3,4,5,7,8,9,10", "10,2,3"], ids=["last", "first"])
+def test_hm_verify_non_prime_power_q_refused_before_any_row(capsys, monkeypatch, qs):
+    # the grid check factors every q before the first row, where the sweep
+    # used to compute and discard the rows of each smaller q first
+    _no_rows(monkeypatch)
+    code, out, err = run(capsys, "hm-verify", "--q", qs, "--n", "2:12", "--cap", "200000")
+    assert (code, out, err) == (2, "", "error: 10 is not a prime power\n")
 
 
 @pytest.mark.parametrize("w", ["0", "1", "2"])
@@ -501,7 +531,9 @@ def test_malformed_input_exits_2(capsys, argv):
 @st.composite
 def _grids(draw):
     # q = 0 is left out: at n < 0 the oracle raises ZeroDivisionError on 0**n
-    q_list = tuple(draw(st.lists(st.sampled_from([-2, 1, 2, 3, 4, 7, 9, 16, 1024]),
+    # 6 and 10 are no prime powers; the large q is none either, but fits no n
+    q_list = tuple(draw(st.lists(st.sampled_from([-2, 1, 2, 3, 4, 6, 7, 9, 10, 16, 1024,
+                                                  3 * (MODULUS_GUARD + 2)]),
                                  max_size=3)))
     cap = draw(st.one_of(st.integers(-(1 << 30), 1 << 23),
                          st.sampled_from([0, 1, 100, 20000, FIELD_ORDER_CAP - 1,
@@ -533,8 +565,8 @@ def test_hm_verify_huge_n_range_fails_fast(n_range):
                            "--n", n_range, "--no-witness"],
                           capture_output=True, text=True, timeout=10, env=_cli_env())
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == ("error: every (q, n) in the grid is over the size cap "
-                           "20000 or a hard limit\n")
+    assert proc.stderr == ("error: no (q, n) of the grid has a row within the size cap "
+                           "20000 and the hard limits\n")
 
 
 DFT_SEQ = "0,3,1,0,2,2,0,0,1,0,3,0,0,1,0"  # F_4 codes, (q, n) = (4, 2)

@@ -454,6 +454,13 @@ CYCLIC_REFUSALS = [
     (lambda: SupportSet(-4, ()), ValueError, "N=-4"),
     (lambda: CyclicFn(make_field(3), []), ValueError, "modulus N must be at least 1"),
     (lambda: CyclicFn.from_elements([]), ValueError, "modulus N must be at least 1"),
+    # these once returned CyclicFn(N=1), or failed with a bare IndexError
+    (lambda: kronecker(make_field(3), 0), ValueError, "modulus N must be at least 1, not N=0"),
+    (lambda: kronecker(make_field(3), -4), ValueError, "modulus N must be at least 1, not N=-4"),
+    (lambda: CyclicFn.from_support(make_field(3), -3, [1]), ValueError,
+     "modulus N must be at least 1, not N=-3"),
+    (lambda: CyclicFn.from_support(make_field(3), 0, [1]), ValueError,
+     "modulus N must be at least 1, not N=0"),
     (lambda: CyclicFn.from_elements([make_field(3).one(), make_field(5).one()]),
      CtxMismatchError, "mixed field contexts in one function"),
     (lambda: _f3_fn() + CyclicFn(make_field(5), (1, 2)), CtxMismatchError,

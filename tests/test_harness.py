@@ -128,8 +128,44 @@ def test_sweep_small_grid_deterministic():
 
 
 def test_sweep_empty_grid():
-    res = sweep(SweepConfig(q_list=(), n_range=(2, 4)))
-    assert res.reports == () and res.summary["total"] == 0
+    # once returned total 0, fail 0: success on an empty grid
+    with pytest.raises(ValueError, match="^q list names no field size$"):
+        sweep(SweepConfig(q_list=(), n_range=(2, 4)))
+
+
+@pytest.mark.parametrize("cfg, text", [
+    # the n = 1 norm row has no threshold: once failed inside the first row
+    (SweepConfig(q_list=(2, 3), n_range=(1, 3), w_policy="full"), "reaches n = 1"),
+    (SweepConfig(q_list=(3,), n_range=(6, 3)), "^n range 6:3 is empty$"),
+    (SweepConfig(q_list=(3,), n_range=(2, 3), pinned_w=3, pinned_c=0),
+     "^no \\(q, n\\) of the grid has a row within the size cap 20000 and the hard limits$"),
+], ids=["n-1-row", "reversed-n", "norm-of-zero-only"])
+def test_sweep_refuses_a_grid_with_no_row_to_run(monkeypatch, cfg, text):
+    monkeypatch.setattr(harness, "_sweep_tuple", _no_work)
+    monkeypatch.setattr(harness, "_witnesses", _no_work)
+    with pytest.raises(ValueError, match=text):
+        sweep(cfg)
+
+
+@pytest.mark.parametrize("q_list", [(2, 3, 4, 5, 7, 8, 9, 10), (10, 2, 3)],
+                         ids=["last", "first"])
+def test_sweep_refuses_a_non_prime_power_q_before_any_row(monkeypatch, q_list):
+    monkeypatch.setattr(harness, "_sweep_tuple", _no_work)
+    monkeypatch.setattr(harness, "_witnesses", _no_work)
+    with pytest.raises(ValueError, match="^10 is not a prime power$"):
+        sweep(SweepConfig(q_list=q_list, n_range=(2, 12), size_cap=200000))
+
+
+def _work_only_on(monkeypatch, q):
+    """Let the sweep do tuple work on the grid's q alone."""
+    real = harness._sweep_tuple
+
+    def sweep_tuple(q_row, *args):
+        if q_row != q:
+            _no_work()
+        return real(q_row, *args)
+
+    monkeypatch.setattr(harness, "_sweep_tuple", sweep_tuple)
 
 
 def test_sweep_size_cap_recorded_not_fatal(monkeypatch):
@@ -137,27 +173,33 @@ def test_sweep_size_cap_recorded_not_fatal(monkeypatch):
     assert any(s["reason"] == "size_cap" and s["n"] == 6 for s in res.skipped)
     assert all(r.n == 5 for r in res.reports)
     assert res.summary["fail"] == 0
-    # under a larger user cap, a hard limit still skips (q, n) before any work:
-    # F_{2^21} is over FIELD_ORDER_CAP for the witness, 2^23 - 1 over MODULUS_GUARD
-    monkeypatch.setattr(harness, "_sweep_tuple", _no_work)
-    for n, cfg in [(21, SweepConfig(q_list=(2,), n_range=(21, 21), size_cap=3 * 10 ** 6)),
-                   (23, SweepConfig(q_list=(2,), n_range=(23, 23), size_cap=10 ** 8,
-                                    with_witness=False))]:
+    # under a larger user cap, a hard limit still skips (q, n) before any work,
+    # beside a (2, 2) that fits: 1031**2 is over FIELD_ORDER_CAP for the
+    # witness, 2053**2 - 1 over MODULUS_GUARD
+    _work_only_on(monkeypatch, 2)
+    for q, cfg in [(1031, SweepConfig(q_list=(2, 1031), n_range=(2, 2), size_cap=3 * 10 ** 6)),
+                   (2053, SweepConfig(q_list=(2, 2053), n_range=(2, 2), size_cap=10 ** 8,
+                                      with_witness=False))]:
         res = sweep(cfg)
-        assert res.reports == ()
-        assert res.skipped == ({"q": 2, "n": n, "reason": "size_cap"},)
+        assert [r.q for r in res.reports] == [2, 2] and res.summary["fail"] == 0
+        assert res.skipped == ({"q": q, "n": 2, "reason": "size_cap"},)
 
 
 def test_sweep_skips_a_large_q_without_factoring_it(monkeypatch):
     # a q past MODULUS_GUARD + 1 fits no n >= 1 under check_size, so it gets
     # its skip rows and is never factored; n = 0 fits but has no rows
+    q = 3 * (gf.MODULUS_GUARD + 2)
+    real = harness.prime_power
+
     def no_factoring(n):
-        raise AssertionError(f"factored {n}")
+        if n == q:
+            raise AssertionError(f"factored {n}")
+        return real(n)
 
     monkeypatch.setattr(harness, "prime_power", no_factoring)
-    q = 3 * (gf.MODULUS_GUARD + 2)
-    res = sweep(SweepConfig(q_list=(q,), n_range=(0, 3)))
-    assert res.reports == ()
+    _work_only_on(monkeypatch, 3)
+    res = sweep(SweepConfig(q_list=(3, q), n_range=(0, 3)))
+    assert {r.q for r in res.reports} == {3} and res.summary["fail"] == 0
     assert res.skipped == tuple({"q": q, "n": n, "reason": "size_cap"} for n in (1, 2, 3))
 
 

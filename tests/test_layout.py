@@ -114,6 +114,21 @@ def test_no_indented_json_encoding():
     assert found == []
 
 
+def test_grid_rule_lives_in_the_harness_alone():
+    # the CLI hands its grid to harness.sweep, whose one check decides which
+    # (q, n, w, c) it holds: no size limit named and no fits/weights call
+    found = []
+    for node in ast.walk(_trees()["cli"]):
+        name = node.id if isinstance(node, ast.Name) else \
+            node.name if isinstance(node, ast.alias) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+        called = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in ("weights", "fits")
+        if name in ("MODULUS_GUARD", "FIELD_ORDER_CAP") or called:
+            found.append(f"cli.py:{node.lineno}")
+    assert found == []
+
+
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 
 

@@ -133,7 +133,7 @@ def test_root_indicator_transform_flags_roots():
         ri = build_root_indicator(h, 2, 4)
         lifted = CyclicFn(f16, [emb.lift(F2.element(c)).code for c in ri.coeff_seq.codes])
         g = dft(lifted, z)
-        h_big = emb.lift_poly(h)
+        h_big = PolyFq(f16, emb.lift_codes(h.codes))
         for i in range(15):
             expected = 1 if h_big(z ** i).code == 0 else 0
             assert g(i).code == expected
@@ -427,7 +427,7 @@ def _root_support_period(h, q, n):
     """
     N = q ** n - 1
     big = make_field(h.ctx.p, h.ctx.m * n)
-    h_big = subfield_embedding(h.ctx, big).lift_poly(h)
+    h_big = PolyFq(big, subfield_embedding(h.ctx, big).lift_codes(h.codes))
     zeta = primitive_element(big)
     roots, point = [], big.one()
     for e in range(N):
