@@ -197,20 +197,21 @@ def _add_common(sp: argparse.ArgumentParser, default_cap: int | None = None) -> 
 
 def _cmd_period(args) -> int:
     if args.seq is not None:
-        if (args.q, args.n, args.w) != (None, None, None):
-            raise ValueError("--seq takes no --q, --n or --w")
+        if (args.q, args.n, args.w, args.c) != (None, None, None, None):
+            raise ValueError("--seq takes no --q, --n, --w or --c")
         r = least_period_of_sequence(_parse_ints(args.seq))
         _emit({"r": r}, args.format, args.out)
         return 0
     if args.n == 1:  # refused before any field or mask is built
         raise ValueError("period needs n >= 2: the mask at n = 1 has no period threshold")
+    c = 0 if args.c is None else args.c
     if 2 * args.w <= args.n:
-        rep = verify_period_claims(args.q, args.n, args.w, args.c, cap=args.cap)
+        rep = verify_period_claims(args.q, args.n, args.w, c, cap=args.cap)
         _emit(rep.to_dict(), args.format, args.out)
         return 0 if rep.passed else 1
     # above n/2 the regime claims do not apply; report the period alone
     check_size(args.q, args.n, args.cap)
-    r = mask_period(args.q, args.n, args.w, args.c)
+    r = mask_period(args.q, args.n, args.w, c)
     _emit({"r": r, "threshold": threshold(args.n, args.q)}, args.format, args.out)
     return 0
 
@@ -233,6 +234,7 @@ def _cmd_dft(args) -> int:
     else:
         codes = delta_mask(args.q, args.n, args.w, args.c).codes
     f = CyclicFn(big, subfield_embedding(small, big).lift_codes(codes))
+    del codes  # not kept alive through the transform
     zeta = primitive_element(big)
     g = idft(f, zeta) if args.inverse else dft(f, zeta)
     _emit({"values": list(g.codes)}, args.format, args.out)
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--w", type=int)
-    sp.add_argument("--c", type=int, default=0)
+    sp.add_argument("--c", type=int, help="prescribed coefficient (default 0)")
     _add_common(sp, DEFAULT_SIZE_CAP)
     sp.set_defaults(fn=_cmd_period)
 

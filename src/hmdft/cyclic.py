@@ -7,10 +7,16 @@ based on zeta**(-1).  Convolution is the cyclic sum
 smallest positive r with f(i + r) = f(i) for all i (always a divisor of N).
 
 Everything is exact: values are finite-field elements, never floats.
-When every value of f lies in the subfield F_{p^t}, the transform obeys the
-conjugacy rule g(i * p^t) = g(i)**(p^t), so `dft` forms one sum per
-cyclotomic coset of p^t mod N and powers it across the rest of the coset, in
-one walk over Z_N; F_q-valued inputs, the paper's case, take this route.
+The transform takes one of two routes, with the same output codes.  Term j
+of g, over all points i, is the exp table read with a fixed step, so in
+characteristic 2, where codes add by XOR, `dft` cuts each term's run from
+the table as array slices and XORs the runs packed into integers.  It does
+so when the slices of all terms number at most N: sparse inputs with small
+steps, such as a polynomial's coefficient sequence.  Otherwise (odd p, or
+too many slices: masks, weight indicators, dense sequences) it walks Z_N
+once by the conjugacy rule: when every value of f lies in the subfield
+F_{p^t}, g(i * p^t) = g(i)**(p^t), so one sum per cyclotomic coset of p^t
+mod N is powered across the rest of the coset.
 Convolution iterates over support pairs, which reduces to the defining double
 sum when both supports are dense but is far cheaper on sparse indicator
 functions; no certification path calls it, the tests and their oracles do.
@@ -22,6 +28,8 @@ Functions are immutable once built; all operations here are pure.
 
 from __future__ import annotations
 
+from array import array
+from itertools import compress
 from math import gcd
 
 from . import numtheory
@@ -172,14 +180,21 @@ def _check_root(f: CyclicFn, zeta: FieldElement) -> None:
 def dft(f: CyclicFn, zeta: FieldElement) -> CyclicFn:
     """Transform g(i) = sum_j f(j) * zeta**(i*j), exact over f's field.
 
-    Let t be the least divisor of m with every value of f in F_{p^t}, and
-    P = p**t.  Raising to the P-th power fixes f's values and is additive, so
-    the conjugacy rule g(i*P mod N) = g(i)**P holds.  The sum is therefore
-    formed once per cyclotomic coset {i, i*P, i*P**2, ...} of P mod N, at its
-    least member, and the rest of the coset is that sum powered in the log
-    domain, all in one ascending walk over Z_N.  When P = 1 mod N (values
-    spanning the whole field, every prime field) the cosets are single points
-    and every point is summed.
+    With zeta = exp[k], term j over all points i is the exp table read from
+    log f(j) with step k*j mod M (M = order - 1).  Taking that step as a
+    signed least residue d, its run is about N*|d|/M + 1 slices of the table.
+    In characteristic 2, when the slices of all terms number at most N, the
+    runs are cut and XORed as packed integers, with no Python step per
+    output point.
+
+    Otherwise let t be the least divisor of m with every value of f in
+    F_{p^t}, and P = p**t.  Raising to the P-th power fixes f's values and is
+    additive, so the conjugacy rule g(i*P mod N) = g(i)**P holds.  The sum is
+    therefore formed once per cyclotomic coset {i, i*P, i*P**2, ...} of P mod
+    N, at its least member, and the rest of the coset is that sum powered in
+    the log domain, all in one ascending walk over Z_N.  When P = 1 mod N
+    (values spanning the whole field, every prime field) the cosets are
+    single points and every point is summed.
     """
     _check_root(f, zeta)
     return _transform(f, zeta, 0)
@@ -189,24 +204,94 @@ def _transform(f: CyclicFn, zeta: FieldElement, scale_log: int) -> CyclicFn:
     """The transform of `dft` times exp[scale_log], a constant of the prime field.
 
     The constant rides on every support log, so scaling costs one add per
-    support point, not one product per output point.  It lies in every
-    F_{p^t} and is fixed by the Frobenius, so t and the coset fill are f's.
+    support term, not one product per output point.  Term j at point i is
+    exp[(c_j + s_j*i) mod M], with c_j = scale_log + log f(j) and s_j = k*j
+    for zeta = exp[k]: over all i, the exp table read with step s_j.  In
+    characteristic 2 those runs are summed by `_xor_runs` when their slices
+    fit the budget of `_runs_fit`; every other input takes `_coset_walk`.
+    """
+    ctx, N = f.ctx, f.N
+    log, codes = ctx.log, f.codes
+    M = ctx.order - 1
+    k = log[zeta.code]
+    terms = [(log[codes[j]] + scale_log, k * j % M) for j in compress(range(N), codes)]
+    if ctx.p == 2 and _runs_fit(terms, N, M):
+        out = _xor_runs(ctx, N, terms)
+    else:
+        out = _coset_walk(ctx, N, terms)
+    return CyclicFn(ctx, out)
+
+
+def _runs_fit(terms, N: int, M: int) -> bool:
+    """True when the runs of all terms take at most N slices in all.
+
+    A run of step s, taken as the signed least residue d mod M, wraps the
+    table about N*|d|/M times, so it costs N*|d|//M + 1 slices.  The budget
+    of N slices bounds the runs' Python-level work by the N-point fill of the
+    coset walk; the count stops as soon as it passes N.
+    """
+    left = N
+    for _, s in terms:
+        left -= N * min(s, M - s) // M + 1
+        if left < 0:
+            return False
+    return True
+
+
+def _xor_runs(ctx: FieldCtx, N: int, terms) -> array:
+    """The transform as one XOR of the terms' runs; characteristic 2 only.
+
+    Each run is cut from the exp table doubled, so a slice may cross the
+    wrap at M: a forward step starts below M and stops below 2M, a backward
+    step starts at or above M and stops at or above 0.  Codes of F_{2^m} add
+    by XOR without carry, so each run, packed into one integer, joins the
+    total with one ``^``, and one unpacking gives the output codes.
+    """
+    M = ctx.order - 1
+    # the narrowest typecode that holds every code
+    tc = next(tc for tc in "BHIL" if array(tc).itemsize * 8 >= M.bit_length())
+    E = array(tc, ctx.exp)
+    E += E  # E[x] = exp[x mod M] for 0 <= x < 2M
+    total = 0
+    for c, s in terms:
+        a = c % M
+        d = s if 2 * s <= M else s - M  # the signed least residue of the step
+        if d == 0:
+            run = E[a:a + 1] * N
+        else:
+            run, left = E[:0], N
+            # the slices `_runs_fit` counts always suffice; spare ones come out empty
+            for _ in range(N * abs(d) // M + 1):
+                if d > 0:
+                    n = min(left, (2 * M - 1 - a) // d + 1)
+                else:
+                    a += M
+                    n = min(left, a // -d + 1)
+                stop = a + d * n
+                run += E[a:stop if stop >= 0 else None:d]  # stop -1 would mean the end
+                left -= n
+                a = stop % M
+        total ^= int.from_bytes(run, "little")
+    out = array(tc)
+    # XOR acts byte by byte, so one byte order both ways restores the codes
+    out.frombytes(total.to_bytes(N * E.itemsize, "little"))
+    return out
+
+
+def _coset_walk(ctx: FieldCtx, N: int, terms) -> list:
+    """The transform by the conjugacy rule, one sum per cyclotomic coset.
 
     One pass over Z_N: a point not yet filled is the least member of its
     orbit under i -> i*P, so the sum is formed there and powered along the
-    orbit, which fills the orbit's other points.
+    orbit, which fills the orbit's other points.  The constant exp[scale_log]
+    lies in every F_{p^t} and is fixed by the Frobenius, so t is f's.
     """
-    ctx, N = f.ctx, f.N
     exp, log, add = ctx.exp, ctx.log, ctx.add_codes
     M = ctx.order - 1
-    # term j at point i is exp[scale_log] * f(j) * zeta**(i*j)
-    #   = exp[(scale_log + log f(j) + k*i*j) mod M]
-    k = log[zeta.code]
-    supp = [(log[c] + scale_log, k * j % M) for j, c in enumerate(f.codes) if c]
     # a nonzero value lies in F_{p^t} iff its log is a multiple of
     # M / (p^t - 1), so t depends on the gcd G of the support logs alone
     G = M
-    for lc, _ in supp:
+    for lc, _ in terms:
         G = gcd(G, lc)
     t = next(t for t in numtheory.divisors(ctx.m)
              if G % (M // (ctx.p ** t - 1)) == 0)
@@ -215,7 +300,7 @@ def _transform(f: CyclicFn, zeta: FieldElement, scale_log: int) -> CyclicFn:
     for i in range(N):
         if out[i] < 0:  # i leads its orbit: sum there, power along the rest
             s = 0
-            for lc, kj in supp:
+            for lc, kj in terms:
                 s = add(s, exp[(lc + kj * i) % M])
             out[i] = s
             ls, j = log[s], i * P % N
@@ -223,7 +308,7 @@ def _transform(f: CyclicFn, zeta: FieldElement, scale_log: int) -> CyclicFn:
                 ls = ls * P % M
                 out[j] = exp[ls] if s else 0
                 j = j * P % N
-    return CyclicFn(ctx, out)
+    return out
 
 
 def idft(f: CyclicFn, zeta: FieldElement) -> CyclicFn:

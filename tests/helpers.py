@@ -49,6 +49,19 @@ def pointwise_dft(f, zeta):
     return CyclicFn(ctx, out)
 
 
+def count_adds(monkeypatch, ctx):
+    """A one-item list that counts the calls of ctx.add_codes from now on."""
+    calls = [0]
+    add = ctx.add_codes
+
+    def counted(a, b):
+        calls[0] += 1
+        return add(a, b)
+
+    monkeypatch.setattr(ctx, "add_codes", counted)
+    return calls
+
+
 def brute_idft(f, zeta):
     ctx, N = f.ctx, f.N
     zinv = zeta ** (-1)

@@ -292,11 +292,11 @@ def test_dft_seq_with_w_or_c_refused(capsys, extra):
 
 
 @pytest.mark.parametrize("extra", [("--q", "2"), ("--n", "3"), ("--w", "1"),
-                                   ("--q", "2", "--n", "3", "--w", "1")])
+                                   ("--q", "2", "--n", "3", "--w", "1"), ("--c", "5")])
 def test_period_seq_with_mask_options_refused(capsys, extra):
     # once printed the sequence's period (r: 3) and dropped the mask options
     code, out, err = run(capsys, "period", "--seq", "1,0,1", *extra)
-    assert (code, out, err) == (2, "", "error: --seq takes no --q, --n or --w\n")
+    assert (code, out, err) == (2, "", "error: --seq takes no --q, --n, --w or --c\n")
 
 
 def test_cap_flag(capsys):

@@ -40,6 +40,7 @@ from helpers import (
     brute_dft,
     brute_idft,
     brute_least_period,
+    count_adds,
     pointwise_dft,
 )
 
@@ -162,25 +163,21 @@ def test_dft_matches_pointwise_oracle():
 
 def test_dft_sums_once_per_cyclotomic_coset(monkeypatch):
     ctx = make_field(2, 12)
-    zeta = ctx.nth_root_of_unity(4095)
-    f = CyclicFn.from_support(ctx, 4095, [0, 5, 77, 1000, 4094])
+    zeta = ctx.nth_root_of_unity(4095)  # exp[1]: the step of term j is j
+    # the terms at 2047 and 2048 take 2048 slices each, which puts the
+    # support over the slice budget of 4095, so the coset walk sums it
+    f = CyclicFn.from_support(ctx, 4095, [0, 5, 77, 1000, 2047, 2048, 4094])
     expected = pointwise_dft(f, zeta)
-    calls = [0]
-    add = ctx.add_codes
-
-    def counted(a, b):
-        calls[0] += 1
-        return add(a, b)
-
-    monkeypatch.setattr(ctx, "add_codes", counted)
+    calls = count_adds(monkeypatch, ctx)
     assert dft(f, zeta) == expected
     # 351 cyclotomic cosets of 2 mod 4095, one sum of |supp f| terms each
-    assert calls[0] == 351 * 5
+    assert calls[0] == 351 * 7
     # a value generating F_4096 leaves every coset a single point
+    g = CyclicFn.from_support(ctx, 4095, [3, 9, 2000, 2047, 2048], value=ctx.zeta_code)
+    expected = pointwise_dft(g, zeta)
     calls[0] = 0
-    g = CyclicFn.from_support(ctx, 4095, [3, 9, 2000], value=ctx.zeta_code)
-    dft(g, zeta)
-    assert calls[0] == 4095 * 3
+    assert dft(g, zeta) == expected
+    assert calls[0] == 4095 * 5
 
 
 @pytest.mark.parametrize("p,m", [(2, 12), (3, 6), (5, 3)])

@@ -1,7 +1,8 @@
 """The package's import structure, read from its source with ``ast``.
 
-Every import sits at module level, the package-relative imports between the
-modules of ``src/hmdft`` form no cycle, no JSON text is written with an
+Every import sits at module level and names the standard library or the
+package itself, the package-relative imports between the modules of
+``src/hmdft`` form no cycle, no JSON text is written with an
 ``indent``, which sends CPython's encoder down its pure-Python path, and no
 module reads the environment.  Every name the benchmark's span tracer
 (``perfbench/tracing.py``) wraps is bound in the package, and the
@@ -86,6 +87,24 @@ def test_no_import_inside_a_function():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 found += [f"{name}.py:{node.lineno}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
+def test_imports_name_the_standard_library_alone():
+    # the package has no runtime dependency: every absolute import is stdlib
+    seen, found = set(), []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            seen.update(modules)
+            found += [f"{name}.py:{node.lineno} {m}" for m in modules
+                      if m.split(".")[0] not in sys.stdlib_module_names]
+    assert {"array", "itertools", "math"} <= seen  # the walk sees the imports
     assert found == []
 
 
