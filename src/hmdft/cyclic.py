@@ -22,7 +22,8 @@ sum when both supports are dense but is far cheaper on sparse indicator
 functions; no certification path calls it, the tests and their oracles do.
 Every least period comes from one prime descent, `least_period_by_descent`,
 over a caller's test for the shifts t | N: `least_period` compares the dense
-values, `symfun.mask_period` refutes shifts count-free or reads the mask.
+values, `symfun.mask_period` refutes shifts by the digit test or reads the
+mask one point at a time.
 Functions are immutable once built; all operations here are pure.
 """
 

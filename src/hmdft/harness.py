@@ -178,9 +178,10 @@ def verify_period_claims(q: int, n: int, w: int, c: int,
                          cap: int = DEFAULT_SIZE_CAP) -> PeriodReport:
     """Compute the least period of the (w, c) mask, check every claim.
 
-    r comes from ``symfun.mask_period``, which refutes shifts count-free and
-    builds no dense list.  Pre: 1 <= w <= n/2.  The excluded input (c = 0,
-    n = 2, q even) yields a report labelled Excluded with no claims checked.
+    r comes from ``symfun.mask_period``, which refutes most shifts by the
+    digit test, reads one-point counts for the rest and builds no dense
+    list.  Pre: 1 <= w <= n/2.  The excluded input (c = 0, n = 2, q even)
+    yields a report labelled Excluded with no claims checked.
     The size check comes before q is factored, so a huge q fails fast.
     """
     if n < 2:

@@ -4,9 +4,8 @@ One routine, `factorize`, finds prime factors, by trial division; every other
 factor helper reads its answer from the pairs it yields.  They come lazily and
 in ascending order, so `is_prime` and `prime_power` stop at the first pair and
 never factor the cofactor of a small prime.  One codec, `digits`, expands every
-field code, point of Z_{q^n-1} and exponent into base-b digits, but for the
-fused loop of the hot point read `symfun.MaskPoints`.  No floating point
-anywhere, since these results feed exact divisibility verdicts.
+field code, point of Z_{q^n-1} and exponent into base-b digits.  No floating
+point anywhere, since these results feed exact divisibility verdicts.
 """
 
 from __future__ import annotations

@@ -27,27 +27,26 @@ p-entry value table per k: a residue r mod p is the prime-subfield code r.
 
 mask_period finds the least period of the same mask with no dense list, by a
 second route that shares no code with delta_mask, so that each checks the
-other.  Since A_k(i) depends only on the multiset of digits of i, a count
-table per (q, n, w) holds A_k mod p for each digit multiset, built by an
-exact recurrence on multiplicity vectors.  MaskPoints reads that table in
-place: per c it computes the q binomial coefficients alone, reads mask(i)
-by one lookup of the multiset of i, and walks the support multiset by
-multiset, skipping those whose value is 0.  The least period is then found
+other.  It reads the mask one point at a time (MaskPoints): for x != 0 the
+digit sum fixes the level k, and A_k(x) mod p is counted row by row over the
+sorted nonzero digits of x, memoised per reader.  The least period is found
 by the prime descent of `cyclic.least_period_by_descent`, the one
 least-period algorithm of the package: a shift t is a period iff
 mask(s + t) = mask(s) at every support point s.  The dense route stays for
 `delta`, `dft --c` and the symmetry check.
 
-Most shifts are refuted with no count table.  For x != 0, mask(x) != 0
-needs A_k(x) != 0 at a level whose coefficient is nonzero (1 <= k < q if
-c != 0, k = q-1 if c = 0), so, as k < q weight-w 0/1 vectors add with no
-carry, digitsum(x) = k*w with every digit <= k.  For w digit positions S,
+Most shifts are refuted with no count.  For x != 0, mask(x) != 0 needs
+A_k(x) != 0 at a level whose coefficient is nonzero (1 <= k < q if c != 0,
+k = q-1 if c = 0), so, as k < q weight-w 0/1 vectors add with no carry,
+digitsum(x) = k*w with every digit <= k.  For w digit positions S,
 mask(s) = coef_1 != 0 at s = sum_S q**i if c != 0, and coef_{q-1} != 0 at
 s = (q-1) * sum_S q**i if c = 0 and w < n.  A nonzero (s +- t) mod N failing
 the digit test proves t is no period; refuting T = (q**n - 1)/Phi_n(q) shows
 r does not divide T, all the source paper's support lemma needs.  Only a
-shift `shift_certificate` leaves open builds the count table: a true period
-(N/2 at c = 0, w = n/2, q odd), c = 0 with w = n, or a few like (2, 2, 1, 1).
+shift `shift_certificate` leaves open reads counts: a true period (N/2 at
+c = 0, w = n/2, q odd), c = 0 with w = n, or a few like (2, 2, 1, 1).  Its
+check reads the same points s +- t first, then the points that pass the
+digit test, level by level.
 
 A function on Z_{q^n-1} is q-symmetric when it is invariant under every
 permutation of the base-q digits of its argument; phi_rho realizes one digit
@@ -184,132 +183,119 @@ def _compositions(total: int, caps):
             yield (j,) + tail
 
 
-@lru_cache(maxsize=1)
-def _multiset_counts(q: int, n: int, w: int) -> dict[int, tuple[int, int, tuple]]:
-    """A_1, ..., A_{q-1} mod p per digit multiset, as {key: (k, count, parts)}.
-
-    A multiset is its multiplicity vector lam = (m_0, ..., m_{q-1}), m_v
-    digits equal to v; A_k(d) depends on d only through it.  Exact
-    recurrence: the last of the k rows raises w distinct columns by one, so
-    level k takes each level-(k-1) multiset, raises j_v of its digits v to
-    v + 1 (sum of j = w), and adds its count times prod C(lam_{v+1}, j_v),
-    the number of ways to pick those columns in a digit vector of the result
-    lam.  Every level-k multiset has digits <= k and digit sum k*w, so no
-    multiset lies on two levels; those whose count vanishes mod p are
-    dropped, and so is level 0, the zero multiset with count 1.  Each is
-    stored, level by level, by its key sum_v m_v * (n + 1)**v, with its
-    level k, its count and its parts (the pairs (v, m_v) with v, m_v > 0).
-    One entry is cached, for the MaskPoints of several c of one (q, n, w).
-    """
-    p = numtheory.prime_power(q)[0]
-    B = n + 1
-    level = {(n,) + (0,) * (q - 1): 1}
-    table = {}
-    for k in range(1, q):
-        acc = {}
-        for mu, a in level.items():
-            held = [v for v in range(k) if mu[v]]
-            for j in _compositions(w, [mu[v] for v in held]):
-                lam = list(mu)
-                for v, jv in zip(held, j):
-                    lam[v] -= jv
-                    lam[v + 1] += jv
-                weight = a
-                for v, jv in zip(held, j):
-                    weight *= comb(lam[v + 1], jv)
-                lam = tuple(lam)
-                acc[lam] = acc.get(lam, 0) + weight
-        level = {lam: a % p for lam, a in acc.items() if a % p}
-        for lam, a in level.items():
-            table[sum(mv * B ** v for v, mv in enumerate(lam))] = (
-                k, a, tuple((v, mv) for v, mv in enumerate(lam) if v and mv))
-    return table
-
-
-def _arrangements(parts, free):
-    """The sums of v * P over every placement of the parts (v, m) at free powers P.
-
-    parts is nonempty: every multiset of the count table has a nonzero digit.
-    """
-    (v, m), rest = parts[0], parts[1:]
-    for chosen in itertools.combinations(free, m):
-        head = v * sum(chosen)
-        if rest:
-            left = [P for P in free if P not in chosen]
-            for tail in _arrangements(rest, left):
-                yield head + tail
-        else:
-            yield head
-
-
 class MaskPoints:
-    """The prescription mask for (w, c), read at points instead of as a list.
+    """The prescription mask for (w, c), read one point at a time.
 
-    For i != 0 with digit multiset lam, mask(i) = coef_k * A_k(lam) with
-    k = digitsum(i)/w and coef_k = -C(q-1, k) * s**k * (-c)**(q-1-k) (module
-    docstring); A_k vanishes unless w | digitsum(i) and every digit is <= k.
-    Slot 0 holds 1, the level-0 term coef_0, and, when w = n, the all-(q-1)
-    vector of level q-1, whose sum q**n - 1 wraps to 0.  The count table of
-    (q, n, w) is read in place, so a build computes the q coefficients and
-    slot 0 only: `self(i)` looks up the multiset key of i, and `support()`
-    walks the table once, yielding every nonzero point.
+    For x != 0 with base-q digits d, mask(x) = coef_k * A_k(d) with
+    k = digitsum(x)/w and coef_k = -C(q-1, k) * s**k * (-c)**(q-1-k) (module
+    docstring); A_k(d) vanishes unless w | digitsum(x), k < q and every digit
+    is <= k.  Slot 0 holds 1, the level-0 term coef_0 and, when w = n, the
+    all-(q-1) vector of level q-1 (one matrix, all ones), whose sum
+    q**n - 1 wraps to 0.  A_k(d) mod p is counted row by row over the sorted
+    nonzero digits of d (`_count`), memoised in one dict per reader, so every
+    point of a mask, at every shift of a descent, shares it.
     """
 
-    __slots__ = ("q", "n", "N", "_slot0", "_coef", "_mul", "_table", "_inc")
+    __slots__ = ("q", "n", "w", "N", "_p", "_slot0", "_coef", "_mul", "_tries", "_memo")
 
     def __init__(self, q: int, n: int, w: int, c: int):
         ctx = _check_mask_args(q, n, w, c)
-        table = _multiset_counts(q, n, w)
         p, m = ctx.p, q - 1
         add, mul, power, neg = ctx.add_codes, ctx.mul_codes, ctx.pow_code, ctx.neg_code
         sign = 1 if w % 2 == 0 else neg(1)
         b = neg(c)
         coef = [neg(mul(comb(m, k) % p, mul(power(sign, k), power(b, m - k))))
                 for k in range(q)]
-        # the all-(q-1) multiset is in the table only when w = n
-        full = table.get(n * (n + 1) ** m, (m, 0, ()))[1]
-        self.q, self.n, self.N = q, n, q ** n - 1
-        self._slot0 = add(add(1, coef[0]), mul(coef[m], full))
-        self._coef, self._mul, self._table = coef, mul, table
-        self._inc = [(n + 1) ** v - 1 for v in range(q)]
+        self.q, self.n, self.w, self.N, self._p = q, n, w, q ** n - 1, p
+        self._slot0 = add(add(1, coef[0]), coef[m] if w == n else 0)
+        self._coef, self._mul = coef, mul
+        self._tries = tuple(_tries(q, n, w, c))
+        self._memo = {(): 1}
 
-    def __call__(self, i: int) -> int:
-        """The value code of the mask at i in [0, q**n - 1)."""
-        if not i:
+    def _count(self, top: tuple) -> int:
+        """A_k mod p for the sorted nonzero column sums top, k = sum(top)/w.
+
+        Each row picks w columns, j_v of the m_v columns holding v, in
+        prod C(m_v, j_v) ways, and leaves the sums lowered by one there; a
+        margin with fewer than w nonzero columns counts 0.  The margins below
+        top are found level by level, then summed from the lowest level up,
+        so no recursion depth grows with q.
+        """
+        memo, w = self._memo, self.w
+        pending, level = {}, [top]
+        while level:
+            below = {}
+            for state in level:
+                if state in memo or state in pending:
+                    continue
+                kids = pending[state] = []
+                groups = [(v, len(list(g))) for v, g in itertools.groupby(state)]
+                for j in _compositions(w, [mv for _, mv in groups]):
+                    kid, weight = [], 1
+                    for (v, mv), jv in zip(groups, j):
+                        kid += [v - 1] * jv + [v] * (mv - jv)
+                        weight *= comb(mv, jv)
+                    kid = tuple(kid[j[0]:] if state[0] == 1 else kid)  # the lowered 1s lead
+                    kids.append((weight, kid))
+                    below[kid] = None
+            level = below
+        for state, kids in reversed(pending.items()):
+            memo[state] = sum(a * memo[kid] for a, kid in kids) % self._p
+        return memo[top]
+
+    def __call__(self, x: int) -> int:
+        """The value code of the mask at x in [0, q**n - 1)."""
+        if not x:
             return self._slot0
-        # the key of i's multiset: n zeros, each digit v trading a zero for (n+1)**v
-        key, q, inc = self.n, self.q, self._inc
-        while i:
-            i, r = divmod(i, q)
-            key += inc[r]
-        hit = self._table.get(key)
-        return self._mul(self._coef[hit[0]], hit[1]) if hit else 0
+        d = numtheory.digits(x, self.q)
+        k, rest = divmod(sum(d), self.w)
+        if rest or k >= self.q or max(d) > k or not self._coef[k]:
+            return 0
+        return self._mul(self._coef[k], self._count(tuple(sorted(filter(None, d)))))
 
     def support(self):
-        """(s, mask(s)) for every s with mask(s) != 0, level by level."""
+        """(s, mask(s)) for every s with mask(s) != 0, level by level.
+
+        The candidates at level k are the digit vectors with digits <= k and
+        sum k*w, the only points where A_k can be nonzero.
+        """
         if self._slot0:
             yield 0, self._slot0
-        q, n, coef, mul = self.q, self.n, self._coef, self._mul
-        powers = [q ** i for i in range(n)]
-        full = ((q - 1, n),)
-        for k, a, parts in self._table.values():
-            code = mul(coef[k], a)
-            if code and parts != full:  # its sum q**n - 1 is slot 0
-                for s in _arrangements(parts, powers):
-                    yield s, code
+        powers = [self.q ** i for i in range(self.n)]
+        count, mul, N = self._count, self._mul, self.N
+        for k, coef in enumerate(self._coef):
+            if not (k and coef):
+                continue
+            for d in _compositions(k * self.w, [k] * self.n):
+                code = mul(coef, count(tuple(sorted(filter(None, d)))))
+                if code:
+                    s = sum(v * P for v, P in zip(d, powers))
+                    if s != N:  # the all-(q-1) vector is slot 0
+                        yield s, code
 
     def has_period(self, t: int) -> bool:
         """Whether mask(s + t) = mask(s) at every support point s.
 
         Exact: the shift by t is a bijection of Z_N, so if it maps the
         support into itself it maps it onto itself, and every point off the
-        support goes off the support too.
+        support goes off the support too.  The certificate points are read
+        first, where a shift the digit test left open most often fails.
         """
         N = self.N
-        return all(self((s + t) % N) == code for s, code in self.support())
+        starts = (s if sign > 0 else (s - t) % N for s, sign in self._tries)
+        return (all(self((x + t) % N) == self(x) for x in starts)
+                and all(self((s + t) % N) == code for s, code in self.support()))
 
 
 CERTIFICATE_TRIES = 4  # (S, sign) per shift: the first two w-sets S, +t then -t
+
+
+def _tries(q: int, n: int, w: int, c: int):
+    """The (s, sign) a certificate tries, s = low * sum_S q**i of known value."""
+    low = 1 if c else q - 1
+    subsets = itertools.combinations(range(n), w) if c or w < n else ()  # else s = N, 0 in Z_N
+    tries = ((low * sum(q ** i for i in S), sign) for S in subsets for sign in (1, -1))
+    return itertools.islice(tries, CERTIFICATE_TRIES)
 
 
 def shift_certificate(q: int, n: int, w: int, c: int, t: int):
@@ -320,10 +306,7 @@ def shift_certificate(q: int, n: int, w: int, c: int, t: int):
     if not 1 <= w <= n:
         raise WeightRangeError(f"w={w} outside [1, {n}]")
     N, low = q ** n - 1, 1 if c else q - 1
-    subsets = itertools.combinations(range(n), w) if c or w < n else ()  # else s = N, 0 in Z_N
-    tries = ((S, sign) for S in subsets for sign in (1, -1))
-    for S, sign in itertools.islice(tries, CERTIFICATE_TRIES):
-        s = low * sum(q ** i for i in S)
+    for s, sign in _tries(q, n, w, c):
         d = numtheory.digits((s + sign * t) % N, q)  # none for x = 0
         k, rest = divmod(sum(d), w)
         if d and (rest or not low <= k < q or max(d) > k):

@@ -6,6 +6,7 @@ sharing no algorithmic shortcut with the library paths it checks.
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from hmdft import CyclicFn, FieldElement, PolyFq, Verdict, char_poly, element_de
 from hmdft.cyclic import conv_power, kronecker, least_period_by_descent
 from hmdft.errors import NotPrimePowerError
 from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
+from hmdft.numtheory import prime_power
 from hmdft.symfun import omega
 
 
@@ -644,6 +646,139 @@ def shift_certificate_holds(mask_at, q, n, w, c, t, cert):
     return (0 < t < N and N % t == 0 and sign in (1, -1) and 0 < s < N
             and sorted(d) == [0] * (n - w) + [high] * w
             and mask_at(s) != 0 and mask_at((s + sign * t) % N) == 0)
+
+
+@lru_cache(maxsize=1)
+def _multiset_counts(q, n, w):
+    """A_1, ..., A_{q-1} mod p per digit multiset, as {key: (k, count, parts)}.
+
+    A multiset is its multiplicity vector lam = (m_0, ..., m_{q-1}), m_v
+    digits equal to v; A_k(d) depends on d only through it.  Exact
+    recurrence: the last of the k rows raises w distinct columns by one, so
+    level k takes each level-(k-1) multiset, raises j_v of its digits v to
+    v + 1 (sum of j = w), and adds its count times prod C(lam_{v+1}, j_v),
+    the number of ways to pick those columns in a digit vector of the result
+    lam.  Every level-k multiset has digits <= k and digit sum k*w, so no
+    multiset lies on two levels; those whose count vanishes mod p are
+    dropped, and so is level 0, the zero multiset with count 1.  Each is
+    stored, level by level, by its key sum_v m_v * (n + 1)**v, with its
+    level k, its count and its parts (the pairs (v, m_v) with v, m_v > 0).
+    One entry is cached, for the TableMaskPoints of several c of one (q, n, w).
+    """
+    p = prime_power(q)[0]
+    B = n + 1
+    level = {(n,) + (0,) * (q - 1): 1}
+    table = {}
+    for k in range(1, q):
+        acc = {}
+        for mu, a in level.items():
+            held = [v for v in range(k) if mu[v]]
+            for j in itertools.product(*(range(mu[v] + 1) for v in held)):
+                if sum(j) != w:
+                    continue
+                lam = list(mu)
+                for v, jv in zip(held, j):
+                    lam[v] -= jv
+                    lam[v + 1] += jv
+                weight = a
+                for v, jv in zip(held, j):
+                    weight *= math.comb(lam[v + 1], jv)
+                lam = tuple(lam)
+                acc[lam] = acc.get(lam, 0) + weight
+        level = {lam: a % p for lam, a in acc.items() if a % p}
+        for lam, a in level.items():
+            table[sum(mv * B ** v for v, mv in enumerate(lam))] = (
+                k, a, tuple((v, mv) for v, mv in enumerate(lam) if v and mv))
+    return table
+
+
+def _arrangements(parts, free):
+    """The sums of v * P over every placement of the parts (v, m) at free powers P.
+
+    parts is nonempty: every multiset of the count table has a nonzero digit.
+    """
+    (v, m), rest = parts[0], parts[1:]
+    for chosen in itertools.combinations(free, m):
+        head = v * sum(chosen)
+        if rest:
+            left = [P for P in free if P not in chosen]
+            for tail in _arrangements(rest, left):
+                yield head + tail
+        else:
+            yield head
+
+
+class TableMaskPoints:
+    """The prescription mask for (w, c) at points, from a count table per multiset.
+
+    The route `symfun.MaskPoints` replaced, kept as its differential oracle.
+    For i != 0 with digit multiset lam, mask(i) = coef_k * A_k(lam) with
+    k = digitsum(i)/w, looked up in `_multiset_counts(q, n, w)` by the key of
+    lam; slot 0 holds 1, coef_0 and, when w = n, the all-(q-1) multiset of
+    level q-1.  `support()` walks the table once, placing each multiset at
+    every arrangement of its digits.
+    """
+
+    def __init__(self, q, n, w, c):
+        ctx = make_field(*prime_power(q))
+        table = _multiset_counts(q, n, w)
+        p, m = ctx.p, q - 1
+        add, mul, power, neg = ctx.add_codes, ctx.mul_codes, ctx.pow_code, ctx.neg_code
+        sign = 1 if w % 2 == 0 else neg(1)
+        b = neg(c)
+        coef = [neg(mul(math.comb(m, k) % p, mul(power(sign, k), power(b, m - k))))
+                for k in range(q)]
+        # the all-(q-1) multiset is in the table only when w = n
+        full = table.get(n * (n + 1) ** m, (m, 0, ()))[1]
+        self.q, self.n, self.N = q, n, q ** n - 1
+        self._slot0 = add(add(1, coef[0]), mul(coef[m], full))
+        self._coef, self._mul, self._table = coef, mul, table
+        self._inc = [(n + 1) ** v - 1 for v in range(q)]
+
+    def __call__(self, i):
+        if not i:
+            return self._slot0
+        # the key of i's multiset: n zeros, each digit v trading a zero for (n+1)**v
+        key, q, inc = self.n, self.q, self._inc
+        while i:
+            i, r = divmod(i, q)
+            key += inc[r]
+        hit = self._table.get(key)
+        return self._mul(self._coef[hit[0]], hit[1]) if hit else 0
+
+    def support(self):
+        """(s, mask(s)) for every s with mask(s) != 0, multiset by multiset."""
+        if self._slot0:
+            yield 0, self._slot0
+        q, n, coef, mul = self.q, self.n, self._coef, self._mul
+        powers = [q ** i for i in range(n)]
+        full = ((q - 1, n),)
+        for k, a, parts in self._table.values():
+            code = mul(coef[k], a)
+            if code and parts != full:  # its sum q**n - 1 is slot 0
+                for s in _arrangements(parts, powers):
+                    yield s, code
+
+    def has_period(self, t):
+        """Whether mask(s + t) = mask(s) at every support point s."""
+        N = self.N
+        return all(self((s + t) % N) == code for s, code in self.support())
+
+
+def brute_margin_counts(n, w, k):
+    """{column sums: number of k x n 0/1 matrices with row sums w and those sums}.
+
+    Enumerates every k-tuple of weight-w rows.  A row is packed as
+    sum_{i in row} (k+1)**i, so the k packed rows add with no carry and their
+    sum holds the column sums as base-(k+1) digits.
+    """
+    B = k + 1
+    rows = [sum(B ** i for i in row) for row in itertools.combinations(range(n), w)]
+    tally = {}
+    for chosen in itertools.product(rows, repeat=k):
+        key = sum(chosen)
+        tally[key] = tally.get(key, 0) + 1
+    return {tuple(base_q_digits_loop(key, B, n)): a for key, a in tally.items()}
 
 
 def powering_root_indicator(h, q, n, subfield_order=None):

@@ -158,6 +158,13 @@ def test_period_of_mask(capsys):
     assert payload["r"] == 4 and payload["case_label"] == "III"
 
 
+def test_period_of_mask_at_large_q(capsys):
+    # r = 2(q - 1) at q = 251 from one-point counts, with no count table
+    code, out, _ = run(capsys, "period", "--q", "251", "--n", "2", "--w", "1",
+                       "--cap", "70000", "--format", "json")
+    assert code == 0 and json.loads(out)["r"] == 500
+
+
 def test_delta_values(capsys):
     code, out, _ = run(capsys, "delta", "--q", "2", "--n", "4", "--w", "2", "--c", "0",
                        "--format", "json")

@@ -21,7 +21,6 @@ from hmdft.errors import (
     WeightRangeError,
 )
 from hmdft.harness import CASE_EXCLUDED, CASE_HALF, CASE_MAX, CASE_NORM, CASE_SMALL
-from hmdft.symfun import _multiset_counts
 
 from helpers import ascending_scan_period, find_witness_scan_oracle, fits_oracle
 
@@ -213,20 +212,11 @@ def test_sweep_long_n_range_skips_fast():
     assert res.summary["fail"] == 0
 
 
-def test_sweep_shares_weight_counts_across_c():
-    # at (7, 4) every shift of the descent is refuted count-free but those of
-    # (w, c) = (2, 0), where N/2 is a period: one count table, read once
-    _multiset_counts.cache_clear()
-    res = sweep(SweepConfig(q_list=(7,), n_range=(4, 4), with_witness=False))
-    assert len(res.reports) == 2 * 7
-    info = _multiset_counts.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
-
-
 def test_sweep_builds_count_tables_only_where_a_shift_survives(monkeypatch):
-    # on the periods-2e5 grid MaskPoints is built once for each row with a
-    # shift that no certificate refutes, and for no other row: (2, 2, 1, 1),
-    # every (q odd, n, n/2, 0), whose N/2 is a period, and (8, 4, 2, 0)
+    # on the periods-2e5 grid a MaskPoints reader is built once for each row
+    # with a shift that no certificate refutes, and for no other row:
+    # (2, 2, 1, 1), every (q odd, n, n/2, 0), whose N/2 the digit test
+    # leaves open (a period at n = 2 only), and (8, 4, 2, 0)
     built = []
 
     class Counted(symfun.MaskPoints):

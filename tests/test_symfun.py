@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -28,9 +29,13 @@ from hmdft import symfun
 from hmdft.errors import BadPermutationError, ExcludedCaseError, WeightRangeError
 from hmdft.numtheory import prime_power
 from hmdft.cyclic import least_period, least_period_by_descent
-from hmdft.symfun import MaskPoints, _multiset_counts, _weight_counts, mask_period
+from hmdft.symfun import MaskPoints, _weight_counts, mask_period
 
 from helpers import (
+    TableMaskPoints,
+    _multiset_counts,
+    ascending_scan_period,
+    brute_margin_counts,
     convolution_delta_mask,
     exhaustive_is_q_symmetric,
     lucas_comb,
@@ -268,8 +273,8 @@ def _half_w_grid(cap, n_hi):
 
 
 def test_mask_period_matches_table_only_descent(monkeypatch):
-    # the count-free refutations against the descent on MaskPoints alone, the
-    # route they replace, on every row of the 849-row grid at cap 2**22, where
+    # the certificates and one-point counts against the descent on the count
+    # table route alone, on every row of the 849-row grid at cap 2**22, where
     # the dense route cannot reach; the search refutes all but 35 of the 2729
     # shifts the descent meets there, the 3 excluded rows included
     tried = []
@@ -278,7 +283,7 @@ def test_mask_period_matches_table_only_descent(monkeypatch):
                         lambda *args: tried.append(search(*args)) or tried[-1])
     rows = 0
     for q, n, w, c in _half_w_grid(2 ** 22, 30):
-        table_only = least_period_by_descent(q ** n - 1, MaskPoints(q, n, w, c).has_period)
+        table_only = least_period_by_descent(q ** n - 1, TableMaskPoints(q, n, w, c).has_period)
         assert mask_period(q, n, w, c) == table_only, (q, n, w, c)
         rows += 1
     assert rows == 849
@@ -287,7 +292,8 @@ def test_mask_period_matches_table_only_descent(monkeypatch):
 
 def test_shift_certificates_check_out_on_periods_grid(monkeypatch):
     # every certificate the descent meets on the periods-2e5 grid, checked
-    # against the dense mask where q**n - 1 <= 2**16 and MaskPoints elsewhere
+    # against the dense mask where q**n - 1 <= 2**16 and the count table route
+    # elsewhere
     found = []
     search = symfun.shift_certificate
 
@@ -306,7 +312,7 @@ def test_shift_certificates_check_out_on_periods_grid(monkeypatch):
         if q ** n - 1 <= 2 ** 16:
             mask_at = delta_mask(q, n, w, c).codes.__getitem__
         else:
-            mask_at = MaskPoints(q, n, w, c)
+            mask_at = TableMaskPoints(q, n, w, c)
         for t, cert in found:
             assert shift_certificate_holds(mask_at, q, n, w, c, t, cert), (q, n, w, c, t, cert)
         checked += len(found)
@@ -344,7 +350,8 @@ def test_shift_certificate_needs_no_size_check():
 
 
 def test_multiset_counts_match_weight_counts():
-    # the count table against the sparse convolution counts A_k, level by level
+    # the oracle's count table against the sparse convolution counts A_k,
+    # level by level
     grid = dict.fromkeys(row[:3] for row in _dense_grid(2000, lambda n: range(1, n + 1)))
     for q, n, w in grid:
         table = _multiset_counts(q, n, w)
@@ -373,43 +380,72 @@ def test_multiset_counts_match_weight_counts():
                         for lam in levels}, (q, n, w)
 
 
-class _WalkCounter(dict):
-    """A dict that counts every walk over its keys, values or items."""
+def test_one_point_count_matches_brute_matrix_count():
+    # A_k mod p from the row-by-row count against every k x n 0/1 matrix with
+    # row sums w, for every column-sum margin in [0, 4]**n with k <= 4,
+    # n <= 6 and 1 <= w <= n.  The count reads only the nonzero sums, so one
+    # reader per (w, p) serves every n; mod 5, 7, 11 and 13 together it is
+    # exact, as 5*7*11*13 exceeds every count
+    readers = {w: [MaskPoints(q, 6, w, 1) for q in (5, 7, 11, 13)] for w in range(1, 7)}
+    top = 0
+    for n in range(1, 7):
+        margins = {}
+        for d in itertools.product(range(5), repeat=n):
+            margins.setdefault(sum(d), []).append(d)
+        for w in range(1, n + 1):
+            for k in range(1, 5):
+                brute = brute_margin_counts(n, w, k)
+                top = max(top, *brute.values())
+                for d in margins.get(k * w, ()):
+                    state = tuple(sorted(v for v in d if v))
+                    for f in readers[w]:
+                        assert f._count(state) == brute.get(d, 0) % f._p, (d, w, k, f._p)
+    assert 13 < top < 5 * 7 * 11 * 13
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.walks = 0
 
-    def _walked(self, view):
-        self.walks += 1
-        return view
-
-    def __iter__(self):
-        return self._walked(super().__iter__())
-
-    def keys(self):
-        return self._walked(super().keys())
-
-    def values(self):
-        return self._walked(super().values())
-
-    def items(self):
-        return self._walked(super().items())
+def test_points_off_the_digit_test_read_no_count():
+    # a point that fails the no-carry digit test reads 0 without counting:
+    # the memo holds the empty margin alone until a point passes it
+    for q, n, w, c in [(5, 3, 2, 1), (5, 4, 2, 0), (7, 3, 1, 3), (4, 4, 3, 2)]:
+        f = MaskPoints(q, n, w, c)
+        off = [x for x in range(1, q ** n - 1) if not may_be_mask_support(x, q, n, w, c)]
+        assert len(off) > q ** n // 2 and all(f(x) == 0 for x in off), (q, n, w, c)
+        assert f._memo == {(): 1}, (q, n, w, c)
+        assert any(f(x) for x in range(1, q ** n - 1)) and len(f._memo) > 1
 
 
-def test_mask_points_read_the_count_table_in_place(monkeypatch):
-    # a build per c and every point read leave the table unwalked; each
-    # support() walks it once
-    for q, n, w in [(7, 4, 2), (9, 3, 3), (4, 5, 5), (5, 4, 1), (8, 3, 2)]:
-        table = _WalkCounter(_multiset_counts(q, n, w))
-        monkeypatch.setattr(symfun, "_multiset_counts", lambda *args: table)
-        masks = [MaskPoints(q, n, w, c) for c in range(q)]
-        rows = [list(map(f, range(q ** n - 1))) for f in masks]
-        assert table.walks == 0, (q, n, w)
-        for f, row in zip(masks, rows):
-            support = dict(f.support())
-            assert support == {i: v for i, v in enumerate(row) if v}
-        assert table.walks == q, (q, n, w)
+def test_mask_reader_memo_serves_every_shift_of_a_row(monkeypatch):
+    # (7, 2, 1, 0), whose N/2 and N/4 are periods: the row builds one reader,
+    # and every margin the descent reads is counted at its first open shift
+    built, shifts = [], []
+
+    class Counted(symfun.MaskPoints):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+        def has_period(self, t):
+            out = super().has_period(t)
+            shifts.append((t, out, len(self._memo)))
+            return out
+
+    monkeypatch.setattr(symfun, "MaskPoints", Counted)
+    assert mask_period(7, 2, 1, 0) == 12
+    assert built == [(7, 2, 1, 0)]
+    assert {(24, True), (12, True)} <= {(t, out) for t, out, _ in shifts}
+    assert len(shifts) >= 3 and len({size for _, _, size in shifts}) == 1
+
+
+def test_mask_period_at_large_q_n_2():
+    # r = 2(q - 1) at (q, 2, 1, 0), the dense mask's period; the count table
+    # route took 0.43 s and 3.2 s for its tables alone at q = 127 and 251
+    spent = 0.0
+    for q in (127, 251):
+        start = time.perf_counter()
+        r = mask_period(q, 2, 1, 0)
+        spent += time.perf_counter() - start
+        assert r == 2 * (q - 1) == ascending_scan_period(delta_mask(q, 2, 1, 0).codes), q
+    assert spent < 1.5
 
 
 HUGE_N_MASK = """
