@@ -212,6 +212,22 @@ def test_sweep_long_n_range_skips_fast():
     assert res.summary["fail"] == 0
 
 
+def test_sweep_shares_weight_counts_across_c(monkeypatch):
+    # at (7, 4) every shift of the descent is refuted count-free but those of
+    # (w, c) = (2, 0), where N/2 is left open: one count reader, built once
+    built = []
+
+    class Counted(symfun.MaskPoints):
+        def __init__(self, q, n, w, c):
+            built.append((q, n, w, c))
+            super().__init__(q, n, w, c)
+
+    monkeypatch.setattr(symfun, "MaskPoints", Counted)
+    res = sweep(SweepConfig(q_list=(7,), n_range=(4, 4), with_witness=False))
+    assert len(res.reports) == 2 * 7 and res.summary["fail"] == 0
+    assert built == [(7, 4, 2, 0)]
+
+
 def test_sweep_builds_count_tables_only_where_a_shift_survives(monkeypatch):
     # on the periods-2e5 grid a MaskPoints reader is built once for each row
     # with a shift that no certificate refutes, and for no other row:

@@ -414,6 +414,33 @@ def test_points_off_the_digit_test_read_no_count():
         assert any(f(x) for x in range(1, q ** n - 1)) and len(f._memo) > 1
 
 
+class _WriteCounter(dict):
+    """A dict that counts every entry written into it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
+def test_mask_points_read_the_count_table_in_place():
+    # each reader's memo is its count table: once support() has filled it,
+    # reading every point and a second support() look counts up in place and
+    # write none
+    for q, n, w in [(7, 4, 2), (9, 3, 3), (4, 5, 5), (5, 4, 1), (8, 3, 2)]:
+        for c in range(q):
+            f = MaskPoints(q, n, w, c)
+            support = dict(f.support())
+            f._memo = _WriteCounter(f._memo)
+            row = list(map(f, range(q ** n - 1)))
+            assert support == {i: v for i, v in enumerate(row) if v}, (q, n, w, c)
+            assert dict(f.support()) == support
+            assert f._memo.writes == 0, (q, n, w, c)
+
+
 def test_mask_reader_memo_serves_every_shift_of_a_row(monkeypatch):
     # (7, 2, 1, 0), whose N/2 and N/4 are periods: the row builds one reader,
     # and every margin the descent reads is counted at its first open shift
