@@ -74,8 +74,8 @@ def _json(v) -> str:
     """The text of ``json.dumps(v, indent=2)``, without its pure-Python encoder.
 
     The parts go into one list, joined once.  A list of plain ints is one
-    join per run of `_INT_RUN` values, and a scalar one table lookup and
-    one call.  Payloads hold dicts with string keys, lists, tuples, str,
+    `%` format per run of `_INT_RUN` values, and a scalar one table lookup
+    and one call.  Payloads hold dicts with string keys, lists, tuples, str,
     int, bool and None alone, so anything else (floats and records
     included) is refused with TypeError.
     """
@@ -106,11 +106,12 @@ def _json_parts(v, nl: str, put) -> None:
         if not v:
             put("[]")
         elif set(map(type, v)) == {int}:
-            # joined a run at a time, so a long list never has a str per
-            # value alive at once
+            # one % format per run, so a long list never has a str per value
+            # alive at once
             pre = "[" + inner
             for i in range(0, len(v), _INT_RUN):
-                put(pre + sep.join(map(int.__repr__, v[i:i + _INT_RUN])))
+                run = tuple(v[i:i + _INT_RUN])
+                put(pre + (("%d" + sep) * (len(run) - 1) + "%d") % run)
                 pre = sep
             put(nl + "]")
         else:
@@ -224,21 +225,36 @@ def _cmd_dft(args) -> int:
     N = check_size(args.q, args.n, args.cap, field=True)
     p, j = prime_power(args.q)
     small, big = make_field(p, j), make_field(p, j * args.n)
+    emb = subfield_embedding(small, big)
     # every input is built over F_q and lifted into F_{q^n} once
     if args.seq is not None:
-        codes = _parse_ints(args.seq)
-        if len(codes) != N:
-            raise AlgebraError(f"sequence must have length q**n - 1 = {N}")
+        codes = _lift_seq(args.seq, N, emb)
     elif args.c is None:
-        codes = delta(args.q, args.n, args.w).codes
+        codes = emb.lift_codes(delta(args.q, args.n, args.w).codes)
     else:
-        codes = delta_mask(args.q, args.n, args.w, args.c).codes
-    f = CyclicFn(big, subfield_embedding(small, big).lift_codes(codes))
+        codes = emb.lift_codes(delta_mask(args.q, args.n, args.w, args.c).codes)
+    f = CyclicFn(big, codes)
     del codes  # not kept alive through the transform
     zeta = primitive_element(big)
     g = idft(f, zeta) if args.inverse else dft(f, zeta)
-    _emit({"values": list(g.codes)}, args.format, args.out)
+    _emit({"values": g.codes}, args.format, args.out)
     return 0
+
+
+def _lift_seq(text: str, N: int, emb) -> list[int]:
+    """The lifted codes of a `dft --seq` text, one lookup per canonical F_q
+    code "0" ... "q-1".  Any other token (blank, spaced, signed, padded or out
+    of range) sends the text through `_parse_ints`, the length check and the
+    lift's range check, so int() decides what is read and refusals stay."""
+    q = emb.small.order
+    table = dict(zip(map(str, range(q)), emb.lift_codes(range(q))))
+    try:
+        codes, lifted = list(map(table.__getitem__, text.split(","))), True
+    except KeyError:
+        codes, lifted = _parse_ints(text), False
+    if len(codes) != N:
+        raise AlgebraError(f"sequence must have length q**n - 1 = {N}")
+    return codes if lifted else emb.lift_codes(codes)
 
 
 def _cmd_delta(args) -> int:

@@ -4,8 +4,9 @@ One routine, `factorize`, finds prime factors, by trial division; every other
 factor helper reads its answer from the pairs it yields.  They come lazily and
 in ascending order, so `is_prime` and `prime_power` stop at the first pair and
 never factor the cofactor of a small prime.  One codec, `digits`, expands every
-field code, point of Z_{q^n-1} and exponent into base-b digits.  No floating
-point anywhere, since these results feed exact divisibility verdicts.
+field code, point of Z_{q^n-1}, exponent and binomial index into base-b
+digits.  No floating point anywhere, since these results feed exact
+divisibility verdicts.
 """
 
 from __future__ import annotations
@@ -41,6 +42,16 @@ def digits(k: int, base: int, width: int | None = None) -> list[int]:
         k, r = divmod(k, base)
         out.append(r)
     return out
+
+
+def top_binomials(q: int, p: int) -> list[int]:
+    """C(q - 1, k) mod p for every k < q, q a power of the prime p.
+
+    Every base-p digit of q - 1 is p - 1, and C(p - 1, d) = (-1)**d mod p, so
+    Lucas' theorem gives C(q - 1, k) = (-1)**(base-p digit sum of k) mod p,
+    with no big integer.
+    """
+    return [p - 1 if sum(digits(k, p)) % 2 else 1 for k in range(q)]
 
 
 def is_prime(n: int) -> bool:

@@ -24,6 +24,8 @@ sums the digits of i (for k <= q-1 adding weight-w 0/1 digit vectors never
 carries).  The counts do not depend on c, so they are built once per
 (q, n, w), reduced mod p, and every c combines the same counts through a
 p-entry value table per k: a residue r mod p is the prime-subfield code r.
+C(q-1, k) mod p is the sign (-1)**(base-p digit sum of k), by Lucas'
+theorem (`numtheory.top_binomials`).
 
 mask_period finds the least period of the same mask with no dense list, by a
 second route that shares no code with delta_mask, so that each checks the
@@ -159,10 +161,11 @@ def delta_mask(q: int, n: int, w: int, c: int) -> CyclicFn:
     add, mul, power, neg = ctx.add_codes, ctx.mul_codes, ctx.pow_code, ctx.neg_code
     sign = 1 if w % 2 == 0 else neg(1)
     b = neg(c)
+    binom = numtheory.top_binomials(q, p)
     out = [0] * (q ** n - 1)
     out[0] = 1
     for k, level in enumerate(levels):
-        coef = neg(mul(comb(m, k) % p, mul(power(sign, k), power(b, m - k))))
+        coef = neg(mul(binom[k], mul(power(sign, k), power(b, m - k))))
         if not coef:
             continue
         value = [mul(coef, r) for r in range(p)]
@@ -204,7 +207,8 @@ class MaskPoints:
         add, mul, power, neg = ctx.add_codes, ctx.mul_codes, ctx.pow_code, ctx.neg_code
         sign = 1 if w % 2 == 0 else neg(1)
         b = neg(c)
-        coef = [neg(mul(comb(m, k) % p, mul(power(sign, k), power(b, m - k))))
+        binom = numtheory.top_binomials(q, p)
+        coef = [neg(mul(binom[k], mul(power(sign, k), power(b, m - k))))
                 for k in range(q)]
         self.q, self.n, self.w, self.N, self._p = q, n, w, q ** n - 1, p
         self._slot0 = add(add(1, coef[0]), coef[m] if w == n else 0)

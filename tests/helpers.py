@@ -5,6 +5,7 @@ sharing no algorithmic shortcut with the library paths it checks.
 """
 
 import itertools
+import json
 import math
 from functools import lru_cache
 
@@ -88,6 +89,25 @@ def fits_oracle(self, q, n):
 def parse_ints_oracle(text):
     """`cli._parse_ints` as a list comprehension, before it used map/filter."""
     return [int(x) for x in text.split(",") if x.strip() != ""]
+
+
+def dft_seq_oracle(q, n, text, inverse):
+    """(exit code, stdout, stderr) of `hmdft dft --q q --n n --seq text
+    [--inverse] --format json` by the reading `cli._cmd_dft` had before its
+    lookup table: `parse_ints_oracle`, the length check, `lift_codes`, then
+    the transform, here `brute_dft` or `brute_idft`."""
+    N = q ** n - 1
+    p, j = prime_power(q)
+    small, big = make_field(p, j), make_field(p, j * n)
+    try:
+        codes = parse_ints_oracle(text)
+        if len(codes) != N:
+            raise ValueError(f"sequence must have length q**n - 1 = {N}")
+        f = CyclicFn(big, subfield_embedding(small, big).lift_codes(codes))
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n"
+    g = (brute_idft if inverse else brute_dft)(f, primitive_element(big))
+    return 0, json.dumps({"values": list(g.codes)}, indent=2) + "\n", ""
 
 
 def check_grid_oracle(cfg):

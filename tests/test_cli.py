@@ -21,7 +21,7 @@ from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
 from hmdft.harness import SweepConfig, _check_grid
 from hmdft.spectral import Verdict
 
-from helpers import check_grid_oracle, parse_ints_oracle
+from helpers import check_grid_oracle, dft_seq_oracle, parse_ints_oracle
 
 EX15_POLY = "0,0,0,1,0,1,1,0,0,1,1,0,1"
 
@@ -594,6 +594,54 @@ def test_one_process_matches_fresh_processes(monkeypatch):
     assert shared == [_fresh(argv) for argv in MIXED]
 
 
+SEQ_PAIRS = ((2, 4), (3, 2), (4, 2))
+# tokens int() reads in another spelling, or refuses, or that are no F_q code
+ODD_TOKENS = ("-1", " 1", "+1", "01", "1_0", "", " ", "1 ", "x")
+
+
+@st.composite
+def _seq_texts(draw):
+    """(q, n, a --seq text of mostly canonical codes, --inverse or not)."""
+    q, n = draw(st.sampled_from(SEQ_PAIRS))
+    N = q ** n - 1
+    canonical = st.sampled_from([str(c) for c in range(q)])
+    token = canonical if draw(st.booleans()) else \
+        canonical | st.sampled_from((str(q),) + ODD_TOKENS)
+    size = draw(st.sampled_from((N, N, N - 1, N + 1, 1, 0)))
+    tokens = draw(st.lists(token, min_size=size, max_size=size))
+    return q, n, ",".join(tokens), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_seq_texts())
+@example((4, 2, DFT_SEQ, False))
+@example((3, 2, "1,0,0,0,0,0,0,1", True))
+@example((3, 2, "1,0,0,0,0,0,0,3", False))  # out of range after the length check
+@example((3, 2, "1,0,0,0,0,0,3", False))  # the length refusal comes first
+@example((2, 4, " 1,0,0,1,0,1,1,0,0,1,1,0,1,0,0", False))
+@example((2, 4, "1,0,0,1,0,1,1,0,,0,1,1,0,1,0,0,", True))  # blanks are dropped
+@example((3, 2, "+1,01,1_0", False))
+@example((3, 2, "", False))
+def test_dft_seq_matches_the_parse_then_lift_route(case):
+    q, n, text, inverse = case
+    argv = ["dft", "--q", str(q), "--n", str(n), f"--seq={text}", "--format", "json"]
+    assert _in_process(argv + ["--inverse"] * inverse) == dft_seq_oracle(q, n, text, inverse)
+
+
+def test_dft_seq_reads_canonical_codes_by_lookup(monkeypatch):
+    # with _parse_ints broken, canonical codes still transform, and one
+    # spaced token is enough to send the text to _parse_ints
+    def broken(text):
+        raise AssertionError("_parse_ints reached")
+
+    monkeypatch.setattr(cli, "_parse_ints", broken)
+    for q, n, text in ((4, 2, DFT_SEQ), (3, 2, "1,0,2,0,0,0,0,1"), (2, 4, "1," * 14 + "0")):
+        argv = ["dft", "--q", str(q), "--n", str(n), "--seq", text, "--format", "json"]
+        assert _in_process(argv) == dft_seq_oracle(q, n, text, False)
+        with pytest.raises(AssertionError, match="_parse_ints reached"):
+            main(argv[:-3] + [text.replace(",", ", ", 1)] + argv[-2:])
+
+
 FUZZ_QS = (2, 3, 4, 5, 7, 8, 9, 6, 0, -1)  # valid first: draws favour the front
 # the options each subcommand takes besides --cap and --format
 FUZZ_OPTIONS = {"period": ("--q", "--n", "--w", "--c", "--seq"),
@@ -692,7 +740,8 @@ def test_json_text_is_the_stdlib_text(value):
                                   3 * cli._INT_RUN + 5])
 def test_json_long_int_lists_cross_run_boundaries(size):
     values = [(i * 7919) % 65536 - 3 for i in range(size)] + [2 ** 70]
-    for value in ({"values": values}, [values, values[:3]], values):
+    for value in ({"values": values}, {"values": tuple(values)}, [values, values[:3]],
+                  values, values[:1]):
         assert _json(value) == json.dumps(value, indent=2)
 
 

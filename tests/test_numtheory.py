@@ -1,11 +1,13 @@
 import time
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hmdft.errors import NotPrimePowerError
-from hmdft.numtheory import digits, divisors, factorize, is_prime, prime_factors, prime_power
+from hmdft.numtheory import digits, divisors, factorize, is_prime, prime_factors, prime_power, \
+    top_binomials
 
 from helpers import divisors_loop, is_prime_loop, prime_factors_loop, prime_power_loop
 
@@ -80,3 +82,13 @@ def test_digits_examples():
     for k, base in [(-1, 2), (5, 1), (5, 0), (0, -3)]:
         with pytest.raises(ValueError):
             digits(k, base)
+
+
+def test_top_binomials_match_exact_binomials():
+    # Lucas' theorem against the exact big-integer binomial, at every k < q
+    for q in range(2, 1025):
+        try:
+            p, _ = prime_power(q)
+        except NotPrimePowerError:
+            continue
+        assert top_binomials(q, p) == [comb(q - 1, k) % p for k in range(q)], q
