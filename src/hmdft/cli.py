@@ -74,10 +74,10 @@ def _json(v) -> str:
     """The text of ``json.dumps(v, indent=2)``, without its pure-Python encoder.
 
     The parts go into one list, joined once.  A list of plain ints is one
-    `%` format per run of `_INT_RUN` values, and a scalar one table lookup
-    and one call.  Payloads hold dicts with string keys, lists, tuples, str,
-    int, bool and None alone, so anything else (floats and records
-    included) is refused with TypeError.
+    bytes `%` format per run of `_INT_RUN` values, decoded once, and a
+    scalar one table lookup and one call.  Payloads hold dicts with string
+    keys, lists, tuples, str, int, bool and None alone, so anything else
+    (floats and records included) is refused with TypeError.
     """
     parts: list[str] = []
     _json_parts(v, "\n", parts.append)
@@ -106,12 +106,12 @@ def _json_parts(v, nl: str, put) -> None:
         if not v:
             put("[]")
         elif set(map(type, v)) == {int}:
-            # one % format per run, so a long list never has a str per value
-            # alive at once
-            pre = "[" + inner
+            # one bytes % format per run, decoded once, so a long list never
+            # has a str per value alive at once
+            pre, bsep = "[" + inner, sep.encode()
             for i in range(0, len(v), _INT_RUN):
                 run = tuple(v[i:i + _INT_RUN])
-                put(pre + (("%d" + sep) * (len(run) - 1) + "%d") % run)
+                put(pre + (((b"%d" + bsep) * (len(run) - 1) + b"%d") % run).decode())
                 pre = sep
             put(nl + "]")
         else:

@@ -12,11 +12,14 @@ of g, over all points i, is the exp table read with a fixed step, so in
 characteristic 2, where codes add by XOR, `dft` cuts each term's run from
 the table as array slices and XORs the runs packed into integers.  It does
 so when the slices of all terms number at most N: sparse inputs with small
-steps, such as a polynomial's coefficient sequence.  Otherwise (odd p, or
-too many slices: masks, weight indicators, dense sequences) it walks Z_N
-once by the conjugacy rule: when every value of f lies in the subfield
+steps, such as a polynomial's coefficient sequence.  The packed table is
+built once per field, by the first transform that reads it.  Otherwise (odd
+p, or too many slices: masks, weight indicators, dense sequences) it walks
+Z_N once by the conjugacy rule: when every value of f lies in the subfield
 F_{p^t}, g(i * p^t) = g(i)**(p^t), so one sum per cyclotomic coset of p^t
-mod N is powered across the rest of the coset.
+mod N is powered across the rest of the coset.  An odd-characteristic
+extension field forms those sums in the log domain, through the Zech table
+the field already holds; characteristic 2 and prime fields add codes.
 Convolution iterates over support pairs, which reduces to the defining double
 sum when both supports are dense but is far cheaper on sparse indicator
 functions; no certification path calls it, the tests and their oracles do.
@@ -30,8 +33,10 @@ Functions are immutable once built; all operations here are pure.
 from __future__ import annotations
 
 from array import array
+from functools import cache
 from itertools import compress
 from math import gcd
+from struct import unpack
 
 from . import numtheory
 from .errors import (
@@ -185,8 +190,8 @@ def dft(f: CyclicFn, zeta: FieldElement) -> CyclicFn:
     log f(j) with step k*j mod M (M = order - 1).  Taking that step as a
     signed least residue d, its run is about N*|d|/M + 1 slices of the table.
     In characteristic 2, when the slices of all terms number at most N, the
-    runs are cut and XORed as packed integers, with no Python step per
-    output point.
+    runs are cut from the field's packed exp table and XORed as packed
+    integers, with no Python step per output point.
 
     Otherwise let t be the least divisor of m with every value of f in
     F_{p^t}, and P = p**t.  Raising to the P-th power fixes f's values and is
@@ -195,7 +200,9 @@ def dft(f: CyclicFn, zeta: FieldElement) -> CyclicFn:
     N, at its least member, and the rest of the coset is that sum powered in
     the log domain, all in one ascending walk over Z_N.  When P = 1 mod N
     (values spanning the whole field, every prime field) the cosets are
-    single points and every point is summed.
+    single points and every point is summed.  Over an odd-characteristic
+    extension field each sum stays a log, one Zech-table step per term;
+    characteristic 2 and prime fields sum with the field's adder.
     """
     _check_root(f, zeta)
     return _transform(f, zeta, 0)
@@ -239,20 +246,34 @@ def _runs_fit(terms, N: int, M: int) -> bool:
     return True
 
 
-def _xor_runs(ctx: FieldCtx, N: int, terms) -> array:
-    """The transform as one XOR of the terms' runs; characteristic 2 only.
+@cache
+def _doubled_exp(ctx: FieldCtx) -> array:
+    """The exp table of a characteristic-2 field, packed and doubled.
 
-    Each run is cut from the exp table doubled, so a slice may cross the
-    wrap at M: a forward step starts below M and stops below 2M, a backward
-    step starts at or above M and stops at or above 0.  Codes of F_{2^m} add
-    by XOR without carry, so each run, packed into one integer, joins the
-    total with one ``^``, and one unpacking gives the output codes.
+    E[x] = exp[x mod M] for 0 <= x < 2M, in the narrowest array typecode that
+    holds every code (the field cap keeps codes under 32 bits).  Built by the
+    first `_xor_runs` over the field and kept with it, so a field that no
+    transform reads never holds one.
     """
     M = ctx.order - 1
-    # the narrowest typecode that holds every code
-    tc = next(tc for tc in "BHIL" if array(tc).itemsize * 8 >= M.bit_length())
+    tc = next(tc for tc in "BHI" if array(tc).itemsize * 8 >= M.bit_length())
     E = array(tc, ctx.exp)
-    E += E  # E[x] = exp[x mod M] for 0 <= x < 2M
+    E += E
+    return E
+
+
+def _xor_runs(ctx: FieldCtx, N: int, terms) -> tuple:
+    """The transform as one XOR of the terms' runs; characteristic 2 only.
+
+    Each run is cut from the field's doubled exp table (`_doubled_exp`), so a
+    slice may cross the wrap at M: a forward step starts below M and stops
+    below 2M, a backward step starts at or above M and stops at or above 0.
+    Codes of F_{2^m} add by XOR without carry, so each run, packed into one
+    integer, joins the total with one ``^``, and one ``struct.unpack`` gives
+    the output codes.
+    """
+    M = ctx.order - 1
+    E = _doubled_exp(ctx)
     total = 0
     for c, s in terms:
         a = c % M
@@ -273,10 +294,9 @@ def _xor_runs(ctx: FieldCtx, N: int, terms) -> array:
                 left -= n
                 a = stop % M
         total ^= int.from_bytes(run, "little")
-    out = array(tc)
-    # XOR acts byte by byte, so one byte order both ways restores the codes
-    out.frombytes(total.to_bytes(N * E.itemsize, "little"))
-    return out
+    # XOR acts byte by byte, so one byte order both ways restores the codes in
+    # the table's native order; "=" reads B, H and I at the array's sizes
+    return unpack(f"={N}{E.typecode}", total.to_bytes(N * E.itemsize, "little"))
 
 
 def _coset_walk(ctx: FieldCtx, N: int, terms) -> list:
@@ -286,8 +306,14 @@ def _coset_walk(ctx: FieldCtx, N: int, terms) -> list:
     orbit under i -> i*P, so the sum is formed there and powered along the
     orbit, which fills the orbit's other points.  The constant exp[scale_log]
     lies in every F_{p^t} and is fixed by the Frobenius, so t is f's.
+
+    An odd-characteristic extension field sums in the log domain through its
+    Zech table: with ls the partial sum's log, the term of log lt joins it as
+    ls + zech[lt - ls] mod M, and zech < 0 marks a zero partial sum, which
+    the next term restarts.  Characteristic 2 and prime fields, which hold no
+    Zech table, sum with the field's adder.
     """
-    exp, log, add = ctx.exp, ctx.log, ctx.add_codes
+    exp, log, add, zech = ctx.exp, ctx.log, ctx.add_codes, ctx.zech
     M = ctx.order - 1
     # a nonzero value lies in F_{p^t} iff its log is a multiple of
     # M / (p^t - 1), so t depends on the gcd G of the support logs alone
@@ -300,11 +326,23 @@ def _coset_walk(ctx: FieldCtx, N: int, terms) -> list:
     out = [-1] * N
     for i in range(N):
         if out[i] < 0:  # i leads its orbit: sum there, power along the rest
-            s = 0
-            for lc, kj in terms:
-                s = add(s, exp[(lc + kj * i) % M])
+            if zech is None:
+                s = 0
+                for lc, kj in terms:
+                    s = add(s, exp[(lc + kj * i) % M])
+                ls = log[s]
+            else:
+                ls = -1  # the partial sum's log, -1 while the sum is 0
+                for lc, kj in terms:
+                    lt = (lc + kj * i) % M  # lc may pass M: scale_log rides on it
+                    if ls < 0:
+                        ls = lt
+                    else:
+                        z = zech[lt - ls]  # lt - ls in (-M, M) indexes the length-M table
+                        ls = (ls + z) % M if z >= 0 else -1
+                s = exp[ls] if ls >= 0 else 0
             out[i] = s
-            ls, j = log[s], i * P % N
+            j = i * P % N
             while j != i:
                 ls = ls * P % M
                 out[j] = exp[ls] if s else 0

@@ -35,7 +35,9 @@ zeta**i + zeta**j = zeta**(i + zech[j - i]); negation is multiplication by
 -1 = zeta**((order-1)/2).  The adder is bound once per field:
 ``_bind_adder`` stores the one scheme that applies as the field's
 ``add_codes``, ``sub_codes`` and ``neg_code``, so no addition re-tests p or
-m; the Zech table is built there and held only by the adder that reads it.
+m.  The Zech table is built there and held by the field as ``zech`` (None
+in characteristic 2 and in prime fields); the adder reads it, and so does
+``cyclic``'s coset walk, which sums in the log domain.
 
 Polynomials over a field run on one private kernel on plain code lists: a
 product, a division and a product reduced modulo h, all three adding scaled
@@ -121,7 +123,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "m", "order", "modulus", "zeta_code", "exp", "log",
-                 "add_codes", "sub_codes", "neg_code")
+                 "add_codes", "sub_codes", "neg_code", "zech")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -301,8 +303,13 @@ class FieldCtx:
         self._bind_adder()
 
     def _bind_adder(self):
-        """Bind add_codes, sub_codes and neg_code to this field's one scheme."""
+        """Bind add_codes, sub_codes and neg_code to this field's one scheme.
+
+        Sets ``zech`` too: the Zech table the adder reads, or None where the
+        adder is XOR or mod p.
+        """
         p = self.p
+        self.zech = None
         if p == 2:
             self.add_codes = self.sub_codes = operator.xor
             self.neg_code = lambda a: a
@@ -314,7 +321,7 @@ class FieldCtx:
             return
         exp, log = self.exp, self.log
         # 1 + zeta**k adds 1 to the constant digit; log[0] = -1 marks 1 + zeta**k = 0
-        zech = tuple([log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp])
+        self.zech = zech = tuple([log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp])
         M = self.order - 1
         half = M // 2  # -1 = zeta**(M/2)
 

@@ -8,11 +8,13 @@ import itertools
 import json
 import math
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
 from hmdft import CyclicFn, FieldElement, PolyFq, Verdict, char_poly, element_degree, \
     make_field, poly_gcd, primitive_element, subfield_embedding, threshold
+from hmdft import numtheory
 from hmdft.cyclic import conv_power, kronecker, least_period_by_descent
 from hmdft.errors import NotPrimePowerError
 from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
@@ -50,6 +52,38 @@ def pointwise_dft(f, zeta):
             s = add(s, exp[(lc + kj * i) % M])
         out[i] = s
     return CyclicFn(ctx, out)
+
+
+def add_loop_walk(ctx, N, terms) -> list:
+    """The transform by the conjugacy rule, one sum per cyclotomic coset.
+
+    `cyclic._coset_walk` as it was when every sum went through the field's
+    adder, one ``add_codes`` call per term, kept verbatim as the oracle of the
+    log-domain sums that replaced it for odd-characteristic extension fields.
+    """
+    exp, log, add = ctx.exp, ctx.log, ctx.add_codes
+    M = ctx.order - 1
+    # a nonzero value lies in F_{p^t} iff its log is a multiple of
+    # M / (p^t - 1), so t depends on the gcd G of the support logs alone
+    G = M
+    for lc, _ in terms:
+        G = gcd(G, lc)
+    t = next(t for t in numtheory.divisors(ctx.m)
+             if G % (M // (ctx.p ** t - 1)) == 0)
+    P = ctx.p ** t
+    out = [-1] * N
+    for i in range(N):
+        if out[i] < 0:  # i leads its orbit: sum there, power along the rest
+            s = 0
+            for lc, kj in terms:
+                s = add(s, exp[(lc + kj * i) % M])
+            out[i] = s
+            ls, j = log[s], i * P % N
+            while j != i:
+                ls = ls * P % M
+                out[j] = exp[ls] if s else 0
+                j = j * P % N
+    return out
 
 
 def count_adds(monkeypatch, ctx):

@@ -5,21 +5,28 @@ runs of the exp table (`_xor_runs`) when their slices fit the budget of
 `_runs_fit`, and by the conjugacy rule, one sum per cyclotomic coset, in
 every other case (`_coset_walk`).  Both routes stay in the package, so each
 is checked directly against `brute_dft` or `pointwise_dft`, and the public
-transform is checked to pick the route the budget names, by counting the
-field additions: the runs make none, the walk one per term per coset.
+transform is checked to pick the route the budget names by its exact work:
+the runs make no field addition, the walk one pass over the terms per
+coset, with one addition per term in characteristic 2 and none in an odd
+extension field, which sums through its Zech table.  Those log-domain sums
+are checked against the walk that called the adder (`helpers.add_loop_walk`),
+and the runs against one packed exp table per field.
 """
 
 import random
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 
 from hmdft import cyclic
-from hmdft import CyclicFn, delta, dft, idft, make_field, subfield_embedding
+from hmdft import CyclicFn, delta, delta_mask, dft, idft, make_field, subfield_embedding
 from hmdft.cyclic import _coset_walk, _runs_fit, _xor_runs
 from hmdft.numtheory import prime_power
 
-from helpers import brute_dft, count_adds, pointwise_dft
+from helpers import add_loop_walk, brute_dft, count_adds, pointwise_dft
 
 
 def terms_of(f, zeta, scale_log=0):
@@ -109,8 +116,16 @@ class CountedArray(array):
         return out
 
 
+@pytest.fixture
+def fresh_exp_tables():
+    """Forget every packed exp table before and after the test."""
+    cyclic._doubled_exp.cache_clear()
+    yield cyclic._doubled_exp
+    cyclic._doubled_exp.cache_clear()
+
+
 @pytest.mark.parametrize("m,N", [(12, 4095), (12, 315), (8, 255)])
-def test_runs_cut_few_slices(monkeypatch, m, N):
+def test_runs_cut_few_slices(monkeypatch, fresh_exp_tables, m, N):
     # a slice of the doubled table covers more than M/|d| points, so a run of
     # signed step d cuts at most ceil(N*|d|/M) nonempty slices, one for d = 0:
     # the forward step M - j of an inverse term j would cut about N of them,
@@ -119,12 +134,39 @@ def test_runs_cut_few_slices(monkeypatch, m, N):
     M = ctx.order - 1
     zeta = ctx.nth_root_of_unity(N)
     f = CyclicFn.from_support(ctx, N, [0, 1, 2, 5, 9, 12], value=ctx.zeta_code)
+    # the fixture emptied the cache, so the table is built here as a CountedArray
     monkeypatch.setattr(cyclic, "array", CountedArray)
     for z in (zeta, zeta ** -1):
         terms = terms_of(f, z)
         CountedArray.cuts = 0
         assert tuple(_xor_runs(ctx, N, terms)) == pointwise_dft(f, z).codes
-        assert CountedArray.cuts <= sum(-(-N * min(s, M - s) // M) or 1 for _, s in terms)
+        assert type(fresh_exp_tables(ctx)) is CountedArray
+        assert 0 < CountedArray.cuts <= sum(-(-N * min(s, M - s) // M) or 1
+                                            for _, s in terms)
+
+
+def test_runs_pack_each_field_once(fresh_exp_tables):
+    ctx = make_field(2, 10)
+    M = ctx.order - 1
+    zeta = ctx.nth_root_of_unity(M)
+    f = CyclicFn.from_support(ctx, M, [0, 1, 3], value=ctx.zeta_code)
+    for z in (zeta, zeta ** -1):
+        assert _xor_runs(ctx, M, terms_of(f, z)) == pointwise_dft(f, z).codes
+    info = fresh_exp_tables.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    table = fresh_exp_tables(ctx)
+    assert table.typecode == "H" and list(table) == list(ctx.exp) * 2
+
+
+def test_building_a_field_packs_no_table():
+    # in a fresh interpreter: only a transform over the field packs its table
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from hmdft import cyclic, make_field; make_field(2, 12); "
+            "print(cyclic._doubled_exp.cache_info().currsize)")
+    src = Path(cyclic.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.split() == ["0"]
 
 
 def test_routes_at_the_edge_of_the_slice_budget(monkeypatch):
@@ -161,6 +203,16 @@ WALK_INPUTS = {
 }
 
 
+class CountedTerms(list):
+    """A term list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        CountedTerms.passes += 1
+        return super().__iter__()
+
+
 @pytest.mark.parametrize("name", list(WALK_INPUTS))
 def test_other_inputs_take_the_coset_walk(monkeypatch, name):
     f, P = WALK_INPUTS[name](random.Random(5))
@@ -169,10 +221,85 @@ def test_other_inputs_take_the_coset_walk(monkeypatch, name):
     forward = pointwise_dft(f, zeta)
     ninv = pow(N % ctx.p, ctx.p - 2, ctx.p)
     inverse = pointwise_dft(f, zeta ** -1).scale(ninv)
-    expected = coset_count(N, P) * len(f.support())
+    cosets = coset_count(N, P)
+    # characteristic 2 adds each term of a coset's sum with the field's adder;
+    # an odd extension field sums through its Zech table, with no add
+    adds = cosets * len(f.support()) if ctx.p == 2 else 0
+    walk = cyclic._coset_walk
+    monkeypatch.setattr(cyclic, "_coset_walk",
+                        lambda ctx, N, terms: walk(ctx, N, CountedTerms(terms)))
     calls = count_adds(monkeypatch, ctx)
-    assert dft(f, zeta) == forward
-    assert calls[0] == expected
-    calls[0] = 0
-    assert idft(f, zeta) == inverse
-    assert calls[0] == expected
+    for transform, oracle in ((dft, forward), (idft, inverse)):
+        calls[0] = CountedTerms.passes = 0
+        assert transform(f, zeta) == oracle
+        assert calls[0] == adds
+        # one pass finds the values' subfield, then one sum per coset
+        assert CountedTerms.passes == 1 + cosets
+
+
+def lifted_mask(q, n, w, c):
+    """The (w, c) mask over F_q, lifted into F_{q^n}: a dense walk input."""
+    p, j = prime_power(q)
+    emb = subfield_embedding(make_field(p, j), make_field(p, j * n))
+    return CyclicFn(emb.big, emb.lift_codes(delta_mask(q, n, w, c).codes))
+
+
+def sparse_inputs(rng):
+    """Seeded sparse inputs with N < M over odd extension fields, values drawn
+    from the whole field or from its prime subfield."""
+    for p, m in ((3, 4), (5, 3), (7, 2), (3, 6)):
+        ctx = make_field(p, m)
+        M = ctx.order - 1
+        for N in (d for d in range(2, M) if M % d == 0):
+            codes = [0] * N
+            top = rng.choice((p, ctx.order))
+            for j in rng.sample(range(N), min(N, rng.randrange(1, 7))):
+                codes[j] = rng.randrange(1, top)
+            yield CyclicFn(ctx, codes)
+
+
+def cancelling_input():
+    """c and -c at two support points, then a third term: at point 0 the
+    partial sum is 0 after two terms, and the third restarts it."""
+    ctx = make_field(5, 3)
+    c, e = ctx.zeta_code, ctx.exp[7]
+    codes = [0] * 62
+    codes[3], codes[8], codes[20] = c, ctx.neg_code(c), e
+    return CyclicFn(ctx, codes)
+
+
+def log_domain_inputs():
+    rng = random.Random(29)
+    walk_inputs = (make(random.Random(5))[0] for make in WALK_INPUTS.values())
+    yield from (f for f in walk_inputs if f.ctx.p > 2)
+    yield from (lifted_mask(3, 6, 2, 1), lifted_mask(5, 4, 2, 3), lifted_mask(9, 3, 1, 4))
+    yield from sparse_inputs(rng)
+    yield cancelling_input()
+
+
+def test_log_domain_sums_match_the_add_loop():
+    checked = past_M = 0
+    for f in log_domain_inputs():
+        ctx, N = f.ctx, f.N
+        assert ctx.p > 2 and ctx.m > 1  # the fields the Zech sums serve
+        zeta = ctx.nth_root_of_unity(N)
+        ninv = pow(N % ctx.p, ctx.p - 2, ctx.p)
+        # forward, and inverse with log(1/N) riding on every c_j
+        for terms in (terms_of(f, zeta), terms_of(f, zeta ** -1, ctx.log[ninv])):
+            assert _coset_walk(ctx, N, terms) == add_loop_walk(ctx, N, terms)
+            past_M += any(lc >= ctx.order - 1 for lc, _ in terms)
+            checked += 1
+    assert checked > 2 * (5 + 3 + 1)  # walk inputs, masks, cancelling, and sparse ones
+    assert past_M  # some inverse input carried c_j past M
+
+
+def test_cancelling_partial_sum_restarts():
+    f = cancelling_input()
+    ctx, N = f.ctx, f.N
+    zeta = ctx.nth_root_of_unity(N)
+    terms = terms_of(f, zeta)
+    # at point 0 every term is its value: c + (-c) = 0, then e alone
+    assert ctx.add_codes(ctx.exp[terms[0][0]], ctx.exp[terms[1][0]]) == 0
+    out = _coset_walk(ctx, N, terms)
+    assert out[0] == ctx.exp[7]
+    assert out == list(pointwise_dft(f, zeta).codes)

@@ -9,7 +9,8 @@ module reads the environment.  Every name the benchmark's span tracer
 benchmark's own self-test (``perfbench/check_smoke.py``) passes.  The
 records are immutable NamedTuples (``SupportSet`` a slotted class), so
 importing the CLI loads no ``dataclasses`` and none of the modules it
-imports.
+imports.  The ``FieldCtx`` constructor sets every slot, and the field holds
+its Zech table exactly where its adder reads one.
 """
 
 import ast
@@ -23,6 +24,7 @@ import pytest
 
 import hmdft
 from hmdft import (
+    FieldCtx,
     PolyFq,
     SupportSet,
     SweepConfig,
@@ -225,3 +227,18 @@ def test_records_are_immutable(name):
         with pytest.raises(AttributeError):
             delattr(record, attr)
     assert getattr(record, field) == before
+
+
+@pytest.mark.parametrize("p,m", [(2, 8), (7, 1), (3, 4)])
+def test_field_constructor_sets_every_slot(p, m):
+    # one field per adder: XOR, mod p and Zech; no slot is ever left unset
+    ctx = make_field(p, m)
+    assert [slot for slot in FieldCtx.__slots__ if not hasattr(ctx, slot)] == []
+    # the Zech adder is the one whose closure holds the field's table
+    cells = getattr(ctx.add_codes, "__closure__", None) or ()
+    zech_adder = any(cell.cell_contents is ctx.zech for cell in cells)
+    assert zech_adder == (p > 2 and m > 1)
+    if zech_adder:
+        assert type(ctx.zech) is tuple and len(ctx.zech) == ctx.order - 1
+    else:
+        assert ctx.zech is None
