@@ -17,20 +17,26 @@ constructible field (order up to ``FIELD_ORDER_CAP``) is table-backed:
 discrete exp/log tables make multiplication, inversion and powering O(1)
 lookups.
 
-The exp table is walked with the F_p-linear map "multiply by zeta", tabled
-for the low and the high half of the digits (``FieldCtx._finish``).  For odd
-p the walk's state holds one bit lane per base-p digit: two split-table
-lookups and one integer add per entry.  For p = 2 the state is the code word
-itself and adding is XOR: two list lookups and one XOR per entry.  The split
-tables are sums of the m columns zeta*x**i, m - 1 polynomial products in all.
+The exp table of an extension field is walked with the F_p-linear map
+"multiply by zeta", tabled for the low and the high half of the digits
+(``FieldCtx._finish``).  For p = 2 the state is the code word itself and
+adding is XOR: two list lookups and one XOR per entry.  For odd p the state
+holds one bit lane per base-p digit, two split-table lookups and one integer
+add per entry, and the walk stops at zeta**K, K = (order - 1)/(p - 1): that
+power, the norm of zeta, is a constant g, so each further block of K powers
+is the one before times g, one table lookup per entry.  The split tables
+are sums of the m columns zeta*x**i, m - 1 polynomial products in all; a
+prime field walks s -> s*zeta mod p.  Every route ends on one closure check.
 An extension field is built with ``PolyFq`` over F_p, the package's one
-polynomial scheme: its modulus search, its primitive-element search and its
-columns; a prime field powers by the built-in ``pow``.
+polynomial scheme: its modulus search (Rabin's test on each candidate with
+no root in F_p), its primitive-element search and its columns; a prime
+field powers by the built-in ``pow``.
 
 Addition is XOR in characteristic 2 and integer addition mod p in prime
 fields.  Odd-characteristic extension fields add by Zech logarithms:
 ``zech[k]`` is the log of 1 + zeta**k (-1 when that sum is 0), built in
-O(order) by adding 1 to the constant digit of each exp entry, so that
+O(order) as one map of the exp table through the log table shifted by one
+code, where adding 1 to the constant digit wraps p - 1 to 0, so that
 zeta**i + zeta**j = zeta**(i + zech[j - i]); negation is multiplication by
 -1 = zeta**((order-1)/2).  The adder is bound once per field:
 ``_bind_adder`` stores the one scheme that applies as the field's
@@ -131,6 +137,7 @@ class FieldCtx:
         self.order = p ** m
         self.modulus = tuple(modulus)
         self._finish()
+        self._bind_adder()
 
     # ------------------------------------------------------------------
     # code <-> coefficient vector
@@ -202,18 +209,20 @@ class FieldCtx:
     # ------------------------------------------------------------------
 
     def _finish(self):
-        """Find the canonical primitive element, build the tables, bind the adder.
+        """Find the canonical primitive element and build the exp and log tables.
 
         zeta is the least code whose power (order-1)/t is not 1 for any prime
         t | order - 1, powered by ``pow`` mod p in a prime field and by
-        ``PolyFq.pow_mod`` over F_p modulo the modulus otherwise.
+        ``PolyFq.pow_mod`` over F_p modulo the modulus otherwise.  A prime
+        field's exp table is the walk s -> s*zeta mod p.
 
-        Multiplication by zeta is F_p-linear, so the exp walk makes no general
-        product per entry.  Digit i of a column zeta*x**i sits in bit lane i,
-        B bits wide.  For p = 2, B = 1: a column is a field code and adding is
-        XOR, so zeta times each possible low half (h = m // 2 bits) and high
-        half of a code is a list indexed by that half, each grown by XOR-ing
-        in one column, and one step is two lookups and one XOR.
+        Multiplication by zeta is F_p-linear, so the exp walk of an extension
+        field makes no general product per entry.  Digit i of a column
+        zeta*x**i sits in bit lane i, B bits wide.  For p = 2, B = 1: a column
+        is a field code and adding is XOR, so zeta times each possible low
+        half (h = m // 2 bits) and high half of a code is a list indexed by
+        that half, each grown by XOR-ing in one column, and one step is two
+        lookups and one XOR.
 
         For odd p the walk's state holds digit i of the current power in bit
         lane i, B = (2p - 1).bit_length() + 1 bits wide: room for the sum of
@@ -226,6 +235,19 @@ class FieldCtx:
         the modulus: an entry is an earlier entry plus one column, reduced.
         One step reads the code as two lookups added and adds the two tabled
         zeta-multiples, reduced.
+
+        The odd-p walk stops after K = M/(p - 1) steps (M = order - 1), at
+        zeta**K, the norm of zeta: in a field a nonzero constant g, alone in
+        lane 0 (anything else raises).  zeta**(i + K) = g*zeta**i, and
+        multiplying by g multiplies each digit by g mod p, so one table
+        ``scal`` of that map fills each further block of K powers from the
+        one before with one ``map``.
+
+        Every route ends on one closure check: zeta**M = 1 (g**(p - 1) = 1 on
+        the block route) and log[1] = 0, as the log fill keeps the last index
+        of each code.  Then zeta is a unit of order M, and exp holds each
+        nonzero code once; a zeta of smaller order, or one that is no unit
+        because the modulus is reducible, raises.
         """
         p, m = self.p, self.m
         M = self.order - 1
@@ -234,7 +256,6 @@ class FieldCtx:
         if m == 1:
             self.zeta_code = next(c for c in range(1, p)
                                   if all(pow(c, M // t, p) != 1 for t in fac))
-            cols = [self.zeta_code]
         else:
             prime = make_field(p)
             mod, one, x = PolyFq(prime, self.modulus), PolyFq(prime, (1,)), PolyFq.x(prime)
@@ -250,7 +271,12 @@ class FieldCtx:
         h = m // 2
         exp = [0] * M
         s = 1
-        if p == 2:
+        if m == 1:
+            zeta = self.zeta_code
+            for i in range(M):
+                exp[i] = s
+                s = s * zeta % p
+        elif p == 2:
             # the columns are codes and adding is XOR, so zeta times each
             # possible half is tabled by the half's code
             mask = (1 << h) - 1
@@ -265,12 +291,13 @@ class FieldCtx:
         else:
             shift = h * B
             lo_mask = (1 << shift) - 1
+            top = B - 1
             ones = sum(1 << (i * B) for i in range(m))  # a 1 in every lane
-            hib = ones << (B - 1)
-            adj = ((1 << (B - 1)) - p) * ones
+            hib = ones << top
+            adj = ((1 << top) - p) * ones
 
             def reduce(s):
-                return s - (((s + adj) & hib) >> (B - 1)) * p
+                return s - (((s + adj) & hib) >> top) * p
 
             def half_tables(first, last):
                 # lane keys of the codes with digits only in first..last-1, shifted
@@ -286,27 +313,44 @@ class FieldCtx:
 
             lo_code, lo_next = half_tables(0, h)
             hi_code, hi_next = half_tables(h, m)
-            for i in range(M):
+            K = M // (p - 1)
+            for i in range(K):
                 lo = s & lo_mask
                 hi = s >> shift
                 exp[i] = lo_code[lo] + hi_code[hi]
-                s = reduce(lo_next[lo] + hi_next[hi])
-        if s != 1:  # zeta**(order-1) must close the cycle
-            raise AssertionError("generator order inconsistency")
+                s = lo_next[lo] + hi_next[hi]
+                s -= (((s + adj) & hib) >> top) * p
+            # zeta**K is the norm of zeta, a nonzero constant g in a field,
+            # and then zeta**M = g**(p - 1) = 1
+            if not 0 < s < p:
+                raise AssertionError("generator order inconsistency")
+            g, s = s, 1
+            scal = [0]  # times g, digit by digit
+            for i in range(m):
+                scal = [v + w for w in [g * d % p * p ** i for d in range(p)] for v in scal]
+            for j in range(K, M, K):
+                exp[j:j + K] = map(scal.__getitem__, exp[j - K:j])
+            del scal  # a list of order codes, freed before the log fill
         log = [-1] * self.order
         for i, c in enumerate(exp):
             log[c] = i
+        # s = zeta**M; the fill keeps the last index of each code, so log[1]
+        # is 0 only when no later power is 1 too
+        if s != 1 or log[1]:
+            raise AssertionError("generator order inconsistency")
         # tuples: the tables never change, and the cyclic GC stops tracking a
         # tuple of ints at its first pass instead of walking it at every one
         self.exp = tuple(exp)
         self.log = tuple(log)
-        self._bind_adder()
 
     def _bind_adder(self):
         """Bind add_codes, sub_codes and neg_code to this field's one scheme.
 
         Sets ``zech`` too: the Zech table the adder reads, or None where the
-        adder is XOR or mod p.
+        adder is XOR or mod p.  zech[k] is the log of zeta**k + 1: exp mapped
+        through ``succ``, the log table shifted down one code, whose slots
+        c = p - 1 mod p read log[c + 1 - p], as the constant digit wraps to 0
+        with no carry.
         """
         p = self.p
         self.zech = None
@@ -320,8 +364,10 @@ class FieldCtx:
             self.neg_code = lambda a: -a % p
             return
         exp, log = self.exp, self.log
-        # 1 + zeta**k adds 1 to the constant digit; log[0] = -1 marks 1 + zeta**k = 0
-        self.zech = zech = tuple([log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp])
+        # log[0] = -1 marks 1 + zeta**k = 0
+        succ = [*log[1:], 0]
+        succ[p - 1::p] = log[0::p]
+        self.zech = zech = tuple(map(succ.__getitem__, exp))
         M = self.order - 1
         half = M // 2  # -1 = zeta**(M/2)
 
@@ -729,6 +775,8 @@ def make_field(p: int, m: int = 1) -> FieldCtx:
 
     The modulus is the canonically-first monic irreducible of degree m over
     F_p; the stored generator is the canonically-first primitive element.
+    The modulus search skips a candidate with a root in F_p, which has a
+    linear factor, and decides every other one by ``oracle_irreducible``.
     """
     key = (p, m)
     ctx = _FIELD_CACHE.get(key)
@@ -744,9 +792,21 @@ def make_field(p: int, m: int = 1) -> FieldCtx:
         modulus = (0, 1)  # x, whose root 0 is Embedding's gamma for a prime field
     else:
         prime = make_field(p, 1)
+        points = range(1, p)
+
+        def rooted(cand):
+            # a root a in F_p is a linear factor x - a, and m >= 2: a = 0 when
+            # the constant term is 0, else Horner's value at a nonzero a is 0
+            if not cand[0]:
+                return True
+            vals = [1] * (p - 1)
+            for c in cand[-2::-1]:
+                vals = [(v * a + c) % p for v, a in zip(vals, points)]
+            return 0 in vals
+
         modulus = next(cand for cand in (tuple(numtheory.digits(code, p, m)) + (1,)
                                          for code in range(p ** m))
-                       if oracle_irreducible(PolyFq(prime, cand)))
+                       if not rooted(cand) and oracle_irreducible(PolyFq(prime, cand)))
     ctx = FieldCtx(p, m, modulus)
     _FIELD_CACHE[key] = ctx
     return ctx

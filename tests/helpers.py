@@ -354,7 +354,7 @@ def polymul_exp_table(ctx):
 
     Walks zeta's powers with ``polymul``, the field's reference product on
     coefficient vectors, and checks that the walk closes after order - 1
-    steps; shares nothing with either walk of ``FieldCtx._finish``.
+    steps; shares nothing with any walk of ``FieldCtx._finish``.
     """
     M = ctx.order - 1
     exp = [0] * M

@@ -286,13 +286,35 @@ def test_order_of_matches_repeated_products(p, m):
         assert ctx.order_of(a) == k
 
 
-@pytest.mark.parametrize("p,modulus", [(2, (0, 0, 1)), (3, (0, 0, 1))])
+@pytest.mark.parametrize("p,modulus", [(2, (0, 0, 1)), (3, (0, 0, 1)), (5, (0, 0, 1)),
+                                       (7, (0, 0, 1))])
 def test_exp_walk_must_close(p, modulus):
     # x^2 is reducible: the search settles on the nilpotent x, whose powers
-    # reach 0 and never return to 1 (p = 2 walks code words by XOR, p = 3
-    # walks lanes); the constructor builds the tables, so it raises
+    # reach 0 and never return to 1 (p = 2 walks code words by XOR, odd p
+    # walks lanes to x**K = 0, K = (p**2 - 1)/(p - 1), where the scalar
+    # blocks would start); the constructor builds the tables, so it raises
     with pytest.raises(AssertionError, match="generator order"):
         gf.FieldCtx(p, 2, modulus)
+
+
+@pytest.mark.parametrize("p,m,modulus", [(3, 2, (1, 0, 1)), (2, 4, (1, 1, 1, 1, 1))])
+def test_exp_walk_must_close_on_a_generator_of_a_subgroup(p, m, modulus, monkeypatch):
+    # with no prime of order - 1 to test, the search takes x, which has order
+    # 4 in F_9 (so x**K = 1 and the scalar blocks repeat the first) and 5 in
+    # F_16; either way x**(order - 1) = 1, so only the check that no earlier
+    # power is 1 sees that x generates a proper subgroup
+    make_field(p)  # the prime field, built before the patch
+    monkeypatch.setattr(numtheory, "prime_factors", lambda n: [])
+    with pytest.raises(AssertionError, match="generator order"):
+        gf.FieldCtx(p, m, modulus)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 65521])
+def test_prime_field_exp_is_the_power_walk(p):
+    ctx = make_field(p)
+    z = ctx.zeta_code
+    assert ctx.exp == tuple(pow(z, i, p) for i in range(p - 1))
+    assert all(ctx.log[c] == i for i, c in enumerate(ctx.exp))
 
 
 def test_field_axioms_random_triples():
@@ -331,6 +353,25 @@ def test_add_codes_match_digitwise_reference():
             assert ctx.add_codes(a, b) == digitwise_add(p, a, b)
             assert ctx.sub_codes(a, b) == digitwise_add(p, a, digitwise_neg(p, b))
             assert ctx.neg_code(a) == digitwise_neg(p, a)
+
+
+# every odd-characteristic extension field of order <= 2^16; the odd fields
+# of LARGE_FIELDS are among them
+ODD_EXTENSION_FIELDS = [(p, m) for p in range(3, 1 << 8) if numtheory.is_prime(p)
+                        for m in range(2, 11) if p ** m <= 1 << 16]
+assert {f for f in LARGE_FIELDS if f[0] > 2} <= set(ODD_EXTENSION_FIELDS)
+
+
+@pytest.mark.parametrize("p", sorted({p for p, _ in ODD_EXTENSION_FIELDS}))
+def test_zech_table_matches_digitwise_reference(p):
+    # zech[k] is the log of 1 + zeta**k, with the 1 added digit by digit;
+    # log[0] = -1, so it is -1 exactly where zeta**k = -1, the code p - 1
+    for q, m in ODD_EXTENSION_FIELDS:
+        if q == p:
+            ctx = make_field(p, m)
+            exp, log = ctx.exp, ctx.log
+            assert list(ctx.zech) == [log[digitwise_add(p, c, 1)] for c in exp]
+            assert [k for k, z in enumerate(ctx.zech) if z == -1] == [exp.index(p - 1)]
 
 
 def test_element_coercion_and_errors():
@@ -657,6 +698,46 @@ def test_canonical_fields_match_loop_oracles(p, monkeypatch):
             assert ctx.modulus == next(h for h in candidates
                                        if oracle_irreducible_powering(h)).codes
         assert ctx.zeta_code == _zeta_by_loops(ctx)
+
+
+def _readme_grid_fields():
+    # the fields the verify-readme benchmark builds in set-up: F_q and F_{q^n}
+    # for the README grid, 2 <= n <= 6 and q**n - 1 <= 20000
+    for q in (2, 3, 4, 5, 7):
+        p, j = numtheory.prime_power(q)
+        yield p, j
+        yield from ((p, j * n) for n in range(2, 7) if q ** n <= 20001)
+
+
+def test_modulus_search_skips_rooted_candidates(monkeypatch):
+    # a candidate with a root in F_p has a linear factor, so only the others
+    # reach Rabin's test: 42 calls build the grid's fields cold, where testing
+    # every candidate up to the canonical modulus made 168
+    calls = 0
+    oracle = gf.oracle_irreducible
+
+    def counted(h):
+        nonlocal calls
+        calls += 1
+        return oracle(h)
+
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    monkeypatch.setattr(gf, "oracle_irreducible", counted)
+    for p, m in _readme_grid_fields():
+        make_field(p, m)
+    assert calls == 42
+
+
+@pytest.mark.parametrize("p,m", [(257, 2), (509, 2), (1021, 2), (101, 3)])
+def test_large_p_modulus_matches_trial_division(p, m, monkeypatch):
+    # past the canonical-field scan (p**m <= 2**16, p < 256): the first
+    # candidate that trial division finds irreducible, which shares no code
+    # with the root pre-filter or with Rabin's test
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})  # cold builds, freed afterwards
+    prime = make_field(p)
+    candidates = (PolyFq(prime, _digits(code, p, m) + [1]) for code in range(p ** m))
+    assert make_field(p, m).modulus == next(h for h in candidates
+                                            if brute_is_irreducible(h)).codes
 
 
 def _f3_poly(*codes):
