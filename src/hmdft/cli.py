@@ -67,17 +67,16 @@ def _poly_from_codes(q: int, codes: list[int]) -> PolyFq:
 # how json writes each scalar type a payload holds
 _SCALARS = {bool: {True: "true", False: "false"}.__getitem__, int: int.__repr__,
             str: encode_basestring_ascii, type(None): lambda v: "null"}
-_INT_RUN = 4096
 
 
 def _json(v) -> str:
     """The text of ``json.dumps(v, indent=2)``, without its pure-Python encoder.
 
     The parts go into one list, joined once.  A list of plain ints is one
-    bytes `%` format per run of `_INT_RUN` values, decoded once, and a
-    scalar one table lookup and one call.  Payloads hold dicts with string
-    keys, lists, tuples, str, int, bool and None alone, so anything else
-    (floats and records included) is refused with TypeError.
+    bytes `%` format, decoded once, and a scalar one table lookup and one
+    call.  Payloads hold dicts with string keys, lists, tuples, str, int,
+    bool and None alone, so anything else (floats and records included) is
+    refused with TypeError.
     """
     parts: list[str] = []
     _json_parts(v, "\n", parts.append)
@@ -105,14 +104,9 @@ def _json_parts(v, nl: str, put) -> None:
     elif type(v) in (list, tuple):  # exactly: a NamedTuple record is no list
         if not v:
             put("[]")
-        elif set(map(type, v)) == {int}:
-            # one bytes % format per run, decoded once, so a long list never
-            # has a str per value alive at once
-            pre, bsep = "[" + inner, sep.encode()
-            for i in range(0, len(v), _INT_RUN):
-                run = tuple(v[i:i + _INT_RUN])
-                put(pre + (((b"%d" + bsep) * (len(run) - 1) + b"%d") % run).decode())
-                pre = sep
+        elif set(map(type, v)) == {int}:  # exactly: %d would write a bool as 1
+            put("[" + inner)
+            put((((b"%d" + sep.encode()) * (len(v) - 1) + b"%d") % tuple(v)).decode())
             put(nl + "]")
         else:
             pre = "[" + inner

@@ -90,7 +90,7 @@ class SupportSet:
 class CyclicFn:
     """Dense function Z_N -> F, stored as a tuple of N value codes."""
 
-    __slots__ = ("ctx", "N", "codes", "_supp")
+    __slots__ = ("ctx", "N", "codes")
 
     def __init__(self, ctx: FieldCtx, codes):
         codes = tuple(codes)
@@ -99,7 +99,6 @@ class CyclicFn:
         self.ctx = ctx
         self.N = len(codes)
         self.codes = codes
-        self._supp = None
 
     @classmethod
     def from_elements(cls, elements) -> "CyclicFn":
@@ -124,9 +123,7 @@ class CyclicFn:
         return FieldElement(self.ctx, self.codes[i % self.N])
 
     def support(self) -> SupportSet:
-        if self._supp is None:
-            self._supp = SupportSet(self.N, tuple(i for i, c in enumerate(self.codes) if c))
-        return self._supp
+        return SupportSet(self.N, tuple(i for i, c in enumerate(self.codes) if c))
 
     def __eq__(self, other):
         if not isinstance(other, CyclicFn):

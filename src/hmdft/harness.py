@@ -233,8 +233,6 @@ def _witnesses(q: int, n: int, rows, cap: int) -> dict:
     row gets the polynomial of a scan of every power.  Each distinct
     witness is verified once.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     for w, c in rows:
         if not 1 <= w <= n:
             raise WeightRangeError(f"w={w} outside [1, {n}]")

@@ -27,10 +27,13 @@ fail (see the regression tests for explicit witnesses).
 
 Independent oracles (`oracle_irreducible` by the Frobenius-power test,
 `oracle_factor_degrees` by squarefree decomposition plus distinct-degree
-splitting) validate every Proven verdict in the test suite; they share no
-code path with the period route.  `oracle_irreducible` lives in ``gf``,
-where ``make_field`` tests its candidate moduli with it, and is re-exported
-here.
+splitting) validate every Proven verdict in the test suite.  They power by
+``PolyFq.pow_mod`` and the verdicts by ``gf.x_pow_mod``, but both run on
+``gf``'s one list kernel (``_divmod``, ``_addmul``, and ``_gcd``, which
+``poly_gcd`` wraps), so a fault there can reach verdict and oracle alike;
+ROADMAP item 6 plans a checker that shares no code with the package.
+`oracle_irreducible` lives in ``gf``, where ``make_field`` tests its
+candidate moduli with it, and is re-exported here.
 """
 
 from __future__ import annotations

@@ -47,8 +47,7 @@ the digit test proves t is no period; refuting T = (q**n - 1)/Phi_n(q) shows
 r does not divide T, all the source paper's support lemma needs.  Only a
 shift `shift_certificate` leaves open reads counts: a true period (N/2 at
 c = 0, w = n/2, q odd), c = 0 with w = n, or a few like (2, 2, 1, 1).  Its
-check reads the same points s +- t first, then the points that pass the
-digit test, level by level.
+check reads every point that passes the digit test, level by level.
 
 A function on Z_{q^n-1} is q-symmetric when it is invariant under every
 permutation of the base-q digits of its argument; phi_rho realizes one digit
@@ -199,7 +198,7 @@ class MaskPoints:
     point of a mask, at every shift of a descent, shares it.
     """
 
-    __slots__ = ("q", "n", "w", "N", "_p", "_slot0", "_coef", "_mul", "_tries", "_memo")
+    __slots__ = ("q", "n", "w", "N", "_p", "_slot0", "_coef", "_mul", "_memo")
 
     def __init__(self, q: int, n: int, w: int, c: int):
         ctx = _check_mask_args(q, n, w, c)
@@ -213,7 +212,6 @@ class MaskPoints:
         self.q, self.n, self.w, self.N, self._p = q, n, w, q ** n - 1, p
         self._slot0 = add(add(1, coef[0]), coef[m] if w == n else 0)
         self._coef, self._mul = coef, mul
-        self._tries = tuple(_tries(q, n, w, c))
         self._memo = {(): 1}
 
     def _count(self, top: tuple) -> int:
@@ -282,24 +280,13 @@ class MaskPoints:
 
         Exact: the shift by t is a bijection of Z_N, so if it maps the
         support into itself it maps it onto itself, and every point off the
-        support goes off the support too.  The certificate points are read
-        first, where a shift the digit test left open most often fails.
+        support goes off the support too.
         """
         N = self.N
-        starts = (s if sign > 0 else (s - t) % N for s, sign in self._tries)
-        return (all(self((x + t) % N) == self(x) for x in starts)
-                and all(self((s + t) % N) == code for s, code in self.support()))
+        return all(self((s + t) % N) == code for s, code in self.support())
 
 
 CERTIFICATE_TRIES = 4  # (S, sign) per shift: the first two w-sets S, +t then -t
-
-
-def _tries(q: int, n: int, w: int, c: int):
-    """The (s, sign) a certificate tries, s = low * sum_S q**i of known value."""
-    low = 1 if c else q - 1
-    subsets = itertools.combinations(range(n), w) if c or w < n else ()  # else s = N, 0 in Z_N
-    tries = ((low * sum(q ** i for i in S), sign) for S in subsets for sign in (1, -1))
-    return itertools.islice(tries, CERTIFICATE_TRIES)
 
 
 def shift_certificate(q: int, n: int, w: int, c: int, t: int):
@@ -310,7 +297,9 @@ def shift_certificate(q: int, n: int, w: int, c: int, t: int):
     if not 1 <= w <= n:
         raise WeightRangeError(f"w={w} outside [1, {n}]")
     N, low = q ** n - 1, 1 if c else q - 1
-    for s, sign in _tries(q, n, w, c):
+    subsets = itertools.combinations(range(n), w) if c or w < n else ()  # else s = N, 0 in Z_N
+    tries = ((low * sum(q ** i for i in S), sign) for S in subsets for sign in (1, -1))
+    for s, sign in itertools.islice(tries, CERTIFICATE_TRIES):
         d = numtheory.digits((s + sign * t) % N, q)  # none for x = 0
         k, rest = divmod(sum(d), w)
         if d and (rest or not low <= k < q or max(d) > k):

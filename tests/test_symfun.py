@@ -463,6 +463,25 @@ def test_mask_reader_memo_serves_every_shift_of_a_row(monkeypatch):
     assert len(shifts) >= 3 and len({size for _, _, size in shifts}) == 1
 
 
+def test_has_period_reads_one_point_per_support_entry():
+    # at a true period the scan reads mask(s + t) once per support point s
+    # and nothing more; support() itself counts without calling the reader
+    class Counted(MaskPoints):
+        __slots__ = ("reads",)
+
+        def __call__(self, x):
+            self.reads += 1
+            return super().__call__(x)
+
+    for q, n, w, c, t in [(7, 2, 1, 0, 24), (7, 2, 1, 0, 12), (5, 2, 1, 0, 8)]:
+        f = Counted(q, n, w, c)
+        f.reads = 0
+        size = len(list(f.support()))
+        assert f.reads == 0 and size > 1
+        assert f.has_period(t), (q, n, w, c, t)
+        assert f.reads == size, (q, n, w, c, t)
+
+
 def test_mask_period_at_large_q_n_2():
     # r = 2(q - 1) at (q, 2, 1, 0), the dense mask's period; the count table
     # route took 0.43 s and 3.2 s for its tables alone at q = 127 and 251
