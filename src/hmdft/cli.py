@@ -257,7 +257,7 @@ def _cmd_delta(args) -> int:
         f = delta(args.q, args.n, args.w)
     else:
         f = delta_mask(args.q, args.n, args.w, args.c)
-    _emit({"values": list(f.codes)}, args.format, args.out)
+    _emit({"values": f.codes}, args.format, args.out)
     return 0
 
 

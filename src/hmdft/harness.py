@@ -28,8 +28,13 @@ r comes from `symfun.mask_period`, which runs the one prime descent of
 `cyclic.least_period_by_descent`, refutes most shifts from the digits of one
 integer and reads the mask at its support points only for the rest.  A
 sweep builds the dense `delta_mask` only to check q-symmetry.  The two mask
-routes share no mask code, so the dense mask, scanned for its least period
-by the tests' own divisor scan, serves the tests as the oracle for r.
+routes count the mask's weight-set tuples (symfun's A_k) independently, so
+the dense mask, scanned for its least period by the tests' own divisor scan,
+serves the tests as the oracle for r.
+They share the argument checks and F_q (`symfun._check_mask_args`), the
+binomials of `numtheory.top_binomials` and the coef_k formula; the tests'
+`TableMaskPoints` and `test_delta_mask_binomial_expansion` take the
+binomials from `math.comb` on their own.
 
 The regime analysis covers w <= n/2.  A sweep in full-w mode delegates
 n/2 < w < n to n - w (coefficient prescription is symmetric under taking

@@ -3,13 +3,16 @@
 One routine, `factorize`, finds prime factors, by trial division; every other
 factor helper reads its answer from the pairs it yields.  They come lazily and
 in ascending order, so `is_prime` and `prime_power` stop at the first pair and
-never factor the cofactor of a small prime.  One codec, `digits`, expands every
-field code, point of Z_{q^n-1}, exponent and binomial index into base-b
-digits.  No floating point anywhere, since these results feed exact
-divisibility verdicts.
+never factor the cofactor of a small prime.  `prime_power` keeps its answers:
+a sweep asks for the same q at every row, and factors each q once.  One codec,
+`digits`, expands every field code, point of Z_{q^n-1}, exponent and binomial
+index into base-b digits.  No floating point anywhere, since these results
+feed exact divisibility verdicts.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import NotPrimePowerError
 
@@ -72,8 +75,12 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+@lru_cache(maxsize=256)
 def prime_power(n: int) -> tuple[int, int]:
-    """Decompose n as p**e with p prime, or raise NotPrimePowerError."""
+    """Decompose n as p**e with p prime, or raise NotPrimePowerError.
+
+    Memoised: a grid's few q come back at every row.  A refusal is not kept.
+    """
     if n >= 2:
         p, e = next(factorize(n))
         if p ** e == n:

@@ -28,14 +28,19 @@ C(q-1, k) mod p is the sign (-1)**(base-p digit sum of k), by Lucas'
 theorem (`numtheory.top_binomials`).
 
 mask_period finds the least period of the same mask with no dense list, by a
-second route that shares no code with delta_mask, so that each checks the
-other.  It reads the mask one point at a time (MaskPoints): for x != 0 the
-digit sum fixes the level k, and A_k(x) mod p is counted row by row over the
-sorted nonzero digits of x, memoised per reader.  The least period is found
-by the prime descent of `cyclic.least_period_by_descent`, the one
-least-period algorithm of the package: a shift t is a period iff
-mask(s + t) = mask(s) at every support point s.  The dense route stays for
-`delta`, `dft --c` and the symmetry check.
+second route.  It reads the mask one point at a time (MaskPoints): for x != 0
+the digit sum fixes the level k, and A_k(x) mod p is counted row by row over
+the sorted nonzero digits of x, memoised per reader.  So the two routes count
+A_k independently and each checks the other's counts; they share the rest:
+both take F_q and check their arguments by `_check_mask_args`/`_value_field`,
+both read C(q-1, k) mod p from `numtheory.top_binomials`, and both form
+coef_k by the same formula.  The checks that take C(q-1, k) from `math.comb`
+on their own are the tests' `TableMaskPoints` and
+`test_delta_mask_binomial_expansion`.  The least period is found by the
+prime descent of `cyclic.least_period_by_descent`, the one least-period
+algorithm of the package: a shift t is a period iff mask(s + t) = mask(s)
+at every support point s.  The dense route stays for `delta`, `dft --c` and
+the symmetry check.
 
 Most shifts are refuted with no count.  For x != 0, mask(x) != 0 needs
 A_k(x) != 0 at a level whose coefficient is nonzero (1 <= k < q if c != 0,
@@ -47,7 +52,10 @@ the digit test proves t is no period; refuting T = (q**n - 1)/Phi_n(q) shows
 r does not divide T, all the source paper's support lemma needs.  Only a
 shift `shift_certificate` leaves open reads counts: a true period (N/2 at
 c = 0, w = n/2, q odd), c = 0 with w = n, or a few like (2, 2, 1, 1).  Its
-check reads every point that passes the digit test, level by level.
+check reads every point that passes the digit test, level by level.  The
+tries and each shift's verdict depend on c only through whether it is zero,
+so they are formed once per (q, n, w, c zero or not) and shared by every c
+of a sweep's (q, n, w); the count reader depends on c and is built per row.
 
 A function on Z_{q^n-1} is q-symmetric when it is invariant under every
 permutation of the base-q digits of its argument; phi_rho realizes one digit
@@ -289,17 +297,26 @@ class MaskPoints:
 CERTIFICATE_TRIES = 4  # (S, sign) per shift: the first two w-sets S, +t then -t
 
 
-def shift_certificate(q: int, n: int, w: int, c: int, t: int):
-    """(s, sign) with mask(s) != 0 = mask(s + sign*t), or None; c: zero or not."""
-    # no check_size: the digits of one integer are cheap past any cap
-    if q < 2:
-        raise ValueError(f"q must be at least 2, not q={q}")
-    if not 1 <= w <= n:
-        raise WeightRangeError(f"w={w} outside [1, {n}]")
-    N, low = q ** n - 1, 1 if c else q - 1
-    subsets = itertools.combinations(range(n), w) if c or w < n else ()  # else s = N, 0 in Z_N
+@lru_cache(maxsize=2)
+def _certificate_tries(q: int, n: int, w: int, zero: bool):
+    """The tries (s, sign) of every shift at (q, n, w, c zero or not), and their verdicts.
+
+    s = low * sum_S q**i with low = q - 1 at c = 0, else 1; at c = 0 with
+    w = n there is none, as s = N is 0 in Z_N.  The key is whether c is
+    zero, not low: at q = 2 both give low = 1, yet only c != 0 has tries at
+    w = n.  The dict memoises each shift's verdict.  Two entries are cached:
+    a sweep asks for every c of one (q, n, w) in a row.
+    """
+    low = q - 1 if zero else 1
+    subsets = itertools.combinations(range(n), w) if not zero or w < n else ()
     tries = ((low * sum(q ** i for i in S), sign) for S in subsets for sign in (1, -1))
-    for s, sign in itertools.islice(tries, CERTIFICATE_TRIES):
+    return tuple(itertools.islice(tries, CERTIFICATE_TRIES)), {}
+
+
+def _refute(q: int, n: int, w: int, low: int, tries, t: int):
+    """The first try (s, sign) whose nonzero (s + sign*t) mod N fails the digit test."""
+    N = q ** n - 1
+    for s, sign in tries:
         d = numtheory.digits((s + sign * t) % N, q)  # none for x = 0
         k, rest = divmod(sum(d), w)
         if d and (rest or not low <= k < q or max(d) > k):
@@ -307,11 +324,30 @@ def shift_certificate(q: int, n: int, w: int, c: int, t: int):
     return None
 
 
+def shift_certificate(q: int, n: int, w: int, c: int, t: int):
+    """(s, sign) with mask(s) != 0 = mask(s + sign*t), or None; c: zero or not.
+
+    The tries and each shift's verdict are shared by every c of one
+    (q, n, w) on the same side of zero (`_certificate_tries`).
+    """
+    # no check_size: the digits of one integer are cheap past any cap
+    if q < 2:
+        raise ValueError(f"q must be at least 2, not q={q}")
+    if not 1 <= w <= n:
+        raise WeightRangeError(f"w={w} outside [1, {n}]")
+    tries, verdicts = _certificate_tries(q, n, w, not c)
+    if t not in verdicts:
+        verdicts[t] = _refute(q, n, w, 1 if c else q - 1, tries, t)
+    return verdicts[t]
+
+
 def mask_period(q: int, n: int, w: int, c: int) -> int:
     """The least period of delta_mask(q, n, w, c), with no dense mask.
 
     The prime descent of ``cyclic.least_period_by_descent``; a shift with no
-    ``shift_certificate`` goes to ``MaskPoints.has_period``, built once.
+    ``shift_certificate`` goes to ``MaskPoints.has_period``, built once.  The
+    certificates' tries and verdicts are shared with every row of the same
+    (q, n, w) and c zero or not; the reader is this row's alone.
     """
     _check_mask_args(q, n, w, c)
     points = None

@@ -16,10 +16,10 @@ from hmdft import CyclicFn, FieldElement, PolyFq, Verdict, char_poly, element_de
     make_field, poly_gcd, primitive_element, subfield_embedding, threshold
 from hmdft import numtheory
 from hmdft.cyclic import conv_power, kronecker, least_period_by_descent
-from hmdft.errors import NotPrimePowerError
+from hmdft.errors import NotPrimePowerError, WeightRangeError
 from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
 from hmdft.numtheory import prime_power
-from hmdft.symfun import omega
+from hmdft.symfun import CERTIFICATE_TRIES, omega
 
 
 def brute_dft(f, zeta):
@@ -187,7 +187,21 @@ def brute_convolve(f, g):
 
 
 def brute_least_period(vals):
-    """Scan every candidate r in [1, N], not only divisors."""
+    """Scan every candidate r in [1, N], not only divisors.
+
+    vals[r % N] = vals[0] holds at every period r, so a candidate failing it
+    is passed over with one comparison; the rest get the full comparison.
+    """
+    vals = list(vals)
+    N = len(vals)
+    for r in range(1, N + 1):
+        if vals[r % N] == vals[0] and all(vals[i] == vals[(i + r) % N] for i in range(N)):
+            return r
+    raise AssertionError("r = N always qualifies")
+
+
+def brute_least_period_loop(vals):
+    """``brute_least_period`` before its one-point pre-check, the oracle for it."""
     vals = list(vals)
     N = len(vals)
     for r in range(1, N + 1):
@@ -700,6 +714,28 @@ def shift_certificate_holds(mask_at, q, n, w, c, t, cert):
     return (0 < t < N and N % t == 0 and sign in (1, -1) and 0 < s < N
             and sorted(d) == [0] * (n - w) + [high] * w
             and mask_at(s) != 0 and mask_at((s + sign * t) % N) == 0)
+
+
+def shift_certificate_per_call(q: int, n: int, w: int, c: int, t: int):
+    """``symfun.shift_certificate`` before its tries and verdicts were shared.
+
+    It forms the tries again and runs the digit test at every call; the
+    oracle for the shared version.
+    """
+    # no check_size: the digits of one integer are cheap past any cap
+    if q < 2:
+        raise ValueError(f"q must be at least 2, not q={q}")
+    if not 1 <= w <= n:
+        raise WeightRangeError(f"w={w} outside [1, {n}]")
+    N, low = q ** n - 1, 1 if c else q - 1
+    subsets = itertools.combinations(range(n), w) if c or w < n else ()  # else s = N, 0 in Z_N
+    tries = ((low * sum(q ** i for i in S), sign) for S in subsets for sign in (1, -1))
+    for s, sign in itertools.islice(tries, CERTIFICATE_TRIES):
+        d = numtheory.digits((s + sign * t) % N, q)  # none for x = 0
+        k, rest = divmod(sum(d), w)
+        if d and (rest or not low <= k < q or max(d) > k):
+            return s, sign
+    return None
 
 
 @lru_cache(maxsize=1)

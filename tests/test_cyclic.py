@@ -40,6 +40,7 @@ from helpers import (
     brute_dft,
     brute_idft,
     brute_least_period,
+    brute_least_period_loop,
     count_adds,
     pointwise_dft,
 )
@@ -315,6 +316,23 @@ def test_least_period_divides_n_and_matches_brute():
         r = least_period(f)
         assert N % r == 0
         assert r == brute_least_period(codes)
+
+
+def test_brute_least_period_matches_its_loop():
+    # the one-point pre-check of the tests' brute scan against the scan
+    # without it: N = 1, constant and period-1 inputs, repeated blocks, and
+    # sequences equal to vals[0] at many r but at few periods
+    rng = random.Random(31)
+    cases = [[0], [5], [2] * 12, [0] * 255, EX15_SEQ, [1, 0] * 6 + [1]]
+    for _ in range(200):
+        N = rng.choice([1, 2, 7, 12, 15, 24, 63, 80, 255])
+        block = [rng.randrange(rng.choice([2, 3, 9])) for _ in range(rng.randrange(1, N + 1))]
+        vals = (block * N)[:N]
+        if rng.random() < 0.5:  # break the repetition at one point
+            vals[rng.randrange(N)] = rng.randrange(3)
+        cases.append(vals)
+    for vals in cases:
+        assert brute_least_period(vals) == brute_least_period_loop(vals), vals
 
 
 def test_descent_matches_ascending_scan():

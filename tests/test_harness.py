@@ -14,7 +14,7 @@ from hmdft import (
     sweep,
     verify_period_claims,
 )
-from hmdft import CyclicFn, delta_mask, gf, harness, symfun
+from hmdft import CyclicFn, delta_mask, gf, harness, numtheory, symfun
 from hmdft.errors import (
     ExcludedCaseError,
     SizeCapError,
@@ -226,6 +226,25 @@ def test_sweep_shares_weight_counts_across_c(monkeypatch):
     res = sweep(SweepConfig(q_list=(7,), n_range=(4, 4), with_witness=False))
     assert len(res.reports) == 2 * 7 and res.summary["fail"] == 0
     assert built == [(7, 4, 2, 0)]
+
+
+def test_sweep_shares_certificates_and_factors_each_q_once(monkeypatch):
+    # on the periods-2e5 grid, from cleared caches: the descents meet 1292
+    # shifts, which hold 632 distinct (q, n, w, c zero or not, t) digit
+    # tests over 227 point sets, and each of the 7 q is factored once
+    met, tested = [], []
+    search, refute = symfun.shift_certificate, symfun._refute
+    monkeypatch.setattr(symfun, "shift_certificate", lambda *args: met.append(args) or search(*args))
+    monkeypatch.setattr(symfun, "_refute", lambda *args: tested.append(args) or refute(*args))
+    symfun._certificate_tries.cache_clear()
+    numtheory.prime_power.cache_clear()
+    res = sweep(SweepConfig(q_list=(2, 3, 4, 5, 7, 8, 9), n_range=(2, 12),
+                            size_cap=200000, with_witness=False))
+    assert len(res.reports) == 451 and res.summary["fail"] == 0
+    assert (len(met), len(tested)) == (1292, 632)
+    assert len({(q, n, w, not c, t) for q, n, w, c, t in met}) == 632
+    assert symfun._certificate_tries.cache_info().misses == 227
+    assert numtheory.prime_power.cache_info().misses == 7
 
 
 def test_sweep_builds_count_tables_only_where_a_shift_survives(monkeypatch):

@@ -26,8 +26,9 @@ from hmdft import (
     subfield_embedding,
 )
 from hmdft import symfun
-from hmdft.errors import BadPermutationError, ExcludedCaseError, WeightRangeError
-from hmdft.numtheory import prime_power
+from hmdft.errors import BadPermutationError, ExcludedCaseError, NotPrimePowerError, \
+    WeightRangeError
+from hmdft.numtheory import divisors, prime_power
 from hmdft.cyclic import least_period, least_period_by_descent
 from hmdft.symfun import MaskPoints, _weight_counts, mask_period
 
@@ -41,6 +42,7 @@ from helpers import (
     lucas_comb,
     may_be_mask_support,
     shift_certificate_holds,
+    shift_certificate_per_call,
 )
 
 EX15_SEQ = [1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0]
@@ -349,6 +351,41 @@ def test_shift_certificate_needs_no_size_check():
     assert symfun.shift_certificate(3, 40, 1, 1, N // 2) is not None
 
 
+def _certificate_cases():
+    """(q, n, w, c, t) for q <= 9, n <= 8, w <= n, c in {0, 1} and 2 where
+    q > 2, t among the first 40 divisors of N, grouped by (q, n, w)."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n in range(1, 9):
+            shifts = divisors(q ** n - 1)[:40]
+            for w in range(1, n + 1):
+                yield [(q, n, w, c, t) for c in ((0, 1, 2) if q > 2 else (0, 1))
+                       for t in shifts]
+
+
+def test_shared_shift_certificate_matches_per_call_search():
+    # the shared tries and verdicts against the search that formed its tries
+    # at every call: each (q, n, w) once from a cold cache, then warm
+    cases = 0
+    for group in _certificate_cases():
+        symfun._certificate_tries.cache_clear()
+        for _ in ("cold", "warm"):
+            for args in group:
+                assert symfun.shift_certificate(*args) == shift_certificate_per_call(*args), args
+        cases += len(group)
+    assert cases == 13049
+
+
+@pytest.mark.parametrize("order", [(1, 0), (0, 1)], ids=["nonzero first", "zero first"])
+def test_shift_certificate_keys_on_whether_c_is_zero(order):
+    # at q = 2, w = n both c = 0 and c = 1 have low = 1, but only c != 0
+    # has a try: s = N is 0 in Z_N, so c = 0 is never searched there
+    expected = {1: (7, 1), 0: None}
+    symfun._certificate_tries.cache_clear()
+    for c in order:
+        assert symfun.shift_certificate(2, 3, 3, c, 1) == expected[c], c
+    assert symfun._certificate_tries.cache_info().misses == 2
+
+
 def test_multiset_counts_match_weight_counts():
     # the oracle's count table against the sparse convolution counts A_k,
     # level by level
@@ -492,6 +529,32 @@ def test_mask_period_at_large_q_n_2():
         spent += time.perf_counter() - start
         assert r == 2 * (q - 1) == ascending_scan_period(delta_mask(q, 2, 1, 0).codes), q
     assert spent < 1.5
+
+
+def test_mask_period_regime_iii_closed_form(monkeypatch):
+    # r = 2(q - 1) at (q, 2, 1, 0) for every odd prime power q <= 127; the
+    # count reader answers both True and False on these rows, so nothing of
+    # it that depends on c may be shared between rows
+    verdicts = set()
+
+    class Recorded(MaskPoints):
+        __slots__ = ()
+
+        def has_period(self, t):
+            out = super().has_period(t)
+            verdicts.add(out)
+            return out
+
+    monkeypatch.setattr(symfun, "MaskPoints", Recorded)
+    qs = []
+    for q in range(3, 128, 2):
+        try:
+            prime_power(q)
+        except NotPrimePowerError:
+            continue
+        assert mask_period(q, 2, 1, 0) == 2 * (q - 1), q
+        qs.append(q)
+    assert len(qs) == 37 and verdicts == {True, False}
 
 
 HUGE_N_MASK = """
