@@ -47,7 +47,6 @@ from .spectral import (
     Verdict,
     build_root_indicator,
     degree_n_factor_test,
-    irreducible_sufficient_test,
     oracle_factor_degrees,
     oracle_irreducible,
     support_degree_test,

@@ -42,7 +42,7 @@ from .harness import (
     verify_period_claims,
 )
 from .numtheory import prime_power
-from .spectral import degree_n_factor_test, irreducible_sufficient_test
+from .spectral import degree_n_factor_test
 from .symfun import delta, delta_mask, mask_period
 
 
@@ -147,10 +147,7 @@ def _flatten(d: dict, prefix: str = "") -> dict:
 
 
 def _to_csv(payload) -> str:
-    rows = payload.get("reports", [payload]) if isinstance(payload, dict) else payload
-    rows = [_flatten(r) for r in rows]
-    if not rows:
-        return ""
+    rows = [_flatten(r) for r in payload.get("reports", [payload])]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()
@@ -160,7 +157,7 @@ def _to_csv(payload) -> str:
 
 
 def _to_text(payload) -> str:
-    if isinstance(payload, dict) and "reports" in payload:
+    if "reports" in payload:
         lines = []
         for r in payload["reports"]:
             claims = r["claims"]
@@ -261,17 +258,22 @@ def _cmd_delta(args) -> int:
     return 0
 
 
-def _cmd_factor_test(args) -> int:
+def _factor_verdict(args, n: int, codes: list[int]) -> int:
     # size first: factoring a huge q by trial division would not finish
-    check_size(args.q, args.n, args.cap, field=True)
-    h = _poly_from_codes(args.q, _parse_ints(args.poly))
-    verdict = degree_n_factor_test(h, args.q, args.n, subfield_order=args.L)
+    check_size(args.q, n, args.cap, field=True)
+    h = _poly_from_codes(args.q, codes)
+    verdict = degree_n_factor_test(h, args.q, n, subfield_order=args.L)
     _emit({"status": verdict.status, "r": verdict.least_period,
            "threshold": verdict.threshold}, args.format, args.out)
     return 0 if verdict.proven else 1
 
 
+def _cmd_factor_test(args) -> int:
+    return _factor_verdict(args, args.n, _parse_ints(args.poly))
+
+
 def _cmd_irred_test(args) -> int:
+    # h of degree n is irreducible iff it has an irreducible factor of degree n
     codes = _parse_ints(args.poly)
     # deg h from the codes, so the size check comes before q is factored
     degree = len(codes) - 1
@@ -279,12 +281,7 @@ def _cmd_irred_test(args) -> int:
         degree -= 1
     if degree < 2:  # named as a degree error, before check_size sees it
         raise DegreeMismatchError("irreducibility test needs degree >= 2")
-    check_size(args.q, degree, args.cap, field=True)
-    h = _poly_from_codes(args.q, codes)
-    verdict = irreducible_sufficient_test(h, args.q, subfield_order=args.L)
-    _emit({"status": verdict.status, "r": verdict.least_period,
-           "threshold": verdict.threshold}, args.format, args.out)
-    return 0 if verdict.proven else 1
+    return _factor_verdict(args, degree, codes)
 
 
 def _cmd_witness(args) -> int:

@@ -114,6 +114,8 @@ class CyclicFn:
     @classmethod
     def from_support(cls, ctx: FieldCtx, N: int, members, value: int = 1) -> "CyclicFn":
         _check_modulus(N)
+        if not 0 <= value < ctx.order:
+            raise ValueError(f"value={value} is not an F_{ctx.order} code")
         codes = [0] * N
         for m in members:
             codes[m % N] = value
@@ -219,7 +221,12 @@ def _transform(f: CyclicFn, zeta: FieldElement, scale_log: int) -> CyclicFn:
     log, codes = ctx.log, f.codes
     M = ctx.order - 1
     k = log[zeta.code]
-    terms = [(log[codes[j]] + scale_log, k * j % M) for j in compress(range(N), codes)]
+    support = list(compress(range(N), codes))
+    values = list(map(codes.__getitem__, support))
+    if values and not 0 < min(values) <= max(values) <= M:  # log[-1] reads as code M
+        bad = next(c for c in values if not 0 < c <= M)
+        raise ValueError(f"value code {bad} is not an F_{ctx.order} code")
+    terms = [(log[c] + scale_log, k * j % M) for j, c in zip(support, values)]
     if ctx.p == 2 and _runs_fit(terms, N, M):
         out = _xor_runs(ctx, N, terms)
     else:
@@ -446,8 +453,6 @@ def dft_period_by_support(s: SupportSet) -> int:
 
     The zero function (empty support) transforms to zero, least period 1.
     """
-    if not s.members:
-        return 1
     g = s.N
     for m in s.members:
         g = gcd(g, m)

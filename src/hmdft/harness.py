@@ -31,9 +31,9 @@ sweep builds the dense `delta_mask` only to check q-symmetry.  The two mask
 routes count the mask's weight-set tuples (symfun's A_k) independently, so
 the dense mask, scanned for its least period by the tests' own divisor scan,
 serves the tests as the oracle for r.
-They share the argument checks and F_q (`symfun._check_mask_args`), the
-binomials of `numtheory.top_binomials` and the coef_k formula; the tests'
-`TableMaskPoints` and `test_delta_mask_binomial_expansion` take the
+They share the argument checks and F_q (`symfun._check_mask_args`) and
+every level's coefficient (`symfun._level_coefs`, over `top_binomials`); the
+tests' `TableMaskPoints` and `test_delta_mask_binomial_expansion` take the
 binomials from `math.comb` on their own.
 
 The regime analysis covers w <= n/2.  A sweep in full-w mode delegates

@@ -51,7 +51,6 @@ from .cyclo import threshold
 from .errors import (
     BadSubfieldError,
     CtxMismatchError,
-    DegreeMismatchError,
     ZeroPolynomialError,
 )
 from .gf import (
@@ -296,19 +295,6 @@ def support_degree_test(s: SupportSet, q: int, n: int) -> SupportDegreeReport:
                                sufficient=sufficient,
                                necessary_holds=necessary,
                                max_period=(r == N))
-
-
-def irreducible_sufficient_test(h: PolyFq, q: int,
-                                subfield_order: int | None = None) -> Verdict:
-    """Proven when h (of degree n >= 2) is provably irreducible.
-
-    A degree-n factor of a degree-n polynomial is the polynomial itself up to
-    a scalar, so this is the degree-n factor test with n = deg h.
-    """
-    n = h.degree
-    if n < 2:
-        raise DegreeMismatchError("irreducibility test needs degree >= 2")
-    return degree_n_factor_test(h, q, n, subfield_order)
 
 
 # ----------------------------------------------------------------------

@@ -32,10 +32,10 @@ second route.  It reads the mask one point at a time (MaskPoints): for x != 0
 the digit sum fixes the level k, and A_k(x) mod p is counted row by row over
 the sorted nonzero digits of x, memoised per reader.  So the two routes count
 A_k independently and each checks the other's counts; they share the rest:
-both take F_q and check their arguments by `_check_mask_args`/`_value_field`,
-both read C(q-1, k) mod p from `numtheory.top_binomials`, and both form
-coef_k by the same formula.  The checks that take C(q-1, k) from `math.comb`
-on their own are the tests' `TableMaskPoints` and
+both take F_q, their argument checks (`_check_mask_args`/`_value_field`) and
+every level's coefficient from `_level_coefs`, which reads C(q-1, k) mod p
+from `numtheory.top_binomials`.  The checks that take C(q-1, k) from
+`math.comb` on their own are the tests' `TableMaskPoints` and
 `test_delta_mask_binomial_expansion`.  The least period is found by the
 prime descent of `cyclic.least_period_by_descent`, the one least-period
 algorithm of the package: a shift t is a period iff mask(s + t) = mask(s)
@@ -153,26 +153,37 @@ def _check_mask_args(q: int, n: int, w: int, c: int):
     return ctx
 
 
+def _level_coefs(q: int, n: int, w: int, c: int):
+    """F_q and the codes coef_k = -C(q-1, k) * s**k * (-c)**(q-1-k), k < q.
+
+    The mask is delta_0 + sum_k coef_k * A_k (module docstring), with
+    s = (-1)**w; both mask routes read their coefficients here, once
+    `_check_mask_args` has accepted (q, n, w, c).
+    """
+    ctx = _check_mask_args(q, n, w, c)
+    mul, power, neg = ctx.mul_codes, ctx.pow_code, ctx.neg_code
+    sign = 1 if w % 2 == 0 else neg(1)
+    b = neg(c)
+    binom = numtheory.top_binomials(q, ctx.p)
+    return ctx, [neg(mul(binom[k], mul(power(sign, k), power(b, q - 1 - k))))
+                 for k in range(q)]
+
+
 def delta_mask(q: int, n: int, w: int, c: int) -> CyclicFn:
     """The coefficient-prescription mask for (w, c) over F_q, c an F_q code.
 
     Defined as delta_0 - ((-1)**w * delta_w - c * delta_0) ** (*(q-1)).
-    Built as delta_0 minus the binomial expansion over the shared counts A_k
-    (module docstring): term k scatters C(q-1, k) * s**k * (-c)**(q-1-k) * A_k
+    Built as delta_0 plus the binomial expansion over the shared counts A_k
+    (module docstring): term k scatters coef_k * A_k (`_level_coefs`)
     through a table of its p values.  The pair (q, w) = (2, n) is excluded
     because Omega(n) is empty in characteristic 2.
     """
-    ctx = _check_mask_args(q, n, w, c)
-    levels = _weight_counts(q, n, w)
-    p, m = ctx.p, q - 1
-    add, mul, power, neg = ctx.add_codes, ctx.mul_codes, ctx.pow_code, ctx.neg_code
-    sign = 1 if w % 2 == 0 else neg(1)
-    b = neg(c)
-    binom = numtheory.top_binomials(q, p)
+    ctx, coefs = _level_coefs(q, n, w, c)
+    levels = _weight_counts(q, n, w)  # first: omega's check_size refuses a huge n
+    p, add, mul = ctx.p, ctx.add_codes, ctx.mul_codes
     out = [0] * (q ** n - 1)
     out[0] = 1
-    for k, level in enumerate(levels):
-        coef = neg(mul(binom[k], mul(power(sign, k), power(b, m - k))))
+    for coef, level in zip(coefs, levels):
         if not coef:
             continue
         value = [mul(coef, r) for r in range(p)]
@@ -197,29 +208,23 @@ class MaskPoints:
     """The prescription mask for (w, c), read one point at a time.
 
     For x != 0 with base-q digits d, mask(x) = coef_k * A_k(d) with
-    k = digitsum(x)/w and coef_k = -C(q-1, k) * s**k * (-c)**(q-1-k) (module
-    docstring); A_k(d) vanishes unless w | digitsum(x), k < q and every digit
-    is <= k.  Slot 0 holds 1, the level-0 term coef_0 and, when w = n, the
-    all-(q-1) vector of level q-1 (one matrix, all ones), whose sum
-    q**n - 1 wraps to 0.  A_k(d) mod p is counted row by row over the sorted
-    nonzero digits of d (`_count`), memoised in one dict per reader, so every
-    point of a mask, at every shift of a descent, shares it.
+    k = digitsum(x)/w and coef_k from `_level_coefs`; A_k(d) vanishes unless
+    w | digitsum(x), k < q and every digit is <= k.  Slot 0 holds 1, the
+    level-0 term coef_0 and, when w = n, the all-(q-1) vector of level q-1
+    (one matrix, all ones), whose sum q**n - 1 wraps to 0.  A_k(d) mod p is
+    counted row by row over the sorted nonzero digits of d (`_count`),
+    memoised in one dict per reader, so every point of a mask, at every shift
+    of a descent, shares it.
     """
 
     __slots__ = ("q", "n", "w", "N", "_p", "_slot0", "_coef", "_mul", "_memo")
 
     def __init__(self, q: int, n: int, w: int, c: int):
-        ctx = _check_mask_args(q, n, w, c)
-        p, m = ctx.p, q - 1
-        add, mul, power, neg = ctx.add_codes, ctx.mul_codes, ctx.pow_code, ctx.neg_code
-        sign = 1 if w % 2 == 0 else neg(1)
-        b = neg(c)
-        binom = numtheory.top_binomials(q, p)
-        coef = [neg(mul(binom[k], mul(power(sign, k), power(b, m - k))))
-                for k in range(q)]
-        self.q, self.n, self.w, self.N, self._p = q, n, w, q ** n - 1, p
-        self._slot0 = add(add(1, coef[0]), coef[m] if w == n else 0)
-        self._coef, self._mul = coef, mul
+        ctx, coef = _level_coefs(q, n, w, c)
+        add = ctx.add_codes
+        self.q, self.n, self.w, self.N, self._p = q, n, w, q ** n - 1, ctx.p
+        self._slot0 = add(add(1, coef[0]), coef[q - 1] if w == n else 0)
+        self._coef, self._mul = coef, ctx.mul_codes
         self._memo = {(): 1}
 
     def _count(self, top: tuple) -> int:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import hmdft
 from hmdft import cli, harness, numtheory, spectral
 from hmdft.cli import _json, _parse_ints, main
-from hmdft.errors import AlgebraError
+from hmdft.errors import AlgebraError, DegreeMismatchError
 from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
 from hmdft.harness import SweepConfig, _check_grid
 from hmdft.spectral import Verdict
@@ -71,6 +71,14 @@ def test_hm_verify_json_grid(capsys, tmp_path):
     payload = json.loads(out_path.read_text())
     assert payload["summary"]["fail"] == 0
     assert all(r["passed"] or r["case_label"] == "Excluded" for r in payload["reports"])
+
+
+def test_hm_verify_text_names_the_witness(capsys):
+    code, out, _ = run(capsys, "hm-verify", "--q", "2", "--n", "4", "--w", "2", "--c", "0")
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "q=2 n=4 w=2 c=0 case=I r=15 threshold=3 claims={'r_gt_threshold': True, "
+        "'r_not_dividing_threshold': True, 'case_claim': True} ok witness=[1, 1, 0, 0, 1]")
 
 
 def test_hm_verify_csv(capsys):
@@ -768,6 +776,11 @@ CLI_REFUSALS = [
      "^c=5 is not an F_3 code$"),
     (("dft", "--q", "3", "--n", "2", "--w", "1", "--c", "5"), ValueError,
      "^c=5 is not an F_3 code$"),
+    # irred-test is factor-test at n = deg h, which needs n >= 2
+    (("irred-test", "--q", "2", "--poly", "1,1"), DegreeMismatchError,
+     "^irreducibility test needs degree >= 2$"),
+    (("irred-test", "--q", "3", "--poly", "2,0,0"), DegreeMismatchError,
+     "^irreducibility test needs degree >= 2$"),
 ]
 
 

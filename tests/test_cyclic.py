@@ -216,6 +216,19 @@ def test_dft_validations():
         dft(f, primitive_element(f9))
 
 
+@pytest.mark.parametrize("transform", [dft, idft])
+@pytest.mark.parametrize("p, m, bad", [(5, 1, -1), (5, 1, 5), (5, 1, 9),
+                                       (2, 4, -1), (2, 4, 16), (3, 2, 9)])
+def test_transforms_refuse_codes_outside_the_field(transform, p, m, bad):
+    # -1 once read as the code order - 1 through log[-1], and 9 over F_5
+    # failed with a bare IndexError
+    ctx = make_field(p, m)
+    N = ctx.order - 1
+    f = CyclicFn(ctx, [1, 0, bad] + [0] * (N - 3))
+    with pytest.raises(ValueError, match=f"^value code {bad} is not an F_{ctx.order} code$"):
+        transform(f, primitive_element(ctx))
+
+
 def test_idft_degenerate_modulus():
     f16 = make_field(2, 4)
     f = CyclicFn(f16, [9])
@@ -460,6 +473,13 @@ def test_support_set_normalizes():
     assert len({s, same, SupportSet(10, ())}) == 2
 
 
+def test_cyclic_fn_protocols():
+    f = _f3_fn()
+    assert f != (1, 2) and not f == (1, 2)
+    assert hash(f) == hash(CyclicFn(f.ctx, [1, 2])) and len({f, _f3_fn().scale(2)}) == 2
+    assert repr(f) == "CyclicFn(N=2, F3)"
+
+
 def _f3_fn():
     return CyclicFn(make_field(3), (1, 2))
 
@@ -476,6 +496,10 @@ CYCLIC_REFUSALS = [
      "modulus N must be at least 1, not N=-3"),
     (lambda: CyclicFn.from_support(make_field(3), 0, [1]), ValueError,
      "modulus N must be at least 1, not N=0"),
+    (lambda: CyclicFn.from_support(make_field(5), 4, [1], value=7), ValueError,
+     "^value=7 is not an F_5 code$"),
+    (lambda: CyclicFn.from_support(make_field(5), 4, [1], value=-1), ValueError,
+     "^value=-1 is not an F_5 code$"),
     (lambda: CyclicFn.from_elements([make_field(3).one(), make_field(5).one()]),
      CtxMismatchError, "mixed field contexts in one function"),
     (lambda: _f3_fn() + CyclicFn(make_field(5), (1, 2)), CtxMismatchError,

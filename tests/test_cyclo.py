@@ -19,6 +19,15 @@ def test_cyclotomic_examples():
     assert cyclotomic_value(6, 3) == 7
 
 
+@pytest.mark.parametrize("n, q, text", [(0, 2, "n must be at least 1"),
+                                        (-3, 5, "n must be at least 1"),
+                                        (3, 1, "q must be at least 2"),
+                                        (2, 0, "q must be at least 2")])
+def test_cyclotomic_value_refusals(n, q, text):
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        cyclotomic_value(n, q)
+
+
 def test_threshold_examples():
     for q in QS:
         assert threshold(2, q) == q - 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import time
 
@@ -405,6 +406,22 @@ def test_int_on_the_left_of_sub_and_div():
         _ = 1.5 - f25.one()
     with pytest.raises(TypeError):
         _ = 1.5 / f25.one()
+
+
+def test_element_and_polynomial_protocols():
+    # an operand of another type is handed back, so Python raises TypeError
+    f9 = make_field(3, 2)
+    a = f9.element(5)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(a, 1.5)
+    assert a != 1.5 and not a == 1.5
+    assert hash(a) == hash(f9.element(5)) and len({a, f9.element(5), f9.element(4)}) == 2
+    assert repr(a) == "F9(5)"
+    h = PolyFq(f9, [5, 0, 1])
+    assert h != (5, 0, 1) and not h == (5, 0, 1)
+    assert hash(h) == hash(PolyFq(f9, [5, 0, 1, 0])) and len({h, PolyFq(f9, [5, 1])}) == 2
+    assert repr(h) == "PolyFq(F9, x^2 + 5)" and repr(PolyFq(f9, [])) == "PolyFq(F9, 0)"
 
 
 def test_poly_add_either_order_and_neg():

@@ -10,7 +10,9 @@ benchmark's own self-test (``perfbench/check_smoke.py``) passes.  The
 records are immutable NamedTuples (``SupportSet`` a slotted class), so
 importing the CLI loads no ``dataclasses`` and none of the modules it
 imports.  The ``FieldCtx`` constructor sets every slot, and the field holds
-its Zech table exactly where its adder reads one.
+its Zech table exactly where its adder reads one.  Every name the package
+exports is used by some other module of it, or is allow-listed with the
+reason it stays.
 """
 
 import ast
@@ -242,3 +244,89 @@ def test_field_constructor_sets_every_slot(p, m):
         assert type(ctx.zech) is tuple and len(ctx.zech) == ctx.order - 1
     else:
         assert ctx.zech is None
+
+
+# exports no module of the package uses, each with the reason it stays
+UNUSED_EXPORTS = {
+    "compose_perm": "kept by a ROADMAP decision: period-invariance map of acceptance C6",
+    "conv_power": "kept public by a ROADMAP decision: the tests' convolution-power oracle",
+    "least_period": "pinned by name in perfbench/tracing.py's TRACED list",
+    "pointwise_mul": "kept by a ROADMAP decision: the convolution theorem of acceptance C6",
+    "reversal": "kept by a ROADMAP decision: period-invariance map of acceptance C6",
+    "shift": "kept by a ROADMAP decision: period-invariance map of acceptance C6",
+    "phi_rho": "kept by a ROADMAP decision: the digit permutations of acceptance C7",
+    "support_degree_test": "kept by a ROADMAP decision: the support tests of acceptance C8",
+    "sigma_eval": "the sigma_w values that acceptance C2 compares transforms with",
+    "element_degree": "pinned by perfbench/tracing.py, which counts harness calls to it",
+    "build_root_indicator": "pinned by perfbench/tracing.py (ROADMAP item 5 moves it)",
+    "oracle_factor_degrees": "pinned by perfbench/checks.py (ROADMAP item 5 moves it)",
+}
+
+
+def _package_exports(tree):
+    """The names ``hmdft/__init__.py`` imports from the package's modules."""
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+def _package_uses(tree):
+    """The package names one module uses.
+
+    A bare name counts when the module binds it at top level, by a relative
+    import or a def or class of its own, and reads it outside that name's own
+    def; ``mod.name`` counts when ``mod`` is a package module it imports.  A
+    local variable or an attribute of some other object that happens to share
+    an export's name does not count.
+    """
+    modules, bound = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = {alias.asname or alias.name for alias in node.names}
+            (bound if node.module else modules).update(names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    used = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and node.id in bound and node.id not in inside:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return used
+
+
+def _unused_exports(trees):
+    used = set().union(*(_package_uses(tree) for name, tree in trees.items()
+                         if name != "__init__"))
+    return sorted(set(_package_exports(trees["__init__"])) - used)
+
+
+def test_every_export_is_used_or_allow_listed():
+    trees = _trees()
+    assert len(_package_exports(trees["__init__"])) > 40  # the walk sees the exports
+    assert _unused_exports(trees) == sorted(UNUSED_EXPORTS)
+
+
+def test_unused_export_check_catches_a_planted_name():
+    trees = _trees()
+    trees["cyclic"].body.append(ast.parse("def planted(f):\n    return planted(f)").body[0])
+    trees["__init__"].body.append(ast.parse("from .cyclic import planted").body[0])
+    # its own recursive call is no use, nor a local or an attribute of that name
+    trees["gf"].body.append(ast.parse("def g(x):\n    planted = x.planted\n    return planted").body[0])
+    assert _unused_exports(trees) == sorted([*UNUSED_EXPORTS, "planted"])
+    # a use from another module, bare or through the module, clears it
+    for use in ("from .cyclic import planted\nplanted(1)",
+                "from . import cyclic\ncyclic.planted(1)"):
+        used = _trees()
+        used["cyclic"].body += trees["cyclic"].body[-1:]
+        used["__init__"].body += trees["__init__"].body[-1:]
+        used["spectral"].body += ast.parse(use).body
+        assert _unused_exports(used) == sorted(UNUSED_EXPORTS)

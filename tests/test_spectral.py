@@ -15,7 +15,6 @@ from hmdft import (
     degree_n_factor_test,
     dft,
     element_degree,
-    irreducible_sufficient_test,
     make_field,
     oracle_factor_degrees,
     oracle_irreducible,
@@ -30,7 +29,6 @@ from hmdft.cyclic import CyclicFn, dft_period_by_support, least_period
 from hmdft.errors import (
     BadSubfieldError,
     CtxMismatchError,
-    DegreeMismatchError,
     NotPrimePowerError,
     SizeCapError,
     ZeroPolynomialError,
@@ -309,18 +307,16 @@ def test_max_period_without_primitive():
 
 def test_irreducible_sufficient_example():
     h = PolyFq(F2, [1, 1, 0, 0, 1])
-    v = irreducible_sufficient_test(h, 2)
+    v = degree_n_factor_test(h, 2, h.degree)
     assert v.proven
     assert oracle_irreducible(h)
 
 
 def test_irreducible_sufficient_inconclusive_on_square():
     h = PolyFq(F2, [1, 0, 1, 0, 1])  # (x^2+x+1)^2
-    v = irreducible_sufficient_test(h, 2)
+    v = degree_n_factor_test(h, 2, h.degree)
     assert not v.proven
     assert not oracle_irreducible(h)
-    with pytest.raises(DegreeMismatchError):
-        irreducible_sufficient_test(PolyFq(F2, [1, 1]), 2)
 
 
 def test_soundness_exhaustive_small():
@@ -329,7 +325,7 @@ def test_soundness_exhaustive_small():
         proven = 0
         for codes in itertools.product((0, 1), repeat=n):
             h = PolyFq(F2, list(codes) + [1])
-            v = irreducible_sufficient_test(h, 2)
+            v = degree_n_factor_test(h, 2, h.degree)
             if v.proven:
                 proven += 1
                 assert oracle_irreducible(h)
@@ -452,8 +448,8 @@ def _assert_order_route(h, q, n, oracles=ORACLES):
         r = oracle(h, q, n)
         assert (v.least_period, v.threshold, v.status) == \
             (r, thr, PROVEN if thr % r else INCONCLUSIVE), (h, q, n, oracle)
-    if h.degree == n:
-        assert irreducible_sufficient_test(h, q) == v, h
+    if h.degree == n:  # the irred-test verdict: Proven only on an irreducible h
+        assert not v.proven or oracle_irreducible(h), h
     return v
 
 
