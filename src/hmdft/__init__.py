@@ -52,10 +52,8 @@ from .spectral import (
     support_degree_test,
 )
 from .symfun import (
-    DigitVector,
     delta,
     delta_mask,
-    digits,
     is_q_symmetric,
     mask_period,
     omega,

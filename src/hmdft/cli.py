@@ -7,7 +7,8 @@ a claim failed or a sufficient condition stayed Inconclusive, 2 on usage or
 input errors.  --cap caps q**n - 1 (n = deg h for irred-test) in every
 subcommand via ``gf.check_size``; when it is not given, period, witness and
 hm-verify use DEFAULT_SIZE_CAP, and factor-test, irred-test, dft and delta
-the hard limits alone.
+the hard limits alone.  Each ``_cmd_*`` handler returns (payload, exit code),
+and ``main`` alone writes the payload, as --format asks, to --out or stdout.
 
 ``main`` parses with one parser per process, built on its first call: a
 one-shot ``hmdft`` command builds it once, as it always did, and in-process
@@ -187,28 +188,24 @@ def _add_common(sp: argparse.ArgumentParser, default_cap: int | None = None) -> 
                     (default_cap or "the hard limits"))
 
 
-def _cmd_period(args) -> int:
+def _cmd_period(args) -> tuple[dict, int]:
     if args.seq is not None:
         if (args.q, args.n, args.w, args.c) != (None, None, None, None):
             raise ValueError("--seq takes no --q, --n, --w or --c")
-        r = least_period_of_sequence(_parse_ints(args.seq))
-        _emit({"r": r}, args.format, args.out)
-        return 0
+        return {"r": least_period_of_sequence(_parse_ints(args.seq))}, 0
     if args.n == 1:  # refused before any field or mask is built
         raise ValueError("period needs n >= 2: the mask at n = 1 has no period threshold")
     c = 0 if args.c is None else args.c
     if 2 * args.w <= args.n:
         rep = verify_period_claims(args.q, args.n, args.w, c, cap=args.cap)
-        _emit(rep.to_dict(), args.format, args.out)
-        return 0 if rep.passed else 1
+        return rep.to_dict(), 0 if rep.passed else 1
     # above n/2 the regime claims do not apply; report the period alone
     check_size(args.q, args.n, args.cap)
     r = mask_period(args.q, args.n, args.w, c)
-    _emit({"r": r, "threshold": threshold(args.n, args.q)}, args.format, args.out)
-    return 0
+    return {"r": r, "threshold": threshold(args.n, args.q)}, 0
 
 
-def _cmd_dft(args) -> int:
+def _cmd_dft(args) -> tuple[dict, int]:
     if args.seq is None and args.w is None:
         raise AlgebraError("dft needs --seq or --w")
     if args.seq is not None and (args.w, args.c) != (None, None):
@@ -228,8 +225,7 @@ def _cmd_dft(args) -> int:
     del codes  # not kept alive through the transform
     zeta = primitive_element(big)
     g = idft(f, zeta) if args.inverse else dft(f, zeta)
-    _emit({"values": g.codes}, args.format, args.out)
-    return 0
+    return {"values": g.codes}, 0
 
 
 def _lift_seq(text: str, N: int, emb) -> list[int]:
@@ -248,31 +244,29 @@ def _lift_seq(text: str, N: int, emb) -> list[int]:
     return codes if lifted else emb.lift_codes(codes)
 
 
-def _cmd_delta(args) -> int:
+def _cmd_delta(args) -> tuple[dict, int]:
     check_size(args.q, args.n, args.cap)
     if args.c is None:
         f = delta(args.q, args.n, args.w)
     else:
         f = delta_mask(args.q, args.n, args.w, args.c)
-    _emit({"values": f.codes}, args.format, args.out)
-    return 0
+    return {"values": f.codes}, 0
 
 
-def _factor_verdict(args, n: int, codes: list[int]) -> int:
+def _factor_verdict(args, n: int, codes: list[int]) -> tuple[dict, int]:
     # size first: factoring a huge q by trial division would not finish
     check_size(args.q, n, args.cap, field=True)
     h = _poly_from_codes(args.q, codes)
     verdict = degree_n_factor_test(h, args.q, n, subfield_order=args.L)
-    _emit({"status": verdict.status, "r": verdict.least_period,
-           "threshold": verdict.threshold}, args.format, args.out)
-    return 0 if verdict.proven else 1
+    return ({"status": verdict.status, "r": verdict.least_period,
+             "threshold": verdict.threshold}, 0 if verdict.proven else 1)
 
 
-def _cmd_factor_test(args) -> int:
+def _cmd_factor_test(args) -> tuple[dict, int]:
     return _factor_verdict(args, args.n, _parse_ints(args.poly))
 
 
-def _cmd_irred_test(args) -> int:
+def _cmd_irred_test(args) -> tuple[dict, int]:
     # h of degree n is irreducible iff it has an irreducible factor of degree n
     codes = _parse_ints(args.poly)
     # deg h from the codes, so the size check comes before q is factored
@@ -284,16 +278,14 @@ def _cmd_irred_test(args) -> int:
     return _factor_verdict(args, degree, codes)
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> tuple[dict, int]:
     wit = find_witness(args.q, args.n, args.w, args.c, cap=args.cap)
     if wit is None:
-        _emit({"witness": None}, args.format, args.out)
-        return 1
-    _emit({"witness": list(wit.codes), "poly": str(wit)}, args.format, args.out)
-    return 0
+        return {"witness": None}, 1
+    return {"witness": list(wit.codes), "poly": str(wit)}, 0
 
 
-def _cmd_hm_verify(args) -> int:
+def _cmd_hm_verify(args) -> tuple[dict, int]:
     cfg = SweepConfig(
         q_list=tuple(_parse_ints(args.q)),
         n_range=_parse_range(args.n),
@@ -305,8 +297,7 @@ def _cmd_hm_verify(args) -> int:
         pinned_c=args.c,
     )
     result = sweep(cfg)
-    _emit(result.to_dict(), args.format, args.out)
-    return 0 if result.summary["fail"] == 0 else 1
+    return result.to_dict(), 0 if result.summary["fail"] == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,7 +389,9 @@ def main(argv=None) -> int:
             (args.q is None or args.n is None or args.w is None):
         ap.error("period needs --seq or all of --q/--n/--w")
     try:
-        return args.fn(args)
+        payload, code = args.fn(args)
+        _emit(payload, args.format, args.out)
+        return code
     except (ValueError, OSError) as exc:  # AlgebraError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

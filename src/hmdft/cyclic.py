@@ -142,14 +142,14 @@ class CyclicFn:
 
     def __sub__(self, other):
         _check_pair(self, other)
-        sub = self.ctx.sub_codes
-        return CyclicFn(self.ctx, [sub(a, b) for a, b in zip(self.codes, other.codes)])
+        return self + -other
 
     def __neg__(self):
-        neg = self.ctx.neg_code
-        return CyclicFn(self.ctx, [neg(c) for c in self.codes])
+        _check_codes(self.ctx, self.codes)
+        return CyclicFn(self.ctx, list(map(self.ctx.neg_code, self.codes)))
 
     def scale(self, code: int) -> "CyclicFn":
+        _check_codes(self.ctx, (code, *self.codes))
         mul = self.ctx.mul_codes
         return CyclicFn(self.ctx, [mul(code, c) for c in self.codes])
 
@@ -165,11 +165,20 @@ def kronecker(ctx: FieldCtx, N: int) -> CyclicFn:
     return CyclicFn.from_support(ctx, N, (0,))
 
 
+def _check_codes(ctx: FieldCtx, codes) -> None:
+    """Refuse a value code outside [0, order): the field's tables would read
+    it, a negative code from their end, as some other code."""
+    if codes and not 0 <= min(codes) <= max(codes) < ctx.order:
+        bad = next(c for c in codes if not 0 <= c < ctx.order)
+        raise ValueError(f"value code {bad} is not an F_{ctx.order} code")
+
+
 def _check_pair(f: CyclicFn, g: CyclicFn):
     if f.N != g.N:
         raise ModulusMismatchError(f"moduli differ: {f.N} vs {g.N}")
     if f.ctx is not g.ctx:
         raise CtxMismatchError("functions valued in different fields")
+    _check_codes(f.ctx, f.codes + g.codes)
 
 
 def _check_root(f: CyclicFn, zeta: FieldElement) -> None:
@@ -223,9 +232,7 @@ def _transform(f: CyclicFn, zeta: FieldElement, scale_log: int) -> CyclicFn:
     k = log[zeta.code]
     support = list(compress(range(N), codes))
     values = list(map(codes.__getitem__, support))
-    if values and not 0 < min(values) <= max(values) <= M:  # log[-1] reads as code M
-        bad = next(c for c in values if not 0 < c <= M)
-        raise ValueError(f"value code {bad} is not an F_{ctx.order} code")
+    _check_codes(ctx, values)
     terms = [(log[c] + scale_log, k * j % M) for j, c in zip(support, values)]
     if ctx.p == 2 and _runs_fit(terms, N, M):
         out = _xor_runs(ctx, N, terms)
@@ -487,6 +494,7 @@ def compose_perm(f: CyclicFn, sigma) -> CyclicFn:
     least period unchanged, which acceptance test C6 checks.
     """
     ctx = f.ctx
+    _check_codes(ctx, f.codes)
     table = [None] * ctx.order
     if isinstance(sigma, dict):
         for k, v in sigma.items():

@@ -40,10 +40,10 @@ code, where adding 1 to the constant digit wraps p - 1 to 0, so that
 zeta**i + zeta**j = zeta**(i + zech[j - i]); negation is multiplication by
 -1 = zeta**((order-1)/2).  The adder is bound once per field:
 ``_bind_adder`` stores the one scheme that applies as the field's
-``add_codes``, ``sub_codes`` and ``neg_code``, so no addition re-tests p or
-m.  The Zech table is built there and held by the field as ``zech`` (None
-in characteristic 2 and in prime fields); the adder reads it, and so does
-``cyclic``'s coset walk, which sums in the log domain.
+``add_codes`` and ``neg_code`` (a - b is ``add_codes(a, neg_code(b))``), so
+no addition re-tests p or m.  The Zech table is built there and held by the
+field as ``zech`` (None in characteristic 2 and in prime fields); the adder
+reads it, and so does ``cyclic``'s coset walk, which sums in the log domain.
 
 Polynomials over a field run on one private kernel on plain code lists: a
 product, a division and a product reduced modulo h, all three adding scaled
@@ -129,7 +129,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "m", "order", "modulus", "zeta_code", "exp", "log",
-                 "add_codes", "sub_codes", "neg_code", "zech")
+                 "add_codes", "neg_code", "zech")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -149,10 +149,10 @@ class FieldCtx:
     # ------------------------------------------------------------------
     # code-level arithmetic
     #
-    # add_codes, sub_codes and neg_code are per-field callables held in slots
-    # and bound by ``_bind_adder``.  Indices into exp are log sums shifted by
-    # -M (M = order - 1), so they lie in [-M, M) and Python's negative
-    # indexing reduces them mod M.
+    # add_codes and neg_code are per-field callables held in slots and bound
+    # by ``_bind_adder``; subtraction is add_codes(a, neg_code(b)).  Indices
+    # into exp are log sums shifted by -M (M = order - 1), so they lie in
+    # [-M, M) and Python's negative indexing reduces them mod M.
 
     def mul_codes(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -344,7 +344,7 @@ class FieldCtx:
         self.log = tuple(log)
 
     def _bind_adder(self):
-        """Bind add_codes, sub_codes and neg_code to this field's one scheme.
+        """Bind add_codes and neg_code to this field's one scheme.
 
         Sets ``zech`` too: the Zech table the adder reads, or None where the
         adder is XOR or mod p.  zech[k] is the log of zeta**k + 1: exp mapped
@@ -355,12 +355,11 @@ class FieldCtx:
         p = self.p
         self.zech = None
         if p == 2:
-            self.add_codes = self.sub_codes = operator.xor
+            self.add_codes = operator.xor
             self.neg_code = lambda a: a
             return
         if self.m == 1:
             self.add_codes = lambda a, b: (a + b) % p
-            self.sub_codes = lambda a, b: (a - b) % p
             self.neg_code = lambda a: -a % p
             return
         exp, log = self.exp, self.log
@@ -386,7 +385,6 @@ class FieldCtx:
             return exp[log[a] - half] if a else 0
 
         self.add_codes = add
-        self.sub_codes = lambda a, b: add(a, neg(b))
         self.neg_code = neg
 
     def __repr__(self):
@@ -431,13 +429,13 @@ class FieldElement:
         c = self._coerce(other)
         if c is None:
             return NotImplemented
-        return FieldElement(self.ctx, self.ctx.sub_codes(self.code, c))
+        return FieldElement(self.ctx, self.ctx.add_codes(self.code, self.ctx.neg_code(c)))
 
     def __rsub__(self, other):
         c = self._coerce(other)
         if c is None:
             return NotImplemented
-        return FieldElement(self.ctx, self.ctx.sub_codes(c, self.code))
+        return FieldElement(self.ctx, self.ctx.add_codes(c, self.ctx.neg_code(self.code)))
 
     def __mul__(self, other):
         c = self._coerce(other)
@@ -634,11 +632,7 @@ class PolyFq:
 
     def __sub__(self, other):
         self._check(other)
-        ctx = self.ctx
-        out = list(self.codes) + [0] * max(0, len(other.codes) - len(self.codes))
-        for i, c in enumerate(other.codes):
-            out[i] = ctx.sub_codes(out[i], c)
-        return PolyFq(ctx, out)
+        return self + -other
 
     def __neg__(self):
         ctx = self.ctx

@@ -70,23 +70,11 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple
 
 from . import numtheory
 from .cyclic import CyclicFn, SupportSet, least_period_by_descent
 from .errors import BadPermutationError, ExcludedCaseError, WeightRangeError
 from .gf import check_size, make_field
-
-
-class DigitVector(NamedTuple):
-    """Canonical representative k with its base-q digits, little-endian."""
-
-    k: int
-    digits: tuple[int, ...]
-
-    @property
-    def digit_sum(self) -> int:
-        return sum(self.digits)
 
 
 def omega(q: int, n: int, w: int) -> SupportSet:
@@ -367,14 +355,6 @@ def mask_period(q: int, n: int, w: int, c: int) -> int:
     return least_period_by_descent(q ** n - 1, is_period)
 
 
-def digits(k: int, q: int, n: int) -> DigitVector:
-    """Base-q digits of the canonical representative of k in Z_{q^n-1}."""
-    if q < 2 or n < 1:  # Z_{q^n-1} would be Z_0 or worse
-        raise ValueError(f"digits need q >= 2 and n >= 1, not q={q}, n={n}")
-    k %= q ** n - 1
-    return DigitVector(k, tuple(numtheory.digits(k, q, n)))
-
-
 def _check_perm(rho, n: int) -> tuple[int, ...]:
     rho = tuple(rho)
     if sorted(rho) != list(range(n)):
@@ -392,7 +372,9 @@ def phi_rho(rho, k: int, q: int, n: int) -> int:
     indicators and their convolution powers.
     """
     rho = _check_perm(rho, n)
-    d = digits(k, q, n).digits
+    if q < 2 or n < 1:  # Z_{q^n-1} would be Z_0 or worse
+        raise ValueError(f"phi_rho needs q >= 2 and n >= 1, not q={q}, n={n}")
+    d = numtheory.digits(k % (q ** n - 1), q, n)
     v = 0
     for i in reversed(range(n)):
         v = v * q + d[rho[i]]

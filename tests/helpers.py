@@ -510,7 +510,8 @@ def polydivmod_loops(a, b):
             quot[i - d] = f
             for j, oc in enumerate(b.codes):
                 if oc:
-                    rem[i - d + j] = ctx.sub_codes(rem[i - d + j], ctx.mul_codes(f, oc))
+                    rem[i - d + j] = ctx.add_codes(rem[i - d + j],
+                                                   ctx.neg_code(ctx.mul_codes(f, oc)))
     return PolyFq(ctx, quot), PolyFq(ctx, rem[:d])
 
 
@@ -675,7 +676,7 @@ def convolution_delta_mask(q, n, w, c, ctx):
     base = [0] * N
     for t in omega(q, n, w).members:
         base[t] = sign
-    base[0] = ctx.sub_codes(base[0], c.code)  # 0 is never in Omega(w), w >= 1
+    base[0] = ctx.add_codes(base[0], ctx.neg_code(c.code))  # 0 is never in Omega(w), w >= 1
     powered = conv_power(CyclicFn(ctx, base), q - 1)
     return kronecker(ctx, N) - powered
 

@@ -73,6 +73,21 @@ def test_hm_verify_json_grid(capsys, tmp_path):
     assert all(r["passed"] or r["case_label"] == "Excluded" for r in payload["reports"])
 
 
+@pytest.mark.parametrize("argv", [
+    ("hm-verify", "--q", "2", "--n", "2:3", "--format", "json"),
+    ("period", "--seq", "1,0,1,0"),
+    ("witness", "--q", "2", "--n", "2", "--w", "1", "--c", "0"),  # exit 1, no witness
+])
+def test_out_into_a_missing_directory_exits_2(capsys, tmp_path, argv):
+    # main writes the payload inside its try: a failed write is an input
+    # error, exit 2 with an error line and nothing on stdout
+    out_path = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(out_path) in err
+    assert not out_path.parent.exists()
+
+
 def test_hm_verify_text_names_the_witness(capsys):
     code, out, _ = run(capsys, "hm-verify", "--q", "2", "--n", "4", "--w", "2", "--c", "0")
     assert code == 0

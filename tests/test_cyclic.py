@@ -229,6 +229,35 @@ def test_transforms_refuse_codes_outside_the_field(transform, p, m, bad):
         transform(f, primitive_element(ctx))
 
 
+# each CyclicFn operation that reads values through the field's tables, on
+# f with one code outside the field, g in it, and the bad code itself
+CHECKED_OPS = {
+    "add": lambda f, g, bad: f + g,
+    "add_right": lambda f, g, bad: g + f,
+    "sub": lambda f, g, bad: f - g,
+    "sub_right": lambda f, g, bad: g - f,
+    "neg": lambda f, g, bad: -f,
+    "scale": lambda f, g, bad: f.scale(1),
+    "scale_by": lambda f, g, bad: g.scale(bad),
+    "pointwise_mul": lambda f, g, bad: pointwise_mul(g, f),
+    "convolve": lambda f, g, bad: convolve(g, f),
+    "conv_power": lambda f, g, bad: conv_power(f, 2),
+    "compose_perm": lambda f, g, bad: compose_perm(f, {c: c for c in range(g.ctx.order)}),
+}
+
+
+@pytest.mark.parametrize("op", sorted(CHECKED_OPS))
+@pytest.mark.parametrize("p, m, bad", [(5, 1, -1), (5, 1, 5), (2, 4, -1), (2, 4, 16),
+                                       (3, 2, -1), (3, 2, 9)])
+def test_cyclic_ops_refuse_codes_outside_the_field(op, p, m, bad):
+    # over F_5, [-1, 7] + itself once gave (3, 4) and its negation (1, 3);
+    # scale failed with a bare IndexError and compose_perm read table[-1]
+    ctx = make_field(p, m)
+    f, g = CyclicFn(ctx, [1, bad, 0]), CyclicFn(ctx, [1, 1, 0])
+    with pytest.raises(ValueError, match=f"^value code {bad} is not an F_{ctx.order} code$"):
+        CHECKED_OPS[op](f, g, bad)
+
+
 def test_idft_degenerate_modulus():
     f16 = make_field(2, 4)
     f = CyclicFn(f16, [9])

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from hmdft import (
+    CyclicFn,
     FieldElement,
     PolyFq,
     char_poly,
@@ -352,8 +353,44 @@ def test_add_codes_match_digitwise_reference():
             pairs += [(a, 0), (0, a), (a, digitwise_neg(p, a))]
         for a, b in pairs:
             assert ctx.add_codes(a, b) == digitwise_add(p, a, b)
-            assert ctx.sub_codes(a, b) == digitwise_add(p, a, digitwise_neg(p, b))
             assert ctx.neg_code(a) == digitwise_neg(p, a)
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (2, 1), (7, 1), (3, 2), (5, 3)])
+def test_subtraction_matches_digitwise_reference(p, m):
+    # a - b is add_codes(a, neg_code(b)) in every adder scheme: XOR at p = 2,
+    # mod p in the prime fields and Zech in F_9 and F_125; every pair is
+    # checked through FieldElement, and seeded rows through PolyFq and CyclicFn
+    ctx = make_field(p, m)
+    order = ctx.order
+
+    def sub(a, b):
+        return digitwise_add(p, a, digitwise_neg(p, b))
+
+    for a, b in itertools.product(range(order), repeat=2):
+        assert (FieldElement(ctx, a) - FieldElement(ctx, b)).code == sub(a, b)
+    for a in range(order):
+        for k in (0, 1, p - 1, p, -1):  # an int is the prime-field constant k mod p
+            assert (FieldElement(ctx, a) - k).code == sub(a, k % p)
+            assert (k - FieldElement(ctx, a)).code == sub(k % p, a)
+    for bad in (1.5, "1", None):
+        with pytest.raises(TypeError):
+            FieldElement(ctx, 1) - bad
+        with pytest.raises(TypeError):
+            bad - FieldElement(ctx, 1)
+    rng = random.Random(p * 100 + m)
+    for _ in range(50):
+        a = [rng.randrange(order) for _ in range(rng.randrange(6))]
+        b = [rng.randrange(order) for _ in range(rng.randrange(6))]
+        width = max(len(a), len(b))
+        a0, b0 = a + [0] * (width - len(a)), b + [0] * (width - len(b))
+        diff = [sub(x, y) for x, y in zip(a0, b0)]
+        assert PolyFq(ctx, a) - PolyFq(ctx, b) == PolyFq(ctx, diff)
+        if width:
+            assert (CyclicFn(ctx, a0) - CyclicFn(ctx, b0)).codes == tuple(diff)
+    # a polynomial minus itself is the zero polynomial, with no zero lead left
+    f = PolyFq(ctx, [1, order - 1, 1])
+    assert (f - f).codes == ()
 
 
 # every odd-characteristic extension field of order <= 2^16; the odd fields

@@ -32,7 +32,6 @@ from hmdft import (
     SweepConfig,
     Verdict,
     build_root_indicator,
-    digits,
     make_field,
     support_degree_test,
     sweep,
@@ -152,6 +151,36 @@ def test_grid_rule_lives_in_the_harness_alone():
     assert found == []
 
 
+def _emit_sites(tree):
+    """Each read of cli's ``_emit``: (its top-level def, whether a try body holds it)."""
+    owner, guarded = {}, set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            owner[id(node)] = getattr(top, "name", None)
+            if isinstance(node, ast.Try):
+                guarded.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+    return sorted((owner[id(node)], id(node) in guarded) for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "_emit")
+
+
+def test_output_is_written_by_main_alone():
+    # handlers return (payload, exit code); main writes the payload once, in
+    # the try that turns a failed --out write into exit 2
+    assert _emit_sites(_trees()["cli"]) == [("main", True)]
+
+
+def test_emit_site_check_catches_a_planted_call():
+    tree = _trees()["cli"]
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    defs["_cmd_delta"].body.insert(0, ast.parse("_emit({}, 'text', None)").body[0])
+    assert _emit_sites(tree) == [("_cmd_delta", False), ("main", True)]
+    # a second write in main, outside its try, is caught too
+    tree = _trees()["cli"]
+    main = next(node for node in tree.body if getattr(node, "name", None) == "main")
+    main.body.insert(-1, ast.parse("_emit({}, 'text', None)").body[0])
+    assert _emit_sites(tree) == [("main", False), ("main", True)]
+
+
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 
 
@@ -204,7 +233,6 @@ def test_cli_import_loads_no_dataclasses():
 
 RECORDS = {
     "SupportSet": (lambda: SupportSet(15, (3, 5)), "members"),
-    "DigitVector": (lambda: digits(11, 3, 3), "k"),
     "PeriodReport": (lambda: verify_period_claims(2, 4, 1, 1), "r"),
     "SweepConfig": (lambda: SweepConfig(q_list=(2,), n_range=(2, 3)), "size_cap"),
     "SweepResult": (lambda: sweep(SweepConfig(q_list=(2,), n_range=(2, 2),

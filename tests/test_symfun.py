@@ -15,7 +15,6 @@ from hmdft import (
     delta,
     delta_mask,
     dft,
-    digits,
     is_q_symmetric,
     kronecker,
     make_field,
@@ -28,7 +27,7 @@ from hmdft import (
 from hmdft import symfun
 from hmdft.errors import BadPermutationError, ExcludedCaseError, NotPrimePowerError, \
     WeightRangeError
-from hmdft.numtheory import divisors, prime_power
+from hmdft.numtheory import digits, divisors, prime_power
 from hmdft.cyclic import least_period, least_period_by_descent
 from hmdft.symfun import MaskPoints, _weight_counts, mask_period
 
@@ -46,6 +45,11 @@ from helpers import (
 )
 
 EX15_SEQ = [1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0]
+
+
+def _digits(k, q, n):
+    """The n base-q digits of k's canonical representative in Z_{q^n-1}."""
+    return tuple(digits(k % (q ** n - 1), q, n))
 
 
 def test_omega_examples():
@@ -81,9 +85,9 @@ def test_omega_sizes_and_digits():
                 continue
             assert len(om.members) == math.comb(n, w)
             for k in om.members:
-                d = digits(k, q, n)
-                assert all(x in (0, 1) for x in d.digits)
-                assert d.digit_sum == w
+                d = _digits(k, q, n)
+                assert all(x in (0, 1) for x in d)
+                assert sum(d) == w
 
 
 def test_omega_disjoint():
@@ -408,7 +412,7 @@ def test_multiset_counts_match_weight_counts():
         seen = {}
         for k, pairs in enumerate(dense[1:], 1):
             for i, a in pairs:
-                d = digits(i, q, n).digits
+                d = _digits(i, q, n)
                 lam = full if i == 0 else tuple(d.count(v) for v in range(q))
                 assert max(d) <= k and levels.get(lam) == (k, a), (q, n, w, k, i)
                 seen[lam] = seen.get(lam, 0) + 1
@@ -615,18 +619,6 @@ def test_lucas_matches_direct_reduction():
                 assert lucas_comb(n, k, p) == math.comb(n, k) % p
 
 
-def test_digits_examples():
-    assert digits(0, 3, 4).digits == (0, 0, 0, 0)
-    assert digits(0, 5, 2).digit_sum == 0
-    n = 6
-    k = 2 ** n - 2
-    assert digits(k, 2, n).digits == (0, 1, 1, 1, 1, 1)
-    assert digits(k, 2, n).digit_sum == n - 1
-    assert digits(12, 2, 4).digits == (0, 0, 1, 1)
-    assert digits(12, 2, 4).digit_sum == 2
-    assert digits(17, 3, 4).k == 17
-
-
 def test_phi_rho_examples():
     assert phi_rho((0, 1, 2, 3), 11, 2, 4) == 11
     assert phi_rho((1, 0, 2, 3), 1, 2, 4) == 2
@@ -646,21 +638,16 @@ def test_phi_rho_examples():
         phi_rho((0, 0, 1), 3, 2, 3)
 
 
-def test_digits_refuses_q_below_two():
-    # Z_{q^n-1} is Z_0 at q = 1: a ValueError naming q, not a ZeroDivisionError
-    for q in (1, 0, -1):
-        with pytest.raises(ValueError, match=f"q={q}"):
-            digits(3, q, 2)
-
-
 @pytest.mark.parametrize("k, q, n", [(5, 3, 0), (5, 2, -1), (0, 2, 0)])
 def test_digits_refuses_n_below_one(k, q, n):
-    # once a ZeroDivisionError (n = 0) or DigitVector(k=-0.0, digits=()) (n < 0)
+    # phi_rho's digit read: Z_{q^n-1} is Z_0 at n = 0, and has no digits
+    # below; a ValueError naming n, not a ZeroDivisionError or an empty read
     with pytest.raises(ValueError, match=f"n={n}"):
-        digits(k, q, n)
+        phi_rho((), k, q, n)
 
 
 def test_phi_rho_refuses_q_below_two():
+    # Z_{q^n-1} is Z_0 at q = 1: a ValueError naming q, not a ZeroDivisionError
     for q in (1, 0, -1):
         with pytest.raises(ValueError, match=f"q={q}"):
             phi_rho((0, 1), 3, q, 2)
@@ -679,9 +666,9 @@ def test_phi_rho_additivity_on_qualifying_pairs():
     N = q ** n - 1
     rhos = list(itertools.permutations(range(n)))
     for a in range(N):
-        da = digits(a, q, n).digits
+        da = _digits(a, q, n)
         for b in range(N):
-            db = digits(b, q, n).digits
+            db = _digits(b, q, n)
             if all(x + y <= q - 1 for x, y in zip(da, db)):
                 for rho in rhos:
                     lhs = phi_rho(rho, (a + b) % N, q, n)
