@@ -33,6 +33,7 @@ from .gf import (
     make_field,
     primitive_element,
     subfield_embedding,
+    value_field,
 )
 from .harness import (
     DEFAULT_SIZE_CAP,
@@ -42,7 +43,6 @@ from .harness import (
     sweep,
     verify_period_claims,
 )
-from .numtheory import prime_power
 from .spectral import degree_n_factor_test
 from .symfun import delta, delta_mask, mask_period
 
@@ -62,7 +62,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _poly_from_codes(q: int, codes: list[int]) -> PolyFq:
     if any(not 0 <= c < q for c in codes):
         raise AlgebraError(f"polynomial coefficients must be F_{q} codes in [0, {q})")
-    return PolyFq(make_field(*prime_power(q)), codes)
+    return PolyFq(value_field(q), codes)
 
 
 # how json writes each scalar type a payload holds
@@ -193,6 +193,8 @@ def _cmd_period(args) -> tuple[dict, int]:
         if (args.q, args.n, args.w, args.c) != (None, None, None, None):
             raise ValueError("--seq takes no --q, --n, --w or --c")
         return {"r": least_period_of_sequence(_parse_ints(args.seq))}, 0
+    if None in (args.q, args.n, args.w):
+        _parser().error("period needs --seq or all of --q/--n/--w")
     if args.n == 1:  # refused before any field or mask is built
         raise ValueError("period needs n >= 2: the mask at n = 1 has no period threshold")
     c = 0 if args.c is None else args.c
@@ -211,8 +213,8 @@ def _cmd_dft(args) -> tuple[dict, int]:
     if args.seq is not None and (args.w, args.c) != (None, None):
         raise ValueError("--seq takes no --w or --c")
     N = check_size(args.q, args.n, args.cap, field=True)
-    p, j = prime_power(args.q)
-    small, big = make_field(p, j), make_field(p, j * args.n)
+    small = value_field(args.q)
+    big = make_field(small.p, small.m * args.n)
     emb = subfield_embedding(small, big)
     # every input is built over F_q and lifted into F_{q^n} once
     if args.seq is not None:
@@ -254,7 +256,6 @@ def _cmd_delta(args) -> tuple[dict, int]:
 
 
 def _factor_verdict(args, n: int, codes: list[int]) -> tuple[dict, int]:
-    # size first: factoring a huge q by trial division would not finish
     check_size(args.q, n, args.cap, field=True)
     h = _poly_from_codes(args.q, codes)
     verdict = degree_n_factor_test(h, args.q, n, subfield_order=args.L)
@@ -383,11 +384,7 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    ap = _parser()
-    args = ap.parse_args(argv)
-    if args.command == "period" and args.seq is None and \
-            (args.q is None or args.n is None or args.w is None):
-        ap.error("period needs --seq or all of --q/--n/--w")
+    args = _parser().parse_args(argv)
     try:
         payload, code = args.fn(args)
         _emit(payload, args.format, args.out)

@@ -101,17 +101,6 @@ class CyclicFn:
         self.codes = codes
 
     @classmethod
-    def from_elements(cls, elements) -> "CyclicFn":
-        elements = list(elements)
-        if not elements:
-            raise ValueError("modulus N must be at least 1")
-        ctx = elements[0].ctx
-        for e in elements:
-            if e.ctx is not ctx:
-                raise CtxMismatchError("mixed field contexts in one function")
-        return cls(ctx, [e.code for e in elements])
-
-    @classmethod
     def from_support(cls, ctx: FieldCtx, N: int, members, value: int = 1) -> "CyclicFn":
         _check_modulus(N)
         if not 0 <= value < ctx.order:

@@ -188,17 +188,6 @@ class FieldCtx:
             raise ValueError(f"code {code} out of range for {self!r}")
         return FieldElement(self, code)
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self):
-        """All field elements in ascending code order."""
-        for code in range(self.order):
-            yield FieldElement(self, code)
-
     def nth_root_of_unity(self, N: int) -> "FieldElement":
         """The canonical root of unity of exact order N, i.e. zeta**((order-1)/N)."""
         M = self.order - 1
@@ -404,10 +393,6 @@ class FieldElement:
         self.ctx = ctx
         self.code = code
 
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.ctx.digits_of(self.code)
-
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             if other.ctx is not self.ctx:
@@ -474,16 +459,6 @@ class FieldElement:
 
     def __bool__(self):
         return self.code != 0
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.inv_code(self.code))
-
-    def multiplicative_order(self) -> int:
-        return self.ctx.order_of(self.code)
-
-    def in_subfield(self, q: int) -> bool:
-        """Frobenius fixed-point test for membership in the order-q subfield."""
-        return self.ctx.pow_code(self.code, q) == self.code
 
     def __repr__(self):
         return f"F{self.ctx.order}({self.code})"
@@ -804,6 +779,12 @@ def make_field(p: int, m: int = 1) -> FieldCtx:
     ctx = FieldCtx(p, m, modulus)
     _FIELD_CACHE[key] = ctx
     return ctx
+
+
+def value_field(q: int) -> FieldCtx:
+    """F_q from its order alone; a q over the field cap is never factored."""
+    check_size(q, 1, field=True)
+    return make_field(*numtheory.prime_power(q))
 
 
 def primitive_element(ctx: FieldCtx) -> FieldElement:

@@ -34,7 +34,8 @@ serves the tests as the oracle for r.
 They share the argument checks and F_q (`symfun._check_mask_args`) and
 every level's coefficient (`symfun._level_coefs`, over `top_binomials`); the
 tests' `TableMaskPoints` and `test_delta_mask_binomial_expansion` take the
-binomials from `math.comb` on their own.
+binomials from `math.comb` on their own, and `transform_side_period` finds r
+from the transform's support, with no digit, count or binomial.
 
 The regime analysis covers w <= n/2.  A sweep in full-w mode delegates
 n/2 < w < n to n - w (coefficient prescription is symmetric under taking
@@ -59,6 +60,7 @@ from .gf import (
     make_field,
     oracle_irreducible,
     subfield_embedding,
+    value_field,
 )
 from .numtheory import prime_power
 from .symfun import delta_mask, is_q_symmetric, mask_period
@@ -187,7 +189,6 @@ def verify_period_claims(q: int, n: int, w: int, c: int,
     digit test, reads one-point counts for the rest and builds no dense
     list.  Pre: 1 <= w <= n/2.  The excluded input (c = 0, n = 2, q even)
     yields a report labelled Excluded with no claims checked.
-    The size check comes before q is factored, so a huge q fails fast.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -196,7 +197,7 @@ def verify_period_claims(q: int, n: int, w: int, c: int,
     if not 0 <= c < q:
         raise ValueError(f"c={c} is not an F_{q} code")
     N = check_size(q, n, cap)
-    prime_power(q)  # an excluded row of a q = 6 is an error too
+    value_field(q)  # an excluded row of a q = 6 is an error too
     thr = threshold(n, q)
     label = classify_case(q, n, w, c)
     if label == CASE_EXCLUDED:
@@ -246,9 +247,8 @@ def _witnesses(q: int, n: int, rows, cap: int) -> dict:
         if w == n and c == 0:
             raise ExcludedCaseError("the norm of a nonzero element is never 0")
     check_size(q, n, cap, field=True)
-    p, j = prime_power(q)
-    small = make_field(p, j)
-    big = make_field(p, j * n)
+    small = value_field(q)
+    big = make_field(small.p, small.m * n)
     emb = subfield_embedding(small, big)
     lifted = emb.lift_codes(range(q))
     found = dict.fromkeys(rows)

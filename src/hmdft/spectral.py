@@ -246,6 +246,13 @@ def build_root_indicator(h: PolyFq, q: int, n: int,
                          poly=PolyFq(ctx, s_codes), coeff_seq=s_fn)
 
 
+def _verdict(r: int, q: int, n: int) -> Verdict:
+    """Proven exactly when the least period r does not divide (q**n - 1)/Phi_n(q)."""
+    thr = threshold(n, q)
+    return Verdict(status=PROVEN if thr % r else INCONCLUSIVE, least_period=r,
+                   threshold=thr, modulus=q ** n - 1)
+
+
 def degree_n_factor_test(h: PolyFq, q: int, n: int,
                          subfield_order: int | None = None) -> Verdict:
     """Proven when h provably has an irreducible factor of degree n over F_q.
@@ -267,9 +274,7 @@ def degree_n_factor_test(h: PolyFq, q: int, n: int,
         one = [1] if g.degree else []  # 1 mod g; g = 1 makes every t a period
         r = least_period_by_descent(
             N, lambda t: x_pow_mod(h.ctx, t, g.codes) == one)
-    thr = threshold(n, q)
-    status = PROVEN if thr % r else INCONCLUSIVE
-    return Verdict(status=status, least_period=r, threshold=thr, modulus=N)
+    return _verdict(r, q, n)
 
 
 def support_degree_test(s: SupportSet, q: int, n: int) -> SupportDegreeReport:
@@ -283,15 +288,15 @@ def support_degree_test(s: SupportSet, q: int, n: int) -> SupportDegreeReport:
     without the sufficient one, and where r = q**n - 1 with no primitive
     element.
     """
+    if n > s.N.bit_length():  # q**n - 1 > N for any q >= 2; q**n is not formed
+        raise ValueError(f"support modulus {s.N} is not q**n - 1 for n={n}")
     N = q ** n - 1
     if s.N != N:
         raise ValueError(f"support modulus {s.N} is not q**n - 1 = {N}")
     r = dft_period_by_support(s)
-    thr = threshold(n, q)
-    sufficient = Verdict(status=PROVEN if thr % r else INCONCLUSIVE,
-                         least_period=r, threshold=thr, modulus=N)
+    sufficient = _verdict(r, q, n)
     necessary = all((q ** d - 1) % r for d in numtheory.divisors(n) if d < n)
-    return SupportDegreeReport(least_period=r, threshold=thr,
+    return SupportDegreeReport(least_period=r, threshold=sufficient.threshold,
                                sufficient=sufficient,
                                necessary_holds=necessary,
                                max_period=(r == N))

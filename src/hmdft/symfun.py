@@ -11,8 +11,8 @@ delta_mask(q, n, w, c) builds the coefficient-prescription mask
     delta_0 - ((-1)**w * delta_w - c * delta_0) ** (*(q-1))
 whose least period exceeding the cyclotomic threshold certifies a monic
 irreducible of degree n whose coefficient of x**(n-w) equals c.  Masks and
-indicators take their values in F_q (`make_field(*prime_power(q))`), and c
-is always an F_q code in [0, q), as in every report.
+indicators take their values in F_q (`gf.value_field`), and c is always an
+F_q code in [0, q), as in every report.
 
 delta_mask never powers by convolution in the field.  With s = (-1)**w and
 b = -c, the binomial theorem gives
@@ -32,11 +32,14 @@ second route.  It reads the mask one point at a time (MaskPoints): for x != 0
 the digit sum fixes the level k, and A_k(x) mod p is counted row by row over
 the sorted nonzero digits of x, memoised per reader.  So the two routes count
 A_k independently and each checks the other's counts; they share the rest:
-both take F_q, their argument checks (`_check_mask_args`/`_value_field`) and
-every level's coefficient from `_level_coefs`, which reads C(q-1, k) mod p
-from `numtheory.top_binomials`.  The checks that take C(q-1, k) from
-`math.comb` on their own are the tests' `TableMaskPoints` and
-`test_delta_mask_binomial_expansion`.  The least period is found by the
+both take F_q and their argument checks (`_check_mask_args`) and every
+level's coefficient from `_level_coefs`, which reads C(q-1, k) mod p from
+`numtheory.top_binomials`.  The checks that take C(q-1, k) from `math.comb`
+on their own are the tests' `TableMaskPoints` and
+`test_delta_mask_binomial_expansion`.  The tests' `transform_side_period`
+finds r with no digit, count or binomial: the transform of the mask is the
+indicator of the exponents k whose zeta**k has the prescribed coefficient,
+and r = N / gcd(N, those k).  The least period is found by the
 prime descent of `cyclic.least_period_by_descent`, the one least-period
 algorithm of the package: a shift t is a period iff mask(s + t) = mask(s)
 at every support point s.  The dense route stays for `delta`, `dft --c` and
@@ -74,7 +77,7 @@ from math import comb
 from . import numtheory
 from .cyclic import CyclicFn, SupportSet, least_period_by_descent
 from .errors import BadPermutationError, ExcludedCaseError, WeightRangeError
-from .gf import check_size, make_field
+from .gf import check_size, value_field
 
 
 def omega(q: int, n: int, w: int) -> SupportSet:
@@ -89,15 +92,9 @@ def omega(q: int, n: int, w: int) -> SupportSet:
     return SupportSet(N, map(sum, itertools.combinations(powers, w)))
 
 
-def _value_field(q: int):
-    """F_q, where masks and indicators take their values; a huge q is never factored."""
-    check_size(q, 1, field=True)
-    return make_field(*numtheory.prime_power(q))
-
-
 def delta(q: int, n: int, w: int) -> CyclicFn:
     """Indicator of Omega(w) on Z_{q^n-1}, with values {0, 1} in F_q."""
-    ctx = _value_field(q)
+    ctx = value_field(q)
     support = omega(q, n, w)
     return CyclicFn.from_support(ctx, support.N, support.members)
 
@@ -131,7 +128,7 @@ def _weight_counts(q: int, n: int, w: int) -> tuple[tuple[tuple[int, int], ...],
 
 def _check_mask_args(q: int, n: int, w: int, c: int):
     """F_q, once c is an F_q code and (w, c) names a mask over it."""
-    ctx = _value_field(q)
+    ctx = value_field(q)
     if not 0 <= c < q:
         raise ValueError(f"c={c} is not an F_{q} code")
     if not 1 <= w <= n:
@@ -393,6 +390,8 @@ def is_q_symmetric(f: CyclicFn, q: int, n: int) -> bool:
     q*s' + b, so the block codes[b*Q:(b+1)*Q] must equal codes[b::q]; and the
     points with lowest digits (d0, d1) must read as those with (d1, d0).
     """
+    if n > f.N.bit_length():  # q**n - 1 > N for any q >= 2; q**n is not formed
+        raise ValueError(f"function modulus {f.N} is not q**n - 1 for n={n}")
     N = q ** n - 1
     if f.N != N:
         raise ValueError(f"function modulus {f.N} is not q**n - 1 = {N}")

@@ -27,11 +27,11 @@ def brute_dft(f, zeta):
     ctx, N = f.ctx, f.N
     out = []
     for i in range(N):
-        acc = ctx.zero()
+        acc = ctx.element(0)
         for j in range(N):
             acc = acc + f(j) * zeta ** (i * j)
         out.append(acc)
-    return CyclicFn.from_elements(out)
+    return CyclicFn(ctx, [e.code for e in out])
 
 
 def pointwise_dft(f, zeta):
@@ -105,11 +105,11 @@ def brute_idft(f, zeta):
     ninv = FieldElement(ctx, pow(N % ctx.p, ctx.p - 2, ctx.p))
     out = []
     for i in range(N):
-        acc = ctx.zero()
+        acc = ctx.element(0)
         for j in range(N):
             acc = acc + f(j) * zinv ** (i * j)
         out.append(ninv * acc)
-    return CyclicFn.from_elements(out)
+    return CyclicFn(ctx, [e.code for e in out])
 
 
 def fits_oracle(self, q, n):
@@ -179,11 +179,11 @@ def check_grid_oracle(cfg):
 def brute_convolve(f, g):
     """Defining double sum over all index pairs."""
     ctx, N = f.ctx, f.N
-    out = [ctx.zero() for _ in range(N)]
+    out = [ctx.element(0) for _ in range(N)]
     for j in range(N):
         for k in range(N):
             out[(j + k) % N] = out[(j + k) % N] + f(j) * g(k)
-    return CyclicFn.from_elements(out)
+    return CyclicFn(ctx, [e.code for e in out])
 
 
 def brute_least_period(vals):
@@ -872,6 +872,37 @@ def brute_margin_counts(n, w, k):
     return {tuple(base_q_digits_loop(key, B, n)): a for key, a in tally.items()}
 
 
+def transform_side_period(q, n, w, c):
+    """The least period of the (w, c) mask, read from its transform's support.
+
+    The transform of the mask is the indicator of S, the exponents k in Z_N
+    (N = q**n - 1) whose zeta**k has a characteristic polynomial over F_q
+    with [t**(n-w)] equal to c lifted into F_{q^n}; by the support formula
+    the period is N / gcd(N, S).  One ``char_poly`` per Frobenius orbit
+    {k * q**s mod N}, over the F_{q^n} tables, and the scan stops once the
+    gcd is 1.  It shares no code with ``symfun``: no digits, no counts and
+    no binomials.
+    """
+    p, j = prime_power(q)
+    big = make_field(p, j * n)
+    target = subfield_embedding(make_field(p, j), big).lift_codes([c])[0]
+    N = big.order - 1
+    g, seen = N, set()
+    for k in range(N):
+        if g == 1:
+            break
+        if k in seen:
+            continue
+        orbit, e = [k], k * q % N
+        while e != k:
+            orbit.append(e)
+            e = e * q % N
+        seen.update(orbit)
+        if char_poly(FieldElement(big, big.exp[k]), q, n).codes[n - w] == target:
+            g = gcd(g, *orbit)
+    return N // g
+
+
 def powering_root_indicator(h, q, n, subfield_order=None):
     """The root indicator (1 - h**(#L - 1)) mod (x**N - 1) by its definition.
 
@@ -894,7 +925,7 @@ def powering_root_indicator(h, q, n, subfield_order=None):
             t = math.lcm(t, element_degree(v, p, big.m))
         subfield_order = p ** t
     else:
-        assert all(v.in_subfield(subfield_order) for v in values)
+        assert all(v ** subfield_order == v for v in values)
     codes = [0] * N
     for i, c in enumerate(h.codes):
         if c:

@@ -225,7 +225,7 @@ def test_dft_inverse_seq_matches_brute_force(capsys):
     seq = [0, 3, 1, 0, 2, 2, 0, 0, 1, 0, 3, 0, 0, 1, 0]  # F_4 codes, (q, n) = (4, 2)
     small, big = make_field(2, 2), make_field(2, 4)
     emb = subfield_embedding(small, big)
-    f = CyclicFn.from_elements([emb.lift(small.element(c)) for c in seq])
+    f = CyclicFn(big, [emb.lift(small.element(c)).code for c in seq])
     z = primitive_element(big)
     arg = ",".join(map(str, seq))
     for extra, oracle in (((), brute_dft), (("--inverse",), brute_idft)):

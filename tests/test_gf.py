@@ -163,11 +163,11 @@ def test_primitive_element_f16_is_x():
     assert z.code == 2  # the residue class of x
     # order 15 by direct powering
     seen = set()
-    e = f16.one()
+    e = f16.element(1)
     for _ in range(15):
         e = e * z
         seen.add(e.code)
-    assert e == f16.one() and len(seen) == 15
+    assert e == 1 and len(seen) == 15
 
 
 def test_primitive_element_f4():
@@ -180,7 +180,7 @@ def test_primitive_element_f4():
 def test_primitive_element_has_full_order(p, m):
     ctx = make_field(p, m)
     z = primitive_element(ctx)
-    assert z.multiplicative_order() == ctx.order - 1
+    assert ctx.order_of(z.code) == ctx.order - 1
     # canonically first: no smaller code generates
     for code in range(1, z.code):
         assert ctx.order_of(code) != ctx.order - 1
@@ -332,7 +332,7 @@ def test_field_axioms_random_triples():
             assert a * (b + c) == a * b + a * c
             assert a + b == b + a and a * b == b * a
             if a.code:
-                assert a * a.inverse() == 1
+                assert a * (1 / a) == 1
                 assert a / a == 1
             assert a - a == 0 and a + (-a) == 0
 
@@ -422,10 +422,10 @@ def test_element_coercion_and_errors():
     with pytest.raises(CtxMismatchError):
         _ = a + other
     with pytest.raises(ZeroDivisionError):
-        _ = a / f9.zero()
+        _ = a / f9.element(0)
     assert a ** 0 == 1
-    assert a ** (-1) == a.inverse()
-    assert a.coeffs == (2, 1)  # 5 = 2 + 1*3
+    assert a ** (-1) == 1 / a
+    assert f9.digits_of(a.code) == (2, 1)  # 5 = 2 + 1*3
 
 
 def test_int_on_the_left_of_sub_and_div():
@@ -436,13 +436,13 @@ def test_int_on_the_left_of_sub_and_div():
         a = f25.element(code)
         assert (7 - a).code == digitwise_add(5, 2, digitwise_neg(5, code))
         assert (7 / a) * a == 2 and (7 / a).ctx is f25
-    assert (0 - f25.zero()).code == 0
+    assert (0 - f25.element(0)).code == 0
     with pytest.raises(ZeroDivisionError):
-        _ = 1 / f25.zero()
+        _ = 1 / f25.element(0)
     with pytest.raises(TypeError):
-        _ = 1.5 - f25.one()
+        _ = 1.5 - f25.element(1)
     with pytest.raises(TypeError):
-        _ = 1.5 / f25.one()
+        _ = 1.5 / f25.element(1)
 
 
 def test_element_and_polynomial_protocols():
@@ -476,8 +476,8 @@ def test_poly_add_either_order_and_neg():
 def test_element_degree_examples():
     f16 = make_field(2, 4)
     z = primitive_element(f16)
-    assert element_degree(f16.one(), 2, 4) == 1
-    assert element_degree(f16.zero(), 2, 4) == 1
+    assert element_degree(f16.element(1), 2, 4) == 1
+    assert element_degree(f16.element(0), 2, 4) == 1
     assert element_degree(z ** 5, 2, 4) == 2  # order 3, lies in F_4
     assert element_degree(z ** 3, 2, 4) == 4
     with pytest.raises(BadTowerError):
@@ -490,7 +490,7 @@ def test_element_degree_counts():
     # number of elements of each degree follows the subfield lattice
     f64 = make_field(2, 6)
     counts = {}
-    for e in f64.elements():
+    for e in map(f64.element, range(f64.order)):
         d = element_degree(e, 2, 6)
         counts[d] = counts.get(d, 0) + 1
     assert counts == {1: 2, 2: 2, 3: 6, 6: 54}  # 0 counted as degree 1
@@ -557,7 +557,7 @@ def test_sigma_reciprocal_identity(q, n):
     step = max(1, (big.order - 1) // 500)  # full scan when small, stride above
     for code_idx in range(0, big.order - 1, step):
         xi = FieldElement(big, big.exp[code_idx])
-        inv = xi.inverse()
+        inv = xi ** -1
         cp = char_poly(xi, q, n)
         cp_inv = char_poly(inv, q, n)
         sn = sigma_eval(n, xi, q, n)
@@ -573,7 +573,7 @@ def test_char_poly_irreducible_iff_degree_n():
     f16 = make_field(2, 4)
     f2 = make_field(2)
     emb = subfield_embedding(f2, f16)
-    for e in f16.elements():
+    for e in map(f16.element, range(f16.order)):
         cp = emb.lower_poly(char_poly(e, 2, 4))
         assert oracle_irreducible(cp) == (element_degree(e, 2, 4) == 4)
 
@@ -582,7 +582,7 @@ def test_embedding_f4_in_f16():
     f4 = make_field(2, 2)
     f16 = make_field(2, 4)
     emb = subfield_embedding(f4, f16)
-    assert [emb.lift(e).code for e in f4.elements()] == [0, 1, 6, 7]
+    assert [emb.lift(e).code for e in map(f4.element, range(4))] == [0, 1, 6, 7]
     rng = random.Random(3)
     for _ in range(50):
         a = f4.element(rng.randrange(4))
@@ -610,7 +610,7 @@ def test_embedding_identity_and_prime():
     f3 = make_field(3)
     f27 = make_field(3, 3)
     emb2 = subfield_embedding(f3, f27)
-    assert [emb2.lift(e).code for e in f3.elements()] == [0, 1, 2]
+    assert [emb2.lift(e).code for e in map(f3.element, range(3))] == [0, 1, 2]
 
 
 def test_embedding_gamma_matches_ascending_scan():
@@ -814,11 +814,11 @@ GF_REFUSALS = [
     (lambda: divmod(_f3_poly(1, 1), _f3_poly()), ZeroDivisionError,
      "polynomial division by zero"),
     (lambda: _f3_poly(0, 1).pow_mod(-1, _f3_poly(1, 0, 1)), ValueError, "negative exponent"),
-    (lambda: _f3_poly(0, 1)(make_field(5).one()), CtxMismatchError,
+    (lambda: _f3_poly(0, 1)(make_field(5).element(1)), CtxMismatchError,
      "evaluation point from a different field"),
-    (lambda: _f4_in_f16().lift(make_field(2, 4).one()), CtxMismatchError,
+    (lambda: _f4_in_f16().lift(make_field(2, 4).element(1)), CtxMismatchError,
      "element not in the embedding's source field"),
-    (lambda: _f4_in_f16().lower(make_field(2, 2).one()), CtxMismatchError,
+    (lambda: _f4_in_f16().lower(make_field(2, 2).element(1)), CtxMismatchError,
      "element not in the embedding's target field"),
     (lambda: _f4_in_f16().lower_poly(PolyFq(make_field(2, 2), (1,))), CtxMismatchError,
      "polynomial not over the target field"),

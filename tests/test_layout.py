@@ -11,8 +11,9 @@ records are immutable NamedTuples (``SupportSet`` a slotted class), so
 importing the CLI loads no ``dataclasses`` and none of the modules it
 imports.  The ``FieldCtx`` constructor sets every slot, and the field holds
 its Zech table exactly where its adder reads one.  Every name the package
-exports is used by some other module of it, or is allow-listed with the
-reason it stays.
+exports is used by some other module of it, and every public method and
+property of its classes is read by some code outside its own def, or is
+allow-listed with the reason it stays.
 """
 
 import ast
@@ -358,3 +359,60 @@ def test_unused_export_check_catches_a_planted_name():
         used["__init__"].body += trees["__init__"].body[-1:]
         used["spectral"].body += ast.parse(use).body
         assert _unused_exports(used) == sorted(UNUSED_EXPORTS)
+
+
+# public methods and properties no other code of the package reads, each with
+# the reason it stays
+UNUSED_METHODS = {
+    "FieldCtx.element": "the range-checked constructor for codes from outside the "
+                        "package; FieldElement(ctx, code) checks nothing",
+    "FieldCtx.nth_root_of_unity": "the canonical root of exact order N for transforms "
+                                  "on Z_N with N < order - 1; the CLI transforms only "
+                                  "at N = order - 1",
+    "Embedding.lift": "pinned by perfbench/checks.py",
+    "Embedding.lower": "the inverse of lift, kept beside it",
+}
+
+
+def _unused_methods(trees):
+    """Class.name of every public method or property no code outside its def reads.
+
+    Public means no leading underscore, so dunders are out too.  A read is any
+    ``obj.name`` load in the package, whatever ``obj`` is: an attribute of
+    another object that shares the name counts as a use.
+    """
+    methods, reads = [], []
+
+    def visit(node, cls, defs):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.FunctionDef):
+            if cls is not None and not node.name.startswith("_"):
+                methods.append((f"{cls}.{node.name}", node.name, id(node)))
+            cls, defs = None, defs | {id(node)}
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append((node.attr, defs))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, defs)
+
+    for tree in trees.values():
+        visit(tree, None, frozenset())
+    return sorted(key for key, name, own in methods
+                  if not any(attr == name and own not in defs for attr, defs in reads))
+
+
+def test_every_public_method_is_used_or_allow_listed():
+    assert _unused_methods(_trees()) == sorted(UNUSED_METHODS)
+
+
+def test_unused_method_check_catches_a_planted_name():
+    trees = _trees()
+    field_ctx = next(node for node in trees["gf"].body
+                     if getattr(node, "name", None) == "FieldCtx")
+    # its own recursive call is no use, and neither is a store of that name
+    field_ctx.body.append(ast.parse(
+        "def planted(self):\n    self.x.planted = 1\n    return self.planted()").body[0])
+    assert _unused_methods(trees) == sorted([*UNUSED_METHODS, "FieldCtx.planted"])
+    # a read anywhere else clears it, even through another object
+    trees["cli"].body += ast.parse("def g(args):\n    return args.planted").body
+    assert _unused_methods(trees) == sorted(UNUSED_METHODS)

@@ -301,8 +301,8 @@ def test_max_period_without_primitive():
     assert rep.max_period
     f16 = make_field(2, 4)
     z = primitive_element(f16)
-    assert (z ** 3).multiplicative_order() != 15
-    assert (z ** 5).multiplicative_order() != 15
+    assert f16.order_of((z ** 3).code) != 15
+    assert f16.order_of((z ** 5).code) != 15
 
 
 def test_irreducible_sufficient_example():
@@ -425,7 +425,7 @@ def _root_support_period(h, q, n):
     big = make_field(h.ctx.p, h.ctx.m * n)
     h_big = PolyFq(big, subfield_embedding(h.ctx, big).lift_codes(h.codes))
     zeta = primitive_element(big)
-    roots, point = [], big.one()
+    roots, point = [], big.element(1)
     for e in range(N):
         if h_big(point).code == 0:
             roots.append(e)

@@ -42,6 +42,7 @@ from helpers import (
     may_be_mask_support,
     shift_certificate_holds,
     shift_certificate_per_call,
+    transform_side_period,
 )
 
 EX15_SEQ = [1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0]
@@ -129,7 +130,7 @@ def test_delta_mask_small_example():
 def test_delta_mask_at_zero_is_one():
     for q, n, w in [(2, 4, 2), (3, 3, 1), (4, 2, 1), (5, 4, 2), (3, 6, 3)]:
         m = delta_mask(q, n, w, 0)
-        assert m.ctx is make_field(*prime_power(q)) and m(0) == m.ctx.one()
+        assert m.ctx is make_field(*prime_power(q)) and m(0) == m.ctx.element(1)
 
 
 def test_delta_mask_excluded_case():
@@ -561,6 +562,22 @@ def test_mask_period_regime_iii_closed_form(monkeypatch):
     assert len(qs) == 37 and verdicts == {True, False}
 
 
+def test_mask_period_matches_transform_side_oracle():
+    # r from the transform's support, N / gcd(N, S), shares no digit, count
+    # or binomial with either mask route; every prime power q <= 16 with
+    # q**n <= 2**12, w <= n/2 and every c, the excluded rows left out
+    rows = [(q, n, w, c) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+            for n in range(2, 13) if q ** n <= 2 ** 12
+            for w in range(1, n // 2 + 1) for c in range(q)
+            if not (c == 0 and n == 2 and q % 2 == 0)]
+    assert len(rows) == 328
+    r = {row: mask_period(*row) for row in rows}
+    assert [row for row in rows if r[row] != transform_side_period(*row)] == []
+    # the six regime III rows are the only ones with r < N
+    assert [row for row in rows if r[row] < row[0] ** row[1] - 1] == \
+        [(q, 2, 1, 0) for q in (3, 5, 7, 9, 11, 13)]
+
+
 HUGE_N_MASK = """
 from hmdft import delta, delta_mask
 from hmdft.errors import SizeCapError
@@ -582,6 +599,31 @@ def test_huge_n_mask_fails_fast():
     assert len(lines) == 2 and all(line.startswith("refused:") for line in lines)
 
 
+HUGE_N_MODULUS = """
+from hmdft import CyclicFn, SupportSet, is_q_symmetric, make_field, support_degree_test
+for check in (lambda: support_degree_test(SupportSet(8, (1,)), 3, 10**9),
+              lambda: is_q_symmetric(CyclicFn(make_field(3), [0] * 8), 3, 10**9)):
+    try:
+        check()
+    except ValueError as exc:
+        print("refused:", exc)
+"""
+
+
+def test_huge_n_modulus_check_fails_fast():
+    # n past the modulus's bit length is refused before q**n is formed
+    env = {"PYTHONPATH": str(Path(hmdft.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", HUGE_N_MODULUS],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        "refused: support modulus 8 is not q**n - 1 for n=1000000000",
+        "refused: function modulus 8 is not q**n - 1 for n=1000000000"]
+    # at n within the bit length the message still names q**n - 1
+    with pytest.raises(ValueError, match=r"function modulus 8 is not q\*\*n - 1 = 26"):
+        is_q_symmetric(CyclicFn(make_field(3), [0] * 8), 3, 3)
+
+
 def test_mask_support_digit_sum_bound():
     # every nonzero support point of the dense mask passes the no-carry digit
     # test the certificates rely on, on the periods-2e5 rows with
@@ -601,7 +643,7 @@ def test_conv_power_hits_multiples():
         for s in range(1, q):
             power = conv_power(dw, s)
             for t in omega(q, n, w).members:
-                assert power((s * t) % N) == dw.ctx.one()
+                assert power((s * t) % N) == dw.ctx.element(1)
 
 
 def test_conv_power_vanishes_at_zero():
@@ -609,7 +651,7 @@ def test_conv_power_vanishes_at_zero():
         for w in range(1, n):
             dw = delta(q, n, w)
             for k in range(1, q):
-                assert conv_power(dw, k)(0) == dw.ctx.zero()
+                assert conv_power(dw, k)(0) == dw.ctx.element(0)
 
 
 def test_lucas_matches_direct_reduction():
