@@ -50,9 +50,10 @@ product, a division and a product reduced modulo h, all three adding scaled
 rows with one per-term loop (``_addmul``) that multiplies through the exp/log
 tables and adds with the field's bound adder.  ``PolyFq``'s product,
 division, ``pow_mod`` and ``poly_gcd`` call it and wrap the result once per
-public call.  ``oracle_irreducible`` (Rabin's test) takes its Frobenius
-powers x**(q**k) mod h from the Frobenius matrix, whose row i is x**(q*i)
-mod h: one matrix-vector product per power, and no object per step.
+public call.  ``oracle_irreducible`` (Rabin's test; called by the modulus
+search and by the oracles of the tests and the benchmark, not by the sweep)
+takes its Frobenius powers x**(q**k) mod h from the Frobenius matrix, whose
+row i is x**(q*i) mod h: one matrix-vector product per power, no object per step.
 ``x_pow_mod`` powers x modulo h over F_q by one spread and one division per
 base-q digit of the exponent; the spectral verdicts use it, and no oracle
 does.

@@ -21,8 +21,8 @@ row is computed.
 A witness is the characteristic polynomial of some power of the canonical
 generator of F_{q^n}; its coefficients are constant on Frobenius orbits, so
 the search visits orbit leaders only, and one scan per (q, n) answers every
-(w, c) row of a sweep.  Each distinct witness is verified once by Rabin's
-test (`oracle_irreducible`) before any row reports it.
+(w, c) row of a sweep.  Each distinct witness h is certified once, before any
+row reports it, at its root alpha: alpha of degree n and h(alpha) = 0.
 
 r comes from `symfun.mask_period`, which runs the one prime descent of
 `cyclic.least_period_by_descent`, refutes most shifts from the digits of one
@@ -52,17 +52,17 @@ from .cyclo import threshold
 from .errors import ExcludedCaseError, SizeCapError, WeightRangeError
 from .gf import (
     MODULUS_GUARD,
+    Embedding,
     FieldElement,
     PolyFq,
     char_poly,
     check_size,
     element_degree,  # unused here; perfbench/tracing.py counts its calls by this name
     make_field,
-    oracle_irreducible,
     subfield_embedding,
     value_field,
 )
-from .numtheory import prime_power
+from .numtheory import prime_factors, prime_power
 from .symfun import delta_mask, is_q_symmetric, mask_period
 
 DEFAULT_SIZE_CAP = 20000
@@ -222,7 +222,7 @@ def find_witness(q: int, n: int, w: int, c: int,
 
     The one-row call of the orbit-leader scan ``_witnesses``: the
     characteristic polynomial of the least power of the canonical generator
-    with degree n and the prescribed coefficient, oracle-verified.  None
+    with degree n and the prescribed coefficient, certified at its root.  None
     only once every orbit leader is used up (exactly the genuine exceptions).
     """
     return _witnesses(q, n, [(w, c)], cap)[w, c]
@@ -237,7 +237,7 @@ def _witnesses(q: int, n: int, rows, cap: int) -> dict:
     matches it against every pending (n - w, lifted c) key at once, until
     no row is pending.  The least matching k always leads its orbit, so each
     row gets the polynomial of a scan of every power.  Each distinct
-    witness is verified once.
+    witness is certified once, by ``_root_certifies`` at zeta**k.
     """
     for w, c in rows:
         if not 1 <= w <= n:
@@ -273,12 +273,31 @@ def _witnesses(q: int, n: int, rows, cap: int) -> dict:
         if not hits:
             continue
         low = emb.lower_poly(cp)
-        if not oracle_irreducible(low):  # cannot happen for degree-n orbits
+        if not _root_certifies(low, emb, big.exp[k]):  # cannot happen: k leads an n-orbit
             raise AssertionError("witness failed independent verification")
         for key in hits:
             for row in pending.pop(key):
                 found[row] = low
     return found
+
+
+def _root_certifies(h: PolyFq, emb: Embedding, a: int) -> bool:
+    """Whether h over F_q is irreducible of degree n, shown at its root a in F_{q^n}.
+
+    a in no maximal subfield F_{q^(n/t)} (t a prime dividing n) has degree n
+    over F_q, so a monic h of degree n with h(a) = 0 is a's minimal polynomial,
+    hence irreducible (Lidl and Niederreiter, Finite Fields, 2nd ed., ch. 1).
+    h(a) is read by Horner on h's codes lifted back into F_{q^n}.
+    """
+    big, q, n = emb.big, emb.small.order, emb.big.m // emb.small.m
+    if h.degree != n or not h.is_monic:
+        return False
+    if any(big.pow_code(a, q ** (n // t)) == a for t in prime_factors(n)):
+        return False
+    acc = 0
+    for c in reversed(emb.lift_codes(h.codes)):
+        acc = big.add_codes(big.mul_codes(acc, a), c)
+    return acc == 0
 
 
 def _with_witness(report: PeriodReport, wit: PolyFq | None) -> PeriodReport:

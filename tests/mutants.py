@@ -1,0 +1,133 @@
+"""Catalogue of planted faults in ``src/hmdft``, each with the tests that must catch it.
+
+Each mutant names one file under ``src/hmdft``, the exact texts it replaces
+(each must occur there exactly once) and the pytest node ids of which at
+least one must fail once it is applied.  The runner copies ``src/``,
+``tests/`` and ``pyproject.toml`` to a temporary directory, applies one
+mutant there, runs its node ids and prints ``killed`` or ``survived`` with
+the time taken; the working tree is never touched.  Stdlib only; pytest does
+not collect this file (``tests/test_mutants.py`` checks the catalogue
+against the tree).
+
+    python tests/mutants.py --all          # every mutant
+    python tests/mutants.py NAME [NAME ...]
+    python tests/mutants.py --list
+
+Exit status 0 when every mutant run is killed, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ORBIT_WALK = ("        if size != n:\n            continue\n",
+              "        if n % size:\n            continue\n")
+SUBFIELD_TEST = (
+    "    if any(big.pow_code(a, q ** (n // t)) == a for t in prime_factors(n)):\n"
+    "        return False\n", "")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str                            # relative to the repository root
+    edits: tuple[tuple[str, str], ...]   # (exact text, replacement), in order
+    node_ids: tuple[str, ...]            # at least one must fail
+    note: str
+
+
+MUTANTS = (
+    Mutant("orbit-walk-any-divisor", "src/hmdft/harness.py", (ORBIT_WALK,),
+           ("tests/test_harness.py::test_scan_forms_char_polys_of_degree_n_orbit_leaders_only",
+            "tests/test_harness.py::test_sweep_small_grid_deterministic",
+            "tests/test_acceptance.py::test_c5_witness_grid_end_to_end"),
+           "leaders of orbits of any size dividing n reach char_poly; the root "
+           "check's subfield test rejects their reducible polynomials"),
+    Mutant("orbit-walk-and-no-subfield-test", "src/hmdft/harness.py",
+           (ORBIT_WALK, SUBFIELD_TEST),
+           ("tests/test_acceptance.py::test_c5_witness_grid_end_to_end",
+            "tests/test_harness.py::test_oracle_confirms_every_witness_of_the_451_row_grid",
+            "tests/test_harness.py::test_sweep_witnesses_match_scan_oracle_on_readme_grid"),
+           "a reducible char_poly of a root in a proper subfield is reported as "
+           "a witness; no check in src/ is left to stop it"),
+    Mutant("horner-drops-constant-term", "src/hmdft/harness.py",
+           (("    for c in reversed(emb.lift_codes(h.codes)):\n",
+             "    for c in reversed(emb.lift_codes(h.codes[1:])):\n"),),
+           ("tests/test_harness.py::test_sweep_small_grid_deterministic",
+            "tests/test_harness.py::test_root_check_rejects_a_wrong_degree_or_a_non_monic_h"),
+           "h(a) is read without its constant term, so genuine witnesses fail"),
+    Mutant("lowering-bypassed", "src/hmdft/harness.py",
+           (("        low = emb.lower_poly(cp)\n", "        low = cp\n"),),
+           ("tests/test_harness.py::test_sweep_witnesses_match_scan_oracle_at_q_8_9_16",),
+           "char_poly is kept over F_{q^n}; prime-field codes lift to "
+           "themselves, so only q in {4, 8, 9, 16} sees it"),
+)
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    """Apply ``mutant`` to the copy of the tree at ``root``."""
+    target = root / mutant.path
+    text = target.read_text()
+    for old, new in mutant.edits:
+        if text.count(old) != 1:
+            raise ValueError(f"{mutant.name}: text to replace occurs "
+                             f"{text.count(old)} times in {mutant.path}")
+        text = text.replace(old, new)
+    target.write_text(text)
+
+
+def run(mutant: Mutant) -> bool:
+    """Whether a node id of ``mutant`` fails on a mutated copy of the tree."""
+    with tempfile.TemporaryDirectory(prefix="hmdft-mutant-") as tmp:
+        root = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, root / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", root)
+        apply(mutant, root)
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *mutant.node_ids], cwd=root, env=env, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):   # 1: some test failed
+        raise RuntimeError(f"{mutant.name}: pytest exited {proc.returncode}\n"
+                           f"{proc.stdout}{proc.stderr}")
+    return proc.returncode == 1
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("names", nargs="*", help="mutants to run")
+    ap.add_argument("--all", action="store_true", help="run every mutant")
+    ap.add_argument("--list", action="store_true", help="list the mutants")
+    args = ap.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    if args.list:
+        for m in MUTANTS:
+            print(f"{m.name}: {m.note}")
+        return 0
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown or not (args.all or args.names):
+        ap.error(f"unknown mutant {unknown[0]}" if unknown else "name a mutant or --all")
+    chosen = MUTANTS if args.all else [by_name[n] for n in args.names]
+    survived = 0
+    for m in chosen:
+        t0 = time.perf_counter()
+        killed = run(m)
+        survived += not killed
+        print(f"{m.name}: {'killed' if killed else 'survived'} "
+              f"({time.perf_counter() - t0:.1f} s)", flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

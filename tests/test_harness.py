@@ -446,31 +446,122 @@ def test_scan_forms_char_polys_of_degree_n_orbit_leaders_only(monkeypatch):
 
 def test_sweep_verifies_each_distinct_witness_once(monkeypatch):
     calls = []
+    certify = harness._root_certifies
 
-    def counted(h):
+    def counted(h, emb, a):
         calls.append((h.ctx.order, h.codes))
-        return oracle_irreducible(h)
+        return certify(h, emb, a)
 
-    monkeypatch.setattr(harness, "oracle_irreducible", counted)
+    monkeypatch.setattr(harness, "_root_certifies", counted)
     res = sweep(SweepConfig(q_list=README_QS, n_range=(2, 6)))
     witnesses = {(r.q, r.witness) for r in res.reports if r.witness is not None}
     # a polynomial over F_q is told apart by q: the same codes over F_3 and
-    # F_4 are two witnesses, each verified in its own field
+    # F_4 are two witnesses, each certified in its own field
     assert len(calls) == len(set(calls)) == 130
     assert set(calls) == witnesses
 
 
 def test_sweep_raises_when_the_oracle_rejects_a_witness(monkeypatch):
+    # two planted failures, each witness in turn: the root check rejects it,
+    # or its lowering returns one wrong coefficient below the leading one
+    # (h stays monic of degree n, so only h(alpha) = 0 can catch it)
     cfg = SweepConfig(q_list=(2, 3), n_range=(2, 4), w_policy="full")
     witnesses = {(r.q, r.witness) for r in sweep(cfg).reports if r.witness is not None}
     assert len(witnesses) > 10
+    certify, lower = harness._root_certifies, gf.Embedding.lower_poly
     for rejected in sorted(witnesses):
-        def mutant(h, rejected=rejected):
-            return (h.ctx.order, h.codes) != rejected and oracle_irreducible(h)
+        def mutant(h, emb, a, rejected=rejected):
+            return (h.ctx.order, h.codes) != rejected and certify(h, emb, a)
 
-        monkeypatch.setattr(harness, "oracle_irreducible", mutant)
-        with pytest.raises(AssertionError, match="independent verification"):
-            sweep(cfg)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_root_certifies", mutant)
+            with pytest.raises(AssertionError, match="independent verification"):
+                sweep(cfg)
+        q, codes = rejected
+        for i in range(len(codes) - 1):
+            def planted(emb, poly, rejected=rejected, i=i):
+                low = lower(emb, poly)
+                if (low.ctx.order, low.codes) != rejected:
+                    return low
+                bad = list(low.codes)
+                bad[i] = (bad[i] + 1) % q
+                return gf.PolyFq(low.ctx, bad)
+
+            with monkeypatch.context() as m:
+                m.setattr(gf.Embedding, "lower_poly", planted)
+                with pytest.raises(AssertionError, match="independent verification"):
+                    sweep(cfg)
+
+
+def _tower(q, n):
+    small = gf.value_field(q)
+    big = gf.make_field(small.p, small.m * n)
+    return big, gf.subfield_embedding(small, big)
+
+
+def _roots(q, n):
+    """(alpha, lowered char_poly(alpha)) for every nonzero alpha of F_{q^n}."""
+    big, emb = _tower(q, n)
+    for code in big.exp[:-1]:
+        xi = gf.FieldElement(big, code)
+        yield xi, emb.lower_poly(gf.char_poly(xi, q, n))
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (2, 4), (2, 6), (3, 3), (3, 4), (4, 4), (5, 2)])
+def test_root_check_rejects_a_root_of_lower_degree(q, n):
+    # char_poly of a root of degree d < n is its minimal polynomial to the
+    # power n/d: monic of degree n, zero at the root, and reducible
+    emb = _tower(q, n)[1]
+    low = [(xi, h) for xi, h in _roots(q, n) if gf.element_degree(xi, q, n) < n]
+    assert len(low) >= q - 1
+    for xi, h in low:
+        assert h.degree == n and h.is_monic and not oracle_irreducible(h)
+        assert not harness._root_certifies(h, emb, xi.code)
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (4, 2), (5, 3), (9, 2)])
+def test_root_check_rejects_a_root_in_the_base_field(q, n):
+    # (x - a)**n for every a of F_q, zero included: monic, degree n, zero at a
+    emb = _tower(q, n)[1]
+    x = gf.PolyFq.x(emb.small)
+    for a in range(q):
+        factor = x - gf.PolyFq(emb.small, [a])
+        h = factor
+        for _ in range(n - 1):
+            h = h * factor
+        assert not harness._root_certifies(h, emb, emb.lift_codes([a])[0])
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (4, 3), (5, 2), (9, 2)])
+def test_root_check_rejects_a_wrong_degree_or_a_non_monic_h(q, n):
+    emb = _tower(q, n)[1]
+    xi, h = next((xi, h) for xi, h in _roots(q, n) if gf.element_degree(xi, q, n) == n)
+    assert harness._root_certifies(h, emb, xi.code)
+    x = gf.PolyFq.x(emb.small)
+    assert not harness._root_certifies(h * x, emb, xi.code)  # degree n + 1, a root
+    lead = gf.PolyFq(emb.small, [0] * n + [1])
+    assert not harness._root_certifies(h - lead, emb, xi.code)  # degree below n
+    for s in range(2, q):  # s * h keeps the root and loses monicity
+        assert not harness._root_certifies(h.scale(s), emb, xi.code)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_root_check_accepts_every_degree_one_witness(q):
+    # n = 1 has no prime t, so no subfield test: x + c is its own certificate
+    for c in range(1, q):
+        assert find_witness(q, 1, 1, c).codes == (c, 1)
+
+
+def test_oracle_confirms_every_witness_of_the_451_row_grid():
+    # Rabin's test, the route the root check replaced, as the differential
+    # oracle on every distinct witness of the 451-row grid
+    res = sweep(SweepConfig(q_list=(2, 3, 4, 5, 7, 8, 9), n_range=(2, 12),
+                            size_cap=200000))
+    assert res.summary["total"] == 451 and res.summary["fail"] == 0
+    witnesses = {(r.q, r.witness) for r in res.reports if r.witness is not None}
+    assert len(witnesses) == 309
+    for q, codes in witnesses:
+        assert oracle_irreducible(gf.PolyFq(gf.value_field(q), codes)), (q, codes)
 
 
 FITS_QS = (2, 3, 4, 5, 7, 8, 9, 16, 27)
