@@ -22,7 +22,7 @@ import csv
 import functools
 import io
 import sys
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii
 
 from .cyclic import CyclicFn, dft, idft, least_period_of_sequence
 from .cyclo import threshold
@@ -102,7 +102,7 @@ def _json_parts(v, nl: str, put) -> None:
             _json_parts(x, inner, put)
             pre = sep
         put(nl + "}")
-    elif type(v) in (list, tuple):  # exactly: a NamedTuple record is no list
+    elif type(v) in (list, tuple):  # exactly: a namedtuple record is no list
         if not v:
             put("[]")
         elif set(map(type, v)) == {int}:  # exactly: %d would write a bool as 1
@@ -140,7 +140,7 @@ def _flatten(d: dict, prefix: str = "") -> dict:
         key = f"{prefix}{k}"
         if isinstance(v, dict):
             flat.update(_flatten(v, key + "."))
-        elif type(v) in (list, tuple):  # exactly: a NamedTuple record is no list
+        elif type(v) in (list, tuple):  # exactly: a namedtuple record is no list
             flat[key] = " ".join(str(x) for x in v)
         else:
             flat[key] = v

@@ -26,14 +26,14 @@ functions; no certification path calls it, the tests and their oracles do.
 Every least period comes from one prime descent, `least_period_by_descent`,
 over a caller's test for the shifts t | N: `least_period` compares the dense
 values, `symfun.mask_period` refutes shifts by the digit test or reads the
-mask one point at a time.
+mask one point at a time.  It factors each N once: a sweep's rows share few N.
 Functions are immutable once built; all operations here are pure.
 """
 
 from __future__ import annotations
 
 from array import array
-from functools import cache
+from functools import cache, lru_cache
 from itertools import compress
 from math import gcd
 from struct import unpack
@@ -422,10 +422,16 @@ def least_period_by_descent(N: int, is_period) -> int:
     at r0: after l's turn, l divides r exactly as often as it divides r0.
     """
     r = N
-    for ell in numtheory.prime_factors(N):
+    for ell in _primes_of(N):
         while r % ell == 0 and is_period(r // ell):
             r //= ell
     return r
+
+
+@lru_cache(maxsize=256)
+def _primes_of(N: int) -> tuple[int, ...]:
+    """The distinct primes of N, ascending, kept for the next descent over N."""
+    return tuple(numtheory.prime_factors(N))
 
 
 def least_period_of_sequence(vals) -> int:

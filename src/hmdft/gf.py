@@ -11,9 +11,11 @@ Construction is deterministic: ``make_field(p, m)`` always picks the
 canonically-first monic irreducible modulus of degree m (coefficient vectors
 enumerated as ``numtheory.digits`` expands a code, constant term fastest)
 and the canonically-first primitive element zeta, so identical parameters
-yield identical tables on every run.  It is one step: the ``FieldCtx``
-constructor finds zeta, builds the tables and binds the adder.  Every
-constructible field (order up to ``FIELD_ORDER_CAP``) is table-backed:
+yield identical tables on every run.  ``_modulus`` decides candidates by
+Ben-Or's test, and ``_zeta`` a linear one by its norm and ``x_pow_mod``,
+powering by ``pow_mod`` only from degree 2.  It is one step: the
+``FieldCtx`` constructor finds zeta, builds the tables and binds the adder.
+Every constructible field (order up to ``FIELD_ORDER_CAP``) is table-backed:
 discrete exp/log tables make multiplication, inversion and powering O(1)
 lookups.
 
@@ -27,10 +29,9 @@ power, the norm of zeta, is a constant g, so each further block of K powers
 is the one before times g, one table lookup per entry.  The split tables
 are sums of the m columns zeta*x**i, m - 1 polynomial products in all; a
 prime field walks s -> s*zeta mod p.  Every route ends on one closure check.
-An extension field is built with ``PolyFq`` over F_p, the package's one
-polynomial scheme: its modulus search (Rabin's test on each candidate with
-no root in F_p), its primitive-element search and its columns; a prime
-field powers by the built-in ``pow``.
+An extension field is built with ``PolyFq`` and its list kernel over F_p,
+the package's one polynomial scheme: its two searches and its columns; a
+prime field powers by the built-in ``pow``.
 
 Addition is XOR in characteristic 2 and integer addition mod p in prime
 fields.  Odd-characteristic extension fields add by Zech logarithms:
@@ -50,13 +51,13 @@ product, a division and a product reduced modulo h, all three adding scaled
 rows with one per-term loop (``_addmul``) that multiplies through the exp/log
 tables and adds with the field's bound adder.  ``PolyFq``'s product,
 division, ``pow_mod`` and ``poly_gcd`` call it and wrap the result once per
-public call.  ``oracle_irreducible`` (Rabin's test; called by the modulus
-search and by the oracles of the tests and the benchmark, not by the sweep)
-takes its Frobenius powers x**(q**k) mod h from the Frobenius matrix, whose
-row i is x**(q*i) mod h: one matrix-vector product per power, no object per step.
+public call.  ``oracle_irreducible`` (Rabin's test; called by the oracles
+of the tests and the benchmark alone, by no field build and no sweep) takes
+its Frobenius powers x**(q**k) mod h from the Frobenius matrix, whose row i
+is x**(q*i) mod h: one matrix-vector product per power, no object per step.
 ``x_pow_mod`` powers x modulo h over F_q by one spread and one division per
-base-q digit of the exponent; the spectral verdicts use it, and no oracle
-does.
+base-q digit of the exponent; the spectral verdicts and the zeta search use
+it, Ben-Or's test takes its step, and no oracle does.
 
 Extension towers F_q inside F_{q^n} are realized inside the single context of
 order q^n; membership in the intermediate field F_{q^d} is decided by the
@@ -202,9 +203,8 @@ class FieldCtx:
         """Find the canonical primitive element and build the exp and log tables.
 
         zeta is the least code whose power (order-1)/t is not 1 for any prime
-        t | order - 1, powered by ``pow`` mod p in a prime field and by
-        ``PolyFq.pow_mod`` over F_p modulo the modulus otherwise.  A prime
-        field's exp table is the walk s -> s*zeta mod p.
+        t | order - 1, found by ``_zeta`` with no table.  A prime field's exp
+        table is the walk s -> s*zeta mod p.
 
         Multiplication by zeta is F_p-linear, so the exp walk of an extension
         field makes no general product per entry.  Digit i of a column
@@ -241,19 +241,11 @@ class FieldCtx:
         """
         p, m = self.p, self.m
         M = self.order - 1
-        fac = numtheory.prime_factors(M)
         B = 1 if p == 2 else (2 * p - 1).bit_length() + 1  # bits per digit
-        if m == 1:
-            self.zeta_code = next(c for c in range(1, p)
-                                  if all(pow(c, M // t, p) != 1 for t in fac))
-        else:
+        self.zeta_code = _zeta(p, m, self.modulus)
+        if m > 1:
             prime = make_field(p)
-            mod, one, x = PolyFq(prime, self.modulus), PolyFq(prime, (1,)), PolyFq.x(prime)
-            # from code p on: a constant's order divides p - 1 < order - 1
-            self.zeta_code = next(
-                c for c in range(p, self.order)
-                if all(PolyFq(prime, self.digits_of(c)).pow_mod(M // t, mod) != one
-                       for t in fac))
+            mod, x = PolyFq(prime, self.modulus), PolyFq.x(prime)
             cols = [PolyFq(prime, self.digits_of(self.zeta_code))]
             for _ in range(m - 1):  # column i is zeta * x**i
                 cols.append(cols[-1] * x % mod)
@@ -541,13 +533,35 @@ def x_pow_mod(ctx: FieldCtx, t: int, h) -> list:
     lie in F_q and a**q = a there, so a step spreads y's codes q apart,
     shifts them by d and makes one reduction, with no general product.
     """
-    q = ctx.order
     y = _divmod(ctx, [1], h)[1]  # modulo a unit, even 1 is 0
-    for d in reversed(numtheory.digits(t, q)):
-        step = [0] * (q * (len(y) - 1) + d + 1)
-        step[d::q] = y
-        y = _divmod(ctx, step, h)[1]
+    for d in reversed(numtheory.digits(t, ctx.order)):
+        y = _frobenius_step(ctx, y, d, h)
     return y
+
+
+def _frobenius_step(ctx: FieldCtx, y, d: int, h) -> list:
+    """y**q * x**d mod h, q = ctx.order: a step of x_pow_mod and of _ben_or."""
+    q = ctx.order
+    step = [0] * (q * (len(y) - 1) + d + 1)
+    step[d::q] = y
+    return _divmod(ctx, step, h)[1]
+
+
+def _ben_or(prime: FieldCtx, f) -> bool:
+    """Ben-Or's test (FOCS 1981): is the monic code list f over F_p irreducible?
+
+    f of degree m >= 2 is iff gcd(x**(p**d) - x, f) = 1 for d = 1..m//2, as
+    a factor of degree d divides x**(p**d) - x; it stops at the least one.
+    """
+    m = len(f) - 1
+    y = [0, 1]
+    for _ in range(m // 2):
+        y = _frobenius_step(prime, y, 0, f)  # x**(p**d) mod f
+        diff = y + [0] * (2 - len(y))
+        diff[1] = (diff[1] - 1) % prime.p  # minus x
+        if len(_gcd(prime, f, _trim(diff))) != 1:
+            return False
+    return True
 
 
 def _gcd(ctx: FieldCtx, a, b):
@@ -744,9 +758,9 @@ def make_field(p: int, m: int = 1) -> FieldCtx:
     """Deterministically construct (and cache) the field F_{p^m}.
 
     The modulus is the canonically-first monic irreducible of degree m over
-    F_p; the stored generator is the canonically-first primitive element.
-    The modulus search skips a candidate with a root in F_p, which has a
-    linear factor, and decides every other one by ``oracle_irreducible``.
+    F_p, from ``_modulus`` (Ben-Or's test); the stored generator is the
+    canonically-first primitive element, from ``_zeta`` inside the
+    ``FieldCtx`` constructor.  No build calls ``oracle_irreducible``.
     """
     key = (p, m)
     ctx = _FIELD_CACHE.get(key)
@@ -758,28 +772,68 @@ def make_field(p: int, m: int = 1) -> FieldCtx:
         check_size(p, m, field=True)
     if not numtheory.is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    if m == 1:
-        modulus = (0, 1)  # x, whose root 0 is Embedding's gamma for a prime field
-    else:
-        prime = make_field(p, 1)
-        points = range(1, p)
-
-        def rooted(cand):
-            # a root a in F_p is a linear factor x - a, and m >= 2: a = 0 when
-            # the constant term is 0, else Horner's value at a nonzero a is 0
-            if not cand[0]:
-                return True
-            vals = [1] * (p - 1)
-            for c in cand[-2::-1]:
-                vals = [(v * a + c) % p for v, a in zip(vals, points)]
-            return 0 in vals
-
-        modulus = next(cand for cand in (tuple(numtheory.digits(code, p, m)) + (1,)
-                                         for code in range(p ** m))
-                       if not rooted(cand) and oracle_irreducible(PolyFq(prime, cand)))
-    ctx = FieldCtx(p, m, modulus)
+    # x for a prime field, whose root 0 is Embedding's gamma there
+    ctx = FieldCtx(p, m, (0, 1) if m == 1 else _modulus(p, m))
     _FIELD_CACHE[key] = ctx
     return ctx
+
+
+def _modulus(p: int, m: int) -> tuple[int, ...]:
+    """The least monic irreducible of degree m >= 2 over F_p, in code order.
+
+    A candidate with a root in F_p is skipped; ``_ben_or`` decides the rest.
+    """
+    prime = make_field(p)
+    points = range(1, p)
+
+    def rooted(cand):
+        # a root a in F_p is a linear factor x - a, and m >= 2: a = 0 when
+        # the constant term is 0, else Horner's value at a nonzero a is 0
+        if not cand[0]:
+            return True
+        vals = [1] * (p - 1)
+        for c in cand[-2::-1]:
+            vals = [(v * a + c) % p for v, a in zip(vals, points)]
+        return 0 in vals
+
+    return next(cand for cand in (tuple(numtheory.digits(code, p, m)) + (1,)
+                                  for code in range(p ** m))
+                if not rooted(cand) and _ben_or(prime, cand))
+
+
+def _zeta(p: int, m: int, modulus) -> int:
+    """The canonical zeta of F_p[x]/(modulus): the least code of order M = p**m - 1.
+
+    c has order M iff c**(M/t) != 1 for each prime t | M.  A constant's order
+    divides p - 1 < M, so for m >= 2 the scan starts at the linear
+    c = a1*x + a0 = a1*(x + b), b = a0/a1.  The root of g = f(x - b), f the
+    modulus, is x + b (Lidl and Niederreiter, Finite Fields, ch. 2):
+    - a prime t | p - 1 sees only the norm N(c) = a1**m * (-1)**m * g(0), as
+      c**(M/t) = N(c)**((p - 1)/t);
+    - any other t has p - 1 | M/t, so c**(M/t) = 1 iff x**(M/t) = 1 mod g.
+    A candidate of degree >= 2 (code p**2 on) is powered by ``pow_mod``.
+    """
+    M = p ** m - 1
+    fac = numtheory.prime_factors(M)
+    if m == 1:
+        return next(c for c in range(1, p) if all(pow(c, M // t, p) != 1 for t in fac))
+    prime = make_field(p)
+    low = [t for t in fac if (p - 1) % t == 0]
+    high = [t for t in fac if (p - 1) % t]
+    for c in range(p, p * p):
+        a1, a0 = divmod(c, p)
+        b = a0 * pow(a1, -1, p) % p
+        g = []
+        for k in reversed(modulus):  # f(x - b) by Horner's rule
+            g = [(u - b * v) % p for u, v in zip([k, *g], [*g, 0])]
+        norm = pow(a1, m, p) * (-1) ** m * g[0]
+        if all(pow(norm, (p - 1) // t, p) != 1 for t in low) and \
+                all(x_pow_mod(prime, M // t, g) != [1] for t in high):
+            return c
+    mod, one = PolyFq(prime, modulus), PolyFq(prime, (1,))
+    return next(c for c in range(p * p, p ** m)
+                if all(PolyFq(prime, numtheory.digits(c, p, m)).pow_mod(M // t, mod) != one
+                       for t in fac))
 
 
 def value_field(q: int) -> FieldCtx:

@@ -46,7 +46,7 @@ are never zero).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .cyclo import threshold
 from .errors import ExcludedCaseError, SizeCapError, WeightRangeError
@@ -74,29 +74,19 @@ CASE_EXCLUDED = "Excluded"
 CASE_NORM = "Norm"
 
 
-class PeriodReport(NamedTuple):
+class PeriodReport(namedtuple("PeriodReport", [
+        "q", "n", "w", "c", "threshold", "case_label", "r", "r_gt_threshold",
+        "r_not_dividing_threshold", "case_claim", "delegated_to_w", "witness",
+        "witness_ok", "symmetric"], defaults=[None] * 8)):
     """Record of one (q, n, w, c) verification.
 
     `c` is the integer code of the prescribed coefficient in F_q.  The three
-    claim fields are None when no claim applies (excluded and norm rows).
-    `witness` is the little-endian code vector of a verified monic irreducible
+    claim bools are None when no claim applies (excluded and norm rows).
+    `witness` is the little-endian code tuple of a verified monic irreducible
     with the prescribed coefficient, when one was searched for and found.
     """
 
-    q: int
-    n: int
-    w: int
-    c: int
-    threshold: int
-    case_label: str
-    r: int | None = None
-    r_gt_threshold: bool | None = None
-    r_not_dividing_threshold: bool | None = None
-    case_claim: bool | None = None
-    delegated_to_w: int | None = None
-    witness: tuple[int, ...] | None = None
-    witness_ok: bool | None = None
-    symmetric: bool | None = None
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -123,17 +113,16 @@ class PeriodReport(NamedTuple):
         }
 
 
-class SweepConfig(NamedTuple):
-    """Grid description for a sweep; the cap bounds q**n - 1 per tuple."""
+class SweepConfig(namedtuple("SweepConfig", [
+        "q_list", "n_range", "w_policy", "size_cap", "with_witness",
+        "check_symmetry", "pinned_w", "pinned_c"],
+        defaults=["half", DEFAULT_SIZE_CAP, True, False, None, None])):
+    """Grid description for a sweep; the cap bounds q**n - 1 per tuple.
 
-    q_list: tuple[int, ...]
-    n_range: tuple[int, int]
-    w_policy: str = "half"          # "half": w in [1, n//2]; "full": w in [1, n]
-    size_cap: int = DEFAULT_SIZE_CAP
-    with_witness: bool = True
-    check_symmetry: bool = False
-    pinned_w: int | None = None
-    pinned_c: int | None = None
+    w_policy "half" covers w in [1, n//2] and "full" w in [1, n].
+    """
+
+    __slots__ = ()
 
     def fits(self, q: int, n: int) -> bool:
         """Whether (q, n) is within the size cap and the hard limits its rows need.
@@ -156,10 +145,8 @@ class SweepConfig(NamedTuple):
         return list(range(1, n // 2 + 1))
 
 
-class SweepResult(NamedTuple):
-    reports: tuple[PeriodReport, ...]
-    skipped: tuple[dict, ...]
-    summary: dict
+class SweepResult(namedtuple("SweepResult", ["reports", "skipped", "summary"])):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -32,13 +32,13 @@ splitting) validate every Proven verdict in the test suite.  They power by
 ``gf``'s one list kernel (``_divmod``, ``_addmul``, and ``_gcd``, which
 ``poly_gcd`` wraps), so a fault there can reach verdict and oracle alike;
 ROADMAP item 6 plans a checker that shares no code with the package.
-`oracle_irreducible` lives in ``gf``, where ``make_field`` tests its
-candidate moduli with it, and is re-exported here.
+`oracle_irreducible` lives in ``gf`` and is re-exported here; no field build
+calls it, as ``make_field`` picks its moduli by Ben-Or's test.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import numtheory
 from .cyclic import (
@@ -66,32 +66,29 @@ PROVEN = "Proven"
 INCONCLUSIVE = "Inconclusive"
 
 
-class Verdict(NamedTuple):
+class Verdict(namedtuple("Verdict", ["status", "least_period", "threshold", "modulus"],
+                         defaults=[None] * 3)):
     """Outcome of a one-directional sufficiency test, with its evidence."""
 
-    status: str
-    least_period: int | None = None
-    threshold: int | None = None
-    modulus: int | None = None
+    __slots__ = ()
 
     @property
     def proven(self) -> bool:
         return self.status == PROVEN
 
 
-class RootIndicator(NamedTuple):
+class RootIndicator(namedtuple("RootIndicator",
+                               ["base", "subfield_order", "poly", "coeff_seq"])):
     """The reduced power S(x) for a base polynomial, with its coefficient sequence.
 
     Built by `build_root_indicator` alone; no certification path forms it.
     """
 
-    base: PolyFq
-    subfield_order: int
-    poly: PolyFq
-    coeff_seq: CyclicFn
+    __slots__ = ()
 
 
-class SupportDegreeReport(NamedTuple):
+class SupportDegreeReport(namedtuple("SupportDegreeReport", [
+        "least_period", "threshold", "sufficient", "necessary_holds", "max_period"])):
     """Support-level periods versus degree-n / primitive membership.
 
     `sufficient` is Proven when the least period certifies a degree-n element
@@ -101,11 +98,7 @@ class SupportDegreeReport(NamedTuple):
     a primitive element must produce).  Neither boolean is a sufficiency claim.
     """
 
-    least_period: int
-    threshold: int
-    sufficient: Verdict
-    necessary_holds: bool
-    max_period: bool
+    __slots__ = ()
 
 
 def _fold(h: PolyFq, N: int) -> dict[int, int]:

@@ -13,7 +13,8 @@ from math import gcd
 import numpy as np
 
 from hmdft import CyclicFn, FieldElement, PolyFq, Verdict, char_poly, element_degree, \
-    make_field, poly_gcd, primitive_element, subfield_embedding, threshold
+    make_field, oracle_irreducible, poly_gcd, primitive_element, subfield_embedding, \
+    threshold
 from hmdft import numtheory
 from hmdft.cyclic import conv_power, kronecker, least_period_by_descent
 from hmdft.errors import NotPrimePowerError, WeightRangeError
@@ -553,6 +554,52 @@ def oracle_irreducible_powering(h):
         if gcd_loops(pow_mod_loops(x, q ** (n // t), hm) - x, hm).degree != 0:
             return False
     return pow_mod_loops(x, q ** n, hm) == x
+
+
+def rabin_modulus_search(p, m):
+    """The canonical modulus of F_{p^m}, m >= 2, by the search Ben-Or's test replaced.
+
+    ``make_field``'s search as it was: candidates in code order, those with
+    a root in F_p skipped, every other one decided by ``oracle_irreducible``
+    (Rabin's test).  It builds no extension field.
+    """
+    prime = make_field(p, 1)
+    points = range(1, p)
+
+    def rooted(cand):
+        # a root a in F_p is a linear factor x - a, and m >= 2: a = 0 when
+        # the constant term is 0, else Horner's value at a nonzero a is 0
+        if not cand[0]:
+            return True
+        vals = [1] * (p - 1)
+        for c in cand[-2::-1]:
+            vals = [(v * a + c) % p for v, a in zip(vals, points)]
+        return 0 in vals
+
+    return next(cand for cand in (tuple(numtheory.digits(code, p, m)) + (1,)
+                                  for code in range(p ** m))
+                if not rooted(cand) and oracle_irreducible(PolyFq(prime, cand)))
+
+
+def pow_mod_zeta_search(p, m, modulus):
+    """The canonical zeta of F_p[x]/(modulus), by the search the norm test replaced.
+
+    ``FieldCtx._finish``'s search as it was: the least code c whose power
+    c**(M/t) is not 1 for any prime t | M = p**m - 1, by ``pow`` mod p in a
+    prime field and by ``PolyFq.pow_mod`` for every candidate and prime
+    otherwise.  It builds no extension field.
+    """
+    M = p ** m - 1
+    fac = numtheory.prime_factors(M)
+    if m == 1:
+        return next(c for c in range(1, p) if all(pow(c, M // t, p) != 1 for t in fac))
+    prime = make_field(p)
+    mod, one = PolyFq(prime, modulus), PolyFq(prime, (1,))
+    # from code p on: a constant's order divides p - 1 < order - 1
+    return next(
+        c for c in range(p, p ** m)
+        if all(PolyFq(prime, numtheory.digits(c, p, m)).pow_mod(M // t, mod) != one
+               for t in fac))
 
 
 def find_witness_scan_oracle(q, n, w, c):

@@ -70,6 +70,51 @@ MUTANTS = (
            ("tests/test_harness.py::test_sweep_witnesses_match_scan_oracle_at_q_8_9_16",),
            "char_poly is kept over F_{q^n}; prime-field codes lift to "
            "themselves, so only q in {4, 8, 9, 16} sees it"),
+    Mutant("norm-sign-dropped", "src/hmdft/gf.py",
+           (("        norm = pow(a1, m, p) * (-1) ** m * g[0]\n",
+             "        norm = pow(a1, m, p) * g[0]\n"),),
+           ("tests/test_gf.py::test_searches_match_the_rabin_and_pow_mod_searches",
+            "tests/test_gf.py::test_canonical_fields_match_loop_oracles"),
+           "the zeta search reads N(c) without (-1)**m, so for odd m and odd p "
+           "it refutes or passes a linear candidate on the wrong norm"),
+    Mutant("shift-by-plus-b", "src/hmdft/gf.py",
+           (("[(u - b * v) % p for u, v in", "[(u + b * v) % p for u, v in"),),
+           ("tests/test_gf.py::test_canonical_fields_match_loop_oracles",),
+           "the zeta search powers x modulo f(x + b), whose root is x - b, not "
+           "the candidate x + b; only a field whose zeta search passes x, over "
+           "odd p, sees it"),
+    Mutant("ben-or-stops-early", "src/hmdft/gf.py",
+           (("    for _ in range(m // 2):\n", "    for _ in range(m // 2 - 1):\n"),),
+           ("tests/test_gf.py::test_ben_or_matches_rabin_on_every_monic",
+            "tests/test_gf.py::test_canonical_fields_match_loop_oracles"),
+           "Ben-Or's test skips d = m//2, so a product of two rootless "
+           "factors of degree m/2 passes as irreducible"),
+    Mutant("zeta-scan-from-p-plus-1", "src/hmdft/gf.py",
+           (("    for c in range(p, p * p):\n", "    for c in range(p + 1, p * p):\n"),),
+           ("tests/test_gf.py::test_primitive_element_f16_is_x",
+            "tests/test_gf.py::test_searches_match_the_rabin_and_pow_mod_searches"),
+           "x itself is never a candidate, so every field whose zeta is x "
+           "gets a later one"),
+    Mutant("zech-wrap-dropped", "src/hmdft/gf.py",
+           (("        succ[p - 1::p] = log[0::p]\n", ""),),
+           ("tests/test_gf.py::test_zech_table_matches_digitwise_reference",
+            "tests/test_gf.py::test_add_codes_match_digitwise_reference"),
+           "adding 1 to a constant digit p - 1 carries into the next digit, "
+           "so every Zech sum through such a code is wrong"),
+    Mutant("top-binomials-sign-flip", "src/hmdft/numtheory.py",
+           (("[p - 1 if sum(digits(k, p)) % 2 else 1 ",
+             "[1 if sum(digits(k, p)) % 2 else p - 1 "),),
+           ("tests/test_numtheory.py::test_top_binomials_match_exact_binomials",
+            "tests/test_symfun.py::test_mask_period_matches_transform_side_oracle"),
+           "C(q - 1, k) mod p takes the sign of the wrong digit-sum parity, so "
+           "every mask coefficient over odd p is negated or not"),
+    Mutant("descent-if-for-while", "src/hmdft/cyclic.py",
+           (("        while r % ell == 0 and is_period(r // ell):\n",
+             "        if r % ell == 0 and is_period(r // ell):\n"),),
+           ("tests/test_cyclic.py::test_least_period_divides_n_and_matches_brute",
+            "tests/test_cyclic.py::test_descent_matches_ascending_scan"),
+           "the descent divides by each prime at most once, so a least "
+           "period missing a square of a prime of N is reported too large"),
 )
 
 

@@ -44,6 +44,8 @@ from helpers import (
     polymul,
     polymul_exp_table,
     polymul_loops,
+    pow_mod_zeta_search,
+    rabin_modulus_search,
 )
 
 # every field of order <= 2^12 for a spread of primes, then larger fields of
@@ -241,12 +243,14 @@ def test_large_field_tables_match_polymul_walk(p, m):
 def test_exp_build_makes_few_general_products(monkeypatch):
     # the lane walk's tables grow from the m columns zeta*x**i, m - 1 products
     # in all; one product per table entry would be 3**5 = 243 of them.  The
-    # modulus search tests candidates with oracle_irreducible and the
-    # primitive-element search powers by pow_mod; their products do not grow
-    # with the tables, so they are counted in the total only.  Every product
-    # is the list kernel's gf._mul, which all of them reach by module lookup
+    # modulus search (Ben-Or's test) and the zeta search's linear candidates
+    # (the norm, then x_pow_mod) step by spreads and reductions, no product;
+    # zeta has degree >= 2 in F_{3^10}, so that search powers by pow_mod,
+    # whose products do not grow with the tables and are counted in the
+    # total only.  Every product is the list kernel's gf._mul, which all of
+    # them reach by module lookup
     total = outside = depth = 0
-    mul, pow_mod, oracle = gf._mul, gf.PolyFq.pow_mod, gf.oracle_irreducible
+    mul, pow_mod = gf._mul, gf.PolyFq.pow_mod
 
     def counted(ctx, a, b):
         nonlocal total, outside
@@ -266,7 +270,6 @@ def test_exp_build_makes_few_general_products(monkeypatch):
 
     monkeypatch.setattr(gf, "_mul", counted)
     monkeypatch.setattr(gf.PolyFq, "pow_mod", nested(pow_mod))
-    monkeypatch.setattr(gf, "oracle_irreducible", nested(oracle))
     monkeypatch.delitem(gf._FIELD_CACHE, (3, 10), raising=False)
     ctx = make_field(3, 10)
     assert 0 < outside < 2 * ctx.m
@@ -765,21 +768,55 @@ def _readme_grid_fields():
 
 def test_modulus_search_skips_rooted_candidates(monkeypatch):
     # a candidate with a root in F_p has a linear factor, so only the others
-    # reach Rabin's test: 42 calls build the grid's fields cold, where testing
-    # every candidate up to the canonical modulus made 168
-    calls = 0
-    oracle = gf.oracle_irreducible
+    # reach Ben-Or's test: 42 tests build the grid's fields cold, where testing
+    # every candidate up to the canonical modulus made 168.  Rabin's test is
+    # the tests' oracle, and no field build calls it
+    calls = dict.fromkeys(["_ben_or", "oracle_irreducible"], 0)
 
-    def counted(h):
-        nonlocal calls
-        calls += 1
-        return oracle(h)
+    def counted(name, fn):
+        def inner(*args):
+            calls[name] += 1
+            return fn(*args)
+        return inner
 
     monkeypatch.setattr(gf, "_FIELD_CACHE", {})
-    monkeypatch.setattr(gf, "oracle_irreducible", counted)
+    for name in calls:
+        monkeypatch.setattr(gf, name, counted(name, getattr(gf, name)))
     for p, m in _readme_grid_fields():
         make_field(p, m)
-    assert calls == 42
+    assert calls == {"_ben_or": 42, "oracle_irreducible": 0}
+
+
+@pytest.mark.parametrize("p,top", [(2, 9), (3, 6), (5, 4), (7, 3)])
+def test_ben_or_matches_rabin_on_every_monic(p, top):
+    # every monic of degree 2..top, roots and all: Ben-Or's test needs no
+    # pre-filter to be right, and Rabin's test shares no step with it
+    prime = make_field(p)
+    for m in range(2, top + 1):
+        for code in range(p ** m):
+            f = tuple(numtheory.digits(code, p, m)) + (1,)
+            assert gf._ben_or(prime, f) == oracle_irreducible(PolyFq(prime, f)), f
+
+
+# fields past the canonical-field scan, then the four of it whose zeta has
+# degree >= 2, the one route of the zeta search that powers by pow_mod
+SEARCH_FIELDS = [(2, 17), (2, 18), (2, 19), (2, 20), (3, 11), (3, 12), (5, 7), (5, 8),
+                 (7, 6), (7, 7), (11, 5), (13, 5), (17, 4), (31, 4), (101, 3), (257, 2),
+                 (1019, 2), (1021, 2), (2, 9), (2, 14), (3, 8), (3, 10)]
+
+
+@pytest.mark.parametrize("p,m", SEARCH_FIELDS)
+def test_searches_match_the_rabin_and_pow_mod_searches(p, m, monkeypatch):
+    # the searches the field build ran before Ben-Or's test and the norm are
+    # the oracles; neither side builds more than the prime field's tables
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    modulus = gf._modulus(p, m)
+    assert modulus == rabin_modulus_search(p, m)
+    zeta = gf._zeta(p, m, modulus)
+    assert zeta == pow_mod_zeta_search(p, m, modulus)
+    if (p, m) in SEARCH_FIELDS[-4:]:
+        assert zeta >= p * p
+    assert list(gf._FIELD_CACHE) == [(p, 1)]
 
 
 @pytest.mark.parametrize("p,m", [(257, 2), (509, 2), (1021, 2), (101, 3)])

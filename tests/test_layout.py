@@ -7,13 +7,14 @@ package itself, the package-relative imports between the modules of
 module reads the environment.  Every name the benchmark's span tracer
 (``perfbench/tracing.py``) wraps is bound in the package, and the
 benchmark's own self-test (``perfbench/check_smoke.py``) passes.  The
-records are immutable NamedTuples (``SupportSet`` a slotted class), so
-importing the CLI loads no ``dataclasses`` and none of the modules it
-imports.  The ``FieldCtx`` constructor sets every slot, and the field holds
-its Zech table exactly where its adder reads one.  Every name the package
-exports is used by some other module of it, and every public method and
-property of its classes is read by some code outside its own def, or is
-allow-listed with the reason it stays.
+records are immutable ``collections.namedtuple`` subclasses (``SupportSet``
+a slotted class), and the CLI takes its string encoder from ``_json``, so
+importing it loads no ``dataclasses``, ``typing`` or ``json`` and none of
+the modules ``dataclasses`` imports.  The ``FieldCtx`` constructor sets
+every slot, and the field holds its Zech table exactly where its adder
+reads one.  Every name the package exports is used by some other module of
+it, and every public method and property of its classes is read by some
+code outside its own def, or is allow-listed with the reason it stays.
 """
 
 import ast
@@ -229,7 +230,8 @@ def test_cli_import_loads_no_dataclasses():
                           capture_output=True, text=True, timeout=60, check=True)
     loaded = set(proc.stdout.split())
     assert "hmdft.cli" in loaded
-    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+                     "json"} == set()
 
 
 RECORDS = {
@@ -289,6 +291,7 @@ UNUSED_EXPORTS = {
     "element_degree": "pinned by perfbench/tracing.py, which counts harness calls to it",
     "build_root_indicator": "pinned by perfbench/tracing.py (ROADMAP item 5 moves it)",
     "oracle_factor_degrees": "pinned by perfbench/checks.py (ROADMAP item 5 moves it)",
+    "oracle_irreducible": "the Rabin oracle of the tests and of perfbench/checks.py",
 }
 
 
