@@ -10,19 +10,17 @@ hm-verify use DEFAULT_SIZE_CAP, and factor-test, irred-test, dft and delta
 the hard limits alone.  Each ``_cmd_*`` handler returns (payload, exit code),
 and ``main`` alone writes the payload, as --format asks, to --out or stdout.
 
-``main`` parses with one parser per process, built on its first call: a
-one-shot ``hmdft`` command builds it once, as it always did, and in-process
-callers that run many commands pay for it once.
+``main`` reads argv against one table, ``_COMMANDS``: each flag is named in
+full, as ``--flag value`` or ``--flag=value``, and a usage error writes a
+usage line and ``hmdft <cmd>: error: <msg>`` to stderr and exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
-import functools
 import io
 import sys
 from _json import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .cyclic import CyclicFn, dft, idft, least_period_of_sequence
 from .cyclo import threshold
@@ -148,6 +146,8 @@ def _flatten(d: dict, prefix: str = "") -> dict:
 
 
 def _to_csv(payload) -> str:
+    import csv  # loaded by the csv format alone: it imports re
+
     rows = [_flatten(r) for r in payload.get("reports", [payload])]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -180,21 +180,13 @@ def _to_text(payload) -> str:
     return "\n".join(f"{k}: {v}" for k, v in _flatten(payload).items()) + "\n"
 
 
-def _add_common(sp: argparse.ArgumentParser, default_cap: int | None = None) -> None:
-    sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sp.add_argument("--out", default=None, help="write output to this path")
-    sp.add_argument("--cap", type=int, default=default_cap,
-                    help="size cap on q**n - 1 (default %s)" %
-                    (default_cap or "the hard limits"))
-
-
 def _cmd_period(args) -> tuple[dict, int]:
     if args.seq is not None:
         if (args.q, args.n, args.w, args.c) != (None, None, None, None):
             raise ValueError("--seq takes no --q, --n, --w or --c")
         return {"r": least_period_of_sequence(_parse_ints(args.seq))}, 0
     if None in (args.q, args.n, args.w):
-        _parser().error("period needs --seq or all of --q/--n/--w")
+        _usage("period", "needs --seq or all of --q, --n and --w")
     if args.n == 1:  # refused before any field or mask is built
         raise ValueError("period needs n >= 2: the mask at n = 1 has no period threshold")
     c = 0 if args.c is None else args.c
@@ -301,92 +293,173 @@ def _cmd_hm_verify(args) -> tuple[dict, int]:
     return result.to_dict(), 0 if result.summary["fail"] == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="hmdft",
-        description="Exact DFT-based verification of irreducible polynomials "
-                    "with one prescribed coefficient.")
-    sub = ap.add_subparsers(dest="command", required=True)
+# the options every subcommand takes, after its own
+_COMMON = {
+    "--format": (("text", "json", "csv"), False, "output format (default text)"),
+    "--out": (str, False, "write output to this path"),
+    "--cap": (int, False, "size cap on q**n - 1"),
+}
 
-    sp = sub.add_parser("period", help="least period of a sequence or of a (w, c) mask")
-    sp.add_argument("--seq", help="comma-separated values (any integer symbols)")
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--w", type=int)
-    sp.add_argument("--c", type=int, help="prescribed coefficient (default 0)")
-    _add_common(sp, DEFAULT_SIZE_CAP)
-    sp.set_defaults(fn=_cmd_period)
-
-    sp = sub.add_parser("dft", help="transform of a weight indicator, mask or sequence")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--w", type=int)
-    sp.add_argument("--c", type=int, default=None)
-    sp.add_argument("--seq", help="comma-separated F_q codes of length q**n - 1")
-    sp.add_argument("--inverse", action="store_true")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_dft)
-
-    sp = sub.add_parser("delta", help="emit weight-indicator or mask values over F_q")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--w", type=int, required=True)
-    sp.add_argument("--c", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_delta)
-
-    sp = sub.add_parser("factor-test",
-                        help="test for an irreducible factor of degree n")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--poly", required=True,
-                    help="little-endian comma-separated F_q codes")
-    sp.add_argument("--L", type=int, default=None,
-                    help="order of a subfield containing the image, validated if given")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_factor_test)
-
-    sp = sub.add_parser("irred-test", help="sufficient irreducibility test")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--L", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_irred_test)
-
-    sp = sub.add_parser("hm-verify", help="sweep a parameter grid and verify all claims")
-    sp.add_argument("--q", required=True, help="comma-separated prime powers")
-    sp.add_argument("--n", required=True, help="a value or an inclusive range lo:hi")
-    sp.add_argument("--w", type=int, default=None, help="pin a single w")
-    sp.add_argument("--c", type=int, default=None, help="pin a single c code")
-    sp.add_argument("--all-w", action="store_true",
-                    help="cover w in [1, n] with reciprocal delegation above n/2")
-    sp.add_argument("--no-witness", action="store_true",
-                    help="skip the witness search")
-    sp.add_argument("--check-symmetry", action="store_true",
-                    help="also verify digit-permutation invariance of each mask")
-    _add_common(sp, DEFAULT_SIZE_CAP)
-    sp.set_defaults(fn=_cmd_hm_verify)
-
-    sp = sub.add_parser("witness",
-                        help="search one (q, n, w, c) for a verified irreducible")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--w", type=int, required=True)
-    sp.add_argument("--c", type=int, required=True)
-    _add_common(sp, DEFAULT_SIZE_CAP)
-    sp.set_defaults(fn=_cmd_witness)
-
-    return ap
+# subcommand: (handler, help, default --cap, options); an option maps its flag
+# to (value type, required, help), where the type is int, str, a tuple of
+# choices or bool, a switch that takes no value
+_COMMANDS = {
+    "period": (_cmd_period, "least period of a sequence or of a (w, c) mask",
+               DEFAULT_SIZE_CAP, {
+        "--seq": (str, False, "comma-separated values (any integer symbols)"),
+        "--q": (int, False, "field size"),
+        "--n": (int, False, "degree"),
+        "--w": (int, False, "weight"),
+        "--c": (int, False, "prescribed coefficient (default 0)"),
+        **_COMMON}),
+    "dft": (_cmd_dft, "transform of a weight indicator, mask or sequence", None, {
+        "--q": (int, True, "field size"),
+        "--n": (int, True, "degree"),
+        "--w": (int, False, "weight"),
+        "--c": (int, False, "prescribed coefficient: transform the mask"),
+        "--seq": (str, False, "comma-separated F_q codes of length q**n - 1"),
+        "--inverse": (bool, False, "inverse transform"),
+        **_COMMON}),
+    "delta": (_cmd_delta, "emit weight-indicator or mask values over F_q", None, {
+        "--q": (int, True, "field size"),
+        "--n": (int, True, "degree"),
+        "--w": (int, True, "weight"),
+        "--c": (int, False, "prescribed coefficient: emit the mask"),
+        **_COMMON}),
+    "factor-test": (_cmd_factor_test, "test for an irreducible factor of degree n", None, {
+        "--q": (int, True, "field size"),
+        "--n": (int, True, "factor degree"),
+        "--poly": (str, True, "little-endian comma-separated F_q codes"),
+        "--L": (int, False, "order of a subfield containing the image, validated if given"),
+        **_COMMON}),
+    "irred-test": (_cmd_irred_test, "sufficient irreducibility test", None, {
+        "--q": (int, True, "field size"),
+        "--poly": (str, True, "little-endian comma-separated F_q codes"),
+        "--L": (int, False, "order of a subfield containing the image, validated if given"),
+        **_COMMON}),
+    "hm-verify": (_cmd_hm_verify, "sweep a parameter grid and verify all claims",
+                  DEFAULT_SIZE_CAP, {
+        "--q": (str, True, "comma-separated prime powers"),
+        "--n": (str, True, "a value or an inclusive range lo:hi"),
+        "--w": (int, False, "pin a single w"),
+        "--c": (int, False, "pin a single c code"),
+        "--all-w": (bool, False, "cover w in [1, n] with reciprocal delegation above n/2"),
+        "--no-witness": (bool, False, "skip the witness search"),
+        "--check-symmetry": (bool, False,
+                             "also verify digit-permutation invariance of each mask"),
+        **_COMMON}),
+    "witness": (_cmd_witness, "search one (q, n, w, c) for a verified irreducible",
+                DEFAULT_SIZE_CAP, {
+        "--q": (int, True, "field size"),
+        "--n": (int, True, "degree"),
+        "--w": (int, True, "weight"),
+        "--c": (int, True, "prescribed coefficient"),
+        **_COMMON}),
+}
 
 
-# one parser per process, built on first use; parse_args keeps no state in it
-_parser = functools.cache(build_parser)
+def _shown(flag: str, kind) -> str:
+    """The flag as usage and help write it, with a placeholder for its value."""
+    if kind is bool:
+        return flag
+    return f"{flag} {{{','.join(kind)}}}" if type(kind) is tuple else f"{flag} {flag[2:].upper()}"
+
+
+def _usage_line(cmd: str | None) -> str:
+    if cmd is None:
+        return "usage: hmdft {" + ",".join(_COMMANDS) + "} ...\n"
+    shown = (_shown(flag, kind) if required else f"[{_shown(flag, kind)}]"
+             for flag, (kind, required, _) in _COMMANDS[cmd][3].items())
+    return f"usage: hmdft {cmd} [-h] {' '.join(shown)}\n"
+
+
+def _usage(cmd: str | None, msg: str):
+    """Write cmd's usage line and the error to stderr, and exit 2."""
+    prog = f"hmdft {cmd}" if cmd else "hmdft"
+    sys.stderr.write(f"{_usage_line(cmd)}{prog}: error: {msg}\n")
+    raise SystemExit(2)
+
+
+def _help(cmd: str | None) -> str:
+    """The -h text: cmd's usage and options, or the subcommands of hmdft."""
+    if cmd is None:
+        rows = [(name, entry[1]) for name, entry in _COMMANDS.items()]
+        head = ("Exact DFT-based verification of irreducible polynomials with one "
+                "prescribed coefficient.\n\ncommands (hmdft COMMAND -h for its options):")
+    else:
+        _, head, cap, opts = _COMMANDS[cmd]
+        rows = [("-h, --help", "show this help and exit")]
+        for flag, (kind, _, text) in opts.items():
+            if flag == "--cap":
+                text += f" (default {cap or 'the hard limits'})"
+            rows.append((_shown(flag, kind), text))
+        head += "\n\noptions:"
+    width = max(len(left) for left, _ in rows) + 2
+    return "".join([_usage_line(cmd), "\n", head, "\n",
+                    *(f"  {left:<{width}}{text}\n" for left, text in rows)])
+
+
+def _parse(argv: list[str]):
+    """(handler, options) of one command line, read against ``_COMMANDS``.
+
+    A flag is named in full, as ``--flag value`` or ``--flag=value``; the
+    token after a value flag is its value unless it starts with ``--``, and
+    the last of a repeated flag wins.  ``-h``/``--help`` writes the help to
+    stdout and exits 0; any other mistake is a usage error (``_usage``).
+    """
+    if not argv or argv[0] in ("-h", "--help"):
+        if argv:
+            sys.stdout.write(_help(None))
+            raise SystemExit(0)
+        _usage(None, "name a command: " + ", ".join(_COMMANDS))
+    cmd = argv[0]
+    if cmd not in _COMMANDS:
+        _usage(None, f"unknown command {cmd!r} (choose from {', '.join(_COMMANDS)})")
+    fn, _, cap, opts = _COMMANDS[cmd]
+    values = {flag[2:].replace("-", "_"): False if kind is bool else None
+              for flag, (kind, _, _) in opts.items()}
+    values["format"], values["cap"] = "text", cap
+    given = set()
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token in ("-h", "--help"):
+            sys.stdout.write(_help(cmd))
+            raise SystemExit(0)
+        flag, eq, value = token.partition("=")
+        if flag not in opts:
+            _usage(cmd, f"unrecognized argument: {token}")
+        kind = opts[flag][0]
+        if kind is bool:
+            if eq:
+                _usage(cmd, f"{flag} takes no value")
+            value = True
+        elif not eq:
+            if i == len(argv) or argv[i].startswith("--"):
+                _usage(cmd, f"{flag} needs a value")
+            value = argv[i]
+            i += 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage(cmd, f"{flag} takes an int, not {value!r}")
+        elif type(kind) is tuple and value not in kind:
+            _usage(cmd, f"{flag} takes one of {', '.join(kind)}, not {value!r}")
+        values[flag[2:].replace("-", "_")] = value
+        given.add(flag)
+    missing = [flag for flag, (_, required, _) in opts.items()
+               if required and flag not in given]
+    if missing:
+        _usage(cmd, "the following flags are required: " + ", ".join(missing))
+    return fn, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    fn, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        payload, code = args.fn(args)
+        payload, code = fn(args)
         _emit(payload, args.format, args.out)
         return code
     except (ValueError, OSError) as exc:  # AlgebraError is a ValueError

@@ -324,6 +324,11 @@ def _cells(cfg: SweepConfig, q: int, n: int):
 def _check_grid(cfg: SweepConfig) -> list[int]:
     """The grid's q in ascending order, or ValueError if it has no row to run.
 
+    The error names its cause: no q, a q that is not a prime power, a
+    reversed n range, a row at n = 1, a pinned w outside [1, n] for every n,
+    no n >= 2, only the norm-of-zero cell w = n with c = 0, or every row past
+    the size cap or a hard limit (``SweepConfig.fits``).
+
     ``check_size`` refuses every n past MODULUS_GUARD's bit length, so the
     search for a row that fits stops there however long the n range.
     """
@@ -343,6 +348,15 @@ def _check_grid(cfg: SweepConfig) -> list[int]:
     if lo <= 1 <= hi and any(row for *_, row in _cells(cfg, qs[0], 1)):
         raise ValueError(f"n range {lo}:{hi} reaches n = 1, whose only row "
                          f"(w = n = 1) has no period threshold; start it at 2")
+    w = cfg.pinned_w
+    if w is not None and not 1 <= w <= hi:
+        raise ValueError(f"pinned w={w} lies outside [1, n] for every n of the "
+                         f"range {lo}:{hi}")
+    if hi < 2:  # a row at n = 1 was refused above
+        raise ValueError(f"n range {lo}:{hi} has no n >= 2, so it has no row to run")
+    if w == hi and cfg.pinned_c == 0:  # every other n of the range is below w
+        raise ValueError(f"the grid's only cell is w = n = {hi} with c = 0, "
+                         f"and no norm is 0")
     if not any(cfg.fits(q, n) and any(row for *_, row in _cells(cfg, q, n)) for q in qs
                for n in range(max(lo, 1), min(hi, MODULUS_GUARD.bit_length()) + 1)):
         raise ValueError(f"no (q, n) of the grid has a row within the size cap "

@@ -149,7 +149,9 @@ def check_grid_oracle(cfg):
     """`harness._check_grid` as one fits/weights/rows test per (q, n) of the range.
 
     A w is a row at n unless w = n with c pinned to 0 (the sweep skips it as
-    a norm of zero).  A row at n = 1 refuses the grid.  Every q up to
+    a norm of zero).  A row at n = 1 refuses the grid, and so does a range
+    with no row, by the first of its causes: a pinned w that fits no n, no
+    n >= 2 with a w, or a lone norm-of-zero cell.  Every q up to
     MODULUS_GUARD + 1 must be a prime power, by `prime_power_loop`.
     """
     qs = sorted(set(cfg.q_list))
@@ -170,6 +172,15 @@ def check_grid_oracle(cfg):
     if lo <= 1 <= hi and has_row(1):
         raise ValueError(f"n range {lo}:{hi} reaches n = 1, whose only row "
                          f"(w = n = 1) has no period threshold; start it at 2")
+    if not any(has_row(n) for n in range(lo, hi + 1)):
+        w = cfg.pinned_w
+        if w is not None and all(not 1 <= w <= n for n in range(lo, hi + 1)):
+            raise ValueError(f"pinned w={w} lies outside [1, n] for every n of the "
+                             f"range {lo}:{hi}")
+        if not any(cfg.weights(n) for n in range(max(lo, 2), hi + 1)):
+            raise ValueError(f"n range {lo}:{hi} has no n >= 2, so it has no row to run")
+        raise ValueError(f"the grid's only cell is w = n = {hi} with c = 0, "
+                         f"and no norm is 0")
     if not any(has_row(n) and cfg.fits(q, n)  # fits refuses n < 1, which has no row
                for q in qs for n in range(lo, hi + 1)):
         raise ValueError(f"no (q, n) of the grid has a row within the size cap "

@@ -115,6 +115,64 @@ MUTANTS = (
             "tests/test_cyclic.py::test_descent_matches_ascending_scan"),
            "the descent divides by each prime at most once, so a least "
            "period missing a square of a prime of N is reported too large"),
+    Mutant("coset-walk-zero-branch-dropped", "src/hmdft/cyclic.py",
+           (("ls = (ls + z) % M if z >= 0 else -1", "ls = (ls + z) % M"),),
+           ("tests/test_dft_routes.py::test_cancelling_partial_sum_restarts",
+            "tests/test_dft_routes.py::test_log_domain_sums_match_the_add_loop"),
+           "a Zech sum that cancels to 0 is read as the log zech < 0 points "
+           "past, so the next term joins a wrong partial sum"),
+    Mutant("coset-walk-term-log-unreduced", "src/hmdft/cyclic.py",
+           (("lt = (lc + kj * i) % M", "lt = lc + kj * i"),),
+           ("tests/test_dft_routes.py::test_log_domain_sums_match_the_add_loop",
+            "tests/test_cyclic.py::test_dft_against_brute_force"),
+           "a term's log is left past M, so the Zech step reads the table at "
+           "the wrong difference, or past its end"),
+    Mutant("certificate-cache-keyed-on-low", "src/hmdft/symfun.py",
+           (("_certificate_tries(q, n, w, not c)",
+             "_certificate_tries(q, n, w, (1 if c else q - 1) == q - 1)"),),
+           ("tests/test_symfun.py::test_shift_certificate_keys_on_whether_c_is_zero",),
+           "at q = 2 both c = 0 and c = 1 have low = 1, so c = 1 at w = n gets "
+           "c = 0's empty tries; the period stays right, only certificates go"),
+    Mutant("level-coefs-neg-dropped", "src/hmdft/symfun.py",
+           (("[neg(mul(binom[k], mul(power(sign, k), power(b, q - 1 - k))))",
+             "[mul(binom[k], mul(power(sign, k), power(b, q - 1 - k)))"),),
+           ("tests/test_symfun.py::test_mask_period_matches_transform_side_oracle",
+            "tests/test_symfun.py::test_delta_mask_binomial_expansion"),
+           "every mask coefficient over odd p is negated, on both mask routes "
+           "at once, so only oracles outside _level_coefs see it"),
+    Mutant("certificate-admits-x-0", "src/hmdft/symfun.py",
+           (("        if d and (rest or not low <= k < q or max(d) > k):\n",
+             "        if not d or (rest or not low <= k < q or max(d) > k):\n"),),
+           ("tests/test_symfun.py::test_shift_certificates_check_out_on_periods_grid",),
+           "a shift landing on x = 0 is read as a zero of the mask, but slot 0 "
+           "holds 1 + coef_0, so the certificate is false; no period of the "
+           "grid changes, so only the certificate check sees it"),
+    Mutant("slot-0-wrap-dropped", "src/hmdft/symfun.py",
+           (("self._slot0 = add(add(1, coef[0]), coef[q - 1] if w == n else 0)",
+             "self._slot0 = add(1, coef[0])"),),
+           ("tests/test_symfun.py::test_mask_points_match_delta_mask",),
+           "at w = n the all-(q-1) vector sums to q**n - 1, which wraps to slot "
+           "0; without it the point reader's mask(0) differs from delta_mask"),
+    Mutant("oracle-gcd-step-dropped", "src/hmdft/gf.py",
+           (("        if k in gcd_at and len(_gcd(ctx, hm, (PolyFq(ctx, f) - x).codes)) != 1:\n"
+             "            return False\n", ""),),
+           ("tests/test_gf.py::test_oracle_irreducible_counts_match_gauss",
+            "tests/test_spectral.py::test_oracle_irreducible_vs_trial_division"),
+           "Rabin's test keeps only x**(q**n) = x mod h, which every squarefree "
+           "h with factors of degree dividing n passes"),
+    Mutant("parser-required-check-dropped", "src/hmdft/cli.py",
+           (("    if missing:\n"
+             "        _usage(cmd, \"the following flags are required: \" + \", \".join(missing))\n",
+             ""),),
+           ("tests/test_cli.py::test_usage_error_exits_2_with_usage_and_message",),
+           "a command with a required flag missing runs with None for it, "
+           "and fails later, if at all, without a usage error"),
+    Mutant("parser-int-conversion-skipped", "src/hmdft/cli.py",
+           (("                value = int(value)\n", "                pass\n"),),
+           ("tests/test_cli.py::test_usage_error_exits_2_with_usage_and_message",
+            "tests/test_cli.py::test_flag_value_forms_and_repeats_read_alike"),
+           "an int flag keeps its text, so --q=x reaches the handler and "
+           "every int option is compared and computed on as a str"),
 )
 
 

@@ -300,6 +300,98 @@ def test_period_needs_args(capsys):
     assert exc.value.code == 2
 
 
+WITNESS = ("witness", "--q", "2", "--n", "4", "--w", "2", "--c", "0")
+COMMANDS = "period, dft, delta, factor-test, irred-test, hm-verify, witness"
+# (argv, the error line after "hmdft[ <cmd>]: error: ")
+USAGE_ERRORS = {
+    "no-command": ((), f"name a command: {COMMANDS}"),
+    "unknown-command": (("nonsense", "--q", "2"),
+                        f"unknown command 'nonsense' (choose from {COMMANDS})"),
+    "unknown-flag": ((*WITNESS, "--seed", "1"), "unrecognized argument: --seed"),
+    "abbreviated-flag": (("hm-verify", "--q", "2", "--n", "2:3", "--no-wit"),
+                         "unrecognized argument: --no-wit"),
+    "abbreviated-flag-with-value": (("witness", "--q", "2", "--n", "4", "--w", "2", "--co=0"),
+                                    "unrecognized argument: --co=0"),
+    "single-dash-flag": (("delta", "-q", "2", "--n", "3", "--w", "1"),
+                         "unrecognized argument: -q"),
+    "stray-value": (("delta", "--q", "2", "--n", "3", "--w", "1", "2"),
+                    "unrecognized argument: 2"),
+    "no-value-at-the-end": (WITNESS[:-1], "--c needs a value"),
+    "flag-for-value": (("delta", "--q", "--n", "3", "--w", "1"), "--q needs a value"),
+    "not-an-int": (("witness", "--q=x", *WITNESS[3:]), "--q takes an int, not 'x'"),
+    "float-for-int": ((*WITNESS, "--cap", "1e5"), "--cap takes an int, not '1e5'"),
+    "bad-format": (("delta", "--q", "2", "--n", "3", "--w", "1", "--format", "xml"),
+                   "--format takes one of text, json, csv, not 'xml'"),
+    "missing-required": (("witness", "--q", "2"),
+                         "the following flags are required: --n, --w, --c"),
+    "missing-required-only": (("factor-test", "--format", "json"),
+                              "the following flags are required: --q, --n, --poly"),
+    "value-to-switch": (("hm-verify", "--q", "2", "--n", "2:3", "--all-w=1"),
+                        "--all-w takes no value"),
+    "period-without-seq-or-mask": (("period", "--q", "3", "--n", "2"),
+                                   "needs --seq or all of --q, --n and --w"),
+}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_exits_2_with_usage_and_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    cmd = argv[0] if argv and argv[0] in cli._COMMANDS else None
+    prog = f"hmdft {cmd}" if cmd else "hmdft"
+    usage, line, rest = err.split("\n", 2)
+    assert usage.startswith(f"usage: {prog} ") and rest == ""
+    assert line == f"{prog}: error: {message}"
+
+
+def test_flag_value_forms_and_repeats_read_alike():
+    def parsed(*argv):
+        fn, args = cli._parse(list(argv))
+        return fn, vars(args)
+
+    spaced = parsed(*WITNESS)
+    assert parsed("witness", "--q=2", "--n=4", "--w=2", "--c=0") == spaced
+    # the last of a repeated flag wins
+    assert parsed("witness", "--q", "3", "--q", "2", *WITNESS[3:]) == spaced
+    assert parsed("hm-verify", "--q", "2", "--n", "3", "--all-w", "--all-w") == \
+        parsed("hm-verify", "--q=2", "--n=3", "--all-w")
+    # int() reads the value; an empty --seq= is a value too
+    assert parsed("witness", "--q", " +2", *WITNESS[3:]) == spaced
+    assert parsed("period", "--seq=")[1]["seq"] == ""
+    # defaults: the command's cap, text output, switches off
+    assert parsed("hm-verify", "--q", "2", "--n", "3")[1] == {
+        "q": "2", "n": "3", "w": None, "c": None, "all_w": False, "no_witness": False,
+        "check_symmetry": False, "format": "text", "out": None, "cap": 20000}
+    assert parsed("dft", "--q", "2", "--n", "3")[1]["cap"] is None
+
+
+def test_a_negative_value_reaches_the_domain_check(capsys):
+    # a value token starts with one dash: it is read, then refused as no F_3 code
+    code, out, err = run(capsys, "period", "--q", "3", "--n", "2", "--w", "1", "--c", "-1")
+    assert (code, out, err) == (2, "", "error: c=-1 is not an F_3 code\n")
+
+
+@pytest.mark.parametrize("cmd", [None, *cli._COMMANDS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_flag_and_exits_0(capsys, cmd, flag):
+    # -h answers before a later token or a missing required flag is read
+    argv = [flag] if cmd is None else [cmd, "--q", "2", flag, "--nonsense"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert out.startswith(f"usage: hmdft {cmd or ''}")
+    if cmd is None:
+        names = list(cli._COMMANDS)
+        assert [name for name in names if f"\n  {name} " in out] == names
+    else:
+        flags = list(cli._COMMANDS[cmd][3])
+        assert [f for f in flags if f"\n  {f} " in out or f"\n  {f}\n" in out] == flags
+        assert flags[-3:] == ["--format", "--out", "--cap"]
+
+
 def test_period_above_half_weight(capsys):
     # masks are defined for any w in [1, n]; claims only apply up to n/2
     code, out, _ = run(capsys, "period", "--q", "3", "--n", "2", "--w", "2", "--c", "1",
@@ -338,19 +430,32 @@ def test_cap_flag(capsys):
     assert code == 2 and "cap" in err
 
 
-@pytest.mark.parametrize("grid", [("--q", "2", "--n", "6:3"),
-                                  ("--q", ",", "--n", "2:3"),
-                                  ("--q", "2", "--n", "2:3", "--w", "9"),
-                                  ("--q", "7", "--n", "9"),
-                                  ("--q", "3", "--n", "3", "--w", "3", "--c", "0"),
-                                  ("--q", "3", "--n", "1", "--all-w", "--c", "0"),
-                                  ("--q", "2,3", "--n", "2:3", "--w", "3", "--c", "0")],
-                         ids=["reversed-n", "no-q", "w-fits-no-n", "all-over-cap",
-                              "pinned-norm-of-zero", "all-w-norm-of-zero",
-                              "norm-of-zero-or-no-w"])
-def test_hm_verify_empty_grid_rejected(capsys, grid):
+OVER_CAP = "no (q, n) of the grid has a row within the size cap 20000 and the hard limits"
+ONLY_NORM_OF_ZERO = "the grid's only cell is w = n = 3 with c = 0, and no norm is 0"
+EMPTY_GRIDS = {
+    "reversed-n": (("--q", "2", "--n", "6:3"), "n range 6:3 is empty"),
+    "no-q": (("--q", ",", "--n", "2:3"), "q list names no field size"),
+    "w-fits-no-n": (("--q", "2", "--n", "2:3", "--w", "9"),
+                    "pinned w=9 lies outside [1, n] for every n of the range 2:3"),
+    "w-zero": (("--q", "2", "--n", "2:3", "--w", "0"),
+               "pinned w=0 lies outside [1, n] for every n of the range 2:3"),
+    "n-below-2": (("--q", "2", "--n", "0:1"),
+                  "n range 0:1 has no n >= 2, so it has no row to run"),
+    "all-over-cap": (("--q", "7", "--n", "9"), OVER_CAP),
+    "pinned-norm-of-zero": (("--q", "3", "--n", "3", "--w", "3", "--c", "0"),
+                            ONLY_NORM_OF_ZERO),
+    "all-w-norm-of-zero": (("--q", "3", "--n", "1", "--all-w", "--c", "0"),
+                           "n range 1:1 has no n >= 2, so it has no row to run"),
+    "norm-of-zero-or-no-w": (("--q", "2,3", "--n", "2:3", "--w", "3", "--c", "0"),
+                             ONLY_NORM_OF_ZERO),
+}
+
+
+@pytest.mark.parametrize("grid, message", EMPTY_GRIDS.values(), ids=EMPTY_GRIDS)
+def test_hm_verify_empty_grid_rejected(capsys, grid, message):
+    # each empty grid names its own cause; only rows all past fits read the cap
     code, out, err = run(capsys, "hm-verify", *grid)
-    assert code == 2 and "error" in err and out == ""
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def _no_rows(monkeypatch):
@@ -499,7 +604,7 @@ def test_factor_test_default_has_no_user_cap(capsys):
 
 
 def _cli_env():
-    return dict(os.environ, PYTHONPATH=str(Path(hmdft.__file__).parents[1]), COLUMNS="80")
+    return dict(os.environ, PYTHONPATH=str(Path(hmdft.__file__).parents[1]))
 
 
 def _fresh(argv):
@@ -604,16 +709,18 @@ MIXED = [("period", "--q", "2", "--n", "8", "--w", "1", "--cap", "100"),
          ("period", "--q", "2", "--n", "8", "--w", "1"),
          ("dft", "--q", "4", "--n", "2", "--seq", DFT_SEQ, "--inverse", "--format", "json"),
          ("witness", "--q", "2"),  # usage error
+         ("hm-verify", "--q", "2", "--n", "2:3", "--no-wit"),  # usage error
          ("dft", "--q", "4", "--n", "2", "--seq", DFT_SEQ, "--format", "json"),
+         ("delta", "--q", "2", "--n", "3", "--w", "1", "--format", "xml"),  # usage error
+         ("witness", "--q=x", "--n", "4", "--w", "2", "--c", "0"),  # usage error
          ("factor-test", "--q", "2", "--n", "4", "--poly", EX15_POLY)]
 
 
-def test_one_process_matches_fresh_processes(monkeypatch):
-    # main's parser lives for the whole process: no option of one call may
-    # leak into the next
-    monkeypatch.setenv("COLUMNS", "80")
+def test_one_process_matches_fresh_processes():
+    # many commands in one process: no option of one call may leak into the
+    # next, and a usage error writes the same bytes as in a fresh process
     shared = [_in_process(argv) for argv in MIXED]
-    assert [r[0] for r in shared] == [2, 0, 0, 2, 0, 0]
+    assert [r[0] for r in shared] == [2, 0, 0, 2, 2, 0, 2, 2, 0]
     assert shared == [_fresh(argv) for argv in MIXED]
 
 
@@ -801,9 +908,9 @@ CLI_REFUSALS = [
 
 @pytest.mark.parametrize("argv, error, text", CLI_REFUSALS)
 def test_cli_refusals(capsys, argv, error, text):
-    args = cli._parser().parse_args(list(argv))
+    fn, args = cli._parse(list(argv))
     with pytest.raises(error, match=text):
-        args.fn(args)
+        fn(args)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
 

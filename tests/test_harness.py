@@ -137,8 +137,15 @@ def test_sweep_empty_grid():
     (SweepConfig(q_list=(2, 3), n_range=(1, 3), w_policy="full"), "reaches n = 1"),
     (SweepConfig(q_list=(3,), n_range=(6, 3)), "^n range 6:3 is empty$"),
     (SweepConfig(q_list=(3,), n_range=(2, 3), pinned_w=3, pinned_c=0),
-     "^no \\(q, n\\) of the grid has a row within the size cap 20000 and the hard limits$"),
-], ids=["n-1-row", "reversed-n", "norm-of-zero-only"])
+     "^the grid's only cell is w = n = 3 with c = 0, and no norm is 0$"),
+    (SweepConfig(q_list=(3,), n_range=(2, 3), pinned_w=4),
+     "^pinned w=4 lies outside \\[1, n\\] for every n of the range 2:3$"),
+    (SweepConfig(q_list=(3,), n_range=(-3, 1)),
+     "^n range -3:1 has no n >= 2, so it has no row to run$"),
+    (SweepConfig(q_list=(3,), n_range=(2, 3), size_cap=7),
+     "^no \\(q, n\\) of the grid has a row within the size cap 7 and the hard limits$"),
+], ids=["n-1-row", "reversed-n", "norm-of-zero-only", "w-fits-no-n", "n-below-2",
+        "over-cap"])
 def test_sweep_refuses_a_grid_with_no_row_to_run(monkeypatch, cfg, text):
     monkeypatch.setattr(harness, "_sweep_tuple", _no_work)
     monkeypatch.setattr(harness, "_witnesses", _no_work)
