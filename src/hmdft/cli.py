@@ -24,7 +24,6 @@ from types import SimpleNamespace
 
 from .cyclic import CyclicFn, dft, idft, least_period_of_sequence
 from .cyclo import threshold
-from .errors import AlgebraError, DegreeMismatchError
 from .gf import (
     PolyFq,
     check_size,
@@ -59,7 +58,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _poly_from_codes(q: int, codes: list[int]) -> PolyFq:
     if any(not 0 <= c < q for c in codes):
-        raise AlgebraError(f"polynomial coefficients must be F_{q} codes in [0, {q})")
+        raise ValueError(f"polynomial coefficients must be F_{q} codes in [0, {q})")
     return PolyFq(value_field(q), codes)
 
 
@@ -183,7 +182,7 @@ def _to_text(payload) -> str:
 def _cmd_period(args) -> tuple[dict, int]:
     if args.seq is not None:
         if (args.q, args.n, args.w, args.c) != (None, None, None, None):
-            raise ValueError("--seq takes no --q, --n, --w or --c")
+            _usage("period", "--seq takes no --q, --n, --w or --c")
         return {"r": least_period_of_sequence(_parse_ints(args.seq))}, 0
     if None in (args.q, args.n, args.w):
         _usage("period", "needs --seq or all of --q, --n and --w")
@@ -201,9 +200,9 @@ def _cmd_period(args) -> tuple[dict, int]:
 
 def _cmd_dft(args) -> tuple[dict, int]:
     if args.seq is None and args.w is None:
-        raise AlgebraError("dft needs --seq or --w")
+        _usage("dft", "needs --seq or --w")
     if args.seq is not None and (args.w, args.c) != (None, None):
-        raise ValueError("--seq takes no --w or --c")
+        _usage("dft", "--seq takes no --w or --c")
     N = check_size(args.q, args.n, args.cap, field=True)
     small = value_field(args.q)
     big = make_field(small.p, small.m * args.n)
@@ -234,7 +233,7 @@ def _lift_seq(text: str, N: int, emb) -> list[int]:
     except KeyError:
         codes, lifted = _parse_ints(text), False
     if len(codes) != N:
-        raise AlgebraError(f"sequence must have length q**n - 1 = {N}")
+        raise ValueError(f"sequence must have length q**n - 1 = {N}")
     return codes if lifted else emb.lift_codes(codes)
 
 
@@ -267,7 +266,7 @@ def _cmd_irred_test(args) -> tuple[dict, int]:
     while degree >= 0 and not codes[degree]:
         degree -= 1
     if degree < 2:  # named as a degree error, before check_size sees it
-        raise DegreeMismatchError("irreducibility test needs degree >= 2")
+        raise ValueError("irreducibility test needs degree >= 2")
     return _factor_verdict(args, degree, codes)
 
 
@@ -462,7 +461,7 @@ def main(argv=None) -> int:
         payload, code = fn(args)
         _emit(payload, args.format, args.out)
         return code
-    except (ValueError, OSError) as exc:  # AlgebraError is a ValueError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,13 +39,6 @@ from math import gcd
 from struct import unpack
 
 from . import numtheory
-from .errors import (
-    BadPermutationError,
-    CtxMismatchError,
-    ModulusMismatchError,
-    NotDivisorError,
-    OrderMismatchError,
-)
 from .gf import FieldCtx, FieldElement
 
 
@@ -164,20 +157,20 @@ def _check_codes(ctx: FieldCtx, codes) -> None:
 
 def _check_pair(f: CyclicFn, g: CyclicFn):
     if f.N != g.N:
-        raise ModulusMismatchError(f"moduli differ: {f.N} vs {g.N}")
+        raise ValueError(f"moduli differ: {f.N} vs {g.N}")
     if f.ctx is not g.ctx:
-        raise CtxMismatchError("functions valued in different fields")
+        raise ValueError("functions valued in different fields")
     _check_codes(f.ctx, f.codes + g.codes)
 
 
 def _check_root(f: CyclicFn, zeta: FieldElement) -> None:
     ctx, N = f.ctx, f.N
     if zeta.ctx is not ctx:
-        raise CtxMismatchError("root of unity from a different field")
+        raise ValueError("root of unity from a different field")
     if (ctx.order - 1) % N:
-        raise NotDivisorError(f"N={N} does not divide {ctx.order - 1}")
+        raise ValueError(f"N={N} does not divide {ctx.order - 1}")
     if zeta.code == 0 or ctx.order_of(zeta.code) != N:
-        raise OrderMismatchError(f"supplied root does not have exact order {N}")
+        raise ValueError(f"supplied root does not have exact order {N}")
 
 
 def dft(f: CyclicFn, zeta: FieldElement) -> CyclicFn:
@@ -496,16 +489,16 @@ def compose_perm(f: CyclicFn, sigma) -> CyclicFn:
             kc = k.code if isinstance(k, FieldElement) else k
             vc = v.code if isinstance(v, FieldElement) else v
             if not (0 <= kc < ctx.order and 0 <= vc < ctx.order):
-                raise BadPermutationError("mapping outside the value field")
+                raise ValueError("mapping outside the value field")
             table[kc] = vc
     elif callable(sigma):
         for code in range(ctx.order):
             out = sigma(FieldElement(ctx, code))
             if not isinstance(out, FieldElement) or out.ctx is not ctx:
-                raise BadPermutationError("callable must map the field to itself")
+                raise ValueError("callable must map the field to itself")
             table[code] = out.code
     else:
-        raise BadPermutationError("sigma must be a dict or a callable")
+        raise ValueError("sigma must be a dict or a callable")
     if None in table or len(set(table)) != ctx.order:
-        raise BadPermutationError("sigma is not a bijection of the value field")
+        raise ValueError("sigma is not a bijection of the value field")
     return CyclicFn(ctx, [table[c] for c in f.codes])

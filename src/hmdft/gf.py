@@ -79,16 +79,6 @@ import math
 import operator
 
 from . import numtheory
-from .errors import (
-    BadSubfieldError,
-    BadTowerError,
-    CtxMismatchError,
-    NotDivisorError,
-    NotPrimeError,
-    SizeCapError,
-    WeightRangeError,
-    ZeroPolynomialError,
-)
 
 # hard refusal bound for field construction; every field below it is tabled
 FIELD_ORDER_CAP = 1 << 20
@@ -97,6 +87,10 @@ MODULUS_GUARD = 1 << 22
 
 _FIELD_CACHE: dict[tuple[int, int], "FieldCtx"] = {}
 _EMBED_CACHE: dict[tuple[int, int, int], "Embedding"] = {}
+
+
+class SizeCapError(ValueError):
+    """q**n - 1 is over the size cap or a hard limit (``check_size``)."""
 
 
 def check_size(q: int, n: int, cap: int | None = None, field: bool = False) -> int:
@@ -194,7 +188,7 @@ class FieldCtx:
         """The canonical root of unity of exact order N, i.e. zeta**((order-1)/N)."""
         M = self.order - 1
         if N < 1 or M % N:
-            raise NotDivisorError(f"{N} does not divide {M}")
+            raise ValueError(f"{N} does not divide {M}")
         return FieldElement(self, self.pow_code(self.zeta_code, M // N))
 
     # ------------------------------------------------------------------
@@ -389,7 +383,7 @@ class FieldElement:
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             if other.ctx is not self.ctx:
-                raise CtxMismatchError("elements from different fields")
+                raise ValueError("elements from different fields")
             return other.code
         if isinstance(other, int):
             return other % self.ctx.p
@@ -607,7 +601,7 @@ class PolyFq:
         if not isinstance(other, PolyFq):
             raise TypeError("expected a polynomial")
         if other.ctx is not self.ctx:
-            raise CtxMismatchError("polynomials over different fields")
+            raise ValueError("polynomials over different fields")
 
     def __add__(self, other):
         self._check(other)
@@ -673,7 +667,7 @@ class PolyFq:
     def __call__(self, point: FieldElement) -> FieldElement:
         """Evaluate by Horner's rule at a point of the same context."""
         if point.ctx is not self.ctx:
-            raise CtxMismatchError("evaluation point from a different field")
+            raise ValueError("evaluation point from a different field")
         ctx = self.ctx
         acc = 0
         for c in reversed(self.codes):
@@ -725,7 +719,7 @@ def oracle_irreducible(h: PolyFq) -> bool:
     included, runs in the list kernel (Rabin, SIAM J. Comput. 9, 1980).
     """
     if h.is_zero():
-        raise ZeroPolynomialError("the zero polynomial is not testable")
+        raise ValueError("the zero polynomial is not testable")
     n = h.degree
     if n == 0:
         return False
@@ -771,7 +765,7 @@ def make_field(p: int, m: int = 1) -> FieldCtx:
     if p >= 2:  # size first, so a huge p is never factored
         check_size(p, m, field=True)
     if not numtheory.is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+        raise ValueError(f"{p} is not prime")
     # x for a prime field, whose root 0 is Embedding's gamma there
     ctx = FieldCtx(p, m, (0, 1) if m == 1 else _modulus(p, m))
     _FIELD_CACHE[key] = ctx
@@ -849,7 +843,7 @@ def primitive_element(ctx: FieldCtx) -> FieldElement:
 
 def _check_tower(ctx: FieldCtx, q: int, n: int):
     if n < 1 or q < 2 or q ** n != ctx.order:
-        raise BadTowerError(f"q**n = {q}**{n} does not match field order {ctx.order}")
+        raise ValueError(f"q**n = {q}**{n} does not match field order {ctx.order}")
 
 
 def element_degree(xi: FieldElement, q: int, n: int) -> int:
@@ -896,7 +890,7 @@ def sigma_eval(w: int, xi: FieldElement, q: int, n: int) -> FieldElement:
     gives 1, w = 1 the trace and w = n the norm.
     """
     if not 0 <= w <= n:
-        raise WeightRangeError(f"w={w} outside [0, {n}]")
+        raise ValueError(f"w={w} outside [0, {n}]")
     cp = char_poly(xi, q, n)
     code = cp.codes[n - w] if n - w < len(cp.codes) else 0
     if w % 2:
@@ -920,8 +914,7 @@ class Embedding:
 
     def __init__(self, small: FieldCtx, big: FieldCtx):
         if small.p != big.p or big.m % small.m:
-            raise BadTowerError(
-                f"F_{small.order} is not a subfield of F_{big.order}")
+            raise ValueError(f"F_{small.order} is not a subfield of F_{big.order}")
         self.small = small
         self.big = big
         mod_poly = PolyFq(big, small.modulus)  # coefficients are constants
@@ -942,7 +935,7 @@ class Embedding:
 
     def lift(self, elt: FieldElement) -> FieldElement:
         if elt.ctx is not self.small:
-            raise CtxMismatchError("element not in the embedding's source field")
+            raise ValueError("element not in the embedding's source field")
         return FieldElement(self.big, self._lift[elt.code])
 
     def lift_codes(self, codes) -> list[int]:
@@ -958,21 +951,20 @@ class Embedding:
 
     def lower(self, elt: FieldElement) -> FieldElement:
         if elt.ctx is not self.big:
-            raise CtxMismatchError("element not in the embedding's target field")
+            raise ValueError("element not in the embedding's target field")
         code = self._lower.get(elt.code)
         if code is None:
-            raise BadSubfieldError(
-                f"code {elt.code} is not in the embedded F_{self.small.order}")
+            raise ValueError(f"code {elt.code} is not in the embedded F_{self.small.order}")
         return FieldElement(self.small, code)
 
     def lower_poly(self, poly: PolyFq) -> PolyFq:
         if poly.ctx is not self.big:
-            raise CtxMismatchError("polynomial not over the target field")
+            raise ValueError("polynomial not over the target field")
         lower = self._lower
         try:
             return PolyFq(self.small, [lower[c] for c in poly.codes])
         except KeyError as exc:
-            raise BadSubfieldError("coefficient outside the embedded subfield") from exc
+            raise ValueError("coefficient outside the embedded subfield") from exc
 
 
 def subfield_embedding(small: FieldCtx, big: FieldCtx) -> Embedding:

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import NotPrimePowerError
-
 
 def factorize(n: int):
     """Yield (p, e) for each prime power p**e exactly dividing n >= 1, p ascending."""
@@ -77,7 +75,7 @@ def divisors(n: int) -> list[int]:
 
 @lru_cache(maxsize=256)
 def prime_power(n: int) -> tuple[int, int]:
-    """Decompose n as p**e with p prime, or raise NotPrimePowerError.
+    """Decompose n as p**e with p prime, or raise ValueError.
 
     Memoised: a grid's few q come back at every row.  A refusal is not kept.
     """
@@ -85,4 +83,4 @@ def prime_power(n: int) -> tuple[int, int]:
         p, e = next(factorize(n))
         if p ** e == n:
             return p, e
-    raise NotPrimePowerError(f"{n} is not a prime power")
+    raise ValueError(f"{n} is not a prime power")

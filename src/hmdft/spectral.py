@@ -48,11 +48,6 @@ from .cyclic import (
     least_period_by_descent,
 )
 from .cyclo import threshold
-from .errors import (
-    BadSubfieldError,
-    CtxMismatchError,
-    ZeroPolynomialError,
-)
 from .gf import (
     FieldCtx,
     PolyFq,
@@ -172,9 +167,9 @@ def _root_gcd(h: PolyFq, q: int, n: int,
     not divide N.  No verdict depends on L, so none is searched for here.
     """
     if h.is_zero():
-        raise ZeroPolynomialError("the zero polynomial has no root indicator")
+        raise ValueError("the zero polynomial has no root indicator")
     if h.ctx.order != q:
-        raise CtxMismatchError(f"h must have coefficients in F_{q}")
+        raise ValueError(f"h must have coefficients in F_{q}")
     if n < 2:
         raise ValueError("n must be at least 2")
     # S needs no F_{q^n}, but (q, n) whose field is over the cap stay refused
@@ -188,11 +183,9 @@ def _root_gcd(h: PolyFq, q: int, n: int,
         pp, t = (numtheory.prime_power(subfield_order)
                  if subfield_order <= N + 1 else (0, 1))
         if pp != p or (m * n) % t:
-            raise BadSubfieldError(
-                f"F_{subfield_order} is not a subfield of F_{N + 1}")
+            raise ValueError(f"F_{subfield_order} is not a subfield of F_{N + 1}")
         if not _frobenius_fixed(folded, ctx, N, t):
-            raise BadSubfieldError(
-                f"image of h is not contained in F_{subfield_order}")
+            raise ValueError(f"image of h is not contained in F_{subfield_order}")
     if not folded:  # h vanishes at every root of unity
         return N, folded, None
     hbar = [folded.get(j, 0) for j in range(max(folded) + 1)]
@@ -356,7 +349,7 @@ def _distinct_degree_split(f: PolyFq) -> list[int]:
 def oracle_factor_degrees(h: PolyFq) -> list[int]:
     """Sorted multiset of irreducible-factor degrees of h, with multiplicity."""
     if h.is_zero():
-        raise ZeroPolynomialError("the zero polynomial has no factorization")
+        raise ValueError("the zero polynomial has no factorization")
     if h.degree == 0:
         return []
     degrees = []

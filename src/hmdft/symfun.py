@@ -76,14 +76,13 @@ from math import comb
 
 from . import numtheory
 from .cyclic import CyclicFn, SupportSet, least_period_by_descent
-from .errors import BadPermutationError, ExcludedCaseError, WeightRangeError
 from .gf import check_size, value_field
 
 
 def omega(q: int, n: int, w: int) -> SupportSet:
     """All k in Z_{q^n-1} with 0/1 digits of weight w; empty for (q, w) = (2, n)."""
     if not 0 <= w <= n:
-        raise WeightRangeError(f"w={w} outside [0, {n}]")
+        raise ValueError(f"w={w} outside [0, {n}]")
     N = check_size(q, n)
     if q == 2 and w == n:
         # the full-weight sum 2**n - 1 wraps to 0, which has weight 0
@@ -132,9 +131,9 @@ def _check_mask_args(q: int, n: int, w: int, c: int):
     if not 0 <= c < q:
         raise ValueError(f"c={c} is not an F_{q} code")
     if not 1 <= w <= n:
-        raise WeightRangeError(f"w={w} outside [1, {n}]")
+        raise ValueError(f"w={w} outside [1, {n}]")
     if q == 2 and w == n:
-        raise ExcludedCaseError("(q, w) = (2, n) has an empty weight set")
+        raise ValueError("(q, w) = (2, n) has an empty weight set")
     return ctx
 
 
@@ -324,7 +323,7 @@ def shift_certificate(q: int, n: int, w: int, c: int, t: int):
     if q < 2:
         raise ValueError(f"q must be at least 2, not q={q}")
     if not 1 <= w <= n:
-        raise WeightRangeError(f"w={w} outside [1, {n}]")
+        raise ValueError(f"w={w} outside [1, {n}]")
     tries, verdicts = _certificate_tries(q, n, w, not c)
     if t not in verdicts:
         verdicts[t] = _refute(q, n, w, 1 if c else q - 1, tries, t)
@@ -355,7 +354,7 @@ def mask_period(q: int, n: int, w: int, c: int) -> int:
 def _check_perm(rho, n: int) -> tuple[int, ...]:
     rho = tuple(rho)
     if sorted(rho) != list(range(n)):
-        raise BadPermutationError(f"not a permutation of [0, {n - 1}]")
+        raise ValueError(f"not a permutation of [0, {n - 1}]")
     return rho
 
 

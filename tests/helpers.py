@@ -17,7 +17,6 @@ from hmdft import CyclicFn, FieldElement, PolyFq, Verdict, char_poly, element_de
     threshold
 from hmdft import numtheory
 from hmdft.cyclic import conv_power, kronecker, least_period_by_descent
-from hmdft.errors import NotPrimePowerError, WeightRangeError
 from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
 from hmdft.numtheory import prime_power
 from hmdft.symfun import CERTIFICATE_TRIES, omega
@@ -312,12 +311,12 @@ def mobius_loop(n):
 
 
 def prime_power_loop(n):
-    """Decompose n as p**e with p prime, or raise NotPrimePowerError."""
+    """Decompose n as p**e with p prime, or raise ValueError."""
     if n < 2:
-        raise NotPrimePowerError(f"{n} is not a prime power")
+        raise ValueError(f"{n} is not a prime power")
     ps = prime_factors_loop(n)
     if len(ps) != 1:
-        raise NotPrimePowerError(f"{n} is not a prime power")
+        raise ValueError(f"{n} is not a prime power")
     p = ps[0]
     e = 0
     while n % p == 0:
@@ -785,7 +784,7 @@ def shift_certificate_per_call(q: int, n: int, w: int, c: int, t: int):
     if q < 2:
         raise ValueError(f"q must be at least 2, not q={q}")
     if not 1 <= w <= n:
-        raise WeightRangeError(f"w={w} outside [1, {n}]")
+        raise ValueError(f"w={w} outside [1, {n}]")
     N, low = q ** n - 1, 1 if c else q - 1
     subsets = itertools.combinations(range(n), w) if c or w < n else ()  # else s = N, 0 in Z_N
     tries = ((low * sum(q ** i for i in S), sign) for S in subsets for sign in (1, -1))
@@ -1016,3 +1015,13 @@ def square_multiply_verdict(h, q, n):
     thr = threshold(n, q)
     return Verdict(status="Proven" if thr % r else "Inconclusive",
                    least_period=r, threshold=thr, modulus=N)
+
+
+def refusal_type(error):
+    """The exact exception type a row of a refusal table expects.
+
+    A row names a type, or a str: the name of the class its check raised
+    before ``hmdft`` kept one refusal type.  Such a check now raises a plain
+    ValueError, and the name keeps the row's test id.
+    """
+    return ValueError if isinstance(error, str) else error

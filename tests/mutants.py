@@ -160,6 +160,12 @@ MUTANTS = (
             "tests/test_spectral.py::test_oracle_irreducible_vs_trial_division"),
            "Rabin's test keeps only x**(q**n) = x mod h, which every squarefree "
            "h with factors of degree dividing n passes"),
+    Mutant("oracle-frobenius-row-dropped", "src/hmdft/gf.py",
+           (("    for _ in range(n - 2):\n", "    for _ in range(n - 3):\n"),),
+           ("tests/test_gf.py::test_oracle_irreducible_counts_match_gauss",
+            "tests/test_spectral.py::test_oracle_irreducible_vs_trial_division"),
+           "the Frobenius matrix lacks its row x**(q*(n-1)) mod h, so from "
+           "degree 3 on a power with a term in x**(n-1) has no row to read"),
     Mutant("parser-required-check-dropped", "src/hmdft/cli.py",
            (("    if missing:\n"
              "        _usage(cmd, \"the following flags are required: \" + \", \".join(missing))\n",

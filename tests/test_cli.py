@@ -16,12 +16,11 @@ from hypothesis import strategies as st
 import hmdft
 from hmdft import cli, harness, numtheory, spectral
 from hmdft.cli import _json, _parse_ints, main
-from hmdft.errors import AlgebraError, DegreeMismatchError
 from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
 from hmdft.harness import SweepConfig, _check_grid
 from hmdft.spectral import Verdict
 
-from helpers import check_grid_oracle, dft_seq_oracle, parse_ints_oracle
+from helpers import check_grid_oracle, dft_seq_oracle, parse_ints_oracle, refusal_type
 
 EX15_POLY = "0,0,0,1,0,1,1,0,0,1,1,0,1"
 
@@ -43,6 +42,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_to_exit(capsys, *argv):
+    """(exit code, stdout, stderr) of a command line that raises SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
 
 
 def test_witness_found(capsys):
@@ -330,6 +337,11 @@ USAGE_ERRORS = {
                         "--all-w takes no value"),
     "period-without-seq-or-mask": (("period", "--q", "3", "--n", "2"),
                                    "needs --seq or all of --q, --n and --w"),
+    "period-seq-with-mask-option": (("period", "--seq", "1,0,1", "--q", "3"),
+                                    "--seq takes no --q, --n, --w or --c"),
+    "dft-seq-with-w": (("dft", "--q", "2", "--n", "2", "--seq", "1,0,0", "--w", "1"),
+                       "--seq takes no --w or --c"),
+    "dft-without-seq-or-w": (("dft", "--q", "2", "--n", "4"), "needs --seq or --w"),
 }
 
 
@@ -402,23 +414,24 @@ def test_period_above_half_weight(capsys):
 
 
 def test_dft_requires_source(capsys):
-    code, _, err = run(capsys, "dft", "--q", "2", "--n", "4")
-    assert code == 2 and "error" in err
+    assert run_to_exit(capsys, "dft", "--q", "2", "--n", "4") == \
+        (2, "", cli._usage_line("dft") + "hmdft dft: error: needs --seq or --w\n")
 
 
 @pytest.mark.parametrize("extra", [("--w", "1"), ("--c", "1")])
 def test_dft_seq_with_w_or_c_refused(capsys, extra):
     # once transformed the sequence and dropped --w and --c unread
-    code, out, err = run(capsys, "dft", "--q", "2", "--n", "2", "--seq", "1,0,1", *extra)
-    assert (code, out, err) == (2, "", "error: --seq takes no --w or --c\n")
+    got = run_to_exit(capsys, "dft", "--q", "2", "--n", "2", "--seq", "1,0,1", *extra)
+    assert got == (2, "", cli._usage_line("dft") + "hmdft dft: error: --seq takes no --w or --c\n")
 
 
 @pytest.mark.parametrize("extra", [("--q", "2"), ("--n", "3"), ("--w", "1"),
                                    ("--q", "2", "--n", "3", "--w", "1"), ("--c", "5")])
 def test_period_seq_with_mask_options_refused(capsys, extra):
     # once printed the sequence's period (r: 3) and dropped the mask options
-    code, out, err = run(capsys, "period", "--seq", "1,0,1", *extra)
-    assert (code, out, err) == (2, "", "error: --seq takes no --q, --n, --w or --c\n")
+    assert run_to_exit(capsys, "period", "--seq", "1,0,1", *extra) == \
+        (2, "", cli._usage_line("period")
+         + "hmdft period: error: --seq takes no --q, --n, --w or --c\n")
 
 
 def test_cap_flag(capsys):
@@ -889,7 +902,7 @@ def test_json_refuses_a_record():
 
 
 CLI_REFUSALS = [
-    (("dft", "--q", "3", "--n", "2", "--seq", "1,0,0"), AlgebraError,
+    (("dft", "--q", "3", "--n", "2", "--seq", "1,0,0"), "AlgebraError",
      r"sequence must have length q\*\*n - 1 = 8"),
     # c is an F_q code in every subcommand that builds a mask
     (("period", "--q", "3", "--n", "4", "--w", "3", "--c", "5"), ValueError,
@@ -899,9 +912,9 @@ CLI_REFUSALS = [
     (("dft", "--q", "3", "--n", "2", "--w", "1", "--c", "5"), ValueError,
      "^c=5 is not an F_3 code$"),
     # irred-test is factor-test at n = deg h, which needs n >= 2
-    (("irred-test", "--q", "2", "--poly", "1,1"), DegreeMismatchError,
+    (("irred-test", "--q", "2", "--poly", "1,1"), "DegreeMismatchError",
      "^irreducibility test needs degree >= 2$"),
-    (("irred-test", "--q", "3", "--poly", "2,0,0"), DegreeMismatchError,
+    (("irred-test", "--q", "3", "--poly", "2,0,0"), "DegreeMismatchError",
      "^irreducibility test needs degree >= 2$"),
 ]
 
@@ -909,8 +922,9 @@ CLI_REFUSALS = [
 @pytest.mark.parametrize("argv, error, text", CLI_REFUSALS)
 def test_cli_refusals(capsys, argv, error, text):
     fn, args = cli._parse(list(argv))
-    with pytest.raises(error, match=text):
+    with pytest.raises(refusal_type(error), match=text) as exc:
         fn(args)
+    assert type(exc.value) is refusal_type(error)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
 

@@ -23,14 +23,6 @@ from hmdft import (
     sigma_eval,
     subfield_embedding,
 )
-from hmdft.errors import (
-    BadPermutationError,
-    CtxMismatchError,
-    ModulusMismatchError,
-    NotDivisorError,
-    OrderMismatchError,
-)
-
 from hmdft.cyclic import least_period_by_descent
 from hmdft.gf import FieldCtx
 
@@ -43,6 +35,7 @@ from helpers import (
     brute_least_period_loop,
     count_adds,
     pointwise_dft,
+    refusal_type,
 )
 
 EX15_SEQ = (1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0)
@@ -206,13 +199,13 @@ def test_idft_folds_the_inverse_of_n_into_the_sums(monkeypatch, p, m):
 def test_dft_validations():
     f16 = make_field(2, 4)
     f = kronecker(f16, 15)
-    with pytest.raises(OrderMismatchError):
+    with pytest.raises(ValueError, match="^supplied root does not have exact order 15$"):
         dft(f, f16.element(1))  # order 1, not 15
     g = kronecker(f16, 7)
-    with pytest.raises(NotDivisorError):
+    with pytest.raises(ValueError, match="^N=7 does not divide 15$"):
         dft(g, primitive_element(f16))  # 7 does not divide 15
     f9 = make_field(3, 2)
-    with pytest.raises(CtxMismatchError):
+    with pytest.raises(ValueError, match="^root of unity from a different field$"):
         dft(f, primitive_element(f9))
 
 
@@ -283,7 +276,7 @@ def test_convolve_commutes_and_matches_brute():
             g = random_fn(ctx, N, rng, sparse=3)
             assert convolve(f, g) == convolve(g, f)
             assert convolve(f, g) == brute_convolve(f, g)
-    with pytest.raises(ModulusMismatchError):
+    with pytest.raises(ValueError, match="^moduli differ: 4 vs 5$"):
         convolve(kronecker(make_field(3), 4), kronecker(make_field(3), 5))
 
 
@@ -439,9 +432,9 @@ def test_shift_definition():
 def test_compose_perm_validation():
     f3 = make_field(3)
     f = CyclicFn(f3, [0, 1, 2])
-    with pytest.raises(BadPermutationError):
+    with pytest.raises(ValueError, match="^sigma is not a bijection of the value field$"):
         compose_perm(f, {0: 0, 1: 1, 2: 1})
-    with pytest.raises(BadPermutationError):
+    with pytest.raises(ValueError, match="^sigma is not a bijection of the value field$"):
         compose_perm(f, {0: 0})
     assert compose_perm(f, lambda e: e + 1)(0) == f3.element(1)
 
@@ -528,18 +521,19 @@ CYCLIC_REFUSALS = [
      "^value=7 is not an F_5 code$"),
     (lambda: CyclicFn.from_support(make_field(5), 4, [1], value=-1), ValueError,
      "^value=-1 is not an F_5 code$"),
-    (lambda: _f3_fn() + CyclicFn(make_field(5), (1, 2)), CtxMismatchError,
+    (lambda: _f3_fn() + CyclicFn(make_field(5), (1, 2)), "CtxMismatchError",
      "functions valued in different fields"),
-    (lambda: compose_perm(_f3_fn(), {0: 3, 1: 1, 2: 2}), BadPermutationError,
+    (lambda: compose_perm(_f3_fn(), {0: 3, 1: 1, 2: 2}), "BadPermutationError",
      "mapping outside the value field"),
-    (lambda: compose_perm(_f3_fn(), lambda e: make_field(5).element(1)), BadPermutationError,
+    (lambda: compose_perm(_f3_fn(), lambda e: make_field(5).element(1)), "BadPermutationError",
      "callable must map the field to itself"),
-    (lambda: compose_perm(_f3_fn(), [0, 2, 1]), BadPermutationError,
+    (lambda: compose_perm(_f3_fn(), [0, 2, 1]), "BadPermutationError",
      "sigma must be a dict or a callable"),
 ]
 
 
 @pytest.mark.parametrize("call, error, text", CYCLIC_REFUSALS)
 def test_cyclic_refusals(call, error, text):
-    with pytest.raises(error, match=text):
+    with pytest.raises(refusal_type(error), match=text) as exc:
         call()
+    assert type(exc.value) is refusal_type(error)

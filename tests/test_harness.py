@@ -15,11 +15,7 @@ from hmdft import (
     verify_period_claims,
 )
 from hmdft import CyclicFn, delta_mask, gf, harness, numtheory, symfun
-from hmdft.errors import (
-    ExcludedCaseError,
-    SizeCapError,
-    WeightRangeError,
-)
+from hmdft.gf import SizeCapError
 from hmdft.harness import CASE_EXCLUDED, CASE_HALF, CASE_MAX, CASE_NORM, CASE_SMALL
 
 from helpers import ascending_scan_period, find_witness_scan_oracle, fits_oracle
@@ -73,9 +69,9 @@ def test_verify_excluded():
 
 
 def test_verify_validations():
-    with pytest.raises(WeightRangeError):
+    with pytest.raises(ValueError, match=r"^w=3 outside \[1, 2\]$"):
         verify_period_claims(2, 4, 3, 0)  # w > n/2
-    with pytest.raises(WeightRangeError):
+    with pytest.raises(ValueError, match=r"^w=0 outside \[1, 2\]$"):
         verify_period_claims(2, 4, 0, 0)
     with pytest.raises(ValueError):
         verify_period_claims(2, 4, 2, 5)  # c out of range
@@ -94,7 +90,7 @@ def test_find_witness_example_15():
 def test_find_witness_exceptions():
     assert find_witness(2, 2, 1, 0) is None
     assert find_witness(4, 2, 1, 0) is None
-    with pytest.raises(ExcludedCaseError):
+    with pytest.raises(ValueError, match="^the norm of a nonzero element is never 0$"):
         find_witness(3, 3, 3, 0)  # norm prescription with c = 0
 
 

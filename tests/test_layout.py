@@ -17,10 +17,13 @@ constructor sets every slot, and the field holds its Zech table exactly
 where its adder reads one.  Every name the package exports is used by some
 other module of it, and every public method and property of its classes is
 read by some code outside its own def, or is allow-listed with the reason it
-stays.
+stays.  The package defines one exception class, ``gf.SizeCapError``, a
+direct subclass of ValueError, and every ``raise`` names it or a builtin
+exception.
 """
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import subprocess
@@ -209,6 +212,70 @@ def test_no_environment_reads():
     assert found == []
 
 
+def _name_of(node):
+    """The name an expression ends in (``x`` or ``m.x``), or None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _builtin_exception(name):
+    obj = getattr(builtins, name or "", None)
+    return isinstance(obj, type) and issubclass(obj, BaseException)
+
+
+def _exception_classes(trees):
+    """{module.Class: base names} of each class in the package whose bases
+    name a builtin exception or another such class of the package."""
+    classes = {f"{name}.{node.name}": [_name_of(b) for b in node.bases]
+               for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    found = {}
+    while True:
+        own = {key.rpartition(".")[2] for key in found}
+        more = {key: bases for key, bases in classes.items() if key not in found
+                and any(_builtin_exception(b) or b in own for b in bases)}
+        if not more:
+            return found
+        found.update(more)
+
+
+def _foreign_raises(trees):
+    """Each ``raise`` in the package that names neither a builtin exception
+    nor ``SizeCapError``, as module.py:line name."""
+    return [f"{name}.py:{node.lineno} {_name_of(node.exc)}"
+            for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and not (_builtin_exception(_name_of(node.exc))
+                     or _name_of(node.exc) == "SizeCapError")]
+
+
+def test_one_exception_class_and_builtin_raises():
+    # a refusal is a plain ValueError named by its message; the one subclass
+    # marks a size refusal, which a sweep turns into a skipped row
+    trees = _trees()
+    assert _exception_classes(trees) == {"gf.SizeCapError": ["ValueError"]}
+    assert hmdft.gf.SizeCapError.__bases__ == (ValueError,)
+    assert _foreign_raises(trees) == []
+    # no module is left for refusal types, and numtheory imports no package module
+    assert "errors" not in trees
+    assert _relative_imports(trees["numtheory"]) == set()
+
+
+def test_exception_rule_catches_a_planted_class():
+    trees = _trees()
+    trees["cyclic"].body += ast.parse(
+        "class Foo(ValueError):\n    pass\n"
+        "class Bar(gf.SizeCapError):\n    pass\n"
+        "def f(x):\n    if x:\n        raise Foo('x')\n    raise Bar").body
+    assert _exception_classes(trees) == {"gf.SizeCapError": ["ValueError"],
+                                         "cyclic.Foo": ["ValueError"],
+                                         "cyclic.Bar": ["SizeCapError"]}
+    assert sorted(found.split()[1] for found in _foreign_raises(trees)) == ["Bar", "Foo"]
+
+
 def test_traced_names_resolve():
     # Tracer.install() looks each name up and fails on the first missing one
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
@@ -241,7 +308,7 @@ def test_cli_import_loads_no_dataclasses():
     loaded = set(proc.stdout.split())
     assert "hmdft.cli" in loaded
     assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
-                     "json", "argparse", "gettext", "locale", "csv"} == set()
+                     "json", "argparse", "gettext", "locale", "csv", "hmdft.errors"} == set()
 
 
 RECORDS = {

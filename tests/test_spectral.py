@@ -26,13 +26,7 @@ from hmdft import (
 from hmdft import gf, numtheory, spectral
 from hmdft.cli import main
 from hmdft.cyclic import CyclicFn, dft_period_by_support, least_period
-from hmdft.errors import (
-    BadSubfieldError,
-    CtxMismatchError,
-    NotPrimePowerError,
-    SizeCapError,
-    ZeroPolynomialError,
-)
+from hmdft.gf import SizeCapError
 from hmdft.spectral import INCONCLUSIVE, PROVEN
 
 from helpers import brute_is_irreducible, pow_mod_loops, powering_root_indicator, \
@@ -73,16 +67,16 @@ def test_build_root_indicator_x_over_f4():
 
 
 def test_build_root_indicator_validation():
-    with pytest.raises(ZeroPolynomialError):
+    with pytest.raises(ValueError, match="^the zero polynomial has no root indicator$"):
         build_root_indicator(PolyFq(F2, []), 2, 4)
     with pytest.raises(SizeCapError):
         build_root_indicator(PolyFq(F2, [1, 1]), 2, 24)
-    with pytest.raises(CtxMismatchError):
+    with pytest.raises(ValueError, match="^h must have coefficients in F_2$"):
         build_root_indicator(PolyFq(F3, [1, 1]), 2, 4)
-    with pytest.raises(BadSubfieldError):
+    with pytest.raises(ValueError, match="^F_8 is not a subfield of F_16$"):
         build_root_indicator(H_EX15, 2, 4, subfield_order=8)  # F_8 not in F_16
     h = PolyFq.x(F2)
-    with pytest.raises(BadSubfieldError):
+    with pytest.raises(ValueError, match="^image of h is not contained in F_2$"):
         # image of x on F_4* is F_4*, not contained in F_2
         build_root_indicator(h, 2, 2, subfield_order=2)
 
@@ -95,13 +89,13 @@ def test_root_indicator_refuses_a_huge_L_before_factoring_it(monkeypatch):
 
     monkeypatch.setattr(numtheory, "factorize", no_factoring)
     for L in (17, 2 ** 61 - 1, 2 ** 64):
-        with pytest.raises(BadSubfieldError, match="is not a subfield of F_16"):
+        with pytest.raises(ValueError, match="is not a subfield of F_16"):
             build_root_indicator(H_EX15, 2, 4, subfield_order=L)
 
 
 @pytest.mark.parametrize("L", [1, 0, -1])
 def test_root_indicator_L_below_two_is_not_a_prime_power(L):
-    with pytest.raises(NotPrimePowerError):
+    with pytest.raises(ValueError, match=f"^{L} is not a prime power$"):
         build_root_indicator(H_EX15, 2, 4, subfield_order=L)
 
 
@@ -337,7 +331,7 @@ def test_oracle_irreducible_basics():
     assert oracle_irreducible(PolyFq(F3, [1, 0, 1]))  # -1 is a non-residue mod 3
     assert not oracle_irreducible(PolyFq(F2, [1]))
     assert oracle_irreducible(PolyFq(F2, [0, 1]))
-    with pytest.raises(ZeroPolynomialError):
+    with pytest.raises(ValueError, match="^the zero polynomial is not testable$"):
         oracle_irreducible(PolyFq(F2, []))
 
 
@@ -354,7 +348,7 @@ def test_oracle_factor_degrees():
     assert oracle_factor_degrees(PolyFq(F2, [1, 0, 1, 0, 1])) == [2, 2]
     assert oracle_factor_degrees(PolyFq(F2, [1])) == []
     assert sorted(oracle_factor_degrees(H_EX15)) == [1, 1, 1, 1, 4, 4]
-    with pytest.raises(ZeroPolynomialError):
+    with pytest.raises(ValueError, match="^the zero polynomial has no factorization$"):
         oracle_factor_degrees(PolyFq(F2, []))
 
 
