@@ -44,16 +44,23 @@ from .spectral import degree_n_factor_test
 from .symfun import delta, delta_mask, mask_period
 
 
-def _parse_ints(text: str) -> list[int]:
-    return list(map(int, filter(str.strip, text.split(","))))
+def _parse_ints(flag: str, text: str) -> list[int]:
+    """The ints of a comma-separated list; blank entries are skipped."""
+    ints = []
+    for token in filter(str.strip, text.split(",")):
+        try:
+            ints.append(int(token))
+        except ValueError:
+            raise ValueError(f"{flag} takes ints separated by commas, not {token!r}") from None
+    return ints
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+def _parse_range(flag: str, text: str) -> tuple[int, int]:
+    try:
+        lo, hi = map(int, text.split(":")) if ":" in text else (int(text),) * 2
+    except ValueError:
+        raise ValueError(f"{flag} takes an int or a range lo:hi, not {text!r}") from None
+    return lo, hi
 
 
 def _poly_from_codes(q: int, codes: list[int]) -> PolyFq:
@@ -183,7 +190,7 @@ def _cmd_period(args) -> tuple[dict, int]:
     if args.seq is not None:
         if (args.q, args.n, args.w, args.c) != (None, None, None, None):
             _usage("period", "--seq takes no --q, --n, --w or --c")
-        return {"r": least_period_of_sequence(_parse_ints(args.seq))}, 0
+        return {"r": least_period_of_sequence(_parse_ints("--seq", args.seq))}, 0
     if None in (args.q, args.n, args.w):
         _usage("period", "needs --seq or all of --q, --n and --w")
     if args.n == 1:  # refused before any field or mask is built
@@ -231,7 +238,7 @@ def _lift_seq(text: str, N: int, emb) -> list[int]:
     try:
         codes, lifted = list(map(table.__getitem__, text.split(","))), True
     except KeyError:
-        codes, lifted = _parse_ints(text), False
+        codes, lifted = _parse_ints("--seq", text), False
     if len(codes) != N:
         raise ValueError(f"sequence must have length q**n - 1 = {N}")
     return codes if lifted else emb.lift_codes(codes)
@@ -255,12 +262,12 @@ def _factor_verdict(args, n: int, codes: list[int]) -> tuple[dict, int]:
 
 
 def _cmd_factor_test(args) -> tuple[dict, int]:
-    return _factor_verdict(args, args.n, _parse_ints(args.poly))
+    return _factor_verdict(args, args.n, _parse_ints("--poly", args.poly))
 
 
 def _cmd_irred_test(args) -> tuple[dict, int]:
     # h of degree n is irreducible iff it has an irreducible factor of degree n
-    codes = _parse_ints(args.poly)
+    codes = _parse_ints("--poly", args.poly)
     # deg h from the codes, so the size check comes before q is factored
     degree = len(codes) - 1
     while degree >= 0 and not codes[degree]:
@@ -279,8 +286,8 @@ def _cmd_witness(args) -> tuple[dict, int]:
 
 def _cmd_hm_verify(args) -> tuple[dict, int]:
     cfg = SweepConfig(
-        q_list=tuple(_parse_ints(args.q)),
-        n_range=_parse_range(args.n),
+        q_list=tuple(_parse_ints("--q", args.q)),
+        n_range=_parse_range("--n", args.n),
         w_policy="full" if args.all_w else "half",
         size_cap=args.cap,
         with_witness=not args.no_witness,

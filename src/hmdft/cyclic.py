@@ -94,13 +94,11 @@ class CyclicFn:
         self.codes = codes
 
     @classmethod
-    def from_support(cls, ctx: FieldCtx, N: int, members, value: int = 1) -> "CyclicFn":
+    def from_support(cls, ctx: FieldCtx, N: int, members) -> "CyclicFn":
         _check_modulus(N)
-        if not 0 <= value < ctx.order:
-            raise ValueError(f"value={value} is not an F_{ctx.order} code")
         codes = [0] * N
         for m in members:
-            codes[m % N] = value
+            codes[m % N] = 1
         return cls(ctx, codes)
 
     def __call__(self, i: int) -> FieldElement:

@@ -12,8 +12,9 @@ canonically-first monic irreducible modulus of degree m (coefficient vectors
 enumerated as ``numtheory.digits`` expands a code, constant term fastest)
 and the canonically-first primitive element zeta, so identical parameters
 yield identical tables on every run.  ``_modulus`` decides candidates by
-Ben-Or's test, and ``_zeta`` a linear one by its norm and ``x_pow_mod``,
-powering by ``pow_mod`` only from degree 2.  It is one step: the
+``_ben_or`` alone, Ben-Or's test with a root test as its degree-1 step, and
+``_zeta`` a linear one by its norm and ``x_pow_mod``, powering by
+``pow_mod`` only from degree 2.  It is one step: the
 ``FieldCtx`` constructor finds zeta, builds the tables and binds the adder.
 Every constructible field (order up to ``FIELD_ORDER_CAP``) is table-backed:
 discrete exp/log tables make multiplication, inversion and powering O(1)
@@ -546,13 +547,23 @@ def _ben_or(prime: FieldCtx, f) -> bool:
 
     f of degree m >= 2 is iff gcd(x**(p**d) - x, f) = 1 for d = 1..m//2, as
     a factor of degree d divides x**(p**d) - x; it stops at the least one.
+    At d = 1 that gcd is 1 iff f has no root in F_p, so f is evaluated at
+    every point at once instead, and a rootless f of degree 2 or 3 needs no
+    Frobenius step at all.
     """
-    m = len(f) - 1
-    y = [0, 1]
-    for _ in range(m // 2):
-        y = _frobenius_step(prime, y, 0, f)  # x**(p**d) mod f
+    p, m = prime.p, len(f) - 1
+    vals = [1] * p  # Horner's rule at every a in F_p, 0 included, over Z
+    for c in f[-2::-1]:
+        vals = [v * a + c for a, v in enumerate(vals)]
+    if 0 in [v % p for v in vals]:
+        return False
+    if m < 4:
+        return True
+    y = _frobenius_step(prime, [0, 1], 0, f)  # x**p mod f
+    for _ in range(m // 2 - 1):
+        y = _frobenius_step(prime, y, 0, f)  # x**(p**d) mod f, d = 2..m//2
         diff = y + [0] * (2 - len(y))
-        diff[1] = (diff[1] - 1) % prime.p  # minus x
+        diff[1] = (diff[1] - 1) % p  # minus x
         if len(_gcd(prime, f, _trim(diff))) != 1:
             return False
     return True
@@ -773,26 +784,11 @@ def make_field(p: int, m: int = 1) -> FieldCtx:
 
 
 def _modulus(p: int, m: int) -> tuple[int, ...]:
-    """The least monic irreducible of degree m >= 2 over F_p, in code order.
-
-    A candidate with a root in F_p is skipped; ``_ben_or`` decides the rest.
-    """
+    """The least monic irreducible of degree m >= 2 over F_p, in code order, by ``_ben_or``."""
     prime = make_field(p)
-    points = range(1, p)
-
-    def rooted(cand):
-        # a root a in F_p is a linear factor x - a, and m >= 2: a = 0 when
-        # the constant term is 0, else Horner's value at a nonzero a is 0
-        if not cand[0]:
-            return True
-        vals = [1] * (p - 1)
-        for c in cand[-2::-1]:
-            vals = [(v * a + c) % p for v, a in zip(vals, points)]
-        return 0 in vals
-
     return next(cand for cand in (tuple(numtheory.digits(code, p, m)) + (1,)
                                   for code in range(p ** m))
-                if not rooted(cand) and _ben_or(prime, cand))
+                if _ben_or(prime, cand))
 
 
 def _zeta(p: int, m: int, modulus) -> int:
@@ -891,11 +887,8 @@ def sigma_eval(w: int, xi: FieldElement, q: int, n: int) -> FieldElement:
     """
     if not 0 <= w <= n:
         raise ValueError(f"w={w} outside [0, {n}]")
-    cp = char_poly(xi, q, n)
-    code = cp.codes[n - w] if n - w < len(cp.codes) else 0
-    if w % 2:
-        code = xi.ctx.neg_code(code)
-    return FieldElement(xi.ctx, code)
+    coeff = char_poly(xi, q, n)[n - w]
+    return -coeff if w % 2 else coeff
 
 
 # ----------------------------------------------------------------------
@@ -948,14 +941,6 @@ class Embedding:
             return list(map(self._lift.__getitem__, codes))
         except KeyError as exc:
             raise ValueError(f"code {exc.args[0]} out of range for {self.small!r}") from None
-
-    def lower(self, elt: FieldElement) -> FieldElement:
-        if elt.ctx is not self.big:
-            raise ValueError("element not in the embedding's target field")
-        code = self._lower.get(elt.code)
-        if code is None:
-            raise ValueError(f"code {elt.code} is not in the embedded F_{self.small.order}")
-        return FieldElement(self.small, code)
 
     def lower_poly(self, poly: PolyFq) -> PolyFq:
         if poly.ctx is not self.big:

@@ -28,14 +28,9 @@ r comes from `symfun.mask_period`, which runs the one prime descent of
 `cyclic.least_period_by_descent`, refutes most shifts from the digits of one
 integer and reads the mask at its support points only for the rest.  A
 sweep builds the dense `delta_mask` only to check q-symmetry.  The two mask
-routes count the mask's weight-set tuples (symfun's A_k) independently, so
-the dense mask, scanned for its least period by the tests' own divisor scan,
-serves the tests as the oracle for r.
-They share the argument checks and F_q (`symfun._check_mask_args`) and
-every level's coefficient (`symfun._level_coefs`, over `top_binomials`); the
-tests' `TableMaskPoints` and `test_delta_mask_binomial_expansion` take the
-binomials from `math.comb` on their own, and `transform_side_period` finds r
-from the transform's support, with no digit, count or binomial.
+routes count the mask's weight-set tuples (symfun's A_k) independently;
+they share the argument checks and F_q (`symfun._check_mask_args`) and
+every level's coefficient (`symfun._level_coefs`, over `top_binomials`).
 
 The regime analysis covers w <= n/2.  A sweep in full-w mode delegates
 n/2 < w < n to n - w (coefficient prescription is symmetric under taking
@@ -274,17 +269,14 @@ def _root_certifies(h: PolyFq, emb: Embedding, a: int) -> bool:
     a in no maximal subfield F_{q^(n/t)} (t a prime dividing n) has degree n
     over F_q, so a monic h of degree n with h(a) = 0 is a's minimal polynomial,
     hence irreducible (Lidl and Niederreiter, Finite Fields, 2nd ed., ch. 1).
-    h(a) is read by Horner on h's codes lifted back into F_{q^n}.
+    h(a) is ``PolyFq``'s value of h's codes lifted back into F_{q^n}.
     """
     big, q, n = emb.big, emb.small.order, emb.big.m // emb.small.m
     if h.degree != n or not h.is_monic:
         return False
     if any(big.pow_code(a, q ** (n // t)) == a for t in prime_factors(n)):
         return False
-    acc = 0
-    for c in reversed(emb.lift_codes(h.codes)):
-        acc = big.add_codes(big.mul_codes(acc, a), c)
-    return acc == 0
+    return not PolyFq(big, emb.lift_codes(h.codes))(FieldElement(big, a))
 
 
 def _with_witness(report: PeriodReport, wit: PolyFq | None) -> PeriodReport:
@@ -293,8 +285,7 @@ def _with_witness(report: PeriodReport, wit: PolyFq | None) -> PeriodReport:
     expected = report.case_label != CASE_EXCLUDED
     if wit is None:
         return report._replace(witness=None, witness_ok=not expected)
-    coeff_ok = wit.degree == n and wit.is_monic and \
-        (wit.codes[n - w] if n - w < len(wit.codes) else 0) == c
+    coeff_ok = wit.degree == n and wit.is_monic and wit[n - w].code == c
     return report._replace(witness=tuple(wit.codes), witness_ok=expected and coeff_ok)
 
 

@@ -30,8 +30,7 @@ Independent oracles (`oracle_irreducible` by the Frobenius-power test,
 splitting) validate every Proven verdict in the test suite.  They power by
 ``PolyFq.pow_mod`` and the verdicts by ``gf.x_pow_mod``, but both run on
 ``gf``'s one list kernel (``_divmod``, ``_addmul``, and ``_gcd``, which
-``poly_gcd`` wraps), so a fault there can reach verdict and oracle alike;
-ROADMAP item 6 plans a checker that shares no code with the package.
+``poly_gcd`` wraps), so a fault there can reach verdict and oracle alike.
 `oracle_irreducible` lives in ``gf`` and is re-exported here; no field build
 calls it, as ``make_field`` picks its moduli by Ben-Or's test.
 """

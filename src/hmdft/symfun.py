@@ -34,16 +34,14 @@ the sorted nonzero digits of x, memoised per reader.  So the two routes count
 A_k independently and each checks the other's counts; they share the rest:
 both take F_q and their argument checks (`_check_mask_args`) and every
 level's coefficient from `_level_coefs`, which reads C(q-1, k) mod p from
-`numtheory.top_binomials`.  The checks that take C(q-1, k) from `math.comb`
-on their own are the tests' `TableMaskPoints` and
-`test_delta_mask_binomial_expansion`.  The tests' `transform_side_period`
-finds r with no digit, count or binomial: the transform of the mask is the
-indicator of the exponents k whose zeta**k has the prescribed coefficient,
-and r = N / gcd(N, those k).  The least period is found by the
-prime descent of `cyclic.least_period_by_descent`, the one least-period
-algorithm of the package: a shift t is a period iff mask(s + t) = mask(s)
-at every support point s.  The dense route stays for `delta`, `dft --c` and
-the symmetry check.
+`numtheory.top_binomials`.  r also follows with no digit, count or
+binomial: the transform of the mask is the indicator of the exponents k
+whose zeta**k has the prescribed coefficient, and r = N / gcd(N, those k).
+The least period is found by the prime descent of
+`cyclic.least_period_by_descent`, the one least-period algorithm of the
+package: a shift t is a period iff mask(s + t) = mask(s) at every support
+point s.  The dense route stays for `delta`, `dft --c` and the symmetry
+check.
 
 Most shifts are refuted with no count.  For x != 0, mask(x) != 0 needs
 A_k(x) != 0 at a level whose coefficient is nonzero (1 <= k < q if c != 0,

@@ -120,9 +120,16 @@ def fits_oracle(self, q, n):
     return not self.with_witness or q ** n <= FIELD_ORDER_CAP
 
 
-def parse_ints_oracle(text):
-    """`cli._parse_ints` as a list comprehension, before it used map/filter."""
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+def parse_ints_oracle(flag, text):
+    """`cli._parse_ints` by list comprehensions over the nonblank entries;
+    a refusal names the flag and the first entry int() refuses."""
+    entries = [x for x in text.split(",") if x.strip() != ""]
+    for x in entries:
+        try:
+            int(x)
+        except ValueError:
+            raise ValueError(f"{flag} takes ints separated by commas, not {x!r}") from None
+    return [int(x) for x in entries]
 
 
 def dft_seq_oracle(q, n, text, inverse):
@@ -134,7 +141,7 @@ def dft_seq_oracle(q, n, text, inverse):
     p, j = prime_power(q)
     small, big = make_field(p, j), make_field(p, j * n)
     try:
-        codes = parse_ints_oracle(text)
+        codes = parse_ints_oracle("--seq", text)
         if len(codes) != N:
             raise ValueError(f"sequence must have length q**n - 1 = {N}")
         f = CyclicFn(big, subfield_embedding(small, big).lift_codes(codes))

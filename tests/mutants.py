@@ -60,8 +60,7 @@ MUTANTS = (
            "a reducible char_poly of a root in a proper subfield is reported as "
            "a witness; no check in src/ is left to stop it"),
     Mutant("horner-drops-constant-term", "src/hmdft/harness.py",
-           (("    for c in reversed(emb.lift_codes(h.codes)):\n",
-             "    for c in reversed(emb.lift_codes(h.codes[1:])):\n"),),
+           (("emb.lift_codes(h.codes)", "emb.lift_codes(h.codes[1:])"),),
            ("tests/test_harness.py::test_sweep_small_grid_deterministic",
             "tests/test_harness.py::test_root_check_rejects_a_wrong_degree_or_a_non_monic_h"),
            "h(a) is read without its constant term, so genuine witnesses fail"),
@@ -84,11 +83,18 @@ MUTANTS = (
            "the candidate x + b; only a field whose zeta search passes x, over "
            "odd p, sees it"),
     Mutant("ben-or-stops-early", "src/hmdft/gf.py",
-           (("    for _ in range(m // 2):\n", "    for _ in range(m // 2 - 1):\n"),),
+           (("    for _ in range(m // 2 - 1):\n", "    for _ in range(m // 2 - 2):\n"),),
            ("tests/test_gf.py::test_ben_or_matches_rabin_on_every_monic",
             "tests/test_gf.py::test_canonical_fields_match_loop_oracles"),
            "Ben-Or's test skips d = m//2, so a product of two rootless "
            "factors of degree m/2 passes as irreducible"),
+    Mutant("root-step-skips-zero", "src/hmdft/gf.py",
+           (("for a, v in enumerate(vals)]", "for a, v in enumerate(vals[1:], 1)]"),),
+           ("tests/test_gf.py::test_ben_or_matches_rabin_on_every_monic",
+            "tests/test_gf.py::test_canonical_fields_match_loop_oracles"),
+           "Ben-Or's root step evaluates at 1..p-1 only, so x**2 is taken as "
+           "the modulus at m = 2 and x*g passes at m = 3; from m = 4 on the "
+           "d = 2 gcd still finds the root 0"),
     Mutant("zeta-scan-from-p-plus-1", "src/hmdft/gf.py",
            (("    for c in range(p, p * p):\n", "    for c in range(p + 1, p * p):\n"),),
            ("tests/test_gf.py::test_primitive_element_f16_is_x",

@@ -648,7 +648,7 @@ def _outcome(fn, *args):
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="0123456789+-_,x \t", max_size=30))
 def test_parse_ints_matches_oracle(text):
-    assert _outcome(_parse_ints, text) == _outcome(parse_ints_oracle, text)
+    assert _outcome(_parse_ints, "--q", text) == _outcome(parse_ints_oracle, "--q", text)
 
 
 def test_period_of_empty_sequence_is_an_input_error(capsys):
@@ -774,7 +774,7 @@ def test_dft_seq_matches_the_parse_then_lift_route(case):
 def test_dft_seq_reads_canonical_codes_by_lookup(monkeypatch):
     # with _parse_ints broken, canonical codes still transform, and one
     # spaced token is enough to send the text to _parse_ints
-    def broken(text):
+    def broken(flag, text):
         raise AssertionError("_parse_ints reached")
 
     monkeypatch.setattr(cli, "_parse_ints", broken)
@@ -916,6 +916,17 @@ CLI_REFUSALS = [
      "^irreducibility test needs degree >= 2$"),
     (("irred-test", "--q", "3", "--poly", "2,0,0"), "DegreeMismatchError",
      "^irreducibility test needs degree >= 2$"),
+    # a malformed list value names its flag and the token
+    (("hm-verify", "--q", "2,x", "--n", "2"), ValueError,
+     "^--q takes ints separated by commas, not 'x'$"),
+    (("hm-verify", "--q", "2", "--n", "2:"), ValueError,
+     "^--n takes an int or a range lo:hi, not '2:'$"),
+    (("hm-verify", "--q", "2", "--n", "2:3:4"), ValueError,
+     "^--n takes an int or a range lo:hi, not '2:3:4'$"),
+    (("irred-test", "--q", "2", "--poly", "1,x,1"), ValueError,
+     "^--poly takes ints separated by commas, not 'x'$"),
+    (("period", "--seq", "1,x"), ValueError,
+     "^--seq takes ints separated by commas, not 'x'$"),
 ]
 
 

@@ -133,7 +133,7 @@ def test_runs_cut_few_slices(monkeypatch, fresh_exp_tables, m, N):
     ctx = make_field(2, m)
     M = ctx.order - 1
     zeta = ctx.nth_root_of_unity(N)
-    f = CyclicFn.from_support(ctx, N, [0, 1, 2, 5, 9, 12], value=ctx.zeta_code)
+    f = CyclicFn(ctx, [ctx.zeta_code if i in {0, 1, 2, 5, 9, 12} else 0 for i in range(N)])
     # the fixture emptied the cache, so the table is built here as a CountedArray
     monkeypatch.setattr(cyclic, "array", CountedArray)
     for z in (zeta, zeta ** -1):
@@ -149,7 +149,7 @@ def test_runs_pack_each_field_once(fresh_exp_tables):
     ctx = make_field(2, 10)
     M = ctx.order - 1
     zeta = ctx.nth_root_of_unity(M)
-    f = CyclicFn.from_support(ctx, M, [0, 1, 3], value=ctx.zeta_code)
+    f = CyclicFn(ctx, [ctx.zeta_code if i in {0, 1, 3} else 0 for i in range(M)])
     for z in (zeta, zeta ** -1):
         assert _xor_runs(ctx, M, terms_of(f, z)) == pointwise_dft(f, z).codes
     info = fresh_exp_tables.cache_info()
@@ -198,8 +198,8 @@ WALK_INPUTS = {
     "polynomial over F_5, n = 3": lambda rng: (polynomial_input(5, 3, rng), 5),
     "polynomial over F_7, n = 3": lambda rng: (polynomial_input(7, 3, rng), 7),
     "polynomial over F_9, n = 3": lambda rng: (polynomial_input(9, 3, rng), 9),
-    "generators of F_729": lambda rng: (CyclicFn.from_support(
-        make_field(3, 6), 728, [0, 1, 2], make_field(3, 6).zeta_code), 729),
+    "generators of F_729": lambda rng: (CyclicFn(make_field(3, 6), [
+        make_field(3, 6).zeta_code if i < 3 else 0 for i in range(728)]), 729),
 }
 
 

@@ -585,15 +585,15 @@ def test_embedding_f4_in_f16():
         b = f4.element(rng.randrange(4))
         assert emb.lift(a + b) == emb.lift(a) + emb.lift(b)
         assert emb.lift(a * b) == emb.lift(a) * emb.lift(b)
-        assert emb.lower(emb.lift(a)) == a
+        assert emb.lower_poly(PolyFq(f16, [emb.lift(a).code])) == PolyFq(f4, [a.code])
     assert emb.lift_codes([3, 0, 2, 1]) == [7, 0, 6, 1]
     for bad in (-1, 4):  # a bare table lookup would wrap -1 to code 3
         with pytest.raises(ValueError, match=f"code {bad} out of range"):
             emb.lift_codes([0, bad])
     with pytest.raises(ValueError, match="code 5 out of range"):  # the first one named
         emb.lift_codes([1, 5, -1, 9])
-    with pytest.raises(ValueError, match="^code 2 is not in the embedded F_4$"):
-        emb.lower(f16.element(2))  # x generates F_16, not in F_4
+    with pytest.raises(ValueError, match="^coefficient outside the embedded subfield$"):
+        emb.lower_poly(PolyFq(f16, [2]))  # x generates F_16, not in F_4
     with pytest.raises(ValueError, match="^F_8 is not a subfield of F_16$"):
         subfield_embedding(make_field(2, 3), f16)
 
@@ -759,17 +759,22 @@ def _readme_grid_fields():
         yield from ((p, j * n) for n in range(2, 7) if q ** n <= 20001)
 
 
-def test_modulus_search_skips_rooted_candidates(monkeypatch):
-    # a candidate with a root in F_p has a linear factor, so only the others
-    # reach Ben-Or's test: 42 tests build the grid's fields cold, where testing
-    # every candidate up to the canonical modulus made 168.  Rabin's test is
-    # the tests' oracle, and no field build calls it
-    calls = dict.fromkeys(["_ben_or", "oracle_irreducible"], 0)
+def test_modulus_search_is_ben_or_alone(monkeypatch):
+    # every candidate up to the canonical modulus takes Ben-Or's test, 168 to
+    # build the grid's fields cold; its d = 1 step is a root test with no gcd,
+    # so only rootless candidates of degree >= 4 take a gcd or a Frobenius
+    # step.  Rabin's test is the tests' oracle, and no field build calls it
+    calls = dict.fromkeys(["_ben_or", "_gcd", "_frobenius_step", "oracle_irreducible"], 0)
+    stack = []  # _gcd and _frobenius_step count only inside _ben_or
 
     def counted(name, fn):
         def inner(*args):
-            calls[name] += 1
-            return fn(*args)
+            calls[name] += name in ("_ben_or", "oracle_irreducible") or "_ben_or" in stack
+            stack.append(name)
+            try:
+                return fn(*args)
+            finally:
+                stack.pop()
         return inner
 
     monkeypatch.setattr(gf, "_FIELD_CACHE", {})
@@ -777,7 +782,25 @@ def test_modulus_search_skips_rooted_candidates(monkeypatch):
         monkeypatch.setattr(gf, name, counted(name, getattr(gf, name)))
     for p, m in _readme_grid_fields():
         make_field(p, m)
-    assert calls == {"_ben_or": 42, "oracle_irreducible": 0}
+    assert calls == {"_ben_or": 168, "_gcd": 59, "_frobenius_step": 93,
+                     "oracle_irreducible": 0}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_ben_or_decides_degrees_2_and_3_by_roots_alone(p, monkeypatch):
+    # a reducible f of degree 2 or 3 has a linear factor, a root in F_p
+    prime = make_field(p)
+    monics = [tuple(numtheory.digits(code, p, m)) + (1,)
+              for m in (2, 3) for code in range(p ** m)]
+
+    def no_call(*args):
+        raise AssertionError("a gcd or a Frobenius step below degree 4")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(gf, "_gcd", no_call)
+        mp.setattr(gf, "_frobenius_step", no_call)
+        verdicts = [gf._ben_or(prime, f) for f in monics]
+    assert verdicts == [oracle_irreducible(PolyFq(prime, f)) for f in monics]
 
 
 @pytest.mark.parametrize("p,top", [(2, 9), (3, 6), (5, 4), (7, 3)])
@@ -848,8 +871,6 @@ GF_REFUSALS = [
      "evaluation point from a different field"),
     (lambda: _f4_in_f16().lift(make_field(2, 4).element(1)), "CtxMismatchError",
      "element not in the embedding's source field"),
-    (lambda: _f4_in_f16().lower(make_field(2, 2).element(1)), "CtxMismatchError",
-     "element not in the embedding's target field"),
     (lambda: _f4_in_f16().lower_poly(PolyFq(make_field(2, 2), (1,))), "CtxMismatchError",
      "polynomial not over the target field"),
     # x generates F_16, so it lies in no proper subfield

@@ -450,7 +450,6 @@ UNUSED_METHODS = {
                                   "on Z_N with N < order - 1; the CLI transforms only "
                                   "at N = order - 1",
     "Embedding.lift": "pinned by perfbench/checks.py",
-    "Embedding.lower": "the inverse of lift, kept beside it",
 }
 
 
