@@ -20,19 +20,24 @@ Every constructible field (order up to ``FIELD_ORDER_CAP``) is table-backed:
 discrete exp/log tables make multiplication, inversion and powering O(1)
 lookups.
 
-The exp table of an extension field is walked with the F_p-linear map
-"multiply by zeta", tabled for the low and the high half of the digits
-(``FieldCtx._finish``).  For p = 2 the state is the code word itself and
-adding is XOR: two list lookups and one XOR per entry.  For odd p the state
-holds one bit lane per base-p digit, two split-table lookups and one integer
-add per entry, and the walk stops at zeta**K, K = (order - 1)/(p - 1): that
+The exp table of an extension field is built with the F_p-linear map
+"multiply by zeta" (``FieldCtx._finish``).  For p = 2 a code word is a bit
+vector and adding is XOR, so multiplying by zeta**L is linear too:
+``_doubling_exp`` walks the first 512 powers, two list lookups and one XOR
+each, then holds the first L powers packed in bytes and appends the next L
+as zeta**L times them, one ``bytes.translate`` per pair of byte planes and
+one XOR of packed ints per output plane, with no Python step per entry.
+For odd p the walk is
+tabled for the low and the high half of the digits: its state holds one bit
+lane per base-p digit, two split-table lookups and one integer add per
+entry, and the walk stops at zeta**K, K = (order - 1)/(p - 1): that
 power, the norm of zeta, is a constant g, so each further block of K powers
-is the one before times g, one table lookup per entry.  The split tables
-are sums of the m columns zeta*x**i, m - 1 polynomial products in all; a
-prime field walks s -> s*zeta mod p.  Every route ends on one closure check.
-An extension field is built with ``PolyFq`` and its list kernel over F_p,
-the package's one polynomial scheme: its two searches and its columns; a
-prime field powers by the built-in ``pow``.
+is the one before times g, one table lookup per entry.  Either route's
+first tables are sums of the m columns zeta*x**i, m - 1 polynomial products
+in all; a prime field walks s -> s*zeta mod p.  Every route ends on one
+closure check.  An extension field is built with ``PolyFq`` and its list
+kernel over F_p, the package's one polynomial scheme: its two searches and
+its columns; a prime field powers by the built-in ``pow``.
 
 Addition is XOR in characteristic 2 and integer addition mod p in prime
 fields.  Odd-characteristic extension fields add by Zech logarithms:
@@ -52,10 +57,12 @@ product, a division and a product reduced modulo h, all three adding scaled
 rows with one per-term loop (``_addmul``) that multiplies through the exp/log
 tables and adds with the field's bound adder.  ``PolyFq``'s product,
 division, ``pow_mod`` and ``poly_gcd`` call it and wrap the result once per
-public call.  ``oracle_irreducible`` (Rabin's test; called by the oracles
-of the tests and the benchmark alone, by no field build and no sweep) takes
-its Frobenius powers x**(q**k) mod h from the Frobenius matrix, whose row i
-is x**(q*i) mod h: one matrix-vector product per power, no object per step.
+public call, with ``PolyFq._of``, which skips the public constructor's range
+check on codes the kernel has just made.  ``oracle_irreducible`` (Rabin's
+test; called by the oracles of the tests and the benchmark alone, by no
+field build and no sweep) takes its Frobenius powers x**(q**k) mod h from
+the Frobenius matrix, whose row i is x**(q*i) mod h: one matrix-vector
+product per power, no object per step.
 ``x_pow_mod`` powers x modulo h over F_q by one spread and one division per
 base-q digit of the exponent; the spectral verdicts and the zeta search use
 it, Ben-Or's test takes its step, and no oracle does.
@@ -78,6 +85,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 
 from . import numtheory
 
@@ -201,13 +209,15 @@ class FieldCtx:
         t | order - 1, found by ``_zeta`` with no table.  A prime field's exp
         table is the walk s -> s*zeta mod p.
 
-        Multiplication by zeta is F_p-linear, so the exp walk of an extension
+        Multiplication by zeta is F_p-linear, so the exp build of an extension
         field makes no general product per entry.  Digit i of a column
         zeta*x**i sits in bit lane i, B bits wide.  For p = 2, B = 1: a column
-        is a field code and adding is XOR, so zeta times each possible low
-        half (h = m // 2 bits) and high half of a code is a list indexed by
-        that half, each grown by XOR-ing in one column, and one step is two
-        lookups and one XOR.
+        is a field code and adding is XOR, so multiplying by any power of
+        zeta is a linear map on code bits too.  ``_doubling_exp`` walks the
+        first 512 powers by zeta's tabled multiples of a code's halves, XORs
+        of the columns, and fills the rest by doubling: each block of powers
+        is the block before, packed into bytes, times a power of zeta, with
+        no Python step per entry.  zeta**M is read off the columns.
 
         For odd p the walk's state holds digit i of the current power in bit
         lane i, B = (2p - 1).bit_length() + 1 bits wide: room for the sum of
@@ -229,10 +239,11 @@ class FieldCtx:
         one before with one ``map``.
 
         Every route ends on one closure check: zeta**M = 1 (g**(p - 1) = 1 on
-        the block route) and log[1] = 0, as the log fill keeps the last index
-        of each code.  Then zeta is a unit of order M, and exp holds each
-        nonzero code once; a zeta of smaller order, or one that is no unit
-        because the modulus is reducible, raises.
+        the odd-p block route, zeta*exp[M - 1] by the columns for p = 2) and
+        log[1] = 0, as the log fill keeps the last index of each code.  Then
+        zeta is a unit of order M, and exp holds each nonzero code once; a
+        zeta of smaller order, or one that is no unit because the modulus is
+        reducible, raises.
         """
         p, m = self.p, self.m
         M = self.order - 1
@@ -245,27 +256,23 @@ class FieldCtx:
             for _ in range(m - 1):  # column i is zeta * x**i
                 cols.append(cols[-1] * x % mod)
             cols = [sum(d << (i * B) for i, d in enumerate(c.codes)) for c in cols]
-        h = m // 2
-        exp = [0] * M
         s = 1
         if m == 1:
+            exp = [0] * M
             zeta = self.zeta_code
             for i in range(M):
                 exp[i] = s
                 s = s * zeta % p
         elif p == 2:
-            # the columns are codes and adding is XOR, so zeta times each
-            # possible half is tabled by the half's code
-            mask = (1 << h) - 1
-            lo, hi = [0], [0]
-            for col in cols[:h]:
-                lo += [v ^ col for v in lo]
-            for col in cols[h:]:
-                hi += [v ^ col for v in hi]
-            for i in range(M):
-                exp[i] = s
-                s = lo[s & mask] ^ hi[s >> h]
+            exp = _doubling_exp(m, cols, self.modulus)
+            # zeta**M = zeta * exp[M - 1]: the columns at that code's bits
+            s = 0
+            for i, col in enumerate(cols):
+                if exp[-1] >> i & 1:
+                    s ^= col
         else:
+            exp = [0] * M
+            h = m // 2
             shift = h * B
             lo_mask = (1 << shift) - 1
             top = B - 1
@@ -577,7 +584,11 @@ def _gcd(ctx: FieldCtx, a, b):
 
 
 class PolyFq:
-    """Polynomial over one FieldCtx, little-endian code tuple, no leading zeros."""
+    """Polynomial over one FieldCtx, little-endian code tuple, no leading zeros.
+
+    The constructor range-checks every code; ``_of`` wraps, unchecked, a code
+    list that the list kernel or a field table has just produced.
+    """
 
     __slots__ = ("ctx", "codes")
 
@@ -587,6 +598,14 @@ class PolyFq:
             raise ValueError(f"coefficient code out of range for F_{ctx.order}")
         self.ctx = ctx
         self.codes = tuple(_trim(codes))
+
+    @classmethod
+    def _of(cls, ctx: FieldCtx, codes: list) -> "PolyFq":
+        """The polynomial of a fresh list of codes already in range, trimmed here."""
+        poly = object.__new__(cls)
+        poly.ctx = ctx
+        poly.codes = tuple(_trim(codes))
+        return poly
 
     @classmethod
     def x(cls, ctx: FieldCtx) -> "PolyFq":
@@ -623,7 +642,7 @@ class PolyFq:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = ctx.add_codes(out[i], c)
-        return PolyFq(ctx, out)
+        return PolyFq._of(ctx, out)
 
     def __sub__(self, other):
         self._check(other)
@@ -631,22 +650,22 @@ class PolyFq:
 
     def __neg__(self):
         ctx = self.ctx
-        return PolyFq(ctx, [ctx.neg_code(c) for c in self.codes])
+        return PolyFq._of(ctx, [ctx.neg_code(c) for c in self.codes])
 
     def __mul__(self, other):
         self._check(other)
-        return PolyFq(self.ctx, _mul(self.ctx, self.codes, other.codes))
+        return PolyFq._of(self.ctx, _mul(self.ctx, self.codes, other.codes))
 
     def scale(self, code: int) -> "PolyFq":
         ctx = self.ctx
-        return PolyFq(ctx, [ctx.mul_codes(c, code) for c in self.codes])
+        return PolyFq._of(ctx, [ctx.mul_codes(c, code) for c in self.codes])
 
     def __divmod__(self, other):
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         quot, rem = _divmod(self.ctx, self.codes, other.codes)
-        return PolyFq(self.ctx, quot), PolyFq(self.ctx, rem)
+        return PolyFq._of(self.ctx, quot), PolyFq._of(self.ctx, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -664,7 +683,7 @@ class PolyFq:
         out = []
         for i in range(1, len(self.codes)):
             out.append(ctx.mul_codes(self.codes[i], i % ctx.p))
-        return PolyFq(ctx, out)
+        return PolyFq._of(ctx, out)
 
     def pow_mod(self, e: int, modpoly: "PolyFq") -> "PolyFq":
         """self**e reduced mod modpoly, by square and multiply on code lists."""
@@ -673,16 +692,17 @@ class PolyFq:
         self._check(modpoly)
         if modpoly.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        return PolyFq(self.ctx, _powmod(self.ctx, self.codes, e, modpoly.codes))
+        return PolyFq._of(self.ctx, _powmod(self.ctx, self.codes, e, modpoly.codes))
 
     def __call__(self, point: FieldElement) -> FieldElement:
         """Evaluate by Horner's rule at a point of the same context."""
         if point.ctx is not self.ctx:
             raise ValueError("evaluation point from a different field")
         ctx = self.ctx
+        add, mul, a = ctx.add_codes, ctx.mul_codes, point.code
         acc = 0
         for c in reversed(self.codes):
-            acc = ctx.add_codes(ctx.mul_codes(acc, point.code), c)
+            acc = add(mul(acc, a), c)
         return FieldElement(ctx, acc)
 
     def __eq__(self, other):
@@ -715,7 +735,7 @@ class PolyFq:
 def poly_gcd(a: PolyFq, b: PolyFq) -> PolyFq:
     """Monic gcd of two polynomials over the same field."""
     a._check(b)
-    return PolyFq(a.ctx, _gcd(a.ctx, a.codes, b.codes)).monic()
+    return PolyFq._of(a.ctx, list(_gcd(a.ctx, a.codes, b.codes))).monic()
 
 
 def oracle_irreducible(h: PolyFq) -> bool:
@@ -826,6 +846,72 @@ def _zeta(p: int, m: int, modulus) -> int:
                        for t in fac))
 
 
+def _doubling_exp(m: int, cols, modulus) -> tuple:
+    """The exp table of F_{2^m}, m >= 2: a walk of 512 powers, then doubling.
+
+    Multiplying by any c is F_2-linear on codes: c times a code is the XOR
+    of c's multiples of the code's bits.  The first min(M, 512) powers
+    (M = 2**m - 1) are walked one at a time, as the lookups of zeta's
+    multiples of a code's low and high half, XORs of the columns zeta*x**i.
+    Past them the powers so far, zeta**0..zeta**(L-1), sit packed
+    little-endian in one bytearray, w = 2 or 4 bytes per code, and the next
+    L are c = zeta**L times the first L: byte k of c times a code is the XOR
+    over the code's byte planes j of a 256-entry table of byte k of
+    c*(b << 8j), so each output plane is the input planes translated through
+    those tables, XORed as ints and written back with one strided slice,
+    with no Python step per entry.  c's tables come from its columns
+    c*x**i, each the one before times x, reduced by the modulus.  Codes fill
+    nb = ceil(m/8) planes; for m > 16 the top byte stays 0.  A doubling step
+    costs about as much as walking a few hundred powers, hence the walk.
+    """
+    M = (1 << m) - 1
+
+    def span(vs):  # the XOR of each subset of vs, indexed by the subset's bits
+        out = [0]
+        for v in vs:
+            out += [u ^ v for u in out]
+        return out
+
+    h = m // 2
+    mask = (1 << h) - 1
+    lo, hi = span(cols[:h]), span(cols[h:])
+    L = min(M, 512)
+    first = [1] * L
+    s = 1
+    for i in range(1, L):
+        s = first[i] = lo[s & mask] ^ hi[s >> h]
+    if L == M:
+        return tuple(first)
+    w, fmt = (2, "H") if m <= 16 else (4, "I")
+    nb = (m + 7) // 8
+    f = sum(d << i for i, d in enumerate(modulus))
+    exp = bytearray(M * w)
+    struct.pack_into(f"<{L}{fmt}", exp, 0, *first)
+    while L < M:
+        c = lo[s & mask] ^ hi[s >> h]  # zeta**L, zeta times zeta**(L - 1)
+        ccols = []
+        for _ in range(m):  # c * x**i
+            ccols.append(c)
+            c <<= 1
+            if c >> m:
+                c ^= f
+        tabs = []  # tabs[j][k][b]: byte k of c * (b << 8j)
+        for j in range(nb):
+            run = span(ccols[8 * j:8 * j + 8])
+            run = struct.pack(f"<{len(run)}{fmt}", *run).ljust(256 * w, b"\0")
+            tabs.append([run[k::w] for k in range(nb)])
+        n = min(L, M - L)
+        planes = [exp[j:n * w:w] for j in range(nb)]
+        for k in range(nb):
+            acc = 0
+            for j in range(nb):
+                acc ^= int.from_bytes(planes[j].translate(tabs[j][k]), "little")
+            exp[L * w + k:(L + n) * w:w] = acc.to_bytes(n, "little")
+        L += n
+        s = int.from_bytes(exp[(L - 1) * w:L * w], "little")
+    return struct.unpack(f"<{M}{fmt}", exp)
+
+
 def value_field(q: int) -> FieldCtx:
     """F_q from its order alone; a q over the field cap is never factored."""
     check_size(q, 1, field=True)
@@ -876,7 +962,7 @@ def char_poly(xi: FieldElement, q: int, n: int) -> PolyFq:
     for a in cur:
         if ctx.pow_code(a, q) != a:
             raise AssertionError("characteristic polynomial left the base field")
-    return PolyFq(ctx, cur)
+    return PolyFq._of(ctx, cur)
 
 
 def sigma_eval(w: int, xi: FieldElement, q: int, n: int) -> FieldElement:
@@ -947,7 +1033,7 @@ class Embedding:
             raise ValueError("polynomial not over the target field")
         lower = self._lower
         try:
-            return PolyFq(self.small, [lower[c] for c in poly.codes])
+            return PolyFq._of(self.small, [lower[c] for c in poly.codes])
         except KeyError as exc:
             raise ValueError("coefficient outside the embedded subfield") from exc
 

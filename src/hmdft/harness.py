@@ -276,7 +276,7 @@ def _root_certifies(h: PolyFq, emb: Embedding, a: int) -> bool:
         return False
     if any(big.pow_code(a, q ** (n // t)) == a for t in prime_factors(n)):
         return False
-    return not PolyFq(big, emb.lift_codes(h.codes))(FieldElement(big, a))
+    return not PolyFq._of(big, emb.lift_codes(h.codes))(FieldElement(big, a))
 
 
 def _with_witness(report: PeriodReport, wit: PolyFq | None) -> PeriodReport:

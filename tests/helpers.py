@@ -402,8 +402,9 @@ def polymul_exp_table(ctx):
 def lane_walk_exp_table(ctx):
     """The exp table of ctx by the lane walk, for every p.
 
-    ``FieldCtx._finish`` walked every field this way before p = 2 moved to
-    code words and XOR.  The walk's state holds digit i of the current power
+    ``FieldCtx._finish`` walks the first (order - 1)/(p - 1) powers of an
+    odd-p field this way; for p = 2 it doubles packed runs of powers
+    instead, and shares no step with this walk.  The walk's state holds digit i of the current power
     in bit lane i, B = (2p - 1).bit_length() + 1 bits wide; ``reduce``
     subtracts p from every lane that reached p.  zeta times each possible low
     and high half of the lanes is tabled, grown from the m columns zeta*x**i,

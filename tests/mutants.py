@@ -5,9 +5,9 @@ Each mutant names one file under ``src/hmdft``, the exact texts it replaces
 least one must fail once it is applied.  The runner copies ``src/``,
 ``tests/`` and ``pyproject.toml`` to a temporary directory, applies one
 mutant there, runs its node ids and prints ``killed`` or ``survived`` with
-the time taken; the working tree is never touched.  Stdlib only; pytest does
-not collect this file (``tests/test_mutants.py`` checks the catalogue
-against the tree).
+the time taken, then one summary line, ``N of M killed in T s``; the
+working tree is never touched.  Stdlib only; pytest does not collect this
+file (``tests/test_mutants.py`` checks the catalogue against the tree).
 
     python tests/mutants.py --all          # every mutant
     python tests/mutants.py NAME [NAME ...]
@@ -101,6 +101,24 @@ MUTANTS = (
             "tests/test_gf.py::test_searches_match_the_rabin_and_pow_mod_searches"),
            "x itself is never a candidate, so every field whose zeta is x "
            "gets a later one"),
+    Mutant("blocks-times-zeta", "src/hmdft/gf.py",
+           (("        c = lo[s & mask] ^ hi[s >> h]  # zeta**L, zeta times zeta**(L - 1)\n",
+             "        c = cols[0]\n"),),
+           ("tests/test_gf.py::test_small_field_tables_match_polymul_walk",
+            "tests/test_gf.py::test_large_field_tables_match_polymul_walk"),
+           "the p = 2 exp build multiplies every doubled block by zeta, not by "
+           "zeta**L; the first 512 powers are walked, so only F_{2^m} with "
+           "m >= 10 sees it, and its closure check raises"),
+    Mutant("byte-plane-dropped", "src/hmdft/gf.py",
+           (("            for j in range(nb):\n                acc ^= ",
+             "            for j in range(nb - 1):\n                acc ^= "),),
+           ("tests/test_gf.py::test_large_field_tables_match_polymul_walk",
+            "tests/test_gf.py::test_exp_table_at_the_cap_by_sampled_powers"),
+           "the p = 2 exp build's XOR skips the top input byte plane; fields "
+           "with m <= 9 are walked, so only F_{2^m} with m >= 10 (2 and 3 "
+           "planes) sees it.  The closure check raises from m = 11 on, but "
+           "passes F_{2^10}'s table of 654 distinct codes: only the oracles "
+           "see that one"),
     Mutant("zech-wrap-dropped", "src/hmdft/gf.py",
            (("        succ[p - 1::p] = log[0::p]\n", ""),),
            ("tests/test_gf.py::test_zech_table_matches_digitwise_reference",
@@ -235,12 +253,15 @@ def main(argv=None) -> int:
         ap.error(f"unknown mutant {unknown[0]}" if unknown else "name a mutant or --all")
     chosen = MUTANTS if args.all else [by_name[n] for n in args.names]
     survived = 0
+    start = time.perf_counter()
     for m in chosen:
         t0 = time.perf_counter()
         killed = run(m)
         survived += not killed
         print(f"{m.name}: {'killed' if killed else 'survived'} "
               f"({time.perf_counter() - t0:.1f} s)", flush=True)
+    print(f"{len(chosen) - survived} of {len(chosen)} killed in "
+          f"{time.perf_counter() - start:.0f} s")
     return 1 if survived else 0
 
 

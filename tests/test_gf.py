@@ -42,12 +42,13 @@ from helpers import (
 )
 
 # every field of order <= 2^12 for a spread of primes, then larger fields of
-# several shapes: every F_{2^m} up to 2^16, a long odd lane vector, a short
-# wide one, and m = 2
+# several shapes: every F_{2^m} up to 2^17 (2 and 4 bytes per packed code
+# where the p = 2 exp build doubles), a long odd lane vector, a short wide
+# one, and m = 2
 SMALL_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13, 31)
                 for m in range(1, 13) if p ** m <= 1 << 12]
-LARGE_FIELDS = [(2, 13), (2, 14), (2, 15), (2, 16), (3, 9), (5, 6), (7, 5), (13, 4),
-                (251, 2)]
+LARGE_FIELDS = [(2, 13), (2, 14), (2, 15), (2, 16), (2, 17), (3, 9), (5, 6), (7, 5),
+                (13, 4), (251, 2)]
 
 
 def test_make_field_prime():
@@ -285,26 +286,46 @@ def test_order_of_matches_repeated_products(p, m):
 
 
 @pytest.mark.parametrize("p,modulus", [(2, (0, 0, 1)), (3, (0, 0, 1)), (5, (0, 0, 1)),
-                                       (7, (0, 0, 1))])
+                                       (7, (0, 0, 1)), (2, (0,) * 10 + (1,))])
 def test_exp_walk_must_close(p, modulus):
-    # x^2 is reducible: the search settles on the nilpotent x, whose powers
-    # reach 0 and never return to 1 (p = 2 walks code words by XOR, odd p
-    # walks lanes to x**K = 0, K = (p**2 - 1)/(p - 1), where the scalar
-    # blocks would start); the constructor builds the tables, so it raises
+    # x^m is reducible: the search settles on the nilpotent x, whose powers
+    # reach 0 and never return to 1 (p = 2 walks 512 powers and doubles
+    # the rest, packed 2 bytes per code at m = 10, to zeta * exp[M - 1] = 0;
+    # odd p walks lanes to x**K = 0, K = (p**2 - 1)/(p - 1), where the
+    # scalar blocks would start); the constructor builds the tables, so it
+    # raises
     with pytest.raises(AssertionError, match="generator order"):
-        gf.FieldCtx(p, 2, modulus)
+        gf.FieldCtx(p, len(modulus) - 1, modulus)
 
 
-@pytest.mark.parametrize("p,m,modulus", [(3, 2, (1, 0, 1)), (2, 4, (1, 1, 1, 1, 1))])
+@pytest.mark.parametrize("p,m,modulus", [(3, 2, (1, 0, 1)), (2, 4, (1, 1, 1, 1, 1)),
+                                         (2, 10, (1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 1))])
 def test_exp_walk_must_close_on_a_generator_of_a_subgroup(p, m, modulus, monkeypatch):
     # with no prime of order - 1 to test, the search takes x, which has order
-    # 4 in F_9 (so x**K = 1 and the scalar blocks repeat the first) and 5 in
-    # F_16; either way x**(order - 1) = 1, so only the check that no earlier
-    # power is 1 sees that x generates a proper subgroup
-    make_field(p)  # the prime field, built before the patch
+    # 4 in F_9 (so x**K = 1 and the scalar blocks repeat the first), 5 in
+    # F_16 and 341 in F_{2^10}, 2 bytes per packed code; either way
+    # x**(order - 1) = 1, so only the check that no earlier power is 1 sees
+    # that x generates a proper subgroup.  The modulus is irreducible, so x's
+    # order alone is at fault; the prime field is built before the patch
+    assert oracle_irreducible(PolyFq(make_field(p), modulus))
     monkeypatch.setattr(numtheory, "prime_factors", lambda n: [])
     with pytest.raises(AssertionError, match="generator order"):
         gf.FieldCtx(p, m, modulus)
+
+
+def test_exp_table_at_the_cap_by_sampled_powers():
+    # F_{2^20}, the largest field, packs 4 bytes per code, the top one 0:
+    # every nonzero code occurs once, and exp[i] is zeta**i by pow_mod at
+    # the block edges of the doubling and at seeded i
+    p, m = 2, 20
+    ctx = gf.FieldCtx(p, m, gf._modulus(p, m))  # uncached, freed afterwards
+    M = ctx.order - 1
+    assert sorted(ctx.exp) == list(range(1, ctx.order))
+    prime = make_field(p)
+    zeta, mod = PolyFq(prime, ctx.digits_of(ctx.zeta_code)), PolyFq(prime, ctx.modulus)
+    rng = random.Random(2020)
+    for i in [0, 1, 255, 256, 65535, 65536, 1 << 19, M - 1] + rng.sample(range(M), 40):
+        assert ctx.exp[i] == sum(c << k for k, c in enumerate(zeta.pow_mod(i, mod).codes))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 65521])
