@@ -35,7 +35,8 @@ power, the norm of zeta, is a constant g, so each further block of K powers
 is the one before times g, one table lookup per entry.  Either route's
 first tables are sums of the m columns zeta*x**i, m - 1 polynomial products
 in all; a prime field walks s -> s*zeta mod p.  Every route ends on one
-closure check.  An extension field is built with ``PolyFq`` and its list
+closure check, which also certifies from the log table that exp holds each
+nonzero code once.  An extension field is built with ``PolyFq`` and its list
 kernel over F_p, the package's one polynomial scheme: its two searches and
 its columns; a prime field powers by the built-in ``pow``.
 
@@ -53,19 +54,27 @@ field as ``zech`` (None in characteristic 2 and in prime fields); the adder
 reads it, and so does ``cyclic``'s coset walk, which sums in the log domain.
 
 Polynomials over a field run on one private kernel on plain code lists: a
-product, a division and a product reduced modulo h, all three adding scaled
-rows with one per-term loop (``_addmul``) that multiplies through the exp/log
-tables and adds with the field's bound adder.  ``PolyFq``'s product,
-division, ``pow_mod`` and ``poly_gcd`` call it and wrap the result once per
-public call, with ``PolyFq._of``, which skips the public constructor's range
-check on codes the kernel has just made.  ``oracle_irreducible`` (Rabin's
-test; called by the oracles of the tests and the benchmark alone, by no
-field build and no sweep) takes its Frobenius powers x**(q**k) mod h from
-the Frobenius matrix, whose row i is x**(q*i) mod h: one matrix-vector
-product per power, no object per step.
-``x_pow_mod`` powers x modulo h over F_q by one spread and one division per
-base-q digit of the exponent; the spectral verdicts and the zeta search use
-it, Ben-Or's test takes its step, and no oracle does.
+product, a division and a product reduced modulo h.  A product adds scaled
+rows with one per-term loop (``_addmul``) that multiplies through the
+exp/log tables and adds with the field's bound adder.  A division first
+prepares its divisor once (``_divisor``: its degree, the log of its lead's
+inverse and the shifted logs of its negated nonzero tail), and one loop
+(``_reduce``) takes each top term off in place, one log lookup per top term
+and one exp lookup and one add per tail term, with no product call.
+``_divmod`` runs that loop once on a copy; every loop that divides by one
+fixed modulus (``x_pow_mod``, Ben-Or's steps, ``_powmod`` and so
+``pow_mod``, the Frobenius rows of Rabin's test) prepares it once and passes
+it on.  ``PolyFq``'s product, division, ``pow_mod`` and ``poly_gcd`` call the
+kernel and wrap the result once per public call, with ``PolyFq._of``, which
+skips the public constructor's range check on codes the kernel has just
+made.  ``oracle_irreducible`` (Rabin's test; called by the oracles of the
+tests and the benchmark alone, by no field build and no sweep) takes its
+Frobenius powers x**(q**k) mod h from the Frobenius matrix, whose row i is
+x**(q*i) mod h: one matrix-vector product per power, no object per step.
+``x_pow_mod`` powers x modulo h over F_q by one spread and one reduction
+against the prepared h per base-q digit of the exponent; the spectral
+verdicts and the zeta search use it, Ben-Or's test takes its step, and no
+oracle does.
 
 Extension towers F_q inside F_{q^n} are realized inside the single context of
 order q^n; membership in the intermediate field F_{q^d} is decided by the
@@ -241,9 +250,11 @@ class FieldCtx:
         Every route ends on one closure check: zeta**M = 1 (g**(p - 1) = 1 on
         the odd-p block route, zeta*exp[M - 1] by the columns for p = 2) and
         log[1] = 0, as the log fill keeps the last index of each code.  Then
-        zeta is a unit of order M, and exp holds each nonzero code once; a
-        zeta of smaller order, or one that is no unit because the modulus is
-        reducible, raises.
+        zeta is a unit of order M; a zeta of smaller order, or one that is no
+        unit because the modulus is reducible, raises.  The check also
+        requires log[0] = -1 and sum(log) = M(M - 1)/2 - 1, which hold iff exp
+        holds each nonzero code once, so a faulty build of the tables raises
+        too, even where its last entry closes the walk.
         """
         p, m = self.p, self.m
         M = self.order - 1
@@ -319,8 +330,10 @@ class FieldCtx:
         for i, c in enumerate(exp):
             log[c] = i
         # s = zeta**M; the fill keeps the last index of each code, so log[1]
-        # is 0 only when no later power is 1 too
-        if s != 1 or log[1]:
+        # is 0 only when no later power is 1 too.  exp is a bijection onto the
+        # nonzero codes iff log[0] stays -1 and log sums to the indices 0..M-1
+        # less 1: a code skipped stays -1 and costs the index written over
+        if s != 1 or log[1] or log[0] != -1 or sum(log) != M * (M - 1) // 2 - 1:
             raise AssertionError("generator order inconsistency")
         # tuples: the tables never change, and the cyclic GC stops tracking a
         # tuple of ints at its first pass instead of walking it at every one
@@ -491,39 +504,71 @@ def _mul(ctx: FieldCtx, a, b) -> list:
     return out
 
 
-def _divmod(ctx: FieldCtx, a, h) -> tuple[list, list]:
-    """Quotient and remainder of code list a by the nonzero code list h."""
-    d = len(h) - 1
-    rem = list(a)
-    if len(rem) <= d:
-        return [], rem
-    inv, mul, neg = ctx.inv_code(h[-1]), ctx.mul_codes, ctx.neg_code
-    tail = [neg(c) for c in h[:-1]]
-    quot = [0] * (len(rem) - d)
+def _divisor(ctx: FieldCtx, h) -> tuple:
+    """The nonzero code list h prepared for ``_reduce``, once per modulus.
+
+    (d, log of 1/h_d, [(j, log(-h_j) - M) for each nonzero h_j, j < d]),
+    with d = deg h and M = order - 1: the shift by -M is that of mul_codes.
+    """
+    M, log, neg = ctx.order - 1, ctx.log, ctx.neg_code
+    tail = [(j, log[neg(c)] - M) for j, c in enumerate(h[:-1]) if c]
+    return len(h) - 1, -log[h[-1]] % M, tail
+
+
+def _reduce(ctx: FieldCtx, rem: list, div) -> list:
+    """Reduce the code list rem in place modulo a ``_divisor``; return the quotient.
+
+    Each top term c, from the highest down, is taken off as f * h with
+    f = c/h_d: f's log is read once, each tail term adds the code at log
+    f + log(-h_j) through the field's adder, and f is left in c's slot.
+    Those slots, cut off the top, are the quotient; rem keeps the
+    remainder, trimmed.
+    """
+    d, inv, tail = div
+    exp, log, add = ctx.exp, ctx.log, ctx.add_codes
+    M = ctx.order - 1
     for i in range(len(rem) - 1, d - 1, -1):
         c = rem[i]
-        if c:  # take f * h off the top term: add f * (-h_j) below it
-            f = quot[i - d] = mul(c, inv)
-            _addmul(ctx, rem, i - d, f, tail)
+        if c:
+            lf = (log[c] + inv) % M
+            rem[i] = exp[lf]
+            k = i - d
+            for j, lt in tail:
+                rem[k + j] = add(rem[k + j], exp[lf + lt])
+    quot = rem[d:]
     del rem[d:]
-    return quot, _trim(rem)
+    _trim(rem)
+    return quot
 
 
-def _mulmod(ctx: FieldCtx, a, b, h) -> list:
-    """Product of code lists a and b reduced modulo h."""
-    return _divmod(ctx, _mul(ctx, a, b), h)[1]
+def _divmod(ctx: FieldCtx, a, h) -> tuple[list, list]:
+    """Quotient and remainder of code list a by the nonzero code list h.
+
+    ``_reduce`` on a copy of a; a loop that divides by one fixed modulus
+    prepares it once with ``_divisor`` and calls ``_reduce`` itself.
+    """
+    rem = list(a)
+    return _reduce(ctx, rem, _divisor(ctx, h)), rem
 
 
-def _powmod(ctx: FieldCtx, a, e: int, h) -> list:
-    """a**e reduced modulo h, by square and multiply; e >= 0."""
-    result = _divmod(ctx, [1], h)[1]  # modulo a unit, even 1 is 0
-    base = _divmod(ctx, a, h)[1]
+def _mulmod(ctx: FieldCtx, a, b, div) -> list:
+    """Product of code lists a and b reduced modulo a ``_divisor``."""
+    rem = _mul(ctx, a, b)
+    _reduce(ctx, rem, div)
+    return rem
+
+
+def _powmod(ctx: FieldCtx, a, e: int, div) -> list:
+    """a**e reduced modulo a ``_divisor``, by square and multiply; e >= 0."""
+    result, base = [1], list(a)
+    _reduce(ctx, result, div)  # modulo a unit, even 1 is 0
+    _reduce(ctx, base, div)
     while e:
         if e & 1:
-            result = _mulmod(ctx, result, base, h)
+            result = _mulmod(ctx, result, base, div)
         e >>= 1
         if e:
-            base = _mulmod(ctx, base, base, h)
+            base = _mulmod(ctx, base, base, div)
     return result
 
 
@@ -534,19 +579,23 @@ def x_pow_mod(ctx: FieldCtx, t: int, h) -> list:
     y(x**q) * x**d mod h.  That is y**q * x**d, because y's coefficients
     lie in F_q and a**q = a there, so a step spreads y's codes q apart,
     shifts them by d and makes one reduction, with no general product.
+    h is prepared once (``_divisor``), and every step reduces against it.
     """
-    y = _divmod(ctx, [1], h)[1]  # modulo a unit, even 1 is 0
+    div = _divisor(ctx, h)
+    y = [1]
+    _reduce(ctx, y, div)  # modulo a unit, even 1 is 0
     for d in reversed(numtheory.digits(t, ctx.order)):
-        y = _frobenius_step(ctx, y, d, h)
+        y = _frobenius_step(ctx, y, d, div)
     return y
 
 
-def _frobenius_step(ctx: FieldCtx, y, d: int, h) -> list:
-    """y**q * x**d mod h, q = ctx.order: a step of x_pow_mod and of _ben_or."""
+def _frobenius_step(ctx: FieldCtx, y, d: int, div) -> list:
+    """y**q * x**d modulo a ``_divisor``, q = ctx.order: a step of x_pow_mod and _ben_or."""
     q = ctx.order
     step = [0] * (q * (len(y) - 1) + d + 1)
     step[d::q] = y
-    return _divmod(ctx, step, h)[1]
+    _reduce(ctx, step, div)
+    return step
 
 
 def _ben_or(prime: FieldCtx, f) -> bool:
@@ -566,9 +615,10 @@ def _ben_or(prime: FieldCtx, f) -> bool:
         return False
     if m < 4:
         return True
-    y = _frobenius_step(prime, [0, 1], 0, f)  # x**p mod f
+    div = _divisor(prime, f)
+    y = _frobenius_step(prime, [0, 1], 0, div)  # x**p mod f
     for _ in range(m // 2 - 1):
-        y = _frobenius_step(prime, y, 0, f)  # x**(p**d) mod f, d = 2..m//2
+        y = _frobenius_step(prime, y, 0, div)  # x**(p**d) mod f, d = 2..m//2
         diff = y + [0] * (2 - len(y))
         diff[1] = (diff[1] - 1) % p  # minus x
         if len(_gcd(prime, f, _trim(diff))) != 1:
@@ -692,7 +742,8 @@ class PolyFq:
         self._check(modpoly)
         if modpoly.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        return PolyFq._of(self.ctx, _powmod(self.ctx, self.codes, e, modpoly.codes))
+        ctx = self.ctx
+        return PolyFq._of(ctx, _powmod(ctx, self.codes, e, _divisor(ctx, modpoly.codes)))
 
     def __call__(self, point: FieldElement) -> FieldElement:
         """Evaluate by Horner's rule at a point of the same context."""
@@ -758,10 +809,11 @@ def oracle_irreducible(h: PolyFq) -> bool:
         return True
     ctx = h.ctx
     hm = h.monic().codes
+    div = _divisor(ctx, hm)
     x = PolyFq.x(ctx)  # reduced, since n >= 2
-    frob = [[1], _powmod(ctx, x.codes, ctx.order, hm)]
+    frob = [[1], _powmod(ctx, x.codes, ctx.order, div)]
     for _ in range(n - 2):
-        frob.append(_mulmod(ctx, frob[-1], frob[1], hm))
+        frob.append(_mulmod(ctx, frob[-1], frob[1], div))
     gcd_at = {n // t for t in numtheory.prime_factors(n)}
     f = frob[1]  # x**(q**k) mod h, from k = 1
     for k in range(1, n):

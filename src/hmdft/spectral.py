@@ -16,7 +16,8 @@ verdicts compute it that way, never forming S.  Every power of x they take
 (x**N mod h for g, then x**t mod g down the prime descent of r) comes from
 `gf.x_pow_mod`, Horner's rule on the base-q digits of the exponent: h and g
 lie over F_q, so y**q = y(x**q) is a spread of y's codes, and each digit
-costs one reduction and no product.  `build_root_indicator` forms S from
+costs one reduction against the modulus, prepared once per power, and no
+product.  `build_root_indicator` forms S from
 the power sums of g's roots, which lie in F_q, for the tests to compare
 against.  No function in this module builds F_{q^n} or forms the power of h.
 
@@ -29,8 +30,9 @@ Independent oracles (`oracle_irreducible` by the Frobenius-power test,
 `oracle_factor_degrees` by squarefree decomposition plus distinct-degree
 splitting) validate every Proven verdict in the test suite.  They power by
 ``PolyFq.pow_mod`` and the verdicts by ``gf.x_pow_mod``, but both run on
-``gf``'s one list kernel (``_divmod``, ``_addmul``, and ``_gcd``, which
-``poly_gcd`` wraps), so a fault there can reach verdict and oracle alike.
+``gf``'s one list kernel (the prepared division ``_divisor``/``_reduce``,
+``_addmul``, and ``_gcd``, which ``poly_gcd`` wraps), so a fault there can
+reach verdict and oracle alike.
 `oracle_irreducible` lives in ``gf`` and is re-exported here; no field build
 calls it, as ``make_field`` picks its moduli by Ben-Or's test.
 """

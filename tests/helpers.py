@@ -534,6 +534,54 @@ def polydivmod_loops(a, b):
     return PolyFq(ctx, quot), PolyFq(ctx, rem[:d])
 
 
+def divmod_term_by_term(ctx, a, h):
+    """Quotient and remainder of code list a by the nonzero code list h.
+
+    This is ``gf._divmod`` before prepared divisors: each call derives the
+    lead's inverse and the negated tail again, and each top term adds
+    f * (-h_j) below it with one ``mul_codes`` and one ``add_codes`` call
+    per tail term.  The remainder is trimmed, the quotient is not.
+    """
+    d = len(h) - 1
+    rem = list(a)
+    if len(rem) <= d:
+        return [], rem
+    inv = ctx.inv_code(h[-1])
+    tail = [ctx.neg_code(c) for c in h[:-1]]
+    quot = [0] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            f = quot[i - d] = ctx.mul_codes(c, inv)
+            for j, t in enumerate(tail, i - d):
+                if t:
+                    rem[j] = ctx.add_codes(rem[j], ctx.mul_codes(f, t))
+    del rem[d:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def x_pow_mod_term_by_term(ctx, t, h):
+    """x**t mod the code list h by square and multiply, products term by term
+    and every reduction by ``divmod_term_by_term``."""
+    def mulmod(a, b):
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] = ctx.add_codes(out[i + j], ctx.mul_codes(u, v))
+        return divmod_term_by_term(ctx, out, h)[1]
+
+    result = divmod_term_by_term(ctx, [1], h)[1]
+    base = divmod_term_by_term(ctx, [0, 1], h)[1]
+    while t:
+        if t & 1:
+            result = mulmod(result, base)
+        base = mulmod(base, base)
+        t >>= 1
+    return result
+
+
 def pow_mod_loops(a, e, modpoly):
     """a**e mod modpoly by square and multiply with the two loops above."""
     result = polydivmod_loops(PolyFq(a.ctx, (1,)), modpoly)[1]

@@ -116,9 +116,23 @@ MUTANTS = (
             "tests/test_gf.py::test_exp_table_at_the_cap_by_sampled_powers"),
            "the p = 2 exp build's XOR skips the top input byte plane; fields "
            "with m <= 9 are walked, so only F_{2^m} with m >= 10 (2 and 3 "
-           "planes) sees it.  The closure check raises from m = 11 on, but "
-           "passes F_{2^10}'s table of 654 distinct codes: only the oracles "
-           "see that one"),
+           "planes) sees it.  The closure check raises from m = 11 on; "
+           "F_{2^10}'s table of 654 distinct codes, one of them 0, passes "
+           "zeta**M = 1 and log[1] = 0, and the log table's exact "
+           "certificate (log[0] = -1, the sum of its logs) refuses it"),
+    Mutant("prepared-tail-not-negated", "src/hmdft/gf.py",
+           (("log[neg(c)] - M", "log[c] - M"),),
+           ("tests/test_gf.py::test_prepared_division_matches_term_by_term",
+            "tests/test_spectral.py::test_order_route_matches_both_oracles_every_small_monic_h"),
+           "a prepared divisor adds f * h_j below each top term instead of "
+           "f * (-h_j); -1 = 1 in characteristic 2, so only odd p sees it"),
+    Mutant("prepared-lead-inverse-dropped", "src/hmdft/gf.py",
+           (("-log[h[-1]] % M", "0"),),
+           ("tests/test_gf.py::test_prepared_division_matches_term_by_term",
+            "tests/test_gf.py::test_ben_or_matches_rabin_on_every_monic"),
+           "a prepared divisor takes its lead for 1, so each quotient term is "
+           "c, not c/h_d; every modulus is monic, so only a non-monic "
+           "divisor, as _gcd passes its remainders, sees it"),
     Mutant("zech-wrap-dropped", "src/hmdft/gf.py",
            (("        succ[p - 1::p] = log[0::p]\n", ""),),
            ("tests/test_gf.py::test_zech_table_matches_digitwise_reference",

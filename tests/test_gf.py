@@ -28,6 +28,7 @@ from helpers import (
     brute_min_poly,
     digitwise_add,
     digitwise_neg,
+    divmod_term_by_term,
     lane_walk_exp_table,
     mobius_loop,
     oracle_irreducible_powering,
@@ -39,6 +40,7 @@ from helpers import (
     pow_mod_zeta_search,
     rabin_modulus_search,
     refusal_type,
+    x_pow_mod_term_by_term,
 )
 
 # every field of order <= 2^12 for a spread of primes, then larger fields of
@@ -311,6 +313,29 @@ def test_exp_walk_must_close_on_a_generator_of_a_subgroup(p, m, modulus, monkeyp
     monkeypatch.setattr(numtheory, "prime_factors", lambda n: [])
     with pytest.raises(AssertionError, match="generator order"):
         gf.FieldCtx(p, m, modulus)
+
+
+@pytest.mark.parametrize("i,code", [(600, None), (597, 0)])
+def test_exp_table_must_be_a_bijection(i, code, monkeypatch):
+    # a doubled table that repeats the nonzero code at 601 (leaving one code
+    # out) or holds 0, with its last entry and its only 1 in place, so that
+    # zeta * exp[M - 1] = 1 and log[1] = 0 still hold: only the exact
+    # certificate on the log table, log[0] = -1 and sum(log) = M(M-1)/2 - 1,
+    # refuses it
+    p, m = 2, 10
+    modulus = gf._modulus(p, m)
+    build = gf._doubling_exp
+
+    def faulty(*args):
+        exp = list(build(*args))
+        exp[i] = exp[i + 1] if code is None else code
+        return tuple(exp)
+
+    monkeypatch.setattr(gf, "_doubling_exp", faulty)
+    with pytest.raises(AssertionError, match="generator order"):
+        gf.FieldCtx(p, m, modulus)
+    monkeypatch.setattr(gf, "_doubling_exp", build)
+    assert gf.FieldCtx(p, m, modulus).exp == make_field(p, m).exp
 
 
 def test_exp_table_at_the_cap_by_sampled_powers():
@@ -724,6 +749,33 @@ def test_poly_kernel_matches_loops(q):
     zero = PolyFq(ctx, ())
     assert zero * a == polymul_loops(zero, a) == zero
     assert divmod(zero, a) == polydivmod_loops(zero, a) == (zero, zero)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 25, 49])
+def test_prepared_division_matches_term_by_term(q):
+    # the prepared divisor against the division it replaced, with non-monic
+    # divisors (as _gcd passes them), degree-0 divisors and dividends shorter
+    # than the divisor; then x_pow_mod's spread steps against square and
+    # multiply, where q = 16, 25 and 49 spread wider than any benchmark pair
+    ctx = make_field(*numtheory.prime_power(q))
+    rng = random.Random(q)
+
+    def rand_codes(deg, monic):
+        return [rng.randrange(q) for _ in range(deg)] + [1 if monic else rng.randrange(1, q)]
+
+    cases = 0
+    for _ in range(80):
+        h = rand_codes(rng.choice([0, 0, 1, 2, rng.randrange(3, 13)]), rng.random() < 0.4)
+        a = rand_codes(rng.randrange(len(h) + 12), False) if rng.random() < 0.9 else []
+        assert gf._divmod(ctx, a, h) == divmod_term_by_term(ctx, a, h), (a, h)
+        cases += len(a) < len(h)
+    assert cases
+    if q in (4, 7, 8):
+        return
+    for _ in range(12):
+        h = rand_codes(rng.randrange(9), rng.random() < 0.5)
+        for t in [0, 1, q - 1, q, q * q + 3, rng.randrange(10 ** 6)]:
+            assert gf.x_pow_mod(ctx, t, h) == x_pow_mod_term_by_term(ctx, t, h), (h, t)
 
 
 def _digits(code, p, m):
