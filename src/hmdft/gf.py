@@ -24,10 +24,11 @@ The exp table of an extension field is built with the F_p-linear map
 "multiply by zeta" (``FieldCtx._finish``).  For p = 2 a code word is a bit
 vector and adding is XOR, so multiplying by zeta**L is linear too:
 ``_doubling_exp`` walks the first 512 powers, two list lookups and one XOR
-each, then holds the first L powers packed in bytes and appends the next L
-as zeta**L times them, one ``bytes.translate`` per pair of byte planes and
-one XOR of packed ints per output plane, with no Python step per entry.
-For odd p the walk is
+each, then appends the next L packed in bytes as zeta**L times the first L,
+one ``bytes.translate`` per pair of byte planes and one XOR of packed ints
+per output plane, with no Python step per entry.  Every field of
+characteristic 2 keeps that ``array`` as ``packed_exp`` (None for odd p),
+M*w bytes: 128 KB at 2^16, 4 MB at 2^20.  For odd p the walk is
 tabled for the low and the high half of the digits: its state holds one bit
 lane per base-p digit, two split-table lookups and one integer add per
 entry, and the walk stops at zeta**K, K = (order - 1)/(p - 1): that
@@ -94,7 +95,8 @@ from __future__ import annotations
 
 import math
 import operator
-import struct
+import sys
+from array import array
 
 from . import numtheory
 
@@ -133,17 +135,26 @@ def check_size(q: int, n: int, cap: int | None = None, field: bool = False) -> i
     raise SizeCapError(f"q**n - 1 for (q, n) = ({q}, {n}) exceeds the size cap {limit}")
 
 
+def check_modulus(N: int, q: int, n: int, what: str) -> None:
+    """Refuse the modulus N of a ``what`` on Z_N unless N = q**n - 1; an n past
+    N's bit length before q**n is formed (q**n - 1 > N for any q >= 2)."""
+    if n > N.bit_length():
+        raise ValueError(f"{what} modulus {N} is not q**n - 1 for n={n}")
+    if q ** n - 1 != N:
+        raise ValueError(f"{what} modulus {N} is not q**n - 1 = {q ** n - 1}")
+
+
 class FieldCtx:
     """A concrete finite field F_{p^m}.
 
-    Immutable after construction; instances are shared via ``make_field`` and
-    safe for concurrent reads.  All arithmetic methods operate on integer
-    codes (see module docstring); the ``FieldElement`` wrapper provides the
-    operator interface on top of them.
+    Immutable after construction (the array ``packed_exp`` by convention),
+    shared via ``make_field`` and safe for concurrent reads.  All arithmetic
+    methods operate on integer codes (see module docstring); the
+    ``FieldElement`` wrapper provides the operator interface on top of them.
     """
 
     __slots__ = ("p", "m", "order", "modulus", "zeta_code", "exp", "log",
-                 "add_codes", "neg_code", "zech")
+                 "packed_exp", "add_codes", "neg_code", "zech")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -226,7 +237,8 @@ class FieldCtx:
         first 512 powers by zeta's tabled multiples of a code's halves, XORs
         of the columns, and fills the rest by doubling: each block of powers
         is the block before, packed into bytes, times a power of zeta, with
-        no Python step per entry.  zeta**M is read off the columns.
+        no Python step per entry.  zeta**M is read off the columns.  F_2,
+        whose one column is zeta, takes it too; its array is ``packed_exp``.
 
         For odd p the walk's state holds digit i of the current power in bit
         lane i, B = (2p - 1).bit_length() + 1 bits wide: room for the sum of
@@ -260,7 +272,9 @@ class FieldCtx:
         M = self.order - 1
         B = 1 if p == 2 else (2 * p - 1).bit_length() + 1  # bits per digit
         self.zeta_code = _zeta(p, m, self.modulus)
-        if m > 1:
+        if m == 1:
+            cols = [self.zeta_code]  # a prime field's one column: zeta, in lane 0
+        else:
             prime = make_field(p)
             mod, x = PolyFq(prime, self.modulus), PolyFq.x(prime)
             cols = [PolyFq(prime, self.digits_of(self.zeta_code))]
@@ -268,19 +282,21 @@ class FieldCtx:
                 cols.append(cols[-1] * x % mod)
             cols = [sum(d << (i * B) for i, d in enumerate(c.codes)) for c in cols]
         s = 1
-        if m == 1:
-            exp = [0] * M
-            zeta = self.zeta_code
-            for i in range(M):
-                exp[i] = s
-                s = s * zeta % p
-        elif p == 2:
-            exp = _doubling_exp(m, cols, self.modulus)
+        self.packed_exp = None  # the p = 2 table packed, which cyclic's XOR runs read
+        if p == 2:
+            self.packed_exp = _doubling_exp(m, cols, self.modulus)
+            exp = tuple(self.packed_exp)
             # zeta**M = zeta * exp[M - 1]: the columns at that code's bits
             s = 0
             for i, col in enumerate(cols):
                 if exp[-1] >> i & 1:
                     s ^= col
+        elif m == 1:
+            exp = [0] * M
+            zeta = self.zeta_code
+            for i in range(M):
+                exp[i] = s
+                s = s * zeta % p
         else:
             exp = [0] * M
             h = m // 2
@@ -898,23 +914,24 @@ def _zeta(p: int, m: int, modulus) -> int:
                        for t in fac))
 
 
-def _doubling_exp(m: int, cols, modulus) -> tuple:
-    """The exp table of F_{2^m}, m >= 2: a walk of 512 powers, then doubling.
+def _doubling_exp(m: int, cols, modulus) -> array:
+    """The exp table of F_{2^m}, packed: a walk of 512 powers, then doubling.
 
-    Multiplying by any c is F_2-linear on codes: c times a code is the XOR
-    of c's multiples of the code's bits.  The first min(M, 512) powers
-    (M = 2**m - 1) are walked one at a time, as the lookups of zeta's
-    multiples of a code's low and high half, XORs of the columns zeta*x**i.
-    Past them the powers so far, zeta**0..zeta**(L-1), sit packed
-    little-endian in one bytearray, w = 2 or 4 bytes per code, and the next
-    L are c = zeta**L times the first L: byte k of c times a code is the XOR
-    over the code's byte planes j of a 256-entry table of byte k of
-    c*(b << 8j), so each output plane is the input planes translated through
-    those tables, XORed as ints and written back with one strided slice,
-    with no Python step per entry.  c's tables come from its columns
-    c*x**i, each the one before times x, reduced by the modulus.  Codes fill
-    nb = ceil(m/8) planes; for m > 16 the top byte stays 0.  A doubling step
-    costs about as much as walking a few hundred powers, hence the walk.
+    An ``array`` of M = 2**m - 1 codes in native byte order, w = 2 bytes per
+    code ("H") for m <= 16 and 4 ("I") above.  Multiplying by any c is
+    F_2-linear on codes: c times a code is the XOR of c's multiples of the
+    code's bits.  The first min(M, 512) powers are walked one at a time, as
+    the lookups of zeta's multiples of a code's low and high half, XORs of
+    the columns zeta*x**i (F_2's one column is zeta).  Past them the codes'
+    bytes sit in one bytearray, and the next L are c = zeta**L times the
+    first L: byte k of c times a code is the XOR over the code's byte planes
+    j of a 256-entry table of byte k of c*(b << 8j), so each output plane is
+    the input planes translated through those tables, XORed as ints and
+    written back with one strided slice, with no Python step per entry.
+    c's tables come from its columns c*x**i, each the one before times x,
+    reduced by the modulus.  Codes fill nb = ceil(m/8) planes; for m > 16
+    the top byte stays 0.  A doubling step costs about as much as walking a
+    few hundred powers, hence the walk.
     """
     M = (1 << m) - 1
 
@@ -932,13 +949,16 @@ def _doubling_exp(m: int, cols, modulus) -> tuple:
     s = 1
     for i in range(1, L):
         s = first[i] = lo[s & mask] ^ hi[s >> h]
+    tc, w = ("H", 2) if m <= 16 else ("I", 4)
+    packed = array(tc, first)
     if L == M:
-        return tuple(first)
-    w, fmt = (2, "H") if m <= 16 else (4, "I")
+        return packed
+    exp = bytearray(M * w)  # the codes' bytes, w per code
+    exp[:L * w] = packed
     nb = (m + 7) // 8
+    # byte plane k of the codes, their bits 8k to 8k + 7, is byte at[k] of each
+    at = [k if sys.byteorder == "little" else w - 1 - k for k in range(nb)]
     f = sum(d << i for i, d in enumerate(modulus))
-    exp = bytearray(M * w)
-    struct.pack_into(f"<{L}{fmt}", exp, 0, *first)
     while L < M:
         c = lo[s & mask] ^ hi[s >> h]  # zeta**L, zeta times zeta**(L - 1)
         ccols = []
@@ -949,19 +969,18 @@ def _doubling_exp(m: int, cols, modulus) -> tuple:
                 c ^= f
         tabs = []  # tabs[j][k][b]: byte k of c * (b << 8j)
         for j in range(nb):
-            run = span(ccols[8 * j:8 * j + 8])
-            run = struct.pack(f"<{len(run)}{fmt}", *run).ljust(256 * w, b"\0")
-            tabs.append([run[k::w] for k in range(nb)])
+            run = array(tc, span(ccols[8 * j:8 * j + 8])).tobytes().ljust(256 * w, b"\0")
+            tabs.append([run[a::w] for a in at])
         n = min(L, M - L)
-        planes = [exp[j:n * w:w] for j in range(nb)]
-        for k in range(nb):
+        planes = [exp[a:n * w:w] for a in at]
+        for k, a in enumerate(at):
             acc = 0
             for j in range(nb):
                 acc ^= int.from_bytes(planes[j].translate(tabs[j][k]), "little")
-            exp[L * w + k:(L + n) * w:w] = acc.to_bytes(n, "little")
+            exp[L * w + a:(L + n) * w:w] = acc.to_bytes(n, "little")
         L += n
-        s = int.from_bytes(exp[(L - 1) * w:L * w], "little")
-    return struct.unpack(f"<{M}{fmt}", exp)
+        s = int.from_bytes(exp[(L - 1) * w:L * w], sys.byteorder)
+    return array(tc, exp)
 
 
 def value_field(q: int) -> FieldCtx:

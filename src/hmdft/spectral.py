@@ -52,6 +52,7 @@ from .cyclo import threshold
 from .gf import (
     FieldCtx,
     PolyFq,
+    check_modulus,
     check_size,
     oracle_irreducible,
     poly_gcd,
@@ -275,18 +276,14 @@ def support_degree_test(s: SupportSet, q: int, n: int) -> SupportDegreeReport:
     without the sufficient one, and where r = q**n - 1 with no primitive
     element.
     """
-    if n > s.N.bit_length():  # q**n - 1 > N for any q >= 2; q**n is not formed
-        raise ValueError(f"support modulus {s.N} is not q**n - 1 for n={n}")
-    N = q ** n - 1
-    if s.N != N:
-        raise ValueError(f"support modulus {s.N} is not q**n - 1 = {N}")
+    check_modulus(s.N, q, n, "support")
     r = dft_period_by_support(s)
     sufficient = _verdict(r, q, n)
     necessary = all((q ** d - 1) % r for d in numtheory.divisors(n) if d < n)
     return SupportDegreeReport(least_period=r, threshold=sufficient.threshold,
                                sufficient=sufficient,
                                necessary_holds=necessary,
-                               max_period=(r == N))
+                               max_period=(r == s.N))
 
 
 # ----------------------------------------------------------------------

@@ -74,7 +74,7 @@ from math import comb
 
 from . import numtheory
 from .cyclic import CyclicFn, SupportSet, least_period_by_descent
-from .gf import check_size, value_field
+from .gf import check_modulus, check_size, value_field
 
 
 def omega(q: int, n: int, w: int) -> SupportSet:
@@ -387,11 +387,7 @@ def is_q_symmetric(f: CyclicFn, q: int, n: int) -> bool:
     q*s' + b, so the block codes[b*Q:(b+1)*Q] must equal codes[b::q]; and the
     points with lowest digits (d0, d1) must read as those with (d1, d0).
     """
-    if n > f.N.bit_length():  # q**n - 1 > N for any q >= 2; q**n is not formed
-        raise ValueError(f"function modulus {f.N} is not q**n - 1 for n={n}")
-    N = q ** n - 1
-    if f.N != N:
-        raise ValueError(f"function modulus {f.N} is not q**n - 1 = {N}")
+    check_modulus(f.N, q, n, "function")
     if n == 1:
         return True
     codes = f.codes

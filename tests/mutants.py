@@ -153,6 +153,14 @@ MUTANTS = (
             "tests/test_cyclic.py::test_descent_matches_ascending_scan"),
            "the descent divides by each prime at most once, so a least "
            "period missing a square of a prime of N is reported too large"),
+    Mutant("xor-runs-undoubled", "src/hmdft/cyclic.py",
+           (("    E = ctx.packed_exp * 2  #", "    E = ctx.packed_exp  #"),),
+           ("tests/test_dft_routes.py::test_polynomial_inputs_take_runs",
+            "tests/test_dft_routes.py::test_routes_match_brute_force_on_sparse_inputs",
+            "tests/test_dft_routes.py::test_runs_cut_few_slices",
+            "tests/test_dft_routes.py::test_routes_at_the_edge_of_the_slice_budget"),
+           "the XOR runs read the field's packed exp table once, not doubled, "
+           "so a run that crosses the wrap at M is cut short"),
     Mutant("coset-walk-zero-branch-dropped", "src/hmdft/cyclic.py",
            (("ls = (ls + z) % M if z >= 0 else -1", "ls = (ls + z) % M"),),
            ("tests/test_dft_routes.py::test_cancelling_partial_sum_restarts",
@@ -191,6 +199,11 @@ MUTANTS = (
            ("tests/test_symfun.py::test_mask_points_match_delta_mask",),
            "at w = n the all-(q-1) vector sums to q**n - 1, which wraps to slot "
            "0; without it the point reader's mask(0) differs from delta_mask"),
+    Mutant("phi-rho-modulus-plus-one", "src/hmdft/symfun.py",
+           (("k % (q ** n - 1)", "k % (q ** n + 1)"),),
+           ("tests/test_symfun.py::test_phi_rho_reads_k_modulo_q_to_the_n_minus_1",),
+           "phi_rho reduces k modulo q**n + 1, which differs from q**n - 1 "
+           "only for k >= q**n - 1"),
     Mutant("oracle-gcd-step-dropped", "src/hmdft/gf.py",
            (("        if k in gcd_at and len(_gcd(ctx, hm, (PolyFq(ctx, f) - x).codes)) != 1:\n"
              "            return False\n", ""),),

@@ -10,18 +10,17 @@ the runs make no field addition, the walk one pass over the terms per
 coset, with one addition per term in characteristic 2 and none in an odd
 extension field, which sums through its Zech table.  Those log-domain sums
 are checked against the walk that called the adder (`helpers.add_loop_walk`),
-and the runs against one packed exp table per field.
+and the runs against the packed exp table each characteristic-2 field holds.
 """
 
+import gc
 import random
-import subprocess
-import sys
+import weakref
 from array import array
-from pathlib import Path
 
 import pytest
 
-from hmdft import cyclic
+from hmdft import cyclic, gf
 from hmdft import CyclicFn, delta, delta_mask, dft, idft, make_field, subfield_embedding
 from hmdft.cyclic import _coset_walk, _runs_fit, _xor_runs
 from hmdft.numtheory import prime_power
@@ -105,9 +104,13 @@ def test_routes_match_brute_force_on_sparse_inputs():
 
 
 class CountedArray(array):
-    """An `array` that counts the nonempty slices cut from it."""
+    """An `array` that counts the nonempty slices cut from it; repeated, as
+    `_xor_runs` doubles it, it stays one."""
 
     cuts = 0
+
+    def __mul__(self, k):
+        return CountedArray(self.typecode, super().__mul__(k))
 
     def __getitem__(self, key):
         out = super().__getitem__(key)
@@ -116,16 +119,8 @@ class CountedArray(array):
         return out
 
 
-@pytest.fixture
-def fresh_exp_tables():
-    """Forget every packed exp table before and after the test."""
-    cyclic._doubled_exp.cache_clear()
-    yield cyclic._doubled_exp
-    cyclic._doubled_exp.cache_clear()
-
-
 @pytest.mark.parametrize("m,N", [(12, 4095), (12, 315), (8, 255)])
-def test_runs_cut_few_slices(monkeypatch, fresh_exp_tables, m, N):
+def test_runs_cut_few_slices(monkeypatch, m, N):
     # a slice of the doubled table covers more than M/|d| points, so a run of
     # signed step d cuts at most ceil(N*|d|/M) nonempty slices, one for d = 0:
     # the forward step M - j of an inverse term j would cut about N of them,
@@ -134,39 +129,40 @@ def test_runs_cut_few_slices(monkeypatch, fresh_exp_tables, m, N):
     M = ctx.order - 1
     zeta = ctx.nth_root_of_unity(N)
     f = CyclicFn(ctx, [ctx.zeta_code if i in {0, 1, 2, 5, 9, 12} else 0 for i in range(N)])
-    # the fixture emptied the cache, so the table is built here as a CountedArray
-    monkeypatch.setattr(cyclic, "array", CountedArray)
+    # the field's packed table, counted: every slice the runs cut is one of it
+    monkeypatch.setattr(ctx, "packed_exp", CountedArray("H", ctx.packed_exp))
     for z in (zeta, zeta ** -1):
         terms = terms_of(f, z)
         CountedArray.cuts = 0
         assert tuple(_xor_runs(ctx, N, terms)) == pointwise_dft(f, z).codes
-        assert type(fresh_exp_tables(ctx)) is CountedArray
         assert 0 < CountedArray.cuts <= sum(-(-N * min(s, M - s) // M) or 1
                                             for _, s in terms)
 
 
-def test_runs_pack_each_field_once(fresh_exp_tables):
+class WatchedField(gf.FieldCtx):
+    """A field that a weak reference can watch for being freed."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_runs_leave_no_field_behind(monkeypatch):
+    # the packed table is the field's own slot, so once gf's caches forget a
+    # field that transforms have read, nothing else keeps it alive
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    monkeypatch.setattr(gf, "_EMBED_CACHE", {})
+    monkeypatch.setattr(gf, "FieldCtx", WatchedField)
     ctx = make_field(2, 10)
     M = ctx.order - 1
     zeta = ctx.nth_root_of_unity(M)
     f = CyclicFn(ctx, [ctx.zeta_code if i in {0, 1, 3} else 0 for i in range(M)])
-    for z in (zeta, zeta ** -1):
-        assert _xor_runs(ctx, M, terms_of(f, z)) == pointwise_dft(f, z).codes
-    info = fresh_exp_tables.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    table = fresh_exp_tables(ctx)
-    assert table.typecode == "H" and list(table) == list(ctx.exp) * 2
-
-
-def test_building_a_field_packs_no_table():
-    # in a fresh interpreter: only a transform over the field packs its table
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "from hmdft import cyclic, make_field; make_field(2, 12); "
-            "print(cyclic._doubled_exp.cache_info().currsize)")
-    src = Path(cyclic.__file__).parents[1]
-    proc = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.split() == ["0"]
+    for transform, z in ((dft, zeta), (idft, zeta ** -1)):  # 1/N = 1
+        assert transform(f, zeta) == pointwise_dft(f, z)
+    watch = weakref.ref(ctx)
+    del ctx, zeta, f, z
+    gf._FIELD_CACHE.clear()
+    gf._EMBED_CACHE.clear()
+    gc.collect()
+    assert watch() is None
 
 
 def test_routes_at_the_edge_of_the_slice_budget(monkeypatch):

@@ -28,6 +28,7 @@ import importlib
 import importlib.util
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -339,11 +340,21 @@ def test_records_are_immutable(name):
     assert getattr(record, field) == before
 
 
-@pytest.mark.parametrize("p,m", [(2, 8), (7, 1), (3, 4)])
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 8), (2, 9), (2, 10), (2, 16),
+                                 (2, 17), (7, 1), (3, 4)])
 def test_field_constructor_sets_every_slot(p, m):
-    # one field per adder: XOR, mod p and Zech; no slot is ever left unset
+    # one field per adder: XOR, mod p and Zech, and characteristic 2 on both
+    # sides of the walked and the doubled exp build and of the "H" and "I"
+    # packings; no slot is ever left unset
     ctx = make_field(p, m)
     assert [slot for slot in FieldCtx.__slots__ if not hasattr(ctx, slot)] == []
+    # characteristic 2 keeps the exp table packed as well, code for code
+    if p == 2:
+        assert type(ctx.packed_exp) is array
+        assert ctx.packed_exp.typecode == ("H" if m <= 16 else "I")
+        assert ctx.packed_exp.tolist() == list(ctx.exp)
+    else:
+        assert ctx.packed_exp is None
     # the Zech adder is the one whose closure holds the field's table
     cells = getattr(ctx.add_codes, "__closure__", None) or ()
     zech_adder = any(cell.cell_contents is ctx.zech for cell in cells)

@@ -11,6 +11,7 @@ import pytest
 import hmdft
 from hmdft import (
     CyclicFn,
+    SupportSet,
     conv_power,
     delta,
     delta_mask,
@@ -23,6 +24,7 @@ from hmdft import (
     primitive_element,
     sigma_eval,
     subfield_embedding,
+    support_degree_test,
 )
 from hmdft import symfun
 from hmdft.numtheory import digits, divisors, prime_power
@@ -625,6 +627,22 @@ def test_huge_n_modulus_check_fails_fast():
         is_q_symmetric(CyclicFn(make_field(3), [0] * 8), 3, 3)
 
 
+# the two callers of gf.check_modulus, each on a function or support on Z_N
+MODULUS_CALLERS = {
+    "support_degree_test": lambda N, n: support_degree_test(SupportSet(N, (1,)), 3, n),
+    "is_q_symmetric": lambda N, n: is_q_symmetric(CyclicFn(make_field(3), [0] * N), 3, n),
+}
+
+
+@pytest.mark.parametrize("n,text", [(10**9, r"for n=1000000000$"), (3, r"= 26$")])
+@pytest.mark.parametrize("caller", sorted(MODULUS_CALLERS))
+def test_a_modulus_other_than_q_to_the_n_minus_1_is_refused(caller, n, text):
+    # N = 8 is no 3**n - 1: an n past 8's bit length is refused before 3**n
+    # is formed, and one within it by the value of 3**n - 1
+    with pytest.raises(ValueError, match=r"modulus 8 is not q\*\*n - 1 " + text):
+        MODULUS_CALLERS[caller](8, n)
+
+
 def test_mask_support_digit_sum_bound():
     # every nonzero support point of the dense mask passes the no-carry digit
     # test the certificates rely on, on the periods-2e5 rows with
@@ -679,6 +697,16 @@ def test_phi_rho_examples():
             assert phi_rho(inv, phi_rho(rho, k, q, n), q, n) == k
     with pytest.raises(ValueError, match=r"^not a permutation of \[0, 2\]$"):
         phi_rho((0, 0, 1), 3, 2, 3)
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 0), (2, 4, 9), (3, 3, 25), (5, 2, 7), (7, 2, 40)])
+def test_phi_rho_reads_k_modulo_q_to_the_n_minus_1(q, n, k):
+    # phi_rho acts on Z_{q^n-1}, so k, k + N and k + 3N are one point with
+    # one image; k = 0 and k = N - 1 included
+    N = q ** n - 1
+    rho = tuple(reversed(range(n)))
+    assert phi_rho(rho, k + N, q, n) == phi_rho(rho, k, q, n)
+    assert phi_rho(rho, k + 3 * N, q, n) == phi_rho(rho, k, q, n)
 
 
 @pytest.mark.parametrize("k, q, n", [(5, 3, 0), (5, 2, -1), (0, 2, 0)])
