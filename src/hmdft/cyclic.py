@@ -468,6 +468,8 @@ def compose_perm(f: CyclicFn, sigma) -> CyclicFn:
     table = [None] * ctx.order
     if isinstance(sigma, dict):
         for k, v in sigma.items():
+            if any(isinstance(a, FieldElement) and a.ctx is not ctx for a in (k, v)):
+                raise ValueError("mapping outside the value field")
             kc = k.code if isinstance(k, FieldElement) else k
             vc = v.code if isinstance(v, FieldElement) else v
             if not (0 <= kc < ctx.order and 0 <= vc < ctx.order):

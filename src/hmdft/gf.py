@@ -64,18 +64,18 @@ inverse and the shifted logs of its negated nonzero tail), and one loop
 and one exp lookup and one add per tail term, with no product call.
 ``_divmod`` runs that loop once on a copy; every loop that divides by one
 fixed modulus (``x_pow_mod``, Ben-Or's steps, ``_powmod`` and so
-``pow_mod``, the Frobenius rows of Rabin's test) prepares it once and passes
+``pow_mod``, the rows of the Frobenius matrix) prepares it once and passes
 it on.  ``PolyFq``'s product, division, ``pow_mod`` and ``poly_gcd`` call the
 kernel and wrap the result once per public call, with ``PolyFq._of``, which
 skips the public constructor's range check on codes the kernel has just
-made.  ``oracle_irreducible`` (Rabin's test; called by the oracles of the
-tests and the benchmark alone, by no field build and no sweep) takes its
-Frobenius powers x**(q**k) mod h from the Frobenius matrix, whose row i is
-x**(q*i) mod h: one matrix-vector product per power, no object per step.
-``x_pow_mod`` powers x modulo h over F_q by one spread and one reduction
-against the prepared h per base-q digit of the exponent; the spectral
-verdicts and the zeta search use it, Ben-Or's test takes its step, and no
-oracle does.
+made.  The oracles, which only the tests and the benchmark's checker call,
+read one Frobenius walk, ``_frobenius_powers``: x**(q**k) mod h from the
+matrix whose row i is x**(q*i) mod h, one matrix-vector product per power.
+``oracle_irreducible`` is Rabin's test on it and ``oracle_factor_degrees``
+peels each degree d off h by gcd(x**(q**d) - x, f).  ``x_pow_mod`` powers
+x modulo h over F_q by one spread and one reduction against the prepared h
+per base-q digit of the exponent; the spectral verdicts and the zeta search
+use it, Ben-Or's test takes its step, and no oracle does.
 
 Extension towers F_q inside F_{q^n} are realized inside the single context of
 order q^n; membership in the intermediate field F_{q^d} is decided by the
@@ -805,15 +805,36 @@ def poly_gcd(a: PolyFq, b: PolyFq) -> PolyFq:
     return PolyFq._of(a.ctx, list(_gcd(a.ctx, a.codes, b.codes))).monic()
 
 
+def _frobenius_powers(h: PolyFq):
+    """Yield the code lists of x**(q**k) mod monic h of degree n >= 2, k = 1, 2, ...
+
+    The powers come from the Frobenius matrix Q, whose row i is x**(q*i)
+    mod h: f -> f**q is F_q-linear and fixes F_q, so the coefficient vector
+    of x**(q**(k+1)) is that of x**(q**k) times Q.  Q costs one x**q and
+    n - 2 reduced products, and each further power one matrix-vector
+    product, all in the list kernel.
+    """
+    ctx, n = h.ctx, h.degree
+    div = _divisor(ctx, h.codes)
+    frob = [[1], _powmod(ctx, [0, 1], ctx.order, div)]
+    for _ in range(n - 2):
+        frob.append(_mulmod(ctx, frob[-1], frob[1], div))
+    f = frob[1]
+    while True:
+        yield f
+        nxt = [0] * n
+        for i, c in enumerate(f):
+            if c:
+                _addmul(ctx, nxt, 0, c, frob[i])
+        f = _trim(nxt)
+
+
 def oracle_irreducible(h: PolyFq) -> bool:
     """Rabin's irreducibility test over h's coefficient field F_q.
 
     h of degree n is irreducible iff x**(q**n) = x mod h and, for every prime
     t | n, gcd(x**(q**(n/t)) - x, h) is constant.  The powers x**(q**k) come
-    from the Frobenius matrix Q, whose row i is x**(q*i) mod h: f -> f**q is
-    F_q-linear and fixes F_q, so the coefficient vector of x**(q**(k+1)) is
-    that of x**(q**k) times Q.  Q costs one x**q and n - 2 reduced products,
-    and each further power one matrix-vector product; everything, the gcds
+    from the Frobenius walk (``_frobenius_powers``); everything, the gcds
     included, runs in the list kernel (Rabin, SIAM J. Comput. 9, 1980).
     """
     if h.is_zero():
@@ -824,23 +845,45 @@ def oracle_irreducible(h: PolyFq) -> bool:
     if n == 1:
         return True
     ctx = h.ctx
-    hm = h.monic().codes
-    div = _divisor(ctx, hm)
+    hm = h.monic()
     x = PolyFq.x(ctx)  # reduced, since n >= 2
-    frob = [[1], _powmod(ctx, x.codes, ctx.order, div)]
-    for _ in range(n - 2):
-        frob.append(_mulmod(ctx, frob[-1], frob[1], div))
     gcd_at = {n // t for t in numtheory.prime_factors(n)}
-    f = frob[1]  # x**(q**k) mod h, from k = 1
+    walk = _frobenius_powers(hm)
     for k in range(1, n):
-        if k in gcd_at and len(_gcd(ctx, hm, (PolyFq(ctx, f) - x).codes)) != 1:
+        f = next(walk)  # x**(q**k) mod h
+        if k in gcd_at and len(_gcd(ctx, hm.codes, (PolyFq(ctx, f) - x).codes)) != 1:
             return False
-        nxt = [0] * n
-        for i, c in enumerate(f):
-            if c:
-                _addmul(ctx, nxt, 0, c, frob[i])
-        f = _trim(nxt)
-    return f == [0, 1]
+    return next(walk) == [0, 1]
+
+
+def oracle_factor_degrees(h: PolyFq) -> list[int]:
+    """Sorted multiset of irreducible-factor degrees of h, with multiplicity.
+
+    Distinct-degree peeling (von zur Gathen and Gerhard, Modern Computer
+    Algebra, 14.2): once every factor of degree below d is divided out of
+    f, g = gcd(x**(q**d) - x, f) is the product of the distinct degree-d
+    irreducibles left in f, since x**(q**d) - x is squarefree; f //= g and
+    g = gcd(g, f), until g = 1, take off one copy per round.  x**(q**d)
+    is h's Frobenius walk reduced mod f, which divides h.  What is left
+    below degree 2(d + 1) is one irreducible or 1.
+    """
+    if h.is_zero():
+        raise ValueError("the zero polynomial has no factorization")
+    f = h.monic()
+    x = PolyFq.x(h.ctx)
+    walk = _frobenius_powers(f)
+    degrees = []
+    d = 1
+    while f.degree >= 2 * d:
+        g = poly_gcd(PolyFq(h.ctx, next(walk)) % f - x, f)
+        while g.degree > 0:
+            degrees.extend([d] * (g.degree // d))
+            f //= g
+            g = poly_gcd(g, f)
+        d += 1
+    if f.degree > 0:
+        degrees.append(f.degree)
+    return degrees
 
 
 # ----------------------------------------------------------------------

@@ -17,24 +17,25 @@ verdicts compute it that way, never forming S.  Every power of x they take
 `gf.x_pow_mod`, Horner's rule on the base-q digits of the exponent: h and g
 lie over F_q, so y**q = y(x**q) is a spread of y's codes, and each digit
 costs one reduction against the modulus, prepared once per power, and no
-product.  `build_root_indicator` forms S from
-the power sums of g's roots, which lie in F_q, for the tests to compare
-against.  No function in this module builds F_{q^n} or forms the power of h.
+product.  `build_root_indicator` forms S for the tests to compare
+against, in closed form from g over F_q: S = -x*g'*((x**N - 1)/g) mod
+(x**N - 1).  No function in this module builds F_{q^n} or forms the power
+of h.
 
 Every test here returns a two-valued Verdict: "Proven" when the sufficient
 condition held, "Inconclusive" otherwise.  Inconclusive never asserts a
 negative; the conditions are one-directional and their converses genuinely
 fail (see the regression tests for explicit witnesses).
 
-Independent oracles (`oracle_irreducible` by the Frobenius-power test,
-`oracle_factor_degrees` by squarefree decomposition plus distinct-degree
-splitting) validate every Proven verdict in the test suite.  They power by
-``PolyFq.pow_mod`` and the verdicts by ``gf.x_pow_mod``, but both run on
+Independent oracles (`oracle_irreducible`, Rabin's test, and
+`oracle_factor_degrees`, distinct-degree peeling, both on one Frobenius
+walk) validate every Proven verdict in the test suite.  They power by the
+Frobenius matrix and the verdicts by ``gf.x_pow_mod``, but both run on
 ``gf``'s one list kernel (the prepared division ``_divisor``/``_reduce``,
 ``_addmul``, and ``_gcd``, which ``poly_gcd`` wraps), so a fault there can
-reach verdict and oracle alike.
-`oracle_irreducible` lives in ``gf`` and is re-exported here; no field build
-calls it, as ``make_field`` picks its moduli by Ben-Or's test.
+reach verdict and oracle alike.  Both oracles live in ``gf`` and are
+re-exported here; no field build calls them, as ``make_field`` picks its
+moduli by Ben-Or's test.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .gf import (
     PolyFq,
     check_modulus,
     check_size,
+    oracle_factor_degrees,
     oracle_irreducible,
     poly_gcd,
     x_pow_mod,
@@ -125,39 +127,6 @@ def _frobenius_fixed(folded: dict[int, int], ctx: FieldCtx, N: int, t: int) -> b
     return all(folded.get(e * j % N) == pow_code(a, e) for j, a in folded.items())
 
 
-def _root_power_sums(g: PolyFq, N: int) -> list[int]:
-    """Codes of u_k = sum of r**k over the roots r of monic g, for 0 <= k < N.
-
-    u_0 = deg g, and u_k = sum_{i=1..min(k-1, e)} a_i u_{k-i}, plus k a_k
-    while k <= e, with a_i = -g_{e-i}: Newton's identities up to e, g's own
-    linear recurrence after.  g is over F_q, so every u_k lies in F_q.
-
-    No certification path calls it; `build_root_indicator` does.
-    """
-    ctx = g.ctx
-    e = g.degree  # e < N: g divides h mod (x**N - 1), which is not 0
-    add, mul, neg = ctx.add_codes, ctx.mul_codes, ctx.neg_code
-    a = [0] + [neg(g.codes[e - i]) for i in range(1, e + 1)]
-    exp, log = ctx.exp, ctx.log
-    M = ctx.order - 1
-    # a_i * u is exp[log a_i + log u - M]; the -M rides on the tap's log
-    taps = [(i, log[c] - M) for i, c in enumerate(a) if c]
-    u = [e % ctx.p]
-    for k in range(1, N):
-        if k <= e:
-            s = mul(k % ctx.p, a[k])
-            live = [t for t in taps if t[0] < k]
-        else:
-            s = 0
-            live = taps
-        for i, lc in live:
-            v = u[k - i]
-            if v:
-                s = add(s, exp[lc + log[v]])
-        u.append(s)
-    return u
-
-
 def _root_gcd(h: PolyFq, q: int, n: int,
               subfield_order: int | None) -> tuple[int, dict[int, int], PolyFq | None]:
     """Validate a root-indicator request; return (N, h mod (x**N - 1), g).
@@ -207,11 +176,13 @@ def build_root_indicator(h: PolyFq, q: int, n: int,
     the same S.
 
     S is 1 exactly at the roots of h among the N = q**n - 1 roots of unity
-    and 0 elsewhere, so its coefficients are that set's inverse transform:
-    s_j = -u_{-j mod N}, u_k the k-th power sum of the roots of
-    g = gcd(h, x**N - 1).  These are computed over F_q from g alone
-    (`_root_power_sums`); no field F_{q^n} is built and h is evaluated
-    nowhere.
+    and 0 elsewhere, and it is formed over F_q from g = gcd(h, x**N - 1)
+    alone, as S = -x*g'*((x**N - 1)/g) mod (x**N - 1).  At a root r of g,
+    (x**N - 1)/g equals N*r**(N-1)/g'(r) (g is squarefree, so g'(r) != 0),
+    and the product is -N*r**N = -N = 1, as N = -1 mod p; at every other
+    N-th root of unity (x**N - 1)/g vanishes.  Since p does not divide N,
+    those N values fix a polynomial of degree below N.  No field F_{q^n} is
+    built and h is evaluated nowhere.
 
     No certification path calls it; tests and their oracles do.  The
     verdicts read S's least period as the order of x modulo g, and the
@@ -223,15 +194,13 @@ def build_root_indicator(h: PolyFq, q: int, n: int,
         t = next(t for t in numtheory.divisors(ctx.m * n)
                  if _frobenius_fixed(folded, ctx, N, t))
         subfield_order = ctx.p ** t
-    if g is not None:
-        u = _root_power_sums(g, N)
-        neg = ctx.neg_code
-        s_codes = [neg(u[-j]) for j in range(N)]  # u[-0] is u_0
+    if g is None:
+        s = PolyFq(ctx, (1,))
     else:
-        s_codes = [1] + [0] * (N - 1)
-    s_fn = CyclicFn(ctx, s_codes)
-    return RootIndicator(base=h, subfield_order=subfield_order,
-                         poly=PolyFq(ctx, s_codes), coeff_seq=s_fn)
+        x_n1 = PolyFq(ctx, [ctx.neg_code(1)] + [0] * (N - 1) + [1])
+        s = -(PolyFq.x(ctx) * g.derivative() * (x_n1 // g) % x_n1)
+    s_fn = CyclicFn(ctx, s.codes + (0,) * (N - len(s.codes)))
+    return RootIndicator(base=h, subfield_order=subfield_order, poly=s, coeff_seq=s_fn)
 
 
 def _verdict(r: int, q: int, n: int) -> Verdict:
@@ -284,74 +253,3 @@ def support_degree_test(s: SupportSet, q: int, n: int) -> SupportDegreeReport:
                                sufficient=sufficient,
                                necessary_holds=necessary,
                                max_period=(r == s.N))
-
-
-# ----------------------------------------------------------------------
-# independent oracles
-
-
-def _pth_root_poly(f: PolyFq) -> PolyFq:
-    """p-th root of a polynomial whose derivative vanishes (f = g(x**p))."""
-    ctx = f.ctx
-    p = ctx.p
-    inv_frob = p ** (ctx.m - 1)  # a -> a**(p**(m-1)) inverts the Frobenius
-    codes = []
-    for i in range(0, len(f.codes), p):
-        codes.append(ctx.pow_code(f.codes[i], inv_frob))
-    return PolyFq(ctx, codes)
-
-
-def _squarefree_parts(f: PolyFq) -> list[tuple[PolyFq, int]]:
-    """Decompose monic f as a product of squarefree parts with multiplicities."""
-    p = f.ctx.p
-    parts = []
-    fp = f.derivative()
-    if fp.is_zero():
-        for g, e in _squarefree_parts(_pth_root_poly(f)):
-            parts.append((g, e * p))
-        return parts
-    c = poly_gcd(f, fp)
-    w = f // c
-    i = 1
-    while w.degree > 0:
-        y = poly_gcd(w, c)
-        z = w // y
-        if z.degree > 0:
-            parts.append((z, i))
-        w = y
-        c = c // y
-        i += 1
-    if c.degree > 0:
-        for g, e in _squarefree_parts(_pth_root_poly(c)):
-            parts.append((g, e * p))
-    return parts
-
-
-def _distinct_degree_split(f: PolyFq) -> list[int]:
-    """Degrees (with multiplicity) of the irreducible factors of squarefree monic f."""
-    q = f.ctx.order
-    x = PolyFq.x(f.ctx)
-    degrees = []
-    d = 1
-    while f.degree >= 2 * d:
-        g = poly_gcd(x.pow_mod(q ** d, f) - (x % f), f)
-        if g.degree > 0:
-            degrees.extend([d] * (g.degree // d))
-            f = f // g
-        d += 1
-    if f.degree > 0:
-        degrees.append(f.degree)
-    return degrees
-
-
-def oracle_factor_degrees(h: PolyFq) -> list[int]:
-    """Sorted multiset of irreducible-factor degrees of h, with multiplicity."""
-    if h.is_zero():
-        raise ValueError("the zero polynomial has no factorization")
-    if h.degree == 0:
-        return []
-    degrees = []
-    for g, e in _squarefree_parts(h.monic()):
-        for d in _distinct_degree_split(g):
-            degrees.extend([d] * e)
-    return sorted(degrees)

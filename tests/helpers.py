@@ -494,6 +494,38 @@ def brute_is_irreducible(h):
     return True
 
 
+@lru_cache(maxsize=None)
+def _monic_irreducibles(ctx, d):
+    """Every monic irreducible of degree d over ctx, by ``brute_is_irreducible``."""
+    monics = (PolyFq(ctx, list(codes) + [1])
+              for codes in itertools.product(range(ctx.order), repeat=d))
+    return [g for g in monics if brute_is_irreducible(g)]
+
+
+def trial_factor_degrees(h):
+    """Sorted irreducible-factor degrees of nonzero h, with multiplicity.
+
+    Trial division: the monic irreducibles of degree 1, 2, ... are divided
+    out of h, in ascending degree, each as often as it divides.  Once every
+    factor below degree d is gone, a cofactor of degree below 2d is 1 or
+    irreducible.
+    """
+    f = h.monic()
+    degrees = []
+    d = 1
+    while f.degree >= 2 * d:
+        for g in _monic_irreducibles(f.ctx, d):
+            quot, rem = divmod(f, g)
+            while rem.is_zero():
+                degrees.append(d)
+                f = quot
+                quot, rem = divmod(f, g)
+        d += 1
+    if f.degree > 0:
+        degrees.append(f.degree)
+    return degrees
+
+
 def polymul_loops(a, b):
     """Product of two PolyFq by the per-term double loop over their codes.
 
@@ -1023,7 +1055,7 @@ def powering_root_indicator(h, q, n, subfield_order=None):
     nonzero point of F_{q^n} (or checks the given one there), raises the
     folded sequence to the (#L - 1)-th convolution power and subtracts it
     from the Kronecker delta.  Returns (subfield_order, coefficient codes);
-    shares nothing with the power-sum route of build_root_indicator.
+    shares nothing with the closed form of build_root_indicator.
     """
     ctx = h.ctx
     p = ctx.p

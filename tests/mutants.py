@@ -205,7 +205,7 @@ MUTANTS = (
            "phi_rho reduces k modulo q**n + 1, which differs from q**n - 1 "
            "only for k >= q**n - 1"),
     Mutant("oracle-gcd-step-dropped", "src/hmdft/gf.py",
-           (("        if k in gcd_at and len(_gcd(ctx, hm, (PolyFq(ctx, f) - x).codes)) != 1:\n"
+           (("        if k in gcd_at and len(_gcd(ctx, hm.codes, (PolyFq(ctx, f) - x).codes)) != 1:\n"
              "            return False\n", ""),),
            ("tests/test_gf.py::test_oracle_irreducible_counts_match_gauss",
             "tests/test_spectral.py::test_oracle_irreducible_vs_trial_division"),
@@ -214,9 +214,28 @@ MUTANTS = (
     Mutant("oracle-frobenius-row-dropped", "src/hmdft/gf.py",
            (("    for _ in range(n - 2):\n", "    for _ in range(n - 3):\n"),),
            ("tests/test_gf.py::test_oracle_irreducible_counts_match_gauss",
-            "tests/test_spectral.py::test_oracle_irreducible_vs_trial_division"),
+            "tests/test_spectral.py::test_oracle_irreducible_vs_trial_division",
+            "tests/test_spectral.py::test_oracle_factor_degrees_random_products",
+            "tests/test_spectral.py::test_oracle_factor_degrees_matches_trial_division_exhaustively"),
            "the Frobenius matrix lacks its row x**(q*(n-1)) mod h, so from "
-           "degree 3 on a power with a term in x**(n-1) has no row to read"),
+           "degree 3 on a power with a term in x**(n-1) has no row to read; "
+           "both oracles read the walk"),
+    Mutant("factor-peel-once", "src/hmdft/gf.py",
+           (("        while g.degree > 0:\n", "        if g.degree > 0:\n"),),
+           ("tests/test_spectral.py::test_oracle_factor_degrees_high_multiplicity",),
+           "each degree's gcd is peeled off once, so a repeated factor is left "
+           "for later degrees and read as one factor of their sum"),
+    Mutant("factor-split-stops-early", "src/hmdft/gf.py",
+           (("    while f.degree >= 2 * d:\n", "    while f.degree > 2 * d:\n"),),
+           ("tests/test_spectral.py::test_oracle_factor_degrees",),
+           "the peeling stops at degree 2d, not below it, so a product of two "
+           "degree-d factors, as (x**2 + x + 1)**2 over F_2, reads as [2d]"),
+    Mutant("root-indicator-x-dropped", "src/hmdft/spectral.py",
+           (("PolyFq.x(ctx) * g.derivative()", "g.derivative()"),),
+           ("tests/test_spectral.py::test_build_root_indicator_example",
+            "tests/test_spectral.py::test_root_indicator_matches_powering_every_small_h"),
+           "S is formed without its factor x, so its value at a root r of g is "
+           "1/r, not 1; only g with the root 1 alone, or none, escapes"),
     Mutant("parser-required-check-dropped", "src/hmdft/cli.py",
            (("    if missing:\n"
              "        _usage(cmd, \"the following flags are required: \" + \", \".join(missing))\n",

@@ -522,6 +522,10 @@ CYCLIC_REFUSALS = [
      "functions valued in different fields"),
     (lambda: compose_perm(_f3_fn(), {0: 3, 1: 1, 2: 2}), "BadPermutationError",
      "mapping outside the value field"),
+    # an element of another field was once read by its code alone
+    (lambda: compose_perm(_f3_fn(), {make_field(3, 2).element(a): b
+                                     for a, b in ((0, 0), (1, 2), (2, 1))}),
+     "BadPermutationError", "^mapping outside the value field$"),
     (lambda: compose_perm(_f3_fn(), lambda e: make_field(5).element(1)), "BadPermutationError",
      "callable must map the field to itself"),
     (lambda: compose_perm(_f3_fn(), [0, 2, 1]), "BadPermutationError",

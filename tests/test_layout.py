@@ -17,7 +17,9 @@ constructor sets every slot, and the field holds its Zech table exactly
 where its adder reads one.  Every name the package exports is used by some
 other module of it, and every public method and property of its classes is
 read by some code outside its own def, or is allow-listed with the reason it
-stays.  The package defines one exception class, ``gf.SizeCapError``, a
+stays; every module-level private function and class is read somewhere in
+the package outside its own def, so no private helper outlives its callers.
+The package defines one exception class, ``gf.SizeCapError``, a
 direct subclass of ValueError, and every ``raise`` names it or a builtin
 exception.
 """
@@ -506,3 +508,55 @@ def test_unused_method_check_catches_a_planted_name():
     # a read anywhere else clears it, even through another object
     trees["cli"].body += ast.parse("def g(args):\n    return args.planted").body
     assert _unused_methods(trees) == sorted(UNUSED_METHODS)
+
+
+def _unread_private_defs(trees):
+    """module.name of every module-level private function or class no code reads.
+
+    A read is a load of the bare name, or of an attribute of that name, in any
+    module of the package, outside the def of that name itself, so a recursive
+    call is no read.
+    """
+    private = [(f"{module}.{node.name}", node.name, id(node))
+               for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    reads = []
+
+    def visit(node, defs):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs = defs | {id(node)}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.append((node.id, defs))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append((node.attr, defs))
+        for child in ast.iter_child_nodes(node):
+            visit(child, defs)
+
+    for tree in trees.values():
+        visit(tree, frozenset())
+    return sorted(key for key, name, own in private
+                  if not any(read == name and own not in defs for read, defs in reads))
+
+
+def test_every_private_def_is_read():
+    trees = _trees()
+    assert sum(node.name.startswith("_") for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.FunctionDef)) > 30  # the walk sees the helpers
+    assert _unread_private_defs(trees) == []
+
+
+def test_unread_private_def_check_catches_a_planted_name():
+    trees = _trees()
+    # its own recursive call is no read, nor a store of that name
+    trees["cyclic"].body += ast.parse(
+        "def _planted(f):\n    f._planted = 1\n    return _planted(f)\n"
+        "class _Planted:\n    pass").body
+    assert _unread_private_defs(trees) == ["cyclic._Planted", "cyclic._planted"]
+    # a read from another def, bare or through the module, clears it
+    for use in ("def g(f):\n    return _planted(f), _Planted",
+                "def g(f):\n    return cyclic._planted(f), cyclic._Planted"):
+        used = _trees()
+        used["cyclic"].body += trees["cyclic"].body[-2:]
+        used["spectral"].body += ast.parse(use).body
+        assert _unread_private_defs(used) == []

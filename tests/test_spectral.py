@@ -30,7 +30,7 @@ from hmdft.gf import SizeCapError
 from hmdft.spectral import INCONCLUSIVE, PROVEN
 
 from helpers import brute_is_irreducible, pow_mod_loops, powering_root_indicator, \
-    square_multiply_verdict
+    square_multiply_verdict, trial_factor_degrees
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -353,7 +353,7 @@ def test_oracle_factor_degrees():
 
 
 def test_oracle_factor_degrees_high_multiplicity():
-    # characteristic-power multiplicities exercise the p-th-root branch
+    # multiplicities past p: one copy of each factor is peeled per round
     x1 = PolyFq(F2, [1, 1])            # x + 1
     prod = PolyFq(F2, [1])
     for _ in range(6):
@@ -392,6 +392,17 @@ def test_oracle_factor_degrees_random_products():
             for part in parts:
                 prod = prod * part
             assert oracle_factor_degrees(prod) == sorted(p.degree for p in parts)
+
+
+@pytest.mark.parametrize("q,top", [(2, 8), (3, 5), (4, 4)])
+def test_oracle_factor_degrees_matches_trial_division_exhaustively(q, top):
+    # every polynomial of degree <= top, with lead codes 1 and q - 1
+    ctx = make_field(*FIELDS[q])
+    for deg in range(top + 1):
+        for lead in {1, q - 1}:
+            for codes in itertools.product(range(q), repeat=deg):
+                h = PolyFq(ctx, list(codes) + [lead])
+                assert oracle_factor_degrees(h) == trial_factor_degrees(h), h
 
 
 def test_verdict_threshold_wiring():
@@ -540,7 +551,7 @@ def test_verdicts_never_form_the_root_indicator(monkeypatch, capsys, argv, code,
     def no_dense_route(*args):
         raise AssertionError("the verdict formed the root indicator")
 
-    monkeypatch.setattr(spectral, "_root_power_sums", no_dense_route)
+    monkeypatch.setattr(spectral, "build_root_indicator", no_dense_route)
     assert main(argv) == code
     assert capsys.readouterr().out == "".join(f"{k}: {v}\n" for k, v in report.items())
     assert main(argv + ["--format", "json"]) == code
