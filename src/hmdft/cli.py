@@ -175,6 +175,8 @@ def _to_text(payload) -> str:
                 extra += f" (delegated to w={r['delegated_to_w']})"
             if r.get("witness") is not None:
                 extra += f" witness={r['witness']}"
+            if r.get("symmetric") is not None:
+                extra += f" symmetric={r['symmetric']}"
             lines.append(
                 f"q={r['q']} n={r['n']} w={r['w']} c={r['c']} "
                 f"case={r['case_label']} r={r['r']} threshold={r['threshold']} "

@@ -26,11 +26,14 @@ row reports it, at its root alpha: alpha of degree n and h(alpha) = 0.
 
 r comes from `symfun.mask_period`, which runs the one prime descent of
 `cyclic.least_period_by_descent`, refutes most shifts from the digits of one
-integer and reads the mask at its support points only for the rest.  A
-sweep builds the dense `delta_mask` only to check q-symmetry.  The two mask
-routes count the mask's weight-set tuples (symfun's A_k) independently;
-they share the argument checks and F_q (`symfun._check_mask_args`) and
-every level's coefficient (`symfun._level_coefs`, over `top_binomials`).
+integer and reads the mask at its support points only for the rest.  The
+q-symmetry check reads the dense route's counts (symfun's A_k): its verdict
+is formed once per (q, n, min(w, n - w)) by `symfun._counts_symmetric` and
+kept for every row of the (q, n), and a row builds the dense `delta_mask`
+only when those counts leave it open.  The two mask routes count A_k
+independently; they share the argument checks and F_q
+(`symfun._check_mask_args`) and every level's coefficient
+(`symfun._level_coefs`, over `top_binomials`).
 
 The regime analysis covers w <= n/2.  A sweep in full-w mode delegates
 n/2 < w < n to n - w (coefficient prescription is symmetric under taking
@@ -58,7 +61,7 @@ from .gf import (
     value_field,
 )
 from .numtheory import prime_factors, prime_power
-from .symfun import delta_mask, is_q_symmetric, mask_period
+from .symfun import _counts_symmetric, delta_mask, is_q_symmetric, mask_period
 
 DEFAULT_SIZE_CAP = 20000
 
@@ -289,8 +292,14 @@ def _with_witness(report: PeriodReport, wit: PolyFq | None) -> PeriodReport:
     return report._replace(witness=tuple(wit.codes), witness_ok=expected and coeff_ok)
 
 
-def _sweep_tuple(q: int, n: int, w: int, c: int, cfg: SweepConfig) -> PeriodReport:
-    """The row's period report, and its dense-mask symmetry check if asked."""
+def _sweep_tuple(q: int, n: int, w: int, c: int, cfg: SweepConfig,
+                 counts_verdicts: dict) -> PeriodReport:
+    """The row's period report, and its symmetry verdict if asked.
+
+    counts_verdicts holds `_counts_symmetric` per w' = min(w, n - w) of the
+    row's (q, n), formed by the first row that asks; a row whose counts
+    leave the verdict open reads its dense mask.
+    """
     if w == n:
         report = PeriodReport(q=q, n=n, w=w, c=c, threshold=threshold(n, q),
                               case_label=CASE_NORM)
@@ -300,9 +309,11 @@ def _sweep_tuple(q: int, n: int, w: int, c: int, cfg: SweepConfig) -> PeriodRepo
     else:
         report = verify_period_claims(q, n, w, c, cfg.size_cap)
     if cfg.check_symmetry and report.r is not None:
-        # the one route that still builds the dense mask
-        mask = delta_mask(q, n, min(w, n - w), c)
-        report = report._replace(symmetric=is_q_symmetric(mask, q, n))
+        v = min(w, n - w)
+        if v not in counts_verdicts:
+            counts_verdicts[v] = _counts_symmetric(q, n, v)
+        symmetric = counts_verdicts[v] or is_q_symmetric(delta_mask(q, n, v, c), q, n)
+        report = report._replace(symmetric=symmetric)
     return report
 
 
@@ -378,7 +389,8 @@ def sweep(cfg: SweepConfig) -> SweepResult:
                 else:
                     skipped.append({"q": q, "n": n, "w": w, "c": c,
                                     "reason": "norm_of_zero_excluded"})
-            row_reports = [_sweep_tuple(q, n, w, c, cfg) for w, c in rows]
+            counts_verdicts = {}
+            row_reports = [_sweep_tuple(q, n, w, c, cfg, counts_verdicts) for w, c in rows]
             if cfg.with_witness and rows:
                 wits = _witnesses(q, n, rows, cfg.size_cap)
                 row_reports = [_with_witness(rep, wits[rep.w, rep.c]) for rep in row_reports]

@@ -40,8 +40,8 @@ whose zeta**k has the prescribed coefficient, and r = N / gcd(N, those k).
 The least period is found by the prime descent of
 `cyclic.least_period_by_descent`, the one least-period algorithm of the
 package: a shift t is a period iff mask(s + t) = mask(s) at every support
-point s.  The dense route stays for `delta`, `dft --c` and the symmetry
-check.
+point s.  The dense route stays for `delta`, `dft --c` and a symmetry
+check that the counts leave open.
 
 Most shifts are refuted with no count.  For x != 0, mask(x) != 0 needs
 A_k(x) != 0 at a level whose coefficient is nonzero (1 <= k < q if c != 0,
@@ -63,7 +63,12 @@ permutation of the base-q digits of its argument; phi_rho realizes one digit
 permutation as a permutation of Z_{q^n-1}.  The maps phi_rho compose like
 the permutations rho, so invariance under two generators of S_n is
 invariance under all n! of them.  is_q_symmetric checks exactly that, for
-every n, comparing whole slices of the value list for each generator.
+every n, comparing whole slices of the value list for each generator
+(`_fixed_by_generators`).  The counts A_k settle it for every c at once:
+for x != 0 the mask reads coef_k * A_k(x) at the one level k whose support
+holds x, and both generators fix slot 0, so `_counts_symmetric` runs the
+same slice rule once per (q, n, w) over a key of the counts, and a sweep
+builds a dense mask only for a (q, n, w) whose key it refuses.
 """
 
 from __future__ import annotations
@@ -102,7 +107,9 @@ def _weight_counts(q: int, n: int, w: int) -> tuple[tuple[tuple[int, int], ...],
 
     A_k = A_{k-1} (*) 1_Omega(w), accumulated in plain ints and reduced mod p
     once per level; pairs whose count vanishes mod p are dropped.  One entry
-    is cached: a sweep asks for every c of one (q, n, w) in a row.
+    is cached: `delta_mask` for every c of one (q, n, w) in a row reads it
+    once, as a sweep's symmetry check does after `_counts_symmetric` when
+    the key leaves the verdict open.
     """
     p = numtheory.prime_power(q)[0]
     support = omega(q, n, w)  # check_size refuses a huge n first
@@ -375,23 +382,53 @@ def phi_rho(rho, k: int, q: int, n: int) -> int:
     return v
 
 
+def _fixed_by_generators(codes, q: int, n: int) -> bool:
+    """Whether the list codes on Z_{q^n-1} is fixed by both generators of S_n.
+
+    The n-cycle is multiplication by q and the transposition (0 1) swaps the
+    two lowest digits.  Both checks compare whole slices, so
+    codes[phi(s)] = codes[s] is tested at every point s: with top digit b and
+    Q = q**(n-1), s = b*Q + s' goes to q*s' + b, so the block
+    codes[b*Q:(b+1)*Q] must equal codes[b::q]; and the points with lowest
+    digits (d0, d1) must read as those with (d1, d0).  One digit has no
+    permutation to break.
+    """
+    if n == 1:
+        return True
+    Q, qq = q ** (n - 1), q * q
+    return (all(codes[b * Q:(b + 1) * Q] == codes[b::q] for b in range(q))
+            and all(codes[d0 + d1 * q::qq] == codes[d1 + d0 * q::qq]
+                    for d1 in range(q) for d0 in range(d1)))
+
+
 def is_q_symmetric(f: CyclicFn, q: int, n: int) -> bool:
     """Whether f is invariant under every digit permutation of its argument.
 
     Exact for every n, from two permutations only: phi_rho is an action of
     S_n on Z_{q^n-1}, and the transposition (0 1) and the n-cycle generate
-    S_n, so invariance under these two gives invariance under all n!.  The
-    n-cycle is multiplication by q and (0 1) swaps the two lowest digits.
-    Both checks compare whole slices, so f(phi(s)) = f(s) is tested at every
-    point s: with top digit b and Q = q**(n-1), s = b*Q + s' goes to
-    q*s' + b, so the block codes[b*Q:(b+1)*Q] must equal codes[b::q]; and the
-    points with lowest digits (d0, d1) must read as those with (d1, d0).
+    S_n, so invariance under these two (`_fixed_by_generators`) gives
+    invariance under all n!.  A sweep reads it only for a mask whose counts
+    leave its verdict open (`_counts_symmetric`).
     """
     check_modulus(f.N, q, n, "function")
-    if n == 1:
-        return True
-    codes = f.codes
-    Q, qq = q ** (n - 1), q * q
-    return (all(codes[b * Q:(b + 1) * Q] == codes[b::q] for b in range(q))
-            and all(codes[d0 + d1 * q::qq] == codes[d1 + d0 * q::qq]
-                    for d1 in range(q) for d0 in range(d1)))
+    return _fixed_by_generators(f.codes, q, n)
+
+
+def _counts_symmetric(q: int, n: int, w: int) -> bool:
+    """Whether the counts A_k of (q, n, w) make every mask of it q-symmetric.
+
+    One dense key: 0 off the support and at slot 0, and k*p + a at x != 0
+    where A_k(x) = a != 0 mod p, a single level at each x (module
+    docstring).  delta_mask(q, n, w, c) at x != 0 is coef_k * a, a function
+    of the key there, and both generators fix slot 0; so a key that
+    `_fixed_by_generators` accepts makes the mask q-symmetric for every c.
+    False settles nothing: a c whose coefficients skip the asymmetric levels
+    may still give a q-symmetric mask.
+    """
+    p = numtheory.prime_power(q)[0]
+    key = [0] * (q ** n - 1)
+    for k, level in enumerate(_weight_counts(q, n, w)):
+        for i, a in level:
+            key[i] = k * p + a
+    key[0] = 0
+    return _fixed_by_generators(key, q, n)

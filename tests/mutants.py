@@ -199,6 +199,25 @@ MUTANTS = (
            ("tests/test_symfun.py::test_mask_points_match_delta_mask",),
            "at w = n the all-(q-1) vector sums to q**n - 1, which wraps to slot "
            "0; without it the point reader's mask(0) differs from delta_mask"),
+    Mutant("symmetry-fallback-dropped", "src/hmdft/harness.py",
+           (("counts_verdicts[v] or is_q_symmetric(delta_mask(q, n, v, c), q, n)",
+             "counts_verdicts[v]"),),
+           ("tests/test_harness.py::test_sweep_symmetry_falls_back_where_the_counts_leave_it_open",),
+           "a row takes the counts verdict alone, so a row whose counts leave "
+           "it open reads asymmetric; the real counts settle every row, so "
+           "only planted counts see it, at c = 0"),
+    Mutant("counts-key-count-dropped", "src/hmdft/symfun.py",
+           (("            key[i] = k * p + a\n", "            key[i] = k\n"),),
+           ("tests/test_harness.py::test_sweep_symmetry_falls_back_where_the_counts_leave_it_open",),
+           "the counts key holds the level alone, so counts that differ "
+           "within a level's orbit pass it; the real counts are constant "
+           "there, so only planted counts see it"),
+    Mutant("symmetry-swap-clause-dropped", "src/hmdft/symfun.py",
+           (("\n            and all(codes[d0 + d1 * q::qq] == codes[d1 + d0 * q::qq]\n"
+             "                    for d1 in range(q) for d0 in range(d1)))", ")"),),
+           ("tests/test_symfun.py::test_is_q_symmetric_exact_above_eight_digits",),
+           "the slice rule checks the n-cycle alone, so a function invariant "
+           "under rotation only, as adjacent digit pairs at n = 9, passes"),
     Mutant("phi-rho-modulus-plus-one", "src/hmdft/symfun.py",
            (("k % (q ** n - 1)", "k % (q ** n + 1)"),),
            ("tests/test_symfun.py::test_phi_rho_reads_k_modulo_q_to_the_n_minus_1",),

@@ -103,6 +103,17 @@ def test_hm_verify_text_names_the_witness(capsys):
         "'r_not_dividing_threshold': True, 'case_claim': True} ok witness=[1, 1, 0, 0, 1]")
 
 
+def test_hm_verify_text_names_the_symmetry_verdict(capsys):
+    code, out, _ = run(capsys, "hm-verify", "--q", "3", "--n", "3", "--check-symmetry")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 4
+    assert lines[0] == (
+        "q=3 n=3 w=1 c=0 case=I r=26 threshold=2 claims={'r_gt_threshold': True, "
+        "'r_not_dividing_threshold': True, 'case_claim': True} ok witness=[1, 2, 0, 1] "
+        "symmetric=True")
+    assert all(line.endswith(" symmetric=True") for line in lines[1:3])
+
+
 def test_hm_verify_csv(capsys):
     code, out, _ = run(capsys, "hm-verify", "--q", "2", "--n", "4", "--format", "csv",
                        "--no-witness")

@@ -14,7 +14,7 @@ from hmdft import (
     sweep,
     verify_period_claims,
 )
-from hmdft import CyclicFn, delta_mask, gf, harness, numtheory, symfun
+from hmdft import CyclicFn, delta_mask, gf, harness, is_q_symmetric, numtheory, symfun
 from hmdft.gf import SizeCapError
 from hmdft.harness import CASE_EXCLUDED, CASE_HALF, CASE_MAX, CASE_NORM, CASE_SMALL
 
@@ -323,27 +323,54 @@ def test_sweep_periods_match_dense_route_on_periods_grid():
         assert r.r == ascending_scan_period(mask.codes), (r.q, r.n, r.w, r.c)
 
 
-def test_sweep_builds_dense_masks_only_for_symmetry(monkeypatch):
+def _plant_counts(monkeypatch, points):
+    """Make symfun._weight_counts read A_1(x) = 2 at each x of points in Omega(w).
+
+    The support stays as it is (p = 3 here), but level 1 is no longer
+    constant on its digit-permutation orbit, so the counts key is refused.
+    """
+    real = symfun._weight_counts
+
+    def planted(q, n, w):
+        levels = real(q, n, w)
+        one = tuple((i, 2 if i in points else a) for i, a in levels[1])
+        return levels[:1] + (one,) + levels[2:]
+
+    monkeypatch.setattr(symfun, "_weight_counts", planted)
+
+
+def _counted_dense_masks(monkeypatch, dense=harness.delta_mask):
+    """The (q, n, w, c) of every dense mask the sweep builds, built by dense."""
     built = []
-    dense = harness.delta_mask
 
     def counted(q, n, w, c):
         built.append((q, n, w, c))
         return dense(q, n, w, c)
 
     monkeypatch.setattr(harness, "delta_mask", counted)
+    return built
+
+
+def test_sweep_builds_dense_masks_only_for_symmetry(monkeypatch):
+    built = _counted_dense_masks(monkeypatch)
     cfg = SweepConfig(q_list=(3,), n_range=(4, 4), w_policy="full", with_witness=False)
     plain = sweep(cfg)
-    assert built == []
     checked = sweep(cfg._replace(check_symmetry=True))
-    # one dense mask per row with a period, at the delegated w above n/2
-    assert built == [(3, 4, min(r.w, 4 - r.w), r.c) for r in checked.reports
-                     if r.r is not None]
+    # the real counts settle every row: no dense mask
+    assert built == []
     assert [r._replace(symmetric=None) for r in checked.reports] == list(plain.reports)
+    # counts refused at w' = 1 and 2: one dense mask per row with a period,
+    # at the delegated w above n/2
+    _plant_counts(monkeypatch, {1, 1 + 3})
+    planted = sweep(cfg._replace(check_symmetry=True))
+    assert built == [(3, 4, min(r.w, 4 - r.w), r.c) for r in planted.reports
+                     if r.r is not None]
+    assert [r._replace(symmetric=None) for r in planted.reports] == list(plain.reports)
 
 
 def test_sweep_symmetry_reads_the_dense_mask(monkeypatch):
-    # a dense mask with one value moved off the orbit is reported asymmetric
+    # counts that leave the verdict open send each row to its dense mask; a
+    # dense mask with one value moved off the orbit is reported asymmetric
     dense = harness.delta_mask
 
     def perturbed(q, n, w, c):
@@ -352,10 +379,65 @@ def test_sweep_symmetry_reads_the_dense_mask(monkeypatch):
         codes[1] = mask.ctx.add_codes(codes[1], 1)
         return CyclicFn(mask.ctx, codes)
 
-    monkeypatch.setattr(harness, "delta_mask", perturbed)
+    _plant_counts(monkeypatch, {3})
+    built = _counted_dense_masks(monkeypatch, perturbed)
     res = sweep(SweepConfig(q_list=(3,), n_range=(3, 3), check_symmetry=True,
                             with_witness=False))
     assert [r.symmetric for r in res.reports] == [False] * len(res.reports)
+    assert built == [(3, 3, 1, c) for c in range(3)]
+
+
+def test_sweep_symmetry_falls_back_where_the_counts_leave_it_open(monkeypatch):
+    # at (3, 3, 1) level 1 reads 2 at x = 3 and 1 at x = 1 and 9, so the key
+    # is refused; rows with c = 0 read level q - 1 alone and stay symmetric
+    # through their dense masks, the rows with c != 0 do not
+    _plant_counts(monkeypatch, {3})
+    assert not symfun._counts_symmetric(3, 3, 1)
+    res = sweep(SweepConfig(q_list=(3,), n_range=(3, 3), check_symmetry=True,
+                            with_witness=False))
+    assert [(r.c, r.symmetric) for r in res.reports] == [(0, True), (1, False), (2, False)]
+    for r in res.reports:
+        assert r.symmetric == is_q_symmetric(symfun.delta_mask(3, 3, 1, r.c), 3, 3)
+
+
+SYMMETRY_GRIDS = [
+    # the symmetry-readme benchmark grid, in its two calls
+    [SweepConfig(q_list=(2, 3, 4, 7), n_range=(2, 6)), SweepConfig(q_list=(5,), n_range=(2, 5))],
+    # the README grid under --all-w, (5, 6) included
+    [SweepConfig(q_list=(2, 3, 4, 5, 7), n_range=(2, 6), w_policy="full")],
+    [SweepConfig(q_list=(8, 9), n_range=(2, 4), w_policy="full")],
+]
+
+
+@pytest.mark.parametrize("grid", SYMMETRY_GRIDS, ids=["symmetry-readme", "readme-all-w", "q-8-9-all-w"])
+def test_sweep_symmetry_matches_the_dense_route(monkeypatch, grid):
+    # the old route, one dense mask per row, is the oracle of every verdict;
+    # the real counts settle every (q, n, w') with no dense mask in the sweep
+    built = _counted_dense_masks(monkeypatch)
+    rows = [r for cfg in grid for r in sweep(cfg._replace(
+        with_witness=False, check_symmetry=True)).reports if r.r is not None]
+    assert built == [] and rows
+    for r in rows:
+        v = min(r.w, r.n - r.w)
+        assert r.symmetric == is_q_symmetric(symfun.delta_mask(r.q, r.n, v, r.c), r.q, r.n), r
+    for q, n, v in {(r.q, r.n, min(r.w, r.n - r.w)) for r in rows}:
+        assert symfun._counts_symmetric(q, n, v), (q, n, v)
+
+
+def test_sweep_forms_each_counts_verdict_once_per_weight_class(monkeypatch):
+    # under --all-w the rows of w and n - w share one key, and the counts
+    # behind it are built once
+    keys, counts = [], []
+    key, weight_counts = harness._counts_symmetric, symfun._weight_counts
+    monkeypatch.setattr(harness, "_counts_symmetric",
+                        lambda *args: keys.append(args) or key(*args))
+    monkeypatch.setattr(symfun, "_weight_counts",
+                        lambda *args: counts.append(args) or weight_counts(*args))
+    res = sweep(SweepConfig(q_list=(3, 4, 5), n_range=(2, 5), w_policy="full",
+                            with_witness=False, check_symmetry=True))
+    expected = sorted({(r.q, r.n, min(r.w, r.n - r.w)) for r in res.reports if r.r is not None})
+    assert sorted(keys) == sorted(counts) == expected
+    assert len(res.reports) > 2 * len(expected) and res.summary["fail"] == 0
 
 
 def test_report_dict_schema():
