@@ -66,11 +66,11 @@ and one exp lookup and one add per tail term, with no product call.
 fixed modulus (``x_pow_mod``, Ben-Or's steps, ``_powmod`` and so
 ``pow_mod``, the rows of the Frobenius matrix) prepares it once and passes
 it on.  ``PolyFq``'s product, division, ``pow_mod`` and ``poly_gcd`` call the
-kernel and wrap the result once per public call, with ``PolyFq._of``, which
-skips the public constructor's range check on codes the kernel has just
-made.  The oracles, which only the tests and the benchmark's checker call,
-read one Frobenius walk, ``_frobenius_powers``: x**(q**k) mod h from the
-matrix whose row i is x**(q*i) mod h, one matrix-vector product per power.
+kernel and wrap the result once per public call, through the one
+constructor, whose range check is one ``min``/``max`` test.  The oracles,
+which only the tests and the benchmark's checker call, read one Frobenius
+walk, ``_frobenius_powers``: x**(q**k) mod h from the matrix whose row i
+is x**(q*i) mod h, one matrix-vector product per power.
 ``oracle_irreducible`` is Rabin's test on it and ``oracle_factor_degrees``
 peels each degree d off h by gcd(x**(q**d) - x, f).  ``x_pow_mod`` powers
 x modulo h over F_q by one spread and one reduction against the prepared h
@@ -652,26 +652,17 @@ def _gcd(ctx: FieldCtx, a, b):
 class PolyFq:
     """Polynomial over one FieldCtx, little-endian code tuple, no leading zeros.
 
-    The constructor range-checks every code; ``_of`` wraps, unchecked, a code
-    list that the list kernel or a field table has just produced.
+    The constructor, the one way to build one, range-checks every code.
     """
 
     __slots__ = ("ctx", "codes")
 
     def __init__(self, ctx: FieldCtx, codes):
         codes = list(codes)
-        if any(not 0 <= c < ctx.order for c in codes):
+        if codes and not 0 <= min(codes) <= max(codes) < ctx.order:
             raise ValueError(f"coefficient code out of range for F_{ctx.order}")
         self.ctx = ctx
         self.codes = tuple(_trim(codes))
-
-    @classmethod
-    def _of(cls, ctx: FieldCtx, codes: list) -> "PolyFq":
-        """The polynomial of a fresh list of codes already in range, trimmed here."""
-        poly = object.__new__(cls)
-        poly.ctx = ctx
-        poly.codes = tuple(_trim(codes))
-        return poly
 
     @classmethod
     def x(cls, ctx: FieldCtx) -> "PolyFq":
@@ -708,7 +699,7 @@ class PolyFq:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = ctx.add_codes(out[i], c)
-        return PolyFq._of(ctx, out)
+        return PolyFq(ctx, out)
 
     def __sub__(self, other):
         self._check(other)
@@ -716,22 +707,22 @@ class PolyFq:
 
     def __neg__(self):
         ctx = self.ctx
-        return PolyFq._of(ctx, [ctx.neg_code(c) for c in self.codes])
+        return PolyFq(ctx, [ctx.neg_code(c) for c in self.codes])
 
     def __mul__(self, other):
         self._check(other)
-        return PolyFq._of(self.ctx, _mul(self.ctx, self.codes, other.codes))
+        return PolyFq(self.ctx, _mul(self.ctx, self.codes, other.codes))
 
     def scale(self, code: int) -> "PolyFq":
         ctx = self.ctx
-        return PolyFq._of(ctx, [ctx.mul_codes(c, code) for c in self.codes])
+        return PolyFq(ctx, [ctx.mul_codes(c, code) for c in self.codes])
 
     def __divmod__(self, other):
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         quot, rem = _divmod(self.ctx, self.codes, other.codes)
-        return PolyFq._of(self.ctx, quot), PolyFq._of(self.ctx, rem)
+        return PolyFq(self.ctx, quot), PolyFq(self.ctx, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -749,7 +740,7 @@ class PolyFq:
         out = []
         for i in range(1, len(self.codes)):
             out.append(ctx.mul_codes(self.codes[i], i % ctx.p))
-        return PolyFq._of(ctx, out)
+        return PolyFq(ctx, out)
 
     def pow_mod(self, e: int, modpoly: "PolyFq") -> "PolyFq":
         """self**e reduced mod modpoly, by square and multiply on code lists."""
@@ -759,7 +750,7 @@ class PolyFq:
         if modpoly.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         ctx = self.ctx
-        return PolyFq._of(ctx, _powmod(ctx, self.codes, e, _divisor(ctx, modpoly.codes)))
+        return PolyFq(ctx, _powmod(ctx, self.codes, e, _divisor(ctx, modpoly.codes)))
 
     def __call__(self, point: FieldElement) -> FieldElement:
         """Evaluate by Horner's rule at a point of the same context."""
@@ -802,7 +793,7 @@ class PolyFq:
 def poly_gcd(a: PolyFq, b: PolyFq) -> PolyFq:
     """Monic gcd of two polynomials over the same field."""
     a._check(b)
-    return PolyFq._of(a.ctx, list(_gcd(a.ctx, a.codes, b.codes))).monic()
+    return PolyFq(a.ctx, _gcd(a.ctx, a.codes, b.codes)).monic()
 
 
 def _frobenius_powers(h: PolyFq):
@@ -1038,14 +1029,17 @@ def primitive_element(ctx: FieldCtx) -> FieldElement:
 
 
 def _check_tower(ctx: FieldCtx, q: int, n: int):
-    if n < 1 or q < 2 or q ** n != ctx.order:
+    """Refuse (q, n) unless q**n is the field's order; an n past the order's
+    bit length before q**n is formed (q**n > order for any q >= 2)."""
+    if n < 1 or q < 2 or n > ctx.order.bit_length() or q ** n != ctx.order:
         raise ValueError(f"q**n = {q}**{n} does not match field order {ctx.order}")
 
 
 def element_degree(xi: FieldElement, q: int, n: int) -> int:
     """Degree of xi over F_q inside F_{q^n}: smallest d | n with xi in F_{q^d}.
 
-    The zero element lies in every subfield, so it reports degree 1.
+    The package's one degree rule; the witness root check reads it.  The
+    zero element lies in every subfield, so it reports degree 1.
     """
     ctx = xi.ctx
     _check_tower(ctx, q, n)
@@ -1076,7 +1070,7 @@ def char_poly(xi: FieldElement, q: int, n: int) -> PolyFq:
     for a in cur:
         if ctx.pow_code(a, q) != a:
             raise AssertionError("characteristic polynomial left the base field")
-    return PolyFq._of(ctx, cur)
+    return PolyFq(ctx, cur)
 
 
 def sigma_eval(w: int, xi: FieldElement, q: int, n: int) -> FieldElement:
@@ -1147,7 +1141,7 @@ class Embedding:
             raise ValueError("polynomial not over the target field")
         lower = self._lower
         try:
-            return PolyFq._of(self.small, [lower[c] for c in poly.codes])
+            return PolyFq(self.small, [lower[c] for c in poly.codes])
         except KeyError as exc:
             raise ValueError("coefficient outside the embedded subfield") from exc
 

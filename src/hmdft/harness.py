@@ -28,10 +28,10 @@ r comes from `symfun.mask_period`, which runs the one prime descent of
 `cyclic.least_period_by_descent`, refutes most shifts from the digits of one
 integer and reads the mask at its support points only for the rest.  The
 q-symmetry check reads the dense route's counts (symfun's A_k): its verdict
-is formed once per (q, n, min(w, n - w)) by `symfun._counts_symmetric` and
-kept for every row of the (q, n), and a row builds the dense `delta_mask`
-only when those counts leave it open.  The two mask routes count A_k
-independently; they share the argument checks and F_q
+pair, for every c != 0 and for c = 0, is formed once per
+(q, n, min(w, n - w)) by `symfun._counts_symmetric` and kept for every row
+of the (q, n), so no sweep builds a dense `delta_mask`.  The two mask
+routes count A_k independently; they share the argument checks and F_q
 (`symfun._check_mask_args`) and every level's coefficient
 (`symfun._level_coefs`, over `top_binomials`).
 
@@ -55,13 +55,13 @@ from .gf import (
     SizeCapError,
     char_poly,
     check_size,
-    element_degree,  # unused here; perfbench/tracing.py counts its calls by this name
+    element_degree,
     make_field,
     subfield_embedding,
     value_field,
 )
-from .numtheory import prime_factors, prime_power
-from .symfun import _counts_symmetric, delta_mask, is_q_symmetric, mask_period
+from .numtheory import prime_power
+from .symfun import _counts_symmetric, mask_period
 
 DEFAULT_SIZE_CAP = 20000
 
@@ -269,17 +269,18 @@ def _witnesses(q: int, n: int, rows, cap: int) -> dict:
 def _root_certifies(h: PolyFq, emb: Embedding, a: int) -> bool:
     """Whether h over F_q is irreducible of degree n, shown at its root a in F_{q^n}.
 
-    a in no maximal subfield F_{q^(n/t)} (t a prime dividing n) has degree n
-    over F_q, so a monic h of degree n with h(a) = 0 is a's minimal polynomial,
+    a of degree n over F_q (``gf.element_degree``) has a minimal polynomial
+    of degree n, so a monic h of degree n with h(a) = 0 is that polynomial,
     hence irreducible (Lidl and Niederreiter, Finite Fields, 2nd ed., ch. 1).
     h(a) is ``PolyFq``'s value of h's codes lifted back into F_{q^n}.
     """
     big, q, n = emb.big, emb.small.order, emb.big.m // emb.small.m
     if h.degree != n or not h.is_monic:
         return False
-    if any(big.pow_code(a, q ** (n // t)) == a for t in prime_factors(n)):
+    alpha = FieldElement(big, a)
+    if element_degree(alpha, q, n) != n:
         return False
-    return not PolyFq._of(big, emb.lift_codes(h.codes))(FieldElement(big, a))
+    return not PolyFq(big, emb.lift_codes(h.codes))(alpha)
 
 
 def _with_witness(report: PeriodReport, wit: PolyFq | None) -> PeriodReport:
@@ -296,9 +297,9 @@ def _sweep_tuple(q: int, n: int, w: int, c: int, cfg: SweepConfig,
                  counts_verdicts: dict) -> PeriodReport:
     """The row's period report, and its symmetry verdict if asked.
 
-    counts_verdicts holds `_counts_symmetric` per w' = min(w, n - w) of the
-    row's (q, n), formed by the first row that asks; a row whose counts
-    leave the verdict open reads its dense mask.
+    counts_verdicts holds `_counts_symmetric`'s pair (every c != 0, c = 0)
+    per w' = min(w, n - w) of the row's (q, n), formed by the first row
+    that asks; the row reads the entry of its c.
     """
     if w == n:
         report = PeriodReport(q=q, n=n, w=w, c=c, threshold=threshold(n, q),
@@ -312,8 +313,7 @@ def _sweep_tuple(q: int, n: int, w: int, c: int, cfg: SweepConfig,
         v = min(w, n - w)
         if v not in counts_verdicts:
             counts_verdicts[v] = _counts_symmetric(q, n, v)
-        symmetric = counts_verdicts[v] or is_q_symmetric(delta_mask(q, n, v, c), q, n)
-        report = report._replace(symmetric=symmetric)
+        report = report._replace(symmetric=counts_verdicts[v][c == 0])
     return report
 
 

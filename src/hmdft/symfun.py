@@ -40,8 +40,7 @@ whose zeta**k has the prescribed coefficient, and r = N / gcd(N, those k).
 The least period is found by the prime descent of
 `cyclic.least_period_by_descent`, the one least-period algorithm of the
 package: a shift t is a period iff mask(s + t) = mask(s) at every support
-point s.  The dense route stays for `delta`, `dft --c` and a symmetry
-check that the counts leave open.
+point s.  The dense route stays for `delta` and `dft --c`.
 
 Most shifts are refuted with no count.  For x != 0, mask(x) != 0 needs
 A_k(x) != 0 at a level whose coefficient is nonzero (1 <= k < q if c != 0,
@@ -68,7 +67,7 @@ every n, comparing whole slices of the value list for each generator
 for x != 0 the mask reads coef_k * A_k(x) at the one level k whose support
 holds x, and both generators fix slot 0, so `_counts_symmetric` runs the
 same slice rule once per (q, n, w) over a key of the counts, and a sweep
-builds a dense mask only for a (q, n, w) whose key it refuses.
+builds no dense mask.
 """
 
 from __future__ import annotations
@@ -108,8 +107,7 @@ def _weight_counts(q: int, n: int, w: int) -> tuple[tuple[tuple[int, int], ...],
     A_k = A_{k-1} (*) 1_Omega(w), accumulated in plain ints and reduced mod p
     once per level; pairs whose count vanishes mod p are dropped.  One entry
     is cached: `delta_mask` for every c of one (q, n, w) in a row reads it
-    once, as a sweep's symmetry check does after `_counts_symmetric` when
-    the key leaves the verdict open.
+    once.
     """
     p = numtheory.prime_power(q)[0]
     support = omega(q, n, w)  # check_size refuses a huge n first
@@ -407,23 +405,24 @@ def is_q_symmetric(f: CyclicFn, q: int, n: int) -> bool:
     Exact for every n, from two permutations only: phi_rho is an action of
     S_n on Z_{q^n-1}, and the transposition (0 1) and the n-cycle generate
     S_n, so invariance under these two (`_fixed_by_generators`) gives
-    invariance under all n!.  A sweep reads it only for a mask whose counts
-    leave its verdict open (`_counts_symmetric`).
+    invariance under all n!.  A sweep reads the counts instead
+    (`_counts_symmetric`); the tests keep this as the dense oracle.
     """
     check_modulus(f.N, q, n, "function")
     return _fixed_by_generators(f.codes, q, n)
 
 
-def _counts_symmetric(q: int, n: int, w: int) -> bool:
-    """Whether the counts A_k of (q, n, w) make every mask of it q-symmetric.
+def _counts_symmetric(q: int, n: int, w: int) -> tuple[bool, bool]:
+    """Whether the masks of (q, n, w) are q-symmetric: (every c != 0, c = 0).
 
     One dense key: 0 off the support and at slot 0, and k*p + a at x != 0
     where A_k(x) = a != 0 mod p, a single level at each x (module
-    docstring).  delta_mask(q, n, w, c) at x != 0 is coef_k * a, a function
-    of the key there, and both generators fix slot 0; so a key that
-    `_fixed_by_generators` accepts makes the mask q-symmetric for every c.
-    False settles nothing: a c whose coefficients skip the asymmetric levels
-    may still give a q-symmetric mask.
+    docstring).  delta_mask(q, n, w, c) at x != 0 is coef_k * a, and both
+    generators fix slot 0 and keep the digit sum, so the level.  For c != 0
+    every coef_k is nonzero (C(q-1, k) is a sign mod p), so the mask tells
+    apart exactly the points the key does, and the key's verdict is the
+    mask's.  A c = 0 mask reads level q - 1 alone, the key values
+    >= (q - 1)*p; a key refused in full is read again at that level alone.
     """
     p = numtheory.prime_power(q)[0]
     key = [0] * (q ** n - 1)
@@ -431,4 +430,7 @@ def _counts_symmetric(q: int, n: int, w: int) -> bool:
         for i, a in level:
             key[i] = k * p + a
     key[0] = 0
-    return _fixed_by_generators(key, q, n)
+    if _fixed_by_generators(key, q, n):
+        return True, True
+    top = (q - 1) * p
+    return False, _fixed_by_generators([v if v >= top else 0 for v in key], q, n)

@@ -32,9 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ORBIT_WALK = ("        if size != n:\n            continue\n",
               "        if n % size:\n            continue\n")
-SUBFIELD_TEST = (
-    "    if any(big.pow_code(a, q ** (n // t)) == a for t in prime_factors(n)):\n"
-    "        return False\n", "")
+SUBFIELD_TEST = ("    if element_degree(alpha, q, n) != n:\n        return False\n", "")
 
 
 class Mutant(NamedTuple):
@@ -51,7 +49,7 @@ MUTANTS = (
             "tests/test_harness.py::test_sweep_small_grid_deterministic",
             "tests/test_acceptance.py::test_c5_witness_grid_end_to_end"),
            "leaders of orbits of any size dividing n reach char_poly; the root "
-           "check's subfield test rejects their reducible polynomials"),
+           "check's degree test rejects their reducible polynomials"),
     Mutant("orbit-walk-and-no-subfield-test", "src/hmdft/harness.py",
            (ORBIT_WALK, SUBFIELD_TEST),
            ("tests/test_acceptance.py::test_c5_witness_grid_end_to_end",
@@ -199,16 +197,16 @@ MUTANTS = (
            ("tests/test_symfun.py::test_mask_points_match_delta_mask",),
            "at w = n the all-(q-1) vector sums to q**n - 1, which wraps to slot "
            "0; without it the point reader's mask(0) differs from delta_mask"),
-    Mutant("symmetry-fallback-dropped", "src/hmdft/harness.py",
-           (("counts_verdicts[v] or is_q_symmetric(delta_mask(q, n, v, c), q, n)",
-             "counts_verdicts[v]"),),
-           ("tests/test_harness.py::test_sweep_symmetry_falls_back_where_the_counts_leave_it_open",),
-           "a row takes the counts verdict alone, so a row whose counts leave "
-           "it open reads asymmetric; the real counts settle every row, so "
-           "only planted counts see it, at c = 0"),
+    Mutant("counts-c0-reads-full-key", "src/hmdft/symfun.py",
+           (("return False, _fixed_by_generators([v if v >= top else 0 for v in key], q, n)",
+             "return False, False"),),
+           ("tests/test_harness.py::test_planted_counts_split_the_symmetry_verdict_at_c_0",),
+           "c = 0 takes the full key's refusal, so a c = 0 mask, which reads "
+           "level q - 1 alone, reads asymmetric from another level's counts; "
+           "the real counts pass the full key, so only planted counts see it"),
     Mutant("counts-key-count-dropped", "src/hmdft/symfun.py",
            (("            key[i] = k * p + a\n", "            key[i] = k\n"),),
-           ("tests/test_harness.py::test_sweep_symmetry_falls_back_where_the_counts_leave_it_open",),
+           ("tests/test_harness.py::test_planted_counts_split_the_symmetry_verdict_at_c_0",),
            "the counts key holds the level alone, so counts that differ "
            "within a level's orbit pass it; the real counts are constant "
            "there, so only planted counts see it"),
@@ -223,6 +221,13 @@ MUTANTS = (
            ("tests/test_symfun.py::test_phi_rho_reads_k_modulo_q_to_the_n_minus_1",),
            "phi_rho reduces k modulo q**n + 1, which differs from q**n - 1 "
            "only for k >= q**n - 1"),
+    Mutant("poly-range-check-dropped", "src/hmdft/gf.py",
+           (("        if codes and not 0 <= min(codes) <= max(codes) < ctx.order:\n"
+             "            raise ValueError(f\"coefficient code out of range for F_{ctx.order}\")\n",
+             ""),),
+           ("tests/test_gf.py::test_gf_refusals",),
+           "PolyFq keeps a code outside [0, order), which the field's tables "
+           "read, a negative one from their end, as some other code"),
     Mutant("oracle-gcd-step-dropped", "src/hmdft/gf.py",
            (("        if k in gcd_at and len(_gcd(ctx, hm.codes, (PolyFq(ctx, f) - x).codes)) != 1:\n"
              "            return False\n", ""),),

@@ -912,32 +912,45 @@ def test_json_refuses_a_record():
             _json(value)
 
 
+# fixed ids, the names pytest once took from each case, so a new case
+# with the same message renames no old one
 CLI_REFUSALS = [
-    (("dft", "--q", "3", "--n", "2", "--seq", "1,0,0"), "AlgebraError",
-     r"sequence must have length q\*\*n - 1 = 8"),
+    pytest.param(("dft", "--q", "3", "--n", "2", "--seq", "1,0,0"), "AlgebraError",
+                 r"sequence must have length q\*\*n - 1 = 8",
+                 id=r"argv0-AlgebraError-sequence must have length q\*\*n - 1 = 8"),
     # c is an F_q code in every subcommand that builds a mask
-    (("period", "--q", "3", "--n", "4", "--w", "3", "--c", "5"), ValueError,
-     "^c=5 is not an F_3 code$"),
-    (("delta", "--q", "3", "--n", "2", "--w", "1", "--c", "5"), ValueError,
-     "^c=5 is not an F_3 code$"),
-    (("dft", "--q", "3", "--n", "2", "--w", "1", "--c", "5"), ValueError,
-     "^c=5 is not an F_3 code$"),
+    pytest.param(("period", "--q", "3", "--n", "4", "--w", "3", "--c", "5"), ValueError,
+                 "^c=5 is not an F_3 code$",
+                 id="argv1-ValueError-^c=5 is not an F_3 code$"),
+    pytest.param(("delta", "--q", "3", "--n", "2", "--w", "1", "--c", "5"), ValueError,
+                 "^c=5 is not an F_3 code$",
+                 id="argv2-ValueError-^c=5 is not an F_3 code$"),
+    pytest.param(("dft", "--q", "3", "--n", "2", "--w", "1", "--c", "5"), ValueError,
+                 "^c=5 is not an F_3 code$",
+                 id="argv3-ValueError-^c=5 is not an F_3 code$"),
     # irred-test is factor-test at n = deg h, which needs n >= 2
-    (("irred-test", "--q", "2", "--poly", "1,1"), "DegreeMismatchError",
-     "^irreducibility test needs degree >= 2$"),
-    (("irred-test", "--q", "3", "--poly", "2,0,0"), "DegreeMismatchError",
-     "^irreducibility test needs degree >= 2$"),
+    pytest.param(("irred-test", "--q", "2", "--poly", "1,1"), "DegreeMismatchError",
+                 "^irreducibility test needs degree >= 2$",
+                 id="argv4-DegreeMismatchError-^irreducibility test needs degree >= 2$"),
+    pytest.param(("irred-test", "--q", "3", "--poly", "2,0,0"), "DegreeMismatchError",
+                 "^irreducibility test needs degree >= 2$",
+                 id="argv5-DegreeMismatchError-^irreducibility test needs degree >= 2$"),
     # a malformed list value names its flag and the token
-    (("hm-verify", "--q", "2,x", "--n", "2"), ValueError,
-     "^--q takes ints separated by commas, not 'x'$"),
-    (("hm-verify", "--q", "2", "--n", "2:"), ValueError,
-     "^--n takes an int or a range lo:hi, not '2:'$"),
-    (("hm-verify", "--q", "2", "--n", "2:3:4"), ValueError,
-     "^--n takes an int or a range lo:hi, not '2:3:4'$"),
-    (("irred-test", "--q", "2", "--poly", "1,x,1"), ValueError,
-     "^--poly takes ints separated by commas, not 'x'$"),
-    (("period", "--seq", "1,x"), ValueError,
-     "^--seq takes ints separated by commas, not 'x'$"),
+    pytest.param(("hm-verify", "--q", "2,x", "--n", "2"), ValueError,
+                 "^--q takes ints separated by commas, not 'x'$",
+                 id="argv6-ValueError-^--q takes ints separated by commas, not 'x'$"),
+    pytest.param(("hm-verify", "--q", "2", "--n", "2:"), ValueError,
+                 "^--n takes an int or a range lo:hi, not '2:'$",
+                 id="argv7-ValueError-^--n takes an int or a range lo:hi, not '2:'$"),
+    pytest.param(("hm-verify", "--q", "2", "--n", "2:3:4"), ValueError,
+                 "^--n takes an int or a range lo:hi, not '2:3:4'$",
+                 id="argv8-ValueError-^--n takes an int or a range lo:hi, not '2:3:4'$"),
+    pytest.param(("irred-test", "--q", "2", "--poly", "1,x,1"), ValueError,
+                 "^--poly takes ints separated by commas, not 'x'$",
+                 id="argv9-ValueError-^--poly takes ints separated by commas, not 'x'$"),
+    pytest.param(("period", "--seq", "1,x"), ValueError,
+                 "^--seq takes ints separated by commas, not 'x'$",
+                 id="argv10-ValueError-^--seq takes ints separated by commas, not 'x'$"),
 ]
 
 

@@ -507,29 +507,46 @@ def _f3_fn():
     return CyclicFn(make_field(3), (1, 2))
 
 
+# fixed ids, the names pytest once took from each case, so a new case
+# with the same message renames no old one
 CYCLIC_REFUSALS = [
-    (lambda: SupportSet(0, (1,)), ValueError, "N=0"),  # was a reduction mod 0
-    (lambda: SupportSet(-4, ()), ValueError, "N=-4"),
-    (lambda: CyclicFn(make_field(3), []), ValueError, "modulus N must be at least 1"),
+    pytest.param(lambda: SupportSet(0, (1,)), ValueError, "N=0",
+                 id="<lambda>-ValueError-N=0"),  # was a reduction mod 0
+    pytest.param(lambda: SupportSet(-4, ()), ValueError, "N=-4",
+                 id="<lambda>-ValueError-N=-4"),
+    pytest.param(lambda: CyclicFn(make_field(3), []), ValueError,
+                 "modulus N must be at least 1",
+                 id="<lambda>-ValueError-modulus N must be at least 1"),
     # these once returned CyclicFn(N=1), or failed with a bare IndexError
-    (lambda: kronecker(make_field(3), 0), ValueError, "modulus N must be at least 1, not N=0"),
-    (lambda: kronecker(make_field(3), -4), ValueError, "modulus N must be at least 1, not N=-4"),
-    (lambda: CyclicFn.from_support(make_field(3), -3, [1]), ValueError,
-     "modulus N must be at least 1, not N=-3"),
-    (lambda: CyclicFn.from_support(make_field(3), 0, [1]), ValueError,
-     "modulus N must be at least 1, not N=0"),
-    (lambda: _f3_fn() + CyclicFn(make_field(5), (1, 2)), "CtxMismatchError",
-     "functions valued in different fields"),
-    (lambda: compose_perm(_f3_fn(), {0: 3, 1: 1, 2: 2}), "BadPermutationError",
-     "mapping outside the value field"),
+    pytest.param(lambda: kronecker(make_field(3), 0), ValueError,
+                 "modulus N must be at least 1, not N=0",
+                 id="<lambda>-ValueError-modulus N must be at least 1, not N=0_0"),
+    pytest.param(lambda: kronecker(make_field(3), -4), ValueError,
+                 "modulus N must be at least 1, not N=-4",
+                 id="<lambda>-ValueError-modulus N must be at least 1, not N=-4"),
+    pytest.param(lambda: CyclicFn.from_support(make_field(3), -3, [1]), ValueError,
+                 "modulus N must be at least 1, not N=-3",
+                 id="<lambda>-ValueError-modulus N must be at least 1, not N=-3"),
+    pytest.param(lambda: CyclicFn.from_support(make_field(3), 0, [1]), ValueError,
+                 "modulus N must be at least 1, not N=0",
+                 id="<lambda>-ValueError-modulus N must be at least 1, not N=0_1"),
+    pytest.param(lambda: _f3_fn() + CyclicFn(make_field(5), (1, 2)), "CtxMismatchError",
+                 "functions valued in different fields",
+                 id="<lambda>-CtxMismatchError-functions valued in different fields"),
+    pytest.param(lambda: compose_perm(_f3_fn(), {0: 3, 1: 1, 2: 2}), "BadPermutationError",
+                 "mapping outside the value field",
+                 id="<lambda>-BadPermutationError-mapping outside the value field"),
     # an element of another field was once read by its code alone
-    (lambda: compose_perm(_f3_fn(), {make_field(3, 2).element(a): b
-                                     for a, b in ((0, 0), (1, 2), (2, 1))}),
-     "BadPermutationError", "^mapping outside the value field$"),
-    (lambda: compose_perm(_f3_fn(), lambda e: make_field(5).element(1)), "BadPermutationError",
-     "callable must map the field to itself"),
-    (lambda: compose_perm(_f3_fn(), [0, 2, 1]), "BadPermutationError",
-     "sigma must be a dict or a callable"),
+    pytest.param(lambda: compose_perm(_f3_fn(), {make_field(3, 2).element(a): b
+                                                 for a, b in ((0, 0), (1, 2), (2, 1))}),
+                 "BadPermutationError", "^mapping outside the value field$",
+                 id="<lambda>-BadPermutationError-^mapping outside the value field$"),
+    pytest.param(lambda: compose_perm(_f3_fn(), lambda e: make_field(5).element(1)),
+                 "BadPermutationError", "callable must map the field to itself",
+                 id="<lambda>-BadPermutationError-callable must map the field to itself"),
+    pytest.param(lambda: compose_perm(_f3_fn(), [0, 2, 1]), "BadPermutationError",
+                 "sigma must be a dict or a callable",
+                 id="<lambda>-BadPermutationError-sigma must be a dict or a callable"),
 ]
 
 

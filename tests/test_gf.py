@@ -928,27 +928,55 @@ def _f4_in_f16():
     return subfield_embedding(make_field(2, 2), make_field(2, 4))
 
 
+HUGE_TOWER = r"^q\*\*n = 3\*\*1000000000 does not match field order 4$"
+
+# fixed ids, the names pytest once took from each case, so a new case
+# with the same message renames no old one
 GF_REFUSALS = [
-    (lambda: make_field(5).pow_code(0, -1), ZeroDivisionError, "negative power of zero"),
-    (lambda: make_field(5).order_of(0), ZeroDivisionError, "zero has no multiplicative order"),
-    (lambda: make_field(5).element(5), ValueError, "code 5 out of range"),
-    (lambda: make_field(7).nth_root_of_unity(4), "NotDivisorError", "4 does not divide 6"),
-    (lambda: _f3_poly(0, 3), ValueError, "coefficient code out of range for F_3"),
-    (lambda: _f3_poly(1, 1) + 1, TypeError, "expected a polynomial"),
-    (lambda: _f3_poly(1, 1) * PolyFq(make_field(5), (1, 1)), "CtxMismatchError",
-     "polynomials over different fields"),
-    (lambda: divmod(_f3_poly(1, 1), _f3_poly()), ZeroDivisionError,
-     "polynomial division by zero"),
-    (lambda: _f3_poly(0, 1).pow_mod(-1, _f3_poly(1, 0, 1)), ValueError, "negative exponent"),
-    (lambda: _f3_poly(0, 1)(make_field(5).element(1)), "CtxMismatchError",
-     "evaluation point from a different field"),
-    (lambda: _f4_in_f16().lift(make_field(2, 4).element(1)), "CtxMismatchError",
-     "element not in the embedding's source field"),
-    (lambda: _f4_in_f16().lower_poly(PolyFq(make_field(2, 2), (1,))), "CtxMismatchError",
-     "polynomial not over the target field"),
+    pytest.param(lambda: make_field(5).pow_code(0, -1), ZeroDivisionError,
+                 "negative power of zero",
+                 id="<lambda>-ZeroDivisionError-negative power of zero"),
+    pytest.param(lambda: make_field(5).order_of(0), ZeroDivisionError,
+                 "zero has no multiplicative order",
+                 id="<lambda>-ZeroDivisionError-zero has no multiplicative order"),
+    pytest.param(lambda: make_field(5).element(5), ValueError, "code 5 out of range",
+                 id="<lambda>-ValueError-code 5 out of range"),
+    pytest.param(lambda: make_field(7).nth_root_of_unity(4), "NotDivisorError",
+                 "4 does not divide 6",
+                 id="<lambda>-NotDivisorError-4 does not divide 6"),
+    pytest.param(lambda: _f3_poly(0, 3), ValueError, "coefficient code out of range for F_3",
+                 id="<lambda>-ValueError-coefficient code out of range for F_3"),
+    pytest.param(lambda: _f3_poly(1, 1) + 1, TypeError, "expected a polynomial",
+                 id="<lambda>-TypeError-expected a polynomial"),
+    pytest.param(lambda: _f3_poly(1, 1) * PolyFq(make_field(5), (1, 1)), "CtxMismatchError",
+                 "polynomials over different fields",
+                 id="<lambda>-CtxMismatchError-polynomials over different fields"),
+    pytest.param(lambda: divmod(_f3_poly(1, 1), _f3_poly()), ZeroDivisionError,
+                 "polynomial division by zero",
+                 id="<lambda>-ZeroDivisionError-polynomial division by zero"),
+    pytest.param(lambda: _f3_poly(0, 1).pow_mod(-1, _f3_poly(1, 0, 1)), ValueError,
+                 "negative exponent",
+                 id="<lambda>-ValueError-negative exponent"),
+    pytest.param(lambda: _f3_poly(0, 1)(make_field(5).element(1)), "CtxMismatchError",
+                 "evaluation point from a different field",
+                 id="<lambda>-CtxMismatchError-evaluation point from a different field"),
+    pytest.param(lambda: _f4_in_f16().lift(make_field(2, 4).element(1)), "CtxMismatchError",
+                 "element not in the embedding's source field",
+                 id="<lambda>-CtxMismatchError-element not in the embedding's source field"),
+    pytest.param(lambda: _f4_in_f16().lower_poly(PolyFq(make_field(2, 2), (1,))),
+                 "CtxMismatchError", "polynomial not over the target field",
+                 id="<lambda>-CtxMismatchError-polynomial not over the target field"),
     # x generates F_16, so it lies in no proper subfield
-    (lambda: _f4_in_f16().lower_poly(PolyFq(make_field(2, 4), (2, 1))), "BadSubfieldError",
-     "coefficient outside the embedded subfield"),
+    pytest.param(lambda: _f4_in_f16().lower_poly(PolyFq(make_field(2, 4), (2, 1))),
+                 "BadSubfieldError", "coefficient outside the embedded subfield",
+                 id="<lambda>-BadSubfieldError-coefficient outside the embedded subfield"),
+    # refused before 3**(10**9) is formed, which alone takes seconds
+    pytest.param(lambda: element_degree(make_field(2, 2).element(1), 3, 10**9), ValueError,
+                 HUGE_TOWER, id="element_degree-n-1e9"),
+    pytest.param(lambda: char_poly(make_field(2, 2).element(1), 3, 10**9), ValueError,
+                 HUGE_TOWER, id="char_poly-n-1e9"),
+    pytest.param(lambda: sigma_eval(1, make_field(2, 2).element(1), 3, 10**9), ValueError,
+                 HUGE_TOWER, id="sigma_eval-n-1e9"),
 ]
 
 

@@ -14,7 +14,7 @@ from hmdft import (
     sweep,
     verify_period_claims,
 )
-from hmdft import CyclicFn, delta_mask, gf, harness, is_q_symmetric, numtheory, symfun
+from hmdft import cli, delta_mask, gf, harness, is_q_symmetric, numtheory, symfun
 from hmdft.gf import SizeCapError
 from hmdft.harness import CASE_EXCLUDED, CASE_HALF, CASE_MAX, CASE_NORM, CASE_SMALL
 
@@ -339,62 +339,46 @@ def _plant_counts(monkeypatch, points):
     monkeypatch.setattr(symfun, "_weight_counts", planted)
 
 
-def _counted_dense_masks(monkeypatch, dense=harness.delta_mask):
-    """The (q, n, w, c) of every dense mask the sweep builds, built by dense."""
+def _counted_dense_masks(monkeypatch):
+    """The (q, n, w, c) of every dense mask built, wherever the package holds delta_mask."""
     built = []
+    dense = symfun.delta_mask
 
     def counted(q, n, w, c):
         built.append((q, n, w, c))
         return dense(q, n, w, c)
 
-    monkeypatch.setattr(harness, "delta_mask", counted)
+    for mod in (symfun, harness, cli):
+        if getattr(mod, "delta_mask", None) is dense:
+            monkeypatch.setattr(mod, "delta_mask", counted)
     return built
 
 
-def test_sweep_builds_dense_masks_only_for_symmetry(monkeypatch):
+def test_sweep_builds_no_dense_mask(monkeypatch):
+    assert not {"delta_mask", "is_q_symmetric", "prime_factors"} & set(vars(harness))
     built = _counted_dense_masks(monkeypatch)
     cfg = SweepConfig(q_list=(3,), n_range=(4, 4), w_policy="full", with_witness=False)
     plain = sweep(cfg)
     checked = sweep(cfg._replace(check_symmetry=True))
-    # the real counts settle every row: no dense mask
-    assert built == []
     assert [r._replace(symmetric=None) for r in checked.reports] == list(plain.reports)
-    # counts refused at w' = 1 and 2: one dense mask per row with a period,
-    # at the delegated w above n/2
+    # counts refused at w' = 1 and 2 settle their rows too, at the delegated w
+    # above n/2 as well
     _plant_counts(monkeypatch, {1, 1 + 3})
     planted = sweep(cfg._replace(check_symmetry=True))
-    assert built == [(3, 4, min(r.w, 4 - r.w), r.c) for r in planted.reports
-                     if r.r is not None]
     assert [r._replace(symmetric=None) for r in planted.reports] == list(plain.reports)
+    assert built == []
 
 
-def test_sweep_symmetry_reads_the_dense_mask(monkeypatch):
-    # counts that leave the verdict open send each row to its dense mask; a
-    # dense mask with one value moved off the orbit is reported asymmetric
-    dense = harness.delta_mask
-
-    def perturbed(q, n, w, c):
-        mask = dense(q, n, w, c)
-        codes = list(mask.codes)
-        codes[1] = mask.ctx.add_codes(codes[1], 1)
-        return CyclicFn(mask.ctx, codes)
-
+def test_planted_counts_split_the_symmetry_verdict_at_c_0(monkeypatch):
+    # at (3, 3, 1) level 1 reads 2 at x = 3 and 1 at x = 1 and 9, so the full
+    # key is refused; rows with c = 0 read level q - 1 alone and stay
+    # symmetric, the rows with c != 0 do not, as their dense masks say
     _plant_counts(monkeypatch, {3})
-    built = _counted_dense_masks(monkeypatch, perturbed)
+    assert symfun._counts_symmetric(3, 3, 1) == (False, True)
+    built = _counted_dense_masks(monkeypatch)
     res = sweep(SweepConfig(q_list=(3,), n_range=(3, 3), check_symmetry=True,
                             with_witness=False))
-    assert [r.symmetric for r in res.reports] == [False] * len(res.reports)
-    assert built == [(3, 3, 1, c) for c in range(3)]
-
-
-def test_sweep_symmetry_falls_back_where_the_counts_leave_it_open(monkeypatch):
-    # at (3, 3, 1) level 1 reads 2 at x = 3 and 1 at x = 1 and 9, so the key
-    # is refused; rows with c = 0 read level q - 1 alone and stay symmetric
-    # through their dense masks, the rows with c != 0 do not
-    _plant_counts(monkeypatch, {3})
-    assert not symfun._counts_symmetric(3, 3, 1)
-    res = sweep(SweepConfig(q_list=(3,), n_range=(3, 3), check_symmetry=True,
-                            with_witness=False))
+    assert built == []
     assert [(r.c, r.symmetric) for r in res.reports] == [(0, True), (1, False), (2, False)]
     for r in res.reports:
         assert r.symmetric == is_q_symmetric(symfun.delta_mask(3, 3, 1, r.c), 3, 3)
@@ -421,7 +405,7 @@ def test_sweep_symmetry_matches_the_dense_route(monkeypatch, grid):
         v = min(r.w, r.n - r.w)
         assert r.symmetric == is_q_symmetric(symfun.delta_mask(r.q, r.n, v, r.c), r.q, r.n), r
     for q, n, v in {(r.q, r.n, min(r.w, r.n - r.w)) for r in rows}:
-        assert symfun._counts_symmetric(q, n, v), (q, n, v)
+        assert symfun._counts_symmetric(q, n, v) == (True, True), (q, n, v)
 
 
 def test_sweep_forms_each_counts_verdict_once_per_weight_class(monkeypatch):
@@ -632,7 +616,7 @@ def test_root_check_rejects_a_wrong_degree_or_a_non_monic_h(q, n):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_root_check_accepts_every_degree_one_witness(q):
-    # n = 1 has no prime t, so no subfield test: x + c is its own certificate
+    # at n = 1 every root has degree 1 = n, so x + c is its own certificate
     for c in range(1, q):
         assert find_witness(q, 1, 1, c).codes == (c, 1)
 
@@ -717,14 +701,21 @@ def test_fits_at_the_bit_length_of_the_limit():
                 assert cfg.fits(2, n) == fits_oracle(cfg, 2, n), (n, cap, with_witness)
 
 
+# fixed ids, the names pytest once took from each case, so a new case
+# with the same message renames no old one
 HARNESS_REFUSALS = [
-    (lambda: verify_period_claims(3, 1, 1, 0), ValueError, "n must be at least 2"),
-    (lambda: find_witness(3, 2, 1, 5), ValueError, "c=5 is not an F_3 code"),
+    pytest.param(lambda: verify_period_claims(3, 1, 1, 0), ValueError, "n must be at least 2",
+                 id="<lambda>-ValueError-n must be at least 2"),
+    pytest.param(lambda: find_witness(3, 2, 1, 5), ValueError, "c=5 is not an F_3 code",
+                 id="<lambda>-ValueError-c=5 is not an F_3 code"),
     # once a silent half-w sweep
-    (lambda: sweep(SweepConfig(q_list=(3,), n_range=(2, 3), w_policy="bogus")),
-     ValueError, "w_policy must be 'half' or 'full', not 'bogus'"),
-    (lambda: sweep(SweepConfig(q_list=(3,), n_range=(2, 3), w_policy="Full", pinned_w=1)),
-     ValueError, "not 'Full'"),
+    pytest.param(lambda: sweep(SweepConfig(q_list=(3,), n_range=(2, 3), w_policy="bogus")),
+                 ValueError, "w_policy must be 'half' or 'full', not 'bogus'",
+                 id="<lambda>-ValueError-w_policy must be 'half' or 'full', not 'bogus'"),
+    pytest.param(lambda: sweep(SweepConfig(q_list=(3,), n_range=(2, 3), w_policy="Full",
+                                           pinned_w=1)),
+                 ValueError, "not 'Full'",
+                 id="<lambda>-ValueError-not 'Full'"),
 ]
 
 

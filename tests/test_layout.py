@@ -378,7 +378,8 @@ UNUSED_EXPORTS = {
     "phi_rho": "kept by a ROADMAP decision: the digit permutations of acceptance C7",
     "support_degree_test": "kept by a ROADMAP decision: the support tests of acceptance C8",
     "sigma_eval": "the sigma_w values that acceptance C2 compares transforms with",
-    "element_degree": "pinned by perfbench/tracing.py, which counts harness calls to it",
+    "is_q_symmetric": "pinned by perfbench/tracing.py's TRACED list; the tests' dense "
+                      "oracle for acceptance C7",
     "build_root_indicator": "pinned by perfbench/tracing.py (ROADMAP item 5 moves it)",
     "oracle_factor_degrees": "pinned by perfbench/checks.py (ROADMAP item 5 moves it)",
     "oracle_irreducible": "the Rabin oracle of the tests and of perfbench/checks.py",

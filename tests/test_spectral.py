@@ -693,11 +693,15 @@ def test_oracles_never_use_the_horner_kernel(monkeypatch):
             assert oracle_factor_degrees(prod) == sorted(p.degree for p in parts)
 
 
+# fixed ids, the names pytest once took from each case, so a new case
+# with the same message renames no old one
 SPECTRAL_REFUSALS = [
-    (lambda: degree_n_factor_test(PolyFq(make_field(3), (1, 1, 1)), 3, 1), ValueError,
-     "n must be at least 2"),
-    (lambda: support_degree_test(SupportSet(15, (1,)), 3, 2), ValueError,
-     r"support modulus 15 is not q\*\*n - 1 = 8"),
+    pytest.param(lambda: degree_n_factor_test(PolyFq(make_field(3), (1, 1, 1)), 3, 1), ValueError,
+                 "n must be at least 2",
+                 id="<lambda>-ValueError-n must be at least 2"),
+    pytest.param(lambda: support_degree_test(SupportSet(15, (1,)), 3, 2), ValueError,
+                 r"support modulus 15 is not q\*\*n - 1 = 8",
+                 id=r"<lambda>-ValueError-support modulus 15 is not q\*\*n - 1 = 8"),
 ]
 
 
