@@ -11,12 +11,17 @@ recorded, so that both hold the same bytecode caches before any run counts
 ``peak_rss_mb`` for that reason alone).  Then, for each end-to-end metric
 that BENCHMARK.json names, one line:
 
-    request_p50_ms: parent 0.466 change 0.386 (-17.2%), change lower in 10 of 10, parent IQR 0.021
+    request_p50_ms: parent 0.466 change 0.386 (-17.2%), change lower in 10 of 10, parent IQR 0.021, within bound 0.25
 
 the two medians, the change's median relative to the parent's, in how many
-pairs the change's run read lower than the parent's run of that pair, and
-the distance between the quartiles of the parent's runs, which a gain in
-the median should exceed.
+pairs the change's run read lower than the parent's run of that pair, the
+distance between the quartiles of the parent's runs, which a gain in the
+median should exceed, and the metric's gate: ``past bound B`` when the
+change's median is worse than the parent's by more than B times the
+parent's median, ``within bound B`` otherwise, with B the metric's
+``bound`` in BENCHMARK.json.  Only the worse direction counts: higher for
+a metric whose ``better`` is ``lower``, lower for one whose ``better`` is
+``higher``.
 Stdlib only.  Exit status 0, 1 when a run fails, 2 on a usage error.
 """
 
@@ -47,6 +52,13 @@ def run_once(checkout: Path, workload: str, seed, seconds) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def gate(metric: dict, parent: float, change: float) -> str:
+    """``past bound B`` or ``within bound B`` for one metric's two medians."""
+    worse = change - parent if metric["better"] == "lower" else parent - change
+    verdict = "past" if worse > metric["bound"] * parent else "within"
+    return f"{verdict} bound {metric['bound']:g}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -58,7 +70,6 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [m["name"] for m in bench["end_to_end"]]
     sides = {"parent": args.parent, "change": args.change}
     runs = {side: [] for side in sides}
 
@@ -75,7 +86,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"workload {args.workload}, pairs {args.pairs}, order flipped at each pair")
-    for name in names:
+    for metric in bench["end_to_end"]:
+        name = metric["name"]
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
         a, b = statistics.median(parent), statistics.median(change)
@@ -83,7 +95,8 @@ def main(argv=None) -> int:
         lower = sum(c < p for p, c in zip(parent, change))
         q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
         print(f"{name}: parent {a:.4g} change {b:.4g} ({rel}), "
-              f"change lower in {lower} of {args.pairs}, parent IQR {q3 - q1:.3g}")
+              f"change lower in {lower} of {args.pairs}, parent IQR {q3 - q1:.3g}, "
+              f"{gate(metric, a, b)}")
     return 0
 
 

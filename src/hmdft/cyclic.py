@@ -14,13 +14,14 @@ the table as array slices and XORs the runs packed into integers.  It does
 so when the slices of all terms number at most N: sparse inputs with small
 steps, such as a polynomial's coefficient sequence.  The packed table is
 the field's own (``FieldCtx.packed_exp``); this module keeps no field state.
-Otherwise (odd
-p, or too many slices: masks, weight indicators, dense sequences) it walks
-Z_N once by the conjugacy rule: when every value of f lies in the subfield
-F_{p^t}, g(i * p^t) = g(i)**(p^t), so one sum per cyclotomic coset of p^t
-mod N is powered across the rest of the coset.  An odd-characteristic
-extension field forms those sums in the log domain, through the Zech table
-the field already holds; characteristic 2 and prime fields add codes.
+Otherwise (odd p, or too many slices: masks, weight indicators, dense
+sequences) it walks Z_N once by the conjugacy rule: when every value of f
+lies in the subfield F_{p^t}, g(i * p^t) = g(i)**(p^t), so one sum per
+cyclotomic coset of p^t mod N is powered across the rest of the coset; t
+comes from ``gf.element_degree``, the package's one degree rule.  An
+odd-characteristic extension field forms those sums in the log domain,
+through the Zech table the field already holds; characteristic 2 and prime
+fields add codes.
 Convolution iterates over support pairs, which reduces to the defining double
 sum when both supports are dense but is far cheaper on sparse indicator
 functions; no certification path calls it, the tests and their oracles do.
@@ -39,7 +40,7 @@ from math import gcd
 from struct import unpack
 
 from . import numtheory
-from .gf import FieldCtx, FieldElement
+from .gf import FieldCtx, FieldElement, element_degree
 
 
 def _check_modulus(N: int) -> None:
@@ -182,11 +183,13 @@ def dft(f: CyclicFn, zeta: FieldElement) -> CyclicFn:
     integers, with no Python step per output point.
 
     Otherwise let t be the least divisor of m with every value of f in
-    F_{p^t}, and P = p**t.  Raising to the P-th power fixes f's values and is
-    additive, so the conjugacy rule g(i*P mod N) = g(i)**P holds.  The sum is
-    therefore formed once per cyclotomic coset {i, i*P, i*P**2, ...} of P mod
-    N, at its least member, and the rest of the coset is that sum powered in
-    the log domain, all in one ascending walk over Z_N.  When P = 1 mod N
+    F_{p^t}, and P = p**t; t is the degree over F_p of exp[G], G the gcd of
+    M and the logs of f's values (`gf.element_degree`).  Raising to the P-th
+    power fixes f's values and is additive, so the conjugacy rule
+    g(i*P mod N) = g(i)**P holds.  The sum is therefore formed once per
+    cyclotomic coset {i, i*P, i*P**2, ...} of P mod N, at its least member,
+    and the rest of the coset is that sum powered in the log domain, all in
+    one ascending walk over Z_N.  When P = 1 mod N
     (values spanning the whole field, every prime field) the cosets are
     single points and every point is summed.  Over an odd-characteristic
     extension field each sum stays a log, one Zech-table step per term;
@@ -279,8 +282,11 @@ def _coset_walk(ctx: FieldCtx, N: int, terms) -> list:
 
     One pass over Z_N: a point not yet filled is the least member of its
     orbit under i -> i*P, so the sum is formed there and powered along the
-    orbit, which fills the orbit's other points.  The constant exp[scale_log]
-    lies in every F_{p^t} and is fixed by the Frobenius, so t is f's.
+    orbit, which fills the orbit's other points.  P = p**t, t the degree of
+    exp[G] over F_p (``gf.element_degree``), G the gcd of M and the terms'
+    logs: exp[G] generates the group the values generate, so it lies in
+    F_{p^t} exactly when every value does.  The constant exp[scale_log] lies
+    in every F_{p^t} and is fixed by the Frobenius, so t is f's.
 
     An odd-characteristic extension field sums in the log domain through its
     Zech table: with ls the partial sum's log, the term of log lt joins it as
@@ -290,14 +296,10 @@ def _coset_walk(ctx: FieldCtx, N: int, terms) -> list:
     """
     exp, log, add, zech = ctx.exp, ctx.log, ctx.add_codes, ctx.zech
     M = ctx.order - 1
-    # a nonzero value lies in F_{p^t} iff its log is a multiple of
-    # M / (p^t - 1), so t depends on the gcd G of the support logs alone
     G = M
     for lc, _ in terms:
         G = gcd(G, lc)
-    t = next(t for t in numtheory.divisors(ctx.m)
-             if G % (M // (ctx.p ** t - 1)) == 0)
-    P = ctx.p ** t
+    P = ctx.p ** element_degree(FieldElement(ctx, exp[G % M]), ctx.p, ctx.m)
     out = [-1] * N
     for i in range(N):
         if out[i] < 0:  # i leads its orbit: sum there, power along the rest

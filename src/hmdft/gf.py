@@ -1038,13 +1038,14 @@ def _check_tower(ctx: FieldCtx, q: int, n: int):
 def element_degree(xi: FieldElement, q: int, n: int) -> int:
     """Degree of xi over F_q inside F_{q^n}: smallest d | n with xi in F_{q^d}.
 
-    The package's one degree rule; the witness root check reads it.  The
-    zero element lies in every subfield, so it reports degree 1.
+    The package's one degree rule, read by the witness root check and by
+    ``cyclic``'s coset walk.  d = n always holds in F_{q^n}, so it is not
+    tested.  The zero element lies in every subfield: it reports degree 1.
     """
     ctx = xi.ctx
     _check_tower(ctx, q, n)
-    # d = n always passes, xi**(q**n) = xi in F_{q^n}; zero passes at d = 1
-    return next(d for d in numtheory.divisors(n) if ctx.pow_code(xi.code, q ** d) == xi.code)
+    return next((d for d in numtheory.divisors(n)[:-1]
+                 if ctx.pow_code(xi.code, q ** d) == xi.code), n)
 
 
 def char_poly(xi: FieldElement, q: int, n: int) -> PolyFq:

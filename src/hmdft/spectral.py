@@ -12,12 +12,14 @@ proves h irreducible.
 
 By the support lemma (`cyclic.dft_period_by_support`) r is the
 multiplicative order of x modulo g = gcd(h, x**(q**n - 1) - 1), and the
-verdicts compute it that way, never forming S.  Every power of x they take
-(x**N mod h for g, then x**t mod g down the prime descent of r) comes from
-`gf.x_pow_mod`, Horner's rule on the base-q digits of the exponent: h and g
-lie over F_q, so y**q = y(x**q) is a spread of y's codes, and each digit
-costs one reduction against the modulus, prepared once per power, and no
-product.  `build_root_indicator` forms S for the tests to compare
+verdicts compute it that way, never forming S.  With N = q**n - 1, g is
+gcd(x**N mod h - 1, h) for every nonzero h, by one rule with no special
+case: an h vanishing at every N-th root of unity has g = x**N - 1, so r = N
+and S = 1.  Every power of x they take (x**N mod h for g, then x**t mod g
+down the prime descent of r) comes from `gf.x_pow_mod`, Horner's rule on
+the base-q digits of the exponent: h and g lie over F_q, so y**q = y(x**q)
+is a spread of y's codes, and each digit costs one reduction against the
+modulus, prepared once per power, and no product.  `build_root_indicator` forms S for the tests to compare
 against, in closed form from g over F_q: S = -x*g'*((x**N - 1)/g) mod
 (x**N - 1).  No function in this module builds F_{q^n} or forms the power
 of h.
@@ -128,14 +130,16 @@ def _frobenius_fixed(folded: dict[int, int], ctx: FieldCtx, N: int, t: int) -> b
 
 
 def _root_gcd(h: PolyFq, q: int, n: int,
-              subfield_order: int | None) -> tuple[int, dict[int, int], PolyFq | None]:
+              subfield_order: int | None) -> tuple[int, dict[int, int], PolyFq]:
     """Validate a root-indicator request; return (N, h mod (x**N - 1), g).
 
     N = q**n - 1; a given #L is checked to be the order of a subfield of
     F_{q^n} containing h(F_{q^n}^x), by the Frobenius fixed-point test on the
-    folded h (`_frobenius_fixed`); g = gcd(h, x**N - 1) monic, or None when
-    h vanishes at every N-th root of unity.  g is squarefree, since p does
-    not divide N.  No verdict depends on L, so none is searched for here.
+    folded h (`_frobenius_fixed`), which only that check and the search for
+    L read.  g = gcd(h, x**N - 1) monic, taken as gcd(x**N mod h - 1, h) by
+    Euclid's rule for every nonzero h; g = x**N - 1 when h vanishes at every
+    N-th root of unity.  g is squarefree, since p does not divide N.  No
+    verdict depends on L, so none is searched for here.
     """
     if h.is_zero():
         raise ValueError("the zero polynomial has no root indicator")
@@ -157,11 +161,7 @@ def _root_gcd(h: PolyFq, q: int, n: int,
             raise ValueError(f"F_{subfield_order} is not a subfield of F_{N + 1}")
         if not _frobenius_fixed(folded, ctx, N, t):
             raise ValueError(f"image of h is not contained in F_{subfield_order}")
-    if not folded:  # h vanishes at every root of unity
-        return N, folded, None
-    hbar = [folded.get(j, 0) for j in range(max(folded) + 1)]
-    g = poly_gcd(PolyFq(ctx, x_pow_mod(ctx, N, hbar)) - PolyFq(ctx, (1,)),
-                 PolyFq(ctx, hbar))
+    g = poly_gcd(PolyFq(ctx, x_pow_mod(ctx, N, h.codes)) - PolyFq(ctx, (1,)), h)
     return N, folded, g
 
 
@@ -181,8 +181,9 @@ def build_root_indicator(h: PolyFq, q: int, n: int,
     (x**N - 1)/g equals N*r**(N-1)/g'(r) (g is squarefree, so g'(r) != 0),
     and the product is -N*r**N = -N = 1, as N = -1 mod p; at every other
     N-th root of unity (x**N - 1)/g vanishes.  Since p does not divide N,
-    those N values fix a polynomial of degree below N.  No field F_{q^n} is
-    built and h is evaluated nowhere.
+    those N values fix a polynomial of degree below N.  An h vanishing at
+    every N-th root of unity has g = x**N - 1, and the same formula gives
+    S = -N = 1.  No field F_{q^n} is built and h is evaluated nowhere.
 
     No certification path calls it; tests and their oracles do.  The
     verdicts read S's least period as the order of x modulo g, and the
@@ -194,11 +195,8 @@ def build_root_indicator(h: PolyFq, q: int, n: int,
         t = next(t for t in numtheory.divisors(ctx.m * n)
                  if _frobenius_fixed(folded, ctx, N, t))
         subfield_order = ctx.p ** t
-    if g is None:
-        s = PolyFq(ctx, (1,))
-    else:
-        x_n1 = PolyFq(ctx, [ctx.neg_code(1)] + [0] * (N - 1) + [1])
-        s = -(PolyFq.x(ctx) * g.derivative() * (x_n1 // g) % x_n1)
+    x_n1 = PolyFq(ctx, [ctx.neg_code(1)] + [0] * (N - 1) + [1])
+    s = -(PolyFq.x(ctx) * g.derivative() * (x_n1 // g) % x_n1)
     s_fn = CyclicFn(ctx, s.codes + (0,) * (N - len(s.codes)))
     return RootIndicator(base=h, subfield_order=subfield_order, poly=s, coeff_seq=s_fn)
 
@@ -222,15 +220,11 @@ def degree_n_factor_test(h: PolyFq, q: int, n: int,
     exactly when every rho**t = 1, the characters k -> rho**k of Z_N being
     linearly independent, and s_j = -u_{-j} has the same least period.  g = 1
     (no roots on the N-th roots of unity) gives r = 1; h vanishing at all of
-    them gives S = 1 at every point and r = N.
+    them gives g = x**N - 1, whose order of x is N, so r = N.
     """
     N, _, g = _root_gcd(h, q, n, subfield_order)
-    if g is None:
-        r = N
-    else:
-        one = [1] if g.degree else []  # 1 mod g; g = 1 makes every t a period
-        r = least_period_by_descent(
-            N, lambda t: x_pow_mod(h.ctx, t, g.codes) == one)
+    one = [1] if g.degree else []  # 1 mod g; g = 1 makes every t a period
+    r = least_period_by_descent(N, lambda t: x_pow_mod(h.ctx, t, g.codes) == one)
     return _verdict(r, q, n)
 
 

@@ -137,6 +137,12 @@ MUTANTS = (
             "tests/test_gf.py::test_add_codes_match_digitwise_reference"),
            "adding 1 to a constant digit p - 1 carries into the next digit, "
            "so every Zech sum through such a code is wrong"),
+    Mutant("element-degree-skips-two-divisors", "src/hmdft/gf.py",
+           (("numtheory.divisors(n)[:-1]", "numtheory.divisors(n)[:-2]"),),
+           ("tests/test_gf.py::test_element_degree_examples",
+            "tests/test_gf.py::test_element_degree_counts"),
+           "the degree rule skips the largest proper divisor of n too, so an "
+           "element of F_{q^d}, d that divisor, reads as degree n"),
     Mutant("top-binomials-sign-flip", "src/hmdft/numtheory.py",
            (("[p - 1 if sum(digits(k, p)) % 2 else 1 ",
              "[1 if sum(digits(k, p)) % 2 else p - 1 "),),
@@ -171,6 +177,12 @@ MUTANTS = (
             "tests/test_cyclic.py::test_dft_against_brute_force"),
            "a term's log is left past M, so the Zech step reads the table at "
            "the wrong difference, or past its end"),
+    Mutant("coset-walk-subfield-of-zeta", "src/hmdft/cyclic.py",
+           (("FieldElement(ctx, exp[G % M])", "FieldElement(ctx, exp[1])"),),
+           ("tests/test_dft_routes.py::test_other_inputs_take_the_coset_walk",),
+           "the walk reads the degree of zeta, m, so P = 1 mod N and every "
+           "point is summed alone; each transform stays right, so only the "
+           "pass count sees it"),
     Mutant("certificate-cache-keyed-on-low", "src/hmdft/symfun.py",
            (("_certificate_tries(q, n, w, not c)",
              "_certificate_tries(q, n, w, (1 if c else q - 1) == q - 1)"),),
@@ -260,6 +272,11 @@ MUTANTS = (
             "tests/test_spectral.py::test_root_indicator_matches_powering_every_small_h"),
            "S is formed without its factor x, so its value at a root r of g is "
            "1/r, not 1; only g with the root 1 alone, or none, escapes"),
+    Mutant("root-gcd-minus-one-dropped", "src/hmdft/spectral.py",
+           ((" - PolyFq(ctx, (1,)), h)", ", h)"),),
+           ("tests/test_spectral.py::test_order_route_edge_cases",),
+           "g = gcd(x**N mod h, h), not gcd(h, x**N - 1), so the all-roots "
+           "h, where x**N mod h = 1, reads g = 1 and r = 1, not N"),
     Mutant("parser-required-check-dropped", "src/hmdft/cli.py",
            (("    if missing:\n"
              "        _usage(cmd, \"the following flags are required: \" + \", \".join(missing))\n",

@@ -1,6 +1,7 @@
 """``bench/pairs.py`` runs alternated benchmark pairs and prints one line per metric."""
 
 import ast
+import importlib.util
 import json
 import re
 import subprocess
@@ -32,12 +33,15 @@ def test_one_smoke_pair_of_the_repository_against_itself():
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [m["name"] for m in bench["end_to_end"]]
     assert len(lines) == 1 + len(names)
-    for name, line in zip(names, lines[1:]):
-        assert re.fullmatch(rf"{name}: parent \S+ change \S+ \(([+-]\d+\.\d%|n/a)\), "
-                            r"change lower in [01] of 1, parent IQR 0", line), line
-    # ok_ratio is 1 on both sides, so the change is not lower
+    for metric, line in zip(bench["end_to_end"], lines[1:]):
+        bound = re.escape(f"{metric['bound']:g}")
+        assert re.fullmatch(rf"{metric['name']}: parent \S+ change \S+ "
+                            r"\(([+-]\d+\.\d%|n/a)\), change lower in [01] of 1, "
+                            rf"parent IQR 0, (past|within) bound {bound}", line), line
+    # ok_ratio is 1 on both sides, so the change is not lower, nor worse
     assert lines[1 + names.index("ok_ratio")] == \
-        "ok_ratio: parent 1 change 1 (+0.0%), change lower in 0 of 1, parent IQR 0"
+        "ok_ratio: parent 1 change 1 (+0.0%), change lower in 0 of 1, parent IQR 0, " \
+        "within bound 0.01"
 
 
 def test_a_checkout_without_source_fails(tmp_path):
@@ -47,3 +51,17 @@ def test_a_checkout_without_source_fails(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1
     assert proc.stdout == "" and proc.stderr.startswith(f"error: {tmp_path}")
+
+
+def test_the_gate_counts_only_the_worse_direction():
+    spec = importlib.util.spec_from_file_location("pairs", SCRIPT)
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    latency = {"name": "job_s", "better": "lower", "bound": 0.25}
+    ratio = {"name": "ok_ratio", "better": "higher", "bound": 0.01}
+    assert pairs.gate(latency, 1.0, 1.25) == "within bound 0.25"
+    assert pairs.gate(latency, 1.0, 1.26) == "past bound 0.25"
+    assert pairs.gate(latency, 1.0, 0.5) == "within bound 0.25"  # a gain
+    assert pairs.gate(ratio, 1.0, 0.98) == "past bound 0.01"
+    assert pairs.gate(ratio, 1.0, 0.995) == "within bound 0.01"
+    assert pairs.gate(ratio, 0.5, 1.0) == "within bound 0.01"  # a gain

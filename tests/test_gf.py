@@ -528,6 +528,25 @@ def test_element_degree_examples():
         element_degree(z, 4, 4)
 
 
+def test_element_degree_tests_only_proper_divisors(monkeypatch):
+    # d = n always holds in F_{q^n}, so a degree-n element makes one power per
+    # proper divisor of n: 5 at n = 12 (1, 2, 3, 4, 6), not 6
+    f4096 = make_field(2, 12)
+    calls = []
+    pow_code = gf.FieldCtx.pow_code
+
+    def counted(ctx, a, e):
+        calls.append(e)
+        return pow_code(ctx, a, e)
+
+    monkeypatch.setattr(gf.FieldCtx, "pow_code", counted)
+    assert element_degree(primitive_element(f4096), 2, 12) == 12
+    assert calls == [2 ** d for d in (1, 2, 3, 4, 6)]
+    calls.clear()
+    assert element_degree(primitive_element(make_field(3)), 3, 1) == 1
+    assert calls == []  # n = 1 has no proper divisor
+
+
 def test_element_degree_counts():
     # number of elements of each degree follows the subfield lattice
     f64 = make_field(2, 6)
