@@ -63,12 +63,6 @@ def _parse_range(flag: str, text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _poly_from_codes(q: int, codes: list[int]) -> PolyFq:
-    if any(not 0 <= c < q for c in codes):
-        raise ValueError(f"polynomial coefficients must be F_{q} codes in [0, {q})")
-    return PolyFq(value_field(q), codes)
-
-
 # how json writes each scalar type a payload holds
 _SCALARS = {bool: {True: "true", False: "false"}.__getitem__, int: int.__repr__,
             str: encode_basestring_ascii, type(None): lambda v: "null"}
@@ -257,7 +251,7 @@ def _cmd_delta(args) -> tuple[dict, int]:
 
 def _factor_verdict(args, n: int, codes: list[int]) -> tuple[dict, int]:
     check_size(args.q, n, args.cap, field=True)
-    h = _poly_from_codes(args.q, codes)
+    h = PolyFq(value_field(args.q), codes)
     verdict = degree_n_factor_test(h, args.q, n, subfield_order=args.L)
     return ({"status": verdict.status, "r": verdict.least_period,
              "threshold": verdict.threshold}, 0 if verdict.proven else 1)

@@ -88,8 +88,7 @@ class CyclicFn:
 
     def __init__(self, ctx: FieldCtx, codes):
         codes = tuple(codes)
-        if not codes:
-            raise ValueError("modulus N must be at least 1")
+        _check_modulus(len(codes))
         self.ctx = ctx
         self.N = len(codes)
         self.codes = codes
@@ -415,8 +414,7 @@ def least_period_of_sequence(vals) -> int:
     """Least period of an arbitrary cyclic sequence, by prime descent."""
     vals = list(vals)
     N = len(vals)
-    if not N:
-        raise ValueError("modulus N must be at least 1")
+    _check_modulus(N)
     # a shift t | N is a period iff vals[i + t] = vals[i] for i < N - t; the
     # comparison stops at the first mismatch
     return least_period_by_descent(N, lambda t: vals[t:] == vals[:-t])

@@ -88,7 +88,8 @@ oversized n before forming q**n.  ``symfun.mask_period`` does not, by
 design: it reads the digits of single points and builds no list of length
 q**n - 1, so ``mask_period(3, 30, 1, ...)`` answers in milliseconds.
 ``harness.verify_period_claims``, the report of a sweep row, asks
-``check_size`` before it.
+``check_size`` before it.  ``check_modulus`` alone tests that a given N,
+a field's order - 1 included, is q**n - 1.
 """
 
 from __future__ import annotations
@@ -136,9 +137,12 @@ def check_size(q: int, n: int, cap: int | None = None, field: bool = False) -> i
 
 
 def check_modulus(N: int, q: int, n: int, what: str) -> None:
-    """Refuse the modulus N of a ``what`` on Z_N unless N = q**n - 1; an n past
-    N's bit length before q**n is formed (q**n - 1 > N for any q >= 2)."""
-    if n > N.bit_length():
+    """Refuse the modulus N of a ``what`` on Z_N unless N = q**n - 1: q < 2 by
+    name, and an n below 1 or past N's bit length before q**n is formed
+    (q**n - 1 > N for any q >= 2).  The package's one test of that fact."""
+    if q < 2:
+        raise ValueError(f"q must be at least 2, not q={q}")
+    if not 1 <= n <= N.bit_length():
         raise ValueError(f"{what} modulus {N} is not q**n - 1 for n={n}")
     if q ** n - 1 != N:
         raise ValueError(f"{what} modulus {N} is not q**n - 1 = {q ** n - 1}")
@@ -1028,22 +1032,16 @@ def primitive_element(ctx: FieldCtx) -> FieldElement:
     return FieldElement(ctx, ctx.zeta_code)
 
 
-def _check_tower(ctx: FieldCtx, q: int, n: int):
-    """Refuse (q, n) unless q**n is the field's order; an n past the order's
-    bit length before q**n is formed (q**n > order for any q >= 2)."""
-    if n < 1 or q < 2 or n > ctx.order.bit_length() or q ** n != ctx.order:
-        raise ValueError(f"q**n = {q}**{n} does not match field order {ctx.order}")
-
-
 def element_degree(xi: FieldElement, q: int, n: int) -> int:
     """Degree of xi over F_q inside F_{q^n}: smallest d | n with xi in F_{q^d}.
 
     The package's one degree rule, read by the witness root check and by
-    ``cyclic``'s coset walk.  d = n always holds in F_{q^n}, so it is not
-    tested.  The zero element lies in every subfield: it reports degree 1.
+    ``cyclic``'s coset walk, once ``check_modulus`` matches q**n to the
+    field's order.  d = n always holds in F_{q^n}, so it is not tested.  The
+    zero element lies in every subfield: it reports degree 1.
     """
     ctx = xi.ctx
-    _check_tower(ctx, q, n)
+    check_modulus(ctx.order - 1, q, n, "field")
     return next((d for d in numtheory.divisors(n)[:-1]
                  if ctx.pow_code(xi.code, q ** d) == xi.code), n)
 
@@ -1053,10 +1051,11 @@ def char_poly(xi: FieldElement, q: int, n: int) -> PolyFq:
 
     Computed as the product of (x - xi**(q**k)) for k = 0..n-1; equals the
     minimal polynomial of xi raised to the power n / deg(xi).  Coefficients
-    provably lie in the F_q-subfield of the ambient context.
+    provably lie in the F_q-subfield of the ambient context.  (q, n) is
+    matched to the field by ``check_modulus``, as in ``element_degree``.
     """
     ctx = xi.ctx
-    _check_tower(ctx, q, n)
+    check_modulus(ctx.order - 1, q, n, "field")
     conj = []
     e = 1
     for _ in range(n):

@@ -327,9 +327,10 @@ def _check_grid(cfg: SweepConfig) -> list[int]:
     """The grid's q in ascending order, or ValueError if it has no row to run.
 
     The error names its cause: no q, a q that is not a prime power, a
-    reversed n range, a row at n = 1, a pinned w outside [1, n] for every n,
-    no n >= 2, only the norm-of-zero cell w = n with c = 0, or every row past
-    the size cap or a hard limit (``SweepConfig.fits``).
+    pinned c that is no code of F_q for the least q, a reversed n range, a
+    row at n = 1, a pinned w outside [1, n] for every n, no n >= 2, only the
+    norm-of-zero cell w = n with c = 0, or every row past the size cap or a
+    hard limit (``SweepConfig.fits``).
 
     ``check_size`` refuses every n past MODULUS_GUARD's bit length, so the
     search for a row that fits stops there however long the n range.
@@ -344,6 +345,9 @@ def _check_grid(cfg: SweepConfig) -> list[int]:
     for q in qs:
         if q <= MODULUS_GUARD + 1:  # a larger q fits no n, so it is never factored
             prime_power(q)
+    c = cfg.pinned_c
+    if c is not None and not 0 <= c < qs[0]:  # a norm row with no witness reads no c
+        raise ValueError(f"pinned c={c} is not an F_{qs[0]} code")
     lo, hi = cfg.n_range
     if lo > hi:
         raise ValueError(f"n range {lo}:{hi} is empty")

@@ -130,13 +130,13 @@ def _frobenius_fixed(folded: dict[int, int], ctx: FieldCtx, N: int, t: int) -> b
 
 
 def _root_gcd(h: PolyFq, q: int, n: int,
-              subfield_order: int | None) -> tuple[int, dict[int, int], PolyFq]:
-    """Validate a root-indicator request; return (N, h mod (x**N - 1), g).
+              subfield_order: int | None) -> tuple[int, PolyFq]:
+    """Validate a root-indicator request; return (N, g).
 
     N = q**n - 1; a given #L is checked to be the order of a subfield of
-    F_{q^n} containing h(F_{q^n}^x), by the Frobenius fixed-point test on the
-    folded h (`_frobenius_fixed`), which only that check and the search for
-    L read.  g = gcd(h, x**N - 1) monic, taken as gcd(x**N mod h - 1, h) by
+    F_{q^n} containing h(F_{q^n}^x), by the Frobenius fixed-point test on
+    h mod (x**N - 1) (`_fold`), which only that check and the search for L
+    form.  g = gcd(h, x**N - 1) monic, taken as gcd(x**N mod h - 1, h) by
     Euclid's rule for every nonzero h; g = x**N - 1 when h vanishes at every
     N-th root of unity.  g is squarefree, since p does not divide N.  No
     verdict depends on L, so none is searched for here.
@@ -151,7 +151,6 @@ def _root_gcd(h: PolyFq, q: int, n: int,
     N = check_size(q, n, field=True)
     ctx = h.ctx
     p, m = ctx.p, ctx.m
-    folded = _fold(h, N)
     if subfield_order is not None:
         # a subfield has order p**t with t | m*n, never above N + 1, so a
         # larger order is refused before it is factored
@@ -159,10 +158,10 @@ def _root_gcd(h: PolyFq, q: int, n: int,
                  if subfield_order <= N + 1 else (0, 1))
         if pp != p or (m * n) % t:
             raise ValueError(f"F_{subfield_order} is not a subfield of F_{N + 1}")
-        if not _frobenius_fixed(folded, ctx, N, t):
+        if not _frobenius_fixed(_fold(h, N), ctx, N, t):
             raise ValueError(f"image of h is not contained in F_{subfield_order}")
     g = poly_gcd(PolyFq(ctx, x_pow_mod(ctx, N, h.codes)) - PolyFq(ctx, (1,)), h)
-    return N, folded, g
+    return N, g
 
 
 def build_root_indicator(h: PolyFq, q: int, n: int,
@@ -189,9 +188,10 @@ def build_root_indicator(h: PolyFq, q: int, n: int,
     verdicts read S's least period as the order of x modulo g, and the
     tests hold them to this dense construction.
     """
-    N, folded, g = _root_gcd(h, q, n, subfield_order)
+    N, g = _root_gcd(h, q, n, subfield_order)
     ctx = h.ctx
     if subfield_order is None:
+        folded = _fold(h, N)
         t = next(t for t in numtheory.divisors(ctx.m * n)
                  if _frobenius_fixed(folded, ctx, N, t))
         subfield_order = ctx.p ** t
@@ -222,7 +222,7 @@ def degree_n_factor_test(h: PolyFq, q: int, n: int,
     (no roots on the N-th roots of unity) gives r = 1; h vanishing at all of
     them gives g = x**N - 1, whose order of x is N, so r = N.
     """
-    N, _, g = _root_gcd(h, q, n, subfield_order)
+    N, g = _root_gcd(h, q, n, subfield_order)
     one = [1] if g.degree else []  # 1 mod g; g = 1 makes every t a period
     r = least_period_by_descent(N, lambda t: x_pow_mod(h.ctx, t, g.codes) == one)
     return _verdict(r, q, n)

@@ -100,14 +100,12 @@ def delta(q: int, n: int, w: int) -> CyclicFn:
     return CyclicFn.from_support(ctx, support.N, support.members)
 
 
-@lru_cache(maxsize=1)
 def _weight_counts(q: int, n: int, w: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The counts A_0, ..., A_{q-1} mod p as sparse (index, count) pairs.
 
     A_k = A_{k-1} (*) 1_Omega(w), accumulated in plain ints and reduced mod p
-    once per level; pairs whose count vanishes mod p are dropped.  One entry
-    is cached: `delta_mask` for every c of one (q, n, w) in a row reads it
-    once.
+    once per level; pairs whose count vanishes mod p are dropped.  Nothing
+    is cached: a sweep reads it once per (q, n, w') (`_counts_symmetric`).
     """
     p = numtheory.prime_power(q)[0]
     support = omega(q, n, w)  # check_size refuses a huge n first

@@ -158,7 +158,8 @@ def check_grid_oracle(cfg):
     a norm of zero).  A row at n = 1 refuses the grid, and so does a range
     with no row, by the first of its causes: a pinned w that fits no n, no
     n >= 2 with a w, or a lone norm-of-zero cell.  Every q up to
-    MODULUS_GUARD + 1 must be a prime power, by `prime_power_loop`.
+    MODULUS_GUARD + 1 must be a prime power, by `prime_power_loop`, and a
+    pinned c a code of every F_q, the first q it fails named.
     """
     qs = sorted(set(cfg.q_list))
     if not qs:
@@ -168,6 +169,10 @@ def check_grid_oracle(cfg):
     for q in qs:
         if q <= MODULUS_GUARD + 1:
             prime_power_loop(q)
+    c = cfg.pinned_c
+    bad = [q for q in qs if c is not None and not 0 <= c < q]
+    if bad:
+        raise ValueError(f"pinned c={c} is not an F_{bad[0]} code")
     lo, hi = cfg.n_range
     if lo > hi:
         raise ValueError(f"n range {lo}:{hi} is empty")

@@ -143,6 +143,13 @@ MUTANTS = (
             "tests/test_gf.py::test_element_degree_counts"),
            "the degree rule skips the largest proper divisor of n too, so an "
            "element of F_{q^d}, d that divisor, reads as degree n"),
+    Mutant("empty-modulus-check-dropped", "src/hmdft/cyclic.py",
+           (("    if N < 1:\n"
+             "        raise ValueError(f\"modulus N must be at least 1, not N={N}\")\n",
+             "    pass\n"),),
+           ("tests/test_cyclic.py::test_cyclic_refusals",),
+           "Z_N with N < 1 is built: SupportSet reduces mod 0 or a negative N, "
+           "and CyclicFn holds no value at all"),
     Mutant("top-binomials-sign-flip", "src/hmdft/numtheory.py",
            (("[p - 1 if sum(digits(k, p)) % 2 else 1 ",
              "[1 if sum(digits(k, p)) % 2 else p - 1 "),),
@@ -237,9 +244,19 @@ MUTANTS = (
            (("        if codes and not 0 <= min(codes) <= max(codes) < ctx.order:\n"
              "            raise ValueError(f\"coefficient code out of range for F_{ctx.order}\")\n",
              ""),),
-           ("tests/test_gf.py::test_gf_refusals",),
+           ("tests/test_gf.py::test_gf_refusals",
+            "tests/test_refusals.py::test_a_refusal_is_a_plain_value_error"),
            "PolyFq keeps a code outside [0, order), which the field's tables "
-           "read, a negative one from their end, as some other code"),
+           "read, a negative one from their end, as some other code; the "
+           "CLI's --poly has no range check of its own"),
+    Mutant("check-modulus-q-floor-dropped", "src/hmdft/gf.py",
+           (("    if q < 2:\n"
+             "        raise ValueError(f\"q must be at least 2, not q={q}\")\n"
+             "    if not 1 <= n <= N.bit_length():\n",
+             "    if not 1 <= n <= N.bit_length():\n"),),
+           ("tests/test_symfun.py::test_symfun_refusals",),
+           "check_modulus takes a negative q whose q**n - 1 is N, as (-3)**2 - 1 "
+           "= 8, and is_q_symmetric reads an asymmetric f on Z_8 as symmetric"),
     Mutant("oracle-gcd-step-dropped", "src/hmdft/gf.py",
            (("        if k in gcd_at and len(_gcd(ctx, hm.codes, (PolyFq(ctx, f) - x).codes)) != 1:\n"
              "            return False\n", ""),),
@@ -277,6 +294,12 @@ MUTANTS = (
            ("tests/test_spectral.py::test_order_route_edge_cases",),
            "g = gcd(x**N mod h, h), not gcd(h, x**N - 1), so the all-roots "
            "h, where x**N mod h = 1, reads g = 1 and r = 1, not N"),
+    Mutant("grid-pinned-c-unchecked", "src/hmdft/harness.py",
+           (("    if c is not None and not 0 <= c < qs[0]:  # a norm row with no witness reads no c\n"
+             "        raise ValueError(f\"pinned c={c} is not an F_{qs[0]} code\")\n", ""),),
+           ("tests/test_cli.py::test_hm_verify_refuses_a_pinned_c_outside_f_q",),
+           "a pinned c that is no F_q code reaches the rows, and a norm row "
+           "with no witness, which reads no c, reports it ok"),
     Mutant("parser-required-check-dropped", "src/hmdft/cli.py",
            (("    if missing:\n"
              "        _usage(cmd, \"the following flags are required: \" + \", \".join(missing))\n",

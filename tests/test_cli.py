@@ -702,7 +702,7 @@ def _grids(draw):
                        w_policy=draw(st.sampled_from(["half", "full"])),
                        size_cap=cap, with_witness=draw(st.booleans()),
                        pinned_w=draw(st.one_of(st.none(), st.integers(-2, 42))),
-                       pinned_c=draw(st.sampled_from([None, 0, 1])))
+                       pinned_c=draw(st.sampled_from([None, 0, 1, -1, 2, 4])))
 
 
 @settings(max_examples=200, deadline=None)
@@ -715,6 +715,23 @@ def _grids(draw):
 @example(SweepConfig(q_list=(3,), n_range=(0, 4), pinned_w=1, pinned_c=1))
 def test_check_grid_matches_oracle(cfg):
     assert _outcome(_check_grid, cfg) == _outcome(check_grid_oracle, cfg)
+
+
+# a norm row (w = n) with no witness reads no c: these grids once reported
+# c = 4 over F_3 and c = 2 over F_2 as ok rows and exited 0
+BAD_PINNED_C = {
+    "c-4-over-f3": (("--q", "3,5", "--n", "3", "--w", "3", "--c", "4"), 3),
+    "c-2-over-f2": (("--q", "2", "--n", "2", "--w", "2", "--c", "2"), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PINNED_C))
+def test_hm_verify_refuses_a_pinned_c_outside_f_q(capsys, tmp_path, name):
+    grid, q = BAD_PINNED_C[name]
+    out_path = tmp_path / "report.txt"
+    code, out, err = run(capsys, "hm-verify", *grid, "--no-witness", "--out", str(out_path))
+    assert (code, out) == (2, "") and not out_path.exists()
+    assert err == f"error: pinned c={grid[-1]} is not an F_{q} code\n"
 
 
 @pytest.mark.parametrize("n_range", ["100:2000000", "100:200000000"])

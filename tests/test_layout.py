@@ -21,7 +21,8 @@ stays; every module-level private function and class is read somewhere in
 the package outside its own def, so no private helper outlives its callers.
 The package defines one exception class, ``gf.SizeCapError``, a
 direct subclass of ValueError, and every ``raise`` names it or a builtin
-exception.
+exception.  Every ``functools`` cache in the package is listed in
+``CACHES`` with the reader that hits it, so none outlives its traffic unseen.
 """
 
 import ast
@@ -561,3 +562,45 @@ def test_unread_private_def_check_catches_a_planted_name():
         used["cyclic"].body += trees["cyclic"].body[-2:]
         used["spectral"].body += ast.parse(use).body
         assert _unread_private_defs(used) == []
+
+
+# every functools cache of the package, with the reader that hits it; the
+# hits are those of the calls of the four benchmark workloads at seed 1,
+# run in one process each: verify-readme/periods-2e5/symmetry-readme/spectral-mix
+CACHES = {
+    "numtheory.prime_power": "value_field and the grid check, per q of a row or "
+                             "request: 367/914/390/134 hits",
+    "cyclic._primes_of": "least_period_by_descent, per N that rows and verdicts "
+                         "share: 144/413/130/66 hits",
+    "cyclo.threshold": "the period report of each sweep row and each spectral "
+                       "verdict: 144/404/130/65 hits",
+    "symfun._certificate_tries": "shift_certificate, shared by every c of one "
+                                 "(q, n, w): 377/1065/323/0 hits",
+}
+
+
+def _caches(trees):
+    """module.name of every def decorated with ``cache`` or ``lru_cache``, bare,
+    called or read through ``functools``."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                for dec in node.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", "")
+                    if name in ("cache", "lru_cache"):
+                        found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_every_cache_names_its_traffic():
+    assert _caches(_trees()) == sorted(CACHES)
+
+
+def test_cache_check_catches_a_planted_decorator():
+    trees = _trees()
+    trees["gf"].body += ast.parse(
+        "@functools.lru_cache(maxsize=1)\ndef _planted(x):\n    return x\n"
+        "@cache\ndef _also(x):\n    return x").body
+    assert _caches(trees) == sorted([*CACHES, "gf._also", "gf._planted"])

@@ -34,14 +34,14 @@ def _handler(*argv):
 # former class name: (call, a fragment of its message)
 REFUSALS = {
     "AlgebraError": (lambda: _handler("factor-test", "--q", "3", "--n", "2", "--poly", "1,3"),
-                     r"^polynomial coefficients must be F_3 codes in \[0, 3\)$"),
+                     "^coefficient code out of range for F_3$"),
     "NotPrimeError": (lambda: make_field(6), "^6 is not prime$"),
     "NotPrimePowerError": (lambda: numtheory.prime_power(12), "^12 is not a prime power$"),
     "SizeCapError-cap": (lambda: check_size(3, 9, cap=100),
                          r"^q\*\*n - 1 for \(q, n\) = \(3, 9\) exceeds the size cap 100$"),
     "SizeCapError-field": (lambda: make_field(2, 21), "exceeds the size cap 1048575$"),
     "BadTowerError": (lambda: element_degree(make_field(2, 4).element(2), 2, 3),
-                      r"^q\*\*n = 2\*\*3 does not match field order 16$"),
+                      r"^field modulus 15 is not q\*\*n - 1 = 7$"),
     "WeightRangeError": (lambda: omega(2, 4, 5), r"^w=5 outside \[0, 4\]$"),
     "OrderMismatchError": (lambda: dft(kronecker(make_field(2, 4), 15),
                                        make_field(2, 4).element(1)),

@@ -702,6 +702,9 @@ SPECTRAL_REFUSALS = [
     pytest.param(lambda: support_degree_test(SupportSet(15, (1,)), 3, 2), ValueError,
                  r"support modulus 15 is not q\*\*n - 1 = 8",
                  id=r"<lambda>-ValueError-support modulus 15 is not q\*\*n - 1 = 8"),
+    # (-2)**2 - 1 = 3: once passed the modulus check, refused later by Phi_n(q)
+    pytest.param(lambda: support_degree_test(SupportSet(3, [1]), -2, 2), ValueError,
+                 "^q must be at least 2, not q=-2$", id="support_degree_test-q-minus-2"),
 ]
 
 

@@ -207,14 +207,10 @@ def test_delta_mask_matches_convolution_oracle():
     for p, j, m in [(2, 2, 4), (3, 1, 3)]:
         small, big = make_field(p, j), make_field(p, m)
         cases += _oracle_grid(small.order, big, subfield_embedding(small, big).lift_codes)
-    # consecutive calls differ in (q, n, w), so each one rebuilds the counts
-    assert all(a[:3] != b[:3] for a, b in zip(cases, cases[1:]))
-    _weight_counts.cache_clear()
     for q, n, w, c, ctx, lift in cases:
         oracle = convolution_delta_mask(q, n, w, ctx.element(lift([c])[0]), ctx)
         assert lift(delta_mask(q, n, w, c).codes) == list(oracle.codes), \
             (q, n, w, c, ctx.order)
-    assert _weight_counts.cache_info().misses == len(cases)
 
 
 def _dense_grid(limit, weights):
@@ -641,6 +637,22 @@ def test_a_modulus_other_than_q_to_the_n_minus_1_is_refused(caller, n, text):
     # is formed, and one within it by the value of 3**n - 1
     with pytest.raises(ValueError, match=r"modulus 8 is not q\*\*n - 1 " + text):
         MODULUS_CALLERS[caller](8, n)
+
+
+# (-3)**2 - 1 = 8: is_q_symmetric once read this asymmetric f as symmetric
+SYMFUN_REFUSALS = [
+    pytest.param(lambda: is_q_symmetric(CyclicFn(make_field(3), [0, 1, 2, 0, 0, 0, 0, 1]),
+                                        -3, 2),
+                 "^q must be at least 2, not q=-3$", id="is_q_symmetric-q-minus-3"),
+    pytest.param(lambda: is_q_symmetric(CyclicFn(make_field(3), [0] * 8), 3, 0),
+                 r"^function modulus 8 is not q\*\*n - 1 for n=0$", id="is_q_symmetric-n-0"),
+]
+
+
+@pytest.mark.parametrize("call, text", SYMFUN_REFUSALS)
+def test_symfun_refusals(call, text):
+    with pytest.raises(ValueError, match=text):
+        call()
 
 
 def test_mask_support_digit_sum_bound():
