@@ -56,6 +56,7 @@ from .symfun import (
     delta_mask,
     is_q_symmetric,
     mask_period,
+    mask_periods,
     omega,
     phi_rho,
 )

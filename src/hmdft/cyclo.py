@@ -14,7 +14,7 @@ classical identities
 are re-derived as a self-check the first time each (n, q) is asked for;
 by the lcm form q**d - 1 divides the threshold for every proper d | n, that
 is, Phi_n(q) divides (q**n - 1)/(q**d - 1).  `threshold` is memoised, since
-a sweep asks for the same (n, q) once per row.
+the spectral verdicts ask for the same (n, q) again.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 
+from .gf import check_q
 from .numtheory import divisors, prime_factors
 
 
@@ -29,8 +30,7 @@ def cyclotomic_value(n: int, q: int) -> int:
     """Phi_n(q) as an exact integer (n >= 1, q >= 2)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    check_q(q)
     num = den = 1
     # mu(d) is nonzero on the squarefree d | n alone: products of distinct primes
     signed = [(1, 1)]

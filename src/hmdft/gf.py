@@ -87,8 +87,8 @@ Z_{q^n-1} or the field F_{q^n} first asks ``check_size``, which refuses an
 oversized n before forming q**n.  ``symfun.mask_period`` does not, by
 design: it reads the digits of single points and builds no list of length
 q**n - 1, so ``mask_period(3, 30, 1, ...)`` answers in milliseconds.
-``harness.verify_period_claims``, the report of a sweep row, asks
-``check_size`` before it.  ``check_modulus`` alone tests that a given N,
+``harness.verify_period_claims`` and the sweep's reports of one (q, n)
+ask ``check_size`` before it.  ``check_modulus`` alone tests that a given N,
 a field's order - 1 included, is q**n - 1.
 """
 
@@ -114,6 +114,12 @@ class SizeCapError(ValueError):
     """q**n - 1 is over the size cap or a hard limit (``check_size``)."""
 
 
+def check_q(q: int) -> None:
+    """Refuse a q below 2, naming it: the package's one q >= 2 rule."""
+    if q < 2:
+        raise ValueError(f"q must be at least 2, not q={q}")
+
+
 def check_size(q: int, n: int, cap: int | None = None, field: bool = False) -> int:
     """N = q**n - 1, or SizeCapError when N is over the cap or a hard limit.
 
@@ -124,8 +130,7 @@ def check_size(q: int, n: int, cap: int | None = None, field: bool = False) -> i
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, not n={n}")
-    if q < 2:
-        raise ValueError(f"q must be at least 2, not q={q}")
+    check_q(q)
     limit = MODULUS_GUARD if cap is None else min(cap, MODULUS_GUARD)
     if field:
         limit = min(limit, FIELD_ORDER_CAP - 1)
@@ -140,8 +145,7 @@ def check_modulus(N: int, q: int, n: int, what: str) -> None:
     """Refuse the modulus N of a ``what`` on Z_N unless N = q**n - 1: q < 2 by
     name, and an n below 1 or past N's bit length before q**n is formed
     (q**n - 1 > N for any q >= 2).  The package's one test of that fact."""
-    if q < 2:
-        raise ValueError(f"q must be at least 2, not q={q}")
+    check_q(q)
     if not 1 <= n <= N.bit_length():
         raise ValueError(f"{what} modulus {N} is not q**n - 1 for n={n}")
     if q ** n - 1 != N:

@@ -18,22 +18,24 @@ holds the one grid check, for `hm-verify` and Python callers alike: a grid
 with no row to run, or a q that is not a prime power, is refused before any
 row is computed.
 
+One (q, n) is the unit of a sweep: `_reports` builds each row's report
+once, fields all set, from one threshold, and `verify_period_claims` is its
+one-row call.  The rows of a weight class w' = min(w, n - w) share one
+`symfun.mask_periods` call, which runs the prime descent of
+`cyclic.least_period_by_descent` per c, refutes most shifts from the digits
+of one integer, with one verdict table per side of zero, and reads the mask
+at its support points only for the rest.  The q-symmetry check reads the
+dense route's counts (symfun's A_k): its verdict pair, for every c != 0 and
+for c = 0, is formed once per w' by `symfun._counts_symmetric`, so no sweep
+builds a dense `delta_mask`.  The two mask routes count A_k independently;
+they share the argument checks and F_q (`symfun._check_mask_args`) and
+every level's coefficient (`symfun._level_coefs`, over `top_binomials`).
+
 A witness is the characteristic polynomial of some power of the canonical
 generator of F_{q^n}; its coefficients are constant on Frobenius orbits, so
 the search visits orbit leaders only, and one scan per (q, n) answers every
 (w, c) row of a sweep.  Each distinct witness h is certified once, before any
 row reports it, at its root alpha: alpha of degree n and h(alpha) = 0.
-
-r comes from `symfun.mask_period`, which runs the one prime descent of
-`cyclic.least_period_by_descent`, refutes most shifts from the digits of one
-integer and reads the mask at its support points only for the rest.  The
-q-symmetry check reads the dense route's counts (symfun's A_k): its verdict
-pair, for every c != 0 and for c = 0, is formed once per
-(q, n, min(w, n - w)) by `symfun._counts_symmetric` and kept for every row
-of the (q, n), so no sweep builds a dense `delta_mask`.  The two mask
-routes count A_k independently; they share the argument checks and F_q
-(`symfun._check_mask_args`) and every level's coefficient
-(`symfun._level_coefs`, over `top_binomials`).
 
 The regime analysis covers w <= n/2.  A sweep in full-w mode delegates
 n/2 < w < n to n - w (coefficient prescription is symmetric under taking
@@ -54,6 +56,7 @@ from .gf import (
     PolyFq,
     SizeCapError,
     char_poly,
+    check_q,
     check_size,
     element_degree,
     make_field,
@@ -61,7 +64,7 @@ from .gf import (
     value_field,
 )
 from .numtheory import prime_power
-from .symfun import _counts_symmetric, mask_period
+from .symfun import _counts_symmetric, mask_periods
 
 DEFAULT_SIZE_CAP = 20000
 
@@ -170,10 +173,9 @@ def verify_period_claims(q: int, n: int, w: int, c: int,
                          cap: int = DEFAULT_SIZE_CAP) -> PeriodReport:
     """Compute the least period of the (w, c) mask, check every claim.
 
-    r comes from ``symfun.mask_period``, which refutes most shifts by the
-    digit test, reads one-point counts for the rest and builds no dense
-    list.  Pre: 1 <= w <= n/2.  The excluded input (c = 0, n = 2, q even)
-    yields a report labelled Excluded with no claims checked.
+    The one-row call of the sweep's report builder ``_reports``.  Pre:
+    1 <= w <= n/2.  The excluded input (c = 0, n = 2, q even) yields a
+    report labelled Excluded with no claims checked.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -181,24 +183,50 @@ def verify_period_claims(q: int, n: int, w: int, c: int,
         raise ValueError(f"w={w} outside [1, {n // 2}]")
     if not 0 <= c < q:
         raise ValueError(f"c={c} is not an F_{q} code")
-    N = check_size(q, n, cap)
+    check_size(q, n, cap)
     value_field(q)  # an excluded row of a q = 6 is an error too
-    thr = threshold(n, q)
-    label = classify_case(q, n, w, c)
-    if label == CASE_EXCLUDED:
-        return PeriodReport(q=q, n=n, w=w, c=c, threshold=thr, case_label=label)
-    r = mask_period(q, n, w, c)
-    if label == CASE_MAX:
-        case_claim = r == N
-    elif label == CASE_HALF:
-        case_claim = 2 * r >= N
-    else:
-        case_claim = r > q - 1
-    return PeriodReport(q=q, n=n, w=w, c=c, threshold=thr, case_label=label,
-                        r=r,
-                        r_gt_threshold=r > thr,
-                        r_not_dividing_threshold=thr % r != 0,
-                        case_claim=case_claim)
+    return _reports(q, n, [(w, c)], cap)[0]
+
+
+def _reports(q: int, n: int, rows, cap: int, witness: bool = False,
+             symmetry: bool = False) -> list[PeriodReport]:
+    """The report of every (w, c) of ``rows`` at one (q, n), each built once.
+
+    The caller has checked (q, n) against the cap and each row (n >= 2,
+    1 <= w <= n, c an F_q code).  Rows n/2 < w < n are delegated to n - w.
+    Each w' = min(w, n - w) makes one ``mask_periods`` call over the c of
+    its period rows and, if asked, one ``_counts_symmetric`` call.
+    """
+    N, thr = q ** n - 1, threshold(n, q)
+    labels = [CASE_NORM if w == n else classify_case(q, n, min(w, n - w), c)
+              for w, c in rows]
+    classes: dict[int, dict] = {}  # w' -> the c of its rows with a period
+    for (w, c), label in zip(rows, labels):
+        if label not in (CASE_NORM, CASE_EXCLUDED):
+            classes.setdefault(min(w, n - w), {})[c] = None
+    periods = {(v, c): r for v, cs in classes.items()
+               for c, r in zip(cs, mask_periods(q, n, v, cs))}
+    verdicts = {v: _counts_symmetric(q, n, v) for v in classes} if symmetry else {}
+    wits = _witnesses(q, n, rows, cap) if witness else {}
+    out = []
+    for (w, c), label in zip(rows, labels):
+        v, fields = min(w, n - w), {}
+        r = periods.get((v, c))
+        if r is not None:
+            fields.update(r=r, r_gt_threshold=r > thr, r_not_dividing_threshold=thr % r != 0,
+                          case_claim=(r == N if label == CASE_MAX else
+                                      2 * r >= N if label == CASE_HALF else r > q - 1),
+                          symmetric=verdicts[v][c == 0] if symmetry else None)
+        if witness:
+            wit, expected = wits[w, c], label != CASE_EXCLUDED
+            if wit is None:
+                fields.update(witness_ok=not expected)
+            else:
+                fields.update(witness=tuple(wit.codes), witness_ok=expected and (
+                    wit.degree == n and wit.is_monic and wit[n - w].code == c))
+        out.append(PeriodReport(q=q, n=n, w=w, c=c, threshold=thr, case_label=label,
+                                delegated_to_w=v if 0 < v < w else None, **fields))
+    return out
 
 
 def find_witness(q: int, n: int, w: int, c: int,
@@ -210,6 +238,12 @@ def find_witness(q: int, n: int, w: int, c: int,
     with degree n and the prescribed coefficient, certified at its root.  None
     only once every orbit leader is used up (exactly the genuine exceptions).
     """
+    if not 1 <= w <= n:
+        raise ValueError(f"w={w} outside [1, {n}]")
+    if not 0 <= c < q:
+        raise ValueError(f"c={c} is not an F_{q} code")
+    if w == n and c == 0:
+        raise ValueError("the norm of a nonzero element is never 0")
     return _witnesses(q, n, [(w, c)], cap)[w, c]
 
 
@@ -222,15 +256,9 @@ def _witnesses(q: int, n: int, rows, cap: int) -> dict:
     matches it against every pending (n - w, lifted c) key at once, until
     no row is pending.  The least matching k always leads its orbit, so each
     row gets the polynomial of a scan of every power.  Each distinct
-    witness is certified once, by ``_root_certifies`` at zeta**k.
+    witness is certified once, by ``_root_certifies`` at zeta**k.  The
+    caller has checked each row, as ``find_witness`` and the grid check do.
     """
-    for w, c in rows:
-        if not 1 <= w <= n:
-            raise ValueError(f"w={w} outside [1, {n}]")
-        if not 0 <= c < q:
-            raise ValueError(f"c={c} is not an F_{q} code")
-        if w == n and c == 0:
-            raise ValueError("the norm of a nonzero element is never 0")
     check_size(q, n, cap, field=True)
     small = value_field(q)
     big = make_field(small.p, small.m * n)
@@ -283,40 +311,6 @@ def _root_certifies(h: PolyFq, emb: Embedding, a: int) -> bool:
     return not PolyFq(big, emb.lift_codes(h.codes))(alpha)
 
 
-def _with_witness(report: PeriodReport, wit: PolyFq | None) -> PeriodReport:
-    """The report with the scan's witness (or its absence) checked and set."""
-    n, w, c = report.n, report.w, report.c
-    expected = report.case_label != CASE_EXCLUDED
-    if wit is None:
-        return report._replace(witness=None, witness_ok=not expected)
-    coeff_ok = wit.degree == n and wit.is_monic and wit[n - w].code == c
-    return report._replace(witness=tuple(wit.codes), witness_ok=expected and coeff_ok)
-
-
-def _sweep_tuple(q: int, n: int, w: int, c: int, cfg: SweepConfig,
-                 counts_verdicts: dict) -> PeriodReport:
-    """The row's period report, and its symmetry verdict if asked.
-
-    counts_verdicts holds `_counts_symmetric`'s pair (every c != 0, c = 0)
-    per w' = min(w, n - w) of the row's (q, n), formed by the first row
-    that asks; the row reads the entry of its c.
-    """
-    if w == n:
-        report = PeriodReport(q=q, n=n, w=w, c=c, threshold=threshold(n, q),
-                              case_label=CASE_NORM)
-    elif 2 * w > n:
-        base = verify_period_claims(q, n, n - w, c, cfg.size_cap)
-        report = base._replace(w=w, delegated_to_w=n - w)
-    else:
-        report = verify_period_claims(q, n, w, c, cfg.size_cap)
-    if cfg.check_symmetry and report.r is not None:
-        v = min(w, n - w)
-        if v not in counts_verdicts:
-            counts_verdicts[v] = _counts_symmetric(q, n, v)
-        report = report._replace(symmetric=counts_verdicts[v][c == 0])
-    return report
-
-
 def _cells(cfg: SweepConfig, q: int, n: int):
     """(w, c, row) per grid cell at (q, n); w = n with c = 0 is no row: no norm is 0."""
     cs = range(q) if cfg.pinned_c is None else (cfg.pinned_c,)
@@ -340,8 +334,7 @@ def _check_grid(cfg: SweepConfig) -> list[int]:
     qs = sorted(set(cfg.q_list))
     if not qs:
         raise ValueError("q list names no field size")
-    if qs[0] < 2:
-        raise ValueError(f"q must be at least 2, not q={qs[0]}")
+    check_q(qs[0])
     for q in qs:
         if q <= MODULUS_GUARD + 1:  # a larger q fits no n, so it is never factored
             prime_power(q)
@@ -393,20 +386,11 @@ def sweep(cfg: SweepConfig) -> SweepResult:
                 else:
                     skipped.append({"q": q, "n": n, "w": w, "c": c,
                                     "reason": "norm_of_zero_excluded"})
-            counts_verdicts = {}
-            row_reports = [_sweep_tuple(q, n, w, c, cfg, counts_verdicts) for w, c in rows]
-            if cfg.with_witness and rows:
-                wits = _witnesses(q, n, rows, cfg.size_cap)
-                row_reports = [_with_witness(rep, wits[rep.w, rep.c]) for rep in row_reports]
-            reports += row_reports
-    n_excluded = sum(1 for r in reports if r.case_label == CASE_EXCLUDED)
-    n_fail = sum(1 for r in reports if not r.passed)
-    summary = {
-        "total": len(reports),
-        "pass": len(reports) - n_fail,
-        "fail": n_fail,
-        "excluded": n_excluded,
-        "skipped": len(skipped),
-    }
-    return SweepResult(reports=tuple(reports), skipped=tuple(skipped),
-                       summary=summary)
+            if rows:
+                reports += _reports(q, n, rows, cfg.size_cap, cfg.with_witness,
+                                    cfg.check_symmetry)
+    n_fail = sum(not r.passed for r in reports)
+    summary = {"total": len(reports), "pass": len(reports) - n_fail, "fail": n_fail,
+               "excluded": sum(r.case_label == CASE_EXCLUDED for r in reports),
+               "skipped": len(skipped)}
+    return SweepResult(reports=tuple(reports), skipped=tuple(skipped), summary=summary)

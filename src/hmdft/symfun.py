@@ -27,7 +27,7 @@ p-entry value table per k: a residue r mod p is the prime-subfield code r.
 C(q-1, k) mod p is the sign (-1)**(base-p digit sum of k), by Lucas'
 theorem (`numtheory.top_binomials`).
 
-mask_period finds the least period of the same mask with no dense list, by a
+mask_periods finds the least period of the same mask with no dense list, by a
 second route.  It reads the mask one point at a time (MaskPoints): for x != 0
 the digit sum fixes the level k, and A_k(x) mod p is counted row by row over
 the sorted nonzero digits of x, memoised per reader.  So the two routes count
@@ -50,12 +50,13 @@ mask(s) = coef_1 != 0 at s = sum_S q**i if c != 0, and coef_{q-1} != 0 at
 s = (q-1) * sum_S q**i if c = 0 and w < n.  A nonzero (s +- t) mod N failing
 the digit test proves t is no period; refuting T = (q**n - 1)/Phi_n(q) shows
 r does not divide T, all the source paper's support lemma needs.  Only a
-shift `shift_certificate` leaves open reads counts: a true period (N/2 at
-c = 0, w = n/2, q odd), c = 0 with w = n, or a few like (2, 2, 1, 1).  Its
-check reads every point that passes the digit test, level by level.  The
-tries and each shift's verdict depend on c only through whether it is zero,
-so they are formed once per (q, n, w, c zero or not) and shared by every c
-of a sweep's (q, n, w); the count reader depends on c and is built per row.
+shift no certificate refutes reads counts: a true period (N/2 at c = 0,
+w = n/2, q odd), c = 0 with w = n, or a few like (2, 2, 1, 1).  Its check
+reads every point that passes the digit test, level by level.  The tries
+and each shift's verdict depend on c only through whether it is zero, so
+`mask_periods`, given every c of one (q, n, w), forms them once per side of
+zero for that call alone; the count reader depends on c and is built per c.
+`mask_period` is its one-c call; `shift_certificate` forms its tries anew.
 
 A function on Z_{q^n-1} is q-symmetric when it is invariant under every
 permutation of the base-q digits of its argument; phi_rho realizes one digit
@@ -73,12 +74,11 @@ builds no dense mask.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import comb
 
 from . import numtheory
 from .cyclic import CyclicFn, SupportSet, least_period_by_descent
-from .gf import check_modulus, check_size, value_field
+from .gf import check_modulus, check_q, check_size, value_field
 
 
 def omega(q: int, n: int, w: int) -> SupportSet:
@@ -126,11 +126,12 @@ def _weight_counts(q: int, n: int, w: int) -> tuple[tuple[tuple[int, int], ...],
     return tuple(levels)
 
 
-def _check_mask_args(q: int, n: int, w: int, c: int):
-    """F_q, once c is an F_q code and (w, c) names a mask over it."""
+def _check_mask_args(q: int, n: int, w: int, cs):
+    """F_q, once every c of cs is an F_q code and w names a mask over it."""
     ctx = value_field(q)
-    if not 0 <= c < q:
-        raise ValueError(f"c={c} is not an F_{q} code")
+    for c in cs:
+        if not 0 <= c < q:
+            raise ValueError(f"c={c} is not an F_{q} code")
     if not 1 <= w <= n:
         raise ValueError(f"w={w} outside [1, {n}]")
     if q == 2 and w == n:
@@ -145,7 +146,7 @@ def _level_coefs(q: int, n: int, w: int, c: int):
     s = (-1)**w; both mask routes read their coefficients here, once
     `_check_mask_args` has accepted (q, n, w, c).
     """
-    ctx = _check_mask_args(q, n, w, c)
+    ctx = _check_mask_args(q, n, w, (c,))
     mul, power, neg = ctx.mul_codes, ctx.pow_code, ctx.neg_code
     sign = 1 if w % 2 == 0 else neg(1)
     b = neg(c)
@@ -287,20 +288,17 @@ class MaskPoints:
 CERTIFICATE_TRIES = 4  # (S, sign) per shift: the first two w-sets S, +t then -t
 
 
-@lru_cache(maxsize=2)
 def _certificate_tries(q: int, n: int, w: int, zero: bool):
-    """The tries (s, sign) of every shift at (q, n, w, c zero or not), and their verdicts.
+    """The tries (s, sign) of every shift at (q, n, w) on one side of zero.
 
-    s = low * sum_S q**i with low = q - 1 at c = 0, else 1; at c = 0 with
-    w = n there is none, as s = N is 0 in Z_N.  The key is whether c is
-    zero, not low: at q = 2 both give low = 1, yet only c != 0 has tries at
-    w = n.  The dict memoises each shift's verdict.  Two entries are cached:
-    a sweep asks for every c of one (q, n, w) in a row.
+    s = low * sum_S q**i with low = q - 1 at c = 0, else 1; none at c = 0
+    with w = n, as s = N is 0 in Z_N.  The side is not low: at q = 2 both
+    sides have low = 1, yet only c != 0 has tries at w = n.
     """
     low = q - 1 if zero else 1
     subsets = itertools.combinations(range(n), w) if not zero or w < n else ()
     tries = ((low * sum(q ** i for i in S), sign) for S in subsets for sign in (1, -1))
-    return tuple(itertools.islice(tries, CERTIFICATE_TRIES)), {}
+    return tuple(itertools.islice(tries, CERTIFICATE_TRIES))
 
 
 def _refute(q: int, n: int, w: int, low: int, tries, t: int):
@@ -317,39 +315,49 @@ def _refute(q: int, n: int, w: int, low: int, tries, t: int):
 def shift_certificate(q: int, n: int, w: int, c: int, t: int):
     """(s, sign) with mask(s) != 0 = mask(s + sign*t), or None; c: zero or not.
 
-    The tries and each shift's verdict are shared by every c of one
-    (q, n, w) on the same side of zero (`_certificate_tries`).
+    Its tries are formed at each call; `mask_periods` shares them per side.
     """
     # no check_size: the digits of one integer are cheap past any cap
-    if q < 2:
-        raise ValueError(f"q must be at least 2, not q={q}")
+    check_q(q)
     if not 1 <= w <= n:
         raise ValueError(f"w={w} outside [1, {n}]")
-    tries, verdicts = _certificate_tries(q, n, w, not c)
-    if t not in verdicts:
-        verdicts[t] = _refute(q, n, w, 1 if c else q - 1, tries, t)
-    return verdicts[t]
+    return _refute(q, n, w, 1 if c else q - 1, _certificate_tries(q, n, w, not c), t)
+
+
+def mask_periods(q: int, n: int, w: int, cs) -> list[int]:
+    """The least period of delta_mask(q, n, w, c) for each c of the collection cs.
+
+    The prime descent of ``cyclic.least_period_by_descent`` per c, with no
+    dense mask.  A shift's certificate (`_refute`) is read from one verdict
+    table per side of zero; only a shift that none refutes goes to that c's
+    ``MaskPoints``, built at the first such shift.
+    """
+    _check_mask_args(q, n, w, cs)
+    tables = {}  # c zero or not -> (low, tries, the certificate of each shift met)
+    periods = []
+    for c in cs:
+        side = not c
+        if side not in tables:
+            tables[side] = (q - 1 if side else 1, _certificate_tries(q, n, w, side), {})
+        low, tries, verdicts = tables[side]
+        points = None
+
+        def is_period(t):
+            nonlocal points
+            if t not in verdicts:
+                verdicts[t] = _refute(q, n, w, low, tries, t)
+            if verdicts[t]:
+                return False
+            points = points or MaskPoints(q, n, w, c)
+            return points.has_period(t)
+
+        periods.append(least_period_by_descent(q ** n - 1, is_period))
+    return periods
 
 
 def mask_period(q: int, n: int, w: int, c: int) -> int:
-    """The least period of delta_mask(q, n, w, c), with no dense mask.
-
-    The prime descent of ``cyclic.least_period_by_descent``; a shift with no
-    ``shift_certificate`` goes to ``MaskPoints.has_period``, built once.  The
-    certificates' tries and verdicts are shared with every row of the same
-    (q, n, w) and c zero or not; the reader is this row's alone.
-    """
-    _check_mask_args(q, n, w, c)
-    points = None
-
-    def is_period(t):
-        nonlocal points
-        if shift_certificate(q, n, w, c, t):
-            return False
-        points = points or MaskPoints(q, n, w, c)
-        return points.has_period(t)
-
-    return least_period_by_descent(q ** n - 1, is_period)
+    """The least period of delta_mask(q, n, w, c): the one-c call of `mask_periods`."""
+    return mask_periods(q, n, w, (c,))[0]
 
 
 def _check_perm(rho, n: int) -> tuple[int, ...]:
@@ -369,8 +377,9 @@ def phi_rho(rho, k: int, q: int, n: int) -> int:
     indicators and their convolution powers.
     """
     rho = _check_perm(rho, n)
-    if q < 2 or n < 1:  # Z_{q^n-1} would be Z_0 or worse
-        raise ValueError(f"phi_rho needs q >= 2 and n >= 1, not q={q}, n={n}")
+    check_q(q)  # Z_{q^n-1} would be Z_0 or worse
+    if n < 1:
+        raise ValueError(f"n must be at least 1, not n={n}")
     d = numtheory.digits(k % (q ** n - 1), q, n)
     v = 0
     for i in reversed(range(n)):

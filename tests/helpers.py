@@ -15,11 +15,13 @@ import numpy as np
 from hmdft import CyclicFn, FieldElement, PolyFq, Verdict, char_poly, element_degree, \
     make_field, oracle_irreducible, poly_gcd, primitive_element, subfield_embedding, \
     threshold
-from hmdft import numtheory
+from hmdft import harness, numtheory
 from hmdft.cyclic import conv_power, kronecker, least_period_by_descent
-from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
+from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD, check_size
+from hmdft.harness import (CASE_EXCLUDED, CASE_HALF, CASE_MAX, CASE_NORM, PeriodReport,
+                           SweepResult, classify_case)
 from hmdft.numtheory import prime_power
-from hmdft.symfun import CERTIFICATE_TRIES, omega
+from hmdft.symfun import CERTIFICATE_TRIES, _counts_symmetric, mask_period, omega
 
 
 def brute_dft(f, zeta):
@@ -868,10 +870,9 @@ def shift_certificate_holds(mask_at, q, n, w, c, t, cert):
 
 
 def shift_certificate_per_call(q: int, n: int, w: int, c: int, t: int):
-    """``symfun.shift_certificate`` before its tries and verdicts were shared.
-
-    It forms the tries again and runs the digit test at every call; the
-    oracle for the shared version.
+    """The shift certificate with its tries formed again and the digit test
+    run at every call, in one function; the oracle for the verdict tables
+    that ``symfun.mask_periods`` shares per side of zero.
     """
     # no check_size: the digits of one integer are cheap past any cap
     if q < 2:
@@ -887,6 +888,105 @@ def shift_certificate_per_call(q: int, n: int, w: int, c: int, t: int):
         if d and (rest or not low <= k < q or max(d) > k):
             return s, sign
     return None
+
+
+def fresh_descent_period(q, n, w, c, met=None):
+    """The least period of the (w, c) mask by a descent of its own.
+
+    Each shift goes to ``shift_certificate_per_call`` and, if no certificate
+    refutes it, to a ``TableMaskPoints`` built for this row alone; nothing
+    is shared with another row.  ``met``, when given, collects each shift.
+    """
+    points = None
+
+    def is_period(t):
+        nonlocal points
+        if met is not None:
+            met.append(t)
+        if shift_certificate_per_call(q, n, w, c, t):
+            return False
+        points = points or TableMaskPoints(q, n, w, c)
+        return points.has_period(t)
+
+    return least_period_by_descent(q ** n - 1, is_period)
+
+
+def _row_report(q, n, w, c, cap):
+    """``harness.verify_period_claims`` as one row alone, before rows were grouped."""
+    N = check_size(q, n, cap)
+    thr = threshold(n, q)
+    label = classify_case(q, n, w, c)
+    if label == CASE_EXCLUDED:
+        return PeriodReport(q=q, n=n, w=w, c=c, threshold=thr, case_label=label)
+    r = mask_period(q, n, w, c)
+    if label == CASE_MAX:
+        case_claim = r == N
+    elif label == CASE_HALF:
+        case_claim = 2 * r >= N
+    else:
+        case_claim = r > q - 1
+    return PeriodReport(q=q, n=n, w=w, c=c, threshold=thr, case_label=label, r=r,
+                        r_gt_threshold=r > thr, r_not_dividing_threshold=thr % r != 0,
+                        case_claim=case_claim)
+
+
+def per_row_sweep(cfg):
+    """``harness.sweep`` as it was before one (q, n) became its unit.
+
+    Each row is checked and reported alone: a row above n/2 takes the report
+    of n - w and is then relabelled, each period is a ``mask_period`` call
+    of its own, and the symmetry and witness fields are set afterwards by
+    ``_replace``; the symmetry verdict is formed by the first row of each
+    w' = min(w, n - w) that asks.  The oracle of the grouped sweep.
+    """
+    reports, skipped = [], []
+    n_lo, n_hi = cfg.n_range
+    for q in check_grid_oracle(cfg):
+        for n in range(max(n_lo, 1), n_hi + 1):
+            if not cfg.fits(q, n):
+                skipped.append({"q": q, "n": n, "reason": "size_cap"})
+                continue
+            rows = []
+            for w in cfg.weights(n):
+                for c in range(q) if cfg.pinned_c is None else (cfg.pinned_c,):
+                    if w == n and c == 0:
+                        skipped.append({"q": q, "n": n, "w": w, "c": c,
+                                        "reason": "norm_of_zero_excluded"})
+                    else:
+                        rows.append((w, c))
+            verdicts = {}
+            row_reports = []
+            for w, c in rows:
+                if w == n:
+                    rep = PeriodReport(q=q, n=n, w=w, c=c, threshold=threshold(n, q),
+                                       case_label=CASE_NORM)
+                elif 2 * w > n:
+                    rep = _row_report(q, n, n - w, c, cfg.size_cap)._replace(
+                        w=w, delegated_to_w=n - w)
+                else:
+                    rep = _row_report(q, n, w, c, cfg.size_cap)
+                if cfg.check_symmetry and rep.r is not None:
+                    v = min(w, n - w)
+                    if v not in verdicts:
+                        verdicts[v] = _counts_symmetric(q, n, v)
+                    rep = rep._replace(symmetric=verdicts[v][c == 0])
+                row_reports.append(rep)
+            if cfg.with_witness and rows:
+                wits = harness._witnesses(q, n, rows, cfg.size_cap)
+                for i, rep in enumerate(row_reports):
+                    wit, expected = wits[rep.w, rep.c], rep.case_label != CASE_EXCLUDED
+                    if wit is None:
+                        rep = rep._replace(witness=None, witness_ok=not expected)
+                    else:
+                        ok = wit.degree == n and wit.is_monic and wit[n - rep.w].code == rep.c
+                        rep = rep._replace(witness=tuple(wit.codes), witness_ok=expected and ok)
+                    row_reports[i] = rep
+            reports += row_reports
+    n_fail = sum(not r.passed for r in reports)
+    summary = {"total": len(reports), "pass": len(reports) - n_fail, "fail": n_fail,
+               "excluded": sum(r.case_label == CASE_EXCLUDED for r in reports),
+               "skipped": len(skipped)}
+    return SweepResult(reports=tuple(reports), skipped=tuple(skipped), summary=summary)
 
 
 @lru_cache(maxsize=1)

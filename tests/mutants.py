@@ -191,11 +191,21 @@ MUTANTS = (
            "point is summed alone; each transform stays right, so only the "
            "pass count sees it"),
     Mutant("certificate-cache-keyed-on-low", "src/hmdft/symfun.py",
-           (("_certificate_tries(q, n, w, not c)",
-             "_certificate_tries(q, n, w, (1 if c else q - 1) == q - 1)"),),
+           (("        side = not c\n", "        side = (1 if c else q - 1) == q - 1\n"),),
            ("tests/test_symfun.py::test_shift_certificate_keys_on_whether_c_is_zero",),
-           "at q = 2 both c = 0 and c = 1 have low = 1, so c = 1 at w = n gets "
-           "c = 0's empty tries; the period stays right, only certificates go"),
+           "mask_periods keys its verdict tables on low, so at q = 2, where both "
+           "sides have low = 1, every c reads the c = 0 side's table; the tries "
+           "and digit tests agree there, so every period stays right and only "
+           "the tables formed show it"),
+    Mutant("verdicts-read-across-sides", "src/hmdft/symfun.py",
+           (("        low, tries, verdicts = tables[side]\n",
+             "        low, tries, verdicts = *tables[side][:2], tables.get(True, tables[side])[2]\n"),),
+           ("tests/test_symfun.py::test_mask_periods_match_a_fresh_descent_per_c",
+            "tests/test_harness.py::test_sweep_shares_certificates_and_factors_each_q_once"),
+           "once c = 0 has run, every c != 0 reads the c = 0 side's verdicts, "
+           "certificates from points of another mask; they refute only shifts "
+           "that are no period of a c != 0 mask on the grids, so the periods "
+           "stay right and only the digit tests made show it"),
     Mutant("level-coefs-neg-dropped", "src/hmdft/symfun.py",
            (("[neg(mul(binom[k], mul(power(sign, k), power(b, q - 1 - k))))",
              "[mul(binom[k], mul(power(sign, k), power(b, q - 1 - k)))"),),
@@ -250,13 +260,17 @@ MUTANTS = (
            "read, a negative one from their end, as some other code; the "
            "CLI's --poly has no range check of its own"),
     Mutant("check-modulus-q-floor-dropped", "src/hmdft/gf.py",
-           (("    if q < 2:\n"
-             "        raise ValueError(f\"q must be at least 2, not q={q}\")\n"
-             "    if not 1 <= n <= N.bit_length():\n",
+           (("    check_q(q)\n    if not 1 <= n <= N.bit_length():\n",
              "    if not 1 <= n <= N.bit_length():\n"),),
            ("tests/test_symfun.py::test_symfun_refusals",),
            "check_modulus takes a negative q whose q**n - 1 is N, as (-3)**2 - 1 "
            "= 8, and is_q_symmetric reads an asymmetric f on Z_8 as symmetric"),
+    Mutant("q-floor-admits-one", "src/hmdft/gf.py",
+           (("    if q < 2:\n        raise ValueError(f\"q must be at least 2, not q={q}\")\n",
+             "    if q < 1:\n        raise ValueError(f\"q must be at least 2, not q={q}\")\n"),),
+           ("tests/test_refusals.py::test_every_q_floor_refusal_reads_one_text",),
+           "check_q lets q = 1 through, so every rule that calls it reads "
+           "Z_{1^n - 1} = Z_0 and fails later, or not at all"),
     Mutant("oracle-gcd-step-dropped", "src/hmdft/gf.py",
            (("        if k in gcd_at and len(_gcd(ctx, hm.codes, (PolyFq(ctx, f) - x).codes)) != 1:\n"
              "            return False\n", ""),),
@@ -294,6 +308,12 @@ MUTANTS = (
            ("tests/test_spectral.py::test_order_route_edge_cases",),
            "g = gcd(x**N mod h, h), not gcd(h, x**N - 1), so the all-roots "
            "h, where x**N mod h = 1, reads g = 1 and r = 1, not N"),
+    Mutant("delegated-row-undelegated", "src/hmdft/harness.py",
+           (("delegated_to_w=v if 0 < v < w else None", "delegated_to_w=None"),),
+           ("tests/test_harness.py::test_sweep_full_w_policy_delegates",
+            "tests/test_harness.py::test_grouped_sweep_matches_the_per_row_sweep"),
+           "a row with n/2 < w < n reports the period of n - w without naming "
+           "it, as if its own mask had that period"),
     Mutant("grid-pinned-c-unchecked", "src/hmdft/harness.py",
            (("    if c is not None and not 0 <= c < qs[0]:  # a norm row with no witness reads no c\n"
              "        raise ValueError(f\"pinned c={c} is not an F_{qs[0]} code\")\n", ""),),

@@ -487,7 +487,7 @@ def _no_rows(monkeypatch):
     def no_row(*args):
         raise AssertionError("a row was computed")
 
-    monkeypatch.setattr(harness, "_sweep_tuple", no_row)
+    monkeypatch.setattr(harness, "_reports", no_row)
     monkeypatch.setattr(harness, "_witnesses", no_row)
 
 

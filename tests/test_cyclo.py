@@ -19,10 +19,14 @@ def test_cyclotomic_examples():
     assert cyclotomic_value(6, 3) == 7
 
 
-@pytest.mark.parametrize("n, q, text", [(0, 2, "n must be at least 1"),
-                                        (-3, 5, "n must be at least 1"),
-                                        (3, 1, "q must be at least 2"),
-                                        (2, 0, "q must be at least 2")])
+# fixed ids, the names pytest took from each case before the q refusals
+# named their value
+@pytest.mark.parametrize("n, q, text", [
+    (0, 2, "n must be at least 1"),
+    (-3, 5, "n must be at least 1"),
+    pytest.param(3, 1, "q must be at least 2, not q=1", id="3-1-q must be at least 2"),
+    pytest.param(2, 0, "q must be at least 2, not q=0", id="2-0-q must be at least 2"),
+])
 def test_cyclotomic_value_refusals(n, q, text):
     with pytest.raises(ValueError, match=f"^{text}$"):
         cyclotomic_value(n, q)

@@ -18,7 +18,7 @@ from hmdft import cli, delta_mask, gf, harness, is_q_symmetric, numtheory, symfu
 from hmdft.gf import SizeCapError
 from hmdft.harness import CASE_EXCLUDED, CASE_HALF, CASE_MAX, CASE_NORM, CASE_SMALL
 
-from helpers import ascending_scan_period, find_witness_scan_oracle, fits_oracle
+from helpers import ascending_scan_period, find_witness_scan_oracle, fits_oracle, per_row_sweep
 
 
 def test_classify_case_table():
@@ -143,7 +143,7 @@ def test_sweep_empty_grid():
 ], ids=["n-1-row", "reversed-n", "norm-of-zero-only", "w-fits-no-n", "n-below-2",
         "over-cap"])
 def test_sweep_refuses_a_grid_with_no_row_to_run(monkeypatch, cfg, text):
-    monkeypatch.setattr(harness, "_sweep_tuple", _no_work)
+    monkeypatch.setattr(harness, "_reports", _no_work)
     monkeypatch.setattr(harness, "_witnesses", _no_work)
     with pytest.raises(ValueError, match=text):
         sweep(cfg)
@@ -152,22 +152,22 @@ def test_sweep_refuses_a_grid_with_no_row_to_run(monkeypatch, cfg, text):
 @pytest.mark.parametrize("q_list", [(2, 3, 4, 5, 7, 8, 9, 10), (10, 2, 3)],
                          ids=["last", "first"])
 def test_sweep_refuses_a_non_prime_power_q_before_any_row(monkeypatch, q_list):
-    monkeypatch.setattr(harness, "_sweep_tuple", _no_work)
+    monkeypatch.setattr(harness, "_reports", _no_work)
     monkeypatch.setattr(harness, "_witnesses", _no_work)
     with pytest.raises(ValueError, match="^10 is not a prime power$"):
         sweep(SweepConfig(q_list=q_list, n_range=(2, 12), size_cap=200000))
 
 
 def _work_only_on(monkeypatch, q):
-    """Let the sweep do tuple work on the grid's q alone."""
-    real = harness._sweep_tuple
+    """Let the sweep do row work on the grid's q alone."""
+    real = harness._reports
 
-    def sweep_tuple(q_row, *args):
+    def reports(q_row, *args):
         if q_row != q:
             _no_work()
         return real(q_row, *args)
 
-    monkeypatch.setattr(harness, "_sweep_tuple", sweep_tuple)
+    monkeypatch.setattr(harness, "_reports", reports)
 
 
 def test_sweep_size_cap_recorded_not_fatal(monkeypatch):
@@ -232,21 +232,24 @@ def test_sweep_shares_weight_counts_across_c(monkeypatch):
 
 
 def test_sweep_shares_certificates_and_factors_each_q_once(monkeypatch):
-    # on the periods-2e5 grid, from cleared caches: the descents meet 1292
-    # shifts, which hold 632 distinct (q, n, w, c zero or not, t) digit
-    # tests over 227 point sets, and each of the 7 q is factored once
-    met, tested = [], []
-    search, refute = symfun.shift_certificate, symfun._refute
-    monkeypatch.setattr(symfun, "shift_certificate", lambda *args: met.append(args) or search(*args))
+    # on the periods-2e5 grid: the descents meet 1292 shifts, which hold 632
+    # distinct (q, n, w, c zero or not, t) digit tests over 227 try sets, one
+    # per side of zero of each (q, n, w) with a period row, and each of the
+    # 7 q is factored once
+    met, tested, formed = [], [], []
+    descent, refute, tries = (symfun.least_period_by_descent, symfun._refute,
+                              symfun._certificate_tries)
+    monkeypatch.setattr(symfun, "least_period_by_descent", lambda N, is_period: descent(
+        N, lambda t: met.append(t) or is_period(t)))
     monkeypatch.setattr(symfun, "_refute", lambda *args: tested.append(args) or refute(*args))
-    symfun._certificate_tries.cache_clear()
+    monkeypatch.setattr(symfun, "_certificate_tries",
+                        lambda *args: formed.append(args) or tries(*args))
     numtheory.prime_power.cache_clear()
     res = sweep(SweepConfig(q_list=(2, 3, 4, 5, 7, 8, 9), n_range=(2, 12),
                             size_cap=200000, with_witness=False))
     assert len(res.reports) == 451 and res.summary["fail"] == 0
-    assert (len(met), len(tested)) == (1292, 632)
-    assert len({(q, n, w, not c, t) for q, n, w, c, t in met}) == 632
-    assert symfun._certificate_tries.cache_info().misses == 227
+    assert (len(met), len(tested), len(formed)) == (1292, 632, 227)
+    assert len(set(formed)) == 227
     assert numtheory.prime_power.cache_info().misses == 7
 
 
@@ -321,6 +324,27 @@ def test_sweep_periods_match_dense_route_on_periods_grid():
     for r in rows:
         mask = delta_mask(r.q, r.n, r.w, r.c)
         assert r.r == ascending_scan_period(mask.codes), (r.q, r.n, r.w, r.c)
+
+
+# the per-row assembly is the oracle of the grouped sweep on the periods-2e5
+# grid, the 849-row grid and the README grid with every w, symmetry and
+# witnesses: (grid, its row count)
+PER_ROW_GRIDS = {
+    "periods-2e5": (SweepConfig(q_list=(2, 3, 4, 5, 7, 8, 9), n_range=(2, 12),
+                                size_cap=200000, with_witness=False), 451),
+    "849-rows": (SweepConfig(q_list=(2, 3, 4, 5, 7, 8, 9), n_range=(2, 30),
+                             size_cap=2 ** 22, with_witness=False), 849),
+    "readme-all-w": (SweepConfig(q_list=(2, 3, 4, 5, 7), n_range=(2, 6), w_policy="full",
+                                 check_symmetry=True), 354),
+}
+
+
+@pytest.mark.parametrize("cfg, rows", PER_ROW_GRIDS.values(), ids=PER_ROW_GRIDS)
+def test_grouped_sweep_matches_the_per_row_sweep(cfg, rows):
+    grouped, per_row = sweep(cfg), per_row_sweep(cfg)
+    assert grouped.reports == per_row.reports
+    assert (grouped.skipped, grouped.summary) == (per_row.skipped, per_row.summary)
+    assert len(grouped.reports) == rows and grouped.summary["fail"] == 0
 
 
 def _plant_counts(monkeypatch, points):

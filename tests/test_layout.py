@@ -568,14 +568,12 @@ def test_unread_private_def_check_catches_a_planted_name():
 # hits are those of the calls of the four benchmark workloads at seed 1,
 # run in one process each: verify-readme/periods-2e5/symmetry-readme/spectral-mix
 CACHES = {
-    "numtheory.prime_power": "value_field and the grid check, per q of a row or "
-                             "request: 367/914/390/134 hits",
+    "numtheory.prime_power": "value_field and the grid check, per q of a (q, n) "
+                             "or request: 75/130/125/134 hits",
     "cyclic._primes_of": "least_period_by_descent, per N that rows and verdicts "
                          "share: 144/413/130/66 hits",
-    "cyclo.threshold": "the period report of each sweep row and each spectral "
-                       "verdict: 144/404/130/65 hits",
-    "symfun._certificate_tries": "shift_certificate, shared by every c of one "
-                                 "(q, n, w): 377/1065/323/0 hits",
+    "cyclo.threshold": "each spectral verdict; a sweep asks once per (q, n): "
+                       "0/0/0/65 hits",
 }
 
 

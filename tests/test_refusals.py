@@ -10,8 +10,10 @@ import pytest
 
 from hmdft import (
     PolyFq,
+    SweepConfig,
     build_root_indicator,
     convolve,
+    cyclotomic_value,
     delta_mask,
     dft,
     element_degree,
@@ -20,9 +22,10 @@ from hmdft import (
     omega,
     oracle_irreducible,
     phi_rho,
+    sweep,
 )
-from hmdft import cli, numtheory
-from hmdft.gf import SizeCapError, check_size
+from hmdft import cli, numtheory, symfun
+from hmdft.gf import SizeCapError, check_modulus, check_size
 
 
 def _handler(*argv):
@@ -73,3 +76,23 @@ def test_a_refusal_is_a_plain_value_error(former):
         call()
     assert type(exc.value) is (SizeCapError if former.startswith("SizeCapError") else ValueError)
 
+
+
+# every q >= 2 rule of the package is gf.check_q's, with its one text
+Q_FLOOR_CALLERS = {
+    "check_size": lambda q: check_size(q, 2),
+    "check_modulus": lambda q: check_modulus(8, q, 2, "function"),
+    "cyclotomic_value": lambda q: cyclotomic_value(3, q),
+    "shift_certificate": lambda q: symfun.shift_certificate(q, 4, 1, 1, 5),
+    "phi_rho": lambda q: phi_rho((0, 1), 3, q, 2),
+    "omega": lambda q: omega(q, 2, 1),
+    "sweep": lambda q: sweep(SweepConfig(q_list=(3, q), n_range=(2, 3))),
+}
+
+
+@pytest.mark.parametrize("caller", Q_FLOOR_CALLERS)
+@pytest.mark.parametrize("q", [1, 0, -3])
+def test_every_q_floor_refusal_reads_one_text(caller, q):
+    with pytest.raises(ValueError, match=f"^q must be at least 2, not q={q}$") as exc:
+        Q_FLOOR_CALLERS[caller](q)
+    assert type(exc.value) is ValueError

@@ -38,6 +38,7 @@ from helpers import (
     brute_margin_counts,
     convolution_delta_mask,
     exhaustive_is_q_symmetric,
+    fresh_descent_period,
     lucas_comb,
     may_be_mask_support,
     refusal_type,
@@ -282,9 +283,8 @@ def test_mask_period_matches_table_only_descent(monkeypatch):
     # the dense route cannot reach; the search refutes all but 35 of the 2729
     # shifts the descent meets there, the 3 excluded rows included
     tried = []
-    search = symfun.shift_certificate
-    monkeypatch.setattr(symfun, "shift_certificate",
-                        lambda *args: tried.append(search(*args)) or tried[-1])
+    refute = symfun._refute
+    monkeypatch.setattr(symfun, "_refute", lambda *args: tried.append(refute(*args)) or tried[-1])
     rows = 0
     for q, n, w, c in _half_w_grid(2 ** 22, 30):
         table_only = least_period_by_descent(q ** n - 1, TableMaskPoints(q, n, w, c).has_period)
@@ -299,15 +299,15 @@ def test_shift_certificates_check_out_on_periods_grid(monkeypatch):
     # against the dense mask where q**n - 1 <= 2**16 and the count table route
     # elsewhere
     found = []
-    search = symfun.shift_certificate
+    refute = symfun._refute
 
-    def recorded(q, n, w, c, t):
-        cert = search(q, n, w, c, t)
+    def recorded(q, n, w, low, tries, t):
+        cert = refute(q, n, w, low, tries, t)
         if cert:
             found.append((t, cert))
         return cert
 
-    monkeypatch.setattr(symfun, "shift_certificate", recorded)
+    monkeypatch.setattr(symfun, "_refute", recorded)
     rows = list(_half_w_grid(200000, 12))
     checked = 0
     for q, n, w, c in rows:
@@ -343,6 +343,8 @@ def test_shift_certificate_shapes():
     (0, 4, 1, ValueError, "q=0"),
 ])
 def test_shift_certificate_refuses_bad_input(q, n, w, error, text):
+    # a q refusal reads gf.check_q's whole text
+    text = f"^q must be at least 2, not {text}$" if text.startswith("q=") else text
     with pytest.raises(refusal_type(error), match=text) as exc:
         symfun.shift_certificate(q, n, w, 1, 5)
     assert type(exc.value) is refusal_type(error)
@@ -366,27 +368,48 @@ def _certificate_cases():
 
 
 def test_shared_shift_certificate_matches_per_call_search():
-    # the shared tries and verdicts against the search that formed its tries
-    # at every call: each (q, n, w) once from a cold cache, then warm
+    # shift_certificate against the search written out in one function
     cases = 0
     for group in _certificate_cases():
-        symfun._certificate_tries.cache_clear()
-        for _ in ("cold", "warm"):
-            for args in group:
-                assert symfun.shift_certificate(*args) == shift_certificate_per_call(*args), args
+        for args in group:
+            assert symfun.shift_certificate(*args) == shift_certificate_per_call(*args), args
         cases += len(group)
     assert cases == 13049
 
 
 @pytest.mark.parametrize("order", [(1, 0), (0, 1)], ids=["nonzero first", "zero first"])
-def test_shift_certificate_keys_on_whether_c_is_zero(order):
+def test_shift_certificate_keys_on_whether_c_is_zero(monkeypatch, order):
     # at q = 2, w = n both c = 0 and c = 1 have low = 1, but only c != 0
     # has a try: s = N is 0 in Z_N, so c = 0 is never searched there
     expected = {1: (7, 1), 0: None}
-    symfun._certificate_tries.cache_clear()
     for c in order:
         assert symfun.shift_certificate(2, 3, 3, c, 1) == expected[c], c
-    assert symfun._certificate_tries.cache_info().misses == 2
+    tries = symfun._certificate_tries
+    assert (tries(2, 3, 3, False), tries(2, 3, 3, True)) == (((7, 1), (7, -1)), ())
+    # so mask_periods keys its verdict tables on whether c is zero: at q = 2,
+    # where both sides read low = 1, it forms the tries of each side apart
+    formed = []
+    monkeypatch.setattr(symfun, "_certificate_tries",
+                        lambda *args: formed.append(args) or tries(*args))
+    assert symfun.mask_periods(2, 3, 1, order) == [mask_period(2, 3, 1, c) for c in order]
+    assert formed[:2] == [(2, 3, 1, not c) for c in order]
+
+
+def test_mask_periods_match_a_fresh_descent_per_c(monkeypatch):
+    # every (q, n, w) of the periods-2e5 grid, every c at once, against a
+    # descent per c that shares nothing; the shared tables make one digit
+    # test per side of zero and shift met, and no other
+    tested = []
+    refute = symfun._refute
+    monkeypatch.setattr(symfun, "_refute", lambda *args: tested.append(args) or refute(*args))
+    groups = dict.fromkeys(row[:3] for row in _half_w_grid(200000, 12))
+    for q, n, w in groups:
+        met = {c: [] for c in range(q)}
+        fresh = [fresh_descent_period(q, n, w, c, met[c]) for c in range(q)]
+        del tested[:]
+        assert symfun.mask_periods(q, n, w, range(q)) == fresh, (q, n, w)
+        assert len(tested) == len({(c == 0, t) for c in met for t in met[c]}), (q, n, w)
+    assert len(groups) == 115
 
 
 def test_multiset_counts_match_weight_counts():
@@ -732,8 +755,10 @@ def test_digits_refuses_n_below_one(k, q, n):
 def test_phi_rho_refuses_q_below_two():
     # Z_{q^n-1} is Z_0 at q = 1: a ValueError naming q, not a ZeroDivisionError
     for q in (1, 0, -1):
-        with pytest.raises(ValueError, match=f"q={q}"):
+        with pytest.raises(ValueError, match=f"^q must be at least 2, not q={q}$"):
             phi_rho((0, 1), 3, q, 2)
+    with pytest.raises(ValueError, match="^n must be at least 1, not n=0$"):
+        phi_rho((), 3, 2, 0)
 
 
 def test_phi_rho_is_permutation():
