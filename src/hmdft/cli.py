@@ -26,6 +26,7 @@ from .cyclic import CyclicFn, dft, idft, least_period_of_sequence
 from .cyclo import threshold
 from .gf import (
     PolyFq,
+    check_n,
     check_size,
     make_field,
     primitive_element,
@@ -189,8 +190,7 @@ def _cmd_period(args) -> tuple[dict, int]:
         return {"r": least_period_of_sequence(_parse_ints("--seq", args.seq))}, 0
     if None in (args.q, args.n, args.w):
         _usage("period", "needs --seq or all of --q, --n and --w")
-    if args.n == 1:  # refused before any field or mask is built
-        raise ValueError("period needs n >= 2: the mask at n = 1 has no period threshold")
+    check_n(args.n, 2)  # refused before any field or mask is built
     c = 0 if args.c is None else args.c
     if 2 * args.w <= args.n:
         rep = verify_period_claims(args.q, args.n, args.w, c, cap=args.cap)
@@ -268,8 +268,7 @@ def _cmd_irred_test(args) -> tuple[dict, int]:
     degree = len(codes) - 1
     while degree >= 0 and not codes[degree]:
         degree -= 1
-    if degree < 2:  # named as a degree error, before check_size sees it
-        raise ValueError("irreducibility test needs degree >= 2")
+    check_n(degree, 2)  # n = deg h, refused before check_size sees it
     return _factor_verdict(args, degree, codes)
 
 

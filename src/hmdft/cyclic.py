@@ -40,7 +40,7 @@ from math import gcd
 from struct import unpack
 
 from . import numtheory
-from .gf import FieldCtx, FieldElement, element_degree
+from .gf import FieldCtx, FieldElement, check_codes, element_degree
 
 
 def _check_modulus(N: int) -> None:
@@ -125,11 +125,11 @@ class CyclicFn:
         return self + -other
 
     def __neg__(self):
-        _check_codes(self.ctx, self.codes)
+        check_codes(self.ctx.order, self.codes, "value")
         return CyclicFn(self.ctx, list(map(self.ctx.neg_code, self.codes)))
 
     def scale(self, code: int) -> "CyclicFn":
-        _check_codes(self.ctx, (code, *self.codes))
+        check_codes(self.ctx.order, (code, *self.codes), "value")
         mul = self.ctx.mul_codes
         return CyclicFn(self.ctx, [mul(code, c) for c in self.codes])
 
@@ -145,20 +145,12 @@ def kronecker(ctx: FieldCtx, N: int) -> CyclicFn:
     return CyclicFn.from_support(ctx, N, (0,))
 
 
-def _check_codes(ctx: FieldCtx, codes) -> None:
-    """Refuse a value code outside [0, order): the field's tables would read
-    it, a negative code from their end, as some other code."""
-    if codes and not 0 <= min(codes) <= max(codes) < ctx.order:
-        bad = next(c for c in codes if not 0 <= c < ctx.order)
-        raise ValueError(f"value code {bad} is not an F_{ctx.order} code")
-
-
 def _check_pair(f: CyclicFn, g: CyclicFn):
     if f.N != g.N:
         raise ValueError(f"moduli differ: {f.N} vs {g.N}")
     if f.ctx is not g.ctx:
         raise ValueError("functions valued in different fields")
-    _check_codes(f.ctx, f.codes + g.codes)
+    check_codes(f.ctx.order, f.codes + g.codes, "value")
 
 
 def _check_root(f: CyclicFn, zeta: FieldElement) -> None:
@@ -214,7 +206,7 @@ def _transform(f: CyclicFn, zeta: FieldElement, scale_log: int) -> CyclicFn:
     k = log[zeta.code]
     support = list(compress(range(N), codes))
     values = list(map(codes.__getitem__, support))
-    _check_codes(ctx, values)
+    check_codes(ctx.order, values, "value")
     terms = [(log[c] + scale_log, k * j % M) for j, c in zip(support, values)]
     if ctx.p == 2 and _runs_fit(terms, N, M):
         out = _xor_runs(ctx, N, terms)
@@ -464,7 +456,7 @@ def compose_perm(f: CyclicFn, sigma) -> CyclicFn:
     least period unchanged, which acceptance test C6 checks.
     """
     ctx = f.ctx
-    _check_codes(ctx, f.codes)
+    check_codes(ctx.order, f.codes, "value")
     table = [None] * ctx.order
     if isinstance(sigma, dict):
         for k, v in sigma.items():
@@ -472,8 +464,7 @@ def compose_perm(f: CyclicFn, sigma) -> CyclicFn:
                 raise ValueError("mapping outside the value field")
             kc = k.code if isinstance(k, FieldElement) else k
             vc = v.code if isinstance(v, FieldElement) else v
-            if not (0 <= kc < ctx.order and 0 <= vc < ctx.order):
-                raise ValueError("mapping outside the value field")
+            check_codes(ctx.order, (kc, vc), "value")
             table[kc] = vc
     elif callable(sigma):
         for code in range(ctx.order):

@@ -11,25 +11,23 @@ a least period that fails to divide it certifies a degree-n element.  Both
 classical identities
     Phi_n(q) = gcd{(q**n - 1)/(q**d - 1) : d | n, d < n}
     (q**n - 1)/Phi_n(q) = lcm{q**d - 1 : d | n, d < n}
-are re-derived as a self-check the first time each (n, q) is asked for;
-by the lcm form q**d - 1 divides the threshold for every proper d | n, that
-is, Phi_n(q) divides (q**n - 1)/(q**d - 1).  `threshold` is memoised, since
-the spectral verdicts ask for the same (n, q) again.
+are re-derived as a self-check at every call; by the lcm form q**d - 1
+divides the threshold for every proper d | n, that is, Phi_n(q) divides
+(q**n - 1)/(q**d - 1).  `threshold` is not memoised: a sweep asks once per
+(q, n), and a call costs microseconds.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
-from .gf import check_q
+from .gf import check_n, check_q
 from .numtheory import divisors, prime_factors
 
 
 def cyclotomic_value(n: int, q: int) -> int:
     """Phi_n(q) as an exact integer (n >= 1, q >= 2)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_n(n, 1)
     check_q(q)
     num = den = 1
     # mu(d) is nonzero on the squarefree d | n alone: products of distinct primes
@@ -46,11 +44,9 @@ def cyclotomic_value(n: int, q: int) -> int:
     return num // den
 
 
-@functools.cache
 def threshold(n: int, q: int) -> int:
     """(q**n - 1) / Phi_n(q) for n >= 2, cross-checked against gcd/lcm forms."""
-    if n < 2:
-        raise ValueError("threshold needs n >= 2")
+    check_n(n, 2)
     phi = cyclotomic_value(n, q)
     total = q ** n - 1
     if total % phi:

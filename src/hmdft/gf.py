@@ -89,7 +89,11 @@ design: it reads the digits of single points and builds no list of length
 q**n - 1, so ``mask_period(3, 30, 1, ...)`` answers in milliseconds.
 ``harness.verify_period_claims`` and the sweep's reports of one (q, n)
 ask ``check_size`` before it.  ``check_modulus`` alone tests that a given N,
-a field's order - 1 included, is q**n - 1.
+a field's order - 1 included, is q**n - 1.  So is every other argument
+fact, each by one rule with one text naming the bad value: ``check_q``
+(q >= 2), ``check_n`` (n >= 1, or 2 where a threshold is read), ``check_w``
+(w in a range) and ``check_codes`` (c or any code in [0, order), which the
+tables would read, a negative one from their end, as another code).
 """
 
 from __future__ import annotations
@@ -120,6 +124,26 @@ def check_q(q: int) -> None:
         raise ValueError(f"q must be at least 2, not q={q}")
 
 
+def check_n(n: int, least: int) -> None:
+    """Refuse an n below ``least``, naming it: the package's one n floor rule."""
+    if n < least:
+        raise ValueError(f"n must be at least {least}, not n={n}")
+
+
+def check_w(w: int, n: int, least: int, most: int) -> None:
+    """Refuse n < 1 (``check_n``), then a w outside [least, most], naming it: the one w rule."""
+    check_n(n, 1)
+    if not least <= w <= most:
+        raise ValueError(f"w={w} outside [{least}, {most}]")
+
+
+def check_codes(order: int, codes, what: str) -> None:
+    """Refuse a code outside [0, order), naming the first as ``what``: the one code rule."""
+    if codes and not 0 <= min(codes) <= max(codes) < order:
+        bad = next(c for c in codes if not 0 <= c < order)
+        raise ValueError(f"{what}={bad} is not an F_{order} code")
+
+
 def check_size(q: int, n: int, cap: int | None = None, field: bool = False) -> int:
     """N = q**n - 1, or SizeCapError when N is over the cap or a hard limit.
 
@@ -128,8 +152,7 @@ def check_size(q: int, n: int, cap: int | None = None, field: bool = False) -> i
     and q < 2 are refused with a ValueError naming the value, and an n past
     the bit length of the limit with SizeCapError, before q**n is formed.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, not n={n}")
+    check_n(n, 1)
     check_q(q)
     limit = MODULUS_GUARD if cap is None else min(cap, MODULUS_GUARD)
     if field:
@@ -217,8 +240,7 @@ class FieldCtx:
 
     def element(self, code: int) -> "FieldElement":
         """Element from its integer code (0 <= code < order)."""
-        if not 0 <= code < self.order:
-            raise ValueError(f"code {code} out of range for {self!r}")
+        check_codes(self.order, (code,), "code")
         return FieldElement(self, code)
 
     def nth_root_of_unity(self, N: int) -> "FieldElement":
@@ -667,8 +689,7 @@ class PolyFq:
 
     def __init__(self, ctx: FieldCtx, codes):
         codes = list(codes)
-        if codes and not 0 <= min(codes) <= max(codes) < ctx.order:
-            raise ValueError(f"coefficient code out of range for F_{ctx.order}")
+        check_codes(ctx.order, codes, "coefficient")
         self.ctx = ctx
         self.codes = tuple(_trim(codes))
 
@@ -901,9 +922,7 @@ def make_field(p: int, m: int = 1) -> FieldCtx:
     ctx = _FIELD_CACHE.get(key)
     if ctx is not None:
         return ctx
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("extension degree must be a positive integer")
-    if p >= 2:  # size first, so a huge p is never factored
+    if p >= 2:  # size first (m >= 1 included), so a huge p is never factored
         check_size(p, m, field=True)
     if not numtheory.is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -1083,8 +1102,7 @@ def sigma_eval(w: int, xi: FieldElement, q: int, n: int) -> FieldElement:
     Equals (-1)**w times the coefficient of x**(n-w) in char_poly(xi); w = 0
     gives 1, w = 1 the trace and w = n the norm.
     """
-    if not 0 <= w <= n:
-        raise ValueError(f"w={w} outside [0, {n}]")
+    check_w(w, n, 0, n)
     coeff = char_poly(xi, q, n)[n - w]
     return -coeff if w % 2 else coeff
 
@@ -1133,12 +1151,13 @@ class Embedding:
         """Big-field codes of a sequence of small-field codes, one lookup each.
 
         The lookup is the range check: it stops at the first code outside the
-        small field and names it.
+        small field, which ``check_codes`` names.
         """
         try:
             return list(map(self._lift.__getitem__, codes))
         except KeyError as exc:
-            raise ValueError(f"code {exc.args[0]} out of range for {self.small!r}") from None
+            check_codes(self.small.order, exc.args, "code")
+            raise
 
     def lower_poly(self, poly: PolyFq) -> PolyFq:
         if poly.ctx is not self.big:

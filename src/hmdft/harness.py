@@ -56,8 +56,11 @@ from .gf import (
     PolyFq,
     SizeCapError,
     char_poly,
+    check_codes,
+    check_n,
     check_q,
     check_size,
+    check_w,
     element_degree,
     make_field,
     subfield_embedding,
@@ -177,12 +180,9 @@ def verify_period_claims(q: int, n: int, w: int, c: int,
     1 <= w <= n/2.  The excluded input (c = 0, n = 2, q even) yields a
     report labelled Excluded with no claims checked.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if w < 1 or 2 * w > n:
-        raise ValueError(f"w={w} outside [1, {n // 2}]")
-    if not 0 <= c < q:
-        raise ValueError(f"c={c} is not an F_{q} code")
+    check_n(n, 2)
+    check_w(w, n, 1, n // 2)
+    check_codes(q, (c,), "c")
     check_size(q, n, cap)
     value_field(q)  # an excluded row of a q = 6 is an error too
     return _reports(q, n, [(w, c)], cap)[0]
@@ -238,10 +238,8 @@ def find_witness(q: int, n: int, w: int, c: int,
     with degree n and the prescribed coefficient, certified at its root.  None
     only once every orbit leader is used up (exactly the genuine exceptions).
     """
-    if not 1 <= w <= n:
-        raise ValueError(f"w={w} outside [1, {n}]")
-    if not 0 <= c < q:
-        raise ValueError(f"c={c} is not an F_{q} code")
+    check_w(w, n, 1, n)
+    check_codes(q, (c,), "c")
     if w == n and c == 0:
         raise ValueError("the norm of a nonzero element is never 0")
     return _witnesses(q, n, [(w, c)], cap)[w, c]
@@ -338,9 +336,8 @@ def _check_grid(cfg: SweepConfig) -> list[int]:
     for q in qs:
         if q <= MODULUS_GUARD + 1:  # a larger q fits no n, so it is never factored
             prime_power(q)
-    c = cfg.pinned_c
-    if c is not None and not 0 <= c < qs[0]:  # a norm row with no witness reads no c
-        raise ValueError(f"pinned c={c} is not an F_{qs[0]} code")
+    if cfg.pinned_c is not None:  # a norm row with no witness reads no c
+        check_codes(qs[0], (cfg.pinned_c,), "pinned c")
     lo, hi = cfg.n_range
     if lo > hi:
         raise ValueError(f"n range {lo}:{hi} is empty")

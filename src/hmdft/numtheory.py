@@ -77,7 +77,7 @@ def divisors(n: int) -> list[int]:
 def prime_power(n: int) -> tuple[int, int]:
     """Decompose n as p**e with p prime, or raise ValueError.
 
-    Memoised: a grid's few q come back at every row.  A refusal is not kept.
+    Memoised: a q comes back once per (q, n) group.  A refusal is not kept.
     """
     if n >= 2:
         p, e = next(factorize(n))

@@ -56,6 +56,7 @@ from .gf import (
     FieldCtx,
     PolyFq,
     check_modulus,
+    check_n,
     check_size,
     oracle_factor_degrees,
     oracle_irreducible,
@@ -145,8 +146,7 @@ def _root_gcd(h: PolyFq, q: int, n: int,
         raise ValueError("the zero polynomial has no root indicator")
     if h.ctx.order != q:
         raise ValueError(f"h must have coefficients in F_{q}")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    check_n(n, 2)
     # S needs no F_{q^n}, but (q, n) whose field is over the cap stay refused
     N = check_size(q, n, field=True)
     ctx = h.ctx

@@ -78,13 +78,13 @@ from math import comb
 
 from . import numtheory
 from .cyclic import CyclicFn, SupportSet, least_period_by_descent
-from .gf import check_modulus, check_q, check_size, value_field
+from .gf import (MODULUS_GUARD, check_codes, check_modulus, check_n, check_q, check_size,
+                 check_w, value_field)
 
 
 def omega(q: int, n: int, w: int) -> SupportSet:
     """All k in Z_{q^n-1} with 0/1 digits of weight w; empty for (q, w) = (2, n)."""
-    if not 0 <= w <= n:
-        raise ValueError(f"w={w} outside [0, {n}]")
+    check_w(w, n, 0, n)
     N = check_size(q, n)
     if q == 2 and w == n:
         # the full-weight sum 2**n - 1 wraps to 0, which has weight 0
@@ -129,11 +129,8 @@ def _weight_counts(q: int, n: int, w: int) -> tuple[tuple[tuple[int, int], ...],
 def _check_mask_args(q: int, n: int, w: int, cs):
     """F_q, once every c of cs is an F_q code and w names a mask over it."""
     ctx = value_field(q)
-    for c in cs:
-        if not 0 <= c < q:
-            raise ValueError(f"c={c} is not an F_{q} code")
-    if not 1 <= w <= n:
-        raise ValueError(f"w={w} outside [1, {n}]")
+    check_codes(q, cs, "c")
+    check_w(w, n, 1, n)
     if q == 2 and w == n:
         raise ValueError("(q, w) = (2, n) has an empty weight set")
     return ctx
@@ -319,8 +316,10 @@ def shift_certificate(q: int, n: int, w: int, c: int, t: int):
     """
     # no check_size: the digits of one integer are cheap past any cap
     check_q(q)
-    if not 1 <= w <= n:
-        raise ValueError(f"w={w} outside [1, {n}]")
+    if q <= MODULUS_GUARD + 1:  # as the grid check: a larger q is never factored
+        numtheory.prime_power(q)
+    check_codes(q, (c,), "c")
+    check_w(w, n, 1, n)
     return _refute(q, n, w, 1 if c else q - 1, _certificate_tries(q, n, w, not c), t)
 
 
@@ -378,8 +377,7 @@ def phi_rho(rho, k: int, q: int, n: int) -> int:
     """
     rho = _check_perm(rho, n)
     check_q(q)  # Z_{q^n-1} would be Z_0 or worse
-    if n < 1:
-        raise ValueError(f"n must be at least 1, not n={n}")
+    check_n(n, 1)
     d = numtheory.digits(k % (q ** n - 1), q, n)
     v = 0
     for i in reversed(range(n)):

@@ -251,9 +251,7 @@ MUTANTS = (
            "phi_rho reduces k modulo q**n + 1, which differs from q**n - 1 "
            "only for k >= q**n - 1"),
     Mutant("poly-range-check-dropped", "src/hmdft/gf.py",
-           (("        if codes and not 0 <= min(codes) <= max(codes) < ctx.order:\n"
-             "            raise ValueError(f\"coefficient code out of range for F_{ctx.order}\")\n",
-             ""),),
+           (("        check_codes(ctx.order, codes, \"coefficient\")\n", ""),),
            ("tests/test_gf.py::test_gf_refusals",
             "tests/test_refusals.py::test_a_refusal_is_a_plain_value_error"),
            "PolyFq keeps a code outside [0, order), which the field's tables "
@@ -271,6 +269,22 @@ MUTANTS = (
            ("tests/test_refusals.py::test_every_q_floor_refusal_reads_one_text",),
            "check_q lets q = 1 through, so every rule that calls it reads "
            "Z_{1^n - 1} = Z_0 and fails later, or not at all"),
+    Mutant("n-floor-ignores-least", "src/hmdft/gf.py",
+           (("    if n < least:\n", "    if n < 1:\n"),),
+           ("tests/test_refusals.py::test_every_n_floor_refusal_reads_one_text",),
+           "check_n holds every caller to n >= 1, so the threshold, the "
+           "spectral verdicts and the period command take n = 1, which has "
+           "no period threshold"),
+    Mutant("w-range-upper-bound-dropped", "src/hmdft/gf.py",
+           (("    if not least <= w <= most:\n", "    if not least <= w:\n"),),
+           ("tests/test_refusals.py::test_every_w_range_refusal_reads_one_text",),
+           "check_w takes a w above its top, so omega returns an empty set "
+           "for w > n and verify_period_claims runs a w above n/2"),
+    Mutant("code-range-admits-order", "src/hmdft/gf.py",
+           (("<= max(codes) < order:", "<= max(codes) <= order:"),),
+           ("tests/test_refusals.py::test_every_code_range_refusal_reads_one_text",),
+           "check_codes takes the code order itself, which the field's "
+           "tables read past their end, or as some other code"),
     Mutant("oracle-gcd-step-dropped", "src/hmdft/gf.py",
            (("        if k in gcd_at and len(_gcd(ctx, hm.codes, (PolyFq(ctx, f) - x).codes)) != 1:\n"
              "            return False\n", ""),),
@@ -315,8 +329,8 @@ MUTANTS = (
            "a row with n/2 < w < n reports the period of n - w without naming "
            "it, as if its own mask had that period"),
     Mutant("grid-pinned-c-unchecked", "src/hmdft/harness.py",
-           (("    if c is not None and not 0 <= c < qs[0]:  # a norm row with no witness reads no c\n"
-             "        raise ValueError(f\"pinned c={c} is not an F_{qs[0]} code\")\n", ""),),
+           (("    if cfg.pinned_c is not None:  # a norm row with no witness reads no c\n"
+             "        check_codes(qs[0], (cfg.pinned_c,), \"pinned c\")\n", ""),),
            ("tests/test_cli.py::test_hm_verify_refuses_a_pinned_c_outside_f_q",),
            "a pinned c that is no F_q code reaches the rows, and a norm row "
            "with no witness, which reads no c, reports it ok"),

@@ -292,7 +292,7 @@ def test_dft_seq_code_out_of_range(capsys, bad):
     code, out, err = run(capsys, "dft", "--q", "3", "--n", "2",
                          f"--seq={bad},1,0,0,0,0,0,0")
     assert code == 2 and out == ""
-    assert f"code {bad} out of range" in err
+    assert err == f"error: code={bad} is not an F_3 code\n"
 
 
 def test_usage_errors(capsys):
@@ -522,7 +522,7 @@ def test_period_n_1_refused_before_any_mask(capsys, monkeypatch, w):
     for name in ("make_field", "mask_period", "verify_period_claims"):
         monkeypatch.setattr(cli, name, no_work)
     code, out, err = run(capsys, "period", "--q", "3", "--n", "1", "--w", w, "--c", "1")
-    assert code == 2 and out == "" and err.startswith("error: ") and "n = 1" in err
+    assert (code, out, err) == (2, "", "error: n must be at least 2, not n=1\n")
 
 
 def test_hm_verify_n_1_with_c_0_is_a_skip_row(capsys):
@@ -947,10 +947,10 @@ CLI_REFUSALS = [
                  id="argv3-ValueError-^c=5 is not an F_3 code$"),
     # irred-test is factor-test at n = deg h, which needs n >= 2
     pytest.param(("irred-test", "--q", "2", "--poly", "1,1"), "DegreeMismatchError",
-                 "^irreducibility test needs degree >= 2$",
+                 "^n must be at least 2, not n=1$",
                  id="argv4-DegreeMismatchError-^irreducibility test needs degree >= 2$"),
     pytest.param(("irred-test", "--q", "3", "--poly", "2,0,0"), "DegreeMismatchError",
-                 "^irreducibility test needs degree >= 2$",
+                 "^n must be at least 2, not n=0$",
                  id="argv5-DegreeMismatchError-^irreducibility test needs degree >= 2$"),
     # a malformed list value names its flag and the token
     pytest.param(("hm-verify", "--q", "2,x", "--n", "2"), ValueError,

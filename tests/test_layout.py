@@ -21,7 +21,8 @@ stays; every module-level private function and class is read somewhere in
 the package outside its own def, so no private helper outlives its callers.
 The package defines one exception class, ``gf.SizeCapError``, a
 direct subclass of ValueError, and every ``raise`` names it or a builtin
-exception.  Every ``functools`` cache in the package is listed in
+exception.  The n floor, the w range and the code range are each raised in
+one place, their ``gf`` rule, and no other raise reads as their text.  Every ``functools`` cache in the package is listed in
 ``CACHES`` with the reader that hits it, so none outlives its traffic unseen.
 """
 
@@ -29,6 +30,7 @@ import ast
 import builtins
 import importlib
 import importlib.util
+import re
 import subprocess
 import sys
 from array import array
@@ -278,6 +280,62 @@ def test_exception_rule_catches_a_planted_class():
                                          "cyclic.Foo": ["ValueError"],
                                          "cyclic.Bar": ["SizeCapError"]}
     assert sorted(found.split()[1] for found in _foreign_raises(trees)) == ["Bar", "Foo"]
+
+
+# the text of each argument rule, and of the copies it replaced: a raise
+# that reads as one of them anywhere but in its rule is a copy that can drift
+RULE_TEXTS = {
+    "gf.check_n": r"\bn must be at least|needs (n|degree) >=",
+    "gf.check_w": r"^w=\{\} outside \[",
+    "gf.check_codes": r"is not an F_\{\} code|out of range",
+}
+
+
+def _message(exc):
+    """The message a raise passes, each formatted value read as {}."""
+    arg = exc.args[0] if isinstance(exc, ast.Call) and exc.args else None
+    if isinstance(arg, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in arg.values)
+    return arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else ""
+
+
+def _rule_raises(trees):
+    """{rule: module.def of each raise whose message reads as that rule's}."""
+    found = {rule: [] for rule in RULE_TEXTS}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise):
+                for rule, text in RULE_TEXTS.items():
+                    if re.search(text, _message(child.exc)):
+                        found[rule].append(where)
+            visit(child, where)
+
+    for name, tree in trees.items():
+        visit(tree, name)
+    return found
+
+
+def test_each_argument_rule_raises_in_one_place():
+    # the n floor, the w range and the code range each have one raise, in its gf rule
+    assert _rule_raises(_trees()) == {rule: [rule] for rule in RULE_TEXTS}
+
+
+def test_rule_check_catches_a_planted_copy():
+    trees = _trees()
+    trees["cyclo"].body += ast.parse(
+        "def _planted(q, n, w, c):\n"
+        "    if n < 2:\n        raise ValueError('threshold needs n >= 2')\n"
+        "    if w > n:\n        raise ValueError(f'w={w} outside [1, {n}]')\n"
+        "    if c >= q:\n        raise ValueError(f'c={c} is not an F_{q} code')\n"
+        "    raise ValueError(f'coefficient code out of range for F_{q}')").body
+    assert _rule_raises(trees) == {"gf.check_n": ["cyclo._planted", "gf.check_n"],
+                                   "gf.check_w": ["cyclo._planted", "gf.check_w"],
+                                   "gf.check_codes": ["cyclo._planted", "cyclo._planted",
+                                                      "gf.check_codes"]}
 
 
 def test_traced_names_resolve():
@@ -572,8 +630,6 @@ CACHES = {
                              "or request: 75/130/125/134 hits",
     "cyclic._primes_of": "least_period_by_descent, per N that rows and verdicts "
                          "share: 144/413/130/66 hits",
-    "cyclo.threshold": "each spectral verdict; a sweep asks once per (q, n): "
-                       "0/0/0/65 hits",
 }
 
 

@@ -27,6 +27,7 @@ from hmdft import (
     support_degree_test,
 )
 from hmdft import symfun
+from hmdft.gf import MODULUS_GUARD
 from hmdft.numtheory import digits, divisors, prime_power
 from hmdft.cyclic import least_period, least_period_by_descent
 from hmdft.symfun import MaskPoints, _weight_counts, mask_period
@@ -338,7 +339,9 @@ def test_shift_certificate_shapes():
 @pytest.mark.parametrize("q, n, w, error, text", [
     (3, 4, 0, "WeightRangeError", "w=0"),   # was a division by w = 0
     (3, 4, 5, "WeightRangeError", "w=5"),
-    (3, 0, 1, "WeightRangeError", "w=1"),   # no w fits n = 0
+    # fixed id, the name pytest took from the case when it read as a w refusal
+    pytest.param(3, 0, 1, ValueError, "^n must be at least 1, not n=0$",
+                 id="3-0-1-WeightRangeError-w=1"),
     (1, 4, 1, ValueError, "q=1"),         # was a reduction mod N = 0
     (0, 4, 1, ValueError, "q=0"),
 ])
@@ -354,6 +357,20 @@ def test_shift_certificate_needs_no_size_check():
     # past MODULUS_GUARD and any cap: the digits of one integer
     N = 3 ** 40 - 1
     assert symfun.shift_certificate(3, 40, 1, 1, N // 2) is not None
+
+
+def test_shift_certificate_refuses_what_names_no_mask(monkeypatch):
+    # both were once answered with None, a verdict on a mask that does not exist
+    with pytest.raises(ValueError, match="^c=7 is not an F_3 code$"):
+        symfun.shift_certificate(3, 2, 1, 7, 1)
+    with pytest.raises(ValueError, match="^6 is not a prime power$"):
+        symfun.shift_certificate(6, 2, 1, 1, 1)
+    # a q past MODULUS_GUARD + 1 fits no n of a dense route and is not factored
+    factored = []
+    monkeypatch.setattr(symfun.numtheory, "prime_power", factored.append)
+    symfun.shift_certificate(MODULUS_GUARD + 2, 2, 1, 1, 1)
+    symfun.shift_certificate(MODULUS_GUARD + 1, 2, 1, 1, 1)
+    assert factored == [MODULUS_GUARD + 1]
 
 
 def _certificate_cases():
