@@ -13,7 +13,7 @@ characteristic 2, where codes add by XOR, `dft` cuts each term's run from
 the table as array slices and XORs the runs packed into integers.  It does
 so when the slices of all terms number at most N: sparse inputs with small
 steps, such as a polynomial's coefficient sequence.  The packed table is
-the field's own (``FieldCtx.packed_exp``); this module keeps no field state.
+the field's own ``exp``, an ``array``; this module keeps no field state.
 Otherwise (odd p, or too many slices: masks, weight indicators, dense
 sequences) it walks Z_N once by the conjugacy rule: when every value of f
 lies in the subfield F_{p^t}, g(i * p^t) = g(i)**(p^t), so one sum per
@@ -170,8 +170,8 @@ def dft(f: CyclicFn, zeta: FieldElement) -> CyclicFn:
     log f(j) with step k*j mod M (M = order - 1).  Taking that step as a
     signed least residue d, its run is about N*|d|/M + 1 slices of the table.
     In characteristic 2, when the slices of all terms number at most N, the
-    runs are cut from the field's packed exp table and XORed as packed
-    integers, with no Python step per output point.
+    runs are cut from the field's exp table, an ``array`` of packed codes,
+    and XORed as packed integers, with no Python step per output point.
 
     Otherwise let t be the least divisor of m with every value of f in
     F_{p^t}, and P = p**t; t is the degree over F_p of exp[G], G the gcd of
@@ -234,15 +234,15 @@ def _runs_fit(terms, N: int, M: int) -> bool:
 def _xor_runs(ctx: FieldCtx, N: int, terms) -> tuple:
     """The transform as one XOR of the terms' runs; characteristic 2 only.
 
-    Each run is cut from the field's packed exp table doubled, E, one
-    C-level copy per call (0.26 MB at F_{2^16}), so a slice may cross the
-    wrap at M: a forward step starts below M and stops below 2M, a backward
+    Each run is cut from the field's exp table, an ``array`` here, doubled:
+    E, one C-level copy per call (0.26 MB at F_{2^16}), so a slice may cross
+    the wrap at M: a forward step starts below M and stops below 2M, a backward
     step starts at or above M and stops at or above 0.  Codes of F_{2^m} add
     by XOR without carry, so each run, packed into one integer, joins the
     total with one ``^``, and one ``struct.unpack`` gives the output codes.
     """
     M = ctx.order - 1
-    E = ctx.packed_exp * 2  # E[x] = exp[x mod M] for 0 <= x < 2M
+    E = ctx.exp * 2  # E[x] = exp[x mod M] for 0 <= x < 2M
     total = 0
     for c, s in terms:
         a = c % M

@@ -26,9 +26,9 @@ vector and adding is XOR, so multiplying by zeta**L is linear too:
 ``_doubling_exp`` walks the first 512 powers, two list lookups and one XOR
 each, then appends the next L packed in bytes as zeta**L times the first L,
 one ``bytes.translate`` per pair of byte planes and one XOR of packed ints
-per output plane, with no Python step per entry.  Every field of
-characteristic 2 keeps that ``array`` as ``packed_exp`` (None for odd p),
-M*w bytes: 128 KB at 2^16, 4 MB at 2^20.  For odd p the walk is
+per output plane, with no Python step per entry.  That ``array`` is the
+field's ``exp``, its one copy of the table, M*w bytes: 128 KB at 2^16,
+4 MB at 2^20.  For odd p the walk is
 tabled for the low and the high half of the digits: its state holds one bit
 lane per base-p digit, two split-table lookups and one integer add per
 entry, and the walk stops at zeta**K, K = (order - 1)/(p - 1): that
@@ -90,10 +90,11 @@ q**n - 1, so ``mask_period(3, 30, 1, ...)`` answers in milliseconds.
 ``harness.verify_period_claims`` and the sweep's reports of one (q, n)
 ask ``check_size`` before it.  ``check_modulus`` alone tests that a given N,
 a field's order - 1 included, is q**n - 1.  So is every other argument
-fact, each by one rule with one text naming the bad value: ``check_q``
-(q >= 2), ``check_n`` (n >= 1, or 2 where a threshold is read), ``check_w``
-(w in a range) and ``check_codes`` (c or any code in [0, order), which the
-tables would read, a negative one from their end, as another code).
+fact, each by one rule naming the bad value: ``check_q`` (q >= 2),
+``check_field_order`` (q a prime power up to the field cap), ``check_n``
+(n >= 1, or 2 where a threshold is read), ``check_w`` (w in a range) and
+``check_codes`` (c or any code in [0, order), which the tables would read,
+a negative one from their end, as another code).
 """
 
 from __future__ import annotations
@@ -122,6 +123,13 @@ def check_q(q: int) -> None:
     """Refuse a q below 2, naming it: the package's one q >= 2 rule."""
     if q < 2:
         raise ValueError(f"q must be at least 2, not q={q}")
+
+
+def check_field_order(q: int) -> tuple[int, int]:
+    """(p, k) with q = p**k, building no field: the one rule that q names a field.
+    ``check_size`` refuses q < 2 or past FIELD_ORDER_CAP before q is factored."""
+    check_size(q, 1, field=True)
+    return numtheory.prime_power(q)
 
 
 def check_n(n: int, least: int) -> None:
@@ -178,14 +186,14 @@ def check_modulus(N: int, q: int, n: int, what: str) -> None:
 class FieldCtx:
     """A concrete finite field F_{p^m}.
 
-    Immutable after construction (the array ``packed_exp`` by convention),
-    shared via ``make_field`` and safe for concurrent reads.  All arithmetic
-    methods operate on integer codes (see module docstring); the
-    ``FieldElement`` wrapper provides the operator interface on top of them.
+    Immutable after construction (``exp``, an ``array`` when p = 2, by
+    convention), shared via ``make_field`` and safe for concurrent reads.
+    All arithmetic methods operate on integer codes (see module docstring);
+    the ``FieldElement`` wrapper gives the operator interface on top of them.
     """
 
     __slots__ = ("p", "m", "order", "modulus", "zeta_code", "exp", "log",
-                 "packed_exp", "add_codes", "neg_code", "zech")
+                 "add_codes", "neg_code", "zech")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -268,7 +276,7 @@ class FieldCtx:
         of the columns, and fills the rest by doubling: each block of powers
         is the block before, packed into bytes, times a power of zeta, with
         no Python step per entry.  zeta**M is read off the columns.  F_2,
-        whose one column is zeta, takes it too; its array is ``packed_exp``.
+        whose one column is zeta, takes it too; its array is ``exp``.
 
         For odd p the walk's state holds digit i of the current power in bit
         lane i, B = (2p - 1).bit_length() + 1 bits wide: room for the sum of
@@ -312,10 +320,8 @@ class FieldCtx:
                 cols.append(cols[-1] * x % mod)
             cols = [sum(d << (i * B) for i, d in enumerate(c.codes)) for c in cols]
         s = 1
-        self.packed_exp = None  # the p = 2 table packed, which cyclic's XOR runs read
         if p == 2:
-            self.packed_exp = _doubling_exp(m, cols, self.modulus)
-            exp = tuple(self.packed_exp)
+            exp = _doubling_exp(m, cols, self.modulus)
             # zeta**M = zeta * exp[M - 1]: the columns at that code's bits
             s = 0
             for i, col in enumerate(cols):
@@ -381,9 +387,9 @@ class FieldCtx:
         # less 1: a code skipped stays -1 and costs the index written over
         if s != 1 or log[1] or log[0] != -1 or sum(log) != M * (M - 1) // 2 - 1:
             raise AssertionError("generator order inconsistency")
-        # tuples: the tables never change, and the cyclic GC stops tracking a
-        # tuple of ints at its first pass instead of walking it at every one
-        self.exp = tuple(exp)
+        # the tables never change: p = 2's array holds no objects, and the cyclic
+        # GC stops tracking a tuple of ints at its first pass, not a list
+        self.exp = exp if p == 2 else tuple(exp)
         self.log = tuple(log)
 
     def _bind_adder(self):
@@ -1045,9 +1051,8 @@ def _doubling_exp(m: int, cols, modulus) -> array:
 
 
 def value_field(q: int) -> FieldCtx:
-    """F_q from its order alone; a q over the field cap is never factored."""
-    check_size(q, 1, field=True)
-    return make_field(*numtheory.prime_power(q))
+    """F_q from its order alone, once ``check_field_order`` takes q."""
+    return make_field(*check_field_order(q))
 
 
 def primitive_element(ctx: FieldCtx) -> FieldElement:

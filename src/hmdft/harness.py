@@ -57,8 +57,8 @@ from .gf import (
     SizeCapError,
     char_poly,
     check_codes,
+    check_field_order,
     check_n,
-    check_q,
     check_size,
     check_w,
     element_degree,
@@ -66,7 +66,6 @@ from .gf import (
     subfield_embedding,
     value_field,
 )
-from .numtheory import prime_power
 from .symfun import _counts_symmetric, mask_periods
 
 DEFAULT_SIZE_CAP = 20000
@@ -318,7 +317,7 @@ def _cells(cfg: SweepConfig, q: int, n: int):
 def _check_grid(cfg: SweepConfig) -> list[int]:
     """The grid's q in ascending order, or ValueError if it has no row to run.
 
-    The error names its cause: no q, a q that is not a prime power, a
+    The error names its cause: no q, a q naming no field (``check_field_order``), a
     pinned c that is no code of F_q for the least q, a reversed n range, a
     row at n = 1, a pinned w outside [1, n] for every n, no n >= 2, only the
     norm-of-zero cell w = n with c = 0, or every row past the size cap or a
@@ -332,10 +331,8 @@ def _check_grid(cfg: SweepConfig) -> list[int]:
     qs = sorted(set(cfg.q_list))
     if not qs:
         raise ValueError("q list names no field size")
-    check_q(qs[0])
-    for q in qs:
-        if q <= MODULUS_GUARD + 1:  # a larger q fits no n, so it is never factored
-            prime_power(q)
+    for q in qs:  # the least q first, so a q below 2 reads check_q's text
+        check_field_order(q)
     if cfg.pinned_c is not None:  # a norm row with no witness reads no c
         check_codes(qs[0], (cfg.pinned_c,), "pinned c")
     lo, hi = cfg.n_range

@@ -78,8 +78,8 @@ from math import comb
 
 from . import numtheory
 from .cyclic import CyclicFn, SupportSet, least_period_by_descent
-from .gf import (MODULUS_GUARD, check_codes, check_modulus, check_n, check_q, check_size,
-                 check_w, value_field)
+from .gf import (check_codes, check_field_order, check_modulus, check_n, check_q,
+                 check_size, check_w, value_field)
 
 
 def omega(q: int, n: int, w: int) -> SupportSet:
@@ -314,10 +314,8 @@ def shift_certificate(q: int, n: int, w: int, c: int, t: int):
 
     Its tries are formed at each call; `mask_periods` shares them per side.
     """
-    # no check_size: the digits of one integer are cheap past any cap
-    check_q(q)
-    if q <= MODULUS_GUARD + 1:  # as the grid check: a larger q is never factored
-        numtheory.prime_power(q)
+    # no check_size of q**n: the digits of one integer are cheap past any cap
+    check_field_order(q)
     check_codes(q, (c,), "c")
     check_w(w, n, 1, n)
     return _refute(q, n, w, 1 if c else q - 1, _certificate_tries(q, n, w, not c), t)

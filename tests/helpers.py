@@ -17,7 +17,7 @@ from hmdft import CyclicFn, FieldElement, PolyFq, Verdict, char_poly, element_de
     threshold
 from hmdft import harness, numtheory
 from hmdft.cyclic import conv_power, kronecker, least_period_by_descent
-from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD, check_size
+from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD, SizeCapError, check_size
 from hmdft.harness import (CASE_EXCLUDED, CASE_HALF, CASE_MAX, CASE_NORM, PeriodReport,
                            SweepResult, classify_case)
 from hmdft.numtheory import prime_power
@@ -159,9 +159,10 @@ def check_grid_oracle(cfg):
     A w is a row at n unless w = n with c pinned to 0 (the sweep skips it as
     a norm of zero).  A row at n = 1 refuses the grid, and so does a range
     with no row, by the first of its causes: a pinned w that fits no n, no
-    n >= 2 with a w, or a lone norm-of-zero cell.  Every q up to
-    MODULUS_GUARD + 1 must be a prime power, by `prime_power_loop`, and a
-    pinned c a code of every F_q, the first q it fails named.
+    n >= 2 with a w, or a lone norm-of-zero cell.  Every q must be at most
+    FIELD_ORDER_CAP, which is tested before any q is factored, and a prime
+    power, by `prime_power_loop`, and a pinned c a code of every F_q, the
+    first q it fails named.
     """
     qs = sorted(set(cfg.q_list))
     if not qs:
@@ -169,8 +170,10 @@ def check_grid_oracle(cfg):
     if qs[0] < 2:
         raise ValueError(f"q must be at least 2, not q={qs[0]}")
     for q in qs:
-        if q <= MODULUS_GUARD + 1:
-            prime_power_loop(q)
+        if q > FIELD_ORDER_CAP:
+            raise SizeCapError(f"q**n - 1 for (q, n) = ({q}, 1) exceeds the size cap "
+                               f"{FIELD_ORDER_CAP - 1}")
+        prime_power_loop(q)
     c = cfg.pinned_c
     bad = [q for q in qs if c is not None and not 0 <= c < q]
     if bad:

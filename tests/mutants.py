@@ -165,12 +165,12 @@ MUTANTS = (
            "the descent divides by each prime at most once, so a least "
            "period missing a square of a prime of N is reported too large"),
     Mutant("xor-runs-undoubled", "src/hmdft/cyclic.py",
-           (("    E = ctx.packed_exp * 2  #", "    E = ctx.packed_exp  #"),),
+           (("    E = ctx.exp * 2  #", "    E = ctx.exp  #"),),
            ("tests/test_dft_routes.py::test_polynomial_inputs_take_runs",
             "tests/test_dft_routes.py::test_routes_match_brute_force_on_sparse_inputs",
             "tests/test_dft_routes.py::test_runs_cut_few_slices",
             "tests/test_dft_routes.py::test_routes_at_the_edge_of_the_slice_budget"),
-           "the XOR runs read the field's packed exp table once, not doubled, "
+           "the XOR runs read the field's exp array once, not doubled, "
            "so a run that crosses the wrap at M is cut short"),
     Mutant("coset-walk-zero-branch-dropped", "src/hmdft/cyclic.py",
            (("ls = (ls + z) % M if z >= 0 else -1", "ls = (ls + z) % M"),),
@@ -269,6 +269,15 @@ MUTANTS = (
            ("tests/test_refusals.py::test_every_q_floor_refusal_reads_one_text",),
            "check_q lets q = 1 through, so every rule that calls it reads "
            "Z_{1^n - 1} = Z_0 and fails later, or not at all"),
+    Mutant("field-order-factored-first", "src/hmdft/gf.py",
+           (("    check_size(q, 1, field=True)\n    return numtheory.prime_power(q)\n",
+             "    check_q(q)\n    p, k = numtheory.prime_power(q)\n"
+             "    check_size(q, 1, field=True)\n    return p, k\n"),),
+           ("tests/test_refusals.py::test_every_field_order_refusal_reads_one_text",
+            "tests/test_harness.py::test_sweep_refuses_a_large_q_without_factoring_it"),
+           "check_field_order factors q before its size test, so a q past "
+           "FIELD_ORDER_CAP is factored, and one that is no prime power reads "
+           "that refusal, not the size cap's"),
     Mutant("n-floor-ignores-least", "src/hmdft/gf.py",
            (("    if n < least:\n", "    if n < 1:\n"),),
            ("tests/test_refusals.py::test_every_n_floor_refusal_reads_one_text",),

@@ -583,23 +583,21 @@ def test_huge_prime_q_fails_fast(capsys, monkeypatch, argv):
 
 
 def test_hm_verify_huge_prime_q_beside_a_small_one():
-    # sweep factors no q above MODULUS_GUARD + 1, since no n fits it, so a
-    # 61-bit prime gets its skip rows at once instead of a trial division
-    def hm_verify(qs):
-        proc = subprocess.run([sys.executable, "-m", "hmdft.cli", "hm-verify", "--q", qs,
+    # a q past the field cap names no field the package builds: the sweep
+    # refuses it by its size before factoring it, so a 61-bit prime exits 2
+    # at once instead of after a trial division, and so does a composite q
+    # that fits no n, which once got skip rows and exit 0
+    for q in (HUGE_PRIME_Q, str(3 * (MODULUS_GUARD + 2))):
+        proc = subprocess.run([sys.executable, "-m", "hmdft.cli", "hm-verify", "--q", f"3,{q}",
                                "--n", "2:3", "--no-witness", "--format", "json"],
                               capture_output=True, text=True, timeout=10, env=_cli_env())
-        assert proc.returncode == 0
-        return json.loads(proc.stdout)
-
-    both, alone = hm_verify(f"3,{HUGE_PRIME_Q}"), hm_verify("3")
-    assert both["reports"] == alone["reports"]
-    assert both["skipped"] == alone["skipped"] + [
-        {"q": int(HUGE_PRIME_Q), "n": n, "reason": "size_cap"} for n in (2, 3)]
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: q**n - 1 for (q, n) = ({q}, 1) exceeds the size cap "
+                               f"{FIELD_ORDER_CAP - 1}\n")
 
 
 def test_hm_verify_composite_q_beside_a_small_one():
-    # every q up to MODULUS_GUARD + 1 is factored before its n loop, so a q
+    # every q up to FIELD_ORDER_CAP is factored before its n loop, so a q
     # that is not a prime power is refused even when it fits no n
     code, out, err = _fresh(["hm-verify", "--q", "3,1000000", "--n", "2:3", "--no-witness"])
     assert code == 2 and out == ""
@@ -690,7 +688,8 @@ def test_malformed_input_exits_2(capsys, argv):
 @st.composite
 def _grids(draw):
     # q = 0 is left out: at n < 0 the oracle raises ZeroDivisionError on 0**n
-    # 6 and 10 are no prime powers; the large q is none either, but fits no n
+    # 6 and 10 are no prime powers; the large q, past the field cap, is
+    # refused before it is factored
     q_list = tuple(draw(st.lists(st.sampled_from([-2, 1, 2, 3, 4, 6, 7, 9, 10, 16, 1024,
                                                   3 * (MODULUS_GUARD + 2)]),
                                  max_size=3)))

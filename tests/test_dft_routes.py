@@ -129,8 +129,8 @@ def test_runs_cut_few_slices(monkeypatch, m, N):
     M = ctx.order - 1
     zeta = ctx.nth_root_of_unity(N)
     f = CyclicFn(ctx, [ctx.zeta_code if i in {0, 1, 2, 5, 9, 12} else 0 for i in range(N)])
-    # the field's packed table, counted: every slice the runs cut is one of it
-    monkeypatch.setattr(ctx, "packed_exp", CountedArray("H", ctx.packed_exp))
+    # the field's exp table, counted: every slice the runs cut is one of it
+    monkeypatch.setattr(ctx, "exp", CountedArray("H", ctx.exp))
     for z in (zeta, zeta ** -1):
         terms = terms_of(f, z)
         CountedArray.cuts = 0
@@ -146,7 +146,7 @@ class WatchedField(gf.FieldCtx):
 
 
 def test_runs_leave_no_field_behind(monkeypatch):
-    # the packed table is the field's own slot, so once gf's caches forget a
+    # the exp table is the field's own slot, so once gf's caches forget a
     # field that transforms have read, nothing else keeps it alive
     monkeypatch.setattr(gf, "_FIELD_CACHE", {})
     monkeypatch.setattr(gf, "_EMBED_CACHE", {})

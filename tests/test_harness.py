@@ -187,22 +187,23 @@ def test_sweep_size_cap_recorded_not_fatal(monkeypatch):
         assert res.skipped == ({"q": q, "n": 2, "reason": "size_cap"},)
 
 
-def test_sweep_skips_a_large_q_without_factoring_it(monkeypatch):
-    # a q past MODULUS_GUARD + 1 fits no n >= 1 under check_size, so it gets
-    # its skip rows and is never factored; n = 0 fits but has no rows
+def test_sweep_refuses_a_large_q_without_factoring_it(monkeypatch):
+    # a q past FIELD_ORDER_CAP names no field, so the grid check refuses it
+    # by its size before any factoring, beside a q = 3 that has rows; it once
+    # got skip rows, though it is no prime power
     q = 3 * (gf.MODULUS_GUARD + 2)
-    real = harness.prime_power
+    real = numtheory.prime_power
 
     def no_factoring(n):
-        if n == q:
+        if n > gf.FIELD_ORDER_CAP:
             raise AssertionError(f"factored {n}")
         return real(n)
 
-    monkeypatch.setattr(harness, "prime_power", no_factoring)
-    _work_only_on(monkeypatch, 3)
-    res = sweep(SweepConfig(q_list=(3, q), n_range=(0, 3)))
-    assert {r.q for r in res.reports} == {3} and res.summary["fail"] == 0
-    assert res.skipped == tuple({"q": q, "n": n, "reason": "size_cap"} for n in (1, 2, 3))
+    monkeypatch.setattr(numtheory, "prime_power", no_factoring)
+    monkeypatch.setattr(harness, "_reports", _no_work)  # refused before any row
+    with pytest.raises(SizeCapError, match=rf"^q\*\*n - 1 for \(q, n\) = \({q}, 1\) "
+                                            f"exceeds the size cap {gf.FIELD_ORDER_CAP - 1}$"):
+        sweep(SweepConfig(q_list=(3, q), n_range=(0, 3)))
 
 
 def test_sweep_long_n_range_skips_fast():

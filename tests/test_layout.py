@@ -13,11 +13,12 @@ passes.  The records are immutable ``collections.namedtuple`` subclasses
 and none of the modules ``dataclasses`` imports; it reads argv against its
 own table and imports ``csv`` for csv output alone, so it loads no
 ``argparse``, ``gettext``, ``locale`` or ``csv`` either.  The ``FieldCtx``
-constructor sets every slot, and the field holds its Zech table exactly
-where its adder reads one.  Every name the package exports is used by some
-other module of it, and every public method and property of its classes is
-read by some code outside its own def, or is allow-listed with the reason it
-stays; every module-level private function and class is read somewhere in
+constructor sets every slot, the field holds its exp table once and its
+Zech table exactly where its adder reads one, and no code in the package
+stores into or mutates a field's exp, log or Zech table.  Every name the
+package exports is used by some other module of it, and every public method
+and property of its classes is read by some code outside its own def, or is
+allow-listed with the reason it stays; every module-level private function and class is read somewhere in
 the package outside its own def, so no private helper outlives its callers.
 The package defines one exception class, ``gf.SizeCapError``, a
 direct subclass of ValueError, and every ``raise`` names it or a builtin
@@ -409,13 +410,16 @@ def test_field_constructor_sets_every_slot(p, m):
     # packings; no slot is ever left unset
     ctx = make_field(p, m)
     assert [slot for slot in FieldCtx.__slots__ if not hasattr(ctx, slot)] == []
-    # characteristic 2 keeps the exp table packed as well, code for code
+    # one copy of the exp table: no other slot holds it, and it is the array
+    # its build fills in characteristic 2, 2 or 4 bytes per code, a tuple for odd p
+    codes = list(ctx.exp)
+    assert len(codes) == ctx.order - 1
+    assert [slot for slot in FieldCtx.__slots__
+            if slot != "exp" and _holds(getattr(ctx, slot), codes)] == []
     if p == 2:
-        assert type(ctx.packed_exp) is array
-        assert ctx.packed_exp.typecode == ("H" if m <= 16 else "I")
-        assert ctx.packed_exp.tolist() == list(ctx.exp)
+        assert type(ctx.exp) is array and ctx.exp.typecode == ("H" if m <= 16 else "I")
     else:
-        assert ctx.packed_exp is None
+        assert type(ctx.exp) is tuple
     # the Zech adder is the one whose closure holds the field's table
     cells = getattr(ctx.add_codes, "__closure__", None) or ()
     zech_adder = any(cell.cell_contents is ctx.zech for cell in cells)
@@ -424,6 +428,62 @@ def test_field_constructor_sets_every_slot(p, m):
         assert type(ctx.zech) is tuple and len(ctx.zech) == ctx.order - 1
     else:
         assert ctx.zech is None
+
+
+def _holds(value, codes):
+    """True when value iterates as the list codes."""
+    try:
+        return list(value) == codes
+    except TypeError:  # an int or a function
+        return False
+
+
+# the field tables that every product reads, and the methods of list and
+# array that change one in place
+TABLES = {"exp", "log", "zech"}
+MUTATORS = {"append", "byteswap", "clear", "extend", "frombytes", "fromfile", "fromlist",
+            "fromunicode", "insert", "pop", "remove", "reverse", "sort",
+            "__setitem__", "__delitem__", "__iadd__", "__imul__"}
+
+
+def _table_writes(trees):
+    """module.py:line of each store into, delete from, in-place operation on
+    or mutating call of an ``.exp``, ``.log`` or ``.zech`` attribute."""
+    def table(node):
+        return isinstance(node, ast.Attribute) and node.attr in TABLES
+
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and table(node.value)
+                    or isinstance(node, ast.AugAssign) and table(node.target)
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in MUTATORS and table(node.func.value)):
+                found.append(f"{name}.py:{node.lineno}")
+    return found
+
+
+def test_field_tables_are_only_read():
+    # a characteristic-2 exp table is a mutable array that every product
+    # reads, and the fields are shared through make_field's cache: no code
+    # writes a table once the constructor has bound it
+    assert _table_writes(_trees()) == []
+
+
+def test_table_write_check_catches_a_planted_store():
+    trees = _trees()
+    trees["cyclic"].body += ast.parse(
+        "def _planted(ctx, other):\n"
+        "    ctx.exp[0] = 1\n"
+        "    del other.log[2:4]\n"
+        "    ctx.zech[1] += 1\n"
+        "    ctx.exp += other.exp\n"
+        "    ctx.exp.frombytes(b'')\n"
+        "    other.log.append(0)\n"
+        "    return ctx.exp[0] + len(other.log) + ctx.zech.index(1)").body
+    # each statement of the planted def but the last, whose reads pass
+    assert sorted(_table_writes(trees)) == [f"cyclic.py:{line}" for line in range(2, 8)]
 
 
 # exports no module of the package uses, each with the reason it stays

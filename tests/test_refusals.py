@@ -6,7 +6,8 @@ row.  Each row of ``REFUSALS`` is one refusal of each kind the package once
 gave a class of its own, keyed by that class's name.  Each argument fact
 (q >= 2, the n floor, the w range, a code in [0, order)) has one rule in
 ``gf`` and one text, and each caller table below reaches that rule through
-every site that once had a copy of its own.
+every site that once had a copy of its own.  So does the rule that q names a
+field (a prime power up to the field cap), one text per refused q.
 """
 
 import pytest
@@ -38,7 +39,8 @@ from hmdft import (
     verify_period_claims,
 )
 from hmdft import cli, numtheory, symfun
-from hmdft.gf import SizeCapError, check_modulus, check_size
+from hmdft.gf import (FIELD_ORDER_CAP, MODULUS_GUARD, SizeCapError, check_modulus, check_size,
+                      value_field)
 
 
 def _handler(*argv):
@@ -109,6 +111,37 @@ def test_every_q_floor_refusal_reads_one_text(caller, q):
     with pytest.raises(ValueError, match=f"^q must be at least 2, not q={q}$") as exc:
         Q_FLOOR_CALLERS[caller](q)
     assert type(exc.value) is ValueError
+
+
+# every "q names a field" rule is gf.check_field_order's: a q past the field
+# cap is refused by its size before it is factored, then a q that is no prime
+# power; q -> its one text at every caller
+FIELD_ORDER_REFUSALS = {
+    6: "^6 is not a prime power$",
+    (1 << 20) + 7: r"^q\*\*n - 1 for \(q, n\) = \(1048583, 1\) exceeds the size cap 1048575$",
+    3 * (MODULUS_GUARD + 2): r"^q\*\*n - 1 for \(q, n\) = \(12582918, 1\) exceeds the size "
+                             r"cap 1048575$",
+}
+FIELD_ORDER_CALLERS = {
+    "value_field": value_field,
+    "sweep": lambda q: sweep(SweepConfig(q_list=(3, q), n_range=(2, 3), with_witness=False)),
+    "shift_certificate": lambda q: symfun.shift_certificate(q, 3, 1, 1, 5),
+}
+
+
+@pytest.mark.parametrize("caller", FIELD_ORDER_CALLERS)
+@pytest.mark.parametrize("q", FIELD_ORDER_REFUSALS)
+def test_every_field_order_refusal_reads_one_text(monkeypatch, caller, q):
+    real = numtheory.prime_power
+
+    def unless_past_the_cap(n):
+        assert n <= FIELD_ORDER_CAP, f"factored {n}"
+        return real(n)
+
+    monkeypatch.setattr(numtheory, "prime_power", unless_past_the_cap)
+    with pytest.raises(ValueError, match=FIELD_ORDER_REFUSALS[q]) as exc:
+        FIELD_ORDER_CALLERS[caller](q)
+    assert type(exc.value) is (SizeCapError if q > FIELD_ORDER_CAP else ValueError)
 
 
 # every n floor of the package is gf.check_n's, with its one text:

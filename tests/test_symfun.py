@@ -27,7 +27,7 @@ from hmdft import (
     support_degree_test,
 )
 from hmdft import symfun
-from hmdft.gf import MODULUS_GUARD
+from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD, SizeCapError
 from hmdft.numtheory import digits, divisors, prime_power
 from hmdft.cyclic import least_period, least_period_by_descent
 from hmdft.symfun import MaskPoints, _weight_counts, mask_period
@@ -365,12 +365,16 @@ def test_shift_certificate_refuses_what_names_no_mask(monkeypatch):
         symfun.shift_certificate(3, 2, 1, 7, 1)
     with pytest.raises(ValueError, match="^6 is not a prime power$"):
         symfun.shift_certificate(6, 2, 1, 1, 1)
-    # a q past MODULUS_GUARD + 1 fits no n of a dense route and is not factored
+    # a q past FIELD_ORDER_CAP names no field: refused by its size, unfactored,
+    # as value_field refuses it; the cap itself, 2**20, is factored
     factored = []
     monkeypatch.setattr(symfun.numtheory, "prime_power", factored.append)
-    symfun.shift_certificate(MODULUS_GUARD + 2, 2, 1, 1, 1)
-    symfun.shift_certificate(MODULUS_GUARD + 1, 2, 1, 1, 1)
-    assert factored == [MODULUS_GUARD + 1]
+    for q in (FIELD_ORDER_CAP + 1, MODULUS_GUARD + 1, 3 * (MODULUS_GUARD + 2)):
+        with pytest.raises(SizeCapError, match=rf"^q\*\*n - 1 for \(q, n\) = \({q}, 1\) "
+                                                f"exceeds the size cap {FIELD_ORDER_CAP - 1}$"):
+            symfun.shift_certificate(q, 2, 1, 1, 1)
+    symfun.shift_certificate(FIELD_ORDER_CAP, 2, 1, 1, 1)
+    assert factored == [FIELD_ORDER_CAP]
 
 
 def _certificate_cases():
