@@ -1,6 +1,6 @@
 """Alternated pairs of benchmark runs in two checkouts.
 
-    python bench/pairs.py PARENT CHANGE --workload W [--seed S] [--pairs N]
+    python bench/pairs.py PARENT CHANGE --workload W [--seed S] [--pairs N] [--runs]
 
 Runs ``perfbench/run.py`` in the checkout PARENT and in the checkout CHANGE
 in turn, N pairs (default 10), PARENT first in the first pair and the order
@@ -22,6 +22,12 @@ parent's median, ``within bound B`` otherwise, with B the metric's
 ``bound`` in BENCHMARK.json.  Only the worse direction counts: higher for
 a metric whose ``better`` is ``lower``, lower for one whose ``better`` is
 ``higher``.
+
+With ``--runs``, each recorded run also writes one JSON line to stderr, as
+it ends, with its side, its pair index (from 0) and every end-to-end metric:
+
+    {"side": "parent", "pair": 0, "setup_s": 0.0063, "job_s": 0.0172, ...}
+
 Stdlib only.  Exit status 0, 1 when a run fails, 2 on a usage error.
 """
 
@@ -66,6 +72,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, help="default: perfbench/run.py's own")
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--runs", action="store_true",
+                    help="one JSON line per recorded run on stderr")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -82,6 +90,9 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 runs[side].append(run(side))
+                if args.runs:
+                    print(json.dumps({"side": side, "pair": i, **runs[side][-1]}),
+                          file=sys.stderr, flush=True)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -87,8 +87,9 @@ Z_{q^n-1} or the field F_{q^n} first asks ``check_size``, which refuses an
 oversized n before forming q**n.  ``symfun.mask_period`` does not, by
 design: it reads the digits of single points and builds no list of length
 q**n - 1, so ``mask_period(3, 30, 1, ...)`` answers in milliseconds.
-``harness.verify_period_claims`` and the sweep's reports of one (q, n)
-ask ``check_size`` before it.  ``check_modulus`` alone tests that a given N,
+The order of F_q itself is ``check_field_order``'s to refuse, past
+FIELD_ORDER_CAP.  ``harness.verify_period_claims`` and the sweep's reports
+of one (q, n) ask ``check_size`` before it.  ``check_modulus`` alone tests that a given N,
 a field's order - 1 included, is q**n - 1.  So is every other argument
 fact, each by one rule naming the bad value: ``check_q`` (q >= 2),
 ``check_field_order`` (q a prime power up to the field cap), ``check_n``
@@ -116,7 +117,8 @@ _EMBED_CACHE: dict[tuple[int, int, int], "Embedding"] = {}
 
 
 class SizeCapError(ValueError):
-    """q**n - 1 is over the size cap or a hard limit (``check_size``)."""
+    """q**n - 1 is over the size cap or a hard limit (``check_size``), or q
+    over the field order cap (``check_field_order``)."""
 
 
 def check_q(q: int) -> None:
@@ -127,8 +129,11 @@ def check_q(q: int) -> None:
 
 def check_field_order(q: int) -> tuple[int, int]:
     """(p, k) with q = p**k, building no field: the one rule that q names a field.
-    ``check_size`` refuses q < 2 or past FIELD_ORDER_CAP before q is factored."""
-    check_size(q, 1, field=True)
+    q < 2 is refused by ``check_q``, and q past FIELD_ORDER_CAP by a
+    SizeCapError naming q and the cap, before q is factored."""
+    check_q(q)
+    if q > FIELD_ORDER_CAP:
+        raise SizeCapError(f"q={q} exceeds the field order cap {FIELD_ORDER_CAP}")
     return numtheory.prime_power(q)
 
 

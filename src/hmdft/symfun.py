@@ -22,10 +22,13 @@ read over the integers: A_k(i) counts the k-tuples of Omega(w) summing to i,
 that is, for i != 0, the 0/1 matrices with k rows of weight w and column
 sums the digits of i (for k <= q-1 adding weight-w 0/1 digit vectors never
 carries).  The counts do not depend on c, so they are built once per
-(q, n, w), reduced mod p, and every c combines the same counts through a
-p-entry value table per k: a residue r mod p is the prime-subfield code r.
-C(q-1, k) mod p is the sign (-1)**(base-p digit sum of k), by Lucas'
-theorem (`numtheory.top_binomials`).
+(q, n, w), reduced mod p, into one packed key: k*p + a at each x != 0 where
+A_k(x) = a != 0, one level per point, as the digit sum of x is k*w, and the
+counts at slot 0 apart (`_weight_counts`).  Level k is formed from level
+k-1 on byte lanes of one big integer when no lane can carry, by the pair
+loop otherwise.  Every c maps the same key through one table of codes: a
+residue a mod p is the prime-subfield code a.  C(q-1, k) mod p is the sign
+(-1)**(base-p digit sum of k), by Lucas' theorem (`numtheory.top_binomials`).
 
 mask_periods finds the least period of the same mask with no dense list, by a
 second route.  It reads the mask one point at a time (MaskPoints): for x != 0
@@ -67,13 +70,14 @@ every n, comparing whole slices of the value list for each generator
 (`_fixed_by_generators`).  The counts A_k settle it for every c at once:
 for x != 0 the mask reads coef_k * A_k(x) at the one level k whose support
 holds x, and both generators fix slot 0, so `_counts_symmetric` runs the
-same slice rule once per (q, n, w) over a key of the counts, and a sweep
-builds no dense mask.
+same slice rule once per (q, n, w) over the packed key of the counts, and a
+sweep builds no dense mask.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from math import comb
 
 from . import numtheory
@@ -100,19 +104,75 @@ def delta(q: int, n: int, w: int) -> CyclicFn:
     return CyclicFn.from_support(ctx, support.N, support.members)
 
 
-def _weight_counts(q: int, n: int, w: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The counts A_0, ..., A_{q-1} mod p as sparse (index, count) pairs.
+def _weight_counts(q: int, n: int, w: int):
+    """The counts A_1, ..., A_{q-1} mod p as one packed key, and A_k(0) mod p per k.
 
-    A_k = A_{k-1} (*) 1_Omega(w), accumulated in plain ints and reduced mod p
-    once per level; pairs whose count vanishes mod p are dropped.  Nothing
-    is cached: a sweep reads it once per (q, n, w') (`_counts_symmetric`).
+    key[x] = k*p + a at x != 0 where A_k(x) = a != 0 mod p, and 0 elsewhere
+    and at slot 0: ``bytes`` when q*p <= 256, else an ``array`` of the
+    narrowest typecode that holds q*p (bytes slice and compare in C, an
+    array element by element); zero[k] = A_k(0) mod p, kept apart.  One
+    level holds each x != 0 (module docstring), so two levels meeting there
+    raise.  A_k = A_{k-1} (*) 1_Omega(w) is taken on byte lanes
+    (`_lane_counts`) when every lane fits a byte: a level's sums, at most
+    (p-1)*|Omega(w)| < 256, and the key's codes, q*p <= 256; by the pair
+    loop (`_pair_counts`) otherwise.  Nothing is cached: a sweep reads it
+    once per (q, n, w') (`_counts_symmetric`).
     """
     p = numtheory.prime_power(q)[0]
     support = omega(q, n, w)  # check_size refuses a huge n first
     N, members = support.N, support.members
-    level = ((0, 1),)
-    levels = [level]
-    for _ in range(q - 1):
+    code = next(t for t in "BHIQ" if q * p <= 1 << 8 * array(t).itemsize)
+    if code == "B" and (p - 1) * len(members) < 256:
+        key, zero, met = _lane_counts(q, p, N, members)
+    else:
+        key, zero, met = _pair_counts(q, p, N, members, code)
+    if met:
+        raise ValueError(f"two levels of the counts of (q, n, w) = ({q}, {n}, {w}) "
+                         "meet at one point")
+    return (bytes(key) if code == "B" else key), tuple(zero)
+
+
+def _lane_counts(q: int, p: int, N: int, members):
+    """(key, zero, whether two levels meet at one x != 0) on byte lanes.
+
+    Level k is one byte per point of Z_N, read as one integer (Kronecker
+    substitution): |Omega| shifted additions form A_{k-1} (*) 1_Omega, one
+    fold adds the lanes past N to the lanes they wrap to, and one
+    ``bytes.translate`` reduces every lane mod p.  No lane exceeds
+    (p-1)*|Omega| < 256, so none carries into the next.  A second translate
+    tags lane a != 0 as k*p + a, and an OR joins it to the key, so two levels
+    at one point leave one nonzero lane where the level counts expect two.
+    """
+    mod = (bytes(range(p)) * (256 // p + 1))[:256]  # v -> v mod p
+    shifts, wrap = [8 * t for t in members], 8 * N
+    low = (1 << wrap) - 1
+    level, zero, size, key = b"\1" + bytes(N - 1), [1], 0, 0
+    for k in range(1, q):
+        a, acc = int.from_bytes(level, "little"), 0
+        for s in shifts:
+            acc += a << s
+        level = ((acc & low) + (acc >> wrap)).to_bytes(N, "little").translate(mod)
+        zero.append(level[0])
+        size += N - 1 - level.count(0, 1)
+        tag = bytes([0, *range(k * p + 1, k * p + p)]).ljust(256, b"\0")
+        key |= int.from_bytes(level.translate(tag), "little") >> 8  # slot 0 apart
+    key = b"\0" + key.to_bytes(N - 1, "little")
+    return key, zero, key.count(0) != N - size
+
+
+def _pair_counts(q: int, p: int, N: int, members, code: str):
+    """(key, zero, whether two levels meet at one x != 0) by the pair loop.
+
+    A_k(i) sums A_{k-1}(j) over the pairs (j, t), t in Omega, with j + t = i
+    mod N, in plain ints, reduced mod p once per level; one level at a time
+    is held.  A later level at a point overwrites the key there, so two
+    levels at one point leave one nonzero entry where the level counts expect
+    two.
+    """
+    key = bytearray(N) if code == "B" else array(code, [0]) * N
+    zero, size = [1] + [0] * (q - 1), 0
+    level = [(0, 1)]
+    for k in range(1, q):
         acc = {}
         get = acc.get
         for j, a in level:
@@ -121,9 +181,13 @@ def _weight_counts(q: int, n: int, w: int) -> tuple[tuple[tuple[int, int], ...],
                 if i >= N:
                     i -= N
                 acc[i] = get(i, 0) + a
-        level = tuple((i, a % p) for i, a in acc.items() if a % p)
-        levels.append(level)
-    return tuple(levels)
+        level = [(i, r) for i, a in acc.items() if (r := a % p)]
+        zero[k] = get(0, 0) % p
+        size += len(level) - (zero[k] > 0)
+        for i, a in level:
+            key[i] = k * p + a
+    key[0] = 0
+    return key, zero, key.count(0) != N - size
 
 
 def _check_mask_args(q: int, n: int, w: int, cs):
@@ -157,21 +221,25 @@ def delta_mask(q: int, n: int, w: int, c: int) -> CyclicFn:
 
     Defined as delta_0 - ((-1)**w * delta_w - c * delta_0) ** (*(q-1)).
     Built as delta_0 plus the binomial expansion over the shared counts A_k
-    (module docstring): term k scatters coef_k * A_k (`_level_coefs`)
-    through a table of its p values.  The pair (q, w) = (2, n) is excluded
-    because Omega(n) is empty in characteristic 2.
+    (module docstring): the packed key of `_weight_counts` goes through one
+    table, k*p + a -> coef_k * a (`_level_coefs`), 0 -> 0: a ``translate``
+    table for a bytes key, else one entry per key value present, at most
+    q*p and at most N.  Slot 0 adds up its levels apart.  The pair (q, w) = (2, n) is excluded because Omega(n) is empty
+    in characteristic 2.
     """
     ctx, coefs = _level_coefs(q, n, w, c)
-    levels = _weight_counts(q, n, w)  # first: omega's check_size refuses a huge n
+    key, zero = _weight_counts(q, n, w)
     p, add, mul = ctx.p, ctx.add_codes, ctx.mul_codes
-    out = [0] * (q ** n - 1)
-    out[0] = 1
-    for coef, level in zip(coefs, levels):
-        if not coef:
-            continue
-        value = [mul(coef, r) for r in range(p)]
-        for i, a in level:  # only slot 0 can recur: A_k(i) != 0 forces digitsum(i) = k*w
-            out[i] = add(out[i], value[a]) if out[i] else value[a]
+    if isinstance(key, bytes):  # q*p <= 256, so every code, below q, fits a byte too
+        out = list(key.translate(bytes(mul(coefs[v // p], v % p) if v < q * p else 0
+                                       for v in range(256))))
+    else:  # the key values present alone: at n = 1, q*p passes N
+        codes = {v: mul(coefs[v // p], v % p) for v in set(key)}
+        out = list(map(codes.__getitem__, key))
+    slot = 1
+    for coef, a in zip(coefs, zero):
+        slot = add(slot, mul(coef, a))
+    out[0] = slot
     return CyclicFn(ctx, out)
 
 
@@ -418,21 +486,18 @@ def is_q_symmetric(f: CyclicFn, q: int, n: int) -> bool:
 def _counts_symmetric(q: int, n: int, w: int) -> tuple[bool, bool]:
     """Whether the masks of (q, n, w) are q-symmetric: (every c != 0, c = 0).
 
-    One dense key: 0 off the support and at slot 0, and k*p + a at x != 0
-    where A_k(x) = a != 0 mod p, a single level at each x (module
-    docstring).  delta_mask(q, n, w, c) at x != 0 is coef_k * a, and both
-    generators fix slot 0 and keep the digit sum, so the level.  For c != 0
+    The packed key of `_weight_counts`: 0 off the support and at slot 0, and
+    k*p + a at x != 0 where A_k(x) = a != 0 mod p, a single level at each x
+    (module docstring), read by the slice rule as it stands.
+    delta_mask(q, n, w, c) at x != 0 is coef_k * a, and both generators fix
+    slot 0 and keep the digit sum, so the level.  For c != 0
     every coef_k is nonzero (C(q-1, k) is a sign mod p), so the mask tells
     apart exactly the points the key does, and the key's verdict is the
     mask's.  A c = 0 mask reads level q - 1 alone, the key values
     >= (q - 1)*p; a key refused in full is read again at that level alone.
     """
     p = numtheory.prime_power(q)[0]
-    key = [0] * (q ** n - 1)
-    for k, level in enumerate(_weight_counts(q, n, w)):
-        for i, a in level:
-            key[i] = k * p + a
-    key[0] = 0
+    key = _weight_counts(q, n, w)[0]
     if _fixed_by_generators(key, q, n):
         return True, True
     top = (q - 1) * p

@@ -171,8 +171,7 @@ def check_grid_oracle(cfg):
         raise ValueError(f"q must be at least 2, not q={qs[0]}")
     for q in qs:
         if q > FIELD_ORDER_CAP:
-            raise SizeCapError(f"q**n - 1 for (q, n) = ({q}, 1) exceeds the size cap "
-                               f"{FIELD_ORDER_CAP - 1}")
+            raise SizeCapError(f"q={q} exceeds the field order cap {FIELD_ORDER_CAP}")
         prime_power_loop(q)
     c = cfg.pinned_c
     bad = [q for q in qs if c is not None and not 0 <= c < q]

@@ -234,11 +234,28 @@ MUTANTS = (
            "level q - 1 alone, reads asymmetric from another level's counts; "
            "the real counts pass the full key, so only planted counts see it"),
     Mutant("counts-key-count-dropped", "src/hmdft/symfun.py",
-           (("            key[i] = k * p + a\n", "            key[i] = k\n"),),
-           ("tests/test_harness.py::test_planted_counts_split_the_symmetry_verdict_at_c_0",),
-           "the counts key holds the level alone, so counts that differ "
-           "within a level's orbit pass it; the real counts are constant "
-           "there, so only planted counts see it"),
+           (("bytes([0, *range(k * p + 1, k * p + p)])", "bytes([0] + [k * p + 1] * (p - 1))"),),
+           ("tests/test_symfun.py::test_multiset_counts_match_weight_counts",),
+           "the byte lanes' key holds the level alone, so counts that differ "
+           "within a level's orbit would pass the symmetry check; the real "
+           "counts are constant there, so only the count oracle sees it"),
+    Mutant("lane-wrap-fold-dropped", "src/hmdft/symfun.py",
+           (("level = ((acc & low) + (acc >> wrap)).to_bytes(", "level = (acc & low).to_bytes("),),
+           ("tests/test_symfun.py::test_multiset_counts_match_weight_counts",),
+           "the lanes past N are cut off, not wrapped to the points they "
+           "reach mod N, so every tuple of Omega whose sum passes N is lost"),
+    Mutant("lane-mod-table-mod-p-plus-one", "src/hmdft/symfun.py",
+           (("mod = (bytes(range(p)) * (256 // p + 1))[:256]",
+             "mod = (bytes(range(p + 1)) * (256 // p + 1))[:256]"),),
+           ("tests/test_symfun.py::test_multiset_counts_match_weight_counts",),
+           "the lanes are reduced mod p + 1, so a count of p or more reads "
+           "wrong, and a level's wrong counts feed every level after it"),
+    Mutant("counts-two-levels-check-dropped", "src/hmdft/symfun.py",
+           (("    if met:\n        raise ValueError(f\"two levels of the counts",
+             "    if False:\n        raise ValueError(f\"two levels of the counts"),),
+           ("tests/test_symfun.py::test_two_levels_at_one_point_raise",),
+           "two levels at one point go unseen, and the key keeps one of them; "
+           "the real counts never meet, so only a planted Omega sees it"),
     Mutant("symmetry-swap-clause-dropped", "src/hmdft/symfun.py",
            (("\n            and all(codes[d0 + d1 * q::qq] == codes[d1 + d0 * q::qq]\n"
              "                    for d1 in range(q) for d0 in range(d1)))", ")"),),
@@ -270,9 +287,10 @@ MUTANTS = (
            "check_q lets q = 1 through, so every rule that calls it reads "
            "Z_{1^n - 1} = Z_0 and fails later, or not at all"),
     Mutant("field-order-factored-first", "src/hmdft/gf.py",
-           (("    check_size(q, 1, field=True)\n    return numtheory.prime_power(q)\n",
-             "    check_q(q)\n    p, k = numtheory.prime_power(q)\n"
-             "    check_size(q, 1, field=True)\n    return p, k\n"),),
+           (("    check_q(q)\n    if q > FIELD_ORDER_CAP:\n",
+             "    check_q(q)\n    p, k = numtheory.prime_power(q)\n    if q > FIELD_ORDER_CAP:\n"),
+            ("    return numtheory.prime_power(q)\n\n\ndef check_n",
+             "    return p, k\n\n\ndef check_n")),
            ("tests/test_refusals.py::test_every_field_order_refusal_reads_one_text",
             "tests/test_harness.py::test_sweep_refuses_a_large_q_without_factoring_it"),
            "check_field_order factors q before its size test, so a q past "

@@ -65,3 +65,31 @@ def test_the_gate_counts_only_the_worse_direction():
     assert pairs.gate(ratio, 1.0, 0.98) == "past bound 0.01"
     assert pairs.gate(ratio, 1.0, 0.995) == "within bound 0.01"
     assert pairs.gate(ratio, 0.5, 1.0) == "within bound 0.01"  # a gain
+
+
+def test_runs_write_one_json_line_per_recorded_run(monkeypatch, capsys):
+    # run_once stubbed: each run reads its own call number in every metric;
+    # the two runs not recorded write nothing, and stdout is as without --runs
+    spec = importlib.util.spec_from_file_location("pairs", SCRIPT)
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append(checkout.name)
+        return dict.fromkeys(names, float(len(calls)))
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    argv = ["parent", "change", "--workload", "smoke", "--pairs", "2"]
+    assert pairs.main(argv + ["--runs"]) == 0
+    out, err = capsys.readouterr()
+    assert calls == ["parent", "change", "parent", "change", "change", "parent"]
+    rows = [json.loads(line) for line in err.splitlines()]
+    assert [(r.pop("side"), r.pop("pair")) for r in rows] == [
+        ("parent", 0), ("change", 0), ("change", 1), ("parent", 1)]
+    assert rows == [dict.fromkeys(names, float(i)) for i in (3, 4, 5, 6)]
+    del calls[:]
+    assert pairs.main(argv) == 0
+    assert capsys.readouterr() == (out, "")
+    assert out.splitlines()[0] == "workload smoke, pairs 2, order flipped at each pair"

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import hmdft
 from hmdft import cli, harness, numtheory, spectral
 from hmdft.cli import _json, _parse_ints, main
-from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD
+from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD, SizeCapError
 from hmdft.harness import SweepConfig, _check_grid
 from hmdft.spectral import Verdict
 
@@ -592,8 +592,7 @@ def test_hm_verify_huge_prime_q_beside_a_small_one():
                                "--n", "2:3", "--no-witness", "--format", "json"],
                               capture_output=True, text=True, timeout=10, env=_cli_env())
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == (f"error: q**n - 1 for (q, n) = ({q}, 1) exceeds the size cap "
-                               f"{FIELD_ORDER_CAP - 1}\n")
+        assert proc.stderr == f"error: q={q} exceeds the field order cap {FIELD_ORDER_CAP}\n"
 
 
 def test_hm_verify_composite_q_beside_a_small_one():
@@ -967,6 +966,10 @@ CLI_REFUSALS = [
     pytest.param(("period", "--seq", "1,x"), ValueError,
                  "^--seq takes ints separated by commas, not 'x'$",
                  id="argv10-ValueError-^--seq takes ints separated by commas, not 'x'$"),
+    # a q past the field order cap is refused by q and that cap, with no n
+    pytest.param(("hm-verify", "--q", "3,12582918", "--n", "2", "--no-witness"), SizeCapError,
+                 "^q=12582918 exceeds the field order cap 1048576$",
+                 id="argv11-SizeCapError-^q=12582918 exceeds the field order cap 1048576$"),
 ]
 
 

@@ -201,8 +201,8 @@ def test_sweep_refuses_a_large_q_without_factoring_it(monkeypatch):
 
     monkeypatch.setattr(numtheory, "prime_power", no_factoring)
     monkeypatch.setattr(harness, "_reports", _no_work)  # refused before any row
-    with pytest.raises(SizeCapError, match=rf"^q\*\*n - 1 for \(q, n\) = \({q}, 1\) "
-                                            f"exceeds the size cap {gf.FIELD_ORDER_CAP - 1}$"):
+    with pytest.raises(SizeCapError, match=f"^q={q} exceeds the field order cap "
+                                            f"{gf.FIELD_ORDER_CAP}$"):
         sweep(SweepConfig(q_list=(3, q), n_range=(0, 3)))
 
 
@@ -357,9 +357,12 @@ def _plant_counts(monkeypatch, points):
     real = symfun._weight_counts
 
     def planted(q, n, w):
-        levels = real(q, n, w)
-        one = tuple((i, 2 if i in points else a) for i, a in levels[1])
-        return levels[:1] + (one,) + levels[2:]
+        key, zero = real(q, n, w)
+        p, key = numtheory.prime_power(q)[0], bytearray(key)
+        for x in points:
+            if key[x] // p == 1:  # level 1, where A_1 is 1
+                key[x] = p + 2
+        return bytes(key), zero
 
     monkeypatch.setattr(symfun, "_weight_counts", planted)
 

@@ -1,9 +1,10 @@
 """The refusal contract: a refusal is a plain ValueError named by its message.
 
-The one subclass is ``gf.SizeCapError``, raised by ``gf.check_size`` alone,
-which ``SweepConfig.fits`` catches to turn an over-cap (q, n) into a skipped
-row.  Each row of ``REFUSALS`` is one refusal of each kind the package once
-gave a class of its own, keyed by that class's name.  Each argument fact
+The one subclass is ``gf.SizeCapError``, raised by ``gf.check_size``, which
+``SweepConfig.fits`` catches to turn an over-cap (q, n) into a skipped row,
+and by ``gf.check_field_order`` for a q past the field order cap.  Each row
+of ``REFUSALS`` is one refusal of each kind the package once gave a class of
+its own, keyed by that class's name.  Each argument fact
 (q >= 2, the n floor, the w range, a code in [0, order)) has one rule in
 ``gf`` and one text, and each caller table below reaches that rule through
 every site that once had a copy of its own.  So does the rule that q names a
@@ -118,9 +119,8 @@ def test_every_q_floor_refusal_reads_one_text(caller, q):
 # power; q -> its one text at every caller
 FIELD_ORDER_REFUSALS = {
     6: "^6 is not a prime power$",
-    (1 << 20) + 7: r"^q\*\*n - 1 for \(q, n\) = \(1048583, 1\) exceeds the size cap 1048575$",
-    3 * (MODULUS_GUARD + 2): r"^q\*\*n - 1 for \(q, n\) = \(12582918, 1\) exceeds the size "
-                             r"cap 1048575$",
+    (1 << 20) + 7: "^q=1048583 exceeds the field order cap 1048576$",
+    3 * (MODULUS_GUARD + 2): "^q=12582918 exceeds the field order cap 1048576$",
 }
 FIELD_ORDER_CALLERS = {
     "value_field": value_field,

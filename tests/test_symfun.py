@@ -198,21 +198,27 @@ def _oracle_grid(q, ctx, lift):
     return [(q, n, w, c, ctx, lift) for c in range(q) for n, w in nws]
 
 
-def test_delta_mask_matches_convolution_oracle():
+def test_delta_mask_matches_convolution_oracle(monkeypatch):
     # the count route against powering by convolution in the field, on every
     # q <= 9, every n with q**n - 1 <= 2*10**4, every w and every c, with
     # the oracle's values in F_q itself and in F_4 < F_16 and F_3 < F_27,
-    # where the F_q mask is lifted to meet it
+    # where the F_q mask is lifted to meet it; and at q = 17, whose key of
+    # q*p = 289 codes is an array, not bytes, n = 1 included
     cases = []
     for q in (2, 3, 4, 5, 7, 8, 9):
         cases += _oracle_grid(q, make_field(*prime_power(q)), list)
     for p, j, m in [(2, 2, 4), (3, 1, 3)]:
         small, big = make_field(p, j), make_field(p, m)
         cases += _oracle_grid(small.order, big, subfield_embedding(small, big).lift_codes)
+    cases += [(17, n, w, c, make_field(17), list) for n, w in [(1, 1), (2, 1), (2, 2)]
+              for c in (0, 1, 16)]
+    taken = _spy_routes(monkeypatch)
     for q, n, w, c, ctx, lift in cases:
         oracle = convolution_delta_mask(q, n, w, ctx.element(lift([c])[0]), ctx)
         assert lift(delta_mask(q, n, w, c).codes) == list(oracle.codes), \
             (q, n, w, c, ctx.order)
+    # both count routes: the pair loop at q = 2 from n = 11 on
+    assert set(taken) == {"_lane_counts", "_pair_counts"}
 
 
 def _dense_grid(limit, weights):
@@ -370,8 +376,8 @@ def test_shift_certificate_refuses_what_names_no_mask(monkeypatch):
     factored = []
     monkeypatch.setattr(symfun.numtheory, "prime_power", factored.append)
     for q in (FIELD_ORDER_CAP + 1, MODULUS_GUARD + 1, 3 * (MODULUS_GUARD + 2)):
-        with pytest.raises(SizeCapError, match=rf"^q\*\*n - 1 for \(q, n\) = \({q}, 1\) "
-                                                f"exceeds the size cap {FIELD_ORDER_CAP - 1}$"):
+        with pytest.raises(SizeCapError, match=f"^q={q} exceeds the field order cap "
+                                                f"{FIELD_ORDER_CAP}$"):
             symfun.shift_certificate(q, 2, 1, 1, 1)
     symfun.shift_certificate(FIELD_ORDER_CAP, 2, 1, 1, 1)
     assert factored == [FIELD_ORDER_CAP]
@@ -434,34 +440,82 @@ def test_mask_periods_match_a_fresh_descent_per_c(monkeypatch):
 
 
 def test_multiset_counts_match_weight_counts():
-    # the oracle's count table against the sparse convolution counts A_k,
-    # level by level
-    grid = dict.fromkeys(row[:3] for row in _dense_grid(2000, lambda n: range(1, n + 1)))
-    for q, n, w in grid:
+    # the oracle's count table against the packed key of the counts A_k,
+    # level by level, on both routes: the byte lanes cover the grid but its
+    # q = 2 rows with (p - 1)*|Omega| > 255, and (257, 2, 1) runs the pair
+    # loop into a key of 4-byte codes, q*p = 66049 being past 2**16
+    grid = list(dict.fromkeys(row[:3] for row in _dense_grid(2000, lambda n: range(1, n + 1))))
+    for q, n, w in grid + [(257, 2, 1)]:
+        p = prime_power(q)[0]
         table = _multiset_counts(q, n, w)
-        dense = _weight_counts(q, n, w)
+        key, zero = _weight_counts(q, n, w)
         full = (0,) * (q - 1) + (n,)
         levels = {}
-        for key, (k, a, ps) in table.items():
+        for code, (k, a, ps) in table.items():
             lam = [0] * q
             for v, mv in ps:
                 lam[v] = mv
             lam[0] = n - sum(lam)
-            assert key == sum(mv * (n + 1) ** v for v, mv in enumerate(lam))
+            assert code == sum(mv * (n + 1) ** v for v, mv in enumerate(lam))
             assert 1 <= k < q and sum(v * mv for v, mv in enumerate(lam)) == k * w
             levels[tuple(lam)] = (k, a)
-        # level 0, the zero multiset alone, is left out of the table
-        assert dense[0] == ((0, 1),)
+        # the narrowest codes that hold q*p: bytes, else an array
+        size = memoryview(key).itemsize
+        assert len(key) == q ** n - 1 and q * p <= 1 << 8 * size
+        assert isinstance(key, bytes) if size == 1 else q * p > 1 << 4 * size
+        # level 0, the zero multiset alone, is left out of the table; slot 0
+        # holds no code, its counts are apart
+        assert key[0] == 0 and zero[0] == 1 and len(zero) == q
+        points = [(i, *divmod(v, p)) for i, v in enumerate(key) if v]
+        points += [(0, k, a) for k, a in enumerate(zero) if k and a]
         seen = {}
-        for k, pairs in enumerate(dense[1:], 1):
-            for i, a in pairs:
-                d = _digits(i, q, n)
-                lam = full if i == 0 else tuple(d.count(v) for v in range(q))
-                assert max(d) <= k and levels.get(lam) == (k, a), (q, n, w, k, i)
-                seen[lam] = seen.get(lam, 0) + 1
+        for i, k, a in points:
+            d = _digits(i, q, n)
+            lam = full if i == 0 else tuple(d.count(v) for v in range(q))
+            assert max(d) <= k and levels.get(lam) == (k, a), (q, n, w, k, i)
+            seen[lam] = seen.get(lam, 0) + 1
         # each table multiset is reached at all of its arrangements
         assert seen == {lam: math.factorial(n) // math.prod(map(math.factorial, lam))
                         for lam in levels}, (q, n, w)
+
+
+def _spy_routes(monkeypatch):
+    """The names of the count routes `_weight_counts` takes, in call order."""
+    taken = []
+    for name in ("_lane_counts", "_pair_counts"):
+        real = getattr(symfun, name)
+        monkeypatch.setattr(symfun, name,
+                            lambda *args, real=real, name=name: taken.append(name) or real(*args))
+    return taken
+
+
+@pytest.mark.parametrize("q, n, w, route", [(7, 5, 2, "_lane_counts"), (2, 10, 5, "_lane_counts"),
+                                            (2, 11, 5, "_pair_counts"),
+                                            (3, 10, 4, "_pair_counts")])
+def test_weight_counts_take_lanes_exactly_when_no_lane_can_carry(monkeypatch, q, n, w, route):
+    # (p - 1)*|Omega(w)| is 60, 252, 462 and 420: a byte lane holds 255, and
+    # q*p <= 256 in all four, so the lane sums alone pick the route
+    p, members = prime_power(q)[0], omega(q, n, w).members
+    assert q * p <= 256 and ((p - 1) * len(members) < 256) == (route == "_lane_counts")
+    taken = _spy_routes(monkeypatch)
+    key, zero = _weight_counts(q, n, w)
+    assert taken == [route]
+    # the pair loop runs on any input, and the lanes' counts are its counts
+    pairs, pair_zero, met = symfun._pair_counts(q, p, q ** n - 1, members, "B")
+    assert (bytes(pairs), tuple(pair_zero), met) == (key, zero, False)
+
+
+@pytest.mark.parametrize("q, route", [(3, "_lane_counts"), (17, "_pair_counts")])
+def test_two_levels_at_one_point_raise(monkeypatch, q, route):
+    # Omega planted as {1, 2}: level 1 holds x = 1 and 2, level 2 holds 2, 3
+    # and 4, so two levels meet at x = 2; q*p = 289 > 256 sends q = 17 to the
+    # pair loop
+    monkeypatch.setattr(symfun, "omega", lambda q, n, w: SupportSet(q ** n - 1, (1, 2)))
+    taken = _spy_routes(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^two levels of the counts of \(q, n, w\) = "
+                                         rf"\({q}, 2, 1\) meet at one point$"):
+        _weight_counts(q, 2, 1)
+    assert taken == [route]
 
 
 def test_one_point_count_matches_brute_matrix_count():
