@@ -25,10 +25,11 @@ carries).  The counts do not depend on c, so they are built once per
 (q, n, w), reduced mod p, into one packed key: k*p + a at each x != 0 where
 A_k(x) = a != 0, one level per point, as the digit sum of x is k*w, and the
 counts at slot 0 apart (`_weight_counts`).  Level k is formed from level
-k-1 on byte lanes of one big integer when no lane can carry, by the pair
-loop otherwise.  Every c maps the same key through one table of codes: a
-residue a mod p is the prime-subfield code a.  C(q-1, k) mod p is the sign
-(-1)**(base-p digit sum of k), by Lucas' theorem (`numtheory.top_binomials`).
+k-1 by the pair loop while that is sparse, and on byte lanes of one big
+integer once it is dense, if no lane can carry.  Every c maps the same key
+through one table of codes: a residue a mod p is the prime-subfield code a.
+C(q-1, k) mod p is the sign (-1)**(base-p digit sum of k), by Lucas'
+theorem (`numtheory.top_binomials`).
 
 mask_periods finds the least period of the same mask with no dense list, by a
 second route.  It reads the mask one point at a time (MaskPoints): for x != 0
@@ -112,82 +113,85 @@ def _weight_counts(q: int, n: int, w: int):
     narrowest typecode that holds q*p (bytes slice and compare in C, an
     array element by element); zero[k] = A_k(0) mod p, kept apart.  One
     level holds each x != 0 (module docstring), so two levels meeting there
-    raise.  A_k = A_{k-1} (*) 1_Omega(w) is taken on byte lanes
-    (`_lane_counts`) when every lane fits a byte: a level's sums, at most
-    (p-1)*|Omega(w)| < 256, and the key's codes, q*p <= 256; by the pair
-    loop (`_pair_counts`) otherwise.  Nothing is cached: a sweep reads it
-    once per (q, n, w') (`_counts_symmetric`).
+    raise.  A_k = A_{k-1} (*) 1_Omega(w) is taken by the pair loop
+    (`_pair_level`), or on byte lanes (`_lane_level`) once A_{k-1} holds
+    at least one point in 256 and every lane fits a byte: a level's sums, at
+    most (p-1)*|Omega(w)| < 256, and the key's codes, q*p <= 256.  A pair
+    costs some 200-500 ns and a lane level about (|Omega| + 8) ns per point,
+    so the lanes win from about N/400 to N/130 points on, over N from 15624
+    to 2**20 - 1 and |Omega| from 5 to 252: a sparse level, as at w = 1 or
+    q = 2, stays on the pair loop.  Nothing is cached: a sweep reads it once
+    per (q, n, w') (`_counts_symmetric`).
     """
     p = numtheory.prime_power(q)[0]
     support = omega(q, n, w)  # check_size refuses a huge n first
     N, members = support.N, support.members
     code = next(t for t in "BHIQ" if q * p <= 1 << 8 * array(t).itemsize)
-    if code == "B" and (p - 1) * len(members) < 256:
-        key, zero, met = _lane_counts(q, p, N, members)
-    else:
-        key, zero, met = _pair_counts(q, p, N, members, code)
-    if met:
+    lanes = code == "B" and (p - 1) * len(members) < 256
+    key = bytearray(N) if code == "B" else array(code, [0]) * N
+    zero, size, tags, level = [1], 0, 0, {0: 1}
+    for k in range(1, q):
+        # a level on lanes is all N points, so the lanes keep every level after it
+        if lanes and len(level) * 256 >= N:
+            level = _lane_level(p, N, members, level)
+            zero.append(level[0])
+            size += N - 1 - level.count(0, 1)
+            tag = bytes([0, *range(k * p + 1, k * p + p)]).ljust(256, b"\0")
+            tags |= int.from_bytes(level.translate(tag), "little")
+        else:
+            level = _pair_level(p, N, members, level)
+            zero.append(level.get(0, 0))
+            size += len(level) - (0 in level)
+            for i, a in level.items():
+                key[i] = k * p + a
+    # a pair level overwrites the key, and the lane levels' tags join it by OR,
+    # so two levels at one point leave one nonzero entry where size counts two
+    if tags:
+        key = bytearray((int.from_bytes(key, "little") | tags).to_bytes(N, "little"))
+    key[0] = 0  # slot 0 apart
+    if key.count(0) != N - size:
         raise ValueError(f"two levels of the counts of (q, n, w) = ({q}, {n}, {w}) "
                          "meet at one point")
     return (bytes(key) if code == "B" else key), tuple(zero)
 
 
-def _lane_counts(q: int, p: int, N: int, members):
-    """(key, zero, whether two levels meet at one x != 0) on byte lanes.
+def _lane_level(p: int, N: int, members, level) -> bytes:
+    """A_k mod p as N bytes, from A_{k-1}: a dict of its nonzero counts, or N bytes.
 
-    Level k is one byte per point of Z_N, read as one integer (Kronecker
+    The level is one byte per point of Z_N, read as one integer (Kronecker
     substitution): |Omega| shifted additions form A_{k-1} (*) 1_Omega, one
     fold adds the lanes past N to the lanes they wrap to, and one
     ``bytes.translate`` reduces every lane mod p.  No lane exceeds
-    (p-1)*|Omega| < 256, so none carries into the next.  A second translate
-    tags lane a != 0 as k*p + a, and an OR joins it to the key, so two levels
-    at one point leave one nonzero lane where the level counts expect two.
+    (p-1)*|Omega| < 256, so none carries into the next.
     """
-    mod = (bytes(range(p)) * (256 // p + 1))[:256]  # v -> v mod p
-    shifts, wrap = [8 * t for t in members], 8 * N
+    if not isinstance(level, bytes):
+        dense = bytearray(N)
+        for i, a in level.items():
+            dense[i] = a
+        level = dense
+    a, acc, wrap = int.from_bytes(level, "little"), 0, 8 * N
+    for t in members:
+        acc += a << 8 * t
     low = (1 << wrap) - 1
-    level, zero, size, key = b"\1" + bytes(N - 1), [1], 0, 0
-    for k in range(1, q):
-        a, acc = int.from_bytes(level, "little"), 0
-        for s in shifts:
-            acc += a << s
-        level = ((acc & low) + (acc >> wrap)).to_bytes(N, "little").translate(mod)
-        zero.append(level[0])
-        size += N - 1 - level.count(0, 1)
-        tag = bytes([0, *range(k * p + 1, k * p + p)]).ljust(256, b"\0")
-        key |= int.from_bytes(level.translate(tag), "little") >> 8  # slot 0 apart
-    key = b"\0" + key.to_bytes(N - 1, "little")
-    return key, zero, key.count(0) != N - size
+    mod = (bytes(range(p)) * (256 // p + 1))[:256]  # v -> v mod p
+    return ((acc & low) + (acc >> wrap)).to_bytes(N, "little").translate(mod)
 
 
-def _pair_counts(q: int, p: int, N: int, members, code: str):
-    """(key, zero, whether two levels meet at one x != 0) by the pair loop.
+def _pair_level(p: int, N: int, members, level) -> dict:
+    """A_k mod p as a dict of its nonzero counts, from that of A_{k-1}.
 
     A_k(i) sums A_{k-1}(j) over the pairs (j, t), t in Omega, with j + t = i
-    mod N, in plain ints, reduced mod p once per level; one level at a time
-    is held.  A later level at a point overwrites the key there, so two
-    levels at one point leave one nonzero entry where the level counts expect
-    two.
+    mod N, in plain ints, reduced mod p once per level.
     """
-    key = bytearray(N) if code == "B" else array(code, [0]) * N
-    zero, size = [1] + [0] * (q - 1), 0
-    level = [(0, 1)]
-    for k in range(1, q):
-        acc = {}
-        get = acc.get
-        for j, a in level:
-            for t in members:
-                i = j + t
-                if i >= N:
-                    i -= N
-                acc[i] = get(i, 0) + a
-        level = [(i, r) for i, a in acc.items() if (r := a % p)]
-        zero[k] = get(0, 0) % p
-        size += len(level) - (zero[k] > 0)
-        for i, a in level:
-            key[i] = k * p + a
-    key[0] = 0
-    return key, zero, key.count(0) != N - size
+    acc = {}
+    get = acc.get
+    for j, a in level.items():
+        for t in members:
+            i = j + t
+            if i >= N:
+                i -= N
+            acc[i] = get(i, 0) + a
+    return {i: r for i, a in acc.items() if (r := a % p)}
 
 
 def _check_mask_args(q: int, n: int, w: int, cs):
@@ -224,8 +228,8 @@ def delta_mask(q: int, n: int, w: int, c: int) -> CyclicFn:
     (module docstring): the packed key of `_weight_counts` goes through one
     table, k*p + a -> coef_k * a (`_level_coefs`), 0 -> 0: a ``translate``
     table for a bytes key, else one entry per key value present, at most
-    q*p and at most N.  Slot 0 adds up its levels apart.  The pair (q, w) = (2, n) is excluded because Omega(n) is empty
-    in characteristic 2.
+    q*p and at most N.  Slot 0 adds up its levels apart.  The pair
+    (q, w) = (2, n) is excluded because Omega(n) is empty in characteristic 2.
     """
     ctx, coefs = _level_coefs(q, n, w, c)
     key, zero = _weight_counts(q, n, w)

@@ -240,7 +240,7 @@ MUTANTS = (
            "within a level's orbit would pass the symmetry check; the real "
            "counts are constant there, so only the count oracle sees it"),
     Mutant("lane-wrap-fold-dropped", "src/hmdft/symfun.py",
-           (("level = ((acc & low) + (acc >> wrap)).to_bytes(", "level = (acc & low).to_bytes("),),
+           (("return ((acc & low) + (acc >> wrap)).to_bytes(", "return (acc & low).to_bytes("),),
            ("tests/test_symfun.py::test_multiset_counts_match_weight_counts",),
            "the lanes past N are cut off, not wrapped to the points they "
            "reach mod N, so every tuple of Omega whose sum passes N is lost"),
@@ -251,11 +251,17 @@ MUTANTS = (
            "the lanes are reduced mod p + 1, so a count of p or more reads "
            "wrong, and a level's wrong counts feed every level after it"),
     Mutant("counts-two-levels-check-dropped", "src/hmdft/symfun.py",
-           (("    if met:\n        raise ValueError(f\"two levels of the counts",
-             "    if False:\n        raise ValueError(f\"two levels of the counts"),),
+           (("    if key.count(0) != N - size:\n        raise ValueError(f\"two levels",
+             "    if False:\n        raise ValueError(f\"two levels"),),
            ("tests/test_symfun.py::test_two_levels_at_one_point_raise",),
            "two levels at one point go unseen, and the key keeps one of them; "
            "the real counts never meet, so only a planted Omega sees it"),
+    Mutant("lanes-ignore-density", "src/hmdft/symfun.py",
+           (("if lanes and len(level) * 256 >= N:", "if lanes:"),),
+           ("tests/test_symfun.py::test_weight_counts_route_each_level_by_density",),
+           "every level whose sums fit a byte goes to the lanes, sparse or "
+           "not, so a level of a few points pays passes over all N bytes; "
+           "the counts are the same, so only the route test sees it"),
     Mutant("symmetry-swap-clause-dropped", "src/hmdft/symfun.py",
            (("\n            and all(codes[d0 + d1 * q::qq] == codes[d1 + d0 * q::qq]\n"
              "                    for d1 in range(q) for d0 in range(d1)))", ")"),),

@@ -217,8 +217,8 @@ def test_delta_mask_matches_convolution_oracle(monkeypatch):
         oracle = convolution_delta_mask(q, n, w, ctx.element(lift([c])[0]), ctx)
         assert lift(delta_mask(q, n, w, c).codes) == list(oracle.codes), \
             (q, n, w, c, ctx.order)
-    # both count routes: the pair loop at q = 2 from n = 11 on
-    assert set(taken) == {"_lane_counts", "_pair_counts"}
+    # both count routes: the lanes on dense levels, the pair loop on sparse ones
+    assert set(taken) == {"_lane_level", "_pair_level"}
 
 
 def _dense_grid(limit, weights):
@@ -439,16 +439,22 @@ def test_mask_periods_match_a_fresh_descent_per_c(monkeypatch):
     assert len(groups) == 115
 
 
-def test_multiset_counts_match_weight_counts():
+def test_multiset_counts_match_weight_counts(monkeypatch):
     # the oracle's count table against the packed key of the counts A_k,
-    # level by level, on both routes: the byte lanes cover the grid but its
-    # q = 2 rows with (p - 1)*|Omega| > 255, and (257, 2, 1) runs the pair
-    # loop into a key of 4-byte codes, q*p = 66049 being past 2**16
+    # level by level, on both routes: the byte lanes take every level of
+    # N <= 256 and the dense levels past it, the pair loop the sparse ones,
+    # so a row such as (3, 6, 3) joins a pair level to a lane level in one
+    # key; (257, 2, 1) runs the pair loop into a key of 4-byte codes,
+    # q*p = 66049 being past 2**16
     grid = list(dict.fromkeys(row[:3] for row in _dense_grid(2000, lambda n: range(1, n + 1))))
+    taken = _spy_routes(monkeypatch)
+    routes = set()
     for q, n, w in grid + [(257, 2, 1)]:
         p = prime_power(q)[0]
         table = _multiset_counts(q, n, w)
+        taken.clear()
         key, zero = _weight_counts(q, n, w)
+        routes.add(tuple(dict.fromkeys(taken)))
         full = (0,) * (q - 1) + (n,)
         levels = {}
         for code, (k, a, ps) in table.items():
@@ -477,45 +483,65 @@ def test_multiset_counts_match_weight_counts():
         # each table multiset is reached at all of its arrangements
         assert seen == {lam: math.factorial(n) // math.prod(map(math.factorial, lam))
                         for lam in levels}, (q, n, w)
+    pair, lane = "_pair_level", "_lane_level"
+    assert routes == {(pair,), (lane,), (pair, lane)}
 
 
 def _spy_routes(monkeypatch):
-    """The names of the count routes `_weight_counts` takes, in call order."""
+    """The names of the count routes `_weight_counts` takes, one per level, in order."""
     taken = []
-    for name in ("_lane_counts", "_pair_counts"):
+    for name in ("_lane_level", "_pair_level"):
         real = getattr(symfun, name)
         monkeypatch.setattr(symfun, name,
                             lambda *args, real=real, name=name: taken.append(name) or real(*args))
     return taken
 
 
-@pytest.mark.parametrize("q, n, w, route", [(7, 5, 2, "_lane_counts"), (2, 10, 5, "_lane_counts"),
-                                            (2, 11, 5, "_pair_counts"),
-                                            (3, 10, 4, "_pair_counts")])
-def test_weight_counts_take_lanes_exactly_when_no_lane_can_carry(monkeypatch, q, n, w, route):
-    # (p - 1)*|Omega(w)| is 60, 252, 462 and 420: a byte lane holds 255, and
-    # q*p <= 256 in all four, so the lane sums alone pick the route
+PAIR, LANE = "_pair_level", "_lane_level"
+
+
+@pytest.mark.parametrize("q, n, w, routes", [
+    (7, 5, 2, [PAIR] * 3 + [LANE] * 3), (3, 9, 4, [PAIR, LANE]), (2, 8, 4, [LANE]),
+    (2, 10, 5, [PAIR]), (2, 11, 5, [PAIR]), (3, 10, 4, [PAIR] * 2), (3, 10, 5, [PAIR] * 2),
+    (17, 2, 1, [PAIR] * 16)])
+def test_weight_counts_route_each_level_by_density(monkeypatch, q, n, w, routes):
+    # level k goes to the lanes once level k - 1 holds at least N/256 points
+    # and no lane can carry, (p - 1)*|Omega| < 256, with q*p <= 256: the lanes
+    # from level 4 of (7, 5, 2), at (p - 1)*|Omega| = 60, and at level 2 of
+    # (3, 9, 4), at 252; (2, 8, 4) from level 0 itself, as N = 255.  Dense
+    # levels stay on the pair loop at (3, 10, 5), where (p - 1)*|Omega| is
+    # 504, and at q*p = 289 > 256; so does the sparse level 0 at N > 256,
+    # however wide its sums: 252 at (2, 10, 5), 462 at (2, 11, 5)
     p, members = prime_power(q)[0], omega(q, n, w).members
-    assert q * p <= 256 and ((p - 1) * len(members) < 256) == (route == "_lane_counts")
+    N = q ** n - 1
     taken = _spy_routes(monkeypatch)
     key, zero = _weight_counts(q, n, w)
-    assert taken == [route]
-    # the pair loop runs on any input, and the lanes' counts are its counts
-    pairs, pair_zero, met = symfun._pair_counts(q, p, q ** n - 1, members, "B")
-    assert (bytes(pairs), tuple(pair_zero), met) == (key, zero, False)
+    assert taken == routes
+    # the pair loop alone gives the same key and slot-0 counts
+    level, pairs = {0: 1}, [0] * N
+    for k in range(1, q):
+        level = symfun._pair_level(p, N, members, level)
+        for i, a in level.items():
+            pairs[i] = k * p + a
+        assert zero[k] == level.get(0, 0)
+    pairs[0] = 0
+    assert list(key) == pairs
 
 
-@pytest.mark.parametrize("q, route", [(3, "_lane_counts"), (17, "_pair_counts")])
-def test_two_levels_at_one_point_raise(monkeypatch, q, route):
-    # Omega planted as {1, 2}: level 1 holds x = 1 and 2, level 2 holds 2, 3
-    # and 4, so two levels meet at x = 2; q*p = 289 > 256 sends q = 17 to the
-    # pair loop
-    monkeypatch.setattr(symfun, "omega", lambda q, n, w: SupportSet(q ** n - 1, (1, 2)))
+@pytest.mark.parametrize("q, n, members, routes", [(3, 2, (1, 2), [LANE] * 2),
+                                                  (3, 6, (1, 2, 3), [PAIR, LANE]),
+                                                  (17, 2, (1, 2), [PAIR] * 16)])
+def test_two_levels_at_one_point_raise(monkeypatch, q, n, members, routes):
+    # Omega planted: level 1 holds its members and level 2 their sums, so two
+    # levels meet at x = 2, on the lanes alone at N = 8, where a lane level
+    # joins the key by OR, a pair level then a lane level at N = 728, and the
+    # pair loop alone at q*p = 289 > 256, where a level overwrites the key
+    monkeypatch.setattr(symfun, "omega", lambda q, n, w: SupportSet(q ** n - 1, members))
     taken = _spy_routes(monkeypatch)
     with pytest.raises(ValueError, match=rf"^two levels of the counts of \(q, n, w\) = "
-                                         rf"\({q}, 2, 1\) meet at one point$"):
-        _weight_counts(q, 2, 1)
-    assert taken == [route]
+                                         rf"\({q}, {n}, 1\) meet at one point$"):
+        _weight_counts(q, n, 1)
+    assert taken == routes
 
 
 def test_one_point_count_matches_brute_matrix_count():
