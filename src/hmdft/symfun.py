@@ -116,12 +116,12 @@ def _weight_counts(q: int, n: int, w: int):
     raise.  A_k = A_{k-1} (*) 1_Omega(w) is taken by the pair loop
     (`_pair_level`), or on byte lanes (`_lane_level`) once A_{k-1} holds
     at least one point in 256 and every lane fits a byte: a level's sums, at
-    most (p-1)*|Omega(w)| < 256, and the key's codes, q*p <= 256.  A pair
-    costs some 200-500 ns and a lane level about (|Omega| + 8) ns per point,
-    so the lanes win from about N/400 to N/130 points on, over N from 15624
-    to 2**20 - 1 and |Omega| from 5 to 252: a sparse level, as at w = 1 or
-    q = 2, stays on the pair loop.  Nothing is cached: a sweep reads it once
-    per (q, n, w') (`_counts_symmetric`).
+    most (p-1)*|Omega(w)| < 256, and the key's codes, q*p <= 256.  On
+    CPython 3.11 and a Xeon core a pair costs 170-480 ns and a lane level
+    about (|Omega| + 8) ns per point, so the lanes win from N/400 to N/130
+    points on, over N from 15624 to 2**20 - 1 and |Omega| from 5 to 252: a
+    sparse level, as at w = 1 or q = 2, stays on the pair loop.  Nothing is
+    cached: a sweep reads it once per (q, n, w') (`_counts_symmetric`).
     """
     p = numtheory.prime_power(q)[0]
     support = omega(q, n, w)  # check_size refuses a huge n first
