@@ -25,9 +25,9 @@ one-row call.  The rows of a weight class w' = min(w, n - w) share one
 `cyclic.least_period_by_descent` per c, refutes most shifts from the digits
 of one integer, with one verdict table per side of zero, and reads the mask
 at its support points only for the rest.  The q-symmetry check reads the
-dense route's counts (symfun's A_k) as one packed key, k*p + A_k(x) mod p
-at each point: its verdict pair, for every c != 0 and for c = 0, is formed
-once per w' by `symfun._counts_symmetric`, so no sweep builds a dense
+dense route's codes of the c = 1 mask, which tell points apart as every
+c != 0 mask does: its verdict pair, for every c != 0 and for c = 0, is
+formed once per w' by `symfun._counts_symmetric`, so no sweep calls
 `delta_mask`.  The two mask routes count A_k independently; they share the
 argument checks and F_q (`symfun._check_mask_args`) and every level's
 coefficient (`symfun._level_coefs`, over `top_binomials`).

@@ -152,11 +152,10 @@ def _root_gcd(h: PolyFq, q: int, n: int,
     ctx = h.ctx
     p, m = ctx.p, ctx.m
     if subfield_order is not None:
-        # a subfield has order p**t with t | m*n, never above N + 1, so a
-        # larger order is refused before it is factored
-        pp, t = (numtheory.prime_power(subfield_order)
-                 if subfield_order <= N + 1 else (0, 1))
-        if pp != p or (m * n) % t:
+        # the subfields have the orders p**t, t | m*n: L is found among them,
+        # never factored
+        t = next((t for t in numtheory.divisors(m * n) if p ** t == subfield_order), 0)
+        if not t:
             raise ValueError(f"F_{subfield_order} is not a subfield of F_{N + 1}")
         if not _frobenius_fixed(_fold(h, N), ctx, N, t):
             raise ValueError(f"image of h is not contained in F_{subfield_order}")

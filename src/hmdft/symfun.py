@@ -21,15 +21,13 @@ where A_k is the k-fold convolution power of the 0/1 indicator of Omega(w)
 read over the integers: A_k(i) counts the k-tuples of Omega(w) summing to i,
 that is, for i != 0, the 0/1 matrices with k rows of weight w and column
 sums the digits of i (for k <= q-1 adding weight-w 0/1 digit vectors never
-carries).  The counts do not depend on c, so they are built once per
-(q, n, w), reduced mod p, into one packed key: k*p + a at each x != 0 where
-A_k(x) = a != 0, one level per point, as the digit sum of x is k*w, and the
-counts at slot 0 apart (`_weight_counts`).  Level k is formed from level
-k-1 by the pair loop while that is sparse, and on byte lanes of one big
-integer once it is dense, if no lane can carry.  Every c maps the same key
-through one table of codes: a residue a mod p is the prime-subfield code a.
-C(q-1, k) mod p is the sign (-1)**(base-p digit sum of k), by Lucas'
-theorem (`numtheory.top_binomials`).
+carries).  At x != 0 one level holds x, as its digit sum is k*w, so the
+mask reads coef_k * (A_k(x) mod p) there, a residue a mod p being the
+prime-subfield code a; slot 0 adds up every level.  `_mask_codes` forms
+level k mod p from level k-1, by the pair loop while that is sparse and on
+byte lanes of one big integer once it is dense, if no lane can carry, and
+writes each level's codes in place.  C(q-1, k) mod p is the sign
+(-1)**(base-p digit sum of k), by Lucas' theorem (`numtheory.top_binomials`).
 
 mask_periods finds the least period of the same mask with no dense list, by a
 second route.  It reads the mask one point at a time (MaskPoints): for x != 0
@@ -68,11 +66,12 @@ permutation as a permutation of Z_{q^n-1}.  The maps phi_rho compose like
 the permutations rho, so invariance under two generators of S_n is
 invariance under all n! of them.  is_q_symmetric checks exactly that, for
 every n, comparing whole slices of the value list for each generator
-(`_fixed_by_generators`).  The counts A_k settle it for every c at once:
-for x != 0 the mask reads coef_k * A_k(x) at the one level k whose support
-holds x, and both generators fix slot 0, so `_counts_symmetric` runs the
-same slice rule once per (q, n, w) over the packed key of the counts, and a
-sweep builds no dense mask.
+(`_fixed_by_generators`).  One mask settles it for every c at once: for
+x != 0 the mask reads coef_k * A_k(x) at the one level k whose support
+holds x, every coef_k is nonzero when c is, and both generators fix slot 0,
+so `_counts_symmetric` runs the same slice rule over the c = 1 codes once
+per (q, n, w), and over the c = 0 codes only if those are refused; a sweep
+never calls delta_mask.
 """
 
 from __future__ import annotations
@@ -105,54 +104,62 @@ def delta(q: int, n: int, w: int) -> CyclicFn:
     return CyclicFn.from_support(ctx, support.N, support.members)
 
 
-def _weight_counts(q: int, n: int, w: int):
-    """The counts A_1, ..., A_{q-1} mod p as one packed key, and A_k(0) mod p per k.
+def _mask_codes(q: int, n: int, w: int, c: int):
+    """The codes of delta_mask(q, n, w, c): ``bytes`` when q <= 256, else an array.
 
-    key[x] = k*p + a at x != 0 where A_k(x) = a != 0 mod p, and 0 elsewhere
-    and at slot 0: ``bytes`` when q*p <= 256, else an ``array`` of the
-    narrowest typecode that holds q*p (bytes slice and compare in C, an
-    array element by element); zero[k] = A_k(0) mod p, kept apart.  One
-    level holds each x != 0 (module docstring), so two levels meeting there
-    raise.  A_k = A_{k-1} (*) 1_Omega(w) is taken by the pair loop
-    (`_pair_level`), or on byte lanes (`_lane_level`) once A_{k-1} holds
-    at least one point in 256 and every lane fits a byte: a level's sums, at
-    most (p-1)*|Omega(w)| < 256, and the key's codes, q*p <= 256.  On
-    CPython 3.11 and a Xeon core a pair costs 170-480 ns and a lane level
-    about (|Omega| + 8) ns per point, so the lanes win from N/400 to N/130
-    points on, over N from 15624 to 2**20 - 1 and |Omega| from 5 to 252: a
-    sparse level, as at w = 1 or q = 2, stays on the pair loop.  Nothing is
-    cached: a sweep reads it once per (q, n, w') (`_counts_symmetric`).
+    The array takes the narrowest typecode that holds q (bytes slice and
+    compare in C, an array element by element).  At x != 0 the mask reads
+    coef_k * A_k(x) mod p at the one level k whose support holds x (module
+    docstring), so each level writes its codes in place, and two levels
+    with nonzero codes meeting at one point raise; slot 0 adds up 1 and
+    every level's coef_k * A_k(0).  A_k = A_{k-1} (*) 1_Omega(w) is taken by
+    the pair loop (`_pair_level`), one exp/log product per point, or on byte
+    lanes (`_lane_level`), through a table of the level's p products, once
+    A_{k-1} holds at least one point in 256 and every lane fits a byte: a
+    level's sums, at most (p-1)*|Omega(w)| < 256, and the codes, q <= 256.
+    On CPython 3.11 and a Xeon core a pair costs 170-480 ns and a lane
+    level about (|Omega| + 8) ns per point, so the lanes win from N/400 to
+    N/130 points on, over N from 15624 to 2**20 - 1 and |Omega| from 5 to
+    252: a sparse level, as at w = 1 or q = 2, stays on the pair loop.
+    Nothing is cached: a sweep reads it once or twice per (q, n, w')
+    (`_counts_symmetric`).
     """
-    p = numtheory.prime_power(q)[0]
+    ctx, coefs = _level_coefs(q, n, w, c)
+    p, add, mul, exp, log = ctx.p, ctx.add_codes, ctx.mul_codes, ctx.exp, ctx.log
     support = omega(q, n, w)  # check_size refuses a huge n first
     N, members = support.N, support.members
-    code = next(t for t in "BHIQ" if q * p <= 1 << 8 * array(t).itemsize)
+    code = next(t for t in "BHI" if q <= 1 << 8 * array(t).itemsize)
     lanes = code == "B" and (p - 1) * len(members) < 256
-    key = bytearray(N) if code == "B" else array(code, [0]) * N
-    zero, size, tags, level = [1], 0, 0, {0: 1}
+    codes = bytearray(N) if code == "B" else array(code, [0]) * N
+    slot, size, tags, level = add(1, coefs[0]), 0, 0, {0: 1}
     for k in range(1, q):
+        coef = coefs[k]
+        shift = log[coef] - q + 1  # coef * a is exp[shift + log[a]] for coef, a != 0
         # a level on lanes is all N points, so the lanes keep every level after it
         if lanes and len(level) * 256 >= N:
             level = _lane_level(p, N, members, level)
-            zero.append(level[0])
-            size += N - 1 - level.count(0, 1)
-            tag = bytes([0, *range(k * p + 1, k * p + p)]).ljust(256, b"\0")
-            tags |= int.from_bytes(level.translate(tag), "little")
+            if coef:
+                size += N - 1 - level.count(0, 1)
+                table = bytes([0, *[exp[shift + log[a]] for a in range(1, p)]])
+                tags |= int.from_bytes(level.translate(table.ljust(256, b"\0")), "little")
+            slot = add(slot, mul(coef, level[0]))
         else:
             level = _pair_level(p, N, members, level)
-            zero.append(level.get(0, 0))
-            size += len(level) - (0 in level)
-            for i, a in level.items():
-                key[i] = k * p + a
-    # a pair level overwrites the key, and the lane levels' tags join it by OR,
-    # so two levels at one point leave one nonzero entry where size counts two
+            if coef:
+                size += len(level) - (0 in level)
+                for i, a in level.items():
+                    codes[i] = exp[shift + log[a]]
+            slot = add(slot, mul(coef, level.get(0, 0)))
+    # a pair level overwrites the codes, and the lane levels' codes join them by
+    # OR, so two levels at one point leave one nonzero code where size counts two
     if tags:
-        key = bytearray((int.from_bytes(key, "little") | tags).to_bytes(N, "little"))
-    key[0] = 0  # slot 0 apart
-    if key.count(0) != N - size:
+        codes = bytearray((int.from_bytes(codes, "little") | tags).to_bytes(N, "little"))
+    codes[0] = 0  # slot 0 apart from the count
+    if codes.count(0) != N - size:
         raise ValueError(f"two levels of the counts of (q, n, w) = ({q}, {n}, {w}) "
                          "meet at one point")
-    return (bytes(key) if code == "B" else key), tuple(zero)
+    codes[0] = slot
+    return bytes(codes) if code == "B" else codes
 
 
 def _lane_level(p: int, N: int, members, level) -> bytes:
@@ -224,27 +231,11 @@ def delta_mask(q: int, n: int, w: int, c: int) -> CyclicFn:
     """The coefficient-prescription mask for (w, c) over F_q, c an F_q code.
 
     Defined as delta_0 - ((-1)**w * delta_w - c * delta_0) ** (*(q-1)).
-    Built as delta_0 plus the binomial expansion over the shared counts A_k
-    (module docstring): the packed key of `_weight_counts` goes through one
-    table, k*p + a -> coef_k * a (`_level_coefs`), 0 -> 0: a ``translate``
-    table for a bytes key, else one entry per key value present, at most
-    q*p and at most N.  Slot 0 adds up its levels apart.  The pair
+    Built as delta_0 plus the binomial expansion over the counts A_k
+    (module docstring), level by level, by `_mask_codes`.  The pair
     (q, w) = (2, n) is excluded because Omega(n) is empty in characteristic 2.
     """
-    ctx, coefs = _level_coefs(q, n, w, c)
-    key, zero = _weight_counts(q, n, w)
-    p, add, mul = ctx.p, ctx.add_codes, ctx.mul_codes
-    if isinstance(key, bytes):  # q*p <= 256, so every code, below q, fits a byte too
-        out = list(key.translate(bytes(mul(coefs[v // p], v % p) if v < q * p else 0
-                                       for v in range(256))))
-    else:  # the key values present alone: at n = 1, q*p passes N
-        codes = {v: mul(coefs[v // p], v % p) for v in set(key)}
-        out = list(map(codes.__getitem__, key))
-    slot = 1
-    for coef, a in zip(coefs, zero):
-        slot = add(slot, mul(coef, a))
-    out[0] = slot
-    return CyclicFn(ctx, out)
+    return CyclicFn(value_field(q), _mask_codes(q, n, w, c))
 
 
 def _compositions(total: int, caps):
@@ -490,19 +481,15 @@ def is_q_symmetric(f: CyclicFn, q: int, n: int) -> bool:
 def _counts_symmetric(q: int, n: int, w: int) -> tuple[bool, bool]:
     """Whether the masks of (q, n, w) are q-symmetric: (every c != 0, c = 0).
 
-    The packed key of `_weight_counts`: 0 off the support and at slot 0, and
-    k*p + a at x != 0 where A_k(x) = a != 0 mod p, a single level at each x
-    (module docstring), read by the slice rule as it stands.
-    delta_mask(q, n, w, c) at x != 0 is coef_k * a, and both generators fix
-    slot 0 and keep the digit sum, so the level.  For c != 0
-    every coef_k is nonzero (C(q-1, k) is a sign mod p), so the mask tells
-    apart exactly the points the key does, and the key's verdict is the
-    mask's.  A c = 0 mask reads level q - 1 alone, the key values
-    >= (q - 1)*p; a key refused in full is read again at that level alone.
+    delta_mask(q, n, w, c) at x != 0 is coef_k * A_k(x), at the one level k
+    whose support holds x (module docstring), and both generators fix slot 0
+    and keep the digit sum, so the level.  For c != 0 every coef_k is
+    nonzero (C(q-1, k) is a sign mod p), so every such mask tells apart
+    exactly the points the c = 1 mask does, and the c = 1 verdict is
+    theirs.  A c = 0 mask reads level q - 1 alone, so it is symmetric when
+    the c = 1 mask is; its own codes are read only when the c = 1 codes are
+    refused.
     """
-    p = numtheory.prime_power(q)[0]
-    key = _weight_counts(q, n, w)[0]
-    if _fixed_by_generators(key, q, n):
+    if _fixed_by_generators(_mask_codes(q, n, w, 1), q, n):
         return True, True
-    top = (q - 1) * p
-    return False, _fixed_by_generators([v if v >= top else 0 for v in key], q, n)
+    return False, _fixed_by_generators(_mask_codes(q, n, w, 0), q, n)

@@ -227,18 +227,20 @@ MUTANTS = (
            "at w = n the all-(q-1) vector sums to q**n - 1, which wraps to slot "
            "0; without it the point reader's mask(0) differs from delta_mask"),
     Mutant("counts-c0-reads-full-key", "src/hmdft/symfun.py",
-           (("return False, _fixed_by_generators([v if v >= top else 0 for v in key], q, n)",
+           (("return False, _fixed_by_generators(_mask_codes(q, n, w, 0), q, n)",
              "return False, False"),),
            ("tests/test_harness.py::test_planted_counts_split_the_symmetry_verdict_at_c_0",),
-           "c = 0 takes the full key's refusal, so a c = 0 mask, which reads "
+           "c = 0 takes the c = 1 codes' refusal, so a c = 0 mask, which reads "
            "level q - 1 alone, reads asymmetric from another level's counts; "
-           "the real counts pass the full key, so only planted counts see it"),
+           "the real c = 1 codes pass, so only planted counts see it"),
     Mutant("counts-key-count-dropped", "src/hmdft/symfun.py",
-           (("bytes([0, *range(k * p + 1, k * p + p)])", "bytes([0] + [k * p + 1] * (p - 1))"),),
+           (("table = bytes([0, *[exp[shift + log[a]] for a in range(1, p)]])",
+             "table = bytes([0] + [coef] * (p - 1))"),),
            ("tests/test_symfun.py::test_multiset_counts_match_weight_counts",),
-           "the byte lanes' key holds the level alone, so counts that differ "
-           "within a level's orbit would pass the symmetry check; the real "
-           "counts are constant there, so only the count oracle sees it"),
+           "a lane level writes coef_k at every point of its support, whatever "
+           "the count, so counts that differ within a level's orbit would pass "
+           "the symmetry check; the real counts are constant there, so only the "
+           "count oracle and the dense masks' oracles see it"),
     Mutant("lane-wrap-fold-dropped", "src/hmdft/symfun.py",
            (("return ((acc & low) + (acc >> wrap)).to_bytes(", "return (acc & low).to_bytes("),),
            ("tests/test_symfun.py::test_multiset_counts_match_weight_counts",),
@@ -251,17 +253,24 @@ MUTANTS = (
            "the lanes are reduced mod p + 1, so a count of p or more reads "
            "wrong, and a level's wrong counts feed every level after it"),
     Mutant("counts-two-levels-check-dropped", "src/hmdft/symfun.py",
-           (("    if key.count(0) != N - size:\n        raise ValueError(f\"two levels",
+           (("    if codes.count(0) != N - size:\n        raise ValueError(f\"two levels",
              "    if False:\n        raise ValueError(f\"two levels"),),
            ("tests/test_symfun.py::test_two_levels_at_one_point_raise",),
-           "two levels at one point go unseen, and the key keeps one of them; "
+           "two levels at one point go unseen, and the codes keep one of them; "
            "the real counts never meet, so only a planted Omega sees it"),
     Mutant("lanes-ignore-density", "src/hmdft/symfun.py",
            (("if lanes and len(level) * 256 >= N:", "if lanes:"),),
            ("tests/test_symfun.py::test_weight_counts_route_each_level_by_density",),
            "every level whose sums fit a byte goes to the lanes, sparse or "
            "not, so a level of a few points pays passes over all N bytes; "
-           "the counts are the same, so only the route test sees it"),
+           "the codes are the same, so only the route test sees it"),
+    Mutant("level-codes-read-previous-coef", "src/hmdft/symfun.py",
+           (("        coef = coefs[k]\n", "        coef = coefs[k - 1]\n"),),
+           ("tests/test_symfun.py::test_multiset_counts_match_weight_counts",
+            "tests/test_symfun.py::test_delta_mask_matches_convolution_oracle"),
+           "level k writes its counts times coef_{k-1}, so every dense mask "
+           "reads the wrong level's coefficient, but each c != 0 mask still "
+           "tells apart the same points, so no symmetry verdict changes"),
     Mutant("symmetry-swap-clause-dropped", "src/hmdft/symfun.py",
            (("\n            and all(codes[d0 + d1 * q::qq] == codes[d1 + d0 * q::qq]\n"
              "                    for d1 in range(q) for d0 in range(d1)))", ")"),),

@@ -69,7 +69,8 @@ def test_the_gate_counts_only_the_worse_direction():
 
 def test_runs_write_one_json_line_per_recorded_run(monkeypatch, capsys):
     # run_once stubbed: each run reads its own call number in every metric;
-    # the two runs not recorded write nothing, and stdout is as without --runs
+    # the two runs not recorded write nothing, and a second call writes the
+    # same stdout and one line per recorded run again
     spec = importlib.util.spec_from_file_location("pairs", SCRIPT)
     pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pairs)
@@ -82,7 +83,7 @@ def test_runs_write_one_json_line_per_recorded_run(monkeypatch, capsys):
 
     monkeypatch.setattr(pairs, "run_once", run_once)
     argv = ["parent", "change", "--workload", "smoke", "--pairs", "2"]
-    assert pairs.main(argv + ["--runs"]) == 0
+    assert pairs.main(argv) == 0
     out, err = capsys.readouterr()
     assert calls == ["parent", "change", "parent", "change", "change", "parent"]
     rows = [json.loads(line) for line in err.splitlines()]
@@ -91,5 +92,6 @@ def test_runs_write_one_json_line_per_recorded_run(monkeypatch, capsys):
     assert rows == [dict.fromkeys(names, float(i)) for i in (3, 4, 5, 6)]
     del calls[:]
     assert pairs.main(argv) == 0
-    assert capsys.readouterr() == (out, "")
+    again, err = capsys.readouterr()
+    assert again == out and len(err.splitlines()) == 4
     assert out.splitlines()[0] == "workload smoke, pairs 2, order flipped at each pair"

@@ -349,22 +349,23 @@ def test_grouped_sweep_matches_the_per_row_sweep(cfg, rows):
 
 
 def _plant_counts(monkeypatch, points):
-    """Make symfun._weight_counts read A_1(x) = 2 at each x of points in Omega(w).
+    """Make symfun._mask_codes read A_1(x) = 2 at each x of points in Omega(w).
 
     The support stays as it is (p = 3 here), but level 1 is no longer
-    constant on its digit-permutation orbit, so the counts key is refused.
+    constant on its digit-permutation orbit, so a mask whose coef_1 is
+    nonzero is refused.
     """
-    real = symfun._weight_counts
+    real = symfun._mask_codes
 
-    def planted(q, n, w):
-        key, zero = real(q, n, w)
-        p, key = numtheory.prime_power(q)[0], bytearray(key)
+    def planted(q, n, w, c):
+        codes = bytearray(real(q, n, w, c))
+        ctx, coefs = symfun._level_coefs(q, n, w, c)
         for x in points:
-            if key[x] // p == 1:  # level 1, where A_1 is 1
-                key[x] = p + 2
-        return bytes(key), zero
+            if sum(numtheory.digits(x, q)) == w:  # level 1, where A_1 is 1
+                codes[x] = ctx.mul_codes(coefs[1], 2)
+        return bytes(codes)
 
-    monkeypatch.setattr(symfun, "_weight_counts", planted)
+    monkeypatch.setattr(symfun, "_mask_codes", planted)
 
 
 def _counted_dense_masks(monkeypatch):
@@ -418,10 +419,13 @@ SYMMETRY_GRIDS = [
     # the README grid under --all-w, (5, 6) included
     [SweepConfig(q_list=(2, 3, 4, 5, 7), n_range=(2, 6), w_policy="full")],
     [SweepConfig(q_list=(8, 9), n_range=(2, 4), w_policy="full")],
+    # codes that fit a byte though q*p does not, and 17 or more levels
+    [SweepConfig(q_list=(17, 19, 25, 27), n_range=(2, 3), w_policy="full")],
 ]
 
 
-@pytest.mark.parametrize("grid", SYMMETRY_GRIDS, ids=["symmetry-readme", "readme-all-w", "q-8-9-all-w"])
+@pytest.mark.parametrize("grid", SYMMETRY_GRIDS,
+                         ids=["symmetry-readme", "readme-all-w", "q-8-9-all-w", "q-17-27-all-w"])
 def test_sweep_symmetry_matches_the_dense_route(monkeypatch, grid):
     # the old route, one dense mask per row, is the oracle of every verdict;
     # the real counts settle every (q, n, w') with no dense mask in the sweep
@@ -437,14 +441,20 @@ def test_sweep_symmetry_matches_the_dense_route(monkeypatch, grid):
 
 
 def test_sweep_forms_each_counts_verdict_once_per_weight_class(monkeypatch):
-    # under --all-w the rows of w and n - w share one key, and the counts
-    # behind it are built once
+    # under --all-w the rows of w and n - w share one verdict, and the c = 1
+    # codes behind it are built once, the c = 0 codes never, as every real
+    # c = 1 mask is symmetric
     keys, counts = [], []
-    key, weight_counts = harness._counts_symmetric, symfun._weight_counts
+    key, mask_codes = harness._counts_symmetric, symfun._mask_codes
     monkeypatch.setattr(harness, "_counts_symmetric",
                         lambda *args: keys.append(args) or key(*args))
-    monkeypatch.setattr(symfun, "_weight_counts",
-                        lambda *args: counts.append(args) or weight_counts(*args))
+
+    def counted(q, n, w, c):
+        assert c == 1, (q, n, w, c)
+        counts.append((q, n, w))
+        return mask_codes(q, n, w, c)
+
+    monkeypatch.setattr(symfun, "_mask_codes", counted)
     res = sweep(SweepConfig(q_list=(3, 4, 5), n_range=(2, 5), w_policy="full",
                             with_witness=False, check_symmetry=True))
     expected = sorted({(r.q, r.n, min(r.w, r.n - r.w)) for r in res.reports if r.r is not None})

@@ -83,19 +83,23 @@ def test_build_root_indicator_validation():
 
 def test_root_indicator_refuses_a_huge_L_before_factoring_it(monkeypatch):
     # an order above q**n names no subfield; factoring 2**61 - 1 by trial
-    # division would not finish
-    def no_factoring(n):
-        raise AssertionError(f"factored {n}")
+    # division would not finish.  m*n = 4 is factored, L never
+    real = numtheory.factorize
 
-    monkeypatch.setattr(numtheory, "factorize", no_factoring)
+    def no_factoring_of_L(n):
+        assert n == 4, f"factored {n}"
+        return real(n)
+
+    monkeypatch.setattr(numtheory, "factorize", no_factoring_of_L)
     for L in (17, 2 ** 61 - 1, 2 ** 64):
-        with pytest.raises(ValueError, match="is not a subfield of F_16"):
+        with pytest.raises(ValueError, match="^F_[0-9]+ is not a subfield of F_16$"):
             build_root_indicator(H_EX15, 2, 4, subfield_order=L)
 
 
 @pytest.mark.parametrize("L", [1, 0, -1])
-def test_root_indicator_L_below_two_is_not_a_prime_power(L):
-    with pytest.raises(ValueError, match=f"^{L} is not a prime power$"):
+def test_root_indicator_L_below_two_is_not_a_subfield(L):
+    # no order below 2 is p**t for a t dividing m*n: the one refusal text
+    with pytest.raises(ValueError, match=f"^F_{L} is not a subfield of F_16$"):
         build_root_indicator(H_EX15, 2, 4, subfield_order=L)
 
 
@@ -576,11 +580,14 @@ L_CASES = [
      "error: F_17 is not a subfield of F_16\n"),
     ("irred-test --q 2 --poly 1,1,0,0,1 --L 2305843009213693951", 2, "",
      "error: F_2305843009213693951 is not a subfield of F_16\n"),
-    ("irred-test --q 2 --poly 1,1,0,0,1 --L 1", 2, "", "error: 1 is not a prime power\n"),
-    ("irred-test --q 2 --poly 1,1,0,0,1 --L 0", 2, "", "error: 0 is not a prime power\n"),
+    ("irred-test --q 2 --poly 1,1,0,0,1 --L 1", 2, "",
+     "error: F_1 is not a subfield of F_16\n"),
+    ("irred-test --q 2 --poly 1,1,0,0,1 --L 0", 2, "",
+     "error: F_0 is not a subfield of F_16\n"),
     ("irred-test --q 2 --poly 1,1,0,0,1 --L -1", 2, "",
-     "error: -1 is not a prime power\n"),
-    ("irred-test --q 2 --poly 1,1,0,0,1 --L 6", 2, "", "error: 6 is not a prime power\n"),
+     "error: F_-1 is not a subfield of F_16\n"),
+    ("irred-test --q 2 --poly 1,1,0,0,1 --L 6", 2, "",
+     "error: F_6 is not a subfield of F_16\n"),
     ("irred-test --q 3 --poly 1,2,0,1 --L 9", 2, "", "error: F_9 is not a subfield of F_27\n"),
     ("irred-test --q 3 --poly 1,2,0,1 --L 27", 0,
      "status: Proven\nr: 26\nthreshold: 2\n", ""),

@@ -30,7 +30,7 @@ from hmdft import symfun
 from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD, SizeCapError
 from hmdft.numtheory import digits, divisors, prime_power
 from hmdft.cyclic import least_period, least_period_by_descent
-from hmdft.symfun import MaskPoints, _weight_counts, mask_period
+from hmdft.symfun import MaskPoints, _mask_codes, mask_period
 
 from helpers import (
     TableMaskPoints,
@@ -202,16 +202,19 @@ def test_delta_mask_matches_convolution_oracle(monkeypatch):
     # the count route against powering by convolution in the field, on every
     # q <= 9, every n with q**n - 1 <= 2*10**4, every w and every c, with
     # the oracle's values in F_q itself and in F_4 < F_16 and F_3 < F_27,
-    # where the F_q mask is lifted to meet it; and at q = 17, whose key of
-    # q*p = 289 codes is an array, not bytes, n = 1 included
+    # where the F_q mask is lifted to meet it; at q = 17, n = 1 included,
+    # whose codes fit a byte though q*p = 289 does not; and at q = 257,
+    # whose codes are an array, at c = 0 alone, as powering the c != 0 base
+    # by convolution takes some 14 s there
     cases = []
     for q in (2, 3, 4, 5, 7, 8, 9):
         cases += _oracle_grid(q, make_field(*prime_power(q)), list)
     for p, j, m in [(2, 2, 4), (3, 1, 3)]:
         small, big = make_field(p, j), make_field(p, m)
         cases += _oracle_grid(small.order, big, subfield_embedding(small, big).lift_codes)
-    cases += [(17, n, w, c, make_field(17), list) for n, w in [(1, 1), (2, 1), (2, 2)]
+    cases += [(17, n, w, c, make_field(17), list) for n, w in [(1, 1), (2, 1), (2, 2), (3, 1)]
               for c in (0, 1, 16)]
+    cases += [(257, 2, 1, 0, make_field(257), list)]
     taken = _spy_routes(monkeypatch)
     for q, n, w, c, ctx, lift in cases:
         oracle = convolution_delta_mask(q, n, w, ctx.element(lift([c])[0]), ctx)
@@ -440,20 +443,21 @@ def test_mask_periods_match_a_fresh_descent_per_c(monkeypatch):
 
 
 def test_multiset_counts_match_weight_counts(monkeypatch):
-    # the oracle's count table against the packed key of the counts A_k,
-    # level by level, on both routes: the byte lanes take every level of
-    # N <= 256 and the dense levels past it, the pair loop the sparse ones,
-    # so a row such as (3, 6, 3) joins a pair level to a lane level in one
-    # key; (257, 2, 1) runs the pair loop into a key of 4-byte codes,
-    # q*p = 66049 being past 2**16
+    # the oracle's count table against the c = 1 mask codes, coef_k * A_k
+    # at each point, level by level, on both routes: the byte lanes take
+    # every level of N <= 256 and the dense levels past it, the pair loop
+    # the sparse ones, so a row such as (3, 6, 3) joins a pair level to a
+    # lane level in one mask; (257, 2, 1) runs the pair loop into 2-byte
+    # codes, q being past 2**8
     grid = list(dict.fromkeys(row[:3] for row in _dense_grid(2000, lambda n: range(1, n + 1))))
     taken = _spy_routes(monkeypatch)
     routes = set()
     for q, n, w in grid + [(257, 2, 1)]:
-        p = prime_power(q)[0]
+        ctx, coefs = symfun._level_coefs(q, n, w, 1)
+        add, mul = ctx.add_codes, ctx.mul_codes
         table = _multiset_counts(q, n, w)
         taken.clear()
-        key, zero = _weight_counts(q, n, w)
+        codes = _mask_codes(q, n, w, 1)
         routes.add(tuple(dict.fromkeys(taken)))
         full = (0,) * (q - 1) + (n,)
         levels = {}
@@ -465,21 +469,25 @@ def test_multiset_counts_match_weight_counts(monkeypatch):
             assert code == sum(mv * (n + 1) ** v for v, mv in enumerate(lam))
             assert 1 <= k < q and sum(v * mv for v, mv in enumerate(lam)) == k * w
             levels[tuple(lam)] = (k, a)
-        # the narrowest codes that hold q*p: bytes, else an array
-        size = memoryview(key).itemsize
-        assert len(key) == q ** n - 1 and q * p <= 1 << 8 * size
-        assert isinstance(key, bytes) if size == 1 else q * p > 1 << 4 * size
+        # the narrowest codes that hold q: bytes, else an array
+        size = memoryview(codes).itemsize
+        assert len(codes) == q ** n - 1 and q <= 1 << 8 * size
+        assert isinstance(codes, bytes) if size == 1 else q > 1 << 4 * size
         # level 0, the zero multiset alone, is left out of the table; slot 0
-        # holds no code, its counts are apart
-        assert key[0] == 0 and zero[0] == 1 and len(zero) == q
-        points = [(i, *divmod(v, p)) for i, v in enumerate(key) if v]
-        points += [(0, k, a) for k, a in enumerate(zero) if k and a]
+        # adds up 1, coef_0 and the all-(q-1) multiset's level, if w = n
+        slot = add(1, coefs[0])
         seen = {}
-        for i, k, a in points:
-            d = _digits(i, q, n)
-            lam = full if i == 0 else tuple(d.count(v) for v in range(q))
-            assert max(d) <= k and levels.get(lam) == (k, a), (q, n, w, k, i)
-            seen[lam] = seen.get(lam, 0) + 1
+        if full in levels:
+            k, a = levels[full]
+            slot, seen[full] = add(slot, mul(coefs[k], a)), 1
+        assert codes[0] == slot and len(coefs) == q
+        for i, code in enumerate(codes):
+            if i and code:
+                d = _digits(i, q, n)
+                lam = tuple(d.count(v) for v in range(q))
+                k, a = levels.get(lam, (0, 0))
+                assert max(d) <= k and code == mul(coefs[k], a), (q, n, w, k, i)
+                seen[lam] = seen.get(lam, 0) + 1
         # each table multiset is reached at all of its arrangements
         assert seen == {lam: math.factorial(n) // math.prod(map(math.factorial, lam))
                         for lam in levels}, (q, n, w)
@@ -488,7 +496,7 @@ def test_multiset_counts_match_weight_counts(monkeypatch):
 
 
 def _spy_routes(monkeypatch):
-    """The names of the count routes `_weight_counts` takes, one per level, in order."""
+    """The names of the count routes `_mask_codes` takes, one per level, in order."""
     taken = []
     for name in ("_lane_level", "_pair_level"):
         real = getattr(symfun, name)
@@ -503,44 +511,50 @@ PAIR, LANE = "_pair_level", "_lane_level"
 @pytest.mark.parametrize("q, n, w, routes", [
     (7, 5, 2, [PAIR] * 3 + [LANE] * 3), (3, 9, 4, [PAIR, LANE]), (2, 8, 4, [LANE]),
     (2, 10, 5, [PAIR]), (2, 11, 5, [PAIR]), (3, 10, 4, [PAIR] * 2), (3, 10, 5, [PAIR] * 2),
-    (17, 2, 1, [PAIR] * 16)])
+    (17, 2, 1, [PAIR] + [LANE] * 15), (257, 2, 1, [PAIR] * 256)])
 def test_weight_counts_route_each_level_by_density(monkeypatch, q, n, w, routes):
     # level k goes to the lanes once level k - 1 holds at least N/256 points
-    # and no lane can carry, (p - 1)*|Omega| < 256, with q*p <= 256: the lanes
-    # from level 4 of (7, 5, 2), at (p - 1)*|Omega| = 60, and at level 2 of
-    # (3, 9, 4), at 252; (2, 8, 4) from level 0 itself, as N = 255.  Dense
-    # levels stay on the pair loop at (3, 10, 5), where (p - 1)*|Omega| is
-    # 504, and at q*p = 289 > 256; so does the sparse level 0 at N > 256,
-    # however wide its sums: 252 at (2, 10, 5), 462 at (2, 11, 5)
-    p, members = prime_power(q)[0], omega(q, n, w).members
+    # and no lane can carry, (p - 1)*|Omega| < 256, with codes that fit a
+    # byte, q <= 256: the lanes from level 4 of (7, 5, 2), at
+    # (p - 1)*|Omega| = 60, at level 2 of (3, 9, 4), at 252, and of
+    # (17, 2, 1), whose q*p = 289 does not fit a byte; (2, 8, 4) from level
+    # 0 itself, as N = 255.  Dense levels stay on the pair loop at
+    # (3, 10, 5), where (p - 1)*|Omega| is 504, and at q = 257 > 256; so
+    # does the sparse level 0 at N > 256, however wide its sums: 252 at
+    # (2, 10, 5), 462 at (2, 11, 5)
+    ctx, coefs = symfun._level_coefs(q, n, w, 1)
+    add, mul = ctx.add_codes, ctx.mul_codes
+    p, members = ctx.p, omega(q, n, w).members
     N = q ** n - 1
     taken = _spy_routes(monkeypatch)
-    key, zero = _weight_counts(q, n, w)
+    codes = _mask_codes(q, n, w, 1)
     assert taken == routes
-    # the pair loop alone gives the same key and slot-0 counts
-    level, pairs = {0: 1}, [0] * N
+    # the pair loop alone gives the same codes, slot 0 included
+    level, pairs, slot = {0: 1}, [0] * N, add(1, coefs[0])
     for k in range(1, q):
         level = symfun._pair_level(p, N, members, level)
         for i, a in level.items():
-            pairs[i] = k * p + a
-        assert zero[k] == level.get(0, 0)
-    pairs[0] = 0
-    assert list(key) == pairs
+            pairs[i] = mul(coefs[k], a)
+        slot = add(slot, mul(coefs[k], level.get(0, 0)))
+    pairs[0] = slot
+    assert list(codes) == pairs
 
 
 @pytest.mark.parametrize("q, n, members, routes", [(3, 2, (1, 2), [LANE] * 2),
                                                   (3, 6, (1, 2, 3), [PAIR, LANE]),
-                                                  (17, 2, (1, 2), [PAIR] * 16)])
+                                                  (17, 2, (1, 2), [PAIR] + [LANE] * 15),
+                                                  (257, 2, (1, 2), [PAIR] * 256)])
 def test_two_levels_at_one_point_raise(monkeypatch, q, n, members, routes):
     # Omega planted: level 1 holds its members and level 2 their sums, so two
-    # levels meet at x = 2, on the lanes alone at N = 8, where a lane level
-    # joins the key by OR, a pair level then a lane level at N = 728, and the
-    # pair loop alone at q*p = 289 > 256, where a level overwrites the key
+    # levels with nonzero codes at c = 1 meet at x = 2, on the lanes alone at
+    # N = 8, where a lane level joins the codes by OR, a pair level then lane
+    # levels at N = 728 and at N = 288, and the pair loop alone at q = 257,
+    # where a level overwrites the codes
     monkeypatch.setattr(symfun, "omega", lambda q, n, w: SupportSet(q ** n - 1, members))
     taken = _spy_routes(monkeypatch)
     with pytest.raises(ValueError, match=rf"^two levels of the counts of \(q, n, w\) = "
                                          rf"\({q}, {n}, 1\) meet at one point$"):
-        _weight_counts(q, n, 1)
+        _mask_codes(q, n, 1, 1)
     assert taken == routes
 
 
