@@ -47,17 +47,25 @@ point s.  The dense route stays for `delta` and `dft --c`.
 Most shifts are refuted with no count.  For x != 0, mask(x) != 0 needs
 A_k(x) != 0 at a level whose coefficient is nonzero (1 <= k < q if c != 0,
 k = q-1 if c = 0), so, as k < q weight-w 0/1 vectors add with no carry,
-digitsum(x) = k*w with every digit <= k.  For w digit positions S,
-mask(s) = coef_1 != 0 at s = sum_S q**i if c != 0, and coef_{q-1} != 0 at
-s = (q-1) * sum_S q**i if c = 0 and w < n.  A nonzero (s +- t) mod N failing
+digitsum(x) = k*w with every digit <= k.  Two families of points have a
+known nonzero value.  For w digit positions S, mask(s) = coef_1 at
+s = sum_S q**i if c != 0, and coef_{q-1} at s = (q-1) * sum_S q**i if c = 0
+and w < n (`_certificate_tries`).  If q >= 3 and n >= w + 1, the split
+points, q-1 at digits 0..w-2, a at w-1 and q-1-a at w, are on level q-1
+with A_{q-1} = C(q-1, a), a sign mod p, so mask(s) = coef_{q-1} * C(q-1, a)
+on either side of zero (`_split_tries`).  A nonzero (s +- t) mod N failing
 the digit test proves t is no period; refuting T = (q**n - 1)/Phi_n(q) shows
 r does not divide T, all the source paper's support lemma needs.  Only a
-shift no certificate refutes reads counts: a true period (N/2 at c = 0,
-w = n/2, q odd), c = 0 with w = n, or a few like (2, 2, 1, 1).  Its check
-reads every point that passes the digit test, level by level.  The tries
-and each shift's verdict depend on c only through whether it is zero, so
-`mask_periods`, given every c of one (q, n, w), forms them once per side of
-zero for that call alone; the count reader depends on c and is built per c.
+shift no certificate refutes reads counts: at n = 2, where N/2 at
+(q odd, 2, 1, 0) is a true period, c = 0 with w = n, (2, 2, 1, 1), and rare
+others like N/2 at (9, 7, 4, c != 0).  Over every prime power q < 130 and
+N <= 2**24 the descent so proves r = N with no count at each regime II row
+(q odd, w = n/2, c = 0) with n >= 4.  A count check reads every point that
+passes the digit test, level by level.  The tries and each shift's verdict
+depend on c only through whether it is zero, so `mask_periods`, given every
+c of one (q, n, w), forms the first family once per side of zero and the
+split family once per shift and side, for that call alone; the count
+reader depends on c and is built per c.
 `mask_period` is its one-c call; `shift_certificate` forms its tries anew.
 
 A function on Z_{q^n-1} is q-symmetric when it is invariant under every
@@ -219,12 +227,18 @@ def _level_coefs(q: int, n: int, w: int, c: int):
     `_check_mask_args` has accepted (q, n, w, c).
     """
     ctx = _check_mask_args(q, n, w, (c,))
-    mul, power, neg = ctx.mul_codes, ctx.pow_code, ctx.neg_code
+    mul, neg = ctx.mul_codes, ctx.neg_code
     sign = 1 if w % 2 == 0 else neg(1)
     b = neg(c)
     binom = numtheory.top_binomials(q, ctx.p)
-    return ctx, [neg(mul(binom[k], mul(power(sign, k), power(b, q - 1 - k))))
-                 for k in range(q)]
+    # term = s**k * b**(q-1-k) as one running product from k = q - 1 down,
+    # where it is s**(q-1) = 1 (q - 1 is even unless p = 2, where s = 1); s is
+    # its own inverse, so each step multiplies by s * b.  C(q-1, k) is +-1 mod p
+    coefs, term, step = [0] * q, 1, mul(sign, b)
+    for k in reversed(range(q)):
+        coefs[k] = neg(term) if binom[k] == 1 else term
+        term = mul(term, step)
+    return ctx, coefs
 
 
 def delta_mask(q: int, n: int, w: int, c: int) -> CyclicFn:
@@ -345,26 +359,50 @@ class MaskPoints:
         return all(self((s + t) % N) == code for s, code in self.support())
 
 
-CERTIFICATE_TRIES = 4  # (S, sign) per shift: the first two w-sets S, +t then -t
-
-
 def _certificate_tries(q: int, n: int, w: int, zero: bool):
-    """The tries (s, sign) of every shift at (q, n, w) on one side of zero.
+    """The first family's tries (s, sign) of every shift at (q, n, w), one side of zero.
 
-    s = low * sum_S q**i with low = q - 1 at c = 0, else 1; none at c = 0
-    with w = n, as s = N is 0 in Z_N.  The side is not low: at q = 2 both
-    sides have low = 1, yet only c != 0 has tries at w = n.
+    s = low * sum_S q**i with low = q - 1 at c = 0, else 1, for the first two
+    w-sets S: {0, ..., w-1} and, if n > w, {0, ..., w-2, w}; +t then -t.
+    None at c = 0 with w = n, as s = N is 0 in Z_N.  The side is not low:
+    at q = 2 both sides have low = 1, yet only c != 0 has tries at w = n.
     """
+    if zero and w == n:
+        return ()
     low = q - 1 if zero else 1
-    subsets = itertools.combinations(range(n), w) if not zero or w < n else ()
-    tries = ((low * sum(q ** i for i in S), sign) for S in subsets for sign in (1, -1))
-    return tuple(itertools.islice(tries, CERTIFICATE_TRIES))
+    s = low * (q ** w - 1) // (q - 1)
+    points = (s, s + low * (q - 1) * q ** (w - 1)) if n > w else (s,)
+    return tuple((x, sign) for x in points for sign in (1, -1))
+
+
+def _split_tries(q: int, n: int, w: int, t: int):
+    """The second family's tries (s, sign) for the shift t, on either side of zero.
+
+    s has digit q-1 at positions 0..w-2, a at w-1 and q-1-a at w, 1 <= a <= q-2,
+    so it is on level q-1: each of the q-1 rows of a 0/1 matrix with these
+    column sums fills the w-1 full columns and one of the two split ones,
+    so A_{q-1}(s) = C(q-1, a), a sign mod p by Lucas' theorem, and
+    mask(s) = coef_{q-1} * C(q-1, a) != 0 whatever c is.  a is read from the
+    digits t_{w-1}, t_w of t and their complements, at most 8 tries for any
+    q.  None at q = 2 (no a), at n = w (no position w) or at n = 2, whose
+    level-(q-1) points are the nonzero multiples of q-1: a shift by a
+    multiple of q-1 keeps each of them on the digit test's set or at 0.
+    """
+    if q < 3 or n <= max(w, 2):
+        return
+    P = q ** (w - 1)
+    tw1, tw = t // P % q, t // P // q % q
+    for a in dict.fromkeys((tw, tw1, q - 1 - tw, q - 1 - tw1)):
+        if 1 <= a <= q - 2:
+            s = P - 1 + a * P + (q - 1 - a) * P * q
+            yield s, 1
+            yield s, -1
 
 
 def _refute(q: int, n: int, w: int, low: int, tries, t: int):
     """The first try (s, sign) whose nonzero (s + sign*t) mod N fails the digit test."""
     N = q ** n - 1
-    for s, sign in tries:
+    for s, sign in itertools.chain(tries, _split_tries(q, n, w, t)):
         d = numtheory.digits((s + sign * t) % N, q)  # none for x = 0
         k, rest = divmod(sum(d), w)
         if d and (rest or not low <= k < q or max(d) > k):
@@ -375,7 +413,9 @@ def _refute(q: int, n: int, w: int, low: int, tries, t: int):
 def shift_certificate(q: int, n: int, w: int, c: int, t: int):
     """(s, sign) with mask(s) != 0 = mask(s + sign*t), or None; c: zero or not.
 
-    Its tries are formed at each call; `mask_periods` shares them per side.
+    s is a point of either family (module docstring); both are formed at each
+    call, at most 12 tries whatever q is, and `mask_periods` shares the
+    first family's per side of zero.
     """
     # no check_size of q**n: the digits of one integer are cheap past any cap
     check_field_order(q)

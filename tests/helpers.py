@@ -21,7 +21,7 @@ from hmdft.gf import FIELD_ORDER_CAP, MODULUS_GUARD, SizeCapError, check_size
 from hmdft.harness import (CASE_EXCLUDED, CASE_HALF, CASE_MAX, CASE_NORM, PeriodReport,
                            SweepResult, classify_case)
 from hmdft.numtheory import prime_power
-from hmdft.symfun import CERTIFICATE_TRIES, _counts_symmetric, mask_period, omega
+from hmdft.symfun import _counts_symmetric, mask_period, omega
 
 
 def brute_dft(f, zeta):
@@ -858,16 +858,21 @@ def may_be_mask_support(x, q, n, w, c):
 def shift_certificate_holds(mask_at, q, n, w, c, t, cert):
     """Whether cert = (s, sign) proves that t | N is no period of the mask.
 
-    s must have the search's shape, w digits equal to 1 (c != 0) or q - 1
-    (c = 0) and the rest 0; mask_at reads the mask's value code at a point.
-    The certificate holds when mask(s) != 0 and mask(s + sign*t) = 0.
+    s must have one of the search's two shapes: w digits equal to 1 (c != 0)
+    or q - 1 (c = 0) and the rest 0, or the split shape, q - 1 at digits
+    0..w-2, a at w-1 and q-1-a at w with 1 <= a <= q - 2, and the rest 0.
+    mask_at reads the mask's value code at a point.  The certificate holds
+    when mask(s) != 0 and mask(s + sign*t) = 0.
     """
     s, sign = cert
     N = q ** n - 1
     high = 1 if c else q - 1
     d = base_q_digits_loop(s, q, n)
+    first = sorted(d) == [0] * (n - w) + [high] * w
+    split = (n > w and 1 <= d[w - 1] <= q - 2 and d[w] == q - 1 - d[w - 1]
+             and d[:w - 1] == [q - 1] * (w - 1) and d[w + 1:] == [0] * (n - w - 1))
     return (0 < t < N and N % t == 0 and sign in (1, -1) and 0 < s < N
-            and sorted(d) == [0] * (n - w) + [high] * w
+            and (first or split)
             and mask_at(s) != 0 and mask_at((s + sign * t) % N) == 0)
 
 
@@ -875,6 +880,11 @@ def shift_certificate_per_call(q: int, n: int, w: int, c: int, t: int):
     """The shift certificate with its tries formed again and the digit test
     run at every call, in one function; the oracle for the verdict tables
     that ``symfun.mask_periods`` shares per side of zero.
+
+    The first family takes the first two w-sets S in lexicographic order.
+    The split family, at q >= 3 and n >= max(w + 1, 3), puts q - 1 at digits
+    0..w-2, a at w-1 and q-1-a at w, for a in (t_w, t_{w-1}, q-1-t_w,
+    q-1-t_{w-1}) in that order, repeats dropped and 1 <= a <= q - 2.
     """
     # no check_size: the digits of one integer are cheap past any cap
     if q < 2:
@@ -883,8 +893,19 @@ def shift_certificate_per_call(q: int, n: int, w: int, c: int, t: int):
         raise ValueError(f"w={w} outside [1, {n}]")
     N, low = q ** n - 1, 1 if c else q - 1
     subsets = itertools.combinations(range(n), w) if c or w < n else ()  # else s = N, 0 in Z_N
-    tries = ((low * sum(q ** i for i in S), sign) for S in subsets for sign in (1, -1))
-    for s, sign in itertools.islice(tries, CERTIFICATE_TRIES):
+    tries = list(itertools.islice(((low * sum(q ** i for i in S), sign)
+                                   for S in subsets for sign in (1, -1)), 4))
+    if q > 2 and n > max(w, 2):
+        td = base_q_digits_loop(t, q, n)
+        splits = []
+        for a in (td[w], td[w - 1], q - 1 - td[w], q - 1 - td[w - 1]):
+            if 0 < a < q - 1 and a not in splits:
+                splits.append(a)
+        for a in splits:
+            d = [q - 1] * (w - 1) + [a, q - 1 - a] + [0] * (n - w - 1)
+            s = sum(v * q ** i for i, v in enumerate(d))
+            tries += [(s, 1), (s, -1)]
+    for s, sign in tries:
         d = numtheory.digits((s + sign * t) % N, q)  # none for x = 0
         k, rest = divmod(sum(d), w)
         if d and (rest or not low <= k < q or max(d) > k):

@@ -207,8 +207,8 @@ MUTANTS = (
            "that are no period of a c != 0 mask on the grids, so the periods "
            "stay right and only the digit tests made show it"),
     Mutant("level-coefs-neg-dropped", "src/hmdft/symfun.py",
-           (("[neg(mul(binom[k], mul(power(sign, k), power(b, q - 1 - k))))",
-             "[mul(binom[k], mul(power(sign, k), power(b, q - 1 - k)))"),),
+           (("        coefs[k] = neg(term) if binom[k] == 1 else term\n",
+             "        coefs[k] = term if binom[k] == 1 else neg(term)\n"),),
            ("tests/test_symfun.py::test_mask_period_matches_transform_side_oracle",
             "tests/test_symfun.py::test_delta_mask_binomial_expansion"),
            "every mask coefficient over odd p is negated, on both mask routes "
@@ -220,6 +220,21 @@ MUTANTS = (
            "a shift landing on x = 0 is read as a zero of the mask, but slot 0 "
            "holds 1 + coef_0, so the certificate is false; no period of the "
            "grid changes, so only the certificate check sees it"),
+    Mutant("split-point-off-level", "src/hmdft/symfun.py",
+           (("(q - 1 - a) * P * q", "(q - 2 - a) * P * q"),),
+           ("tests/test_symfun.py::test_split_points_lie_on_the_support_at_the_lucas_value",
+            "tests/test_symfun.py::test_shift_certificates_check_out_on_periods_grid"),
+           "a split point's column w holds q-2-a, so its digit sum is one short "
+           "of level q-1 and the mask is 0 there; it still refutes shifts, "
+           "every one of them no period on the grids, so only the checks of "
+           "the points themselves see it"),
+    Mutant("split-family-dropped", "src/hmdft/symfun.py",
+           (("itertools.chain(tries, _split_tries(q, n, w, t))", "tries"),),
+           ("tests/test_harness.py::test_sweep_builds_count_tables_only_where_a_shift_survives",),
+           "only the first family's four tries run, so every shift they leave "
+           "open, as N/2 of each regime II row, goes to a count reader; the "
+           "counts are exact, so every period stays right and only the "
+           "readers built show it"),
     Mutant("slot-0-wrap-dropped", "src/hmdft/symfun.py",
            (("self._slot0 = add(add(1, coef[0]), coef[q - 1] if w == n else 0)",
              "self._slot0 = add(1, coef[0])"),),

@@ -217,8 +217,9 @@ def test_sweep_long_n_range_skips_fast():
 
 
 def test_sweep_shares_weight_counts_across_c(monkeypatch):
-    # at (7, 4) every shift of the descent is refuted count-free but those of
-    # (w, c) = (2, 0), where N/2 is left open: one count reader, built once
+    # at (7, 2) every shift of the descent is refuted count-free but those of
+    # (w, c) = (1, 0), whose N/2 and N/4 are periods: one count reader, built
+    # once for the 7 rows
     built = []
 
     class Counted(symfun.MaskPoints):
@@ -227,9 +228,9 @@ def test_sweep_shares_weight_counts_across_c(monkeypatch):
             super().__init__(q, n, w, c)
 
     monkeypatch.setattr(symfun, "MaskPoints", Counted)
-    res = sweep(SweepConfig(q_list=(7,), n_range=(4, 4), with_witness=False))
-    assert len(res.reports) == 2 * 7 and res.summary["fail"] == 0
-    assert built == [(7, 4, 2, 0)]
+    res = sweep(SweepConfig(q_list=(7,), n_range=(2, 2), with_witness=False))
+    assert len(res.reports) == 7 and res.summary["fail"] == 0
+    assert built == [(7, 2, 1, 0)]
 
 
 def test_sweep_shares_certificates_and_factors_each_q_once(monkeypatch):
@@ -257,8 +258,9 @@ def test_sweep_shares_certificates_and_factors_each_q_once(monkeypatch):
 def test_sweep_builds_count_tables_only_where_a_shift_survives(monkeypatch):
     # on the periods-2e5 grid a MaskPoints reader is built once for each row
     # with a shift that no certificate refutes, and for no other row:
-    # (2, 2, 1, 1), every (q odd, n, n/2, 0), whose N/2 the digit test
-    # leaves open (a period at n = 2 only), and (8, 4, 2, 0)
+    # (2, 2, 1, 1), where every try lands on the support or at 0, and every
+    # (q odd, 2, 1, 0), whose N/2 is a true period; the split family refutes
+    # every shift met on the rows with n >= 3
     built = []
 
     class Counted(symfun.MaskPoints):
@@ -270,10 +272,7 @@ def test_sweep_builds_count_tables_only_where_a_shift_survives(monkeypatch):
     res = sweep(SweepConfig(q_list=(2, 3, 4, 5, 7, 8, 9), n_range=(2, 12),
                             size_cap=200000, with_witness=False))
     assert res.summary["fail"] == 0
-    half = [(q, n, n // 2, 0) for q, top in [(3, 10), (5, 6), (7, 6), (9, 4)]
-            for n in range(2, top + 1, 2)]
-    assert sorted(built) == sorted([(2, 2, 1, 1), (8, 4, 2, 0)] + half)
-    assert len(built) == 15
+    assert sorted(built) == [(2, 2, 1, 1)] + [(q, 2, 1, 0) for q in (3, 5, 7, 9)]
 
 
 def _no_work(*args):

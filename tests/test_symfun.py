@@ -290,8 +290,9 @@ def _half_w_grid(cap, n_hi):
 def test_mask_period_matches_table_only_descent(monkeypatch):
     # the certificates and one-point counts against the descent on the count
     # table route alone, on every row of the 849-row grid at cap 2**22, where
-    # the dense route cannot reach; the search refutes all but 35 of the 2729
-    # shifts the descent meets there, the 3 excluded rows included
+    # the dense route cannot reach; the search refutes all but 14 of the 2729
+    # shifts the descent meets there, the 3 excluded rows included: those of
+    # n = 2 rows and (2, 2, 1, 1), as the split family refutes the rest
     tried = []
     refute = symfun._refute
     monkeypatch.setattr(symfun, "_refute", lambda *args: tried.append(refute(*args)) or tried[-1])
@@ -301,7 +302,7 @@ def test_mask_period_matches_table_only_descent(monkeypatch):
         assert mask_period(q, n, w, c) == table_only, (q, n, w, c)
         rows += 1
     assert rows == 849
-    assert (len(tried), tried.count(None)) == (2729, 35)
+    assert (len(tried), tried.count(None)) == (2729, 14)
 
 
 def test_shift_certificates_check_out_on_periods_grid(monkeypatch):
@@ -343,6 +344,110 @@ def test_shift_certificate_shapes():
     assert symfun.shift_certificate(3, 3, 3, 0, 13) is None
     # (2, 2, 1, 1): every try lands on the support or on 0
     assert symfun.shift_certificate(2, 2, 1, 1, 1) is None
+    # regime II N/2 at n = 4 falls to a split point: 14 = 112_3 (digits from
+    # the lowest) is on level 2, and 14 + 40 = 54 = 0002_3 is off level 2
+    assert symfun.shift_certificate(3, 4, 2, 0, 40) == (14, 1)
+    # at n = 2 no split point is tried: N/2 is a true period of (3, 2, 1, 0)
+    assert symfun.shift_certificate(3, 2, 1, 0, 4) is None
+
+
+def _split_points(q, n, w):
+    """Every split point `symfun._split_tries` forms at (q, n, w), over the
+    shifts t = a * q**w, a < q, whose digit t_w is a."""
+    return {s for a in range(q) for s, _ in symfun._split_tries(q, n, w, a * q ** w)}
+
+
+def test_split_points_lie_on_the_support_at_the_lucas_value():
+    # each split point holds coef_{q-1} * C(q-1, a) mod p on the dense mask,
+    # at c = 0 and c = 1: coef_{q-1} = -s**(q-1) = -1 whatever c is, and
+    # C(q-1, a) comes from math.comb, not from Lucas' theorem
+    rows = 0
+    for q in (3, 4, 5, 7, 8, 9):
+        ctx = make_field(*prime_power(q))
+        for n in range(3, 17):
+            if q ** n - 1 > 2 ** 16:
+                break
+            for w in range(1, n):
+                points = _split_points(q, n, w)
+                assert len(points) == q - 2, (q, n, w)
+                for c in (0, 1):
+                    codes = delta_mask(q, n, w, c).codes
+                    for s in points:
+                        a = digits(s, q, n)[w - 1]
+                        want = ctx.mul_codes(ctx.neg_code(1), math.comb(q - 1, a) % ctx.p)
+                        assert want and codes[s] == want, (q, n, w, c, s)
+                    rows += 1
+    assert rows == 224
+    # no split point at q = 2, at w = n or at n = 2
+    assert not _split_points(2, 5, 2) and not _split_points(5, 3, 3)
+    assert not _split_points(5, 2, 1)
+
+
+def test_no_row_past_n_2_reads_counts_on_the_wide_grid(monkeypatch):
+    # every prime power q < 50, N <= 2**22, w <= n/2 and c in {0, 1}: no row
+    # with n >= 3 builds a count reader, and every certificate the descent
+    # meets is checked against the count reader
+    built, found = [], []
+
+    class Counted(MaskPoints):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    refute = symfun._refute
+
+    def recorded(q, n, w, low, tries, t):
+        cert = refute(q, n, w, low, tries, t)
+        if cert:
+            found.append((t, cert))
+        return cert
+
+    monkeypatch.setattr(symfun, "_refute", recorded)
+    monkeypatch.setattr(symfun, "MaskPoints", Counted)
+    start = time.perf_counter()
+    rows = checked = 0
+    for q in range(2, 50):
+        try:
+            prime_power(q)
+        except ValueError:
+            continue
+        for n in range(2, 23):
+            if q ** n - 1 > 2 ** 22:
+                break
+            for w in range(1, n // 2 + 1):
+                for c in (0, 1):
+                    del found[:]
+                    mask_period(q, n, w, c)
+                    mask_at = MaskPoints(q, n, w, c)
+                    for t, cert in found:
+                        assert shift_certificate_holds(mask_at, q, n, w, c, t, cert), \
+                            (q, n, w, c, t, cert)
+                    checked += len(found)
+                    rows += 1
+    assert time.perf_counter() - start < 2
+    assert (rows, checked) == (638, 2054)
+    assert [row for row in built if row[1] > 2] == []
+
+
+def test_shift_certificate_tries_stay_bounded_at_the_field_order_cap(monkeypatch):
+    # at q = 2**20 a call forms at most 4 first-family tries and 8 split
+    # tries, whatever t is, not one per split a < q - 1
+    formed = []
+    first, split = symfun._certificate_tries, symfun._split_tries
+    monkeypatch.setattr(symfun, "_certificate_tries",
+                        lambda *args: formed.append(first(*args)) or formed[-1])
+    monkeypatch.setattr(symfun, "_split_tries",
+                        lambda *args: formed.append(tuple(split(*args))) or iter(formed[-1]))
+    q = FIELD_ORDER_CAP
+    N = q ** 3 - 1
+    for w in (1, 2):
+        for c in (0, 1):
+            for t in (N // 3, N // 7, N // 151, 5 * q ** (w - 1) + 9 * q ** w):
+                symfun.shift_certificate(q, 3, w, c, t)
+    assert len(formed) == 2 * 16
+    assert max(map(len, formed[::2])) == 4 and max(map(len, formed[1::2])) == 8
 
 
 @pytest.mark.parametrize("q, n, w, error, text", [
